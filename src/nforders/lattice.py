@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .intmath import sqrt_lb, sqrt_ub
 from .quadratic import QuadField, cf_sqrt, pell_solve
@@ -283,19 +283,6 @@ class GramForm:
     def apply(self, v) -> Fraction:
         return self.bilinear(v, v)
 
-    def is_positive_definite(self) -> bool:
-        # leading principal minors via fraction elimination
-        n = self.dim
-        A = [[self.g[i][j] for j in range(n)] for i in range(n)]
-        for k in range(n):
-            if A[k][k] <= 0:
-                return False
-            for i in range(k + 1, n):
-                f = A[i][k] / A[k][k]
-                for j in range(k, n):
-                    A[i][j] -= f * A[k][j]
-        return True
-
 
 def t2_gram(field) -> GramForm:
     """Gram matrix of T2(x) = sum over embeddings of |x|^2 on the integral
@@ -329,39 +316,97 @@ class LatticeBasis:
         return IntModule(self.ambient, self.rows, self.den)
 
 
+def _scaled_gram(g: GramForm):
+    """(L, L*g) with L the lcm of the entries' denominators, so that L*g is
+    an integer matrix."""
+    L = 1
+    for row in g.g:
+        for x in row:
+            L = lcm(L, x.denominator)
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in g.g]
+
+
+def _basis_gram(rows, gL):
+    """Integer Gram matrix rows * gL * rows^t of integer basis rows."""
+    dim = len(gL)
+    rg = [
+        [sum(r[a] * gL[a][b] for a in range(dim)) for b in range(dim)] for r in rows
+    ]
+    return [[sum(x * y for x, y in zip(u, r)) for r in rows] for u in rg]
+
+
+def _integral_gso(G):
+    """Integral Gram-Schmidt data of an integer Gram matrix G (Cohen,
+    Alg. 2.6.7, step 2): d[0] = 1, d[i] the i-th leading principal minor,
+    and lam[i][j] = d[j+1] * mu[i][j] for j < i, all integers.  Then
+    |b_i*|^2 = d[i+1] / d[i].  Raises ValueError unless every d[i] > 0."""
+    n = len(G)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        li = lam[i]
+        for j in range(i + 1):
+            lj = lam[j]
+            u = G[i][j]
+            for l in range(j):
+                u = (d[l + 1] * u - li[l] * lj[l]) // d[l]
+            if j < i:
+                li[j] = u
+            elif u <= 0:
+                raise ValueError("Gram form must be positive definite")
+            else:
+                d[i + 1] = u
+    return d, lam
+
+
 def lll_reduce(m, g: GramForm, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
-    """LLL with exact rational Gram-Schmidt data; delta defaults to 3/4."""
-    if not g.is_positive_definite():
-        raise ValueError("Gram form must be positive definite")
+    """LLL reduction of the module's basis under the form g, delta in
+    (1/4, 1], default 3/4.
+
+    This is Cohen's integral LLL (A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7) on L*g, L the lcm of g's denominators: LLL
+    does not change under scaling the form, and the Gram-Schmidt data
+    d[i] and lam[k][j] = d[j+1]*mu[k][j] are integers, updated in place
+    on each size reduction and swap.  It makes the same decisions in the
+    same order as LLL on exact rational Gram-Schmidt data: row k is
+    size-reduced against j = k-1, ..., 0 with q = floor(mu[k][j] + 1/2)
+    before the Lovasz test, so the reduced basis is the rational one."""
+    delta = Fraction(delta)
+    if not Fraction(1, 4) < delta <= 1:
+        raise ValueError("delta must satisfy 1/4 < delta <= 1")
+    dnum, dden = delta.numerator, delta.denominator
     basis = [list(r) for r in m.rows]
     n = len(basis)
-
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        B = [Fraction(0)] * n
-        for i in range(n):
-            B[i] = g.apply(basis[i])
-            for j in range(i):
-                mu[i][j] = g.bilinear(basis[i], basis[j])
-                mu[i][j] -= sum(mu[i][l] * mu[j][l] * B[l] for l in range(j))
-                mu[i][j] /= B[j]
-                B[i] -= mu[i][j] * mu[i][j] * B[j]
-        return mu, B
-
-    mu, B = gso()
+    d, lam = _integral_gso(_basis_gram(basis, _scaled_gram(g)[1]))
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = floor(mu[k][j] + Fraction(1, 2))
+            dj = d[j + 1]
+            q = (2 * lk[j] + dj) // (2 * dj)
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-                mu, B = gso()
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+                lk[j] -= q * dj
+                lj = lam[j]
+                for l in range(j):
+                    lk[l] -= q * lj[l]
+        la = lk[k - 1]
+        if dden * d[k + 1] * d[k - 1] >= dnum * d[k] * d[k] - dden * la * la:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, B = gso()
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k (Cohen's SWAPI)
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        lp = lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lp[j] = lp[j], lk[j]
+        bk = (d[k - 1] * d[k + 1] + la * la) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - la * t) // d[k]
+            li[k - 1] = (bk * t + la * li[k]) // d[k + 1]
+        d[k] = bk
+        k = max(k - 1, 1)
     return LatticeBasis(m.ambient, tuple(map(tuple, basis)), m.den)
 
 
@@ -369,73 +414,65 @@ def lll_reduce(m, g: GramForm, delta: Fraction = Fraction(3, 4)) -> LatticeBasis
 # Fincke-Pohst enumeration
 
 
-def _fp_decompose(A):
-    """Quadratic-form Cholesky: Q(x) = sum_i q[i][i]*(x_i + sum_{j>i} q[i][j]x_j)^2."""
-    n = len(A)
-    q = [[Fraction(x) for x in row] for row in A]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("form not positive definite")
-        orig = [q[i][j] for j in range(i + 1, n)]
-        for j in range(i + 1, n):
-            q[i][j] = q[i][j] / q[i][i]
-        for j in range(i + 1, n):
-            t = orig[j - i - 1]
-            for k in range(j, n):
-                q[j][k] -= t * q[i][k]
-    return q
-
-
 def enumerate_by_t2(m, g: GramForm, bound) -> list:
     """All nonzero lattice vectors v of the module with g(v) <= bound, one
     of each +-pair, as tuples of rational ambient coordinates.  Sorted by
-    (g(v), coordinates); complete by exact pruning."""
+    (g(v), coordinates); complete by exact pruning.
+
+    The search runs on integers: with A the Gram matrix of the reduced rows
+    under L*g and d, lam its integral Gram-Schmidt data,
+    x A x^t = sum_i y_i^2 / (d[i] d[i+1]) with y_i = d[i+1] x_i +
+    sum_{j>i} lam[j][i] x_j, and g(x*rows/den) <= bound reads
+    x A x^t <= bound * L * den^2.  The remaining budget is kept as an
+    integer over one common denominator, so each level's range of x_i is
+    exact and each point's form value falls out of the descent."""
     bound = Fraction(bound)
     if bound <= 0:
         return []
     red = lll_reduce(m, g)
-    rows = [list(r) for r in red.rows]
+    rows = red.rows
     n = len(rows)
     den = red.den
-    # Gram of the reduced integer rows; search g(x*rows/den) <= bound
-    A = [[g.bilinear(rows[i], rows[j]) for j in range(n)] for i in range(n)]
-    q = _fp_decompose(A)
-    budget = bound * den * den
-    out = []
+    L, gL = _scaled_gram(g)
+    d, lam = _integral_gso(_basis_gram(rows, gL))
+    budget = bound * L * den * den
+    # common denominator P * bd of every level's weight 1 / (d[i] d[i+1])
+    P = 1
+    for i in range(n):
+        P = lcm(P, d[i] * d[i + 1])
+    scale = P * budget.denominator
+    c = [scale // (d[i] * d[i + 1]) for i in range(n)]
+    total = budget.numerator * P
+    cols = list(zip(*rows))
+    seen = {}
     x = [0] * n
 
     def descend(i, rem):
-        # rem = remaining budget at level i
+        # rem: remaining budget at level i, in units of 1 / scale
         if i < 0:
-            if any(x):
-                vec = tuple(
-                    Fraction(sum(x[k] * rows[k][j] for k in range(n)), den)
-                    for j in range(n)
-                )
-                out.append(vec)
+            vec = [sum(a * b for a, b in zip(x, col)) for col in cols]
+            for v in vec:
+                if v:
+                    if v < 0:
+                        vec = [-y for y in vec]
+                    break
+            seen[tuple(vec)] = total - rem
             return
-        U = sum(q[i][j] * x[j] for j in range(i + 1, n))
-        s = sqrt_ub(rem / q[i][i])
-        lo = ceil(-s - U)
-        hi = floor(s - U)
-        for xi in range(lo, hi + 1):
-            t = q[i][i] * (xi + U) ** 2
-            if t <= rem:
-                x[i] = xi
-                descend(i - 1, rem - t)
+        D = d[i + 1]
+        S = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        s = isqrt(rem // c[i])
+        for xi in range(-((s + S) // D), (s - S) // D + 1):
+            y = D * xi + S
+            x[i] = xi
+            descend(i - 1, rem - c[i] * y * y)
         x[i] = 0
 
-    descend(n - 1, budget)
-    # canonical sign, dedupe, sort
-    seen = {}
-    for vec in out:
-        for c in vec:
-            if c != 0:
-                if c < 0:
-                    vec = tuple(-y for y in vec)
-                break
-        seen[vec] = g.apply(vec)
-    return sorted(seen, key=lambda v: (seen[v], v))
+    descend(n - 1, total)
+    seen.pop((0,) * len(cols), None)
+    return [
+        tuple(Fraction(v, den) for v in vec)
+        for vec in sorted(seen, key=lambda v: (seen[v], v))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +605,14 @@ def find_generator(module: IntModule, norm, fundamental_unit_bound=None):
         ball = 2 * Q * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
         gamma_bar = field.from_real_quadratic(Fraction(h), Fraction(-k))
         M = field.mult_matrix(gamma_bar)
+        # Gram M G M^t of the twisted form, as (M G) M^t
+        MG = [
+            [sum(Ma[i2] * G.g[i2][j2] for i2 in range(4)) for j2 in range(4)]
+            for Ma in M
+        ]
         Gi = GramForm(
             tuple(
-                tuple(
-                    sum(
-                        M[a][i2] * G.g[i2][j2] * M[b][j2]
-                        for i2 in range(4)
-                        for j2 in range(4)
-                    )
-                    for b in range(4)
-                )
-                for a in range(4)
+                tuple(sum(x * y for x, y in zip(MGa, Mb)) for Mb in M) for MGa in MG
             )
         )
         for v in enumerate_by_t2(module, Gi, ball):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import ceil, floor
 
+from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     GramForm,
     IntModule,
@@ -162,6 +164,194 @@ def test_lll_shortens_skewed_basis():
     m2 = hnf(F, [[3, 0], [0, 2]])
     red2 = lll_reduce(m2, ident)
     assert sorted(abs(r[0] * r[1]) == 0 for r in red2.rows) == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# rational LLL and Fincke-Pohst: test-only oracles for the integral kernel
+
+
+def rational_gso(basis, g):
+    n = len(basis)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    for i in range(n):
+        B[i] = g.apply(basis[i])
+        for j in range(i):
+            mu[i][j] = g.bilinear(basis[i], basis[j])
+            mu[i][j] -= sum(mu[i][l] * mu[j][l] * B[l] for l in range(j))
+            mu[i][j] /= B[j]
+            B[i] -= mu[i][j] * mu[i][j] * B[j]
+    return mu, B
+
+
+def rational_lll(m, g, delta=Fraction(3, 4)):
+    """LLL recomputing exact rational Gram-Schmidt data after every step."""
+    basis = [list(r) for r in m.rows]
+    n = len(basis)
+    mu, B = rational_gso(basis, g)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = floor(mu[k][j] + Fraction(1, 2))
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+                mu, B = rational_gso(basis, g)
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            mu, B = rational_gso(basis, g)
+            k = max(k - 1, 1)
+    return tuple(map(tuple, basis))
+
+
+def rational_enumerate(m, g, bound):
+    """Fincke-Pohst on the rational Cholesky form of the reduced Gram."""
+    bound = Fraction(bound)
+    if bound <= 0:
+        return []
+    rows = [list(r) for r in rational_lll(m, g)]
+    n = len(rows)
+    den = m.den
+    q = [[g.bilinear(rows[i], rows[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        orig = [q[i][j] for j in range(i + 1, n)]
+        for j in range(i + 1, n):
+            q[i][j] = q[i][j] / q[i][i]
+        for j in range(i + 1, n):
+            t = orig[j - i - 1]
+            for k in range(j, n):
+                q[j][k] -= t * q[i][k]
+    out = []
+    x = [0] * n
+
+    def descend(i, rem):
+        if i < 0:
+            if any(x):
+                out.append(
+                    tuple(
+                        Fraction(sum(x[k] * rows[k][j] for k in range(n)), den)
+                        for j in range(n)
+                    )
+                )
+            return
+        U = sum(q[i][j] * x[j] for j in range(i + 1, n))
+        s = sqrt_ub(rem / q[i][i])
+        for xi in range(ceil(-s - U), floor(s - U) + 1):
+            t = q[i][i] * (xi + U) ** 2
+            if t <= rem:
+                x[i] = xi
+                descend(i - 1, rem - t)
+        x[i] = 0
+
+    descend(n - 1, bound * den * den)
+    seen = {}
+    for vec in out:
+        if next(c for c in vec if c) < 0:
+            vec = tuple(-y for y in vec)
+        seen[vec] = g.apply(vec)
+    return sorted(seen, key=lambda v: (seen[v], v))
+
+
+class Ambient:
+    def __init__(self, degree):
+        self.degree = degree
+
+
+def random_form(rng, n):
+    """B^t diag(D) B with B nonsingular and D positive, denominators | 6."""
+    while True:
+        B = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        if len(hnf_matrix(B)) == n:
+            break
+    dens = rng.choice([(1,), (2,), (3,), (6,), (1, 2, 3, 6)])
+    D = [Fraction(rng.randrange(1, 7), rng.choice(dens)) for _ in range(n)]
+    return GramForm(
+        tuple(
+            tuple(sum(B[k][i] * D[k] * B[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def random_module(rng, n, spread=40):
+    while True:
+        rows = [[rng.randrange(-spread, spread + 1) for _ in range(n)] for _ in range(n)]
+        try:
+            return hnf(Ambient(n), rows, den=rng.choice([1, 2, 3]))
+        except ValueError:
+            continue
+
+
+def test_lll_matches_rational_lll():
+    rng = random.Random(31)
+    for trial in range(500):
+        n = 2 if trial % 2 else 4
+        g = random_form(rng, n)
+        m = random_module(rng, n, spread=6)
+        for delta in (Fraction(3, 4), Fraction(99, 100)):
+            rows = lll_reduce(m, g, delta).rows
+            assert rows == rational_lll(m, g, delta), (m, g, delta)
+            # independently: size-reduced and Lovasz with Fractions
+            mu, B = rational_gso(rows, g)
+            for k in range(1, n):
+                assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+                assert B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]
+
+
+def test_lll_tie_cases():
+    # mu = 1/2 exactly: q = floor(mu + 1/2) = 1 acts (|2 lam| > d would not)
+    ident = GramForm(((1, 0), (0, 1)))
+    m = hnf(Ambient(2), [[2, 0], [1, 1]])
+    assert lll_reduce(m, ident).rows == rational_lll(m, ident) == ((-1, 1), (1, 1))
+    # Lovasz with equality, B1 = (3/4 - 0) * B0 = 3: no swap
+    g = GramForm(((1, 0), (0, 3)))
+    m = hnf(Ambient(2), [[2, 0], [0, 1]])
+    assert lll_reduce(m, g).rows == rational_lll(m, g) == ((2, 0), (0, 1))
+
+
+def test_lll_identity_form_against_sympy():
+    import sympy
+
+    rng = random.Random(32)
+    for trial in range(60):
+        n = 2 if trial % 2 else 4
+        m = random_module(rng, n, spread=10**4)
+        ident = GramForm(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        red = lll_reduce(m, ident)
+        ref = sympy.Matrix([list(r) for r in m.rows]).lll()
+        ref_rows = [[int(ref[i, j]) for j in range(n)] for i in range(n)]
+        assert red.to_module() == hnf(m.ambient, ref_rows, m.den) == m
+
+
+def test_lll_rejects_bad_delta():
+    F = QuadField(-5)
+    ident = GramForm(((1, 0), (0, 1)))
+    for delta in (Fraction(2), Fraction(1, 4), Fraction(0)):
+        try:
+            lll_reduce(identity_module(F), ident, delta)
+            assert False, delta
+        except ValueError:
+            pass
+    # the closed end of (1/4, 1] is accepted
+    assert lll_reduce(identity_module(F), ident, Fraction(1)).to_module() == (
+        identity_module(F)
+    )
+
+
+def test_enumerate_matches_rational_enumerate():
+    rng = random.Random(33)
+    for trial in range(160):
+        n = 2 if trial % 2 else 4
+        g = random_form(rng, n)
+        m = random_module(rng, n, spread=12)
+        shortest = min(g.apply(r) for r in rational_lll(m, g)) / m.den**2
+        bound = shortest * Fraction(rng.randrange(1, 25), rng.choice([4, 6, 7]))
+        got = enumerate_by_t2(m, g, bound)
+        assert got == rational_enumerate(m, g, bound), (m, g, bound)
+        values = [g.apply(v) for v in got]
+        assert values == sorted(values)
+        assert all(0 < t <= bound for t in values)
 
 
 def test_lll_rejects_indefinite():
