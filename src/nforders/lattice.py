@@ -436,7 +436,8 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
     L, gL = _scaled_gram(g)
     d, lam = _integral_gso(_basis_gram(rows, gL))
     budget = bound * L * den * den
-    # common denominator P * bd of every level's weight 1 / (d[i] d[i+1])
+    # scale: a common denominator of the budget and of every level's
+    # weight 1 / (d[i] d[i+1])
     P = 1
     for i in range(n):
         P = lcm(P, d[i] * d[i + 1])

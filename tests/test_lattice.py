@@ -276,7 +276,9 @@ def random_form(rng, n):
 
 def random_module(rng, n, spread=40):
     while True:
-        rows = [[rng.randrange(-spread, spread + 1) for _ in range(n)] for _ in range(n)]
+        rows = [
+            [rng.randrange(-spread, spread + 1) for _ in range(n)] for _ in range(n)
+        ]
         try:
             return hnf(Ambient(n), rows, den=rng.choice([1, 2, 3]))
         except ValueError:
