@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import gcd, isqrt
 
@@ -29,6 +29,7 @@ from .lattice import (
     GramForm,
     IntModule,
     UnsupportedFieldError,
+    _det_int,
     enumerate_by_t2,
     find_generator,
     hnf,
@@ -36,7 +37,16 @@ from .lattice import (
     smith_normal_form,
     t2_gram,
 )
-from .quadratic import QuadElem, QuadField, form_class_group, pell_solve
+from .quadratic import (
+    QuadElem,
+    QuadField,
+    form_class_group,
+    integer_coords,
+    integer_rows,
+    pell_solve,
+    table_matrix,
+    table_mult_matrix,
+)
 
 
 class UnsupportedPrimeError(ValueError):
@@ -81,22 +91,29 @@ def _mat_inv(rows):
     return tuple(tuple(row[n:]) for row in A)
 
 
-def _det(rows) -> Fraction:
-    A = [[Fraction(x) for x in r] for r in rows]
-    n = len(A)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        for r in range(col + 1, n):
-            f = A[r][col] / A[col][col]
-            A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return det
+def _naive_to_coords(Bi, naive) -> list:
+    """Basis coordinates of the element with the given naive coordinates,
+    Bi the inverse of the basis matrix."""
+    nv = [Fraction(x) for x in naive]
+    return [sum(nv[i] * Bi[i][j] for i in range(4)) for j in range(4)]
+
+
+def _products_table(d: int, n: int, rows, Bi) -> tuple:
+    """T[i][j] = coords(b_i * b_j) for the basis rows (naive coordinates),
+    as integers; ValueError when a product leaves the basis span."""
+    T = []
+    for i in range(4):
+        Ti = []
+        for j in range(4):
+            c = _naive_to_coords(Bi, _nmul(d, n, rows[i], rows[j]))
+            if any(x.denominator != 1 for x in c):
+                raise ValueError(
+                    "basis is not closed under multiplication at pair (%d, %d)"
+                    % (i, j)
+                )
+            Ti.append(tuple(int(x) for x in c))
+        T.append(tuple(Ti))
+    return tuple(T)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +152,32 @@ class BiquadField:
         return BiquadElem(self, tuple(Fraction(c) for c in coords))
 
     def from_naive(self, naive) -> "BiquadElem":
-        Bi = _basis_inverse(self)
-        nv = [Fraction(x) for x in naive]
-        return self.from_basis_coords(
-            [sum(nv[i] * Bi[i][j] for i in range(4)) for j in range(4)]
+        return self.from_basis_coords(_naive_to_coords(self.basis_inverse, naive))
+
+    @cached_property
+    def basis_inverse(self) -> tuple:
+        """Inverse of the basis matrix: naive coordinates times it give
+        basis coordinates."""
+        return _mat_inv(self.intbasis)
+
+    @cached_property
+    def mult_table(self) -> tuple:
+        """Structure constants T[i][j] = coords(b_i * b_j) over the integral
+        basis, as integer 4-tuples.  Built once per field instance from the
+        naive multiplication and checked integral; all element products,
+        multiplication matrices and norms run through it."""
+        return _products_table(self.d, self.n, self.intbasis, self.basis_inverse)
+
+    @cached_property
+    def conj_matrix(self) -> tuple:
+        """Integer matrix of the bar action (sqrt(-n) -> -sqrt(-n)) on row
+        coordinates: row i is coords(bar(b_i))."""
+        return integer_rows(
+            [
+                _naive_to_coords(self.basis_inverse, (a, b, -c, -e))
+                for a, b, c, e in self.intbasis
+            ],
+            "bar of a basis element",
         )
 
     def one(self) -> "BiquadElem":
@@ -169,11 +208,7 @@ class BiquadField:
 
     def mult_matrix(self, e: "BiquadElem"):
         """Rows M[i] = coords(basis_i * e), so coords(x*e) = coords(x)*M."""
-        rows = []
-        for i in range(4):
-            b = self.from_basis_coords([1 if j == i else 0 for j in range(4)])
-            rows.append((b * e).coords)
-        return tuple(rows)
+        return table_mult_matrix(self, e)
 
     def relative_order_rows(self):
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring
@@ -207,11 +242,6 @@ class BiquadField:
 
     def __repr__(self):
         return "BiquadField(%d, %d)" % (self.d, self.n)
-
-
-@lru_cache(maxsize=None)
-def _basis_inverse(field: BiquadField):
-    return _mat_inv(field.intbasis)
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +338,13 @@ class BiquadElem:
         if isinstance(other, (int, Fraction)):
             return BiquadElem(self.field, tuple(a * other for a in self.coords))
         self._check(other)
-        F = self.field
-        return F.from_naive(_nmul(F.d, F.n, self.naive(), other.naive()))
+        u, a = integer_coords(self.coords)
+        w, b = integer_coords(other.coords)
+        cols = zip(*table_matrix(self.field.mult_table, w))
+        return BiquadElem(
+            self.field,
+            tuple(Fraction(sum(x * y for x, y in zip(u, c)), a * b) for c in cols),
+        )
 
     __rmul__ = __mul__
 
@@ -346,10 +381,10 @@ class BiquadElem:
         return 4 * self.naive()[0]
 
     def norm(self) -> Fraction:
-        """Product of all four conjugates; nonnegative as the field is
-        totally imaginary."""
-        a, b, _, _ = (self * self.bar()).naive()
-        return a * a + self.field.d * b * b
+        """Product of all four conjugates, the determinant of multiplication
+        by self; nonnegative as the field is totally imaginary."""
+        u, den = integer_coords(self.coords)
+        return Fraction(_det_int(table_matrix(self.field.mult_table, u)), den**4)
 
     def abs_norm(self) -> Fraction:
         return self.norm()
@@ -398,50 +433,58 @@ def integral_basis(d: int, n: int, basis=None, disc: int | None = None) -> Biqua
     Supplied data is accepted only if the rows span a ring containing 1 and
     all three radicals whose trace-form determinant equals `disc`; whether
     that ring is genuinely maximal is the caller's responsibility.
+
+    The built-in basis is verified once per (d, n) and its field is cached;
+    a supplied basis is verified on every call.
     """
-    native = basis is None
-    if native:
-        if not (d % 4 == 3 and n % 4 in (1, 2) and gcd(d, n) == 1):
-            raise UnsupportedFieldError(
-                "no built-in integral basis for (%d, %d); supply one" % (d, n)
-            )
-        basis = _NATIVE_ROWS
+    if basis is not None:
+        return _verified_field(d, n, basis, disc)
+    field = _native_field(d, n)
+    if disc is not None and field.disc != disc:
+        raise ValueError(
+            "trace-form discriminant %s does not match declared %d" % (field.disc, disc)
+        )
+    return field
+
+
+@lru_cache(maxsize=None)
+def _native_field(d: int, n: int) -> BiquadField:
+    if not (d % 4 == 3 and n % 4 in (1, 2) and gcd(d, n) == 1):
+        raise UnsupportedFieldError(
+            "no built-in integral basis for (%d, %d); supply one" % (d, n)
+        )
+    field = _verified_field(d, n, _NATIVE_ROWS, None)
+    # the built-in rows are literally {1, w, sqrt(-n), w*sqrt(-n)}, so
+    # that order being maximal is the same as the rows being identity
+    assert field.relative_order_rows() == _IDENTITY4
+    return field
+
+
+def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
     rows = tuple(tuple(Fraction(x) for x in row) for row in basis)
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("basis must be 4x4")
     if rows[0] != (1, 0, 0, 0):
         raise ValueError("first basis row must be the element 1")
     Bi = _mat_inv(rows)
-
-    def coords(nv):
-        return [sum(Fraction(nv[i]) * Bi[i][j] for i in range(4)) for j in range(4)]
-
     for nv in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        if any(c.denominator != 1 for c in coords(nv)):
+        if any(c.denominator != 1 for c in _naive_to_coords(Bi, nv)):
             raise ValueError("basis span misses one of the radical generators")
-    for i in range(4):
-        for j in range(i, 4):
-            p = _nmul(d, n, rows[i], rows[j])
-            if any(c.denominator != 1 for c in coords(p)):
-                raise ValueError(
-                    "basis is not closed under multiplication at pair (%d, %d)"
-                    % (i, j)
-                )
-    # trace pairing: Tr picks 4 times the rational naive coordinate
-    tg = [[4 * _nmul(d, n, rows[i], rows[j])[0] for j in range(4)] for i in range(4)]
-    D = _det(tg)
-    if D == 0 or D.denominator != 1:
+    _products_table(d, n, rows, Bi)
+    # trace pairing: Tr picks 4 times the rational naive coordinate; the
+    # rows span a ring, so every product is integral and so is its trace
+    tg = integer_rows(
+        [[4 * _nmul(d, n, rows[i], rows[j])[0] for j in range(4)] for i in range(4)],
+        "trace form",
+    )
+    D = _det_int(tg)
+    if D == 0:
         raise ValueError("degenerate trace form")
     if disc is not None and D != disc:
         raise ValueError(
             "trace-form discriminant %s does not match declared %d" % (D, disc)
         )
-    field = BiquadField(d, n, rows, int(D))
-    if native:
-        # the built-in rows are literally {1, w, sqrt(-n), w*sqrt(-n)}, so
-        # that order being maximal is the same as the rows being identity
-        assert field.relative_order_rows() == _IDENTITY4
-    return field
+    return BiquadField(d, n, rows, D)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .intmath import sqrt_lb, sqrt_ub
-from .quadratic import QuadField, cf_sqrt, pell_solve
+from .quadratic import QuadField, cf_sqrt, pell_solve, table_matrix
 
 Rat = Fraction
 
@@ -107,15 +107,44 @@ def kernel_int(rows) -> list[list[int]]:
 
 
 def _det_int(rows) -> int:
-    n = len(rows)
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination: every division is exact, and a zero pivot is replaced by
+    a row swap from below (the determinant is 0 when there is none)."""
+    A = [list(r) for r in rows]
+    n = len(A)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        Ak = A[k]
+        if Ak[k] == 0:
+            piv = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if piv is None:
+                return 0
+            A[k], A[piv] = A[piv], A[k]
+            Ak = A[k]
+            sign = -sign
+        akk = Ak[k]
+        for Ai in A[k + 1 :]:
+            aik = Ai[k]
+            for j in range(k + 1, n):
+                Ai[j] = (akk * Ai[j] - aik * Ak[j]) // prev
+        prev = akk
+    return sign * A[n - 1][n - 1] if n else 1
+
+
+def adjugate_int(M) -> list[list[int]]:
+    """adj(M) of a square integer matrix, so that M adj(M) = det(M) I:
+    entry (j, i) is the signed (i, j) cofactor."""
+    n = len(M)
     if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1 if j % 2 else 1) * rows[0][j] * _det_int(minor)
-    return total
+        return [[1]]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        minor_rows = M[:i] + M[i + 1 :]
+        for j in range(n):
+            minor = [r[:j] + r[j + 1 :] for r in minor_rows]
+            adj[j][i] = (-1) ** (i + j) * _det_int(minor)
+    return adj
 
 
 def smith_normal_form(rows) -> list[int]:
@@ -495,6 +524,23 @@ def _canonical_pick(field, coords_list, g: GramForm):
     return field.from_basis_coords(best) if best is not None else None
 
 
+def _norm_filter(module, norm: Fraction):
+    """Predicate on the points enumerate_by_t2 returns for the module:
+    |N(v)| == norm.  With v = u/den, u integer and den the module's
+    denominator, |N(v)| = |det M_u| / den^r for M_u the integer
+    multiplication matrix of u (field.mult_table), so the test is exact."""
+    field = module.ambient
+    T = field.mult_table
+    den = module.den
+    target = norm * den**field.degree
+
+    def keep(v) -> bool:
+        u = [c.numerator * (den // c.denominator) for c in v]
+        return abs(_det_int(table_matrix(T, u))) == target
+
+    return keep
+
+
 def _unit_ladder(field, module, max_power: int = 64):
     """Smallest m >= 1 with eps^m stabilizing the module, eps the fundamental
     continued-fraction unit of the real quadratic subfield; returns (D0, m,
@@ -559,26 +605,19 @@ def find_generator(module: IntModule, norm, fundamental_unit_bound=None):
     if norm <= 0:
         raise ValueError("norm must be positive")
     G = t2_gram(field)
+    keep = _norm_filter(module, norm)
     if r == 2:
         if field.D > 0:
             raise UnsupportedFieldError("generator search needs an imaginary field")
         bound = 2 * norm * (
             Fraction(fundamental_unit_bound) if fundamental_unit_bound else 1
         )
-        cands = [
-            v
-            for v in enumerate_by_t2(module, G, bound)
-            if field.from_basis_coords(v).abs_norm() == norm
-        ]
+        cands = [v for v in enumerate_by_t2(module, G, bound) if keep(v)]
         return _canonical_pick(field, cands, G)
 
     if fundamental_unit_bound is not None:
         bound = r * sqrt_ub(norm) * Fraction(fundamental_unit_bound)
-        cands = [
-            v
-            for v in enumerate_by_t2(module, G, bound)
-            if field.from_basis_coords(v).abs_norm() == norm
-        ]
+        cands = [v for v in enumerate_by_t2(module, G, bound) if keep(v)]
         return _canonical_pick(field, cands, G)
 
     # window ladder over the real-subfield convergents
@@ -616,7 +655,5 @@ def find_generator(module: IntModule, norm, fundamental_unit_bound=None):
                 tuple(sum(x * y for x, y in zip(MGa, Mb)) for Mb in M) for MGa in MG
             )
         )
-        for v in enumerate_by_t2(module, Gi, ball):
-            if field.from_basis_coords(v).abs_norm() == norm:
-                cands.append(v)
+        cands.extend(v for v in enumerate_by_t2(module, Gi, ball) if keep(v))
     return _canonical_pick(field, cands, G)

@@ -14,17 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import ceil
 
 from .intmath import factorize, sqrt_ub
 from .lattice import (
     IntModule,
+    _det_int,
+    adjugate_int,
     find_generator,
     hnf,
     hnf_matrix,
     identity_module,
 )
-from .quadratic import QuadField, form_class_group, split_prime
+from .quadratic import QuadField, form_class_group, split_prime, table_matrix
 
 Rat = Fraction
 
@@ -46,8 +49,6 @@ class AuditFailure(Exception):
 
 
 def coords_of(field, e):
-    if field.degree == 2:
-        return tuple(e.integral_coords())
     return tuple(e.basis_coords())
 
 
@@ -57,65 +58,50 @@ def _one(field):
     return field.from_basis_coords(coords)
 
 
-def conj_elem(field, e):
-    # complex conjugation: the quadratic bar, or the biquadratic bar action
-    if field.degree == 2:
-        return e.conj()
-    return e.bar()
+# The module operations below run on the integer rows only, through the
+# field's structure constants T[i][j] = coords(b_i * b_j) and its integer
+# conjugation matrix; no field element is built.
 
 
-def mult_matrix(field, e):
-    """M with coords(x*e) = coords(x) * M, rows indexed by the basis."""
-    if field.degree == 2:
-        w = field.omega()
-        return (coords_of(field, e), coords_of(field, w * e))
-    return field.mult_matrix(e)
-
-
-def elems_of(module: IntModule):
-    f = module.ambient
-    return [
-        f.from_basis_coords([Fraction(c, module.den) for c in row])
-        for row in module.rows
-    ]
+def _times(rows, M, scale: int = 1) -> list:
+    """The integer rows times the integer matrix M, times scale."""
+    cols = tuple(zip(*M))
+    return [tuple(scale * sum(a * b for a, b in zip(r, c)) for c in cols) for r in rows]
 
 
 def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
-    """Z-span of all pairwise products of the two bases."""
+    """Z-span of all pairwise products of the two bases: the rows r1 (x) r2
+    through the table, over the denominator den1 * den2."""
     f = m1.ambient
+    T = f.mult_table
     rows = []
-    den = m1.den * m2.den
-    for e1 in elems_of(m1):
-        M = mult_matrix(f, e1)
-        for r2 in m2.rows:
-            coords = [
-                sum(Fraction(r2[i], m2.den) * M[i][j] for i in range(len(r2)))
-                for j in range(len(r2))
-            ]
-            scaled = [c * den for c in coords]
-            assert all(c.denominator == 1 for c in scaled)
-            rows.append([int(c) for c in scaled])
-    return IntModule(f, tuple(map(tuple, rows)), den)
+    for r1 in m1.rows:
+        rows += _times(m2.rows, table_matrix(T, r1))
+    return IntModule(f, tuple(rows), m1.den * m2.den)
 
 
 def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
-    """(m1 : m2) = {x in the field : x*m2 is contained in m1}."""
+    """(m1 : m2) = {x in the field : x*m2 is contained in m1}.
+
+    For each basis element e = r/den2 of m2, with M the integer
+    multiplication matrix of r, multiplication by 1/e has matrix
+    den2 * adj(M) / det(M); so m1 * e^(-1) has rows r1 * den2 * adj(M)
+    over den1 * det(M), and the colon is the intersection over e."""
     f = m1.ambient
+    T = f.mult_table
     out = None
-    for e in elems_of(m2):
-        M = mult_matrix(f, _one(f) / e)
-        scaled = m1.transform(M)
+    for r in m2.rows:
+        M = table_matrix(T, r)
+        rows = _times(m1.rows, adjugate_int(M), m2.den)
+        scaled = IntModule(f, tuple(rows), m1.den * _det_int(M))
         out = scaled if out is None else out.intersect(scaled)
     return out
 
 
 def module_conj(m: IntModule) -> IntModule:
-    f = m.ambient
-    rows = []
-    for e in elems_of(m):
-        coords = coords_of(f, conj_elem(f, e))
-        rows.append([int(c * m.den) for c in coords])
-    return IntModule(f, tuple(map(tuple, rows)), m.den)
+    """Image of m under the field's conjugation (the quadratic bar, or the
+    biquadratic bar action)."""
+    return IntModule(m.ambient, tuple(_times(m.rows, m.ambient.conj_matrix)), m.den)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +154,10 @@ def order_with_index(field, f: int) -> OrderRep:
     return OrderRep(field, hnf(field, rows))
 
 
+@lru_cache(maxsize=None)
 def relative_order(field) -> OrderRep:
-    """O_F + O_F*sqrt(-n) inside the biquadratic field."""
+    """O_F + O_F*sqrt(-n) inside the biquadratic field, built and checked
+    once per field."""
     return OrderRep(field, hnf(field, field.relative_order_rows()))
 
 
@@ -213,7 +201,7 @@ class OrderIdeal:
 def principal_ideal(o: OrderRep, e) -> OrderIdeal:
     if _is_zero(o.field, e):
         raise ValueError("zero element generates no ideal")
-    return OrderIdeal(o, o.module.transform(mult_matrix(o.field, e)))
+    return OrderIdeal(o, o.module.transform(o.field.mult_matrix(e)))
 
 
 def ideal_from_gens(o: OrderRep, elems) -> OrderIdeal:
@@ -389,24 +377,15 @@ def _residue_reps(o: OrderRep, fmod: IntModule):
     rows = _in_order_coords(o, fmod)
     assert all(c.denominator == 1 for r in rows for c in r)
     H = hnf_matrix([[int(c) for c in r] for r in rows])
-    diag = [H[i][i] for i in range(len(H))]
-    obasis = elems_of(o.module)
-    field = o.field
-
-    def rec(i, acc):
-        if i == len(diag):
-            yield acc
-            return
-        for c in range(diag[i]):
-            yield from rec(i + 1, acc + c * obasis[i])
-
-    yield from rec(0, field.from_basis_coords([0] * o.module.rank))
+    # sum_i c_i * (basis row i of o), 0 <= c_i < H[i][i], first index slowest
+    for cs in product(*(range(H[i][i]) for i in range(len(H)))):
+        yield o.field.from_basis_coords(_times([cs], o.module.rows)[0])
 
 
 def _is_unit_mod(o: OrderRep, fmod: IntModule, e) -> bool:
     if _is_zero(o.field, e):
         return False
-    gen = o.module.transform(mult_matrix(o.field, e))
+    gen = o.module.transform(o.field.mult_matrix(e))
     return gen.add(fmod) == o.module
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 from .intmath import is_prime, is_square, is_squarefree, jacobi, xgcd
 
@@ -23,6 +24,57 @@ def _rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected int or Fraction, got %r" % type(x).__name__)
+
+
+# ---------------------------------------------------------------------------
+# integer structure constants, shared by the quadratic and quartic fields
+
+
+def integer_coords(coords) -> tuple[list[int], int]:
+    """(u, den) with coords = u / den, u integers and den the lcm of the
+    coordinates' denominators."""
+    den = 1
+    for c in coords:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def integer_rows(rows, what: str) -> tuple:
+    """The rows as a tuple of integer tuples; ValueError naming `what` when
+    an entry is not an integer."""
+    out = []
+    for row in rows:
+        if any(Fraction(c).denominator != 1 for c in row):
+            raise ValueError("%s is not integral" % what)
+        out.append(tuple(int(c) for c in row))
+    return tuple(out)
+
+
+def table_matrix(T, u) -> list[list[int]]:
+    """Multiplication matrix of the element with integer coordinates u
+    under the structure constants T[i][j] = coords(b_i * b_j): row i is
+    coords(b_i * u) = sum_k u[k] * T[i][k], so coords(x * u) = coords(x) M."""
+    n = len(u)
+    out = []
+    for Ti in T:
+        row = [0] * n
+        for uk, Tik in zip(u, Ti):
+            if uk:
+                for j in range(n):
+                    row[j] += uk * Tik[j]
+        out.append(row)
+    return out
+
+
+def table_mult_matrix(field, e) -> tuple:
+    """Rational multiplication matrix M of the element e, rows indexed by
+    the basis: coords(x * e) = coords(x) * M.  Computed on integers through
+    field.mult_table and divided once by the denominator of e."""
+    u, den = integer_coords(e.basis_coords())
+    return tuple(
+        tuple(Fraction(x, den) for x in row)
+        for row in table_matrix(field.mult_table, u)
+    )
 
 
 @dataclass(frozen=True)
@@ -64,7 +116,31 @@ class QuadField:
     def from_basis_coords(self, coords) -> "QuadElem":
         """Element x + y*w from rational coordinates (x, y)."""
         x, y = (_rat(c) for c in coords)
-        return self(x) + self(y) * self.omega()
+        if self.D % 4 == 1:
+            return QuadElem(self, x + y / 2, y / 2)
+        return QuadElem(self, x, y)
+
+    @cached_property
+    def mult_table(self) -> tuple:
+        """Structure constants T[i][j] = coords(b_i * b_j) over the integral
+        basis {b_0, b_1} = {1, w}, as integer pairs.  Built once per field
+        instance from the element arithmetic and checked integral."""
+        basis = (self(1), self.omega())
+        return tuple(
+            integer_rows([(x * y).integral_coords() for y in basis], "basis product")
+            for x in basis
+        )
+
+    @cached_property
+    def conj_matrix(self) -> tuple:
+        """Integer matrix of the conjugation sqrt(D) -> -sqrt(D) on row
+        coordinates: row i is coords(conj(b_i))."""
+        basis = (self(1), self.omega())
+        return integer_rows([x.conj().integral_coords() for x in basis], "conjugate")
+
+    def mult_matrix(self, e: "QuadElem") -> tuple:
+        """Rows M[i] = coords(b_i * e), so coords(x*e) = coords(x)*M."""
+        return table_mult_matrix(self, e)
 
     def __repr__(self):
         return "QuadField(%d)" % self.D
@@ -156,6 +232,8 @@ class QuadElem:
             return self.a - self.b, 2 * self.b
         return self.a, self.b
 
+    basis_coords = integral_coords
+
     def is_integral(self) -> bool:
         x, y = self.integral_coords()
         return x.denominator == 1 and y.denominator == 1
@@ -165,7 +243,7 @@ class QuadElem:
 
 
 def from_integral_coords(F: QuadField, x, y) -> QuadElem:
-    return F(x) + F(y) * F.omega()
+    return F.from_basis_coords((x, y))
 
 
 # ---------------------------------------------------------------------------
