@@ -4,8 +4,9 @@ bound, class groups, and the norm-map cardinality condition.
 
 Elements are held in exact coordinates over a verified integral basis.  The
 basis itself is stored in "naive" coordinates over {1, sqrt(-d), sqrt(-n),
-sqrt(d*n)}, which fixes the multiplication table once; nothing downstream
-touches radicals again.
+sqrt(d*n)}, which fixes the multiplication table once: the integer structure
+constants BiquadField.mult_table, through which products, multiplication
+matrices and norms run.  Nothing downstream touches radicals again.
 """
 
 from __future__ import annotations
