@@ -22,6 +22,7 @@ from .intmath import (
     is_squarefree,
     jacobi,
     poly_discriminant,
+    poly_roots_mod,
     polp_factor,
     sqrt_ub,
     squarefree_part,
@@ -31,6 +32,9 @@ from .lattice import (
     IntModule,
     UnsupportedFieldError,
     _det_int,
+    _scaled_matrix,
+    _times,
+    adjugate_int,
     enumerate_by_t2,
     find_generator,
     hnf,
@@ -73,23 +77,13 @@ def _nmul(d: int, n: int, x, y):
 
 
 def _mat_inv(rows):
-    n = len(rows)
-    A = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular basis matrix")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return tuple(tuple(row[n:]) for row in A)
+    """Inverse of a rational square matrix: with rows = A / L, A integer,
+    it is L * adj(A) / det(A)."""
+    L, A = _scaled_matrix(rows)
+    det = _det_int(A)
+    if det == 0:
+        raise ValueError("singular basis matrix")
+    return tuple(tuple(Fraction(L * x, det) for x in row) for row in adjugate_int(A))
 
 
 def _naive_to_coords(Bi, naive) -> list:
@@ -192,8 +186,26 @@ class BiquadField:
             self.from_naive((0, 0, 0, 1)),
         )
 
-    def t2_gram_matrix(self):
-        return _t2_matrix(self)
+    def t2_gram_matrix(self) -> tuple:
+        """Gram matrix of T2 on the integral basis: entry (i, j) is the
+        trace of b_i * conj(b_j), conj the complex conjugation."""
+        return self._t2_gram
+
+    @cached_property
+    def _t2_gram(self) -> tuple:
+        els = [
+            self.from_basis_coords([1 if j == i else 0 for j in range(4)])
+            for i in range(4)
+        ]
+        out = []
+        for x in els:
+            row = []
+            for y in els:
+                t = (x * y.complex_conj()).trace()
+                assert t.denominator == 1
+                row.append(int(t))
+            out.append(tuple(row))
+        return tuple(out)
 
     def real_subfield_data(self) -> tuple[int, int]:
         """(D0, s) with d*n = s*s*D0 and D0 squarefree; Q(sqrt(D0)) is the
@@ -227,8 +239,27 @@ class BiquadField:
             rows.append([int(x) for x in c])
         return rows
 
-    def torsion_units(self):
-        return _torsion(self)
+    def torsion_units(self) -> tuple:
+        """All roots of unity: exactly the integral elements with T2 = 4."""
+        return self._roots_of_unity
+
+    @cached_property
+    def _roots_of_unity(self) -> tuple:
+        G = GramForm(self.t2_gram_matrix())
+        out = []
+        for v in enumerate_by_t2(identity_module(self), G, 4):
+            u = self.from_basis_coords(v)
+            out.extend((u, -u))
+        one = self.one()
+        for u in out:
+            pw = u
+            for _ in range(12):
+                if pw == one:
+                    break
+                pw = pw * u
+            else:
+                raise AssertionError("non-torsion unit in the T2 = 4 shell")
+        return tuple(sorted(out, key=lambda z: z.coords))
 
     def fundamental_unit(self) -> "BiquadElem":
         """The continued-fraction unit of the real quadratic subfield,
@@ -243,43 +274,6 @@ class BiquadField:
 
     def __repr__(self):
         return "BiquadField(%d, %d)" % (self.d, self.n)
-
-
-@lru_cache(maxsize=None)
-def _t2_matrix(field: BiquadField):
-    els = [
-        field.from_basis_coords([1 if j == i else 0 for j in range(4)])
-        for i in range(4)
-    ]
-    out = []
-    for x in els:
-        row = []
-        for y in els:
-            t = (x * y.complex_conj()).trace()
-            assert t.denominator == 1
-            row.append(int(t))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _torsion(field: BiquadField):
-    """All roots of unity: exactly the integral elements with T2 = 4."""
-    G = GramForm(field.t2_gram_matrix())
-    out = []
-    for v in enumerate_by_t2(identity_module(field), G, 4):
-        u = field.from_basis_coords(v)
-        out.extend((u, -u))
-    one = field.one()
-    for u in out:
-        pw = u
-        for _ in range(12):
-            if pw == one:
-                break
-            pw = pw * u
-        else:
-            raise AssertionError("non-torsion unit in the T2 = 4 shell")
-    return tuple(sorted(out, key=lambda z: z.coords))
 
 
 @dataclass(frozen=True)
@@ -502,6 +496,17 @@ class PrimeFactor:
     f: int
 
 
+def ideal_of_elements(E: BiquadField, gens) -> IntModule:
+    """The ideal of the maximal order generated by the integral elements
+    gens: the HNF of their stacked integer multiplication matrices."""
+    rows = []
+    for g in gens:
+        u, den = integer_coords(g.coords)
+        assert den == 1
+        rows += table_matrix(E.mult_table, u)
+    return hnf(E, rows)
+
+
 def _poly_at(f, theta: BiquadElem):
     acc = theta.field.from_basis_coords((0, 0, 0, 0))
     for c in reversed(f):
@@ -515,26 +520,18 @@ def _minpoly4(theta: BiquadElem):
     pows = [theta.field.one()]
     for _ in range(4):
         pows.append(pows[-1] * theta)
-    # solve x * A = b with rows A[i] = coords(theta^i), b = coords(theta^4)
-    A = [pows[i].coords for i in range(4)]
-    b = pows[4].coords
-    M = [[A[i][j] for i in range(4)] + [b[j]] for j in range(4)]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(4):
-            if r != col and M[r][col] != 0:
-                fac = M[r][col]
-                M[r] = [x - fac * y for x, y in zip(M[r], M[col])]
-    sol = [M[i][4] for i in range(4)]
+    # solve x * A = b with rows A[i] = coords(theta^i), b = coords(theta^4):
+    # x = b * adj(A) / det(A), on the integer-scaled rows
+    _, S = _scaled_matrix([p.coords for p in pows])
+    A, b = S[:4], S[4]
+    det = _det_int(A)
+    if det == 0:
+        return None
     out = []
-    for c in sol:
-        assert c.denominator == 1  # theta is integral, so the minpoly is
-        out.append(-int(c))
+    for c in _times([b], adjugate_int(A))[0]:
+        q, rem = divmod(c, det)
+        assert rem == 0  # theta is integral, so the minpoly is
+        out.append(-q)
     out.append(1)
     assert _poly_at(out, theta).is_zero()
     return out
@@ -578,13 +575,7 @@ def factor_rational_prime(E: BiquadField, q: int, theta_index: int = 0):
         out = []
         total = 0
         for g, mult in polp_factor(f, q):
-            gt = _poly_at(list(g), theta)
-            M = E.mult_matrix(gt)
-            rows = [[q if i == j else 0 for j in range(4)] for i in range(4)]
-            for i in range(4):
-                assert all(x.denominator == 1 for x in M[i])
-                rows.append([int(x) for x in M[i]])
-            mod = hnf(E, rows)
+            mod = ideal_of_elements(E, (E.one() * q, _poly_at(list(g), theta)))
             deg = len(g) - 1
             assert mod.covolume() == q**deg
             out.append(PrimeFactor(OrderIdeal(O, mod), mult, deg))
@@ -617,23 +608,6 @@ def _subfield_omegas(E: BiquadField):
     return out
 
 
-def _split_roots(F, q: int):
-    """Roots mod q of the minimal polynomial of w; two distinct exactly when
-    q splits (q unramified in F)."""
-    c0, c1, _ = F.omega_minpoly()
-    return [x for x in range(q) if (x * x + c1 * x + c0) % q == 0]
-
-
-def _extend_subfield_prime(E: BiquadField, om, q: int, r: int) -> IntModule:
-    """The ideal of the maximal order generated by q and w - r."""
-    M = E.mult_matrix(E.from_naive(om) - r)
-    rows = [[q if i == j else 0 for j in range(4)] for i in range(4)]
-    for i in range(4):
-        assert all(x.denominator == 1 for x in M[i])
-        rows.append([int(x) for x in M[i]])
-    return hnf(E, rows)
-
-
 def _factor_obstructed(E: BiquadField, q: int):
     """Primes above an unramified q for which no scanned equation order has
     coprime index.  That happens exactly when q has more residue-degree-f
@@ -647,9 +621,13 @@ def _factor_obstructed(E: BiquadField, q: int):
 
     split = []
     for F, om in _subfield_omegas(E):
-        roots = _split_roots(F, q)
+        # the minimal polynomial of w has two roots mod q exactly when q
+        # splits in F (q is unramified in F); q and w - r generate a prime
+        # above it in F, extended here to the maximal order of E
+        roots = poly_roots_mod(F.omega_minpoly(), q)
         if len(roots) == 2:
-            split.append([_extend_subfield_prime(E, om, q, r) for r in roots])
+            w = E.from_naive(om)
+            split.append([ideal_of_elements(E, (E.one() * q, w - r)) for r in roots])
     f = residue_degree(E, q)
     if f == 2:
         # split in exactly one subfield, inert in the other two; the two

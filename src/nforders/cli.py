@@ -30,10 +30,8 @@ from .intmath import jacobi, poly_discriminant
 from .lattice import UnsupportedFieldError
 from .orders import (
     UnresolvedError,
-    _one,
     class_number,
     conductor,
-    coords_of,
     factor_ideal,
     is_regular_prime,
     maximal_order,
@@ -172,7 +170,7 @@ def cmd_conductor(args):
     f = conductor(o)
     contains = None
     if n is not None:
-        one = coords_of(o.field, _one(o.field))
+        one = o.field.one().basis_coords()
         contains = bool(f.module.contains_coords(tuple(4 * n * c for c in one)))
     payload = {
         "command": "conductor",

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .biquadratic import BiquadElem, BiquadField, integral_basis
-from .intmath import is_prime, is_squarefree, jacobi, poly_discriminant, poly_roots_mod
-from .lattice import IntModule, find_generator, hnf
+from .biquadratic import BiquadElem, BiquadField, ideal_of_elements, integral_basis
+from .intmath import (
+    is_prime,
+    is_squarefree,
+    jacobi,
+    poly_discriminant,
+    poly_roots_mod,
+    sqrt_mod,
+)
+from .lattice import find_generator
 from .orders import relative_order
 from .quadratic import QuadElem, QuadField, from_integral_coords, pell_solve, split_prime
 
@@ -84,7 +91,7 @@ def cornacchia(p: int, n: int) -> tuple[int, int] | None:
         raise ValueError("p divides n")
     if jacobi(-n % p, p) != 1:
         return None
-    r = max(poly_roots_mod([n, 0, 1], p))
+    r = p - sqrt_mod(-n, p)  # the larger square root of -n
     a, b = p, r
     bound = isqrt(p)
     while b > bound:
@@ -190,6 +197,16 @@ def _residue_data(p: QuadElem):
     raise ValueError("not a prime element: %r" % (p,))
 
 
+def _prime_field(p: QuadElem, d: int) -> QuadField:
+    """Q(sqrt(-d)), once p is checked to be a nonzero element of it."""
+    F = QuadField(-d)
+    if p.field != F:
+        raise ValueError("p must live in Q(sqrt(%d))" % -d)
+    if p.is_zero():
+        raise ValueError("zero is not a prime element")
+    return F
+
+
 def _divides(p: QuadElem, x) -> bool:
     x = x if isinstance(x, QuadElem) else p.field(x)
     return (x / p).is_integral()
@@ -231,8 +248,8 @@ def _roots_in_residue_field(coeffs, q: int, deg: int, r, F: QuadField) -> bool:
 def _sqrt_minus_n(F: QuadField, q: int, deg: int, n: int) -> QuadElem | None:
     """Element of O_F whose square is -n in the residue field, or None."""
     if deg == 1:
-        roots = poly_roots_mod([n, 0, 1], q)
-        return F(roots[0]) if roots else None
+        r = sqrt_mod(-n, q)
+        return None if r is None else F(r)
     c0, c1, _ = F.omega_minpoly()
     for b in range(q):
         for a in range(q):
@@ -298,9 +315,7 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     """Root test over the order O_F + O_F*sqrt(-n): solvable iff the
     supplied class polynomial g_n has a root in O_F/pO_F.  The polynomial
     is an external input; without it the verdict stays unknown."""
-    F = QuadField(-d)
-    if p.field != F:
-        raise ValueError("p must live in Q(sqrt(%d))" % -d)
+    F = _prime_field(p, d)
     hyps = []
 
     def check(name, ok, detail=None):
@@ -340,9 +355,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     computation is done rather than asserted."""
     from .biquadratic import norm_map_condition
 
-    F = QuadField(-d)
-    if p.field != F:
-        raise ValueError("p must live in Q(sqrt(%d))" % -d)
+    _prime_field(p, d)
     hyps = []
 
     def check(name, ok, detail=None):
@@ -424,17 +437,6 @@ def _split_relative(alpha: BiquadElem) -> tuple[QuadElem, QuadElem]:
     return QuadElem(F, c0, c1), QuadElem(F, c2, -c3)
 
 
-def _prime_over(E: BiquadField, p: QuadElem, root: QuadElem) -> IntModule:
-    """The ideal p*O_E + (root - sqrt(-n))*O_E."""
-    rows = []
-    for g in (_embed_F(E, p), _embed_F(E, root) - E.gens()[1]):
-        M = E.mult_matrix(g)
-        for i in range(4):
-            assert all(x.denominator == 1 for x in M[i])
-            rows.append([int(x) for x in M[i]])
-    return hnf(E, rows)
-
-
 def represent(p: QuadElem, d: int, n: int):
     """(x, y) in O_F^2 with p = x^2 + n*y^2, exactly verified.
 
@@ -443,9 +445,7 @@ def represent(p: QuadElem, d: int, n: int):
     (the enumeration is exhaustive).  UNRESOLVED is an honest shrug from
     the sign-normalization step, never a wrong answer.
     """
-    F = QuadField(-d)
-    if p.field != F:
-        raise ValueError("p must live in Q(sqrt(%d))" % -d)
+    F = _prime_field(p, d)
     if _divides(p, 2 * n):
         raise ValueError("p divides 2n")
     q, deg, _ = _residue_data(p)
@@ -453,7 +453,8 @@ def represent(p: QuadElem, d: int, n: int):
     if root is None:
         return None
     E = integral_basis(d, n)
-    mod = _prime_over(E, p, root)
+    # the prime of O_E above p: p*O_E + (root - sqrt(-n))*O_E
+    mod = ideal_of_elements(E, (_embed_F(E, p), _embed_F(E, root) - E.gens()[1]))
     o = relative_order(E)
     if o.module.den != 1 or o.module.rows != tuple(
         tuple(int(i == j) for j in range(4)) for i in range(4)

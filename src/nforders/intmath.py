@@ -153,21 +153,6 @@ def jacobi(a: int, m: int) -> int:
     return result if m == 1 else 0
 
 
-def quartic_symbol(d: int, n: int) -> int | None:
-    """Quartic residue symbol (d/n)_4 for prime n = 1 mod 4.
-
-    Returns d^((n-1)/4) mod n read as +-1 when d is a quadratic residue,
-    None when d is a non-residue (the symbol is undefined there).
-    """
-    if n % 4 != 1 or not is_prime(n):
-        raise ValueError("quartic symbol needs a prime n = 1 mod 4")
-    if pow(d, (n - 1) // 2, n) != 1:
-        return None
-    r = pow(d, (n - 1) // 4, n)
-    assert r == 1 or r == n - 1
-    return 1 if r == 1 else -1
-
-
 def sqrt_mod(a: int, p: int) -> int | None:
     """Tonelli-Shanks square root of a mod an odd prime p.
 
@@ -214,10 +199,6 @@ def poly_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def poly_degree(f: list[int]) -> int:
-    return len(f) - 1  # -1 for the zero polynomial
 
 
 def poly_eval(f: list[int], x):
@@ -408,20 +389,44 @@ def polp_factor(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
 _SCAN_LIMIT = 10**6
 
 
-def poly_roots_mod(f: list[int], p: int, method: str = "auto") -> list[int]:
+def poly_roots_mod(f: list[int], p: int) -> list[int]:
     """Sorted roots of f mod p.
 
-    Exhaustive scan below 10^6; above that, strip f to its linear-factor
-    part via gcd with x^p - x and split it by quadratic-character gcds.
-    Both paths can be forced via method="scan"/"powmod" for cross-testing.
+    A quadratic mod an odd prime goes through the quadratic formula with a
+    Tonelli-Shanks square root.  Anything else is scanned exhaustively
+    below 10^6; above that, f is stripped to its linear-factor part via
+    gcd with x^p - x and split by quadratic-character gcds.
     """
     if not is_prime(p):
         raise ValueError("poly_roots_mod needs a prime modulus")
     fp = polp_trim(f, p)
     if not fp:
         raise ValueError("polynomial vanishes mod p")
-    if method == "scan" or (method == "auto" and p < _SCAN_LIMIT):
-        return [x for x in range(p) if poly_eval(fp, x) % p == 0]
+    if len(fp) == 3 and p != 2:
+        return _roots_quadratic(fp, p)
+    if p < _SCAN_LIMIT:
+        return _roots_scan(fp, p)
+    return _roots_powmod(fp, p)
+
+
+def _roots_quadratic(fp: list[int], p: int) -> list[int]:
+    """Sorted roots of c + b*x + a*x^2 mod an odd prime p, a != 0 mod p:
+    (-b +- sqrt(b^2 - 4ac)) / 2a."""
+    c, b, a = fp
+    s = sqrt_mod(b * b - 4 * a * c, p)
+    if s is None:
+        return []
+    inv = pow(2 * a, -1, p)
+    return sorted({(-b + s) * inv % p, (-b - s) * inv % p})
+
+
+def _roots_scan(fp: list[int], p: int) -> list[int]:
+    """Roots of the nonzero polynomial fp mod p by trying every residue."""
+    return [x for x in range(p) if poly_eval(fp, x) % p == 0]
+
+
+def _roots_powmod(fp: list[int], p: int) -> list[int]:
+    """Sorted roots of the nonzero polynomial fp, reduced mod p, by gcds."""
     # linear-factor part: gcd(f, x^p - x)
     xp = polp_powmod([0, 1], p, fp, p)
     xp_minus_x = polp_trim([(a - b) % p for a, b in

@@ -16,9 +16,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .intmath import sqrt_lb, sqrt_ub
-from .quadratic import QuadField, cf_sqrt, pell_solve, table_matrix
-
-Rat = Fraction
+from .quadratic import cf_sqrt, pell_solve, table_matrix
 
 
 class UnsupportedFieldError(ValueError):
@@ -73,37 +71,34 @@ def hnf_matrix(rows) -> list[list[int]]:
     return [r[::-1] for r in reversed(H)]
 
 
-def hnf_with_transform(rows):
-    """(H, U) with U unimodular, U*rows = H (upper echelon, zero rows kept)."""
-    A = [list(r) for r in rows]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        U[row], U[piv] = U[piv], U[row]
-        for i in range(row + 1, m):
-            while A[i][col]:
-                q = A[row][col] // A[i][col]
-                A[row] = [a - q * b for a, b in zip(A[row], A[i])]
-                U[row] = [a - q * b for a, b in zip(U[row], U[i])]
-                A[row], A[i] = A[i], A[row]
-                U[row], U[i] = U[i], U[row]
-        if A[row][col] < 0:
-            A[row] = [-x for x in A[row]]
-            U[row] = [-x for x in U[row]]
-        row += 1
-    return A, U
-
-
 def kernel_int(rows) -> list[list[int]]:
-    """Basis of the left kernel {x integer : x*rows = 0}."""
-    H, U = hnf_with_transform(rows)
-    return [U[i] for i in range(len(H)) if not any(H[i])]
+    """Saturated basis of the left kernel {x integer : x*rows = 0}: the
+    identity parts of the rows of HNF([rows | I]) whose rows part is zero.
+    Those rows come last in the echelon form, and the identity parts of all
+    rows form a unimodular matrix, so they span every integer kernel
+    vector."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    H = _hnf_upper(
+        [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    )
+    return [h[n:] for h in H if not any(h[:n])]
+
+
+def _times(rows, M, scale: int = 1) -> list:
+    """The integer rows times the integer matrix M, times scale."""
+    cols = tuple(zip(*M))
+    return [tuple(scale * sum(a * b for a, b in zip(r, c)) for c in cols) for r in rows]
+
+
+def _scaled_matrix(rows):
+    """(L, L*rows) for a matrix of ints and Fractions, L the lcm of the
+    entries' denominators, so that L*rows is an integer matrix."""
+    L = 1
+    for row in rows:
+        for x in row:
+            L = lcm(L, x.denominator)
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
 
 def _det_int(rows) -> int:
@@ -246,30 +241,15 @@ class IntModule:
         B1 = [[c * (L // self.den) for c in r] for r in self.rows]
         B2 = [[c * (L // other.den) for c in r] for r in other.rows]
         stacked = B1 + [[-c for c in r] for r in B2]
-        ker = kernel_int(stacked)
         r = self.rank
-        rows = []
-        for vec in ker:
-            rows.append(
-                [sum(vec[i] * B1[i][j] for i in range(r)) for j in range(r)]
-            )
-        return IntModule(self.ambient, tuple(map(tuple, rows)), L)
+        ker = [vec[:r] for vec in kernel_int(stacked)]
+        return IntModule(self.ambient, tuple(_times(ker, B1)), L)
 
     def transform(self, M) -> "IntModule":
         """Module spanned by the images row*M of the basis rows, with M a
         rational matrix acting on integral-basis coordinates."""
-        M = [[Fraction(x) for x in row] for row in M]
-        d = 1
-        for row in M:
-            for x in row:
-                d = lcm(d, x.denominator)
-        n = self.rank
-        rows = []
-        for r in self.rows:
-            rows.append(
-                [int(sum(r[i] * M[i][j] * d for i in range(n))) for j in range(n)]
-            )
-        return IntModule(self.ambient, tuple(map(tuple, rows)), self.den * d)
+        d, Md = _scaled_matrix(M)
+        return IntModule(self.ambient, tuple(_times(self.rows, Md)), self.den * d)
 
     def index_in(self, other: "IntModule") -> Fraction:
         """[other : self] as a positive rational (integer iff self <= other)."""
@@ -316,16 +296,6 @@ class GramForm:
 def t2_gram(field) -> GramForm:
     """Gram matrix of T2(x) = sum over embeddings of |x|^2 on the integral
     basis.  Its determinant is |disc| of the field."""
-    if field.degree == 2:
-        D = field.D
-        if D < 0:
-            if D % 4 == 1:
-                return GramForm(((2, 1), (1, Fraction(1 - D, 2))))
-            return GramForm(((2, 0), (0, -2 * D)))
-        # real quadratic: conjugation is trivial in each real embedding
-        if D % 4 == 1:
-            return GramForm(((2, 1), (1, Fraction(1 + D, 2))))
-        return GramForm(((2, 0), (0, 2 * D)))
     return GramForm(field.t2_gram_matrix())
 
 
@@ -345,23 +315,9 @@ class LatticeBasis:
         return IntModule(self.ambient, self.rows, self.den)
 
 
-def _scaled_gram(g: GramForm):
-    """(L, L*g) with L the lcm of the entries' denominators, so that L*g is
-    an integer matrix."""
-    L = 1
-    for row in g.g:
-        for x in row:
-            L = lcm(L, x.denominator)
-    return L, [[x.numerator * (L // x.denominator) for x in row] for row in g.g]
-
-
 def _basis_gram(rows, gL):
     """Integer Gram matrix rows * gL * rows^t of integer basis rows."""
-    dim = len(gL)
-    rg = [
-        [sum(r[a] * gL[a][b] for a in range(dim)) for b in range(dim)] for r in rows
-    ]
-    return [[sum(x * y for x, y in zip(u, r)) for r in rows] for u in rg]
+    return _times(_times(rows, gL), tuple(zip(*rows)))
 
 
 def _integral_gso(G):
@@ -406,7 +362,7 @@ def lll_reduce(m, g: GramForm, delta: Fraction = Fraction(3, 4)) -> LatticeBasis
     dnum, dden = delta.numerator, delta.denominator
     basis = [list(r) for r in m.rows]
     n = len(basis)
-    d, lam = _integral_gso(_basis_gram(basis, _scaled_gram(g)[1]))
+    d, lam = _integral_gso(_basis_gram(basis, _scaled_matrix(g.g)[1]))
     k = 1
     while k < n:
         lk = lam[k]
@@ -462,7 +418,7 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
     rows = red.rows
     n = len(rows)
     den = red.den
-    L, gL = _scaled_gram(g)
+    L, gL = _scaled_matrix(g.g)
     d, lam = _integral_gso(_basis_gram(rows, gL))
     budget = bound * L * den * den
     # scale: a common denominator of the budget and of every level's
@@ -541,7 +497,11 @@ def _norm_filter(module, norm: Fraction):
     return keep
 
 
-def _unit_ladder(field, module, max_power: int = 64):
+# the largest power of the fundamental unit _unit_ladder tries
+_LADDER_MAX_POWER = 64
+
+
+def _unit_ladder(field, module):
     """Smallest m >= 1 with eps^m stabilizing the module, eps the fundamental
     continued-fraction unit of the real quadratic subfield; returns (D0, m,
     convergent list over m periods)."""
@@ -551,26 +511,13 @@ def _unit_ladder(field, module, max_power: int = 64):
         r = pell_solve(D0, 1)
     x0, y0 = r.solution.x, r.solution.y
     eps = field.from_real_quadratic(Fraction(x0), Fraction(y0))
-    m = 1
-    while m <= max_power:
-        u = eps**m
-        M = field.mult_matrix(u)
-        stab = all(
-            module.contains_coords(
-                [
-                    sum(Fraction(row[i], module.den) * M[i][j] for i in range(4))
-                    for j in range(4)
-                ]
-            )
-            for row in module.rows
-        )
-        if stab:
+    for m in range(1, _LADDER_MAX_POWER + 1):
+        if module.contains_module(module.transform(field.mult_matrix(eps**m))):
             break
-        m += 1
     else:
         raise UnsupportedFieldError(
             "no power of the fundamental unit up to %d stabilizes the module"
-            % max_power
+            % _LADDER_MAX_POWER
         )
     cf = cf_sqrt(D0)
     l = len(cf.period)
@@ -586,7 +533,7 @@ def _unit_ladder(field, module, max_power: int = 64):
     return D0, m, gammas
 
 
-def find_generator(module: IntModule, norm, fundamental_unit_bound=None):
+def find_generator(module: IntModule, norm):
     """Element alpha of the module with |absolute norm| equal to `norm`,
     which forces alpha*O = module for any order O the module is an ideal of
     with index `norm`; None when the exhaustive search ball is empty, which
@@ -596,28 +543,18 @@ def find_generator(module: IntModule, norm, fundamental_unit_bound=None):
     the module is swept window by window along the continued-fraction
     convergents of the real quadratic subfield, which tile one fundamental
     domain of the unit action on the ratio of the two complex absolute
-    values; passing fundamental_unit_bound instead runs a single ball
-    T2 <= r * norm^(2/r) * fundamental_unit_bound.
+    values.
     """
     field = module.ambient
-    r = field.degree
     norm = Fraction(norm)
     if norm <= 0:
         raise ValueError("norm must be positive")
     G = t2_gram(field)
     keep = _norm_filter(module, norm)
-    if r == 2:
+    if field.degree == 2:
         if field.D > 0:
             raise UnsupportedFieldError("generator search needs an imaginary field")
-        bound = 2 * norm * (
-            Fraction(fundamental_unit_bound) if fundamental_unit_bound else 1
-        )
-        cands = [v for v in enumerate_by_t2(module, G, bound) if keep(v)]
-        return _canonical_pick(field, cands, G)
-
-    if fundamental_unit_bound is not None:
-        bound = r * sqrt_ub(norm) * Fraction(fundamental_unit_bound)
-        cands = [v for v in enumerate_by_t2(module, G, bound) if keep(v)]
+        cands = [v for v in enumerate_by_t2(module, G, 2 * norm) if keep(v)]
         return _canonical_pick(field, cands, G)
 
     # window ladder over the real-subfield convergents

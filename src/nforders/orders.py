@@ -21,6 +21,7 @@ from .intmath import factorize, sqrt_ub
 from .lattice import (
     IntModule,
     _det_int,
+    _times,
     adjugate_int,
     find_generator,
     hnf,
@@ -28,8 +29,6 @@ from .lattice import (
     identity_module,
 )
 from .quadratic import QuadField, form_class_group, split_prime, table_matrix
-
-Rat = Fraction
 
 
 class PreconditionError(ValueError):
@@ -45,28 +44,11 @@ class AuditFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# field-element plumbing shared by both ambient degrees
-
-
-def coords_of(field, e):
-    return tuple(e.basis_coords())
-
-
-def _one(field):
-    coords = [Fraction(0)] * field.degree
-    coords[0] = Fraction(1)
-    return field.from_basis_coords(coords)
-
+# module arithmetic
 
 # The module operations below run on the integer rows only, through the
 # field's structure constants T[i][j] = coords(b_i * b_j) and its integer
 # conjugation matrix; no field element is built.
-
-
-def _times(rows, M, scale: int = 1) -> list:
-    """The integer rows times the integer matrix M, times scale."""
-    cols = tuple(zip(*M))
-    return [tuple(scale * sum(a * b for a, b in zip(r, c)) for c in cols) for r in rows]
 
 
 def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
@@ -117,7 +99,7 @@ class OrderRep:
         m = self.module
         if m.den != 1:
             raise ValueError("an order must consist of integral elements")
-        if not m.contains_coords(coords_of(self.field, _one(self.field))):
+        if not m.contains_coords(self.field.one().basis_coords()):
             raise ValueError("an order must contain 1")
         prod = module_mul(m, m)
         if not m.contains_module(prod):
@@ -199,7 +181,7 @@ class OrderIdeal:
 
 
 def principal_ideal(o: OrderRep, e) -> OrderIdeal:
-    if _is_zero(o.field, e):
+    if e.is_zero():
         raise ValueError("zero element generates no ideal")
     return OrderIdeal(o, o.module.transform(o.field.mult_matrix(e)))
 
@@ -350,21 +332,6 @@ def contract_ideal(atilde: OrderIdeal, o: OrderRep) -> OrderIdeal:
 _RESIDUE_CAP = 10**6
 
 
-def _in_order_coords(o: OrderRep, m: IntModule):
-    """Rows of m rewritten in coordinates over o's basis (integers iff
-    m is contained in o)."""
-    n = m.rank
-    out = []
-    for row in m.rows:
-        v = [Fraction(c, m.den) for c in row]
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = v[i] - sum(x[k] * o.module.rows[k][i] for k in range(i + 1, n))
-            x[i] = s / o.module.rows[i][i]
-        out.append(x)
-    return out
-
-
 def _residue_reps(o: OrderRep, fmod: IntModule):
     """One representative per coset of o/fmod."""
     if not o.module.contains_module(fmod):
@@ -374,16 +341,20 @@ def _residue_reps(o: OrderRep, fmod: IntModule):
     N = int(idx)
     if N > _RESIDUE_CAP:
         raise ValueError("quotient too large to enumerate (%d)" % N)
-    rows = _in_order_coords(o, fmod)
-    assert all(c.denominator == 1 for r in rows for c in r)
-    H = hnf_matrix([[int(c) for c in r] for r in rows])
+    # fmod's rows over o's basis B: fmod.rows * adj(B) / (fmod.den * det B),
+    # integers as fmod lies in o
+    B = o.module.rows
+    scale = fmod.den * _det_int(B)
+    rows = _times(fmod.rows, adjugate_int(B))
+    assert all(c % scale == 0 for r in rows for c in r)
+    H = hnf_matrix([[c // scale for c in r] for r in rows])
     # sum_i c_i * (basis row i of o), 0 <= c_i < H[i][i], first index slowest
     for cs in product(*(range(H[i][i]) for i in range(len(H)))):
         yield o.field.from_basis_coords(_times([cs], o.module.rows)[0])
 
 
 def _is_unit_mod(o: OrderRep, fmod: IntModule, e) -> bool:
-    if _is_zero(o.field, e):
+    if e.is_zero():
         return False
     gen = o.module.transform(o.field.mult_matrix(e))
     return gen.add(fmod) == o.module
@@ -398,50 +369,33 @@ def residue_unit_count(o: OrderRep, f) -> int:
     return sum(1 for e in _residue_reps(o, fmod) if _is_unit_mod(o, fmod, e))
 
 
-def _is_zero(field, e) -> bool:
-    return all(c == 0 for c in coords_of(field, e))
-
-
-def _torsion_units_quadratic(F: QuadField):
-    if F.disc == -3:
-        w = F.omega()  # (1+sqrt(-3))/2, a sixth root of unity
-        return [F(1), -F(1), w, -w, w * w, -(w * w)]
-    if F.disc == -4:
-        i = F.sqrt_gen()
-        return [F(1), -F(1), i, -i]
-    return [F(1), -F(1)]
+# the largest power of the fundamental unit unit_index tries
+_UNIT_POWER_BOUND = 256
 
 
 def unit_index(o: OrderRep) -> int:
     """[O_K^x : o^x]; raises UnresolvedError when the bounded search cannot
     settle the relative case."""
     field = o.field
-    if field.degree == 2:
-        if field.D > 0:
-            raise UnresolvedError("real quadratic unit index not supported")
-        tors = _torsion_units_quadratic(field)
-        inside = [u for u in tors if o.module.contains_coords(coords_of(field, u))]
-        assert len(tors) % len(inside) == 0
-        return len(tors) // len(inside)
-    return _unit_index_relative(o)
-
-
-def _unit_index_relative(o: OrderRep, j_bound: int = 256) -> int:
-    field = o.field
+    if field.degree == 2 and field.D > 0:
+        raise UnresolvedError("real quadratic unit index not supported")
     tors = field.torsion_units()
-    w = len(tors)
     inside = [z for z in tors if o.module.contains_coords(z.basis_coords())]
-    assert w % len(inside) == 0
-    wq = w // len(inside)
+    assert len(tors) % len(inside) == 0
+    wq = len(tors) // len(inside)
+    if field.degree == 2:
+        return wq  # imaginary quadratic: the unit group is the torsion
     eta = field.fundamental_unit()
-    pw = _one(field)
-    for j in range(1, j_bound + 1):
+    pw = field.one()
+    for j in range(1, _UNIT_POWER_BOUND + 1):
         pw = pw * eta
         if any(
             o.module.contains_coords((z * pw).basis_coords()) for z in tors
         ):
             return wq * j
-    raise UnresolvedError("unit index not established within bound %d" % j_bound)
+    raise UnresolvedError(
+        "unit index not established within bound %d" % _UNIT_POWER_BOUND
+    )
 
 
 def class_number(field) -> int:
@@ -548,14 +502,14 @@ def in_PK1f(field, alpha, f: OrderIdeal, beta=None) -> bool:
     the congruence-subgroup membership test at the level of generators."""
     omax = maximal_order(field)
     if beta is None:
-        beta = _one(field)
+        beta = field.one()
     for x in (alpha, beta):
         xi = principal_ideal(omax, x)
         if not xi.is_integral():
             raise PreconditionError("element is not integral")
         if xi.module.add(f.module) != omax.module:
             raise PreconditionError("element is not coprime to f")
-    diff = coords_of(field, alpha - beta)
+    diff = (alpha - beta).basis_coords()
     return f.module.contains_coords(diff)
 
 
@@ -570,13 +524,10 @@ def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
     if g is None:
         return False
     field = o.field
-    if field.degree == 2:
-        units = _torsion_units_quadratic(field)
-    else:
-        units = field.torsion_units()
+    units = field.torsion_units()
     for u in units:
         cand = u * g
-        if o.module.contains_coords(coords_of(field, cand)):
+        if o.module.contains_coords(cand.basis_coords()):
             return True
     if field.degree == 4:
         eta = field.fundamental_unit()
@@ -584,7 +535,7 @@ def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
             for base in (eta**j, eta**-j):
                 for u in units:
                     cand = u * base * g
-                    if o.module.contains_coords(coords_of(field, cand)):
+                    if o.module.contains_coords(cand.basis_coords()):
                         return True
     return False
 
@@ -647,17 +598,14 @@ def counting_audit(o: OrderRep, margin: int = 4) -> AuditReport:
     checks.append("ray_class_count_equals_picard")
 
     # O_K^x meet K_{f,o} = o^x, exhausting the finite unit group
-    tors = _torsion_units_quadratic(field)
+    tors = field.torsion_units()
     in_order = {
-        coords_of(field, t): o.module.contains_coords(coords_of(field, t))
-        for t in tors
+        t.basis_coords(): o.module.contains_coords(t.basis_coords()) for t in tors
     }
     reps = _unit_residues(o, f)
     for t in tors:
-        member = any(
-            o.module.contains_coords(coords_of(field, t * b)) for b in reps
-        )
-        if member != in_order[coords_of(field, t)]:
+        member = any(o.module.contains_coords((t * b).basis_coords()) for b in reps)
+        if member != in_order[t.basis_coords()]:
             raise AuditFailure("unit %r crosses K_{f,o} boundary" % (t,))
     checks.append("unit_intersection_is_order_units")
 

@@ -13,9 +13,15 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
-from .intmath import is_prime, is_square, is_squarefree, jacobi, xgcd
-
-Rat = Fraction
+from .intmath import (
+    factorize,
+    is_prime,
+    is_square,
+    is_squarefree,
+    jacobi,
+    poly_roots_mod,
+    xgcd,
+)
 
 
 def _rat(x) -> Fraction:
@@ -119,6 +125,28 @@ class QuadField:
         if self.D % 4 == 1:
             return QuadElem(self, x + y / 2, y / 2)
         return QuadElem(self, x, y)
+
+    def one(self) -> "QuadElem":
+        return self(1)
+
+    def torsion_units(self) -> list:
+        """The roots of unity of an imaginary field (just +-1 for a real
+        one)."""
+        if self.disc == -3:
+            w = self.omega()  # (1+sqrt(-3))/2, a sixth root of unity
+            return [self(1), -self(1), w, -w, w * w, -(w * w)]
+        if self.disc == -4:
+            i = self.sqrt_gen()
+            return [self(1), -self(1), i, -i]
+        return [self(1), -self(1)]
+
+    def t2_gram_matrix(self) -> tuple:
+        """Gram matrix of T2 on the basis {1, w}, T2 the sum of |x|^2 over
+        both embeddings; its determinant is |disc|."""
+        D = abs(self.D)
+        if self.D % 4 == 1:
+            return ((2, 1), (1, (1 + D) // 2))
+        return ((2, 0), (0, 2 * D))
 
     @cached_property
     def mult_table(self) -> tuple:
@@ -321,8 +349,7 @@ def split_prime(F: QuadField, q: int) -> SplitResult:
         return SplitResult("inert", F(q), F(q), ((q, 0), (0, q)))
 
     # Kummer: root of the minimal polynomial of w mod q gives the ideal
-    c0, c1, _ = F.omega_minpoly()
-    r = next(x for x in range(q) if (x * x + c1 * x + c0) % q == 0)
+    r = poly_roots_mod(F.omega_minpoly(), q)[0]
     hnf = ((q, 0), ((-r) % q, 1))
     pi = _norm_form_element(F, q)
     pibar = pi.conj() if pi is not None else None
@@ -483,33 +510,22 @@ class ClassGroupResult:
     structure: tuple[int, ...]  # invariant factors d1 | d2 | ...
 
 
-def _abelian_structure(elements, op, identity) -> tuple[int, ...]:
-    """Invariant factors of a small abelian group given by a multiplication.
+def _abelian_structure(forms) -> tuple[int, ...]:
+    """Invariant factors of the class group on the given reduced forms.
 
-    Counts elements killed by p^k for each prime p; those counts pin down
+    Counts forms killed by p^k for each prime p; those counts pin down
     the partition of p-ranks, hence the structure.
     """
-    n = len(elements)
+    n = len(forms)
     if n == 1:
         return ()
-    from .intmath import factorize
-
-    def power(g, e):
-        r = identity
-        base = g
-        while e:
-            if e & 1:
-                r = op(r, base)
-            base = op(base, base)
-            e >>= 1
-        return r
-
+    identity = principal_form(forms[0].disc).reduce()
     # elementary divisors per prime
     per_prime: dict[int, list[int]] = {}
     for p, e in factorize(n).items():
         counts = [1]  # N_k = #{g : g^(p^k) = id}
         for k in range(1, e + 1):
-            counts.append(sum(1 for g in elements if power(g, p**k) == identity))
+            counts.append(sum(1 for g in forms if form_pow(g, p**k) == identity))
         # N_k = p^(sum_i min(lambda_i, k)); recover the partition lambda
         exps = []
         for k in range(1, e + 1):
@@ -540,7 +556,7 @@ def form_class_group(disc: int) -> ClassGroupResult:
     forms = reduced_forms(disc)
     ident = principal_form(disc).reduce()
     assert ident in forms
-    structure = _abelian_structure(forms, compose, ident)
+    structure = _abelian_structure(forms)
     return ClassGroupResult(disc, len(forms), tuple(forms), structure)
 
 

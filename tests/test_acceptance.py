@@ -23,7 +23,6 @@ from nforders.lattice import hnf
 from nforders.orders import (
     OrderIdeal,
     conductor,
-    coords_of,
     counting_audit,
     contract_ideal,
     extend_ideal,
@@ -279,7 +278,7 @@ def test_acceptance_08_conductor_grid():
     for E in fields:
         o = relative_order(E)
         f = conductor(o)
-        vec = tuple(4 * E.n * c for c in coords_of(E, _one_of(E)))
+        vec = tuple(4 * E.n * c for c in _one_of(E).basis_coords())
         if not f.module.contains_coords(vec):
             ok_all = False
         native = E.d % 4 == 3 and E.n % 4 in (1, 2) and gcd(E.d, E.n) == 1

@@ -259,6 +259,64 @@ def test_obstructed_primes_still_factor():
         assert prod == q_ideal(E, q)
 
 
+def _sympy_elem(E, theta):
+    """theta as a sympy algebraic number, from its naive coordinates."""
+    import sympy
+
+    a, b, c, e = (sympy.Rational(x.numerator, x.denominator) for x in theta.naive())
+    return (
+        a
+        + b * sympy.sqrt(-E.d)
+        + c * sympy.sqrt(-E.n)
+        + e * sympy.sqrt(E.d * E.n)
+    )
+
+
+def test_minpoly4_against_sympy():
+    import sympy
+
+    from nforders.biquadratic import _minpoly4
+
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    for E in (E59, E75, E8, E37):
+        for _ in range(6):
+            theta = E.from_basis_coords([rng.randint(-4, 4) for _ in range(4)])
+            got = _minpoly4(theta)
+            want = sympy.Poly(sympy.minimal_polynomial(_sympy_elem(E, theta), x), x)
+            if want.degree() < 4:
+                assert got is None, theta
+            else:
+                assert got == [int(c) for c in reversed(want.all_coeffs())], theta
+
+
+def test_minpoly4_non_primitive_is_none():
+    from nforders.biquadratic import _minpoly4
+
+    for E in (E59, E8, E37):
+        s, t, u = E.gens()
+        for theta in (E.one() * 3, s, t + 1, u * 2 - 5):
+            assert _minpoly4(theta) is None
+
+
+def test_basis_inverse_against_sympy():
+    import sympy
+
+    def to_sympy(rows):
+        return sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+        )
+
+    for E in (E59, E75, Z12, E8, E37, E715):
+        assert to_sympy(E.basis_inverse) == to_sympy(E.intbasis).inv(), E
+
+
+def test_singular_basis_raises():
+    singular = ((1, 0, 0, 0), (H, H, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    with pytest.raises(ValueError, match="singular basis matrix"):
+        integral_basis(7, 5, basis=singular, disc=78400)
+
+
 def test_factor_rejects_composite():
     with pytest.raises(ValueError):
         factor_rational_prime(E59, 6)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nforders import cli
 from nforders.quadratic import QuadField, from_integral_coords
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 F59 = QuadField(-59)
 F14 = QuadField(-14)
@@ -240,6 +246,28 @@ def test_represent_none(capsys):
 def test_represent_rejects_non_prime(capsys):
     code, out = run(capsys, ["represent", "5", "59", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["represent", "0", "59", "2"],
+        ["criterion", "hilbert", "0", "59", "2"],
+        ["criterion", "quadr", "0", "59", "2"],
+    ],
+)
+def test_zero_element_exits_2(argv):
+    # a fresh interpreter, so a traceback would show on stderr
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nforders.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: zero is not a prime element\n"
 
 
 def test_poly_file_errors(tmp_path, capsys):

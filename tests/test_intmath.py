@@ -15,7 +15,6 @@ from nforders.intmath import (
     poly_roots_mod,
     polp_factor,
     primes_upto,
-    quartic_symbol,
     resultant,
     sqrt_lb,
     sqrt_mod,
@@ -23,6 +22,7 @@ from nforders.intmath import (
     squarefree_part,
     xgcd,
 )
+from nforders.intmath import _roots_powmod, _roots_quadratic, _roots_scan
 
 
 # independent oracles, deliberately dumber than the implementations
@@ -139,32 +139,6 @@ def test_jacobi_known_values():
     assert jacobi(5, 1) == 1
 
 
-def test_quartic_symbol():
-    # oracle: d is a fourth power mod n exactly when some x^4 hits it
-    for n in (5, 13, 17, 29, 37, 41):
-        fourth = {pow(x, 4, n) for x in range(1, n)}
-        squares = {pow(x, 2, n) for x in range(1, n)}
-        for d in range(1, n):
-            s = quartic_symbol(d, n)
-            if d in fourth:
-                assert s == 1
-            elif d in squares:
-                assert s == -1
-            else:
-                assert s is None
-    assert quartic_symbol(2, 17) == -1
-    assert quartic_symbol(1, 5) == 1
-
-
-def test_quartic_symbol_rejects_bad_modulus():
-    for n in (7, 9, 15, 21):
-        try:
-            quartic_symbol(2, n)
-            assert False
-        except ValueError:
-            pass
-
-
 def test_sqrt_mod_small_primes_by_scan():
     for p in primes_upto(200):
         if p == 2:
@@ -255,9 +229,28 @@ def test_poly_roots_mod_paths_agree():
         p = rng.choice(ps)
         d = rng.randrange(1, 6)
         f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
-        assert poly_roots_mod(f, p, method="scan") == poly_roots_mod(
-            f, p, method="powmod"
-        ), (f, p)
+        assert _roots_scan(f, p) == _roots_powmod(f, p), (f, p)
+
+
+def test_poly_roots_mod_quadratic_path():
+    # the quadratic formula against the scan, double roots and irreducible
+    # quadratics included, and against the gcd path past the scan limit
+    rng = random.Random(11)
+    ps = [p for p in primes_upto(400) if p > 2]
+    for _ in range(300):
+        p = rng.choice(ps)
+        f = [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)]
+        assert _roots_quadratic(f, p) == _roots_scan(f, p), (f, p)
+    for p in (3, 5, 7, 13):
+        for r in range(p):
+            f = [r * r % p, (-2 * r) % p, 1]  # (x - r)^2
+            assert _roots_quadratic(f, p) == [r]
+    big = [10**9 + 7, 999999937]
+    for _ in range(40):
+        p = rng.choice(big)
+        f = [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)]
+        assert _roots_quadratic(f, p) == _roots_powmod(f, p), (f, p)
+    assert poly_roots_mod([-2, 0, 1], 2) == [0]
 
 
 def test_poly_roots_mod_large_prime():

@@ -126,6 +126,55 @@ def test_module_add_intersect_kernel():
         assert i.covolume() * s.covolume() == a.covolume() * b.covolume()
 
 
+def test_kernel_int_against_sympy():
+    # the basis lies in the kernel, has m - rank rows, and is saturated:
+    # its Smith factors are all 1, so every integer kernel vector is an
+    # integer combination of it
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(29)
+    for trial in range(150):
+        m = rng.choice([1, 2, 3, 4, 5, 6, 8])
+        n = rng.choice([1, 2, 3, 4])
+        A = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
+        if trial % 3 == 1 and m >= 3:
+            # rank-deficient: the last row a combination of the first two
+            c1, c2 = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            A[-1] = [c1 * a + c2 * b for a, b in zip(A[0], A[1])]
+        elif trial % 3 == 2:
+            for i in rng.sample(range(m), rng.randrange(1, m + 1)):
+                A[i] = [0] * n
+        K = kernel_int(A)
+        assert len(K) == m - sympy.Matrix(A).rank(), A
+        if not K:
+            continue
+        assert all(len(vec) == m for vec in K)
+        assert sympy.Matrix(K) * sympy.Matrix(A) == sympy.zeros(len(K), n), A
+        S = sympy_snf(sympy.Matrix(K))
+        assert [S[i, i] for i in range(len(K))] == [1] * len(K), A
+
+
+def test_t2_gram_det_is_abs_disc():
+    from nforders.biquadratic import integral_basis
+    from nforders.lattice import _det_int
+
+    H = Fraction(1, 2)
+    fields = [QuadField(D) for D in (-1, -2, -3, -5, -59, 2, 5, 13)] + [
+        integral_basis(59, 2),
+        integral_basis(11, 10),
+        integral_basis(
+            1, 2, basis=((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H)),
+            disc=256,
+        ),
+    ]
+    for F in fields:
+        G = F.t2_gram_matrix()
+        assert all(isinstance(x, int) for row in G for x in row), F
+        assert _det_int(G) == abs(F.disc), F
+        assert t2_gram(F).g == GramForm(G).g
+
+
 def test_kernel_int():
     rng = random.Random(23)
     for _ in range(80):
@@ -471,14 +520,6 @@ def test_find_generator_rejects_real():
         assert False
     except UnsupportedFieldError:
         pass
-
-
-def test_find_generator_explicit_bound():
-    # passing a unit bound shrinks/widens the single ball but stays sound
-    F = QuadField(-59)
-    m = identity_module(F)
-    one = find_generator(m, 1, fundamental_unit_bound=Fraction(3))
-    assert one is not None and one.abs_norm() == 1
 
 
 def test_smith_normal_form_known():

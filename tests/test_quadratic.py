@@ -26,6 +26,25 @@ def rand_elem(F, rng, span=20):
     )
 
 
+def test_torsion_units_against_box_scan():
+    # oracle: the integral x + y*w of norm 1; |y| <= 2 and |x| <= 3 hold
+    # for every unit of an imaginary quadratic field
+    for D, count in ((-1, 4), (-3, 6), (-5, 2), (-59, 2)):
+        F = QuadField(D)
+        units = F.torsion_units()
+        assert len(units) == count == len(set(units))
+        scan = {
+            from_integral_coords(F, x, y)
+            for x in range(-3, 4)
+            for y in range(-2, 3)
+            if from_integral_coords(F, x, y).norm() == 1
+        }
+        assert set(units) == scan, D
+        for u in units:
+            assert u**count == F.one()
+        assert units[0] == F.one()
+
+
 def test_norm_conj_trace():
     F = QuadField(-59)
     p = F(Fraction(3, 2), Fraction(1, 2))
