@@ -10,13 +10,15 @@ enter as explicit rational upper/lower bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from operator import mul
 
-from .intmath import sqrt_lb, sqrt_ub
-from .quadratic import cf_sqrt, pell_solve, table_matrix
+from .intmath import sqrt_lb, sqrt_ub, xgcd
+from .quadratic import cf_sqrt, integer_coords, pell_solve, table_matrix
 
 
 class UnsupportedFieldError(ValueError):
@@ -27,27 +29,55 @@ class UnsupportedFieldError(ValueError):
 # integer row HNF
 
 
-def _hnf_upper(rows: list[list[int]]) -> list[list[int]]:
-    """Row echelon HNF, pivots left to right; zero rows dropped at the end."""
-    A = [list(r) for r in rows]
-    if not A:
-        return A
-    m, n = len(A), len(A[0])
+def _echelon(A: list[list[int]], ncols: int) -> int:
+    """Bring the integer rows A, in place, to row echelon form on their
+    first ncols columns, pivots left to right and positive; returns the
+    number r of pivot rows.  The rows from r on are zero on those columns.
+
+    Each pair (pivot row P, row R below it) takes one unimodular step
+    (Cohen, section 2.4): with g = s*a + t*b = gcd(a, b) of their entries
+    in the pivot column, P <- s*P + t*R and R <- (b/g)*P - (a/g)*R, which
+    clears R's entry.  A pivot dividing the entry takes a plain
+    subtraction instead."""
+    m = len(A)
     row = 0
-    for col in range(n):
+    for col in range(ncols):
+        if row == m:
+            break
         piv = next((i for i in range(row, m) if A[i][col]), None)
         if piv is None:
             continue
         A[row], A[piv] = A[piv], A[row]
+        P = A[row]
         for i in range(row + 1, m):
-            while A[i][col]:
-                q = A[row][col] // A[i][col]
-                A[row] = [a - q * b for a, b in zip(A[row], A[i])]
-                A[row], A[i] = A[i], A[row]
-        if A[row][col] < 0:
-            A[row] = [-x for x in A[row]]
+            R = A[i]
+            b = R[col]
+            if not b:
+                continue
+            a = P[col]
+            if b % a == 0:
+                q = b // a
+                A[i] = [y - q * x for x, y in zip(P, R)]
+                continue
+            g, s, t = xgcd(a, b)
+            ag, bg = a // g, b // g
+            P, A[i] = (
+                [s * x + t * y for x, y in zip(P, R)],
+                [bg * x - ag * y for x, y in zip(P, R)],
+            )
+        if P[col] < 0:
+            P = [-x for x in P]
+        A[row] = P
         row += 1
-    A = A[:row]
+    return row
+
+
+def _hnf_upper(rows) -> list[list[int]]:
+    """Row echelon HNF, pivots left to right; zero rows dropped at the end."""
+    A = [list(r) for r in rows]
+    if not A:
+        return A
+    A = A[: _echelon(A, len(A[0]))]
     # reduce entries above each pivot
     pivots = [next(j for j, x in enumerate(r) if x) for r in A]
     for i, pc in enumerate(pivots):
@@ -73,22 +103,53 @@ def hnf_matrix(rows) -> list[list[int]]:
 
 def kernel_int(rows) -> list[list[int]]:
     """Saturated basis of the left kernel {x integer : x*rows = 0}: the
-    identity parts of the rows of HNF([rows | I]) whose rows part is zero.
-    Those rows come last in the echelon form, and the identity parts of all
-    rows form a unimodular matrix, so they span every integer kernel
-    vector."""
+    identity parts of the rows of [rows | I], echelonised on the rows
+    columns only, whose rows part is zero.  The identity parts of all rows
+    form a unimodular matrix and the pivot rows are independent, so those
+    rows span every integer kernel vector."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    H = _hnf_upper(
-        [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
-    )
-    return [h[n:] for h in H if not any(h[:n])]
+    A = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    return [h[n:] for h in A[_echelon(A, n) :]]
+
+
+def _in_lattice(H, w) -> bool:
+    """Is the integer vector w in the row span of the full-rank lower
+    triangular rows H?  Integer back-substitution: column i meets only
+    rows i, ..., n-1, so from the last column down each coefficient is
+    w[i] / H[i][i], which must be exact."""
+    w = list(w)
+    for i in range(len(H) - 1, -1, -1):
+        Hi = H[i]
+        q, r = divmod(w[i], Hi[i])
+        if r:
+            return False
+        if q:
+            for j in range(i):
+                w[j] -= q * Hi[j]
+    return True
+
+
+def _is_canonical(H) -> bool:
+    """Is the square integer matrix H in the canonical HNF hnf_matrix
+    returns: lower triangular, positive pivots on the diagonal, and the
+    entries below each pivot in [0, pivot)?"""
+    n = len(H)
+    if any(len(row) != n for row in H):
+        return False
+    for i, row in enumerate(H):
+        p = row[i]
+        if p <= 0 or any(row[i + 1 :]):
+            return False
+        if not all(0 <= H[k][i] < p for k in range(i + 1, n)):
+            return False
+    return True
 
 
 def _times(rows, M, scale: int = 1) -> list:
     """The integer rows times the integer matrix M, times scale."""
-    cols = tuple(zip(*M))
-    return [tuple(scale * sum(a * b for a, b in zip(r, c)) for c in cols) for r in rows]
+    cols = list(zip(*M))
+    return [tuple([scale * sum(map(mul, r, c)) for c in cols]) for r in rows]
 
 
 def _scaled_matrix(rows):
@@ -187,7 +248,7 @@ class IntModule:
             raise ValueError("zero denominator")
         if den < 0:
             den = -den
-        H = hnf_matrix(rows)
+        H = rows if _is_canonical(rows) else hnf_matrix(rows)
         r = getattr(self.ambient, "degree", None) or len(H)
         if len(H) != r:
             raise ValueError("module is not full rank")
@@ -212,22 +273,20 @@ class IntModule:
 
     def contains_coords(self, coords) -> bool:
         """Membership of the ambient element with the given rational
-        integral-basis coordinates."""
-        v = [Fraction(c) * self.den for c in coords]
-        n = self.rank
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = v[i] - sum(x[k] * self.rows[k][i] for k in range(i + 1, n))
-            x[i] = s / self.rows[i][i]
-            if x[i].denominator != 1:
-                return False
-        return True
+        integral-basis coordinates u / den_u: is u * den = x * rows * den_u
+        for an integer x?  Decided on integers: den_u must divide
+        u * den, and the quotient must be in the row span."""
+        u, den_u = integer_coords(list(coords))
+        return self._contains_int(u, den_u)
 
     def contains_module(self, other: "IntModule") -> bool:
-        return all(
-            self.contains_coords([Fraction(c, other.den) for c in row])
-            for row in other.rows
-        )
+        return all(self._contains_int(row, other.den) for row in other.rows)
+
+    def _contains_int(self, u, den_u: int) -> bool:
+        w = [c * self.den for c in u]
+        if any(c % den_u for c in w):
+            return False
+        return _in_lattice(self.rows, [c // den_u for c in w])
 
     def add(self, other: "IntModule") -> "IntModule":
         L = lcm(self.den, other.den)
@@ -292,10 +351,17 @@ class GramForm:
     def apply(self, v) -> Fraction:
         return self.bilinear(v, v)
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """(L, L*g) with L the lcm of the entries' denominators: the
+        integer form LLL and the enumeration run on, built once per form."""
+        return _scaled_matrix(self.g)
 
+
+@lru_cache(maxsize=None)
 def t2_gram(field) -> GramForm:
     """Gram matrix of T2(x) = sum over embeddings of |x|^2 on the integral
-    basis.  Its determinant is |disc| of the field."""
+    basis.  Its determinant is |disc| of the field.  Built once per field."""
     return GramForm(field.t2_gram_matrix())
 
 
@@ -305,11 +371,14 @@ def t2_gram(field) -> GramForm:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A not-necessarily-HNF basis (LLL output keeps the reduced order)."""
+    """A not-necessarily-HNF basis (LLL output keeps the reduced order).
+    `gso` is the integral Gram-Schmidt data (d, lam) of the rows under the
+    scaled form LLL ran on (see _integral_gso)."""
 
     ambient: object
     rows: tuple
     den: int
+    gso: tuple = dc_field(compare=False)
 
     def to_module(self) -> IntModule:
         return IntModule(self.ambient, self.rows, self.den)
@@ -362,7 +431,7 @@ def lll_reduce(m, g: GramForm, delta: Fraction = Fraction(3, 4)) -> LatticeBasis
     dnum, dden = delta.numerator, delta.denominator
     basis = [list(r) for r in m.rows]
     n = len(basis)
-    d, lam = _integral_gso(_basis_gram(basis, _scaled_matrix(g.g)[1]))
+    d, lam = _integral_gso(_basis_gram(basis, g.scaled[1]))
     k = 1
     while k < n:
         lk = lam[k]
@@ -392,7 +461,9 @@ def lll_reduce(m, g: GramForm, delta: Fraction = Fraction(3, 4)) -> LatticeBasis
             li[k - 1] = (bk * t + la * li[k]) // d[k + 1]
         d[k] = bk
         k = max(k - 1, 1)
-    return LatticeBasis(m.ambient, tuple(map(tuple, basis)), m.den)
+    # d and lam were kept exact through every step: they are the data of
+    # the reduced rows
+    return LatticeBasis(m.ambient, tuple(map(tuple, basis)), m.den, (d, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +479,10 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
     under L*g and d, lam its integral Gram-Schmidt data,
     x A x^t = sum_i y_i^2 / (d[i] d[i+1]) with y_i = d[i+1] x_i +
     sum_{j>i} lam[j][i] x_j, and g(x*rows/den) <= bound reads
-    x A x^t <= bound * L * den^2.  The remaining budget is kept as an
-    integer over one common denominator, so each level's range of x_i is
-    exact and each point's form value falls out of the descent."""
+    x A x^t <= bound * L * den^2; lll_reduce hands over d and lam.  The
+    remaining budget is kept as an integer over one common denominator, so
+    each level's range of x_i is exact and each point's form value falls
+    out of the descent."""
     bound = Fraction(bound)
     if bound <= 0:
         return []
@@ -418,9 +490,9 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
     rows = red.rows
     n = len(rows)
     den = red.den
-    L, gL = _scaled_matrix(g.g)
-    d, lam = _integral_gso(_basis_gram(rows, gL))
-    budget = bound * L * den * den
+    L = g.scaled[0]
+    d, lam = red.gso
+    budget = bound * (L * den * den)
     # scale: a common denominator of the budget and of every level's
     # weight 1 / (d[i] d[i+1])
     P = 1

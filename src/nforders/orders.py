@@ -3,24 +3,29 @@
 An order is a finite-index subring of the maximal order, stored as an
 IntModule over the ambient integral basis.  Ideals carry their order and a
 module; fractional ideals use the module denominator.  Everything reduces
-to exact integer linear algebra: conductors are colon modules, invertibility
-is the colon-product test, factorization is trial division with HNF
-comparison, and Picard groups come out of the unit/residue counting formula
-with an independent brute-force enumeration to check it.
+to exact integer linear algebra on the HNF rows: a lattice is an ideal when
+each row times each of the order's integer multiplication matrices passes
+an integer back-substitution (_closed_under), so no product module is
+built to test it; conductors are colon modules, taken with one HNF;
+an ideal a is invertible when 1 lies in a * (o : a), one more HNF and a
+back-substitution; factorization is trial division with HNF comparison;
+and Picard groups come out of the unit/residue counting formula with an
+independent brute-force enumeration to check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from math import ceil
+from math import ceil, lcm
 
 from .intmath import factorize, sqrt_ub
 from .lattice import (
     IntModule,
     _det_int,
+    _in_lattice,
     _times,
     adjugate_int,
     find_generator,
@@ -28,7 +33,13 @@ from .lattice import (
     hnf_matrix,
     identity_module,
 )
-from .quadratic import QuadField, form_class_group, split_prime, table_matrix
+from .quadratic import (
+    QuadField,
+    form_class_group,
+    integer_coords,
+    split_prime,
+    table_matrix,
+)
 
 
 class PreconditionError(ValueError):
@@ -51,33 +62,40 @@ class AuditFailure(Exception):
 # conjugation matrix; no field element is built.
 
 
-def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
-    """Z-span of all pairwise products of the two bases: the rows r1 (x) r2
-    through the table, over the denominator den1 * den2."""
-    f = m1.ambient
-    T = f.mult_table
+def _product_rows(m1: IntModule, m2: IntModule) -> list:
+    """The integer rows r1 (x) r2 through the table: they span m1 * m2
+    over the denominator den1 * den2."""
+    T = m1.ambient.mult_table
     rows = []
     for r1 in m1.rows:
         rows += _times(m2.rows, table_matrix(T, r1))
-    return IntModule(f, tuple(rows), m1.den * m2.den)
+    return rows
+
+
+def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
+    """Z-span of all pairwise products of the two bases."""
+    return IntModule(m1.ambient, tuple(_product_rows(m1, m2)), m1.den * m2.den)
 
 
 def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
-    """(m1 : m2) = {x in the field : x*m2 is contained in m1}.
+    """(m1 : m2) = {x in the field : x*m2 is contained in m1}, with one HNF.
 
-    For each basis element e = r/den2 of m2, with M the integer
-    multiplication matrix of r, multiplication by 1/e has matrix
-    den2 * adj(M) / det(M); so m1 * e^(-1) has rows r1 * den2 * adj(M)
-    over den1 * det(M), and the colon is the intersection over e."""
-    f = m1.ambient
-    T = f.mult_table
-    out = None
+    With B the rows of m1 and M_r the integer multiplication matrix of a
+    row r of m2, x * r / den2 lies in m1 iff x * M_r * adj(B) * den1 lies
+    in E * Z^n, E = den2 * det(B).  Put the columns of every
+    M_r * adj(B) * den1 together and let K have as columns a basis of the
+    lattice they span: the condition on all r reads x * K in E * Z^n, so
+    the colon is E * Z^n * K^(-1), the rows E * adj(K) over det(K)."""
+    B = m1.rows
+    adjB = adjugate_int(B)
+    T = m1.ambient.mult_table
+    cols = []
     for r in m2.rows:
-        M = table_matrix(T, r)
-        rows = _times(m1.rows, adjugate_int(M), m2.den)
-        scaled = IntModule(f, tuple(rows), m1.den * _det_int(M))
-        out = scaled if out is None else out.intersect(scaled)
-    return out
+        cols += zip(*_times(table_matrix(T, r), adjB, m1.den))
+    K = [list(c) for c in zip(*hnf_matrix(cols))]
+    E = m2.den * _det_int(B)
+    rows = tuple(tuple(E * x for x in row) for row in adjugate_int(K))
+    return IntModule(m1.ambient, rows, _det_int(K))
 
 
 def module_conj(m: IntModule) -> IntModule:
@@ -101,9 +119,17 @@ class OrderRep:
             raise ValueError("an order must consist of integral elements")
         if not m.contains_coords(self.field.one().basis_coords()):
             raise ValueError("an order must contain 1")
-        prod = module_mul(m, m)
-        if not m.contains_module(prod):
+        if not _closed_under(self, m.rows):
             raise ValueError("module is not multiplicatively closed")
+
+    @cached_property
+    def mult_matrices(self) -> tuple:
+        """Integer multiplication matrices, through the field's table, of
+        the basis rows of the order other than 1 itself: a lattice is
+        closed under the order iff it is closed under each of them."""
+        one = tuple(self.field.one().basis_coords())
+        T = self.field.mult_table
+        return tuple(table_matrix(T, r) for r in self.module.rows if r != one)
 
     @property
     def is_maximal(self) -> bool:
@@ -113,6 +139,17 @@ class OrderRep:
         idx = self.module.index_in(identity_module(self.field))
         assert idx.denominator == 1
         return int(idx)
+
+
+def _closed_under(o: OrderRep, rows) -> bool:
+    """Is the lattice with the canonical HNF rows `rows` (over any common
+    denominator) closed under multiplication by the order o?  Each row
+    times each of o's multiplication matrices must lie in the row span,
+    which integer back-substitution decides.  As 1 is in o, this is the
+    test o * m == m."""
+    return all(
+        _in_lattice(rows, v) for M in o.mult_matrices for v in _times(rows, M)
+    )
 
 
 def maximal_order(field) -> OrderRep:
@@ -161,8 +198,7 @@ class OrderIdeal:
     module: IntModule
 
     def __post_init__(self):
-        prod = module_mul(self.order.module, self.module)
-        if prod != self.module:
+        if not _closed_under(self.order, self.module.rows):
             raise ValueError("module is not stable under the order")
 
     @property
@@ -217,10 +253,15 @@ def unit_ideal(o: OrderRep) -> OrderIdeal:
 
 
 def is_invertible(a: OrderIdeal) -> bool:
+    """a * (o : a) = o.  The product always lies in o and is an o-ideal,
+    so the test is whether it contains 1: one HNF of the product rows and
+    a back-substitution, with no product module built."""
     if all(all(x == 0 for x in row) for row in a.module.rows):
         raise ValueError("zero ideal")
     inv = module_colon(a.order.module, a.module)
-    return module_mul(a.module, inv) == a.order.module
+    H = hnf_matrix(_product_rows(a.module, inv))
+    den = a.module.den * inv.den
+    return _in_lattice(H, [den * c for c in a.field.one().basis_coords()])
 
 
 def is_coprime_to_conductor(a: OrderIdeal) -> bool:
@@ -354,10 +395,16 @@ def _residue_reps(o: OrderRep, fmod: IntModule):
 
 
 def _is_unit_mod(o: OrderRep, fmod: IntModule, e) -> bool:
+    """e * o + fmod == o, with the rows of e * o taken on integers through
+    the table and the sum built as one module."""
     if e.is_zero():
         return False
-    gen = o.module.transform(o.field.mult_matrix(e))
-    return gen.add(fmod) == o.module
+    u, den = integer_coords(e.basis_coords())
+    gen = _times(o.module.rows, table_matrix(o.field.mult_table, u))
+    L = lcm(den, fmod.den)
+    rows = [[c * (L // den) for c in r] for r in gen]
+    rows += [[c * (L // fmod.den) for c in r] for r in fmod.rows]
+    return IntModule(o.field, tuple(map(tuple, rows)), L) == o.module
 
 
 def residue_unit_count(o: OrderRep, f) -> int:
@@ -369,33 +416,23 @@ def residue_unit_count(o: OrderRep, f) -> int:
     return sum(1 for e in _residue_reps(o, fmod) if _is_unit_mod(o, fmod, e))
 
 
-# the largest power of the fundamental unit unit_index tries
-_UNIT_POWER_BOUND = 256
-
-
 def unit_index(o: OrderRep) -> int:
-    """[O_K^x : o^x]; raises UnresolvedError when the bounded search cannot
-    settle the relative case."""
+    """[O_K^x : o^x].  Decided for imaginary quadratic fields, whose unit
+    group is the torsion, and for the maximal order of a quartic field.
+    A non-maximal quartic order raises UnresolvedError: the Pell unit
+    fundamental_unit() returns need not generate O_E^x modulo torsion, so
+    the first of its powers that lies in o does not give the index."""
     field = o.field
     if field.degree == 2 and field.D > 0:
         raise UnresolvedError("real quadratic unit index not supported")
+    if field.degree == 4 and not o.is_maximal:
+        raise UnresolvedError(
+            "unit index of a non-maximal quartic order needs the unit group of E"
+        )
     tors = field.torsion_units()
     inside = [z for z in tors if o.module.contains_coords(z.basis_coords())]
     assert len(tors) % len(inside) == 0
-    wq = len(tors) // len(inside)
-    if field.degree == 2:
-        return wq  # imaginary quadratic: the unit group is the torsion
-    eta = field.fundamental_unit()
-    pw = field.one()
-    for j in range(1, _UNIT_POWER_BOUND + 1):
-        pw = pw * eta
-        if any(
-            o.module.contains_coords((z * pw).basis_coords()) for z in tors
-        ):
-            return wq * j
-    raise UnresolvedError(
-        "unit index not established within bound %d" % _UNIT_POWER_BOUND
-    )
+    return len(tors) // len(inside)
 
 
 def class_number(field) -> int:
@@ -409,12 +446,12 @@ def class_number(field) -> int:
 def picard_number(o: OrderRep) -> int:
     """#Pic(o) = h_K * #(O_K/f)^x / ([O_K^x:o^x] * #(o/f)^x)."""
     field = o.field
+    u = unit_index(o)  # first: an unresolved index raises before the class group
     h_K = class_number(field)
     f = conductor(o)
     omax = maximal_order(field)
     nf_max = residue_unit_count(omax, f.module)
     nf_o = residue_unit_count(o, f.module)
-    u = unit_index(o)
     num = h_K * nf_max
     den = u * nf_o
     if num % den:
@@ -438,12 +475,13 @@ class BruteClassCount:
 
 def is_principal(o: OrderRep, m: IntModule):
     """Generator of the o-ideal with module m, or None.  Fractional input is
-    scaled integral first; the result is scaled back."""
+    scaled integral first; the result is scaled back.  The index of the
+    integral module in o is the quotient of the two determinants."""
     d = m.den
-    m_int = IntModule(o.field, m.rows, 1)
-    idx = m_int.index_in(o.module)
-    assert idx.denominator == 1
-    g = find_generator(m_int, int(idx))
+    m_int = m if d == 1 else IntModule(o.field, m.rows, 1)
+    idx, rest = divmod(_det_int(m_int.rows), _det_int(o.module.rows))
+    assert rest == 0
+    g = find_generator(m_int, idx)
     if g is None:
         return None
     return g / d
@@ -456,10 +494,8 @@ def _ideal_candidates(o: OrderRep, bound: int):
         for d2 in range(1, bound // d1 + 1):
             for c in range(d1):
                 rows = ((d1, 0), (c, d2))
-                m = IntModule(o.field, rows, 1)
-                prod = module_mul(o.module, m)
-                if prod == m:
-                    out.append(OrderIdeal(o, m))
+                if _closed_under(o, rows):
+                    out.append(OrderIdeal(o, IntModule(o.field, rows, 1)))
     return out
 
 
@@ -479,18 +515,15 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     else:
         complete = Fraction(norm_bound) >= mink
     ideals = [a for a in _ideal_candidates(o, norm_bound) if is_invertible(a)]
-    classes: list[OrderIdeal] = []
+    # the conjugate modules of the class representatives found so far:
+    # a ~ rep  iff  a * conj(rep) is principal (their norms cancel)
+    rep_conjs: list[IntModule] = []
     for a in ideals:
-        placed = False
-        for rep in classes:
-            # a ~ rep  iff  a * conj(rep) is principal (their norms cancel)
-            q = module_mul(a.module, module_conj(rep.module))
-            if is_principal(o, q) is not None:
-                placed = True
-                break
-        if not placed:
-            classes.append(a)
-    return BruteClassCount(len(classes), norm_bound, mink, complete)
+        if not any(
+            is_principal(o, module_mul(a.module, rc)) is not None for rc in rep_conjs
+        ):
+            rep_conjs.append(module_conj(a.module))
+    return BruteClassCount(len(rep_conjs), norm_bound, mink, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +548,12 @@ def in_PK1f(field, alpha, f: OrderIdeal, beta=None) -> bool:
 
 def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
     """Membership of the O_K-ideal atilde in the subgroup generated by
-    principal ideals with a generator in o (coprime to the conductor)."""
+    principal ideals with a generator in o (coprime to the conductor).
+
+    On a quartic field only the associates u * eta^(+-j) * g, j <= 8, of
+    the generator g found are tried, with eta the Pell unit, which need
+    not generate the units modulo torsion: a hit is a witness and gives
+    True, a miss raises UnresolvedError."""
     f = conductor(o)
     omax = maximal_order(o.field)
     if atilde.module.add(f.module) != omax.module:
@@ -537,6 +575,9 @@ def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
                     cand = u * base * g
                     if o.module.contains_coords(cand.basis_coords()):
                         return True
+        raise UnresolvedError(
+            "no associate u * eta^(+-j), j <= 8, of the generator lies in o"
+        )
     return False
 
 

@@ -375,3 +375,51 @@ def test_counting_audit_grid():
             "unit_intersection_is_order_units",
             "pk1f_contained_in_pkof",
         }
+
+
+# ---------------------------------------------------------------------------
+# the unit index of non-maximal quartic orders
+
+
+def _e37_order():
+    """O_F[sqrt(-7)], F = Q(sqrt(-3)), of index 4 in O_E for E = Q(sqrt(-3),
+    sqrt(-7)) with its full integral basis supplied."""
+    from nforders.biquadratic import integral_basis
+    from nforders.orders import relative_order
+
+    H, Q = Fraction(1, 2), Fraction(1, 4)
+    E = integral_basis(
+        3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=441
+    )
+    return relative_order(E)
+
+
+def test_unit_index_unresolved_on_nonmaximal_quartic_order():
+    # the true index [O_E^x : o^x] is 3 and #Pic(o) is 1; the Pell unit
+    # eta = zeta * eps^6 of Z[sqrt(21)] made them read 1 and 3
+    from nforders.orders import UnresolvedError
+
+    o = _e37_order()
+    assert o.index_in_maximal() == 4
+    with pytest.raises(UnresolvedError):
+        unit_index(o)
+    with pytest.raises(UnresolvedError):
+        picard_number(o)
+    # the maximal order keeps its index
+    assert unit_index(maximal_order(o.field)) == 1
+
+
+def test_in_pkof_quartic_miss_is_unresolved():
+    # x lies in o, so (x) is in P_{K,o}(f); no associate u * eta^(+-j) * g
+    # of the generator g the search returns lies in o, which used to give
+    # False
+    from nforders.orders import UnresolvedError
+
+    o = _e37_order()
+    E = o.field
+    x = E.from_basis_coords([-2, -1, -2, 2])
+    assert o.module.contains_coords(x.basis_coords())
+    with pytest.raises(UnresolvedError):
+        in_PKOf(principal_ideal(maximal_order(E), x), o)
+    # a hit carries its witness and stays True
+    assert in_PKOf(principal_ideal(maximal_order(E), E.one()), o)
