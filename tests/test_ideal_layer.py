@@ -38,7 +38,6 @@ from nforders.orders import (
     _ideal_candidates,
     is_invertible,
     maximal_order,
-    module_colon,
     module_mul,
     order_with_index,
     order_zsqrt,
