@@ -39,6 +39,7 @@ from .lattice import (
     find_generator,
     hnf,
     identity_module,
+    ladder_data,
     smith_normal_form,
     t2_gram,
 )
@@ -48,7 +49,6 @@ from .quadratic import (
     form_class_group,
     integer_coords,
     integer_rows,
-    pell_solve,
     table_matrix,
     table_mult_matrix,
 )
@@ -180,6 +180,10 @@ class BiquadField:
 
     def gens(self):
         """(sqrt(-d), sqrt(-n), sqrt(d*n)) as field elements."""
+        return self._gens
+
+    @cached_property
+    def _gens(self) -> tuple:
         return (
             self.from_naive((0, 1, 0, 0)),
             self.from_naive((0, 0, 1, 0)),
@@ -263,14 +267,9 @@ class BiquadField:
 
     def fundamental_unit(self) -> "BiquadElem":
         """The continued-fraction unit of the real quadratic subfield,
-        embedded; taken from x^2 - D0*y^2 = -1 when that has a solution."""
-        D0, _ = self.real_subfield_data()
-        r = pell_solve(D0, -1)
-        if r.solution is None:
-            r = pell_solve(D0, 1)
-        if r.solution is None:
-            raise UnsupportedFieldError("no unit found for %d" % D0)
-        return self.from_real_quadratic(r.solution.x, r.solution.y)
+        embedded; taken from x^2 - D0*y^2 = -1 when that has a solution.
+        It is the Pell unit the generator search's window ladder uses."""
+        return self.from_real_quadratic(*ladder_data(self).unit)
 
     def __repr__(self):
         return "BiquadField(%d, %d)" % (self.d, self.n)

@@ -30,7 +30,6 @@ from .intmath import jacobi, poly_discriminant
 from .lattice import UnsupportedFieldError
 from .orders import (
     UnresolvedError,
-    class_number,
     conductor,
     factor_ideal,
     is_regular_prime,
@@ -38,11 +37,9 @@ from .orders import (
     order_with_index,
     order_zsqrt,
     pic_brute_force,
-    picard_number,
+    picard_terms,
     principal_ideal,
     relative_order,
-    residue_unit_count,
-    unit_index,
 )
 from .quadratic import QuadField, form_class_group, from_integral_coords, split_prime
 
@@ -192,20 +189,18 @@ def cmd_conductor(args):
 
 def cmd_picard(args):
     o, _ = parse_order(args.order)
-    field = o.field
-    f = conductor(o)
-    omax = maximal_order(field)
+    terms = picard_terms(o)
     payload = {
         "command": "picard",
-        "field": field_label(field),
+        "field": field_label(o.field),
         "order": args.order,
-        "h_K": class_number(field),
-        "unit_index": unit_index(o),
+        "h_K": terms.h_K,
+        "unit_index": terms.unit_index,
         "unit_counts": {
-            "maximal_mod_conductor": residue_unit_count(omax, f.module),
-            "order_mod_conductor": residue_unit_count(o, f.module),
+            "maximal_mod_conductor": terms.units_max,
+            "order_mod_conductor": terms.units_o,
         },
-        "picard": picard_number(o),
+        "picard": terms.picard,
     }
     code = 0
     try:
@@ -530,6 +525,11 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # argparse gives a positional [] when it reads the "--" meant as
+        # its value as a second separator: no value was given
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise ValueError("argument %s: expected a value, got '--'" % name)
         payload, code = args.func(args)
     except (UnresolvedError, UnsupportedFieldError, UnsupportedPrimeError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -15,10 +15,16 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .intmath import sqrt_lb, sqrt_ub, xgcd
-from .quadratic import cf_sqrt, integer_coords, pell_solve, table_matrix
+from .quadratic import (
+    cf_sqrt,
+    integer_coords,
+    integer_rows,
+    pell_solve,
+    table_matrix,
+)
 
 
 class UnsupportedFieldError(ValueError):
@@ -482,7 +488,8 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
     x A x^t <= bound * L * den^2; lll_reduce hands over d and lam.  The
     remaining budget is kept as an integer over one common denominator, so
     each level's range of x_i is exact and each point's form value falls
-    out of the descent."""
+    out of the descent.  The descent visits one x of each pair x, -x: at
+    a level where every higher x_j is 0, it takes x_i >= 0 only."""
     bound = Fraction(bound)
     if bound <= 0:
         return []
@@ -505,8 +512,9 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
     seen = {}
     x = [0] * n
 
-    def descend(i, rem):
-        # rem: remaining budget at level i, in units of 1 / scale
+    def descend(i, rem, top):
+        # rem: remaining budget at level i, in units of 1 / scale; top: every
+        # x_j above level i is 0
         if i < 0:
             vec = [sum(a * b for a, b in zip(x, col)) for col in cols]
             for v in vec:
@@ -519,13 +527,15 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
         D = d[i + 1]
         S = sum(lam[j][i] * x[j] for j in range(i + 1, n))
         s = isqrt(rem // c[i])
-        for xi in range(-((s + S) // D), (s - S) // D + 1):
+        # x and -x give one point: below an all-zero top, take x_i >= 0
+        lo = 0 if top else -((s + S) // D)
+        for xi in range(lo, (s - S) // D + 1):
             y = D * xi + S
             x[i] = xi
-            descend(i - 1, rem - c[i] * y * y)
+            descend(i - 1, rem - c[i] * y * y, top and not xi)
         x[i] = 0
 
-    descend(n - 1, total)
+    descend(n - 1, total, True)
     seen.pop((0,) * len(cols), None)
     return [
         tuple(Fraction(v, den) for v in vec)
@@ -538,18 +548,26 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
 
 
 def _canonical_pick(field, coords_list, g: GramForm):
-    best = None
+    """The candidate v of least (g(v), v) as a field element, None when
+    there is none; the candidates are points enumerate_by_t2 returned, so
+    each has its first nonzero coordinate positive.  Decided on integers:
+    with den a common denominator of the candidates and u = den*v,
+    g(v) = u (L g) u^t / (L den^2), and L den^2 > 0 is the same for all,
+    so (u (L g) u^t, u) orders them as (g(v), v) does."""
+    if not coords_list:
+        return None
+    den = 1
+    for v in coords_list:
+        for c in v:
+            den = lcm(den, c.denominator)
+    gL = g.scaled[1]
     best_key = None
-    for coords in coords_list:
-        for c in coords:
-            if c != 0:
-                if c < 0:
-                    coords = tuple(-y for y in coords)
-                break
-        key = (g.apply(coords), coords)
+    for v in coords_list:
+        u = [c.numerator * (den // c.denominator) for c in v]
+        key = (sum(a * sum(map(mul, row, u)) for a, row in zip(u, gL)), u)
         if best_key is None or key < best_key:
-            best, best_key = coords, key
-    return field.from_basis_coords(best) if best is not None else None
+            best_key = key
+    return field.from_basis_coords([Fraction(c, den) for c in best_key[1]])
 
 
 def _norm_filter(module, norm: Fraction):
@@ -573,25 +591,78 @@ def _norm_filter(module, norm: Fraction):
 _LADDER_MAX_POWER = 64
 
 
-def _unit_ladder(field, module):
-    """Smallest m >= 1 with eps^m stabilizing the module, eps the fundamental
-    continued-fraction unit of the real quadratic subfield; returns (D0, m,
-    convergent list over m periods)."""
-    D0, s = field.real_subfield_data()
+@dataclass(frozen=True)
+class LadderData:
+    """What the rank-4 window ladder needs of a field, built once per field
+    (ladder_data).  `unit` is the Pell unit (x0, y0), eps = x0 + y0*sqrt(D0),
+    and `E` its integer multiplication matrix x0*I + y0*S, S that of
+    sqrt(D0).  With G the T2 Gram, an integer matrix, `cross` =
+    S G + G S^t and `outer` = S G S^t: the twisted Gram M G M^t of
+    M = h*I - k*S, the matrix of h - k*sqrt(D0), is then
+    h^2 G - hk cross + k^2 outer."""
+
+    D0: int
+    cf: object
+    unit: tuple
+    E: tuple
+    G: tuple
+    cross: tuple
+    outer: tuple
+
+
+@lru_cache(maxsize=None)
+def ladder_data(field) -> LadderData:
+    """The field's LadderData; its Pell unit is the least solution of
+    x^2 - D0*y^2 = -1, or of = +1 when -1 has none."""
+    D0, _ = field.real_subfield_data()
     r = pell_solve(D0, -1)
     if r.solution is None:
-        r = pell_solve(D0, 1)
+        r = pell_solve(D0, 1)  # always solvable
     x0, y0 = r.solution.x, r.solution.y
-    eps = field.from_real_quadratic(Fraction(x0), Fraction(y0))
+    S = integer_rows(field.mult_matrix(field.from_real_quadratic(0, 1)), "sqrt(D0)")
+    St = tuple(zip(*S))
+    G = integer_rows(t2_gram(field).g, "T2 Gram")
+    SG = _times(S, G)
+    cross = tuple(tuple(map(add, a, b)) for a, b in zip(SG, _times(G, St)))
+    E = tuple(
+        tuple(x0 * (i == j) + y0 * sij for j, sij in enumerate(Si))
+        for i, Si in enumerate(S)
+    )
+    return LadderData(D0, cf_sqrt(D0), (x0, y0), E, G, cross, tuple(_times(SG, St)))
+
+
+def _twisted_gram(lad: LadderData, h: int, k: int) -> GramForm:
+    """The Gram of T2(x * conj(gamma)), gamma = h + k*sqrt(D0): the integer
+    matrix M G M^t = h^2 G - hk cross + k^2 outer of LadderData, M = h*I -
+    k*S the matrix of conj(gamma)."""
+    hh, hk, kk = h * h, h * k, k * k
+    return GramForm(
+        tuple(
+            tuple(hh * a - hk * b + kk * c for a, b, c in zip(ra, rb, rc))
+            for ra, rb, rc in zip(lad.G, lad.cross, lad.outer)
+        )
+    )
+
+
+def _unit_ladder(field, module):
+    """Smallest m >= 1 with eps^m stabilizing the module, eps the Pell unit
+    of the real quadratic subfield; returns (D0, m, convergent list over m
+    periods).  Decided on integers: rows <- rows*E is the module's HNF rows
+    times E^m, and since eps^m has norm 1, eps^m * module = module exactly
+    when each of those rows lies in the module's lattice."""
+    lad = ladder_data(field)
+    H = module.rows
+    rows = H
     for m in range(1, _LADDER_MAX_POWER + 1):
-        if module.contains_module(module.transform(field.mult_matrix(eps**m))):
+        rows = _times(rows, lad.E)
+        if all(_in_lattice(H, r) for r in rows):
             break
     else:
         raise UnsupportedFieldError(
             "no power of the fundamental unit up to %d stabilizes the module"
             % _LADDER_MAX_POWER
         )
-    cf = cf_sqrt(D0)
+    cf = lad.cf
     l = len(cf.period)
     quots = [cf.a0] + list(cf.period) * m
     # convergents gamma_{-1} = 1, gamma_0, ..., gamma_{m*l - 1} = eps^m
@@ -602,7 +673,7 @@ def _unit_ladder(field, module):
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
         gammas.append((h1, k1))
-    return D0, m, gammas
+    return lad.D0, m, gammas
 
 
 def find_generator(module: IntModule, norm):
@@ -631,6 +702,7 @@ def find_generator(module: IntModule, norm):
 
     # window ladder over the real-subfield convergents
     D0, m, gammas = _unit_ladder(field, module)
+    lad = ladder_data(field)
     su = sqrt_ub(Fraction(D0))
     sl = sqrt_lb(Fraction(D0))
     cands = []
@@ -652,17 +724,6 @@ def find_generator(module: IntModule, norm):
             g_lb = Fraction(1)
         # T2(alpha * conj(gamma_i)) <= 2 Q (sqrt(norm*g) + sqrt(norm/g))
         ball = 2 * Q * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
-        gamma_bar = field.from_real_quadratic(Fraction(h), Fraction(-k))
-        M = field.mult_matrix(gamma_bar)
-        # Gram M G M^t of the twisted form, as (M G) M^t
-        MG = [
-            [sum(Ma[i2] * G.g[i2][j2] for i2 in range(4)) for j2 in range(4)]
-            for Ma in M
-        ]
-        Gi = GramForm(
-            tuple(
-                tuple(sum(x * y for x, y in zip(MGa, Mb)) for Mb in M) for MGa in MG
-            )
-        )
+        Gi = _twisted_gram(lad, h, k)
         cands.extend(v for v in enumerate_by_t2(module, Gi, ball) if keep(v))
     return _canonical_pick(field, cands, G)

@@ -443,8 +443,20 @@ def class_number(field) -> int:
     return class_group(field).h
 
 
-def picard_number(o: OrderRep) -> int:
-    """#Pic(o) = h_K * #(O_K/f)^x / ([O_K^x:o^x] * #(o/f)^x)."""
+@dataclass(frozen=True)
+class PicardTerms:
+    """#Pic(o) = h_K * #(O_K/f)^x / ([O_K^x:o^x] * #(o/f)^x), f the
+    conductor of o, with each term of the formula."""
+
+    h_K: int
+    unit_index: int
+    units_max: int  # #(O_K/f)^x
+    units_o: int  # #(o/f)^x
+    picard: int
+
+
+def picard_terms(o: OrderRep) -> PicardTerms:
+    """The Picard formula for o, each residue count taken once."""
     field = o.field
     u = unit_index(o)  # first: an unresolved index raises before the class group
     h_K = class_number(field)
@@ -458,7 +470,12 @@ def picard_number(o: OrderRep) -> int:
         raise AuditFailure(
             "Picard formula is not integral: %d / %d" % (num, den)
         )
-    return num // den
+    return PicardTerms(h_K, u, nf_max, nf_o, num // den)
+
+
+def picard_number(o: OrderRep) -> int:
+    """#Pic(o) = h_K * #(O_K/f)^x / ([O_K^x:o^x] * #(o/f)^x)."""
+    return picard_terms(o).picard
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nforders import cli
+from nforders import cli, orders
 from nforders.quadratic import QuadField, from_integral_coords
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -149,6 +153,26 @@ def test_picard_nonmaximal(capsys):
     assert doc["agree"] is True
 
 
+def test_picard_counts_each_residue_group_once(capsys, monkeypatch):
+    counted = []
+    residue_unit_count = orders.residue_unit_count
+
+    def count(o, f):
+        counted.append(o)
+        return residue_unit_count(o, f)
+
+    monkeypatch.setattr(orders, "residue_unit_count", count)
+    # and wherever the CLI might bind it by name
+    monkeypatch.setattr(cli, "residue_unit_count", count, raising=False)
+    code, doc = run_json(capsys, ["picard", "index:-7:3"])
+    assert code == 0
+    # 3 is inert in Q(sqrt(-7)): (O_K/3)^x has 9 - 1 elements, and
+    # o/3O_K = (Z + 3O_K)/3O_K is Z/3, with 2 units
+    assert doc["unit_counts"] == {"maximal_mod_conductor": 8, "order_mod_conductor": 2}
+    assert doc["picard"] == 8 // 2
+    assert len(counted) == 2
+
+
 def test_factor_remultiplies(capsys):
     code, doc = run_json(capsys, ["factor", "zsqrt:-14", "3+1*w"])
     assert code == 0
@@ -287,6 +311,48 @@ def test_unsupported_field_exits_3(capsys):
     assert out == ""
 
 
+# element text over the element syntax's own alphabet, with the "--"
+# separator as one more token; six tokens keep every integer below 10^6
+ELEMENT_TEXT = st.lists(
+    st.sampled_from(list("0123456789+-*/w() ") + ["sqrt", "--"]), max_size=6
+).map("".join)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=ELEMENT_TEXT)
+@example(text="--")
+def test_element_text_never_raises(text):
+    for argv in (
+        ["represent", "--", text, "59", "2"],
+        ["criterion", "hilbert", "--", text, "59", "2"],
+        ["criterion", "quadr", "--", text, "59", "2"],
+        ["factor", "zsqrt:3", "--", text],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse's own usage errors
+                    code = exc.code
+        assert code in (0, 1, 2, 3), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "zsqrt:3", "--", "--"],
+        ["criterion", "quadr", "--", "--", "59", "2"],
+        ["criterion", "quadr", "--", "5", "--", "2"],
+    ],
+)
+def test_second_separator_exits_2(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument ")
+
+
 # ---------------------------------------------------------------------------
 # the worked example
 
@@ -344,6 +410,18 @@ def test_sweep_csv(capsys):
     assert lines[0] == "p,norm,criterion,solver,agree"
     assert len(lines) == 3
     assert lines[1].endswith(",true")
+
+
+def test_sweep_2000_output_is_unchanged(capsys):
+    # the stdout of `nforders sweep 59 2 --bound 2000`, recorded before the
+    # generator search moved to integer window forms; any change to a
+    # solver verdict or a criterion row changes it
+    code, out = run(capsys, ["sweep", "59", "2", "--bound", "2000"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "38747332aee597c401b7e20573978d346e4dd4c233dc8cdce92388f6532fcdcb"
+    )
 
 
 # ---------------------------------------------------------------------------
