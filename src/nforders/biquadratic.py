@@ -28,7 +28,6 @@ from .intmath import (
     squarefree_part,
 )
 from .lattice import (
-    GramForm,
     IntModule,
     UnsupportedFieldError,
     _det_int,
@@ -41,7 +40,6 @@ from .lattice import (
     identity_module,
     ladder_data,
     smith_normal_form,
-    t2_gram,
 )
 from .quadratic import (
     QuadElem,
@@ -192,11 +190,12 @@ class BiquadField:
 
     def t2_gram_matrix(self) -> tuple:
         """Gram matrix of T2 on the integral basis: entry (i, j) is the
-        trace of b_i * conj(b_j), conj the complex conjugation."""
-        return self._t2_gram
+        trace of b_i * conj(b_j), conj the complex conjugation, a trace of
+        an algebraic integer and so an integer.  Built once per field."""
+        return self._t2_gram_rows
 
     @cached_property
-    def _t2_gram(self) -> tuple:
+    def _t2_gram_rows(self) -> tuple:
         els = [
             self.from_basis_coords([1 if j == i else 0 for j in range(4)])
             for i in range(4)
@@ -249,9 +248,8 @@ class BiquadField:
 
     @cached_property
     def _roots_of_unity(self) -> tuple:
-        G = GramForm(self.t2_gram_matrix())
         out = []
-        for v in enumerate_by_t2(identity_module(self), G, 4):
+        for v in enumerate_by_t2(identity_module(self), self.t2_gram_matrix(), 4):
             u = self.from_basis_coords(v)
             out.extend((u, -u))
         one = self.one()
@@ -680,12 +678,12 @@ def minkowski_bound(E: BiquadField) -> Fraction:
 def _short_element(m: IntModule) -> BiquadElem:
     """Nonzero module element of smallest T2."""
     E = m.ambient
-    G = t2_gram(E)
+    G = E.t2_gram_matrix()
     ball = 2 * sqrt_ub(m.covolume() * sqrt_ub(Fraction(abs(E.disc))))
     while True:
         pts = enumerate_by_t2(m, G, ball)
         if pts:
-            return E.from_basis_coords(pts[0])
+            return E.from_basis_coords([Fraction(c, m.den) for c in pts[0]])
         ball *= 2
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import add, mul
@@ -332,46 +332,6 @@ def identity_module(ambient) -> IntModule:
 
 
 # ---------------------------------------------------------------------------
-# T2 Gram forms
-
-
-@dataclass(frozen=True)
-class GramForm:
-    g: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.g)
-        object.__setattr__(self, "g", rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.g)
-
-    def bilinear(self, u, v) -> Fraction:
-        return sum(
-            Fraction(u[i]) * self.g[i][j] * Fraction(v[j])
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-
-    def apply(self, v) -> Fraction:
-        return self.bilinear(v, v)
-
-    @cached_property
-    def scaled(self) -> tuple:
-        """(L, L*g) with L the lcm of the entries' denominators: the
-        integer form LLL and the enumeration run on, built once per form."""
-        return _scaled_matrix(self.g)
-
-
-@lru_cache(maxsize=None)
-def t2_gram(field) -> GramForm:
-    """Gram matrix of T2(x) = sum over embeddings of |x|^2 on the integral
-    basis.  Its determinant is |disc| of the field.  Built once per field."""
-    return GramForm(field.t2_gram_matrix())
-
-
-# ---------------------------------------------------------------------------
 # exact LLL
 
 
@@ -379,7 +339,7 @@ def t2_gram(field) -> GramForm:
 class LatticeBasis:
     """A not-necessarily-HNF basis (LLL output keeps the reduced order).
     `gso` is the integral Gram-Schmidt data (d, lam) of the rows under the
-    scaled form LLL ran on (see _integral_gso)."""
+    integer form LLL ran on (see _integral_gso)."""
 
     ambient: object
     rows: tuple
@@ -390,9 +350,9 @@ class LatticeBasis:
         return IntModule(self.ambient, self.rows, self.den)
 
 
-def _basis_gram(rows, gL):
-    """Integer Gram matrix rows * gL * rows^t of integer basis rows."""
-    return _times(_times(rows, gL), tuple(zip(*rows)))
+def _basis_gram(rows, g):
+    """Integer Gram matrix rows * g * rows^t of integer basis rows."""
+    return _times(_times(rows, g), tuple(zip(*rows)))
 
 
 def _integral_gso(G):
@@ -419,25 +379,28 @@ def _integral_gso(G):
     return d, lam
 
 
-def lll_reduce(m, g: GramForm, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
-    """LLL reduction of the module's basis under the form g, delta in
-    (1/4, 1], default 3/4.
+def lll_reduce(m, g: tuple, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
+    """LLL reduction of the module's basis under the integer Gram matrix g
+    (a tuple of int rows), delta in (1/4, 1], default 3/4.
 
     This is Cohen's integral LLL (A Course in Computational Algebraic
-    Number Theory, Alg. 2.6.7) on L*g, L the lcm of g's denominators: LLL
-    does not change under scaling the form, and the Gram-Schmidt data
-    d[i] and lam[k][j] = d[j+1]*mu[k][j] are integers, updated in place
-    on each size reduction and swap.  It makes the same decisions in the
-    same order as LLL on exact rational Gram-Schmidt data: row k is
+    Number Theory, Alg. 2.6.7): the Gram-Schmidt data d[i] and
+    lam[k][j] = d[j+1]*mu[k][j] are integers, updated in place on each
+    size reduction and swap.  It makes the same decisions in the same
+    order as LLL on exact rational Gram-Schmidt data: row k is
     size-reduced against j = k-1, ..., 0 with q = floor(mu[k][j] + 1/2)
-    before the Lovasz test, so the reduced basis is the rational one."""
+    before the Lovasz test, so the reduced basis is the rational one.
+    Raises ValueError on a non-int entry of g, which the exact floors
+    would otherwise round."""
+    if not all(isinstance(x, int) for row in g for x in row):
+        raise ValueError("Gram form must have int entries")
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta <= 1:
         raise ValueError("delta must satisfy 1/4 < delta <= 1")
     dnum, dden = delta.numerator, delta.denominator
     basis = [list(r) for r in m.rows]
     n = len(basis)
-    d, lam = _integral_gso(_basis_gram(basis, g.scaled[1]))
+    d, lam = _integral_gso(_basis_gram(basis, g))
     k = 1
     while k < n:
         lk = lam[k]
@@ -476,16 +439,17 @@ def lll_reduce(m, g: GramForm, delta: Fraction = Fraction(3, 4)) -> LatticeBasis
 # Fincke-Pohst enumeration
 
 
-def enumerate_by_t2(m, g: GramForm, bound) -> list:
-    """All nonzero lattice vectors v of the module with g(v) <= bound, one
-    of each +-pair, as tuples of rational ambient coordinates.  Sorted by
-    (g(v), coordinates); complete by exact pruning.
+def enumerate_by_t2(m, g: tuple, bound) -> list:
+    """All nonzero lattice vectors v = u/den of the module with
+    v g v^t <= bound, g an integer Gram matrix and den the module's
+    denominator, one of each +-pair, as the integer numerator tuples u.
+    Sorted by (u g u^t, u); complete by exact pruning.
 
     The search runs on integers: with A the Gram matrix of the reduced rows
-    under L*g and d, lam its integral Gram-Schmidt data,
+    under g and d, lam its integral Gram-Schmidt data,
     x A x^t = sum_i y_i^2 / (d[i] d[i+1]) with y_i = d[i+1] x_i +
-    sum_{j>i} lam[j][i] x_j, and g(x*rows/den) <= bound reads
-    x A x^t <= bound * L * den^2; lll_reduce hands over d and lam.  The
+    sum_{j>i} lam[j][i] x_j, and the point u = x*rows is in the ball when
+    x A x^t <= bound * den^2; lll_reduce hands over d and lam.  The
     remaining budget is kept as an integer over one common denominator, so
     each level's range of x_i is exact and each point's form value falls
     out of the descent.  The descent visits one x of each pair x, -x: at
@@ -497,9 +461,8 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
     rows = red.rows
     n = len(rows)
     den = red.den
-    L = g.scaled[0]
     d, lam = red.gso
-    budget = bound * (L * den * den)
+    budget = bound * (den * den)
     # scale: a common denominator of the budget and of every level's
     # weight 1 / (d[i] d[i+1])
     P = 1
@@ -537,51 +500,37 @@ def enumerate_by_t2(m, g: GramForm, bound) -> list:
 
     descend(n - 1, total, True)
     seen.pop((0,) * len(cols), None)
-    return [
-        tuple(Fraction(v, den) for v in vec)
-        for vec in sorted(seen, key=lambda v: (seen[v], v))
-    ]
+    return sorted(seen, key=lambda u: (seen[u], u))
 
 
 # ---------------------------------------------------------------------------
 # principal-ideal generator search
 
 
-def _canonical_pick(field, coords_list, g: GramForm):
-    """The candidate v of least (g(v), v) as a field element, None when
-    there is none; the candidates are points enumerate_by_t2 returned, so
-    each has its first nonzero coordinate positive.  Decided on integers:
-    with den a common denominator of the candidates and u = den*v,
-    g(v) = u (L g) u^t / (L den^2), and L den^2 > 0 is the same for all,
-    so (u (L g) u^t, u) orders them as (g(v), v) does."""
-    if not coords_list:
+def _canonical_pick(module, cands, g: tuple):
+    """The candidate of least (u g u^t, u) as a field element u/den, None
+    when there is none; the candidates are points u enumerate_by_t2
+    returned for the module, so each has its first nonzero coordinate
+    positive.  All share the module's den > 0, so this is the order of
+    (g(v), v) on the points v = u/den."""
+    if not cands:
         return None
-    den = 1
-    for v in coords_list:
-        for c in v:
-            den = lcm(den, c.denominator)
-    gL = g.scaled[1]
-    best_key = None
-    for v in coords_list:
-        u = [c.numerator * (den // c.denominator) for c in v]
-        key = (sum(a * sum(map(mul, row, u)) for a, row in zip(u, gL)), u)
-        if best_key is None or key < best_key:
-            best_key = key
-    return field.from_basis_coords([Fraction(c, den) for c in best_key[1]])
+    best = min(
+        cands, key=lambda u: (sum(a * sum(map(mul, row, u)) for a, row in zip(u, g)), u)
+    )
+    return module.ambient.from_basis_coords([Fraction(c, module.den) for c in best])
 
 
 def _norm_filter(module, norm: Fraction):
-    """Predicate on the points enumerate_by_t2 returns for the module:
-    |N(v)| == norm.  With v = u/den, u integer and den the module's
-    denominator, |N(v)| = |det M_u| / den^r for M_u the integer
-    multiplication matrix of u (field.mult_table), so the test is exact."""
+    """Predicate on the points u enumerate_by_t2 returns for the module:
+    |N(u/den)| == norm, den the module's denominator.  |N(u/den)| =
+    |det M_u| / den^r for M_u the integer multiplication matrix of u
+    (field.mult_table), so the test is exact."""
     field = module.ambient
     T = field.mult_table
-    den = module.den
-    target = norm * den**field.degree
+    target = norm * module.den**field.degree
 
-    def keep(v) -> bool:
-        u = [c.numerator * (den // c.denominator) for c in v]
+    def keep(u) -> bool:
         return abs(_det_int(table_matrix(T, u))) == target
 
     return keep
@@ -621,7 +570,7 @@ def ladder_data(field) -> LadderData:
     x0, y0 = r.solution.x, r.solution.y
     S = integer_rows(field.mult_matrix(field.from_real_quadratic(0, 1)), "sqrt(D0)")
     St = tuple(zip(*S))
-    G = integer_rows(t2_gram(field).g, "T2 Gram")
+    G = integer_rows(field.t2_gram_matrix(), "T2 Gram")
     SG = _times(S, G)
     cross = tuple(tuple(map(add, a, b)) for a, b in zip(SG, _times(G, St)))
     E = tuple(
@@ -631,16 +580,14 @@ def ladder_data(field) -> LadderData:
     return LadderData(D0, cf_sqrt(D0), (x0, y0), E, G, cross, tuple(_times(SG, St)))
 
 
-def _twisted_gram(lad: LadderData, h: int, k: int) -> GramForm:
+def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:
     """The Gram of T2(x * conj(gamma)), gamma = h + k*sqrt(D0): the integer
     matrix M G M^t = h^2 G - hk cross + k^2 outer of LadderData, M = h*I -
     k*S the matrix of conj(gamma)."""
     hh, hk, kk = h * h, h * k, k * k
-    return GramForm(
-        tuple(
-            tuple(hh * a - hk * b + kk * c for a, b, c in zip(ra, rb, rc))
-            for ra, rb, rc in zip(lad.G, lad.cross, lad.outer)
-        )
+    return tuple(
+        tuple(hh * a - hk * b + kk * c for a, b, c in zip(ra, rb, rc))
+        for ra, rb, rc in zip(lad.G, lad.cross, lad.outer)
     )
 
 
@@ -692,13 +639,13 @@ def find_generator(module: IntModule, norm):
     norm = Fraction(norm)
     if norm <= 0:
         raise ValueError("norm must be positive")
-    G = t2_gram(field)
+    G = field.t2_gram_matrix()
     keep = _norm_filter(module, norm)
     if field.degree == 2:
         if field.D > 0:
             raise UnsupportedFieldError("generator search needs an imaginary field")
-        cands = [v for v in enumerate_by_t2(module, G, 2 * norm) if keep(v)]
-        return _canonical_pick(field, cands, G)
+        cands = [u for u in enumerate_by_t2(module, G, 2 * norm) if keep(u)]
+        return _canonical_pick(module, cands, G)
 
     # window ladder over the real-subfield convergents
     D0, m, gammas = _unit_ladder(field, module)
@@ -725,5 +672,5 @@ def find_generator(module: IntModule, norm):
         # T2(alpha * conj(gamma_i)) <= 2 Q (sqrt(norm*g) + sqrt(norm/g))
         ball = 2 * Q * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
         Gi = _twisted_gram(lad, h, k)
-        cands.extend(v for v in enumerate_by_t2(module, Gi, ball) if keep(v))
-    return _canonical_pick(field, cands, G)
+        cands.extend(u for u in enumerate_by_t2(module, Gi, ball) if keep(u))
+    return _canonical_pick(module, cands, G)

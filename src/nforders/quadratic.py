@@ -98,10 +98,6 @@ class QuadField:
     def disc(self) -> int:
         return self.D if self.D % 4 == 1 else 4 * self.D
 
-    @property
-    def is_imaginary(self) -> bool:
-        return self.D < 0
-
     def __call__(self, a, b=0) -> "QuadElem":
         return QuadElem(self, _rat(a), _rat(b))
 

@@ -30,7 +30,6 @@ from nforders.lattice import (
     hnf_matrix,
     kernel_int,
     lll_reduce,
-    t2_gram,
 )
 from nforders.orders import (
     OrderIdeal,
@@ -325,13 +324,15 @@ def test_is_canonical_rejects_each_shape_fault():
 @pytest.mark.parametrize("field", [QuadField(-59), integral_basis(11, 10)], ids=repr)
 def test_lll_hands_over_the_gso_of_its_rows(field):
     rng = random.Random(61)
-    g = t2_gram(field)
-    assert t2_gram(field) is g
+    g = field.t2_gram_matrix()
+    if field.degree == 4:
+        # a BiquadField builds its T2 Gram once
+        assert field.t2_gram_matrix() is g
     for _ in range(30):
         m = rand_module(rng, field.degree, field)
         red = lll_reduce(m, g)
         d, lam = red.gso
-        d2, lam2 = _integral_gso(_basis_gram(red.rows, g.scaled[1]))
+        d2, lam2 = _integral_gso(_basis_gram(red.rows, g))
         n = field.degree
         assert d == d2
         assert [lam[i][:i] for i in range(n)] == [lam2[i][:i] for i in range(n)]

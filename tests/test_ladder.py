@@ -16,7 +16,6 @@ from nforders.biquadratic import integral_basis
 from nforders.criteria import prime_elements
 from nforders.intmath import sqrt_lb, sqrt_ub
 from nforders.lattice import (
-    GramForm,
     IntModule,
     UnsupportedFieldError,
     _norm_filter,
@@ -26,9 +25,8 @@ from nforders.lattice import (
     identity_module,
     ladder_data,
     lll_reduce,
-    t2_gram,
 )
-from nforders.quadratic import QuadField, cf_sqrt, pell_solve
+from nforders.quadratic import QuadField, cf_sqrt, integer_rows, pell_solve
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -53,14 +51,16 @@ REPRESENT_POOL_SIZE = 109
 # oracles: the Fraction ladder
 
 
-def oracle_twisted_gram(field, h, k) -> GramForm:
+def oracle_twisted_gram(field, h, k) -> tuple:
     """The Gram of T2(x * (h - k*sqrt(D0))) as the Fraction product
-    (M G) M^t, M the multiplication matrix of h - k*sqrt(D0)."""
-    G = t2_gram(field)
+    (M G) M^t, M the multiplication matrix of h - k*sqrt(D0), checked
+    integral."""
+    G = field.t2_gram_matrix()
     M = field.mult_matrix(field.from_real_quadratic(Fraction(h), Fraction(-k)))
-    MG = [[sum(Ma[i] * G.g[i][j] for i in range(4)) for j in range(4)] for Ma in M]
-    return GramForm(
-        tuple(tuple(sum(x * y for x, y in zip(MGa, Mb)) for Mb in M) for MGa in MG)
+    MG = [[sum(Ma[i] * G[i][j] for i in range(4)) for j in range(4)] for Ma in M]
+    return integer_rows(
+        [[sum(x * y for x, y in zip(MGa, Mb)) for Mb in M] for MGa in MG],
+        "twisted Gram",
     )
 
 
@@ -94,16 +94,16 @@ def oracle_ladder(field, module):
 
 def oracle_enumerate(m, g, bound) -> list:
     """Fincke-Pohst over the whole ball, both signs of every point, with
-    the integral Gram-Schmidt data of the LLL-reduced rows."""
+    the integral Gram-Schmidt data of the LLL-reduced rows; the points are
+    returned as Fraction coordinate tuples."""
     bound = Fraction(bound)
     if bound <= 0:
         return []
     red = lll_reduce(m, g)
     rows, den = red.rows, red.den
     n = len(rows)
-    L = g.scaled[0]
     d, lam = red.gso
-    budget = bound * (L * den * den)
+    budget = bound * (den * den)
     P = 1
     for i in range(n):
         P = lcm(P, d[i] * d[i + 1])
@@ -141,6 +141,13 @@ def oracle_enumerate(m, g, bound) -> list:
     ]
 
 
+def form_value(g, v) -> Fraction:
+    """v g v^t in Fractions."""
+    return sum(
+        Fraction(a) * gij * b for a, row in zip(v, g) for gij, b in zip(row, v)
+    )
+
+
 def oracle_pick(field, coords_list, g):
     best = best_key = None
     for coords in coords_list:
@@ -149,7 +156,7 @@ def oracle_pick(field, coords_list, g):
                 if c < 0:
                     coords = tuple(-y for y in coords)
                 break
-        key = (g.apply(coords), coords)
+        key = (form_value(g, coords), coords)
         if best_key is None or key < best_key:
             best, best_key = coords, key
     return field.from_basis_coords(best) if best is not None else None
@@ -159,7 +166,7 @@ def oracle_find_generator(module, norm):
     """find_generator on the Fraction ladder, for rank-4 modules."""
     field = module.ambient
     norm = Fraction(norm)
-    G = t2_gram(field)
+    G = field.t2_gram_matrix()
     keep = _norm_filter(module, norm)
     D0, m, gammas = oracle_ladder(field, module)
     su = sqrt_ub(Fraction(D0))
@@ -181,7 +188,11 @@ def oracle_find_generator(module, norm):
             g_lb = Fraction(1)
         ball = 2 * Qn * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
         Gi = oracle_twisted_gram(field, h, k)
-        cands.extend(v for v in oracle_enumerate(module, Gi, ball) if keep(v))
+        cands.extend(
+            v
+            for v in oracle_enumerate(module, Gi, ball)
+            if keep([int(c * module.den) for c in v])
+        )
     return oracle_pick(field, cands, G)
 
 
@@ -254,7 +265,7 @@ def test_window_grams_equal_fraction_products(field):
         for h, k in gammas[:-1]:
             want = oracle_twisted_gram(field, h, k)
             got = _twisted_gram(ladder_data(field), h, k)
-            assert got.g == want.g
+            assert got == want
     assert len(seen) > 1  # windows over more than one period
 
 

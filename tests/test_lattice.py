@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from nforders.intmath import sqrt_ub
 from nforders.lattice import (
-    GramForm,
     IntModule,
     UnsupportedFieldError,
     enumerate_by_t2,
@@ -14,7 +13,6 @@ from nforders.lattice import (
     identity_module,
     kernel_int,
     lll_reduce,
-    t2_gram,
 )
 from nforders.quadratic import QuadField, from_integral_coords
 
@@ -172,7 +170,6 @@ def test_t2_gram_det_is_abs_disc():
         G = F.t2_gram_matrix()
         assert all(isinstance(x, int) for row in G for x in row), F
         assert _det_int(G) == abs(F.disc), F
-        assert t2_gram(F).g == GramForm(G).g
 
 
 def test_kernel_int():
@@ -191,7 +188,7 @@ def test_kernel_int():
 def test_lll_preserves_module():
     rng = random.Random(24)
     F = QuadField(-59)
-    g = t2_gram(F)
+    g = F.t2_gram_matrix()
     for _ in range(40):
         rows = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)]
         try:
@@ -204,11 +201,11 @@ def test_lll_preserves_module():
 
 def test_lll_shortens_skewed_basis():
     F = QuadField(-5)
-    ident = GramForm(((1, 0), (0, 1)))
+    ident = ((1, 0), (0, 1))
     m = hnf(F, [[1, 0], [10**6, 1]])
     red = lll_reduce(m, ident)
     # determinant 1 lattice (= Z^2): LLL must find a unit vector
-    assert min(ident.apply(r) for r in red.rows) == 1
+    assert min(apply(ident, r) for r in red.rows) == 1
     # an orthogonal basis passes through up to sign/order
     m2 = hnf(F, [[3, 0], [0, 2]])
     red2 = lll_reduce(m2, ident)
@@ -216,7 +213,32 @@ def test_lll_shortens_skewed_basis():
 
 
 # ---------------------------------------------------------------------------
-# rational LLL and Fincke-Pohst: test-only oracles for the integral kernel
+# rational LLL and Fincke-Pohst: test-only oracles for the integral kernel.
+# The oracles take a rational form g (a tuple of rows); the kernel takes its
+# integer multiple L*g, and the bound times L.  LLL and the ball
+# v g v^t <= bound do not change when both are scaled by the same L > 0.
+
+
+def bilinear(g, u, v) -> Fraction:
+    n = len(g)
+    return sum(
+        Fraction(u[i]) * g[i][j] * Fraction(v[j]) for i in range(n) for j in range(n)
+    )
+
+
+def apply(g, v) -> Fraction:
+    return bilinear(g, v, v)
+
+
+def integer_multiple(g):
+    """(L, L*g) for the rational form g, L the lcm of its denominators."""
+    L = lcm(*(Fraction(x).denominator for row in g for x in row))
+    return L, tuple(tuple(int(L * x) for x in row) for row in g)
+
+
+def form_int(g, u) -> int:
+    """u g u^t for an integer form g and an integer vector u."""
+    return sum(a * sum(b * c for b, c in zip(row, u)) for a, row in zip(u, g))
 
 
 def rational_gso(basis, g):
@@ -224,9 +246,9 @@ def rational_gso(basis, g):
     mu = [[Fraction(0)] * n for _ in range(n)]
     B = [Fraction(0)] * n
     for i in range(n):
-        B[i] = g.apply(basis[i])
+        B[i] = apply(g, basis[i])
         for j in range(i):
-            mu[i][j] = g.bilinear(basis[i], basis[j])
+            mu[i][j] = bilinear(g, basis[i], basis[j])
             mu[i][j] -= sum(mu[i][l] * mu[j][l] * B[l] for l in range(j))
             mu[i][j] /= B[j]
             B[i] -= mu[i][j] * mu[i][j] * B[j]
@@ -262,7 +284,7 @@ def rational_enumerate(m, g, bound):
     rows = [list(r) for r in rational_lll(m, g)]
     n = len(rows)
     den = m.den
-    q = [[g.bilinear(rows[i], rows[j]) for j in range(n)] for i in range(n)]
+    q = [[bilinear(g, rows[i], rows[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         orig = [q[i][j] for j in range(i + 1, n)]
         for j in range(i + 1, n):
@@ -298,7 +320,7 @@ def rational_enumerate(m, g, bound):
     for vec in out:
         if next(c for c in vec if c) < 0:
             vec = tuple(-y for y in vec)
-        seen[vec] = g.apply(vec)
+        seen[vec] = apply(g, vec)
     return sorted(seen, key=lambda v: (seen[v], v))
 
 
@@ -308,18 +330,17 @@ class Ambient:
 
 
 def random_form(rng, n):
-    """B^t diag(D) B with B nonsingular and D positive, denominators | 6."""
+    """B^t diag(D) B with B nonsingular and D positive, denominators | 6,
+    as a tuple of Fraction rows."""
     while True:
         B = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
         if len(hnf_matrix(B)) == n:
             break
     dens = rng.choice([(1,), (2,), (3,), (6,), (1, 2, 3, 6)])
     D = [Fraction(rng.randrange(1, 7), rng.choice(dens)) for _ in range(n)]
-    return GramForm(
-        tuple(
-            tuple(sum(B[k][i] * D[k] * B[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    return tuple(
+        tuple(sum(B[k][i] * D[k] * B[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
     )
 
 
@@ -339,9 +360,10 @@ def test_lll_matches_rational_lll():
     for trial in range(500):
         n = 2 if trial % 2 else 4
         g = random_form(rng, n)
+        _, gL = integer_multiple(g)
         m = random_module(rng, n, spread=6)
         for delta in (Fraction(3, 4), Fraction(99, 100)):
-            rows = lll_reduce(m, g, delta).rows
+            rows = lll_reduce(m, gL, delta).rows
             assert rows == rational_lll(m, g, delta), (m, g, delta)
             # independently: size-reduced and Lovasz with Fractions
             mu, B = rational_gso(rows, g)
@@ -352,11 +374,11 @@ def test_lll_matches_rational_lll():
 
 def test_lll_tie_cases():
     # mu = 1/2 exactly: q = floor(mu + 1/2) = 1 acts (|2 lam| > d would not)
-    ident = GramForm(((1, 0), (0, 1)))
+    ident = ((1, 0), (0, 1))
     m = hnf(Ambient(2), [[2, 0], [1, 1]])
     assert lll_reduce(m, ident).rows == rational_lll(m, ident) == ((-1, 1), (1, 1))
     # Lovasz with equality, B1 = (3/4 - 0) * B0 = 3: no swap
-    g = GramForm(((1, 0), (0, 3)))
+    g = ((1, 0), (0, 3))
     m = hnf(Ambient(2), [[2, 0], [0, 1]])
     assert lll_reduce(m, g).rows == rational_lll(m, g) == ((2, 0), (0, 1))
 
@@ -368,7 +390,7 @@ def test_lll_identity_form_against_sympy():
     for trial in range(60):
         n = 2 if trial % 2 else 4
         m = random_module(rng, n, spread=10**4)
-        ident = GramForm(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         red = lll_reduce(m, ident)
         ref = sympy.Matrix([list(r) for r in m.rows]).lll()
         ref_rows = [[int(ref[i, j]) for j in range(n)] for i in range(n)]
@@ -377,7 +399,7 @@ def test_lll_identity_form_against_sympy():
 
 def test_lll_rejects_bad_delta():
     F = QuadField(-5)
-    ident = GramForm(((1, 0), (0, 1)))
+    ident = ((1, 0), (0, 1))
     for delta in (Fraction(2), Fraction(1, 4), Fraction(0)):
         try:
             lll_reduce(identity_module(F), ident, delta)
@@ -395,19 +417,23 @@ def test_enumerate_matches_rational_enumerate():
     for trial in range(160):
         n = 2 if trial % 2 else 4
         g = random_form(rng, n)
+        L, gL = integer_multiple(g)
         m = random_module(rng, n, spread=12)
-        shortest = min(g.apply(r) for r in rational_lll(m, g)) / m.den**2
+        shortest = min(apply(g, r) for r in rational_lll(m, g)) / m.den**2
         bound = shortest * Fraction(rng.randrange(1, 25), rng.choice([4, 6, 7]))
-        got = enumerate_by_t2(m, g, bound)
+        got = [
+            tuple(Fraction(c, m.den) for c in u)
+            for u in enumerate_by_t2(m, gL, L * bound)
+        ]
         assert got == rational_enumerate(m, g, bound), (m, g, bound)
-        values = [g.apply(v) for v in got]
+        values = [apply(g, v) for v in got]
         assert values == sorted(values)
         assert all(0 < t <= bound for t in values)
 
 
 def test_lll_rejects_indefinite():
     F = QuadField(-5)
-    bad = GramForm(((1, 0), (0, -1)))
+    bad = ((1, 0), (0, -1))
     try:
         lll_reduce(identity_module(F), bad)
         assert False
@@ -415,9 +441,25 @@ def test_lll_rejects_indefinite():
         pass
 
 
+def test_lll_rejects_fraction_entries():
+    # the exact floors of the integral LLL would round a Fraction entry, so
+    # the form ((1, 1/2), (1/2, 5/3)) is refused, not enumerated as if it
+    # were its integer multiple ((6, 3), (3, 10)) by 6
+    m = identity_module(QuadField(-5))
+    g = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(5, 3)))
+    for call in (lambda: lll_reduce(m, g), lambda: enumerate_by_t2(m, g, 10)):
+        try:
+            call()
+            assert False
+        except ValueError:
+            pass
+    assert integer_multiple(g) == (6, ((6, 3), (3, 10)))
+    assert enumerate_by_t2(m, ((6, 3), (3, 10)), 60)
+
+
 def test_enumerate_z2():
     F = QuadField(-5)
-    ident = GramForm(((1, 0), (0, 1)))
+    ident = ((1, 0), (0, 1))
     m = identity_module(F)
     assert enumerate_by_t2(m, ident, 0) == []
     vecs = enumerate_by_t2(m, ident, 2)
@@ -429,25 +471,24 @@ def test_enumerate_against_box_scan():
     F = QuadField(-2)
     for _ in range(15):
         rows = [[rng.randrange(-4, 5) for _ in range(2)] for _ in range(2)]
-        g = GramForm(((2, 0), (0, 4)))
+        g = ((2, 0), (0, 4))
         try:
             m = hnf(F, rows, den=rng.choice([1, 2]))
         except ValueError:
             continue
         bound = rng.randrange(5, 21)
         got = enumerate_by_t2(m, g, bound)
-        # oracle: plain box scan over basis coefficients
+        # oracle: plain box scan over basis coefficients, on the numerators
+        # u = den * v: v g v^t <= bound reads u g u^t <= bound * den^2
         expect = set()
         B = 80
+        limit = bound * m.den**2
         for x in range(-B, B + 1):
             for y in range(-B, B + 1):
                 if x == 0 and y == 0:
                     continue
-                vec = tuple(
-                    Fraction(x * m.rows[0][j] + y * m.rows[1][j], m.den)
-                    for j in range(2)
-                )
-                if g.apply(vec) <= bound:
+                vec = tuple(x * m.rows[0][j] + y * m.rows[1][j] for j in range(2))
+                if form_int(g, vec) <= limit:
                     for c in vec:
                         if c != 0:
                             if c < 0:
@@ -460,11 +501,11 @@ def test_enumerate_against_box_scan():
 
 def test_enumerate_amgm():
     F = QuadField(-59)
-    g = t2_gram(F)
+    g = F.t2_gram_matrix()
     m = identity_module(F)
     for vec in enumerate_by_t2(m, g, 40):
         e = F.from_basis_coords(vec)
-        assert e.abs_norm() <= (g.apply(vec) / 2)
+        assert e.abs_norm() <= (apply(g, vec) / 2)
 
 
 def test_find_generator_roundtrip():
@@ -563,7 +604,7 @@ def test_smith_normal_form_unimodular_invariance():
 
 def test_enumerate_rank4_with_cross_terms():
     # Gram with off-diagonal entries; count vectors by brute force
-    G = GramForm(((8, 0, -4, -4), (0, 8, -4, -4), (-4, -4, 8, 4), (-4, -4, 4, 8)))
+    G = ((8, 0, -4, -4), (0, 8, -4, -4), (-4, -4, 8, 4), (-4, -4, 4, 8))
     F = QuadField(-1)  # placeholder ambient; only degree is read
 
     class Amb:
@@ -580,8 +621,8 @@ def test_enumerate_rank4_with_cross_terms():
                     v = (x0, x1, x2, x3)
                     if v == (0, 0, 0, 0):
                         continue
-                    if G.apply(v) <= 40:
+                    if form_int(G, v) <= 40:
                         if any(c != 0 for c in v) and next(c for c in v if c) < 0:
                             v = tuple(-c for c in v)
-                        brute.add(tuple(Fraction(c) for c in v))
+                        brute.add(v)
     assert set(got) == brute
