@@ -736,7 +736,7 @@ class BiquadClassGroup:
 
 
 @lru_cache(maxsize=None)
-def class_group(E: BiquadField, cap: int = _BOUND_CAP) -> BiquadClassGroup:
+def class_group(E: BiquadField) -> BiquadClassGroup:
     """Class group of the maximal order by Minkowski-bounded enumeration:
     factor every rational prime below the bound, sift out the principal
     prime ideals, then close the remaining classes under multiplication.
@@ -746,9 +746,9 @@ def class_group(E: BiquadField, cap: int = _BOUND_CAP) -> BiquadClassGroup:
     from .orders import module_mul
 
     B = minkowski_bound(E)
-    if B > cap:
+    if B > _BOUND_CAP:
         raise UnsupportedFieldError(
-            "minkowski bound %s exceeds the configured cap %d" % (B, cap)
+            "minkowski bound %s exceeds the configured cap %d" % (B, _BOUND_CAP)
         )
     prime_mods = []
     for q in range(2, int(B) + 1):
@@ -816,16 +816,14 @@ class NormMapCondition:
     odd_equal: bool
 
 
-def norm_map_condition(d: int, n: int, E: BiquadField | None = None) -> NormMapCondition:
+def norm_map_condition(d: int, n: int) -> NormMapCondition:
     """Class-number comparison between F = Q(sqrt(-d)) and E = F(sqrt(-n)).
 
     Equal numbers make the norm map between the class groups a bijection;
     equal odd numbers is the stronger hypothesis consumed by the
     representation criteria.
     """
-    if E is None:
-        E = integral_basis(d, n)
     h_F = form_class_group(QuadField(-d).disc).h
-    h_E = class_group(E).h
+    h_E = class_group(integral_basis(d, n)).h
     eq = h_F == h_E
     return NormMapCondition(eq, h_F, h_E, eq and h_F % 2 == 1)

@@ -22,6 +22,8 @@ from .intmath import (
     jacobi,
     poly_discriminant,
     poly_roots_mod,
+    polp_factor,
+    polp_trim,
     sqrt_mod,
 )
 from .lattice import find_generator
@@ -134,8 +136,11 @@ def cox_criterion(p: int, n: int, f_n, solve: bool = False) -> CriterionReport:
 # ---------------------------------------------------------------------------
 # the unit equation
 
+# the coordinate bound of unit_witness's last-resort search
+_WITNESS_BOX = 8
 
-def unit_witness(d: int, n: int, box: int = 8) -> UnitWitness | None:
+
+def unit_witness(d: int, n: int) -> UnitWitness | None:
     """O_F-solution of -1 = alpha^2 + n*beta^2 with F = Q(sqrt(-d)).
 
     x^2 - dn*y^2 = -1 gives a rational alpha; x^2 - dn*y^2 = d gives alpha
@@ -153,7 +158,9 @@ def unit_witness(d: int, n: int, box: int = 8) -> UnitWitness | None:
     r = pell_solve(d * n, d)
     if r.solution is not None and r.solution.x % d == 0:
         return UnitWitness(F(0, r.solution.x // d), F(r.solution.y), n)
-    coords = sorted(range(-box, box + 1), key=lambda t: (abs(t), t < 0))
+    coords = sorted(
+        range(-_WITNESS_BOX, _WITNESS_BOX + 1), key=lambda t: (abs(t), t < 0)
+    )
     target = F(-1)
     squares = [
         (from_integral_coords(F, b1, b2), from_integral_coords(F, b1, b2) ** 2)
@@ -198,12 +205,15 @@ def _residue_data(p: QuadElem):
 
 
 def _prime_field(p: QuadElem, d: int) -> QuadField:
-    """Q(sqrt(-d)), once p is checked to be a nonzero element of it."""
+    """Q(sqrt(-d)), once p is checked to be an element of it that is
+    neither zero nor a unit."""
     F = QuadField(-d)
     if p.field != F:
         raise ValueError("p must live in Q(sqrt(%d))" % -d)
     if p.is_zero():
         raise ValueError("zero is not a prime element")
+    if p.abs_norm() == 1 and p.is_integral():
+        raise ValueError("a unit is not a prime element")
     return F
 
 
@@ -213,49 +223,45 @@ def _divides(p: QuadElem, x) -> bool:
 
 
 def _roots_in_residue_field(coeffs, q: int, deg: int, r, F: QuadField) -> bool:
-    """Does the polynomial have a root in O_F/pO_F?"""
-    imgs = []
-    for c in coeffs:
-        c = c if isinstance(c, QuadElem) else F(c)
-        x, y = c.integral_coords()
-        assert x.denominator == 1 and y.denominator == 1
-        imgs.append((int(x), int(y)))
+    """Does the polynomial g with these coefficients have a root in
+    O_F/pO_F?
+
+    For deg 1 the residue field is F_q and g maps to its image h under
+    w -> r.  For deg 2 the residue field is F_(q^2), and h is the norm
+    polynomial g*conj(g), which lies in Z[x].  Conjugation induces
+    Frobenius on O_F/qO_F, so a root of h in F_(q^2) is a root of g or
+    the Frobenius image of one.  Either way g has a root exactly when h
+    vanishes mod q or has an irreducible factor whose degree divides deg.
+    """
+    g = [c if isinstance(c, QuadElem) else F(c) for c in coeffs]
+    assert all(c.is_integral() for c in g)
     if deg == 1:
-        flat = [(x + y * r) % q for x, y in imgs]
-        if all(c == 0 for c in flat):
-            return True
-        return poly_roots_mod(flat, q) != []
-    c0, c1, _ = F.omega_minpoly()
-    red = [(x % q, y % q) for x, y in imgs]
-
-    def mul(u, v):
-        a, b = u
-        c, e = v
-        be = b * e
-        return (a * c - be * c0) % q, (a * e + b * c - be * c1) % q
-
-    for a in range(q):
-        for b in range(q):
-            acc = (0, 0)
-            for c in reversed(red):
-                acc = mul(acc, (a, b))
-                acc = ((acc[0] + c[0]) % q, (acc[1] + c[1]) % q)
-            if acc == (0, 0):
-                return True
-    return False
+        h = [x + y * r for x, y in (c.integral_coords() for c in g)]
+    else:
+        h = [F(0)] * (2 * len(g) - 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(g):
+                h[i + j] += a * b.conj()
+        assert all(c.is_rational() for c in h)
+        h = [c.a for c in h]
+    h = polp_trim([int(c) for c in h], q)
+    return not h or any(deg % (len(f) - 1) == 0 for f, _ in polp_factor(h, q))
 
 
 def _sqrt_minus_n(F: QuadField, q: int, deg: int, n: int) -> QuadElem | None:
-    """Element of O_F whose square is -n in the residue field, or None."""
-    if deg == 1:
-        r = sqrt_mod(-n, q)
+    """Element a + b*w of O_F whose square is -n in the residue field, or
+    None; the one with least b, then least a, 0 <= a, b < q.
+
+    When -n is not a square mod q but q is inert, the root lies off F_q:
+    with w^2 + c1*w + c0 = 0, (a + b*w)^2 = -n and b != 0 force a =
+    c1*b/2 and b^2 = -4n/disc, disc = c1^2 - 4*c0.
+    """
+    r = sqrt_mod(-n, q)
+    if r is not None or deg == 1:
         return None if r is None else F(r)
     c0, c1, _ = F.omega_minpoly()
-    for b in range(q):
-        for a in range(q):
-            if (a * a - c0 * b * b + n) % q == 0 and (b * (2 * a - c1 * b)) % q == 0:
-                return from_integral_coords(F, a, b)
-    return None
+    b = sqrt_mod(-4 * n * pow(c1 * c1 - 4 * c0, -1, q), q)
+    return from_integral_coords(F, c1 * b * pow(2, -1, q) % q, b)
 
 
 # ---------------------------------------------------------------------------

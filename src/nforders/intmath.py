@@ -8,11 +8,18 @@ bounds produced by sqrt_lb/sqrt_ub.
 Polynomials over Z are plain lists of coefficients, constant term first,
 so coeffs[i] is the coefficient of x^i and the leading coefficient is
 coeffs[-1] (nonzero).  The zero polynomial is the empty list.
+
+Every question about a polynomial mod a prime p goes through one factoring
+routine, polp_factor (Cantor-Zassenhaus: distinct-degree factorisation,
+then equal-degree splitting), in any degree and for every p.  The roots
+of poly_roots_mod are its linear factors, with the quadratic formula as
+the one shortcut.  Nothing here scans the residues mod p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, isqrt
 
 # ---------------------------------------------------------------------------
@@ -330,72 +337,91 @@ def polp_factor(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     """Monic irreducible factors of f mod p with multiplicities, sorted by
     (degree, coefficients).  The unit leading coefficient is dropped.
 
-    Trial division by linear and quadratic monics settles every degree up to
-    5, which is all the quartic field machinery needs.
+    Cantor-Zassenhaus, in any degree.  Distinct-degree factorisation: once
+    every power of the factors of degree < d is divided out of `rest`,
+    gcd(rest, x^(p^d) - x) is the product of the distinct degree-d factors
+    of rest, which _split_equal_degree breaks apart.  Multiplicities come
+    from trial division by each factor found.
     """
     if not is_prime(p):
         raise ValueError("polp_factor needs a prime modulus")
     g = polp_trim(f, p)
     if not g:
         raise ValueError("polynomial vanishes mod p")
-    if len(g) - 1 > 5:
-        raise ValueError("factorization implemented for degree <= 5 only")
     inv = pow(g[-1], -1, p)
-    g = [c * inv % p for c in g]
+    rest = [c * inv % p for c in g]
     out = []
-    for r in poly_roots_mod(g, p):
-        lin = [(-r) % p, 1]
-        e = 0
-        while len(g) > 1:
-            quo, rem = polp_divmod(g, lin, p)
-            if rem:
-                break
-            g, e = quo, e + 1
-        out.append((tuple(lin), e))
-    if len(g) - 1 >= 2:
-        for b in range(p):
-            for c in range(p):
-                if p == 2:
-                    if (b, c) != (1, 1):
-                        continue
-                elif jacobi((b * b - 4 * c) % p, p) != -1:
-                    continue
-                quad = [c, b, 1]
-                e = 0
-                while len(g) - 1 >= 2:
-                    quo, rem = polp_divmod(g, quad, p)
-                    if rem:
-                        break
-                    g, e = quo, e + 1
-                if e:
-                    out.append((tuple(quad), e))
-                if len(g) - 1 < 2:
+    xq, d = [0, 1], 0  # xq = x^(p^d) mod rest
+    # every factor of rest has degree > d, so rest of degree < 2(d + 1) is
+    # 1 or irreducible
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        xq = polp_powmod(xq, p, rest, p)
+        xq_minus_x = xq + [0] * (2 - len(xq))
+        xq_minus_x[1] -= 1
+        for q in _split_equal_degree(polp_gcd(rest, xq_minus_x, p), d, p):
+            e = 0
+            while True:
+                quo, rem = polp_divmod(rest, q, p)
+                if rem:
                     break
-            if len(g) - 1 < 2:
-                break
-    if len(g) - 1 >= 3:
-        # no factor of degree <= 2 left and degree <= 5: irreducible
-        out.append((tuple(g), 1))
-        g = [1]
-    assert g == [1]
+                rest, e = quo, e + 1
+            out.append((tuple(q), e))
+    if len(rest) > 1:
+        out.append((tuple(rest), 1))
     check = [1]
     for q, e in out:
         for _ in range(e):
             check = [c % p for c in poly_mul(check, list(q))]
-    assert polp_trim(check, p) == polp_trim([c * inv % p for c in polp_trim(f, p)], p)
+    assert polp_trim(check, p) == [c * inv % p for c in g]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
-_SCAN_LIMIT = 10**6
+def _split_equal_degree(h: list[int], d: int, p: int) -> list[list[int]]:
+    """The monic irreducible factors of h, a monic product of distinct
+    irreducibles of degree d mod p.
+
+    A probe t splits a part g along gcd(g, t^((p^d-1)/2) - 1) for odd p and
+    along the trace gcd(g, t + t^2 + ... + t^(2^(d-1))) for p = 2.  The
+    probes run over the nonconstant polynomials of degree < deg h in turn.
+    By the Chinese remainder theorem one of them separates any two factors
+    of h, so the loop ends, and the result does not depend on which probe
+    does it.
+    """
+    parts = [h] if len(h) > 1 else []
+    i = p  # the probe's coefficients are the base-p digits of i
+    while any(len(g) - 1 > d for g in parts):
+        t, k = [], i
+        while k:
+            k, c = divmod(k, p)
+            t.append(c)
+        i += 1
+        split = []
+        for g in parts:
+            if len(g) - 1 > d:
+                if p == 2:
+                    u = s = polp_divmod(t, g, p)[1]
+                    for _ in range(d - 1):
+                        u = polp_mulmod(u, u, g, p)
+                        s = [a ^ b for a, b in zip_longest(s, u, fillvalue=0)]
+                else:
+                    s = polp_powmod(t, (p**d - 1) // 2, g, p) or [0]
+                    s[0] -= 1
+                a = polp_gcd(g, s, p)
+                if 0 < len(a) - 1 < len(g) - 1:
+                    split += [a, polp_divmod(g, a, p)[0]]
+                    continue
+            split.append(g)
+        parts = split
+    return parts
 
 
 def poly_roots_mod(f: list[int], p: int) -> list[int]:
     """Sorted roots of f mod p.
 
     A quadratic mod an odd prime goes through the quadratic formula with a
-    Tonelli-Shanks square root.  Anything else is scanned exhaustively
-    below 10^6; above that, f is stripped to its linear-factor part via
-    gcd with x^p - x and split by quadratic-character gcds.
+    Tonelli-Shanks square root; anything else reads the roots off the
+    linear factors from polp_factor.
     """
     if not is_prime(p):
         raise ValueError("poly_roots_mod needs a prime modulus")
@@ -404,9 +430,7 @@ def poly_roots_mod(f: list[int], p: int) -> list[int]:
         raise ValueError("polynomial vanishes mod p")
     if len(fp) == 3 and p != 2:
         return _roots_quadratic(fp, p)
-    if p < _SCAN_LIMIT:
-        return _roots_scan(fp, p)
-    return _roots_powmod(fp, p)
+    return sorted(-q[0] % p for q, _ in polp_factor(fp, p) if len(q) == 2)
 
 
 def _roots_quadratic(fp: list[int], p: int) -> list[int]:
@@ -420,62 +444,26 @@ def _roots_quadratic(fp: list[int], p: int) -> list[int]:
     return sorted({(-b + s) * inv % p, (-b - s) * inv % p})
 
 
-def _roots_scan(fp: list[int], p: int) -> list[int]:
-    """Roots of the nonzero polynomial fp mod p by trying every residue."""
-    return [x for x in range(p) if poly_eval(fp, x) % p == 0]
-
-
-def _roots_powmod(fp: list[int], p: int) -> list[int]:
-    """Sorted roots of the nonzero polynomial fp, reduced mod p, by gcds."""
-    # linear-factor part: gcd(f, x^p - x)
-    xp = polp_powmod([0, 1], p, fp, p)
-    xp_minus_x = polp_trim([(a - b) % p for a, b in
-                            zip(xp + [0] * 2, [0, 1] + [0] * len(xp))], p)
-    g = polp_gcd(fp, xp_minus_x, p)
-    roots = []
-    if g and g[0] == 0:
-        roots.append(0)
-        g = polp_trim(g[1:], p)
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        if len(h) <= 1:
-            continue
-        if len(h) == 2:
-            roots.append(-h[0] * pow(h[1], -1, p) % p)
-            continue
-        a = 0
-        while True:
-            # gcd(h(x), (x+a)^((p-1)/2) - 1) splits distinct roots
-            probe = polp_powmod([a, 1], (p - 1) // 2, h, p)
-            probe = polp_trim([(c - (1 if i == 0 else 0)) % p
-                               for i, c in enumerate(probe + [0])], p)
-            d = polp_gcd(h, probe, p)
-            if 0 < len(d) - 1 < len(h) - 1:
-                stack.append(d)
-                stack.append(polp_divmod(h, d, p)[0])
-                break
-            a += 1
-    return sorted(roots)
-
-
 # ---------------------------------------------------------------------------
 # exact rational bounds for square roots (no floats)
 
+# both bounds lie within 1/_SQRT_SCALE of sqrt(x)
+_SQRT_SCALE = 10**9
 
-def sqrt_lb(x: Fraction, scale: int = 10**9) -> Fraction:
+
+def sqrt_lb(x: Fraction) -> Fraction:
     """Rational lower bound on sqrt(x) for x >= 0."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
-    s = isqrt(x.numerator * x.denominator * scale * scale)
-    return Fraction(s, x.denominator * scale)
+    s = isqrt(x.numerator * x.denominator * _SQRT_SCALE**2)
+    return Fraction(s, x.denominator * _SQRT_SCALE)
 
 
-def sqrt_ub(x: Fraction, scale: int = 10**9) -> Fraction:
+def sqrt_ub(x: Fraction) -> Fraction:
     """Rational upper bound on sqrt(x) for x >= 0."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
-    s = isqrt(x.numerator * x.denominator * scale * scale)
-    return Fraction(s + 1, x.denominator * scale)
+    s = isqrt(x.numerator * x.denominator * _SQRT_SCALE**2)
+    return Fraction(s + 1, x.denominator * _SQRT_SCALE)

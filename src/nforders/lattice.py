@@ -19,6 +19,8 @@ from operator import add, mul
 
 from .intmath import sqrt_lb, sqrt_ub, xgcd
 from .quadratic import (
+    CFExpansion,
+    cf_convergents,
     cf_sqrt,
     integer_coords,
     integer_rows,
@@ -551,7 +553,7 @@ class LadderData:
     h^2 G - hk cross + k^2 outer."""
 
     D0: int
-    cf: object
+    cf: CFExpansion
     unit: tuple
     E: tuple
     G: tuple
@@ -609,17 +611,8 @@ def _unit_ladder(field, module):
             "no power of the fundamental unit up to %d stabilizes the module"
             % _LADDER_MAX_POWER
         )
-    cf = lad.cf
-    l = len(cf.period)
-    quots = [cf.a0] + list(cf.period) * m
     # convergents gamma_{-1} = 1, gamma_0, ..., gamma_{m*l - 1} = eps^m
-    gammas = [(1, 0)]
-    h1, h2 = 1, 0
-    k1, k2 = 0, 1
-    for a in quots[: m * l]:
-        h1, h2 = a * h1 + h2, h1
-        k1, k2 = a * k1 + k2, k1
-        gammas.append((h1, k1))
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, m * len(lad.cf.period)))
     return lad.D0, m, gammas
 
 

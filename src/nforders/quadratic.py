@@ -586,9 +586,9 @@ def cf_sqrt(D: int) -> CFExpansion:
     return CFExpansion(D, a0, tuple(period))
 
 
-def cf_convergents(D: int, count: int):
-    """Yield the first `count` convergents (h_k, q_k) of sqrt(D)."""
-    cf = cf_sqrt(D)
+def cf_convergents(cf: CFExpansion, count: int):
+    """Yield the first `count` convergents (h_k, q_k) of the expansion cf,
+    h_k = a_k*h_(k-1) + h_(k-2) and likewise q_k."""
 
     def quotients():
         yield cf.a0
@@ -625,15 +625,11 @@ class PellResult:
 
 
 def _cf_fundamental(D: int) -> tuple[int, int, int]:
-    """(x, y, period length) with x^2 - D y^2 = (-1)^len(period)."""
+    """(x, y, period length) with x^2 - D y^2 = (-1)^len(period): the last
+    convergent of the first period."""
     cf = cf_sqrt(D)
-    quots = [cf.a0] + list(cf.period[:-1])
-    h_prev, h = 0, 1
-    k_prev, k = 1, 0
-    for q in quots:
-        h_prev, h = h, q * h + h_prev
-        k_prev, k = k, q * k + k_prev
     l = len(cf.period)
+    *_, (h, k) = cf_convergents(cf, l)
     assert h * h - D * k * k == (-1) ** l
     return h, k, l
 
@@ -667,7 +663,8 @@ def pell_solve(D: int, N: int, y_max: int = 10**5) -> PellResult:
         x2 = N + D * y * y
         if x2 > 0 and is_square(x2):
             return PellResult(PellSolution(D, N, isqrt(x2), y), False)
-    for h, q in cf_convergents(D, 2 * len(cf_sqrt(D).period) + 2):
+    cf = cf_sqrt(D)
+    for h, q in cf_convergents(cf, 2 * len(cf.period) + 2):
         if h * h - D * q * q == N:
             return PellResult(PellSolution(D, N, h, q), False)
     return PellResult(None, False)

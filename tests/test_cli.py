@@ -274,24 +274,27 @@ def test_represent_rejects_non_prime(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["represent", "0", "59", "2"],
-        ["criterion", "hilbert", "0", "59", "2"],
-        ["criterion", "quadr", "0", "59", "2"],
-    ],
+    [["represent"], ["criterion", "hilbert"], ["criterion", "quadr"]],
 )
 def test_zero_element_exits_2(argv):
-    # a fresh interpreter, so a traceback would show on stderr
+    # zero and the units 1 and -1 are not prime elements, and each is turned
+    # away before any class group is computed; a fresh interpreter, so a
+    # traceback would show on stderr
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nforders.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: zero is not a prime element\n"
+    for elem, why in [
+        ("0", "zero is not a prime element"),
+        ("1", "a unit is not a prime element"),
+        ("-1", "a unit is not a prime element"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nforders.cli", *argv, elem, "59", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2, elem
+        assert proc.stdout == ""
+        assert proc.stderr == "error: %s\n" % why
 
 
 def test_poly_file_errors(tmp_path, capsys):
@@ -422,6 +425,26 @@ def test_sweep_2000_output_is_unchanged(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "38747332aee597c401b7e20573978d346e4dd4c233dc8cdce92388f6532fcdcb"
     )
+
+
+def test_inert_3023_outputs_are_unchanged(tmp_path, capsys):
+    # 3023 is inert in Q(sqrt(-59)); represent needs a square root of -2 in
+    # F_(3023^2), and quadr a root of x^3 + 2x - 1 there
+    poly = tmp_path / "poly.txt"
+    poly.write_text("-1\n2\n0\n1\n")
+    for argv, digest in [
+        (
+            ["represent", "3023", "59", "2"],
+            "4f5d8a04f8e650f58e4e34afde3c848698d3c0d27735705f4677660970ebb1c0",
+        ),
+        (
+            ["criterion", "quadr", "3023", "59", "2", "--poly", str(poly)],
+            "4d0c83cdcc256548a839dc6b7f0c0f85c33075097b4a33a70e6a10bd5d4474ff",
+        ),
+    ]:
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from nforders.criteria import (
     criterion_hilbert,
     criterion_quadr,
     prime_elements,
+    _roots_in_residue_field,
+    _sqrt_minus_n,
     represent,
     unit_witness,
     verify_identity,
 )
-from nforders.intmath import is_prime
-from nforders.quadratic import QuadField, from_integral_coords
+from nforders.intmath import is_prime, poly_roots_mod, primes_upto
+from nforders.quadratic import QuadElem, QuadField, from_integral_coords, split_prime
 
 F59 = QuadField(-59)
 F5 = QuadField(-5)
@@ -38,6 +40,55 @@ def int_box_solution(p, n, box):
         if rem == 0 and isqrt(r) ** 2 == r:
             return x, isqrt(r)
     return None
+
+
+def sqrt_minus_n_by_scan(F, q, n):
+    # every a + b*w of the residue field F_(q^2), least b first, then least a
+    c0, c1, _ = F.omega_minpoly()
+    for b in range(q):
+        for a in range(q):
+            if (a * a - c0 * b * b + n) % q == 0 and (b * (2 * a - c1 * b)) % q == 0:
+                return from_integral_coords(F, a, b)
+    return None
+
+
+def roots_in_residue_field_by_scan(coeffs, q, deg, r, F):
+    # g evaluated at every element of the residue field: x in F_q, with w
+    # mapped to r, for deg 1; every a + b*w mod q for deg 2
+    imgs = []
+    for c in coeffs:
+        c = c if isinstance(c, QuadElem) else F(c)
+        x, y = c.integral_coords()
+        imgs.append((int(x) % q, int(y) % q))
+    if deg == 1:
+        flat = [(x + y * r) % q for x, y in imgs]
+        return any(sum(c * t**i for i, c in enumerate(flat)) % q == 0 for t in range(q))
+    c0, c1, _ = F.omega_minpoly()
+
+    def mul(u, v):
+        a, b = u
+        c, e = v
+        be = b * e
+        return (a * c - be * c0) % q, (a * e + b * c - be * c1) % q
+
+    for a in range(q):
+        for b in range(q):
+            acc = (0, 0)
+            for c in reversed(imgs):
+                acc = mul(acc, (a, b))
+                acc = ((acc[0] + c[0]) % q, (acc[1] + c[1]) % q)
+            if acc == (0, 0):
+                return True
+    return False
+
+
+# the fields of the residue-field oracle tests: Q(sqrt(-59)), Q(sqrt(-11)),
+# Q(i), Q(sqrt(-2)), Q(sqrt(-3)) and Q(sqrt(-7))
+ORACLE_FIELDS = [QuadField(D) for D in (-59, -11, -1, -2, -3, -7)]
+
+
+def inert_primes(F, bound):
+    return [q for q in primes_upto(bound) if split_prime(F, q).kind == "inert"]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +225,52 @@ def test_quadr_gates():
 def test_quadr_rejects_non_prime_element():
     with pytest.raises(ValueError):
         criterion_quadr(F5(1, 1), 5, 13, g_n=(0, 1))  # norm 6
+
+
+def test_roots_in_residue_field_against_scan():
+    # polynomials with coefficients in O_F over every inert q < 200, taking
+    # turns: degree 2, degree 1, degree 2, and degree 2 with a leading
+    # coefficient divisible by q; then degree 2 over F_q for split q < 60,
+    # with either root of the minimal polynomial of w
+    rng = random.Random(21)
+    verdicts = set()
+    for F in ORACLE_FIELDS:
+
+        def poly(q, deg, lead=1):
+            g = [from_integral_coords(F, rng.randrange(-q, q), rng.randrange(-q, q))
+                 for _ in range(deg + 1)]
+            g[-1] *= lead
+            return g
+
+        for i, q in enumerate(inert_primes(F, 200)):
+            g = [poly(q, 2), poly(q, 1), poly(q, 2), poly(q, 2, q)][i % 4]
+            want = roots_in_residue_field_by_scan(g, q, 2, None, F)
+            assert _roots_in_residue_field(g, q, 2, None, F) == want, (F.D, q, g)
+            verdicts.add(want)
+        for q in primes_upto(60):
+            for r in poly_roots_mod(F.omega_minpoly(), q):
+                g = poly(q, 2)
+                want = roots_in_residue_field_by_scan(g, q, 1, r, F)
+                assert _roots_in_residue_field(g, q, 1, r, F) == want, (F.D, q, r, g)
+    assert verdicts == {True, False}
+
+
+def test_sqrt_minus_n_against_scan():
+    # every odd inert q < 200 (represent rejects p dividing 2n, so q = 2
+    # never reaches it), with -n a residue, a non-residue and 0 mod q
+    for F in ORACLE_FIELDS:
+        for q in inert_primes(F, 200):
+            if q == 2:
+                continue
+            for n in (1, 2, 3, 5, 6, 7, q):
+                got = _sqrt_minus_n(F, q, 2, n)
+                assert got == sqrt_minus_n_by_scan(F, q, n), (F.D, q, n)
+                assert ((got * got + n) / q).is_integral()
+
+
+def test_sqrt_minus_n_pin():
+    # the inert prime 3023 of Q(sqrt(-59)); the scan took a second here
+    assert _sqrt_minus_n(F59, 3023, 2, 2) == from_integral_coords(F59, 777, 1469)
 
 
 def test_hilbert_main_example():

@@ -22,7 +22,7 @@ from nforders.intmath import (
     squarefree_part,
     xgcd,
 )
-from nforders.intmath import _roots_powmod, _roots_quadratic, _roots_scan
+from nforders.intmath import _roots_quadratic
 
 
 # independent oracles, deliberately dumber than the implementations
@@ -33,6 +33,11 @@ def legendre_euler(a, p):
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def roots_by_scan(f, p):
+    # every residue tried; the routine poly_roots_mod used below 10^6
+    return [x for x in range(p) if poly_eval(f, x) % p == 0]
 
 
 def jacobi_by_factoring(a, m):
@@ -223,24 +228,26 @@ def test_poly_roots_mod_scan_path():
 
 
 def test_poly_roots_mod_paths_agree():
+    # the linear factors of polp_factor against the scan, in degrees the
+    # quadratic formula does not take, and p = 2 in every degree
     rng = random.Random(7)
-    ps = [p for p in primes_upto(300) if p > 2] + [1009, 7919]
-    for _ in range(120):
+    ps = [p for p in primes_upto(300)] + [1009, 7919]
+    for _ in range(160):
         p = rng.choice(ps)
-        d = rng.randrange(1, 6)
+        d = rng.choice([1, 2, 3, 4, 5, 6, 8]) if p == 2 else rng.choice([1, 3, 4, 5, 7])
         f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
-        assert _roots_scan(f, p) == _roots_powmod(f, p), (f, p)
+        assert poly_roots_mod(f, p) == roots_by_scan(f, p), (f, p)
 
 
 def test_poly_roots_mod_quadratic_path():
     # the quadratic formula against the scan, double roots and irreducible
-    # quadratics included, and against the gcd path past the scan limit
+    # quadratics included, and against polp_factor past the scan's reach
     rng = random.Random(11)
     ps = [p for p in primes_upto(400) if p > 2]
     for _ in range(300):
         p = rng.choice(ps)
         f = [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)]
-        assert _roots_quadratic(f, p) == _roots_scan(f, p), (f, p)
+        assert _roots_quadratic(f, p) == roots_by_scan(f, p), (f, p)
     for p in (3, 5, 7, 13):
         for r in range(p):
             f = [r * r % p, (-2 * r) % p, 1]  # (x - r)^2
@@ -249,7 +256,8 @@ def test_poly_roots_mod_quadratic_path():
     for _ in range(40):
         p = rng.choice(big)
         f = [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)]
-        assert _roots_quadratic(f, p) == _roots_powmod(f, p), (f, p)
+        linear = sorted(-q[0] % p for q, _ in polp_factor(f, p) if len(q) == 2)
+        assert _roots_quadratic(f, p) == linear, (f, p)
     assert poly_roots_mod([-2, 0, 1], 2) == [0]
 
 
@@ -275,27 +283,57 @@ def test_polp_factor_known():
     assert polp_factor([1, 0, 1], 3) == [((1, 0, 1), 1)]
 
 
-def test_polp_factor_against_sympy():
-    rng = random.Random(11)
+def sympy_factor(f, p):
     x = sympy.symbols("x")
-    for _ in range(80):
-        p = rng.choice([2, 3, 5, 7, 13, 31, 71])
-        deg = rng.randrange(1, 6)
-        f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-        got = polp_factor(f, p)
-        expr = sum(c * x**i for i, c in enumerate(f))
-        _, fac = sympy.factor_list(sympy.Poly(expr, x, modulus=p))
-        want = sorted(
-            (
-                tuple(
-                    int(c) % p
-                    for c in reversed(sympy.Poly(q, x, modulus=p).all_coeffs())
-                ),
-                e,
-            )
-            for q, e in fac
+    expr = sum(c * x**i for i, c in enumerate(f))
+    _, fac = sympy.factor_list(sympy.Poly(expr, x, modulus=p))
+    return sorted(
+        (
+            tuple(
+                int(c) % p for c in reversed(sympy.Poly(q, x, modulus=p).all_coeffs())
+            ),
+            e,
         )
-        assert sorted(got) == want, (f, p)
+        for q, e in fac
+    )
+
+
+def test_polp_factor_against_sympy():
+    # degrees 1 to 10, past the old degree-5 cap, a third of them with a
+    # squared factor spliced in
+    rng = random.Random(11)
+    for _ in range(160):
+        p = rng.choice([2, 3, 5, 7, 13, 31, 71, 1009])
+        deg = rng.randrange(1, 11)
+        f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+        if rng.randrange(3) == 0:
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+            f = poly_mul(poly_mul(g, g), f)
+        got = polp_factor(f, p)
+        assert got == sorted(got, key=lambda t: (len(t[0]), t[0]))
+        assert sorted(got) == sympy_factor(f, p), (f, p)
+
+
+def test_polp_factor_many_factors_of_one_degree():
+    # three or more distinct irreducibles of one degree make equal-degree
+    # splitting take more than one probe: x(x+1)(x+2) and the three monic
+    # irreducible quadratics mod 3, the three irreducible quartics mod 2
+    # (their product is (x^16 - x)/(x^4 - x)), each with a repeated factor
+    cases = [
+        (3, [(0, 1), (1, 1), (2, 1)]),
+        (3, [(1, 0, 1), (2, 1, 1), (2, 2, 1)]),
+        (2, [(1, 1, 0, 0, 1), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)]),
+        (2, [(1, 1, 0, 1), (1, 0, 1, 1), (1, 1), (0, 1)]),
+    ]
+    for p, irreducibles in cases:
+        for mults in ([1] * len(irreducibles), [2] + [1] * (len(irreducibles) - 1)):
+            f = [1]
+            for q, e in zip(irreducibles, mults):
+                for _ in range(e):
+                    f = poly_mul(f, list(q))
+            want = sorted(zip(irreducibles, mults), key=lambda t: (len(t[0]), t[0]))
+            assert polp_factor(f, p) == want, (p, irreducibles, mults)
+            assert sorted(want) == sympy_factor(f, p)
 
 
 def test_sqrt_bounds():

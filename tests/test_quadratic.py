@@ -299,14 +299,14 @@ def test_convergent_invariant():
             d = (D - m * m) // d
             a = (a0 + m) // d
             qs.append(d)  # Q_{k+1} after k+1 steps
-        for k, (h, q) in enumerate(cf_convergents(D, n)):
+        for k, (h, q) in enumerate(cf_convergents(cf, n)):
             assert h * h - D * q * q == (-1) ** (k + 1) * qs[k], (D, k)
 
 
 def test_convergents_approximate():
     # |h - q*sqrt(D)| < 1/q, i.e. |h^2 - D q^2| < h/q + sqrt(D) <= 2*sqrt(D)+1
     for D in (2, 118, 23):
-        for h, q in cf_convergents(D, 12):
+        for h, q in cf_convergents(cf_sqrt(D), 12):
             v = abs(h * h - D * q * q)
             assert (v - 1) ** 2 <= 4 * D or v <= 1
 

@@ -8,6 +8,12 @@ attribute of that name, or an import of it.  References inside the
 defining statement itself (a recursive call, say) do not count; for a
 method or property that statement is its def, so a call from another
 method of the same class counts.  Dunder names are exempt.
+
+A parameter with a default, on a function or method in src/ whose name is
+not a dunder, must be passed, by keyword or by position, at some call in
+src/ or tests/: a default every caller takes is a constant.  Calls are
+matched to definitions by name alone, and a call through an attribute
+lines its first argument up with a method's second parameter.
 """
 
 import ast
@@ -97,8 +103,91 @@ def unreferenced_names(src_dir: Path = SRC, tests_dir: Path = TESTS) -> list:
     return bad
 
 
+def _calls(trees) -> dict:
+    """name -> [(positional args passed, keywords passed, via attribute)],
+    with a starred argument counting as every later position and a **
+    argument as every keyword."""
+    out = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                name, attr = func.id, False
+            elif isinstance(func, ast.Attribute):
+                name, attr = func.attr, True
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            npos = float("inf") if starred else len(call.args)
+            kws = {k.arg for k in call.keywords}
+            out.setdefault(name, []).append((npos, kws, attr))
+    return out
+
+
+def _functions(tree):
+    """(function node, is a method) for every def in the module."""
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in sub.decorator_list
+                ):
+                    methods.add(sub)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, node in methods
+
+
+def unpassed_defaults(src_dir: Path = SRC, tests_dir: Path = TESTS) -> list:
+    """(module, function, parameter) for every parameter with a default that
+    no call in src/ or tests/ passes."""
+    src = {p.stem: _parse(p) for p in sorted(src_dir.glob("*.py"))}
+    calls = _calls(
+        list(src.values()) + [_parse(p) for p in sorted(tests_dir.glob("*.py"))]
+    )
+    bad = []
+    for mod, tree in src.items():
+        for fn, is_method in _functions(tree):
+            if _dunder(fn.name):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            params += [
+                (None, arg.arg)
+                for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None
+            ]
+            for i, name in params:
+                if not any(
+                    _passes(call, i, name, is_method)
+                    for call in calls.get(fn.name, [])
+                ):
+                    bad.append((mod, fn.name, name))
+    return bad
+
+
+def _passes(call, index, name: str, is_method: bool) -> bool:
+    """Does the call pass the parameter at this position (None for a
+    keyword-only one) with this name?"""
+    npos, kws, attr = call
+    if name in kws or None in kws:
+        return True
+    shift = 1 if is_method and attr else 0
+    return index is not None and npos > index - shift
+
+
 def test_every_top_level_name_is_referenced():
     assert unreferenced_names() == []
+
+
+def test_every_default_is_passed_somewhere():
+    assert unpassed_defaults() == []
 
 
 def test_checker_flags_an_orphan(tmp_path):
@@ -119,14 +208,26 @@ def test_checker_flags_an_orphan(tmp_path):
         "    def _helper(self):\n        return 3\n\n"
         "    def _spin(self, n):\n        return self._spin(n - 1) if n else 0\n\n"
         "    @property\n    def size(self):\n        return self.x\n\n"
-        "    def unused(self):\n        return 4\n"
+        "    def unused(self):\n        return 4\n\n"
+        "    def scaled(self, k=1, *, shift=0):\n        return self.x * k + shift\n\n"
+        "def ranged(lo, hi=9, step=1):\n    return range(lo, hi, step)\n\n"
+        "def fixed(n=3):\n    return ranged(0, n)\n"
     )
     (tmp_path / "tests" / "test_m.py").write_text(
-        "from nforders.m import Box, api\n\nassert Box().size == 3\n"
+        "from nforders.m import Box, api, fixed\n\n"
+        "assert Box().size == 3 and Box().scaled(2) == 6\n"
+        "assert api() + len(fixed()) == 5\n"
     )
     assert sorted(unreferenced_names(pkg, tmp_path / "tests")) == [
         ("m", "Box._spin", "private, unused in src/"),
         ("m", "Box.unused", "public, unused in src/ and tests/"),
         ("m", "_loop", "private, unused in src/"),
         ("m", "orphan", "public, unused in src/ and tests/"),
+    ]
+    # defaults: hi is passed by position and k through a method call, while
+    # step, shift and n are left at their defaults by every call
+    assert sorted(unpassed_defaults(pkg, tmp_path / "tests")) == [
+        ("m", "fixed", "n"),
+        ("m", "ranged", "step"),
+        ("m", "scaled", "shift"),
     ]
