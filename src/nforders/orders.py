@@ -9,8 +9,12 @@ an integer back-substitution (_closed_under), so no product module is
 built to test it; conductors are colon modules, taken with one HNF;
 an ideal a is invertible when 1 lies in a * (o : a), one more HNF and a
 back-substitution; factorization is trial division with HNF comparison;
-and Picard groups come out of the unit/residue counting formula with an
-independent brute-force enumeration to check it.
+and Picard groups come out of the unit/residue counting formula
+#Pic(o) = h_K * #(O_K/f)^x / ([O_K^x : o^x] * #(o/f)^x), f the conductor,
+with an independent brute-force enumeration to check it.  Each residue
+count is closed: for an ideal f of an order o,
+#(o/f)^x = [o : f] * prod (1 - 1/[o : p]) over the primes p of o that
+contain f, found among the primes above the rational divisors of [o : f].
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
-from math import ceil, lcm
+from math import ceil
 
 from .intmath import factorize, sqrt_ub
 from .lattice import (
@@ -36,7 +39,6 @@ from .lattice import (
 from .quadratic import (
     QuadField,
     form_class_group,
-    integer_coords,
     split_prime,
     table_matrix,
 )
@@ -370,50 +372,25 @@ def contract_ideal(atilde: OrderIdeal, o: OrderRep) -> OrderIdeal:
 # residue and unit counting
 
 
-_RESIDUE_CAP = 10**6
+def residue_unit_count(o: OrderRep, f) -> int:
+    """#(o/f)^x for an ideal f of o, given as an OrderIdeal or its module.
 
-
-def _residue_reps(o: OrderRep, fmod: IntModule):
-    """One representative per coset of o/fmod."""
-    if not o.module.contains_module(fmod):
-        raise ValueError("f must be contained in the order")
+    o/f is a finite ring, the product of its localisations at the primes p
+    of o that contain f, so #(o/f)^x = [o : f] * prod (1 - 1/[o : p]).
+    Such a p contains [o : f], so it lies above a prime q dividing it.
+    The trivial quotient counts as 1."""
+    fmod = f.module if isinstance(f, OrderIdeal) else f
+    if not (o.module.contains_module(fmod) and _closed_under(o, fmod.rows)):
+        raise ValueError("f must be an ideal of the order")
     idx = fmod.index_in(o.module)
     assert idx.denominator == 1
-    N = int(idx)
-    if N > _RESIDUE_CAP:
-        raise ValueError("quotient too large to enumerate (%d)" % N)
-    # fmod's rows over o's basis B: fmod.rows * adj(B) / (fmod.den * det B),
-    # integers as fmod lies in o
-    B = o.module.rows
-    scale = fmod.den * _det_int(B)
-    rows = _times(fmod.rows, adjugate_int(B))
-    assert all(c % scale == 0 for r in rows for c in r)
-    H = hnf_matrix([[c // scale for c in r] for r in rows])
-    # sum_i c_i * (basis row i of o), 0 <= c_i < H[i][i], first index slowest
-    for cs in product(*(range(H[i][i]) for i in range(len(H)))):
-        yield o.field.from_basis_coords(_times([cs], o.module.rows)[0])
-
-
-def _is_unit_mod(o: OrderRep, fmod: IntModule, e) -> bool:
-    """e * o + fmod == o, with the rows of e * o taken on integers through
-    the table and the sum built as one module."""
-    if e.is_zero():
-        return False
-    u, den = integer_coords(e.basis_coords())
-    gen = _times(o.module.rows, table_matrix(o.field.mult_table, u))
-    L = lcm(den, fmod.den)
-    rows = [[c * (L // den) for c in r] for r in gen]
-    rows += [[c * (L // fmod.den) for c in r] for r in fmod.rows]
-    return IntModule(o.field, tuple(map(tuple, rows)), L) == o.module
-
-
-def residue_unit_count(o: OrderRep, f) -> int:
-    """#(o/f)^x by enumerating coset representatives; the trivial quotient
-    counts as 1."""
-    fmod = f.module if isinstance(f, OrderIdeal) else f
-    if fmod == o.module:
-        return 1
-    return sum(1 for e in _residue_reps(o, fmod) if _is_unit_mod(o, fmod, e))
+    count = int(idx)
+    for q in factorize(count):
+        for p in _primes_above(o, q):
+            if p.module.contains_module(fmod):
+                Np = int(p.norm())
+                count = count // Np * (Np - 1)
+    return count
 
 
 def unit_index(o: OrderRep) -> int:
@@ -520,8 +497,9 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     """Class count of invertible ideals modulo principals, by enumeration.
 
     Every class contains an integral ideal of norm below the Minkowski-style
-    bound (2/pi)*sqrt(|disc o|); a smaller explicit bound makes the result a
-    lower bound only (complete=False)."""
+    bound (2/pi)*sqrt(|disc o|), so the scan stops there whatever the
+    bound; a smaller explicit bound makes the result a lower bound only
+    (complete=False)."""
     if o.field.degree != 2 or o.field.D > 0:
         raise UnresolvedError("brute-force Picard count is rank-2 imaginary only")
     disc_o = o.field.disc * o.index_in_maximal() ** 2
@@ -531,7 +509,8 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
         complete = True
     else:
         complete = Fraction(norm_bound) >= mink
-    ideals = [a for a in _ideal_candidates(o, norm_bound) if is_invertible(a)]
+    scan = min(norm_bound, ceil(mink))
+    ideals = [a for a in _ideal_candidates(o, scan) if is_invertible(a)]
     # the conjugate modules of the class representatives found so far:
     # a ~ rep  iff  a * conj(rep) is principal (their norms cancel)
     rep_conjs: list[IntModule] = []
@@ -541,167 +520,3 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
         ):
             rep_conjs.append(module_conj(a.module))
     return BruteClassCount(len(rep_conjs), norm_bound, mink, complete)
-
-
-# ---------------------------------------------------------------------------
-# congruence-subgroup predicates and the counting audit
-
-
-def in_PK1f(field, alpha, f: OrderIdeal, beta=None) -> bool:
-    """alpha = beta mod f with both sides coprime to f (beta defaults to 1);
-    the congruence-subgroup membership test at the level of generators."""
-    omax = maximal_order(field)
-    if beta is None:
-        beta = field.one()
-    for x in (alpha, beta):
-        xi = principal_ideal(omax, x)
-        if not xi.is_integral():
-            raise PreconditionError("element is not integral")
-        if xi.module.add(f.module) != omax.module:
-            raise PreconditionError("element is not coprime to f")
-    diff = (alpha - beta).basis_coords()
-    return f.module.contains_coords(diff)
-
-
-def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
-    """Membership of the O_K-ideal atilde in the subgroup generated by
-    principal ideals with a generator in o (coprime to the conductor).
-
-    On a quartic field only the associates u * eta^(+-j) * g, j <= 8, of
-    the generator g found are tried, with eta the Pell unit, which need
-    not generate the units modulo torsion: a hit is a witness and gives
-    True, a miss raises UnresolvedError."""
-    f = conductor(o)
-    omax = maximal_order(o.field)
-    if atilde.module.add(f.module) != omax.module:
-        raise PreconditionError("ideal is not coprime to the conductor")
-    g = is_principal(omax, atilde.module)
-    if g is None:
-        return False
-    field = o.field
-    units = field.torsion_units()
-    for u in units:
-        cand = u * g
-        if o.module.contains_coords(cand.basis_coords()):
-            return True
-    if field.degree == 4:
-        eta = field.fundamental_unit()
-        for j in range(1, 9):
-            for base in (eta**j, eta**-j):
-                for u in units:
-                    cand = u * base * g
-                    if o.module.contains_coords(cand.basis_coords()):
-                        return True
-        raise UnresolvedError(
-            "no associate u * eta^(+-j), j <= 8, of the generator lies in o"
-        )
-    return False
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    h_K: int
-    unit_index: int
-    residue_units_max: int
-    residue_units_order: int
-    picard: int
-    ray_class_count: int
-    conductor_norm: int
-    checks: tuple
-
-
-def counting_audit(o: OrderRep, margin: int = 4) -> AuditReport:
-    """Recompute the Picard cardinality three ways and assert the counting
-    identities: the unit/residue formula, the brute-force ideal partition,
-    and the coprime-to-f ray-style class count; also pins the unit groups."""
-    field = o.field
-    if field.degree != 2 or field.D > 0:
-        raise UnresolvedError("counting audit runs on imaginary quadratic orders")
-    omax = maximal_order(field)
-    f = conductor(o)
-    fmax = OrderIdeal(omax, f.module)
-    h_K = class_number(field)
-    u = unit_index(o)
-    nf_max = residue_unit_count(omax, f.module)
-    nf_o = residue_unit_count(o, f.module)
-    pic = picard_number(o)
-    checks = []
-
-    bf = pic_brute_force(o)
-    if bf.count != pic:
-        raise AuditFailure("brute-force Picard %d != formula %d" % (bf.count, pic))
-    checks.append("pic_formula_equals_brute_force")
-
-    # class count of coprime-to-f ideals of O_K modulo generators in o
-    Nf = int(fmax.norm())
-    bound = max(ceil(bf.minkowski_bound), Nf) * margin
-    ideals = []
-    for a in _ideal_candidates(omax, bound):
-        if a.module.add(fmax.module) == omax.module:
-            ideals.append(a)
-    classes: list[OrderIdeal] = []
-    for a in ideals:
-        placed = False
-        for rep in classes:
-            q = module_mul(a.module, module_conj(rep.module))
-            qi = OrderIdeal(omax, q)
-            if qi.module.add(fmax.module) == omax.module and in_PKOf(qi, o):
-                placed = True
-                break
-        if not placed:
-            classes.append(a)
-    ray = len(classes)
-    if ray != pic:
-        raise AuditFailure("coprime-ideal class count %d != Picard %d" % (ray, pic))
-    checks.append("ray_class_count_equals_picard")
-
-    # O_K^x meet K_{f,o} = o^x, exhausting the finite unit group
-    tors = field.torsion_units()
-    in_order = {
-        t.basis_coords(): o.module.contains_coords(t.basis_coords()) for t in tors
-    }
-    reps = _unit_residues(o, f)
-    for t in tors:
-        member = any(o.module.contains_coords((t * b).basis_coords()) for b in reps)
-        if member != in_order[t.basis_coords()]:
-            raise AuditFailure("unit %r crosses K_{f,o} boundary" % (t,))
-    checks.append("unit_intersection_is_order_units")
-
-    # P_{K,1}^f inside P_{K,o}^f on generator samples
-    sampled = 0
-    for a in ideals:
-        g = is_principal(omax, a.module)
-        if g is None:
-            continue
-        for t in tors:
-            cand = t * g
-            ci = principal_ideal(omax, cand)
-            if ci.module.add(fmax.module) != omax.module:
-                continue
-            if in_PK1f(field, cand, fmax):
-                if not in_PKOf(ci, o):
-                    raise AuditFailure("P_K1f element outside P_KOf: %r" % (cand,))
-                sampled += 1
-        if sampled >= 5:
-            break
-    checks.append("pk1f_contained_in_pkof")
-
-    return AuditReport(
-        h_K=h_K,
-        unit_index=u,
-        residue_units_max=nf_max,
-        residue_units_order=nf_o,
-        picard=pic,
-        ray_class_count=ray,
-        conductor_norm=Nf,
-        checks=tuple(checks),
-    )
-
-
-def _unit_residues(o: OrderRep, f: OrderIdeal):
-    """Representatives of (o/f)^x as order elements.  A trivial quotient is
-    the zero ring, whose one class counts as the unit."""
-    fmod = f.module
-    if fmod == o.module:
-        return [o.field.from_basis_coords([0] * o.module.rank)]
-    return [e for e in _residue_reps(o, fmod) if _is_unit_mod(o, fmod, e)]

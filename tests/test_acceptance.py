@@ -23,7 +23,6 @@ from nforders.lattice import hnf
 from nforders.orders import (
     OrderIdeal,
     conductor,
-    counting_audit,
     contract_ideal,
     extend_ideal,
     factor_ideal,
@@ -46,6 +45,8 @@ from nforders.quadratic import (
     pell_solve,
     split_prime,
 )
+
+from audit import counting_audit
 
 F59 = QuadField(-59)
 H = Fraction(1, 2)

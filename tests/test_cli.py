@@ -173,6 +173,48 @@ def test_picard_counts_each_residue_group_once(capsys, monkeypatch):
     assert len(counted) == 2
 
 
+@pytest.mark.parametrize(
+    "spec,units_max,units_o,picard",
+    [
+        # 2000 = 2^4 * 5^3: 2 ramifies and 5 splits in Q(i), so
+        # #(O_K/2000)^x = 2^7 * 5^4 * 4^2 and #(Z/2000)^x = 800;
+        # [O_K^x : Z^x] = 2
+        ("index:-1:2000", 1280000, 800, 800),
+        # 1001 = 7 * 11 * 13: 7 and 13 split in Q(sqrt(-3)) and 11 is inert;
+        # [O_K^x : Z^x] = 3
+        ("index:-3:1001", 622080, 720, 288),
+    ],
+)
+def test_picard_counts_residues_of_large_conductors(
+    capsys, spec, units_max, units_o, picard
+):
+    code, doc = run_json(capsys, ["picard", spec, "--bound", "5"])
+    assert code == 0
+    assert doc["unit_counts"] == {
+        "maximal_mod_conductor": units_max,
+        "order_mod_conductor": units_o,
+    }
+    assert doc["picard"] == picard
+
+
+def test_picard_outputs_are_unchanged(capsys):
+    # recorded while the residue counts still enumerated every class of o/f
+    # and the brute force scanned to the bound given
+    for argv, digest in [
+        (
+            ["picard", "index:-1:200", "--bound", "5"],
+            "7f8a7028bfc8f4bae70c14639b2c6f9be4961becf8aaa1585577d778a205ff7f",
+        ),
+        (
+            ["picard", "max:-5", "--bound", "300"],
+            "40cf1f5463ad40ff36e8a1d15dd39f47a0564eb67a101a1b8a8bd264864dbe98",
+        ),
+    ]:
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_factor_remultiplies(capsys):
     code, doc = run_json(capsys, ["factor", "zsqrt:-14", "3+1*w"])
     assert code == 0

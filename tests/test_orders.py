@@ -12,15 +12,12 @@ from nforders.orders import (
     PreconditionError,
     conductor,
     contract_ideal,
-    counting_audit,
     extend_ideal,
     factor_ideal,
     ideal_add,
     ideal_from_gens,
     ideal_mul,
     ideal_quot,
-    in_PK1f,
-    in_PKOf,
     is_coprime_to_conductor,
     is_invertible,
     is_principal,
@@ -38,6 +35,8 @@ from nforders.orders import (
     unit_index,
 )
 from nforders.quadratic import QuadField, form_class_group, split_prime
+
+from audit import counting_audit, in_PK1f, in_PKOf
 
 F1 = QuadField(-1)
 F2 = QuadField(-2)
