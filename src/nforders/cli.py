@@ -3,12 +3,15 @@
 Every subcommand prints one JSON document on stdout (``--pretty`` indents
 it, the default is compact); identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 a computed check failed, 2 invalid
-input, 3 the computation is unresolved or the inputs are unsupported.
+input, 3 the computation is unresolved or the inputs are unsupported, and
+141 (128 + SIGPIPE, as a shell reports a process the signal ended) when
+the reader of stdout has closed it.
 """
 
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -473,7 +476,8 @@ def _parser():
         "--bound",
         type=int,
         default=None,
-        help="norm bound for the enumeration (default: a complete one)",
+        help="bound on the index [O_K : L] of the ideals L in O_K that the "
+        "enumeration scans, not on their o-norm (default: a complete one)",
     )
     p.set_defaults(func=cmd_picard)
 
@@ -531,17 +535,25 @@ def main(argv=None) -> int:
             if isinstance(value, list):
                 raise ValueError("argument %s: expected a value, got '--'" % name)
         payload, code = args.func(args)
+        if payload is not None:
+            if args.pretty:
+                print(json.dumps(payload, indent=2, sort_keys=True))
+            else:
+                print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (nforders ... | head): stop quietly, with
+        # stdout pointed at devnull so that the final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (UnresolvedError, UnsupportedFieldError, UnsupportedPrimeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    if payload is not None:
-        if args.pretty:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
     return code
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import add, mul
 
@@ -212,27 +211,36 @@ def adjugate_int(M) -> list[list[int]]:
 
 
 def smith_normal_form(rows) -> list[int]:
-    """Invariant factors d1 | d2 | ... of the integer row lattice.
+    """Invariant factors d1 | d2 | ... of the integer row lattice, by
+    elimination (Cohen, Algorithm 2.4.14) on its HNF.
 
-    Computed as quotients of k x k minor gcds after an HNF compression, which
-    is cheap at the handful-of-columns sizes used here.  Rank-deficient input
-    returns fewer factors than columns."""
-    H = hnf_matrix(rows)
-    if not H:
-        return []
-    m, n = len(H), len(H[0])
+    Each step takes a block B whose rows are independent and moves a
+    nonzero column of it first.  _echelon's gcd steps then clear column 0
+    below the pivot, on the rows, and row 0 right of it, on the rows of the
+    transpose, in turn until both are clear.  If the pivot fails to divide
+    an entry of the rest of B, that entry's row is added to row 0 and the
+    clearing repeats; the pivot then falls to a proper divisor, so the loop
+    ends.  The pivot is the next factor, and the rest of B the next block.
+    Rank-deficient input returns fewer factors than columns."""
+    B = hnf_matrix(rows)
     out = []
-    prev = 1
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for ris in combinations(range(m), k):
-            for cis in combinations(range(n), k):
-                sub = [[H[i][j] for j in cis] for i in ris]
-                g = gcd(g, _det_int(sub))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
+    while B:
+        j = next(j for j in range(len(B[0])) if any(row[j] for row in B))
+        for row in B:
+            row[0], row[j] = row[j], row[0]
+        while True:
+            _echelon(B, 1)
+            if not any(B[0][1:]):
+                p = B[0][0]
+                bad = next((r for r in B[1:] if any(x % p for x in r[1:])), None)
+                if bad is None:
+                    break
+                B[0] = [x + y for x, y in zip(B[0], bad)]
+            Bt = [list(c) for c in zip(*B)]
+            _echelon(Bt, 1)
+            B = [list(r) for r in zip(*Bt)]
+        out.append(B[0][0])
+        B = [row[1:] for row in B[1:]]
     return out
 
 

@@ -11,7 +11,8 @@ an ideal a is invertible when 1 lies in a * (o : a), one more HNF and a
 back-substitution; factorization is trial division with HNF comparison;
 and Picard groups come out of the unit/residue counting formula
 #Pic(o) = h_K * #(O_K/f)^x / ([O_K^x : o^x] * #(o/f)^x), f the conductor,
-with an independent brute-force enumeration to check it.  Each residue
+with an independent brute-force count to check it, which keys each
+primitive ideal [a, (-b + sqrt(disc o))/2] by its reduced form.  Each residue
 count is closed: for an ideal f of an order o,
 #(o/f)^x = [o : f] * prod (1 - 1/[o : p]) over the primes p of o that
 contain f, found among the primes above the rational divisors of [o : f].
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil
+from math import ceil, gcd
 
 from .intmath import factorize, sqrt_ub
 from .lattice import (
@@ -37,6 +38,7 @@ from .lattice import (
     identity_module,
 )
 from .quadratic import (
+    BinaryForm,
     QuadField,
     form_class_group,
     split_prime,
@@ -224,14 +226,6 @@ def principal_ideal(o: OrderRep, e) -> OrderIdeal:
     return OrderIdeal(o, o.module.transform(o.field.mult_matrix(e)))
 
 
-def ideal_from_gens(o: OrderRep, elems) -> OrderIdeal:
-    out = None
-    for e in elems:
-        p = principal_ideal(o, e)
-        out = p if out is None else ideal_add(out, p)
-    return out
-
-
 def ideal_add(a: OrderIdeal, b: OrderIdeal) -> OrderIdeal:
     if a.order != b.order:
         raise ValueError("ideals of different orders")
@@ -242,12 +236,6 @@ def ideal_mul(a: OrderIdeal, b: OrderIdeal) -> OrderIdeal:
     if a.order != b.order:
         raise ValueError("ideals of different orders")
     return OrderIdeal(a.order, module_mul(a.module, b.module))
-
-
-def ideal_quot(a: OrderIdeal, b: OrderIdeal) -> IntModule:
-    if a.order != b.order:
-        raise ValueError("ideals of different orders")
-    return module_colon(a.module, b.module)
 
 
 def unit_ideal(o: OrderRep) -> OrderIdeal:
@@ -347,25 +335,6 @@ def factor_ideal(a: OrderIdeal) -> IdealFactorization:
     fac = IdealFactorization(tuple(factors))
     assert fac.remultiply(o) == a
     return fac
-
-
-def extend_ideal(a: OrderIdeal) -> OrderIdeal:
-    """a * O_K as an ideal of the maximal order."""
-    if not is_coprime_to_conductor(a):
-        raise PreconditionError("extension needs an ideal coprime to the conductor")
-    omax = maximal_order(a.field)
-    return OrderIdeal(omax, module_mul(a.module, omax.module))
-
-
-def contract_ideal(atilde: OrderIdeal, o: OrderRep) -> OrderIdeal:
-    """atilde intersected with o, as an o-ideal."""
-    if not atilde.order.is_maximal:
-        raise ValueError("contraction expects an ideal of the maximal order")
-    f = conductor(o)
-    fmax = OrderIdeal(maximal_order(o.field), f.module)
-    if atilde.module.add(fmax.module) != atilde.order.module:
-        raise PreconditionError("contraction needs an ideal coprime to the conductor")
-    return OrderIdeal(o, atilde.module.intersect(o.module))
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +450,58 @@ def is_principal(o: OrderRep, m: IntModule):
     return g / d
 
 
-def _ideal_candidates(o: OrderRep, bound: int):
-    """All integral o-ideals of norm <= bound (rank 2 only)."""
-    out = []
-    for d1 in range(1, bound + 1):
-        for d2 in range(1, bound // d1 + 1):
-            for c in range(d1):
-                rows = ((d1, 0), (c, d2))
-                if _closed_under(o, rows):
-                    out.append(OrderIdeal(o, IntModule(o.field, rows, 1)))
-    return out
+def _primitive_ideals(o: OrderRep, scan: int):
+    """The primitive o-ideals I = [a, (-b + sqrt(disc o))/2], b^2 = disc o
+    mod 4a and b in (-a, a], whose lattices I/q in O_K have index
+    [O_K : I/q] = a*f/q^2 <= scan, f = [O_K : o] and q the content of I in
+    O_K (rank 2 only).  Yields (a, b, c, rows) with c = (b^2 - disc o)/4a
+    and rows the HNF of I over the basis {1, w} of O_K.
+
+    (-b + sqrt(disc o))/2 is g0 + f*w with g0 = -(b + s*f)/2, s = disc K
+    mod 2, so I has the rows (a, 0) and (g0, f), and its content is
+    gcd(a, g0, f), a divisor q of f.  For each q the loop takes a in qZ and
+    b = -s*f mod 2q, which makes q divide g0, and keeps the ideals whose
+    content is exactly q."""
+    f = o.index_in_maximal()
+    s = o.field.disc % 2
+    disc = o.field.disc * f * f
+    for q in range(1, f + 1):
+        if f % q:
+            continue
+        for a in range(q, scan * q * q // f + 1, q):
+            lo = 1 - a
+            for b in range(lo + (-s * f - lo) % (2 * q), a + 1, 2 * q):
+                c, r = divmod(b * b - disc, 4 * a)
+                if r:
+                    continue
+                g0 = -(b + s * f) // 2
+                if gcd(gcd(a, g0), f) == q:
+                    yield a, b, c, ((a, 0), (g0 % a, f))
 
 
 def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCount:
     """Class count of invertible ideals modulo principals, by enumeration.
 
-    Every class contains an integral ideal of norm below the Minkowski-style
-    bound (2/pi)*sqrt(|disc o|), so the scan stops there whatever the
-    bound; a smaller explicit bound makes the result a lower bound only
-    (complete=False)."""
+    The bound is on the index [O_K : L] of the lattices L in O_K whose
+    multiplier ring is o, not on their o-norm.  Each such L is I/q for a
+    primitive o-ideal I and a divisor q of its content in O_K
+    (_primitive_ideals), the least index coming with q the content, so
+    the scan takes each primitive I whose I/content is in range.
+
+    The scan to (2/pi)*sqrt(|disc o|) is complete.  For a class C take M
+    invertible in C^(-1) and, by Minkowski, x in O_K*M with |N(x)| <=
+    (2/pi)*sqrt(|disc K|)*[O_K : O_K*M]; then L = x*M^(-1) lies in O_K
+    and in C, and as [O_K*M : M] = f = [O_K : o], [O_K : L] <=
+    (2/pi)*sqrt(|disc K|)*f = (2/pi)*sqrt(|disc o|).  So the scan stops
+    there whatever the bound; a smaller explicit bound makes the result a
+    lower bound only (complete=False).
+
+    I is invertible exactly when gcd(a, b, c) = 1, and then its class is
+    the class of the form (a, b, c) (Cox, Primes of the form x^2 + ny^2,
+    section 7), so the reduced form is its key and the count is the
+    number of keys.  Every ideal after the first of its key is checked
+    against that first one: I * conj(rep) must be principal, else
+    AuditFailure."""
     if o.field.degree != 2 or o.field.D > 0:
         raise UnresolvedError("brute-force Picard count is rank-2 imaginary only")
     disc_o = o.field.disc * o.index_in_maximal() ** 2
@@ -510,13 +512,19 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     else:
         complete = Fraction(norm_bound) >= mink
     scan = min(norm_bound, ceil(mink))
-    ideals = [a for a in _ideal_candidates(o, scan) if is_invertible(a)]
-    # the conjugate modules of the class representatives found so far:
-    # a ~ rep  iff  a * conj(rep) is principal (their norms cancel)
-    rep_conjs: list[IntModule] = []
-    for a in ideals:
-        if not any(
-            is_principal(o, module_mul(a.module, rc)) is not None for rc in rep_conjs
-        ):
-            rep_conjs.append(module_conj(a.module))
+    # reduced form -> conjugate module of the first ideal of its class
+    rep_conjs: dict[BinaryForm, IntModule] = {}
+    for a, b, c, rows in _primitive_ideals(o, scan):
+        if gcd(gcd(a, b), c) != 1:
+            continue
+        key = BinaryForm(a, b, c).reduce()
+        ideal = IntModule(o.field, rows, 1)
+        rc = rep_conjs.get(key)
+        if rc is None:
+            rep_conjs[key] = module_conj(ideal)
+        elif is_principal(o, module_mul(ideal, rc)) is None:
+            raise AuditFailure(
+                "ideal %r has the reduced form %r of a class it is not in"
+                % (rows, key)
+            )
     return BruteClassCount(len(rep_conjs), norm_bound, mink, complete)

@@ -19,7 +19,6 @@ from nforders.orders import (
     OrderRep,
     PreconditionError,
     UnresolvedError,
-    _ideal_candidates,
     conductor,
     is_principal,
     maximal_order,
@@ -30,6 +29,8 @@ from nforders.orders import (
     principal_ideal,
 )
 from nforders.quadratic import integer_coords, table_matrix
+
+from ideals import ideal_candidates
 
 # ---------------------------------------------------------------------------
 # residue enumeration
@@ -167,7 +168,7 @@ def counting_audit(o: OrderRep, margin: int = 4) -> AuditReport:
     Nf = int(fmax.norm())
     bound = max(ceil(bf.minkowski_bound), Nf) * margin
     ideals = []
-    for a in _ideal_candidates(omax, bound):
+    for a in ideal_candidates(omax, bound):
         if a.module.add(fmax.module) == omax.module:
             ideals.append(a)
     classes: list[OrderIdeal] = []

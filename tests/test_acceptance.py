@@ -23,8 +23,6 @@ from nforders.lattice import hnf
 from nforders.orders import (
     OrderIdeal,
     conductor,
-    contract_ideal,
-    extend_ideal,
     factor_ideal,
     ideal_mul,
     is_invertible,
@@ -47,6 +45,7 @@ from nforders.quadratic import (
 )
 
 from audit import counting_audit
+from ideals import contract_ideal, extend_ideal
 
 F59 = QuadField(-59)
 H = Fraction(1, 2)

@@ -370,6 +370,14 @@ def test_class_group_59_2():
     assert cg.disc == 222784
 
 
+def test_class_group_71_2():
+    # 18 prime classes become generators of a group of order 21, so the
+    # Smith form works on an 18-column relation matrix
+    cg = class_group(integral_basis(71, 2))
+    assert cg.h == 21
+    assert cg.structure == (21,)
+
+
 def test_class_group_is_cached():
     assert class_group(E59) is class_group(integral_basis(59, 2))
 

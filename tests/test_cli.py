@@ -209,10 +209,29 @@ def test_picard_outputs_are_unchanged(capsys):
             ["picard", "max:-5", "--bound", "300"],
             "40cf1f5463ad40ff36e8a1d15dd39f47a0564eb67a101a1b8a8bd264864dbe98",
         ),
+        # the bound is on [O_K : L]: an o-norm bound would count 1, not 3
+        (
+            ["picard", "zsqrt:-59", "--bound", "2"],
+            "f585f6172a177a3546504dfb5370be2ea35b50b64ff1a0ac70bad3c78af61033",
+        ),
+        (
+            ["picard", "index:-7:12", "--bound", "20"],
+            "2943aae642dcbe7b9db1250abcf509bbc4b95ae464e5085517a37e51f01df31a",
+        ),
     ]:
         code, out = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_picard_of_a_large_conductor_completes(capsys):
+    # the default complete bound is 2,667 here; the brute force takes the
+    # 1,600 invertible primitive ideals in reach, in 800 classes
+    code, doc = run_json(capsys, ["picard", "index:-1:2000"])
+    assert code == 0
+    assert doc["picard"] == doc["brute_force"]["count"] == 800
+    assert doc["brute_force"]["complete"] is True
+    assert doc["agree"] is True
 
 
 def test_factor_remultiplies(capsys):
@@ -491,6 +510,31 @@ def test_inert_3023_outputs_are_unchanged(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # output discipline
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["picard", "max:-5"],  # one buffered line, written at the flush
+        ["sweep", "11", "10", "--bound", "500", "--csv"],  # written as it goes
+    ],
+)
+def test_closed_stdout_ends_without_a_traceback(argv):
+    # stdout is a pipe whose reader has already closed its end
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nforders.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_output_is_byte_identical(capsys):

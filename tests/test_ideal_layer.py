@@ -34,7 +34,6 @@ from nforders.lattice import (
 from nforders.orders import (
     OrderIdeal,
     _closed_under,
-    _ideal_candidates,
     is_invertible,
     maximal_order,
     module_mul,
@@ -43,6 +42,8 @@ from nforders.orders import (
     relative_order,
 )
 from nforders.quadratic import QuadField
+
+from ideals import ideal_candidates
 
 
 def _squarefree(n):
@@ -169,13 +170,13 @@ def oracle_hnf_matrix(rows):
 @pytest.mark.parametrize("o", ORDERS, ids=order_id)
 def test_ideal_candidates_match_module_scan(o):
     bound = minkowski_bound(o)
-    got = _ideal_candidates(o, bound)
+    got = ideal_candidates(o, bound)
     assert [a.module for a in got] == oracle_ideal_candidates(o, bound)
 
 
 @pytest.mark.parametrize("o", ORDERS[::4], ids=order_id)
 def test_is_invertible_matches_product_test(o):
-    for a in _ideal_candidates(o, minkowski_bound(o)):
+    for a in ideal_candidates(o, minkowski_bound(o)):
         assert is_invertible(a) == oracle_is_invertible(a), a.module
 
 

@@ -590,6 +590,31 @@ def test_smith_normal_form_against_sympy():
         assert got == want, A
 
 
+def test_smith_normal_form_against_sympy_deficient_tall_and_wide():
+    # rank-deficient matrices (a row a combination of two others), more
+    # rows than columns, and 18 columns, the width of a quartic class
+    # group's relation matrix
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    from nforders.lattice import smith_normal_form
+
+    rng = random.Random(71)
+    for trial in range(60):
+        n = rng.choice([2, 3, 5, 18])
+        m = rng.choice([n, n + 1, 2 * n]) if n < 18 else rng.choice([18, 24])
+        A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+        if trial % 2:
+            for i in range(rng.randrange(1, m)):
+                a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
+                A[i] = [a * x + b * y for x, y in zip(A[-1], A[-2])]
+        got = smith_normal_form(A)
+        S = sympy_snf(sympy.Matrix(A))
+        want = [abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0]
+        assert got == want, A
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
 def test_smith_normal_form_unimodular_invariance():
     from nforders.lattice import smith_normal_form
 

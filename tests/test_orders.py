@@ -11,13 +11,9 @@ from nforders.orders import (
     OrderRep,
     PreconditionError,
     conductor,
-    contract_ideal,
-    extend_ideal,
     factor_ideal,
     ideal_add,
-    ideal_from_gens,
     ideal_mul,
-    ideal_quot,
     is_coprime_to_conductor,
     is_invertible,
     is_principal,
@@ -37,6 +33,7 @@ from nforders.orders import (
 from nforders.quadratic import QuadField, form_class_group, split_prime
 
 from audit import counting_audit, in_PK1f, in_PKOf
+from ideals import contract_ideal, extend_ideal, ideal_from_gens, ideal_quot
 
 F1 = QuadField(-1)
 F2 = QuadField(-2)

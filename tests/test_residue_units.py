@@ -90,15 +90,15 @@ def test_count_rejects_a_non_ideal():
 
 def test_brute_force_scans_no_further_than_minkowski(monkeypatch):
     seen = []
-    candidates = orders._ideal_candidates
+    primitive_ideals = orders._primitive_ideals
 
     def recording(o, bound):
         seen.append(bound)
         if bound > 100:
-            raise AssertionError("scan to norm %d" % bound)
-        return candidates(o, bound)
+            raise AssertionError("scan to index %d" % bound)
+        return primitive_ideals(o, bound)
 
-    monkeypatch.setattr(orders, "_ideal_candidates", recording)
+    monkeypatch.setattr(orders, "_primitive_ideals", recording)
     r = pic_brute_force(maximal_order(QuadField(-5)), 10**6)
     assert seen and all(b <= ceil(r.minkowski_bound) for b in seen)
     assert (r.count, r.norm_bound, r.complete) == (2, 10**6, True)
