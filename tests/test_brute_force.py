@@ -96,9 +96,3 @@ def test_a_form_key_the_ideal_layer_rejects_fails_the_count(monkeypatch):
     with pytest.raises(AuditFailure, match="reduced form"):
         pic_brute_force(order_zsqrt(QuadField(-5)))
 
-
-def test_zsqrt_59_counts_by_index_not_by_norm():
-    # [O_K : L] <= 2 reaches three classes of Z[sqrt(-59)], which has index
-    # 2 in O_K; an o-norm bound of 2 would reach one
-    r = pic_brute_force(POOL["zsqrt:-59"], 2)
-    assert (r.count, r.complete) == (3, False)
