@@ -42,7 +42,6 @@ from .lattice import (
     smith_normal_form,
 )
 from .quadratic import (
-    QuadElem,
     QuadField,
     form_class_group,
     integer_coords,
@@ -393,14 +392,6 @@ class BiquadElem:
         return "BiquadElem(%s)" % (self.coords,)
 
 
-def rel_norm_EF(e: BiquadElem) -> QuadElem:
-    """e * bar(e) as an element of Q(sqrt(-d)): the norm for the quadratic
-    step down to the fixed field of bar."""
-    a, b, c, ee = (e * e.bar()).naive()
-    assert c == 0 and ee == 0
-    return QuadElem(QuadField(-e.field.d), a, b)
-
-
 # ---------------------------------------------------------------------------
 # integral bases
 
@@ -716,18 +707,6 @@ def _same_class(a: IntModule, b: IntModule) -> bool:
     return _principal_class(module_mul(a, _reduce_inverse(b)[1]))
 
 
-def principal_generator(E: BiquadField, m: IntModule):
-    """Generator of m as a fractional ideal of the maximal order, or None;
-    the search runs on a norm-reduced ideal so enumeration stays small."""
-    beta, c = _reduce_inverse(m)
-    lam = find_generator(c, c.covolume())
-    if lam is None:
-        return None
-    g = beta / lam
-    assert identity_module(E).transform(E.mult_matrix(g)) == m
-    return g
-
-
 @dataclass(frozen=True)
 class BiquadClassGroup:
     disc: int
@@ -738,10 +717,11 @@ class BiquadClassGroup:
 @lru_cache(maxsize=None)
 def class_group(E: BiquadField) -> BiquadClassGroup:
     """Class group of the maximal order by Minkowski-bounded enumeration:
-    factor every rational prime below the bound, sift out the principal
-    prime ideals, then close the remaining classes under multiplication.
-    The edge relations of that closure present the group; their Smith form
-    gives the invariant factors.
+    factor every rational prime below the bound, keep as generators the
+    prime classes outside the subgroup the earlier ones span, then close
+    the generators under multiplication.  The edge relations of that
+    closure present the group; their Smith form gives the invariant
+    factors.
     """
     from .orders import module_mul
 
@@ -763,14 +743,21 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
                 prime_mods.append(pf.ideal.module)
     prime_mods.sort(key=lambda m: (m.covolume(), m.rows))
 
-    gens = []  # one small representative per nontrivial prime class
+    # a prime class becomes a generator only when the subgroup the earlier
+    # generators span misses it, so k <= log2(h); that subgroup grows by
+    # the cosets r^j * span for j below the order of r modulo it
+    gens = []
+    span = [identity_module(E)]  # one small representative per class
     for m in prime_mods:
         r = _class_rep(m)
-        if _principal_class(r):
-            continue
-        if any(_same_class(r, g) for g in gens):
+        if any(_same_class(r, x) for x in span):
             continue
         gens.append(r)
+        grown, power = list(span), r
+        while not any(_same_class(power, x) for x in span):
+            grown += [_class_rep(module_mul(power, x)) for x in span]
+            power = _class_rep(module_mul(power, r))
+        span = grown
     if not gens:
         return BiquadClassGroup(E.disc, 1, ())
 

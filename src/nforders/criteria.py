@@ -484,33 +484,6 @@ def represent(p: QuadElem, d: int, n: int):
     return x, y
 
 
-def brute_force_represent(p, n: int, F: QuadField | None, box: int):
-    """Exhaustive scan for p = x^2 + n*y^2 with all coordinates in
-    [-box, box]; F None means plain integers.  None is only a statement
-    about the box."""
-    coords = sorted(range(-box, box + 1), key=lambda t: (abs(t), t < 0))
-    if F is None:
-        for x in coords:
-            for y in coords:
-                if x * x + n * y * y == p:
-                    return x, y
-        return None
-    target = p if isinstance(p, QuadElem) else F(p)
-    sq = {}
-    for y1 in coords:
-        for y2 in coords:
-            y = from_integral_coords(F, y1, y2)
-            sq.setdefault(n * y * y, y)
-    for x1 in coords:
-        for x2 in coords:
-            x = from_integral_coords(F, x1, x2)
-            y = sq.get(target - x * x)
-            if y is not None:
-                assert verify_identity(target, x, y, n)
-                return x, y
-    return None
-
-
 def verify_identity(p, x, y, n: int) -> bool:
     """Exact check of p = x^2 + n*y^2, lifting integers as needed."""
     field = next(

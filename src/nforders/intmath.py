@@ -105,18 +105,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray((1,)) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division (desk scale)."""
     n = abs(n)

@@ -3,7 +3,9 @@
 Elements are a + b*sqrt(D) with exact rational a, b.  The integral basis is
 {1, w} with w = (1+sqrt(D))/2 when D = 1 mod 4 and w = sqrt(D) otherwise.
 Class groups are computed on reduced binary quadratic forms (imaginary side
-only), and Pell equations through the continued fraction of sqrt(D).
+only), composed by Shanks' algorithm (Cohen, A Course in Computational
+Algebraic Number Theory, Algorithm 5.4.7), and Pell equations through the
+continued fraction of sqrt(D).
 """
 
 from __future__ import annotations
@@ -398,9 +400,6 @@ class BinaryForm:
             b = -b
         return BinaryForm(a, b, c)
 
-    def eval(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def inverse(self) -> "BinaryForm":
         return BinaryForm(self.a, -self.b, self.c).reduce()
 
@@ -435,53 +434,33 @@ def reduced_forms(disc: int) -> list[BinaryForm]:
     return sorted(out, key=lambda f: (f.a, f.b, f.c))
 
 
-def _transform(f: BinaryForm, x: int, y: int) -> BinaryForm:
-    """Equivalent form whose leading coefficient is f(x, y), gcd(x, y) = 1."""
-    g, s, t = xgcd(x, y)
-    assert g == 1
-    # unimodular matrix [[x, -t], [y, s]]
-    a2 = f.eval(x, y)
-    b2 = 2 * (f.a * x * -t + f.c * y * s) + f.b * (x * s - t * y)
-    c2 = f.eval(-t, s)
-    out = BinaryForm(a2, b2, c2)
-    assert out.disc == f.disc
-    return out
-
-
 def compose(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
-    """Dirichlet composition after steering f2 onto a leading coefficient
-    coprime to 2*a1, then gluing concordant forms and reducing."""
+    """The reduced composite of two primitive positive definite forms of one
+    discriminant, by Shanks' composition (Cohen, Algorithm 5.4.7): two
+    extended gcds give the united form (a1*a2/d1^2, b3, c3), d1 =
+    gcd(a1, a2, (b1 + b2)/2), which is then reduced."""
     if f1.disc != f2.disc:
         raise ValueError("forms of different discriminants")
-    disc = f1.disc
-    # find coprime representative of f2
-    target = 2 * f1.a
-    found = None
-    bound = 1
-    while found is None:
-        bound += 1
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if gcd(x, y) != 1:
-                    continue
-                v = f2.eval(x, y)
-                if v > 0 and gcd(v, target) == 1:
-                    found = (x, y)
-                    break
-            if found:
-                break
-    g2 = _transform(f2, *found)
-    a1, a2 = f1.a, g2.a
-    # B = b1 mod 2a1, B = b2 mod 2a2; moduli share only the factor 2 and
-    # b1 = b2 = disc mod 2, so the system is solvable
-    g, s, t = xgcd(2 * a1, 2 * a2)
-    assert (g2.b - f1.b) % g == 0
-    lcm = 2 * a1 * 2 * a2 // g
-    B = (f1.b + 2 * a1 * ((g2.b - f1.b) // g) * s) % lcm
-    assert (B - f1.b) % (2 * a1) == 0 and (B - g2.b) % (2 * a2) == 0
-    C_num = B * B - disc
-    assert C_num % (4 * a1 * a2) == 0
-    return BinaryForm(a1 * a2, B, C_num // (4 * a1 * a2)).reduce()
+    if f1.a > f2.a:
+        f1, f2 = f2, f1
+    a1, a2, c2 = f1.a, f2.a, f2.c
+    s = (f1.b + f2.b) // 2
+    n = f2.b - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = xgcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, y2 = xgcd(s, d)
+        y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    a3, b3 = v1 * v2, f2.b + 2 * v2 * r
+    c3, rest = divmod(b3 * b3 - f1.disc, 4 * a3)
+    assert rest == 0
+    return BinaryForm(a3, b3, c3).reduce()
 
 
 def form_pow(f: BinaryForm, e: int) -> BinaryForm:
@@ -493,17 +472,25 @@ def form_pow(f: BinaryForm, e: int) -> BinaryForm:
     while e:
         if e & 1:
             r = compose(r, base)
-        base = compose(base, base)
         e >>= 1
+        if e:
+            base = compose(base, base)
     return r
 
 
 @dataclass(frozen=True)
 class ClassGroupResult:
+    """The form class group of a negative discriminant: its reduced forms
+    and their number h.  `structure`, the invariant factors d1 | d2 | ...,
+    is computed on first read and then kept."""
+
     disc: int
     h: int
     forms: tuple[BinaryForm, ...]
-    structure: tuple[int, ...]  # invariant factors d1 | d2 | ...
+
+    @cached_property
+    def structure(self) -> tuple[int, ...]:
+        return _abelian_structure(self.forms)
 
 
 def _abelian_structure(forms) -> tuple[int, ...]:
@@ -520,8 +507,10 @@ def _abelian_structure(forms) -> tuple[int, ...]:
     per_prime: dict[int, list[int]] = {}
     for p, e in factorize(n).items():
         counts = [1]  # N_k = #{g : g^(p^k) = id}
+        powers = list(forms)  # g^(p^k) for each g, raised by p per step
         for k in range(1, e + 1):
-            counts.append(sum(1 for g in forms if form_pow(g, p**k) == identity))
+            powers = [form_pow(g, p) for g in powers]
+            counts.append(sum(1 for g in powers if g == identity))
         # N_k = p^(sum_i min(lambda_i, k)); recover the partition lambda
         exps = []
         for k in range(1, e + 1):
@@ -550,10 +539,8 @@ def _abelian_structure(forms) -> tuple[int, ...]:
 
 def form_class_group(disc: int) -> ClassGroupResult:
     forms = reduced_forms(disc)
-    ident = principal_form(disc).reduce()
-    assert ident in forms
-    structure = _abelian_structure(forms)
-    return ClassGroupResult(disc, len(forms), tuple(forms), structure)
+    assert principal_form(disc).reduce() in forms
+    return ClassGroupResult(disc, len(forms), tuple(forms))
 
 
 # ---------------------------------------------------------------------------

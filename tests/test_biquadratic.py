@@ -11,13 +11,12 @@ from nforders.biquadratic import (
     integral_basis,
     minkowski_bound,
     norm_map_condition,
-    principal_generator,
-    rel_norm_EF,
     residue_degree,
 )
 from nforders.lattice import IntModule, UnsupportedFieldError, hnf, identity_module
 from nforders.orders import conductor, module_mul, relative_order
 from nforders.quadratic import QuadElem, QuadField
+from oracles import principal_generator, rel_norm_EF
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -371,11 +370,37 @@ def test_class_group_59_2():
 
 
 def test_class_group_71_2():
-    # 18 prime classes become generators of a group of order 21, so the
-    # Smith form works on an 18-column relation matrix
+    # 18 distinct nonprincipal prime classes lie below the Minkowski bound,
+    # but only 2 of them fall outside the subgroup the earlier ones span,
+    # so the closure and the Smith form run on 2 generators
     cg = class_group(integral_basis(71, 2))
     assert cg.h == 21
     assert cg.structure == (21,)
+
+
+# (h, invariant factors) as they stood when every prime class that differed
+# from the earlier generators became one: the fields of the classgroup
+# benchmark, those of acceptance 08 under the cap ((59, 5) is over it) and
+# (11, 10), (23, 5), (31, 6)
+_CLASS_GROUPS = {
+    (3, 1): (1, ()), (3, 2): (1, ()), (3, 5): (2, (2,)), (3, 10): (2, (2,)),
+    (7, 1): (1, ()), (7, 2): (1, ()), (7, 5): (2, (2,)), (7, 10): (2, (2,)),
+    (11, 1): (1, ()), (11, 2): (1, ()), (11, 5): (4, (2, 2)),
+    (15, 1): (2, (2,)), (15, 2): (2, (2,)), (19, 1): (1, ()), (23, 2): (3, (3,)),
+    (35, 2): (2, (2,)), (59, 2): (3, (3,)),
+    (11, 10): (4, (2, 2)), (23, 5): (6, (6,)), (31, 6): (12, (2, 6)),
+}
+
+
+def test_class_groups_keep_their_values():
+    for (d, n), want in _CLASS_GROUPS.items():
+        cg = class_group(integral_basis(d, n))
+        assert (cg.h, cg.structure) == want, (d, n)
+    for E, want in ((E8, (1, ())), (E37, (1, ())), (E715, (2, (2,)))):
+        cg = class_group(E)
+        assert (cg.h, cg.structure) == want, E
+    with pytest.raises(UnsupportedFieldError):
+        class_group(integral_basis(59, 5))
 
 
 def test_class_group_is_cached():

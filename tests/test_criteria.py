@@ -10,7 +10,6 @@ from nforders.criteria import (
     UNRESOLVED,
     UNSOLVABLE,
     UnitWitness,
-    brute_force_represent,
     cornacchia,
     cox_criterion,
     criterion_hilbert,
@@ -22,8 +21,9 @@ from nforders.criteria import (
     unit_witness,
     verify_identity,
 )
-from nforders.intmath import is_prime, poly_roots_mod, primes_upto
+from nforders.intmath import is_prime, poly_roots_mod
 from nforders.quadratic import QuadElem, QuadField, from_integral_coords, split_prime
+from oracles import brute_force_represent, primes_upto
 
 F59 = QuadField(-59)
 F5 = QuadField(-5)

@@ -14,7 +14,6 @@ from nforders.intmath import (
     poly_mul,
     poly_roots_mod,
     polp_factor,
-    primes_upto,
     resultant,
     sqrt_lb,
     sqrt_mod,
@@ -23,6 +22,7 @@ from nforders.intmath import (
     xgcd,
 )
 from nforders.intmath import _roots_quadratic
+from oracles import primes_upto
 
 
 # independent oracles, deliberately dumber than the implementations

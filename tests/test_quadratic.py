@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from nforders.intmath import is_square, jacobi, primes_upto
+from nforders.intmath import is_square, jacobi
 from nforders.quadratic import (
     BinaryForm,
     QuadField,
@@ -17,6 +17,7 @@ from nforders.quadratic import (
     reduced_forms,
     split_prime,
 )
+from oracles import compose_by_search, primes_upto, structure_by_powers
 
 
 def rand_elem(F, rng, span=20):
@@ -226,6 +227,61 @@ def test_composition_group_axioms():
             assert compose(f, g) in forms
             assert compose(f, g) == compose(g, f)
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+def _discriminants(lo: int) -> list[int]:
+    """The negative discriminants (0 or 1 mod 4) from -3 down to lo."""
+    return [D for D in range(-3, lo - 1, -1) if D % 4 in (0, 1)]
+
+
+def test_compose_matches_search_on_every_pair():
+    # Shanks' two gcds against Dirichlet composition after a search for a
+    # leading coefficient prime to 2*a1, non-fundamental discriminants
+    # included
+    for D in _discriminants(-1000):
+        forms = reduced_forms(D)
+        for f in forms:
+            for g in forms:
+                assert compose(f, g) == compose_by_search(f, g), (D, f, g)
+
+
+def test_compose_matches_search_on_random_pairs():
+    rng = random.Random(1201)
+    for _ in range(200):
+        D = rng.randrange(-(10**5), -1000)
+        if D % 4 not in (0, 1):
+            continue
+        forms = reduced_forms(D)
+        for _ in range(4):
+            f, g = rng.choice(forms), rng.choice(forms)
+            assert compose(f, g) == compose_by_search(f, g), (D, f, g)
+
+
+def test_form_pow_is_repeated_composition():
+    for D in (-59, -84, -231, -3299, -4 * 1155):
+        ident = principal_form(D).reduce()
+        for f in reduced_forms(D)[:8]:
+            acc = ident
+            for e in range(13):
+                assert form_pow(f, e) == acc, (D, f, e)
+                assert form_pow(f, -e) == acc.inverse(), (D, f, e)
+                acc = compose(acc, f)
+
+
+def test_structure_matches_powers_from_scratch():
+    # the p^k counts raised step by step against each g^(p^k) from scratch
+    for D in _discriminants(-1500):
+        res = form_class_group(D)
+        assert res.structure == structure_by_powers(res.forms), D
+
+
+def test_structure_is_computed_on_first_read():
+    res = form_class_group(-84)
+    assert res.h == 4
+    assert "structure" not in vars(res)
+    assert res.structure == (2, 2)
+    assert vars(res)["structure"] == (2, 2)
+    assert res == form_class_group(-84)
 
 
 def test_class_group_known_values():
