@@ -99,7 +99,7 @@ def compose_by_search(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
 
 def structure_by_powers(forms) -> tuple[int, ...]:
     """Invariant factors of the class group on the given reduced forms,
-    from N_k = #{g : g^(p^k) = id}, each power taken from scratch."""
+    from N_k = #{g : g^(p^k) = id}, each power taken anew by form_pow."""
     n = len(forms)
     if n == 1:
         return ()

@@ -268,8 +268,8 @@ def test_form_pow_is_repeated_composition():
                 acc = compose(acc, f)
 
 
-def test_structure_matches_powers_from_scratch():
-    # the p^k counts raised step by step against each g^(p^k) from scratch
+def test_structure_matches_fresh_powers():
+    # the p^k counts raised step by step against each g^(p^k) taken anew
     for D in _discriminants(-1500):
         res = form_class_group(D)
         assert res.structure == structure_by_powers(res.forms), D
