@@ -691,20 +691,16 @@ def _reduce_inverse(m: IntModule):
     return beta, c
 
 
-def _class_rep(m: IntModule) -> IntModule:
-    """Small-norm integral ideal in the same class as m."""
-    return _reduce_inverse(_reduce_inverse(m)[1])[1]
+def _class_rep(m: IntModule):
+    """(rep, inv): small-norm integral ideals in the class of m and in its
+    inverse class."""
+    inv = _reduce_inverse(m)[1]
+    return _reduce_inverse(inv)[1], inv
 
 
 def _principal_class(m: IntModule) -> bool:
     _, c = _reduce_inverse(m)
     return find_generator(c, c.covolume()) is not None
-
-
-def _same_class(a: IntModule, b: IntModule) -> bool:
-    from .orders import module_mul
-
-    return _principal_class(module_mul(a, _reduce_inverse(b)[1]))
 
 
 @dataclass(frozen=True)
@@ -717,11 +713,10 @@ class BiquadClassGroup:
 @lru_cache(maxsize=None)
 def class_group(E: BiquadField) -> BiquadClassGroup:
     """Class group of the maximal order by Minkowski-bounded enumeration:
-    factor every rational prime below the bound, keep as generators the
-    prime classes outside the subgroup the earlier ones span, then close
-    the generators under multiplication.  The edge relations of that
-    closure present the group; their Smith form gives the invariant
-    factors.
+    factor every rational prime below the bound and keep as generators the
+    prime classes outside the subgroup the earlier ones span.  The walk
+    that grows that subgroup lists every class once and gives each
+    generator one relation; their Smith form gives the invariant factors.
     """
     from .orders import module_mul
 
@@ -743,46 +738,43 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
                 prime_mods.append(pf.ideal.module)
     prime_mods.sort(key=lambda m: (m.covolume(), m.rows))
 
-    # a prime class becomes a generator only when the subgroup the earlier
-    # generators span misses it, so k <= log2(h); that subgroup grows by
-    # the cosets r^j * span for j below the order of r modulo it
-    gens = []
-    span = [identity_module(E)]  # one small representative per class
-    for m in prime_mods:
-        r = _class_rep(m)
-        if any(_same_class(r, x) for x in span):
-            continue
-        gens.append(r)
-        grown, power = list(span), r
-        while not any(_same_class(power, x) for x in span):
-            grown += [_class_rep(module_mul(power, x)) for x in span]
-            power = _class_rep(module_mul(power, r))
-        span = grown
-    if not gens:
-        return BiquadClassGroup(E.disc, 1, ())
+    # a prime class becomes a generator only when the subgroup H the earlier
+    # generators span misses it, so there are k <= log2(h) of them.  H grows
+    # by the cosets r^j * H for j below the order e of r modulo H, and
+    # r^e in H is the new generator's relation.  span holds, per class of
+    # H, a small ideal, one of the inverse class (None for the principal
+    # class) and the exponents of the class on the generators.
+    def find(a, classes):
+        """Index of the entry of classes that holds the class of a, or None."""
+        return next(
+            (
+                i
+                for i, (_, inv, _) in enumerate(classes)
+                if _principal_class(a if inv is None else module_mul(a, inv))
+            ),
+            None,
+        )
 
-    k = len(gens)
-    classes = [(identity_module(E), (0,) * k)]
+    span = [(identity_module(E), None, ())]
     relations = []
-    queue = [0]
-    while queue:
-        rep, vec = classes[queue.pop(0)]
-        for gi, g in enumerate(gens):
-            prod = _class_rep(module_mul(rep, g))
-            nvec = tuple(v + (1 if j == gi else 0) for j, v in enumerate(vec))
-            hit = next(
-                (i for i, (r, _) in enumerate(classes) if _same_class(prod, r)),
-                None,
-            )
-            if hit is None:
-                classes.append((prod, nvec))
-                queue.append(len(classes) - 1)
-            else:
-                rel = tuple(a - b for a, b in zip(nvec, classes[hit][1]))
-                if any(rel):
-                    relations.append(rel)
-    h = len(classes)
-    factors = smith_normal_form(relations)
+    for m in prime_mods:
+        r, rinv = _class_rep(m)
+        if find(r, span) is not None:
+            continue
+        H, span = span, [(x, inv, vec + (0,)) for x, inv, vec in span]
+        (power, pinv), e, hit = (r, rinv), 1, None
+        while hit is None:
+            for x, inv, vec in H:
+                y, yinv = (power, pinv) if inv is None else _class_rep(module_mul(power, x))
+                span.append((y, yinv, vec + (e,)))
+            (power, pinv), e = _class_rep(module_mul(power, r)), e + 1
+            hit = find(power, H)
+        relations.append(tuple(-v for v in H[hit][2]) + (e,))
+
+    h, k = len(span), len(relations)
+    if k == 0:
+        return BiquadClassGroup(E.disc, 1, ())
+    factors = smith_normal_form([rel + (0,) * (k - len(rel)) for rel in relations])
     assert len(factors) == k
     prod_h = 1
     for dd in factors:

@@ -2,10 +2,9 @@
 
 Elements are a + b*sqrt(D) with exact rational a, b.  The integral basis is
 {1, w} with w = (1+sqrt(D))/2 when D = 1 mod 4 and w = sqrt(D) otherwise.
-Class groups are computed on reduced binary quadratic forms (imaginary side
-only), composed by Shanks' algorithm (Cohen, A Course in Computational
-Algebraic Number Theory, Algorithm 5.4.7), and Pell equations through the
-continued fraction of sqrt(D).
+Class numbers are counted on reduced binary quadratic forms (imaginary
+side only), and Pell equations solved through the continued fraction of
+sqrt(D).
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from .intmath import (
-    factorize,
     is_prime,
     is_square,
     is_squarefree,
     jacobi,
     poly_roots_mod,
-    xgcd,
 )
 
 
@@ -400,9 +397,6 @@ class BinaryForm:
             b = -b
         return BinaryForm(a, b, c)
 
-    def inverse(self) -> "BinaryForm":
-        return BinaryForm(self.a, -self.b, self.c).reduce()
-
 
 def principal_form(disc: int) -> BinaryForm:
     if disc % 4 == 0:
@@ -434,107 +428,13 @@ def reduced_forms(disc: int) -> list[BinaryForm]:
     return sorted(out, key=lambda f: (f.a, f.b, f.c))
 
 
-def compose(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
-    """The reduced composite of two primitive positive definite forms of one
-    discriminant, by Shanks' composition (Cohen, Algorithm 5.4.7): two
-    extended gcds give the united form (a1*a2/d1^2, b3, c3), d1 =
-    gcd(a1, a2, (b1 + b2)/2), which is then reduced."""
-    if f1.disc != f2.disc:
-        raise ValueError("forms of different discriminants")
-    if f1.a > f2.a:
-        f1, f2 = f2, f1
-    a1, a2, c2 = f1.a, f2.a, f2.c
-    s = (f1.b + f2.b) // 2
-    n = f2.b - s
-    if a2 % a1 == 0:
-        y1, d = 0, a1
-    else:
-        d, y1, _ = xgcd(a2, a1)
-    if s % d == 0:
-        x2, y2, d1 = 0, -1, d
-    else:
-        d1, x2, y2 = xgcd(s, d)
-        y2 = -y2
-    v1, v2 = a1 // d1, a2 // d1
-    r = (y1 * y2 * n - x2 * c2) % v1
-    a3, b3 = v1 * v2, f2.b + 2 * v2 * r
-    c3, rest = divmod(b3 * b3 - f1.disc, 4 * a3)
-    assert rest == 0
-    return BinaryForm(a3, b3, c3).reduce()
-
-
-def form_pow(f: BinaryForm, e: int) -> BinaryForm:
-    ident = principal_form(f.disc).reduce()
-    if e < 0:
-        return form_pow(f.inverse(), -e)
-    r = ident
-    base = f
-    while e:
-        if e & 1:
-            r = compose(r, base)
-        e >>= 1
-        if e:
-            base = compose(base, base)
-    return r
-
-
 @dataclass(frozen=True)
 class ClassGroupResult:
-    """The form class group of a negative discriminant: its reduced forms
-    and their number h.  `structure`, the invariant factors d1 | d2 | ...,
-    is computed on first read and then kept."""
+    """The reduced forms of a negative discriminant and their number h."""
 
     disc: int
     h: int
     forms: tuple[BinaryForm, ...]
-
-    @cached_property
-    def structure(self) -> tuple[int, ...]:
-        return _abelian_structure(self.forms)
-
-
-def _abelian_structure(forms) -> tuple[int, ...]:
-    """Invariant factors of the class group on the given reduced forms.
-
-    Counts forms killed by p^k for each prime p; those counts pin down
-    the partition of p-ranks, hence the structure.
-    """
-    n = len(forms)
-    if n == 1:
-        return ()
-    identity = principal_form(forms[0].disc).reduce()
-    # elementary divisors per prime
-    per_prime: dict[int, list[int]] = {}
-    for p, e in factorize(n).items():
-        counts = [1]  # N_k = #{g : g^(p^k) = id}
-        powers = list(forms)  # g^(p^k) for each g, raised by p per step
-        for k in range(1, e + 1):
-            powers = [form_pow(g, p) for g in powers]
-            counts.append(sum(1 for g in powers if g == identity))
-        # N_k = p^(sum_i min(lambda_i, k)); recover the partition lambda
-        exps = []
-        for k in range(1, e + 1):
-            v = 0
-            c = counts[k] // counts[k - 1]
-            while c > 1:
-                c //= p
-                v += 1
-            exps.append(v)  # number of lambda_i >= k
-        partition = []
-        for k, cnt in enumerate(exps, start=1):
-            nxt = exps[k] if k < len(exps) else 0
-            partition.extend([k] * (cnt - nxt))
-        per_prime[p] = sorted((p**x for x in partition), reverse=True)
-    # glue into invariant factors
-    depth = max(len(v) for v in per_prime.values())
-    invs = []
-    for i in range(depth):
-        d = 1
-        for p, divs in per_prime.items():
-            if i < len(divs):
-                d *= divs[i]
-        invs.append(d)
-    return tuple(sorted(invs))
 
 
 def form_class_group(disc: int) -> ClassGroupResult:

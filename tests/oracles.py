@@ -1,16 +1,15 @@
-"""Reference implementations the library replaced, and small helpers that
-only the tests use.
+"""Helpers that only the tests use.
 
-Test helpers, not collected by pytest.  `compose_by_search` is Dirichlet
-composition after a search for an equivalent form whose leading
-coefficient is prime to 2*a1, and `structure_by_powers` counts the forms
-killed by each p^k with a fresh `form_pow(g, p**k)`: the oracles for
-`quadratic.compose` (Shanks) and `quadratic._abelian_structure`.
-`brute_force_represent`, `rel_norm_EF`, `principal_generator` and
-`primes_upto` are helpers that nothing in the library calls.
+Test helpers, not collected by pytest.  The group law on binary forms
+(`compose`, by Shanks' algorithm, with `form_inverse` and `form_pow`) and
+the invariant factors it gives (`form_structure`) check that the reduced
+forms the library counts make up the class group; the library itself
+reads only their number.  `brute_force_represent`, `rel_norm_EF`,
+`principal_generator` and `primes_upto` are helpers that nothing in the
+library calls.
 """
 
-from math import gcd, isqrt
+from math import isqrt
 
 from nforders.biquadratic import BiquadElem, BiquadField, _reduce_inverse
 from nforders.criteria import verify_identity
@@ -20,7 +19,6 @@ from nforders.quadratic import (
     BinaryForm,
     QuadElem,
     QuadField,
-    form_pow,
     from_integral_coords,
     principal_form,
 )
@@ -45,61 +43,60 @@ def primes_upto(n: int) -> list[int]:
 # binary quadratic forms
 
 
-def form_eval(f: BinaryForm, x: int, y: int) -> int:
-    return f.a * x * x + f.b * x * y + f.c * y * y
+def form_inverse(f: BinaryForm) -> BinaryForm:
+    return BinaryForm(f.a, -f.b, f.c).reduce()
 
 
-def _transform(f: BinaryForm, x: int, y: int) -> BinaryForm:
-    """Equivalent form whose leading coefficient is f(x, y), gcd(x, y) = 1."""
-    g, s, t = xgcd(x, y)
-    assert g == 1
-    # unimodular matrix [[x, -t], [y, s]]
-    a2 = form_eval(f, x, y)
-    b2 = 2 * (f.a * x * -t + f.c * y * s) + f.b * (x * s - t * y)
-    c2 = form_eval(f, -t, s)
-    out = BinaryForm(a2, b2, c2)
-    assert out.disc == f.disc
-    return out
-
-
-def compose_by_search(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
-    """Dirichlet composition after steering f2 onto a leading coefficient
-    coprime to 2*a1, then gluing concordant forms and reducing."""
+def compose(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
+    """The reduced composite of two primitive positive definite forms of one
+    discriminant, by Shanks' composition (Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 5.4.7): two extended gcds give the
+    united form (a1*a2/d1^2, b3, c3), d1 = gcd(a1, a2, (b1 + b2)/2), which
+    is then reduced."""
     assert f1.disc == f2.disc
-    disc = f1.disc
-    # find coprime representative of f2
-    target = 2 * f1.a
-    found = None
-    bound = 1
-    while found is None:
-        bound += 1
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if gcd(x, y) != 1:
-                    continue
-                v = form_eval(f2, x, y)
-                if v > 0 and gcd(v, target) == 1:
-                    found = (x, y)
-                    break
-            if found:
-                break
-    g2 = _transform(f2, *found)
-    a1, a2 = f1.a, g2.a
-    # B = b1 mod 2a1, B = b2 mod 2a2; moduli share only the factor 2 and
-    # b1 = b2 = disc mod 2, so the system is solvable
-    g, s, t = xgcd(2 * a1, 2 * a2)
-    assert (g2.b - f1.b) % g == 0
-    lcm = 2 * a1 * 2 * a2 // g
-    B = (f1.b + 2 * a1 * ((g2.b - f1.b) // g) * s) % lcm
-    assert (B - f1.b) % (2 * a1) == 0 and (B - g2.b) % (2 * a2) == 0
-    C_num = B * B - disc
-    assert C_num % (4 * a1 * a2) == 0
-    return BinaryForm(a1 * a2, B, C_num // (4 * a1 * a2)).reduce()
+    if f1.a > f2.a:
+        f1, f2 = f2, f1
+    a1, a2, c2 = f1.a, f2.a, f2.c
+    s = (f1.b + f2.b) // 2
+    n = f2.b - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = xgcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, y2 = xgcd(s, d)
+        y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    a3, b3 = v1 * v2, f2.b + 2 * v2 * r
+    c3, rest = divmod(b3 * b3 - f1.disc, 4 * a3)
+    assert rest == 0
+    return BinaryForm(a3, b3, c3).reduce()
 
 
-def structure_by_powers(forms) -> tuple[int, ...]:
-    """Invariant factors of the class group on the given reduced forms,
-    from N_k = #{g : g^(p^k) = id}, each power taken anew by form_pow."""
+def form_pow(f: BinaryForm, e: int) -> BinaryForm:
+    if e < 0:
+        return form_pow(form_inverse(f), -e)
+    r = principal_form(f.disc).reduce()
+    base = f
+    while e:
+        if e & 1:
+            r = compose(r, base)
+        e >>= 1
+        if e:
+            base = compose(base, base)
+    return r
+
+
+def form_structure(forms) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of the class group on the given
+    reduced forms (all those of one discriminant).
+
+    Counts the forms killed by p^k for each prime p; those counts pin down
+    the partition of p-ranks, hence the structure.
+    """
     n = len(forms)
     if n == 1:
         return ()
@@ -108,8 +105,10 @@ def structure_by_powers(forms) -> tuple[int, ...]:
     per_prime: dict[int, list[int]] = {}
     for p, e in factorize(n).items():
         counts = [1]  # N_k = #{g : g^(p^k) = id}
+        powers = list(forms)  # g^(p^k) for each g, raised by p per step
         for k in range(1, e + 1):
-            counts.append(sum(1 for g in forms if form_pow(g, p**k) == identity))
+            powers = [form_pow(g, p) for g in powers]
+            counts.append(sum(1 for g in powers if g == identity))
         # N_k = p^(sum_i min(lambda_i, k)); recover the partition lambda
         exps = []
         for k in range(1, e + 1):

@@ -371,8 +371,9 @@ def test_class_group_59_2():
 
 def test_class_group_71_2():
     # 18 distinct nonprincipal prime classes lie below the Minkowski bound,
-    # but only 2 of them fall outside the subgroup the earlier ones span,
-    # so the closure and the Smith form run on 2 generators
+    # but only 2 of them fall outside the subgroup the earlier ones span:
+    # the first has order 7, the second order 3 modulo it, so the Smith
+    # form runs on 2 relations
     cg = class_group(integral_basis(71, 2))
     assert cg.h == 21
     assert cg.structure == (21,)
