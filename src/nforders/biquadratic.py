@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import gcd, isqrt
+from operator import add, mul
 
 from .intmath import (
     is_prime,
@@ -31,6 +32,8 @@ from .lattice import (
     IntModule,
     UnsupportedFieldError,
     _det_int,
+    _pair_coeffs,
+    _pair_products,
     _scaled_matrix,
     _times,
     adjugate_int,
@@ -216,6 +219,22 @@ class BiquadField:
         s = isqrt(self.d * self.n // D0)
         return D0, s
 
+    @cached_property
+    def norm_forms(self) -> tuple:
+        """(D0, S, G, C): S the integer matrix of sqrt(D0), G the T2 Gram
+        and C = S G + G S^t, all integer.  For x = u/den let A1, A2 be
+        |x|^2 at the two complex places, sqrt(D0) > 0 at the first.  Then
+        t = u G u^t = T2(u) = 2(A1 + A2) den^2 and c = u C u^t =
+        2 Tr(sqrt(D0) u conj(u)) = 4 sqrt(D0)(A1 - A2) den^2, so
+        4 D0 t^2 - c^2 = 64 D0 A1 A2 den^4 = 64 D0 N(u): the norm on
+        integers, from two quadratic forms (norm, lattice._norm_filter).
+        The window ladder reads its matrices from here (ladder_data)."""
+        D0, _ = self.real_subfield_data()
+        S = integer_rows(self.mult_matrix(self.from_real_quadratic(0, 1)), "sqrt(D0)")
+        G = self.t2_gram_matrix()
+        SG, GSt = _times(S, G), _times(G, tuple(zip(*S)))
+        return D0, S, G, tuple(tuple(map(add, a, b)) for a, b in zip(SG, GSt))
+
     def from_real_quadratic(self, x, y) -> "BiquadElem":
         """x + y*sqrt(D0), embedded via sqrt(D0) = sqrt(d*n)/s."""
         _, s = self.real_subfield_data()
@@ -372,10 +391,15 @@ class BiquadElem:
         return 4 * self.naive()[0]
 
     def norm(self) -> Fraction:
-        """Product of all four conjugates, the determinant of multiplication
-        by self; nonnegative as the field is totally imaginary."""
+        """Product of all four conjugates, nonnegative as the field is
+        totally imaginary; read off two integer quadratic forms
+        (BiquadField.norm_forms)."""
         u, den = integer_coords(self.coords)
-        return Fraction(_det_int(table_matrix(self.field.mult_table, u)), den**4)
+        D0, _, G, C = self.field.norm_forms
+        m = _pair_products(u)
+        t = sum(map(mul, _pair_coeffs(G), m))
+        c = sum(map(mul, _pair_coeffs(C), m))
+        return Fraction((4 * D0 * t * t - c * c) // (64 * D0), den**4)
 
     def abs_norm(self) -> Fraction:
         return self.norm()

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, starmap
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import mul
 
 from .intmath import sqrt_lb, sqrt_ub, xgcd
 from .quadratic import (
@@ -22,9 +23,7 @@ from .quadratic import (
     cf_convergents,
     cf_sqrt,
     integer_coords,
-    integer_rows,
     pell_solve,
-    table_matrix,
 )
 
 
@@ -489,7 +488,7 @@ def enumerate_by_t2(m, g: tuple, bound) -> list:
         # rem: remaining budget at level i, in units of 1 / scale; top: every
         # x_j above level i is 0
         if i < 0:
-            vec = [sum(a * b for a, b in zip(x, col)) for col in cols]
+            vec = [sum(map(mul, x, col)) for col in cols]
             for v in vec:
                 if v:
                     if v < 0:
@@ -531,17 +530,47 @@ def _canonical_pick(module, cands, g: tuple):
     return module.ambient.from_basis_coords([Fraction(c, module.den) for c in best])
 
 
+def _pair_coeffs(g) -> tuple:
+    """The form u g u^t of a symmetric integer matrix g as its coefficients
+    on the products u_i u_j, i <= j, listed in the order of
+    combinations_with_replacement (see _pair_products)."""
+    return tuple(
+        g[i][j] * (1 if i == j else 2)
+        for i, j in combinations_with_replacement(range(len(g)), 2)
+    )
+
+
+def _pair_products(u) -> list:
+    """The products u_i u_j, i <= j, in the order of _pair_coeffs."""
+    return list(starmap(mul, combinations_with_replacement(u, 2)))
+
+
 def _norm_filter(module, norm: Fraction):
     """Predicate on the points u enumerate_by_t2 returns for the module:
-    |N(u/den)| == norm, den the module's denominator.  |N(u/den)| =
-    |det M_u| / den^r for M_u the integer multiplication matrix of u
-    (field.mult_table), so the test is exact."""
+    |N(u/den)| == norm, den the module's denominator.  The norm is read
+    exactly off integer quadratic forms in u: T2 = 2|N| in an imaginary
+    quadratic field, so u G u^t == 2 norm den^2 with G the T2 Gram; in a
+    quartic field 4 D0 t^2 - c^2 = 64 D0 N(u) for t = u G u^t and
+    c = u C u^t (BiquadField.norm_forms)."""
     field = module.ambient
-    T = field.mult_table
-    target = norm * module.den**field.degree
+    den = module.den
+    if field.degree == 2:
+        g = _pair_coeffs(field.t2_gram_matrix())
+        target = 2 * norm * den**2
+
+        def keep(u) -> bool:
+            return sum(map(mul, g, _pair_products(u))) == target
+
+        return keep
+    D0, _, G, C = field.norm_forms
+    gq, cq = _pair_coeffs(G), _pair_coeffs(C)
+    target = 64 * D0 * norm * den**4
 
     def keep(u) -> bool:
-        return abs(_det_int(table_matrix(T, u))) == target
+        m = _pair_products(u)
+        t = sum(map(mul, gq, m))
+        c = sum(map(mul, cq, m))
+        return 4 * D0 * t * t - c * c == target
 
     return keep
 
@@ -572,22 +601,19 @@ class LadderData:
 @lru_cache(maxsize=None)
 def ladder_data(field) -> LadderData:
     """The field's LadderData; its Pell unit is the least solution of
-    x^2 - D0*y^2 = -1, or of = +1 when -1 has none."""
-    D0, _ = field.real_subfield_data()
+    x^2 - D0*y^2 = -1, or of = +1 when -1 has none.  D0, S, G and cross
+    are the field's norm_forms."""
+    D0, S, G, cross = field.norm_forms
     r = pell_solve(D0, -1)
     if r.solution is None:
         r = pell_solve(D0, 1)  # always solvable
     x0, y0 = r.solution.x, r.solution.y
-    S = integer_rows(field.mult_matrix(field.from_real_quadratic(0, 1)), "sqrt(D0)")
-    St = tuple(zip(*S))
-    G = integer_rows(field.t2_gram_matrix(), "T2 Gram")
-    SG = _times(S, G)
-    cross = tuple(tuple(map(add, a, b)) for a, b in zip(SG, _times(G, St)))
     E = tuple(
         tuple(x0 * (i == j) + y0 * sij for j, sij in enumerate(Si))
         for i, Si in enumerate(S)
     )
-    return LadderData(D0, cf_sqrt(D0), (x0, y0), E, G, cross, tuple(_times(SG, St)))
+    outer = tuple(_times(_times(S, G), tuple(zip(*S))))
+    return LadderData(D0, cf_sqrt(D0), (x0, y0), E, G, cross, outer)
 
 
 def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:

@@ -18,7 +18,7 @@ from nforders.intmath import sqrt_lb, sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
-    _norm_filter,
+    _det_int,
     _twisted_gram,
     _unit_ladder,
     find_generator,
@@ -26,7 +26,13 @@ from nforders.lattice import (
     ladder_data,
     lll_reduce,
 )
-from nforders.quadratic import QuadField, cf_sqrt, integer_rows, pell_solve
+from nforders.quadratic import (
+    QuadField,
+    cf_sqrt,
+    integer_rows,
+    pell_solve,
+    table_matrix,
+)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -162,12 +168,21 @@ def oracle_pick(field, coords_list, g):
     return field.from_basis_coords(best) if best is not None else None
 
 
+def oracle_norm_filter(module, norm):
+    """|N(u/den)| == norm for the points u of the module, from the
+    determinant of u's integer multiplication matrix: |N(u/den)| =
+    |det M_u| / den^r."""
+    T = module.ambient.mult_table
+    target = norm * module.den**module.ambient.degree
+    return lambda u: abs(_det_int(table_matrix(T, u))) == target
+
+
 def oracle_find_generator(module, norm):
     """find_generator on the Fraction ladder, for rank-4 modules."""
     field = module.ambient
     norm = Fraction(norm)
     G = field.t2_gram_matrix()
-    keep = _norm_filter(module, norm)
+    keep = oracle_norm_filter(module, norm)
     D0, m, gammas = oracle_ladder(field, module)
     su = sqrt_ub(Fraction(D0))
     sl = sqrt_lb(Fraction(D0))

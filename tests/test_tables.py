@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from nforders import biquadratic, lattice
 from nforders.biquadratic import BiquadElem, integral_basis
 from nforders.lattice import (
     IntModule,
@@ -26,6 +27,7 @@ from nforders.orders import module_colon, module_conj, module_mul, relative_orde
 from nforders.quadratic import QuadElem, QuadField
 
 H = Fraction(1, 2)
+Q = Fraction(1, 4)
 
 QUAD_FIELDS = [QuadField(D) for D in (-1, -3, -5, -59, 2)]
 QUARTIC_FIELDS = [integral_basis(59, 2), integral_basis(11, 10)]
@@ -220,7 +222,20 @@ def test_module_operations_match_oracle(field):
         assert module_conj(m1) == oracle_module_conj(m1)
 
 
-@pytest.mark.parametrize("field", [QuadField(-59)] + QUARTIC_FIELDS, ids=repr)
+E37 = integral_basis(
+    3,
+    7,
+    basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)),
+    disc=441,
+)
+NORM_FILTER_FIELDS = (
+    [QuadField(-59)]
+    + QUARTIC_FIELDS
+    + [QuadField(-10), integral_basis(71, 2), integral_basis(23, 5), E37]
+)
+
+
+@pytest.mark.parametrize("field", NORM_FILTER_FIELDS, ids=repr)
 def test_norm_filter_matches_oracle(field):
     rng = random.Random(11)
     G = field.t2_gram_matrix()
@@ -235,6 +250,34 @@ def test_norm_filter_matches_oracle(field):
         for norm in sorted(set(norms))[:6] + [Fraction(1, 7)]:
             keep = _norm_filter(m, norm)
             assert [keep(v) for v in pts] == [x == norm for x in norms]
+    # large random points, far outside any search ball: the filter keeps
+    # each at its own norm and at no neighbouring one
+    rng = random.Random(12)
+    for _ in range(2000):
+        m = rand_module(rng, field, span=3)
+        u = tuple(rng.randint(-10**4, 10**4) for _ in range(field.degree))
+        x = field.from_basis_coords([Fraction(c, m.den) for c in u])
+        norm = oracle_abs_norm(x)
+        assert x.abs_norm() == norm
+        assert _norm_filter(m, norm)(u), (u, m.den)
+        assert not _norm_filter(m, norm + 1)(u)
+        assert not _norm_filter(m, norm - Fraction(1, m.den))(u)
+
+
+def test_quartic_norm_needs_no_unit(monkeypatch):
+    """BiquadElem.norm reads the field's norm forms, never the window
+    ladder's Pell unit."""
+
+    def no_ladder(field):
+        raise AssertionError("norm() reached ladder_data")
+
+    monkeypatch.setattr(biquadratic, "ladder_data", no_ladder)
+    monkeypatch.setattr(lattice, "ladder_data", no_ladder)
+    E = integral_basis(3, 7, basis=E37.intbasis, disc=441)  # fresh: nothing cached
+    rng = random.Random(13)
+    for _ in range(40):
+        x = rand_elem(rng, E)
+        assert x.norm() == oracle_abs_norm(x)
 
 
 # ---------------------------------------------------------------------------
