@@ -23,6 +23,7 @@ from .intmath import (
     is_squarefree,
     jacobi,
     poly_discriminant,
+    poly_eval,
     poly_roots_mod,
     polp_factor,
     sqrt_ub,
@@ -41,7 +42,6 @@ from .lattice import (
     find_generator,
     hnf,
     identity_module,
-    ladder_data,
     smith_normal_form,
 )
 from .quadratic import (
@@ -115,6 +115,16 @@ def _products_table(d: int, n: int, rows, Bi) -> tuple:
 # the field and its elements
 
 
+def check_field_params(d: int, n: int) -> None:
+    """Raise ValueError unless d and n are distinct positive squarefree
+    integers, as the field Q(sqrt(-d), sqrt(-n)) needs."""
+    for name, m in (("d", d), ("n", n)):
+        if m <= 0 or not is_squarefree(m):
+            raise ValueError("%s must be positive squarefree, got %d" % (name, m))
+    if d == n:
+        raise ValueError("d and n must be distinct, got %d twice" % d)
+
+
 @dataclass(frozen=True)
 class BiquadField:
     """Q(sqrt(-d), sqrt(-n)) together with a fixed integral basis.
@@ -132,11 +142,7 @@ class BiquadField:
     degree = 4
 
     def __post_init__(self):
-        for m in (self.d, self.n):
-            if m <= 0 or not is_squarefree(m):
-                raise ValueError("d and n must be positive squarefree")
-        if self.d == self.n:
-            raise ValueError("d and n must be distinct")
+        check_field_params(self.d, self.n)
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.intbasis)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("intbasis must be 4x4")
@@ -280,12 +286,6 @@ class BiquadField:
             else:
                 raise AssertionError("non-torsion unit in the T2 = 4 shell")
         return tuple(sorted(out, key=lambda z: z.coords))
-
-    def fundamental_unit(self) -> "BiquadElem":
-        """The continued-fraction unit of the real quadratic subfield,
-        embedded; taken from x^2 - D0*y^2 = -1 when that has a solution.
-        It is the Pell unit the generator search's window ladder uses."""
-        return self.from_real_quadratic(*ladder_data(self).unit)
 
     def __repr__(self):
         return "BiquadField(%d, %d)" % (self.d, self.n)
@@ -456,6 +456,7 @@ def integral_basis(d: int, n: int, basis=None, disc: int | None = None) -> Biqua
 
 @lru_cache(maxsize=None)
 def _native_field(d: int, n: int) -> BiquadField:
+    check_field_params(d, n)
     if not (d % 4 == 3 and n % 4 in (1, 2) and gcd(d, n) == 1):
         raise UnsupportedFieldError(
             "no built-in integral basis for (%d, %d); supply one" % (d, n)
@@ -519,13 +520,6 @@ def ideal_of_elements(E: BiquadField, gens) -> IntModule:
     return hnf(E, rows)
 
 
-def _poly_at(f, theta: BiquadElem):
-    acc = theta.field.from_basis_coords((0, 0, 0, 0))
-    for c in reversed(f):
-        acc = acc * theta + c
-    return acc
-
-
 def _minpoly4(theta: BiquadElem):
     """Constant-first monic minimal polynomial when theta generates the
     whole field, else None."""
@@ -545,7 +539,7 @@ def _minpoly4(theta: BiquadElem):
         assert rem == 0  # theta is integral, so the minpoly is
         out.append(-q)
     out.append(1)
-    assert _poly_at(out, theta).is_zero()
+    assert poly_eval(out, theta).is_zero()
     return out
 
 
@@ -560,19 +554,14 @@ def _primitive_candidates(E: BiquadField):
             yield theta, f
 
 
-def factor_rational_prime(E: BiquadField, q: int, theta_index: int = 0):
+def factor_rational_prime(E: BiquadField, q: int):
     """Primes of the maximal order above q as PrimeFactor entries, read off
-    the factorization mod q of the minimal polynomial of a primitive
-    element whose equation order has index coprime to q.
-
-    theta_index > 0 skips that many usable primitive elements; the choice
-    changes the intermediate polynomial but not the resulting ideals.
-    """
+    the factorization mod q of the minimal polynomial of the first
+    primitive element whose equation order has index coprime to q."""
     from .orders import OrderIdeal, maximal_order
 
     if not is_prime(q):
         raise ValueError("%d is not prime" % q)
-    skipped = 0
     for theta, f in _primitive_candidates(E):
         idx2, rem = divmod(poly_discriminant(f), E.disc)
         assert rem == 0 and idx2 > 0
@@ -580,14 +569,11 @@ def factor_rational_prime(E: BiquadField, q: int, theta_index: int = 0):
         assert idx * idx == idx2
         if gcd(idx, q) != 1:
             continue
-        if skipped < theta_index:
-            skipped += 1
-            continue
         O = maximal_order(E)
         out = []
         total = 0
         for g, mult in polp_factor(f, q):
-            mod = ideal_of_elements(E, (E.one() * q, _poly_at(list(g), theta)))
+            mod = ideal_of_elements(E, (E.one() * q, poly_eval(g, theta)))
             deg = len(g) - 1
             assert mod.covolume() == q**deg
             out.append(PrimeFactor(OrderIdeal(O, mod), mult, deg))

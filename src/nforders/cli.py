@@ -16,7 +16,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .biquadratic import UnsupportedPrimeError, class_group, integral_basis
+from .biquadratic import (
+    UnsupportedPrimeError,
+    check_field_params,
+    class_group,
+    integral_basis,
+)
 from .criteria import (
     SOLVABLE,
     UNKNOWN,
@@ -327,9 +332,7 @@ def _associate(u, v) -> bool:
     return (u / v).is_integral() and (v / u).is_integral()
 
 
-def example_checks(pair_only: bool = False, pair_n: int | None = None) -> list:
-    if pair_n is None:
-        pair_n = _EXAMPLE_N
+def example_checks(pair_only: bool = False) -> list:
     F = QuadField(-59)
     pi = from_integral_coords(F, 1, 1)  # (3 + sqrt(-59))/2
     x0 = from_integral_coords(F, 2332, 1115)  # (5779 + 1115*sqrt(-59))/2
@@ -341,9 +344,9 @@ def example_checks(pair_only: bool = False, pair_n: int | None = None) -> list:
 
     add(
         "displayed_identity",
-        verify_identity(pi, x0, y0, pair_n),
+        verify_identity(pi, x0, y0, _EXAMPLE_N),
         "p = x^2 + %d*y^2 with p = %s, x = %s, y = %s"
-        % (pair_n, fmt_elem(pi), fmt_elem(x0), fmt_elem(y0)),
+        % (_EXAMPLE_N, fmt_elem(pi), fmt_elem(x0), fmt_elem(y0)),
     )
     if pair_only:
         return checks
@@ -389,6 +392,7 @@ def cmd_verify_example(args):
 
 
 def cmd_sweep(args):
+    check_field_params(args.d, args.n)
     F = QuadField(-args.d)
     poly = _read_poly(args.poly) if args.poly else None
     rows = []

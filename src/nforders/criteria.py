@@ -15,10 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .biquadratic import BiquadElem, BiquadField, ideal_of_elements, integral_basis
+from .biquadratic import (
+    BiquadElem,
+    BiquadField,
+    check_field_params,
+    ideal_of_elements,
+    integral_basis,
+)
 from .intmath import (
     is_prime,
-    is_squarefree,
     jacobi,
     poly_discriminant,
     poly_roots_mod,
@@ -143,21 +148,20 @@ _WITNESS_BOX = 8
 def unit_witness(d: int, n: int) -> UnitWitness | None:
     """O_F-solution of -1 = alpha^2 + n*beta^2 with F = Q(sqrt(-d)).
 
-    x^2 - dn*y^2 = -1 gives a rational alpha; x^2 - dn*y^2 = d gives alpha
-    in sqrt(-d)*Z (d divides x automatically); a small coordinate box
+    x^2 - dn*y^2 = -1 gives a rational alpha; the unit equation
+    d*u^2 - n*v^2 = 1 gives alpha = u*sqrt(-d); a small coordinate box
     catches anything else.  None is a bounded miss, not a proof.
     """
-    if d <= 3 or not is_squarefree(d):
-        raise ValueError("needs squarefree d > 3")
-    if n <= 0 or not is_squarefree(n) or d == n:
-        raise ValueError("needs squarefree positive n != d")
+    check_field_params(d, n)
+    if d <= 3:
+        raise ValueError("needs d > 3, got %d" % d)
     F = QuadField(-d)
     r = pell_solve(d * n, -1)
     if r.solution is not None:
         return UnitWitness(F(r.solution.x), F(0, r.solution.y), n)
-    r = pell_solve(d * n, d)
-    if r.solution is not None and r.solution.x % d == 0:
-        return UnitWitness(F(0, r.solution.x // d), F(r.solution.y), n)
+    uv = _unit_equation(d, n)
+    if uv is not None:
+        return UnitWitness(F(0, uv[0]), F(uv[1]), n)
     coords = sorted(
         range(-_WITNESS_BOX, _WITNESS_BOX + 1), key=lambda t: (abs(t), t < 0)
     )
@@ -265,55 +269,6 @@ def _sqrt_minus_n(F: QuadField, q: int, deg: int, n: int) -> QuadElem | None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial discriminants over O_F
-
-
-def _poly_disc_F(coeffs, F: QuadField) -> QuadElem:
-    f = [c if isinstance(c, QuadElem) else F(c) for c in coeffs]
-    while f and f[-1].is_zero():
-        f.pop()
-    d = len(f) - 1
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    fp = [i * f[i] for i in range(1, len(f))]
-    res = _resultant_F(f, fp, F)
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / f[-1]
-
-
-def _resultant_F(f, g, F: QuadField) -> QuadElem:
-    # Sylvester determinant by Gaussian elimination over the field
-    m, k = len(f) - 1, len(g) - 1
-    size = m + k
-    rows = []
-    for i in range(k):
-        row = [F(0)] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [F(0)] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    det = F(1)
-    for col in range(size):
-        piv = next((i for i in range(col, size) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            return F(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = F(1) / rows[col][col]
-        for i in range(col + 1, size):
-            t = rows[i][col] * inv
-            if not t.is_zero():
-                rows[i] = [a - t * b for a, b in zip(rows[i], rows[col])]
-    return det
-
-
-# ---------------------------------------------------------------------------
 # order-level criteria
 
 
@@ -340,7 +295,7 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
         "defining_poly_supplied", g_n is not None, "class polynomials are inputs"
     ):
         return done()
-    disc = _poly_disc_F(g_n, F)
+    disc = poly_discriminant(g_n)
     if not check("p_coprime_to_poly_disc", not _divides(p, disc)):
         return done()
     q, deg, r = _residue_data(p)
@@ -401,7 +356,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
         else "no class field polynomial on record for (%d, %d)" % (d, n),
     ):
         return done()
-    fd = poly_discriminant(list(f))
+    fd = poly_discriminant(f)
     if not check("p_coprime_to_poly_disc", not _divides(p, fd), "disc = %d" % fd):
         return done()
     q, deg, _ = _residue_data(p)
@@ -451,6 +406,7 @@ def represent(p: QuadElem, d: int, n: int):
     (the enumeration is exhaustive).  UNRESOLVED is an honest shrug from
     the sign-normalization step, never a wrong answer.
     """
+    check_field_params(d, n)
     F = _prime_field(p, d)
     if _divides(p, 2 * n):
         raise ValueError("p divides 2n")

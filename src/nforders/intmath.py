@@ -186,24 +186,25 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z (constant term first)
+# polynomials (constant term first) over Z, or over any exact field whose
+# elements take part in +, -, *, / with integers
 
 
-def poly_trim(f: list[int]) -> list[int]:
+def poly_trim(f: list) -> list:
     f = list(f)
-    while f and f[-1] == 0:
+    while f and not f[-1]:
         f.pop()
     return f
 
 
-def poly_eval(f: list[int], x):
+def poly_eval(f: list, x):
     r = 0
     for c in reversed(f):
         r = r * x + c
     return r
 
 
-def poly_deriv(f: list[int]) -> list[int]:
+def poly_deriv(f: list) -> list:
     return poly_trim([i * c for i, c in enumerate(f)][1:])
 
 
@@ -217,27 +218,29 @@ def poly_mul(f: list[int], g: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def resultant(f: list[int], g: list[int]) -> int:
-    """res(f, g) over Z via the Euclidean recurrence in exact rationals."""
-    f = [Fraction(c) for c in poly_trim(f)]
-    g = [Fraction(c) for c in poly_trim(g)]
-    res = Fraction(1)
+def resultant(f: list, g: list):
+    """res(f, g) by the Euclidean recurrence over the field of the
+    coefficients (Cohen, GTM 138, section 3.3), as an element of it: the
+    field of the first coefficient that has one (a QuadElem), else Q,
+    where it is a Fraction."""
+    f, g = poly_trim(f), poly_trim(g)
+    K = next((c.field for c in f + g if hasattr(c, "field")), Fraction)
+    f, g = ([c if hasattr(c, "field") else K(c) for c in h] for h in (f, g))
+    res = K(1)
     while True:
         if not g:
-            return 0 if len(f) - 1 > 0 else int(res) if f else 0
+            return res if len(f) == 1 else K(0)
         if len(g) == 1:
-            r = res * g[0] ** (len(f) - 1)
-            assert r.denominator == 1
-            return int(r)
+            return res * g[0] ** (len(f) - 1)
         # remainder of f by g
         r = list(f)
         dg, lg = len(g) - 1, g[-1]
-        while len(r) - 1 >= dg and any(c for c in r):
+        while len(r) - 1 >= dg and any(r):
             c = r[-1] / lg
             shift = len(r) - 1 - dg
             for i, b in enumerate(g):
                 r[shift + i] -= c * b
-            while r and r[-1] == 0:
+            while r and not r[-1]:
                 r.pop()
         df = len(f) - 1
         dr = len(r) - 1
@@ -245,17 +248,16 @@ def resultant(f: list[int], g: list[int]) -> int:
         f, g = g, r
 
 
-def poly_discriminant(f: list[int]) -> int:
-    """disc(f) = (-1)^(d(d-1)/2) * res(f, f') / lc(f)."""
+def poly_discriminant(f: list):
+    """disc(f) = (-1)^(d(d-1)/2) * res(f, f') / lc(f), exactly; an int
+    when the coefficients are."""
     f = poly_trim(f)
     d = len(f) - 1
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    r = resultant(f, poly_deriv(f))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    q, rem = divmod(sign * r, f[-1])
-    assert rem == 0
-    return q
+    out = sign * resultant(f, poly_deriv(f)) / f[-1]
+    return int(out) if isinstance(out, Fraction) and out.denominator == 1 else out
 
 
 # polynomial arithmetic over Z/p, still constant-first lists

@@ -355,9 +355,6 @@ class LatticeBasis:
     den: int
     gso: tuple = dc_field(compare=False)
 
-    def to_module(self) -> IntModule:
-        return IntModule(self.ambient, self.rows, self.den)
-
 
 def _basis_gram(rows, g):
     """Integer Gram matrix rows * g * rows^t of integer basis rows."""

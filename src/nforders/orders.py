@@ -226,12 +226,6 @@ def principal_ideal(o: OrderRep, e) -> OrderIdeal:
     return OrderIdeal(o, o.module.transform(o.field.mult_matrix(e)))
 
 
-def ideal_add(a: OrderIdeal, b: OrderIdeal) -> OrderIdeal:
-    if a.order != b.order:
-        raise ValueError("ideals of different orders")
-    return OrderIdeal(a.order, a.module.add(b.module))
-
-
 def ideal_mul(a: OrderIdeal, b: OrderIdeal) -> OrderIdeal:
     if a.order != b.order:
         raise ValueError("ideals of different orders")
@@ -365,8 +359,8 @@ def residue_unit_count(o: OrderRep, f) -> int:
 def unit_index(o: OrderRep) -> int:
     """[O_K^x : o^x].  Decided for imaginary quadratic fields, whose unit
     group is the torsion, and for the maximal order of a quartic field.
-    A non-maximal quartic order raises UnresolvedError: the Pell unit
-    fundamental_unit() returns need not generate O_E^x modulo torsion, so
+    A non-maximal quartic order raises UnresolvedError: the Pell unit of
+    the real quadratic subfield need not generate O_E^x modulo torsion, so
     the first of its powers that lies in o does not give the index."""
     field = o.field
     if field.degree == 2 and field.D > 0:

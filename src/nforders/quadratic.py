@@ -246,6 +246,9 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return self.b == 0
 
@@ -276,46 +279,28 @@ def from_integral_coords(F: QuadField, x, y) -> QuadElem:
 @dataclass(frozen=True)
 class SplitResult:
     kind: str  # "split" | "inert" | "ramified"
-    pi: QuadElem | None  # prime element of norm +-q when one exists
+    # q when inert, else an element of norm q: None when there is none,
+    # and always None in a real field
+    pi: QuadElem | None
     pibar: QuadElem | None
     hnf: tuple[tuple[int, int], tuple[int, int]]  # prime ideal in {1, w} basis
 
 
 def _norm_form_element(F: QuadField, q: int) -> QuadElem | None:
-    """Search an integral element of norm q (imaginary) or +-q (real)."""
+    """An integral element of norm q in an imaginary field, the one of
+    least |v| then with u >= 0: (u + v*sqrt(D))/s with u^2 + |D| v^2 =
+    s^2 q, s = 2 and u = v mod 2 when D = 1 mod 4, else s = 1.  None for a
+    real field, or when there is none."""
     D = F.D
-    if D < 0:
-        if D % 4 == 1:
-            # (u + v sqrt(D))/2 with u = v mod 2, u^2 + |D| v^2 = 4q
-            for v in range(isqrt(4 * q // -D) + 1):
-                u2 = 4 * q + D * v * v
-                if u2 < 0:
-                    break
-                if is_square(u2):
-                    u = isqrt(u2)
-                    if (u - v) % 2 == 0:
-                        return QuadElem(F, Fraction(u, 2), Fraction(v, 2))
-            return None
-        for v in range(isqrt(q // -D) + 1):
-            u2 = q + D * v * v
-            if u2 < 0:
-                break
-            if is_square(u2):
-                return F(isqrt(u2), v)
+    if D > 0:
         return None
-    # real field: bounded box scan for x^2 - D y^2 = +-q on integral elements
-    for v in range(1000):
-        for target in (q, -q):
-            if D % 4 == 1:
-                u2 = 4 * target + D * v * v
-                if u2 >= 0 and is_square(u2):
-                    u = isqrt(u2)
-                    if (u - v) % 2 == 0:
-                        return QuadElem(F, Fraction(u, 2), Fraction(v, 2))
-            else:
-                u2 = target + D * v * v
-                if u2 >= 0 and is_square(u2):
-                    return F(isqrt(u2), v)
+    s = 2 if D % 4 == 1 else 1
+    for v in range(isqrt(s * s * q // -D) + 1):
+        u2 = s * s * q + D * v * v
+        if is_square(u2):
+            u = isqrt(u2)
+            if (u - v) % s == 0:
+                return QuadElem(F, Fraction(u, s), Fraction(v, s))
     return None
 
 
@@ -367,15 +352,6 @@ class BinaryForm:
 
     def is_primitive(self) -> bool:
         return gcd(gcd(self.a, self.b), self.c) == 1
-
-    def is_reduced(self) -> bool:
-        # imaginary reduction: |b| <= a <= c, and b >= 0 when |b| = a or a = c
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
 
     def reduce(self) -> "BinaryForm":
         a, b, c = self.a, self.b, self.c

@@ -31,6 +31,7 @@ from nforders.orders import (
 from nforders.quadratic import integer_coords, table_matrix
 
 from ideals import ideal_candidates
+from oracles import fundamental_unit
 
 # ---------------------------------------------------------------------------
 # residue enumeration
@@ -120,7 +121,7 @@ def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
         if o.module.contains_coords(cand.basis_coords()):
             return True
     if field.degree == 4:
-        eta = field.fundamental_unit()
+        eta = fundamental_unit(field)
         for j in range(1, 9):
             for base in (eta**j, eta**-j):
                 for u in units:

@@ -15,7 +15,6 @@ from nforders.orders import (
     PreconditionError,
     _closed_under,
     conductor,
-    ideal_add,
     is_coprime_to_conductor,
     is_invertible,
     is_principal,
@@ -28,6 +27,12 @@ from nforders.orders import (
 
 # ---------------------------------------------------------------------------
 # ideal helpers
+
+
+def ideal_add(a: OrderIdeal, b: OrderIdeal) -> OrderIdeal:
+    if a.order != b.order:
+        raise ValueError("ideals of different orders")
+    return OrderIdeal(a.order, a.module.add(b.module))
 
 
 def ideal_from_gens(o: OrderRep, elems) -> OrderIdeal:

@@ -5,8 +5,8 @@ Test helpers, not collected by pytest.  The group law on binary forms
 the invariant factors it gives (`form_structure`) check that the reduced
 forms the library counts make up the class group; the library itself
 reads only their number.  `brute_force_represent`, `rel_norm_EF`,
-`principal_generator` and `primes_upto` are helpers that nothing in the
-library calls.
+`principal_generator`, `fundamental_unit`, `is_reduced`, `to_module` and
+`primes_upto` are helpers that nothing in the library calls.
 """
 
 from math import isqrt
@@ -14,7 +14,13 @@ from math import isqrt
 from nforders.biquadratic import BiquadElem, BiquadField, _reduce_inverse
 from nforders.criteria import verify_identity
 from nforders.intmath import factorize, xgcd
-from nforders.lattice import IntModule, find_generator, identity_module
+from nforders.lattice import (
+    IntModule,
+    LatticeBasis,
+    find_generator,
+    identity_module,
+    ladder_data,
+)
 from nforders.quadratic import (
     BinaryForm,
     QuadElem,
@@ -41,6 +47,14 @@ def primes_upto(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # binary quadratic forms
+
+
+def is_reduced(f: BinaryForm) -> bool:
+    """Imaginary reduction: |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    a, b, c = f.a, f.b, f.c
+    if not (abs(b) <= a <= c):
+        return False
+    return not ((abs(b) == a or a == c) and b < 0)
 
 
 def form_inverse(f: BinaryForm) -> BinaryForm:
@@ -170,6 +184,13 @@ def brute_force_represent(p, n: int, F: QuadField | None, box: int):
 # the quartic field E = Q(sqrt(-d), sqrt(-n))
 
 
+def fundamental_unit(E: BiquadField) -> BiquadElem:
+    """The continued-fraction unit of the real quadratic subfield,
+    embedded; taken from x^2 - D0*y^2 = -1 when that has a solution.  It is
+    the Pell unit the generator search's window ladder uses."""
+    return E.from_real_quadratic(*ladder_data(E).unit)
+
+
 def rel_norm_EF(e: BiquadElem) -> QuadElem:
     """e * bar(e) as an element of Q(sqrt(-d)): the norm for the quadratic
     step down to the fixed field of bar."""
@@ -188,3 +209,12 @@ def principal_generator(E: BiquadField, m: IntModule):
     g = beta / lam
     assert identity_module(E).transform(E.mult_matrix(g)) == m
     return g
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+
+def to_module(basis: LatticeBasis) -> IntModule:
+    """The IntModule the rows of an LLL-reduced basis span."""
+    return IntModule(basis.ambient, basis.rows, basis.den)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
+from nforders import biquadratic
 from nforders.biquadratic import (
     BiquadElem,
     BiquadField,
@@ -13,10 +15,11 @@ from nforders.biquadratic import (
     norm_map_condition,
     residue_degree,
 )
+from nforders.intmath import poly_discriminant
 from nforders.lattice import IntModule, UnsupportedFieldError, hnf, identity_module
 from nforders.orders import conductor, module_mul, relative_order
 from nforders.quadratic import QuadElem, QuadField
-from oracles import principal_generator, rel_norm_EF
+from oracles import fundamental_unit, principal_generator, rel_norm_EF
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -236,11 +239,29 @@ def test_factor_distinct_covolumes():
             assert pf.ideal.module.covolume() == q**pf.f
 
 
-def test_primitive_element_choice_is_invisible():
+def test_primitive_element_choice_is_invisible(monkeypatch):
+    # skipping the first k primitive elements whose equation order has
+    # index prime to q changes the polynomial factored, not the ideals
+    original = biquadratic._primitive_candidates
+
+    def skipping(q, k):
+        def candidates(E):
+            usable = 0
+            for theta, f in original(E):
+                if gcd(isqrt(poly_discriminant(f) // E.disc), q) == 1:
+                    usable += 1
+                    if usable <= k:
+                        continue
+                yield theta, f
+
+        return candidates
+
     for q in (5, 17):
         base = {pf.ideal.module for pf in factor_rational_prime(E59, q)}
         for k in (1, 2):
-            alt = {pf.ideal.module for pf in factor_rational_prime(E59, q, theta_index=k)}
+            monkeypatch.setattr(biquadratic, "_primitive_candidates", skipping(q, k))
+            alt = {pf.ideal.module for pf in factor_rational_prime(E59, q)}
+            monkeypatch.undo()
             assert alt == base
 
 
@@ -447,7 +468,7 @@ def test_torsion_are_roots_of_unity():
 def test_fundamental_unit_59_2():
     # the real quadratic subfield is Q(sqrt(118)); x^2 - 118*y^2 = -1 has no
     # solution, so the unit comes from the +1 Pell equation
-    eps = E59.fundamental_unit()
+    eps = fundamental_unit(E59)
     assert eps == E59.from_real_quadratic(306917, 28254)
     assert eps.is_integral()
     assert eps.norm() == 1
@@ -455,7 +476,7 @@ def test_fundamental_unit_59_2():
 
 
 def test_fundamental_unit_z8():
-    eps = E8.fundamental_unit()
+    eps = fundamental_unit(E8)
     assert eps == E8.from_real_quadratic(1, 1)
     assert eps.norm() == 1
 

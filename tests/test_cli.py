@@ -375,6 +375,26 @@ def test_unsupported_field_exits_3(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # every prime divides 2*d*n = 0, so the sweep would skip them all
+        (["sweep", "59", "0", "--bound", "20"], "n must be positive squarefree"),
+        (["represent", "3", "7", "4"], "n must be positive squarefree"),
+        # 1 + 2w has norm 11, where -4 is not a square: the solver would
+        # answer "none" before it reaches the field
+        (["represent", "1+2*w", "7", "4"], "n must be positive squarefree"),
+        (["conductor", "rel:3:3"], "d and n must be distinct"),
+    ],
+)
+def test_invalid_field_parameters_exit_2(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # element text over the element syntax's own alphabet, with the "--"
 # separator as one more token; six tokens keep every integer below 10^6
 ELEMENT_TEXT = st.lists(
@@ -446,9 +466,8 @@ def test_verify_example_full(capsys):
 
 
 def test_verify_example_tampered_n_fails(monkeypatch, capsys):
-    checks = cli.example_checks(pair_only=True, pair_n=3)
-    assert checks[0]["pass"] is False
     monkeypatch.setattr(cli, "_EXAMPLE_N", 3)
+    assert cli.example_checks(pair_only=True)[0]["pass"] is False
     code, doc = run_json(capsys, ["verify-example", "--pair-only"])
     assert code == 1
     assert doc["all_pass"] is False

@@ -9,6 +9,7 @@ from nforders.criteria import (
     UNKNOWN,
     UNRESOLVED,
     UNSOLVABLE,
+    CriterionReport,
     UnitWitness,
     cornacchia,
     cox_criterion,
@@ -209,6 +210,29 @@ def test_quadr_residue_field_sensitivity():
     assert criterion_quadr(p29, 5, 13, g_n=(-2, 0, 1)).verdict == UNSOLVABLE
     assert criterion_quadr(F5(11), 5, 13, g_n=(-2, 0, 1)).verdict == SOLVABLE
     assert criterion_quadr(p29, 5, 13, g_n=(-7, 0, 1)).verdict == SOLVABLE
+
+
+def test_quadr_with_non_rational_coefficients():
+    # g = x^2 + sqrt(-5)*x + (1 + sqrt(-5)) has discriminant -9 - 4*sqrt(-5),
+    # of norm 161 = 7 * 23, so p29 is prime to it; x^2 + x + (-4 + 2*sqrt(-5))
+    # has discriminant 17 - 8*sqrt(-5) = (3 + 2*sqrt(-5)) * (-1 - 2*sqrt(-5))
+    p29 = F5(3, 2)
+    r = criterion_quadr(p29, 5, 13, g_n=(F5(1, 1), F5(0, 1), 1))
+    assert r == CriterionReport(
+        "quadr",
+        (
+            ("d_exceeds_3", True, "d = 5"),
+            ("unit_witness_found", True, None),
+            ("p_coprime_to_2n", True, "2n = 26"),
+            ("defining_poly_supplied", True, "class polynomials are inputs"),
+            ("p_coprime_to_poly_disc", True, None),
+        ),
+        True,
+        UNSOLVABLE,
+    )
+    r = criterion_quadr(p29, 5, 13, g_n=(F5(-4, 2), 1, 1))
+    assert not r.applicable
+    assert r.hypotheses[-1] == ("p_coprime_to_poly_disc", False, None)
 
 
 def test_quadr_gates():

@@ -22,6 +22,7 @@ from nforders.intmath import (
     xgcd,
 )
 from nforders.intmath import _roots_quadratic
+from nforders.quadratic import QuadElem, QuadField, from_integral_coords
 from oracles import primes_upto
 
 
@@ -48,21 +49,24 @@ def jacobi_by_factoring(a, m):
 
 
 def sylvester_resultant(f, g):
-    # determinant of the Sylvester matrix by exact fraction elimination
+    # determinant of the Sylvester matrix by exact elimination over the
+    # field of the coefficients: Q for integers, else the QuadField of the
+    # first QuadElem among them
+    K = next((c.field for c in f + g if isinstance(c, QuadElem)), Fraction)
+    lift = lambda c: c if isinstance(c, QuadElem) else K(c)
+    zero = K(0)
     df, dg = len(f) - 1, len(g) - 1
     n = df + dg
-    fr = list(reversed(f))  # leading first
-    gr = list(reversed(g))
+    fr = [lift(c) for c in reversed(f)]  # leading first
+    gr = [lift(c) for c in reversed(g)]
     rows = []
     for i in range(dg):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in fr]
-                    + [Fraction(0)] * (n - i - df - 1))
+        rows.append([zero] * i + fr + [zero] * (n - i - df - 1))
     for i in range(df):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in gr]
-                    + [Fraction(0)] * (n - i - dg - 1))
-    det = Fraction(1)
+        rows.append([zero] * i + gr + [zero] * (n - i - dg - 1))
+    det = K(1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        piv = next((r for r in range(col, n) if rows[r][col] != zero), None)
         if piv is None:
             return 0
         if piv != col:
@@ -70,11 +74,20 @@ def sylvester_resultant(f, g):
             det = -det
         det *= rows[col][col]
         for r in range(col + 1, n):
-            if rows[r][col]:
+            if rows[r][col] != zero:
                 factor = rows[r][col] / rows[col][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    assert det.denominator == 1
-    return int(det)
+    if K is Fraction:
+        assert det.denominator == 1
+        return int(det)
+    return det
+
+
+def sylvester_discriminant(f):
+    # (-1)^(d(d-1)/2) * res(f, f') / lc(f), the resultant by the oracle above
+    d = len(f) - 1
+    res = sylvester_resultant(f, [i * c for i, c in enumerate(f)][1:])
+    return (-1) ** (d * (d - 1) // 2) * res / f[-1]
 
 
 def test_xgcd():
@@ -189,6 +202,23 @@ def test_resultant_against_sylvester():
         f = [rng.randrange(-9, 10) for _ in range(df)] + [rng.randrange(1, 10)]
         g = [rng.randrange(-9, 10) for _ in range(dg)] + [rng.randrange(1, 10)]
         assert resultant(f, g) == sylvester_resultant(f, g), (f, g)
+
+
+def test_discriminant_over_quadratic_integers_against_sylvester():
+    # polynomials of degree 1 to 4 over O_F with at least one non-rational
+    # coefficient and a nonzero leading one
+    rng = random.Random(8)
+    for D in (-59, -7, -3, -2, -23):
+        F = QuadField(D)
+        coeff = lambda: from_integral_coords(F, rng.randrange(-6, 7), rng.randrange(-6, 7))
+        for _ in range(30):
+            deg = rng.randrange(1, 5)
+            f = [coeff() for _ in range(deg + 1)]
+            while f[-1].is_zero():
+                f[-1] = coeff()
+            if all(c.is_rational() for c in f):
+                f[0] = f[0] + F(0, 1)
+            assert poly_discriminant(f) == sylvester_discriminant(f), (D, f)
 
 
 def test_discriminant_known_values():

@@ -12,7 +12,6 @@ from nforders.orders import (
     PreconditionError,
     conductor,
     factor_ideal,
-    ideal_add,
     ideal_mul,
     is_coprime_to_conductor,
     is_invertible,
@@ -33,7 +32,7 @@ from nforders.orders import (
 from nforders.quadratic import QuadField, form_class_group, split_prime
 
 from audit import counting_audit, in_PK1f, in_PKOf
-from ideals import contract_ideal, extend_ideal, ideal_from_gens, ideal_quot
+from ideals import contract_ideal, extend_ideal, ideal_add, ideal_from_gens, ideal_quot
 
 F1 = QuadField(-1)
 F2 = QuadField(-2)

@@ -2,12 +2,16 @@
 its top-level classes, earns its place.
 
 A private name (one leading underscore) must be referenced somewhere in
-src/ outside its own definition; a public one must be referenced in src/
-outside its own definition or in tests/.  A reference is a name read, an
-attribute of that name, or an import of it.  References inside the
-defining statement itself (a recursive call, say) do not count; for a
-method or property that statement is its def, so a call from another
-method of the same class counts.  Dunder names are exempt.
+src/ outside its own definition.  A public one must be referenced there
+too, or be used by the benchmark in perfbench/: imported by name from its
+module (`from nforders.orders import picard_number`), or listed as
+(module, qualified name) in a `TRACED` tuple (perfbench/tracing.py).  A
+use in tests/ does not count: a helper only tests read lives in tests/.
+A reference in src/ is a name read, an attribute of that name, or an
+import of it.  References inside the defining statement itself (a
+recursive call, say) do not count; for a method or property that
+statement is its def, so a call from another method of the same class
+counts.  Dunder names are exempt.
 
 A parameter with a default, on a function or method in src/ whose name is
 not a dunder, must be passed, by keyword or by position, at some call in
@@ -22,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nforders"
 TESTS = ROOT / "tests"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _referenced(node) -> set:
@@ -50,23 +55,39 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _verdict(name: str, in_src: bool, tests: set):
+def _verdict(name: str, in_src: bool, in_bench: bool):
     if name.startswith("_"):
         return None if in_src else "private, unused in src/"
-    return None if in_src or name in tests else "public, unused in src/ and tests/"
+    return None if in_src or in_bench else "public, unused in src/ and perfbench/"
 
 
 def _parse(path: Path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def unreferenced_names(src_dir: Path = SRC, tests_dir: Path = TESTS) -> list:
+def _bench_uses(bench_dir: Path) -> set:
+    """(module, qualified name) for every library name the benchmark
+    imports by name or lists in a TRACED tuple."""
+    out = set()
+    for p in sorted(bench_dir.glob("*.py")):
+        for node in ast.walk(_parse(p)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "nforders."
+            ):
+                mod = node.module.split(".", 1)[1]
+                out.update((mod, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            ):
+                out.update(ast.literal_eval(node.value))
+    return out
+
+
+def unreferenced_names(src_dir: Path = SRC, bench_dir: Path = PERFBENCH) -> list:
     """(module, name, why) for every top-level name, and every method or
     property (named Class.name), that fails the rule."""
     src = {p.stem: _parse(p) for p in sorted(src_dir.glob("*.py"))}
-    tests = set()
-    for p in sorted(tests_dir.glob("*.py")):
-        tests |= _referenced(_parse(p))
+    bench = _bench_uses(bench_dir)
     # references in src/ per (module, top-level statement index)
     refs = {
         (mod, i): _referenced(stmt)
@@ -80,7 +101,9 @@ def unreferenced_names(src_dir: Path = SRC, tests_dir: Path = TESTS) -> list:
             for name in _defined(stmt):
                 if _dunder(name):
                     continue
-                why = _verdict(name, any(name in n for n in outside), tests)
+                why = _verdict(
+                    name, any(name in n for n in outside), (mod, name) in bench
+                )
                 if why:
                     bad.append((mod, name, why))
             if not isinstance(stmt, ast.ClassDef):
@@ -97,9 +120,10 @@ def unreferenced_names(src_dir: Path = SRC, tests_dir: Path = TESTS) -> list:
                 in_src = any(name in n for n in outside) or any(
                     name in n for k, n in enumerate(members) if k != j
                 )
-                why = _verdict(name, in_src, tests)
+                qual = "%s.%s" % (stmt.name, name)
+                why = _verdict(name, in_src, (mod, qual) in bench)
                 if why:
-                    bad.append((mod, "%s.%s" % (stmt.name, name), why))
+                    bad.append((mod, qual, why))
     return bad
 
 
@@ -191,16 +215,21 @@ def test_every_default_is_passed_somewhere():
 
 
 def test_checker_flags_an_orphan(tmp_path):
-    # the rule itself: a private helper only its own recursion calls, and a
-    # public one nobody calls, are both reported; a used one is not.  The
-    # same holds for the methods and properties of a class: a private
-    # method another method calls passes, a public one a test reads passes
+    # the rule itself: a private helper only its own recursion calls, a
+    # public one nobody calls and a public one only a test calls are all
+    # reported; one src/ uses, one the benchmark imports and one it traces
+    # pass.  The same holds for the methods and properties of a class: a
+    # private method another method calls passes, and so does a public one
+    # the benchmark traces
     pkg = tmp_path / "src" / "nforders"
     pkg.mkdir(parents=True)
     (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
     (pkg / "m.py").write_text(
         "def _loop(n):\n    return _loop(n - 1) if n else 0\n\n"
         "def orphan():\n    return 1\n\n"
+        "def tested():\n    return 5\n\n"
+        "def traced():\n    return 6\n\n"
         "def _used():\n    return 2\n\n"
         "def api():\n    return _used()\n\n"
         "class Box:\n"
@@ -209,20 +238,29 @@ def test_checker_flags_an_orphan(tmp_path):
         "    def _spin(self, n):\n        return self._spin(n - 1) if n else 0\n\n"
         "    @property\n    def size(self):\n        return self.x\n\n"
         "    def unused(self):\n        return 4\n\n"
-        "    def scaled(self, k=1, *, shift=0):\n        return self.x * k + shift\n\n"
+        "    def scaled(self, k=1, *, shift=0):\n        return self.size * k + shift\n\n"
         "def ranged(lo, hi=9, step=1):\n    return range(lo, hi, step)\n\n"
         "def fixed(n=3):\n    return ranged(0, n)\n"
     )
     (tmp_path / "tests" / "test_m.py").write_text(
-        "from nforders.m import Box, api, fixed\n\n"
+        "from nforders.m import Box, api, fixed, tested\n\n"
         "assert Box().size == 3 and Box().scaled(2) == 6\n"
-        "assert api() + len(fixed()) == 5\n"
+        "assert api() + len(fixed()) + tested() == 10\n"
     )
-    assert sorted(unreferenced_names(pkg, tmp_path / "tests")) == [
+    (tmp_path / "perfbench" / "workloads.py").write_text(
+        "def run():\n"
+        "    from nforders.m import Box, api, fixed\n\n"
+        "    return Box().scaled(2) + api() + len(fixed())\n"
+    )
+    (tmp_path / "perfbench" / "tracing.py").write_text(
+        'TRACED = (("m", "traced"), ("m", "Box.scaled"))\n'
+    )
+    assert sorted(unreferenced_names(pkg, tmp_path / "perfbench")) == [
         ("m", "Box._spin", "private, unused in src/"),
-        ("m", "Box.unused", "public, unused in src/ and tests/"),
+        ("m", "Box.unused", "public, unused in src/ and perfbench/"),
         ("m", "_loop", "private, unused in src/"),
-        ("m", "orphan", "public, unused in src/ and tests/"),
+        ("m", "orphan", "public, unused in src/ and perfbench/"),
+        ("m", "tested", "public, unused in src/ and perfbench/"),
     ]
     # defaults: hi is passed by position and k through a method call, while
     # step, shift and n are left at their defaults by every call

@@ -271,7 +271,8 @@ def test_quartic_norm_needs_no_unit(monkeypatch):
     def no_ladder(field):
         raise AssertionError("norm() reached ladder_data")
 
-    monkeypatch.setattr(biquadratic, "ladder_data", no_ladder)
+    # biquadratic does not import it at all; lattice defines it
+    assert not hasattr(biquadratic, "ladder_data")
     monkeypatch.setattr(lattice, "ladder_data", no_ladder)
     E = integral_basis(3, 7, basis=E37.intbasis, disc=441)  # fresh: nothing cached
     rng = random.Random(13)
