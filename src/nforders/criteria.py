@@ -316,6 +316,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     computation is done rather than asserted."""
     from .biquadratic import norm_map_condition
 
+    check_field_params(d, n)
     _prime_field(p, d)
     hyps = []
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, starmap
+from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -23,6 +23,7 @@ from .quadratic import (
     cf_convergents,
     cf_sqrt,
     integer_coords,
+    integer_rows,
     pell_solve,
 )
 
@@ -141,14 +142,16 @@ def _is_canonical(H) -> bool:
     returns: lower triangular, positive pivots on the diagonal, and the
     entries below each pivot in [0, pivot)?"""
     n = len(H)
-    if any(len(row) != n for row in H):
-        return False
+    for row in H:
+        if len(row) != n:
+            return False
     for i, row in enumerate(H):
         p = row[i]
-        if p <= 0 or any(row[i + 1 :]):
+        if p <= 0:
             return False
-        if not all(0 <= H[k][i] < p for k in range(i + 1, n)):
-            return False
+        for k in range(i + 1, n):
+            if row[k] or not 0 <= H[k][i] < p:
+                return False
     return True
 
 
@@ -250,30 +253,35 @@ def smith_normal_form(rows) -> list[int]:
 @dataclass(frozen=True)
 class IntModule:
     """(1/den) times the row span of `rows`, in ambient integral-basis
-    coordinates.  Construction canonicalizes, so equal modules compare equal."""
+    coordinates.  The entries of `rows` and `den` must be integers (ints,
+    or Fractions with denominator 1); any other value raises ValueError.
+    Construction canonicalizes, so equal modules compare equal: rows that
+    are already a canonical HNF tuple of tuples are kept as given."""
 
     ambient: object
     rows: tuple
     den: int
 
     def __post_init__(self):
-        rows = [list(map(int, r)) for r in self.rows]
-        den = int(self.den)
+        rows, den = self.rows, self.den
+        if type(den) is not int or not all(type(x) is int for r in rows for x in r):
+            (den,), *rows = integer_rows([(den,), *rows], "module entry")
         if den == 0:
             raise ValueError("zero denominator")
         if den < 0:
             den = -den
-        H = rows if _is_canonical(rows) else hnf_matrix(rows)
-        r = getattr(self.ambient, "degree", None) or len(H)
-        if len(H) != r:
+        if not _is_canonical(rows):
+            rows = hnf_matrix(rows)
+        r = getattr(self.ambient, "degree", None) or len(rows)
+        if len(rows) != r:
             raise ValueError("module is not full rank")
-        g = den
-        for row in H:
-            for x in row:
-                g = gcd(g, x)
-        H = [[x // g for x in row] for row in H]
-        den //= g
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in H))
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g > 1:
+                rows = [[x // g for x in row] for row in rows]
+                den //= g
+        if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
+            object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "den", den)
 
     @property
@@ -331,9 +339,10 @@ class IntModule:
 
 
 def hnf(ambient, rows, den: int = 1) -> IntModule:
-    return IntModule(ambient, tuple(tuple(int(x) for x in r) for r in rows), den)
+    return IntModule(ambient, tuple(map(tuple, rows)), den)
 
 
+@lru_cache(maxsize=None)
 def identity_module(ambient) -> IntModule:
     r = ambient.degree
     rows = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, gcd
+from math import ceil, gcd, prod
 
 from .intmath import factorize, sqrt_ub
 from .lattice import (
@@ -135,14 +135,19 @@ class OrderRep:
         T = self.field.mult_table
         return tuple(table_matrix(T, r) for r in self.module.rows if r != one)
 
+    @cached_property
+    def _pivot_product(self) -> int:
+        """[O_K : o]: o's module is integral and in canonical lower
+        triangular HNF over the integral basis of O_K, so its index is the
+        product of the diagonal."""
+        return prod(row[i] for i, row in enumerate(self.module.rows))
+
     @property
     def is_maximal(self) -> bool:
-        return self.module == identity_module(self.field)
+        return self.index_in_maximal() == 1
 
     def index_in_maximal(self) -> int:
-        idx = self.module.index_in(identity_module(self.field))
-        assert idx.denominator == 1
-        return int(idx)
+        return self._pivot_product
 
 
 def _closed_under(o: OrderRep, rows) -> bool:
@@ -495,7 +500,8 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     section 7), so the reduced form is its key and the count is the
     number of keys.  Every ideal after the first of its key is checked
     against that first one: I * conj(rep) must be principal, else
-    AuditFailure."""
+    AuditFailure.  The conjugate of rep is taken once, when the second
+    ideal of its key arrives; a key met once needs none."""
     if o.field.degree != 2 or o.field.D > 0:
         raise UnresolvedError("brute-force Picard count is rank-2 imaginary only")
     disc_o = o.field.disc * o.index_in_maximal() ** 2
@@ -506,19 +512,24 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     else:
         complete = Fraction(norm_bound) >= mink
     scan = min(norm_bound, ceil(mink))
-    # reduced form -> conjugate module of the first ideal of its class
+    # reduced form -> HNF rows of the first ideal of its class, and the
+    # conjugate module of that ideal once a second ideal of the class needs it
+    reps: dict[BinaryForm, tuple] = {}
     rep_conjs: dict[BinaryForm, IntModule] = {}
     for a, b, c, rows in _primitive_ideals(o, scan):
         if gcd(gcd(a, b), c) != 1:
             continue
         key = BinaryForm(a, b, c).reduce()
-        ideal = IntModule(o.field, rows, 1)
+        rep = reps.get(key)
+        if rep is None:
+            reps[key] = rows
+            continue
         rc = rep_conjs.get(key)
         if rc is None:
-            rep_conjs[key] = module_conj(ideal)
-        elif is_principal(o, module_mul(ideal, rc)) is None:
+            rc = rep_conjs[key] = module_conj(IntModule(o.field, rep, 1))
+        if is_principal(o, module_mul(IntModule(o.field, rows, 1), rc)) is None:
             raise AuditFailure(
                 "ideal %r has the reduced form %r of a class it is not in"
                 % (rows, key)
             )
-    return BruteClassCount(len(rep_conjs), norm_bound, mink, complete)
+    return BruteClassCount(len(reps), norm_bound, mink, complete)

@@ -146,20 +146,18 @@ class QuadField:
     @cached_property
     def mult_table(self) -> tuple:
         """Structure constants T[i][j] = coords(b_i * b_j) over the integral
-        basis {b_0, b_1} = {1, w}, as integer pairs.  Built once per field
-        instance from the element arithmetic and checked integral."""
-        basis = (self(1), self.omega())
-        return tuple(
-            integer_rows([(x * y).integral_coords() for y in basis], "basis product")
-            for x in basis
-        )
+        basis {b_0, b_1} = {1, w}, as integer pairs: with omega_minpoly()
+        = [m0, m1, 1], w^2 = -m0 - m1*w."""
+        m0, m1, _ = self.omega_minpoly()
+        return (((1, 0), (0, 1)), ((0, 1), (-m0, -m1)))
 
     @cached_property
     def conj_matrix(self) -> tuple:
         """Integer matrix of the conjugation sqrt(D) -> -sqrt(D) on row
-        coordinates: row i is coords(conj(b_i))."""
-        basis = (self(1), self.omega())
-        return integer_rows([x.conj().integral_coords() for x in basis], "conjugate")
+        coordinates: row i is coords(conj(b_i)), and conj(w) = -m1 - w is
+        the other root of omega_minpoly() = [m0, m1, 1]."""
+        _, m1, _ = self.omega_minpoly()
+        return ((1, 0), (-m1, -1))
 
     def mult_matrix(self, e: "QuadElem") -> tuple:
         """Rows M[i] = coords(b_i * e), so coords(x*e) = coords(x)*M."""

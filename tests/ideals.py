@@ -5,15 +5,23 @@ Test helpers, not collected by pytest.  `ideal_candidates` scans every
 HNF lattice ((d1, 0), (c, d2)) of O_K with d1 * d2 <= bound and keeps the
 ones closed under the order; `pic_pairwise` keeps its invertible ones and
 compares each with every class representative found so far, one
-principality test per pair.
+principality test per pair.  `principal_queries_eager` is the reduced-form
+loop of `pic_brute_force` as it was when it took each class
+representative's conjugate on arrival.  `picard_pool` gives the orders of
+the picard benchmark.
 """
 
+from math import gcd
+
+from nforders.cli import parse_order
+from nforders.intmath import is_squarefree
 from nforders.lattice import IntModule
 from nforders.orders import (
     OrderIdeal,
     OrderRep,
     PreconditionError,
     _closed_under,
+    _primitive_ideals,
     conductor,
     is_coprime_to_conductor,
     is_invertible,
@@ -24,6 +32,7 @@ from nforders.orders import (
     module_mul,
     principal_ideal,
 )
+from nforders.quadratic import BinaryForm
 
 # ---------------------------------------------------------------------------
 # ideal helpers
@@ -96,3 +105,47 @@ def pic_pairwise(o: OrderRep, scan: int) -> int:
         ):
             rep_conjs.append(module_conj(a.module))
     return len(rep_conjs)
+
+
+# ---------------------------------------------------------------------------
+# the reduced-form count with eager conjugates
+
+
+def principal_queries_eager(o: OrderRep, scan: int) -> list:
+    """The modules pic_brute_force's loop hands to is_principal, in order,
+    computed as the loop did when it stored the conjugate of each class's
+    first ideal on arrival: I * conj(rep) for every ideal I after the
+    first of its reduced-form key."""
+    rep_conjs = {}
+    out = []
+    for a, b, c, rows in _primitive_ideals(o, scan):
+        if gcd(gcd(a, b), c) != 1:
+            continue
+        key = BinaryForm(a, b, c).reduce()
+        ideal = IntModule(o.field, rows, 1)
+        rc = rep_conjs.get(key)
+        if rc is None:
+            rep_conjs[key] = module_conj(ideal)
+        else:
+            out.append(module_mul(ideal, rc))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the picard benchmark's orders
+
+
+def picard_pool() -> dict:
+    """Z[sqrt(-n)] for squarefree n <= 100 and Z + f*O_K in Q(sqrt(-d)) for
+    squarefree d <= 23 and f <= 6, each order once, as {spec: order}."""
+    specs = ["zsqrt:-%d" % n for n in range(1, 101) if is_squarefree(n)]
+    specs += [
+        "index:-%d:%d" % (d, f)
+        for d in range(1, 24)
+        if is_squarefree(d)
+        for f in range(1, 7)
+    ]
+    out = {}
+    for spec in specs:
+        out.setdefault(parse_order(spec)[0], spec)
+    return {spec: o for o, spec in out.items()}

@@ -8,8 +8,6 @@ from math import ceil, gcd
 import pytest
 
 from nforders import orders
-from nforders.cli import parse_order
-from nforders.intmath import is_squarefree
 from nforders.lattice import IntModule
 from nforders.orders import (
     AuditFailure,
@@ -21,24 +19,9 @@ from nforders.orders import (
 )
 from nforders.quadratic import QuadField
 
-from ideals import ideal_candidates, pic_pairwise
+from ideals import ideal_candidates, pic_pairwise, picard_pool, principal_queries_eager
 
-
-def _pool() -> dict:
-    specs = ["zsqrt:-%d" % n for n in range(1, 101) if is_squarefree(n)]
-    specs += [
-        "index:-%d:%d" % (d, f)
-        for d in range(1, 24)
-        if is_squarefree(d)
-        for f in range(1, 7)
-    ]
-    out = {}
-    for spec in specs:
-        out.setdefault(parse_order(spec)[0], spec)
-    return {spec: o for o, spec in out.items()}
-
-
-POOL = _pool()
+POOL = picard_pool()
 
 
 def test_pool_has_every_benchmark_order():
@@ -88,6 +71,31 @@ def test_scan_reaches_every_invertible_lattice(spec):
         # L divided by its content in O_K, as I/q above
         content = gcd(gcd(L.module.rows[0][0], L.module.rows[1][0]), L.module.rows[1][1])
         assert IntModule(o.field, L.module.rows, content) in primitive, L.module
+
+
+@pytest.mark.parametrize("spec", sorted(POOL))
+def test_principal_queries_match_eager_conjugates(monkeypatch, spec):
+    # the lazy conjugate changes no is_principal argument and no order, and
+    # conjugates each class representative at most once
+    o = POOL[spec]
+    asked, conjugated = [], []
+    is_principal, module_conj = orders.is_principal, orders.module_conj
+
+    def recording_is_principal(order, m):
+        assert order is o
+        asked.append(m)
+        return is_principal(order, m)
+
+    def recording_module_conj(m):
+        conjugated.append(m)
+        return module_conj(m)
+
+    monkeypatch.setattr(orders, "is_principal", recording_is_principal)
+    monkeypatch.setattr(orders, "module_conj", recording_module_conj)
+    r = pic_brute_force(o)
+    monkeypatch.undo()
+    assert asked == principal_queries_eager(o, ceil(r.minkowski_bound))
+    assert len(set(conjugated)) == len(conjugated) <= r.count
 
 
 def test_a_form_key_the_ideal_layer_rejects_fails_the_count(monkeypatch):

@@ -385,6 +385,11 @@ def test_unsupported_field_exits_3(capsys):
         # answer "none" before it reaches the field
         (["represent", "1+2*w", "7", "4"], "n must be positive squarefree"),
         (["conductor", "rel:3:3"], "d and n must be distinct"),
+        # the Hilbert report would fail n_is_1_or_2_mod_4 or d_n_coprime and
+        # answer "unknown"; a negative n reached pell_solve
+        (["criterion", "hilbert", "1+1*w", "59", "4"], "n must be positive squarefree"),
+        (["criterion", "hilbert", "1+1*w", "59", "0"], "n must be positive squarefree"),
+        (["criterion", "hilbert", "1+1*w", "59", "-2"], "n must be positive squarefree"),
     ],
 )
 def test_invalid_field_parameters_exit_2(capsys, argv, message):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import ceil, floor, lcm
 
+import pytest
+
 from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     IntModule,
@@ -85,6 +87,39 @@ def test_hnf_rejects_rank_deficient():
         assert False
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda F: IntModule(F, ((Fraction(3, 2), 0), (0, 1)), 1),
+        lambda F: hnf(F, [[Fraction(3, 2), 0], [0, 1]]),
+        lambda F: IntModule(F, ((1, 0), (0, 1)), Fraction(1, 2)),
+        lambda F: hnf(F, [[1, 0], [0, 1]], den=Fraction(3, 2)),
+    ],
+    ids=["IntModule-entry", "hnf-entry", "IntModule-den", "hnf-den"],
+)
+def test_non_integer_entries_raise(build):
+    # int() would floor 3/2 to 1 and return Z^2
+    with pytest.raises(ValueError, match="not integral"):
+        build(QuadField(-5))
+
+
+def test_integral_fraction_entries_are_read_as_ints():
+    F = QuadField(-5)
+    m = IntModule(F, ((Fraction(4, 2), 0), (0, Fraction(2))), Fraction(2))
+    assert m == identity_module(F)
+    assert all(type(x) is int for row in m.rows for x in row) and type(m.den) is int
+
+
+def test_canonical_rows_are_kept():
+    F = QuadField(-5)
+    rows = ((3, 0), (1, 1))
+    assert IntModule(F, rows, 1).rows is rows
+    # list rows and reduced content still come out as int tuples
+    m = IntModule(F, [[6, 0], [2, 2]], -4)
+    assert m.rows == ((3, 0), (1, 1)) and m.den == 2
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
 
 
 def test_module_normalization():

@@ -32,7 +32,14 @@ from nforders.orders import (
 from nforders.quadratic import QuadField, form_class_group, split_prime
 
 from audit import counting_audit, in_PK1f, in_PKOf
-from ideals import contract_ideal, extend_ideal, ideal_add, ideal_from_gens, ideal_quot
+from ideals import (
+    contract_ideal,
+    extend_ideal,
+    ideal_add,
+    ideal_from_gens,
+    ideal_quot,
+    picard_pool,
+)
 
 F1 = QuadField(-1)
 F2 = QuadField(-2)
@@ -74,6 +81,24 @@ def test_order_constructors():
     assert order_zsqrt(F5).is_maximal
     for f in range(1, 6):
         assert order_with_index(F1, f).index_in_maximal() == f
+
+
+def _index_by_covolume(o) -> int:
+    idx = o.module.index_in(identity_module(o.field))
+    assert isinstance(idx, Fraction) and idx.denominator == 1
+    return int(idx)
+
+
+def test_index_is_the_pivot_product():
+    # the product of the HNF diagonal against the covolume ratio in
+    # Fractions, on every order of the picard benchmark and a quartic one
+    for spec, o in picard_pool().items():
+        assert o.index_in_maximal() == _index_by_covolume(o), spec
+        assert type(o.index_in_maximal()) is int
+        assert o.is_maximal == (o.module == identity_module(o.field))
+    rel = _e37_order()
+    assert rel.index_in_maximal() == _index_by_covolume(rel) == 4
+    assert not rel.is_maximal
 
 
 def test_order_must_contain_one():

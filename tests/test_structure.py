@@ -269,3 +269,18 @@ def test_checker_flags_an_orphan(tmp_path):
         ("m", "ranged", "step"),
         ("m", "scaled", "shift"),
     ]
+
+
+def test_benchmark_clear_caches_empties_identity_module(monkeypatch):
+    # each benchmark operation starts from empty caches, as a fresh CLI
+    # process does, so the cached identity module is built again in each
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import clear_caches
+
+    from nforders.lattice import identity_module
+    from nforders.quadratic import QuadField
+
+    identity_module(QuadField(-5))
+    assert identity_module.cache_info().currsize > 0
+    clear_caches()
+    assert identity_module.cache_info().currsize == 0

@@ -16,6 +16,7 @@ import sympy
 
 from nforders import biquadratic, lattice
 from nforders.biquadratic import BiquadElem, integral_basis
+from nforders.intmath import is_squarefree
 from nforders.lattice import (
     IntModule,
     _det_int,
@@ -24,7 +25,7 @@ from nforders.lattice import (
     enumerate_by_t2,
 )
 from nforders.orders import module_colon, module_conj, module_mul, relative_order
-from nforders.quadratic import QuadElem, QuadField
+from nforders.quadratic import QuadElem, QuadField, integer_rows
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -90,6 +91,19 @@ def oracle_abs_norm(e):
     a, b, c, d = naive_mul(e, oracle_conj(e)).naive()
     assert c == 0 and d == 0
     return a * a + e.field.d * b * b
+
+
+def oracle_quad_tables(field):
+    """(mult_table, conj_matrix) of a quadratic field as QuadField built
+    them before the closed forms: from QuadElem products and conjugates of
+    the basis {1, w}, checked integral."""
+    basis = (field(1), field.omega())
+    T = tuple(
+        integer_rows([(x * y).integral_coords() for y in basis], "basis product")
+        for x in basis
+    )
+    C = integer_rows([x.conj().integral_coords() for x in basis], "conjugate")
+    return T, C
 
 
 def oracle_mult_matrix(field, e):
@@ -192,6 +206,17 @@ def test_table_axioms(field):
 def test_conj_matrix_matches_oracle(field):
     rows = tuple(tuple(oracle_conj(b).basis_coords()) for b in oracle_basis(field))
     assert field.conj_matrix == rows
+
+
+def test_quadratic_tables_match_element_oracle():
+    # every squarefree D in [-500, 500] but 0 and 1
+    fields = [QuadField(D) for D in range(-500, 501) if D != 1 and is_squarefree(D)]
+    assert len(fields) == 611
+    for field in fields:
+        T, C = oracle_quad_tables(field)
+        assert field.mult_table == T, field
+        assert field.conj_matrix == C, field
+        assert all(type(x) is int for M in (*T, C) for row in M for x in row)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
