@@ -265,7 +265,8 @@ class IntModule:
     def __post_init__(self):
         rows, den = self.rows, self.den
         if type(den) is not int or not all(type(x) is int for r in rows for x in r):
-            (den,), *rows = integer_rows([(den,), *rows], "module entry")
+            den = integer_rows([[den]], "module denominator")[0][0]
+            rows = integer_rows(rows, "module entry")
         if den == 0:
             raise ValueError("zero denominator")
         if den < 0:
@@ -344,6 +345,8 @@ def hnf(ambient, rows, den: int = 1) -> IntModule:
 
 @lru_cache(maxsize=None)
 def identity_module(ambient) -> IntModule:
+    """The maximal order as a module: the unit rows over the integral
+    basis, built once per field."""
     r = ambient.degree
     rows = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
     return IntModule(ambient, rows, 1)
