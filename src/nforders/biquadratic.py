@@ -2,11 +2,13 @@
 relative norms down to Q(sqrt(-d)), prime factorization, the Minkowski
 bound, class groups, and the norm-map cardinality condition.
 
-Elements are held in exact coordinates over a verified integral basis.  The
-basis itself is stored in "naive" coordinates over {1, sqrt(-d), sqrt(-n),
-sqrt(d*n)}, which fixes the multiplication table once: the integer structure
-constants BiquadField.mult_table, through which products, multiplication
-matrices and norms run.  Nothing downstream touches radicals again.
+Elements are integer coordinates over a verified integral basis and one
+denominator, as in a quadratic field (quadratic.FieldElem).  The basis
+itself is stored in "naive" coordinates over {1, sqrt(-d), sqrt(-n),
+sqrt(d*n)}, which fixes once per field the integer structure constants
+BiquadField.mult_table, through which products, multiplication matrices and
+norms run, and the integer matrices of the two conjugations bar and
+complex_conj.  Nothing downstream touches radicals again.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .lattice import (
     smith_normal_form,
 )
 from .quadratic import (
+    _SCALARS,
+    FieldElem,
     QuadField,
     form_class_group,
     integer_coords,
@@ -150,7 +154,7 @@ class BiquadField:
         object.__setattr__(self, "disc", int(self.disc))
 
     def from_basis_coords(self, coords) -> "BiquadElem":
-        return BiquadElem(self, tuple(Fraction(c) for c in coords))
+        return BiquadElem(self, *integer_coords(coords))
 
     def from_naive(self, naive) -> "BiquadElem":
         return self.from_basis_coords(_naive_to_coords(self.basis_inverse, naive))
@@ -173,16 +177,27 @@ class BiquadField:
     def conj_matrix(self) -> tuple:
         """Integer matrix of the bar action (sqrt(-n) -> -sqrt(-n)) on row
         coordinates: row i is coords(bar(b_i))."""
+        return self._sign_matrix((1, 1, -1, -1))
+
+    @cached_property
+    def complex_conj_matrix(self) -> tuple:
+        """Integer matrix of complex conjugation (sqrt(-d) -> -sqrt(-d),
+        sqrt(-n) -> -sqrt(-n)) on row coordinates, as conj_matrix."""
+        return self._sign_matrix((1, -1, -1, 1))
+
+    def _sign_matrix(self, signs) -> tuple:
+        """Rows coords(s(b_i)) for the automorphism s that multiplies the
+        naive coordinates by these signs."""
         return integer_rows(
             [
-                _naive_to_coords(self.basis_inverse, (a, b, -c, -e))
-                for a, b, c, e in self.intbasis
+                _naive_to_coords(self.basis_inverse, tuple(map(mul, signs, row)))
+                for row in self.intbasis
             ],
-            "bar of a basis element",
+            "conjugate of a basis element",
         )
 
     def one(self) -> "BiquadElem":
-        return self.from_naive((1, 0, 0, 0))
+        return BiquadElem(self, (1, 0, 0, 0))
 
     def gens(self):
         """(sqrt(-d), sqrt(-n), sqrt(d*n)) as field elements."""
@@ -260,10 +275,10 @@ class BiquadField:
         wn = _nmul(self.d, self.n, w, (0, 0, 1, 0))
         rows = []
         for naive in ((1, 0, 0, 0), w, (0, 0, 1, 0), wn):
-            c = self.from_naive(naive).coords
-            if any(x.denominator != 1 for x in c):
+            e = self.from_naive(naive)
+            if e.den != 1:
                 raise ValueError("relative order does not lie in the basis span")
-            rows.append([int(x) for x in c])
+            rows.append(list(e.u))
         return rows
 
     def torsion_units(self) -> tuple:
@@ -291,126 +306,47 @@ class BiquadField:
         return "BiquadField(%d, %d)" % (self.d, self.n)
 
 
-@dataclass(frozen=True)
-class BiquadElem:
-    field: BiquadField
-    coords: tuple
+class BiquadElem(FieldElem):
+    """An element of Q(sqrt(-d), sqrt(-n)) over the field's integral basis."""
 
-    def __post_init__(self):
-        c = tuple(Fraction(x) for x in self.coords)
-        if len(c) != 4:
-            raise ValueError("need 4 coordinates")
-        object.__setattr__(self, "coords", c)
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
+    coords = property(FieldElem.basis_coords)
 
     def naive(self):
-        B = self.field.intbasis
+        """Coordinates over {1, sqrt(-d), sqrt(-n), sqrt(d*n)}."""
         return tuple(
-            sum(self.coords[i] * B[i][j] for i in range(4)) for j in range(4)
+            sum(map(mul, self.u, col)) / self.den for col in zip(*self.field.intbasis)
         )
-
-    def basis_coords(self):
-        return self.coords
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def is_rational(self) -> bool:
-        nv = self.naive()
-        return nv[1] == 0 and nv[2] == 0 and nv[3] == 0
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_naive((other, 0, 0, 0))
-        self._check(other)
-        return BiquadElem(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiquadElem(self.field, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, BiquadElem) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiquadElem(self.field, tuple(a * other for a in self.coords))
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
         self._check(other)
-        u, a = integer_coords(self.coords)
-        w, b = integer_coords(other.coords)
-        cols = zip(*table_matrix(self.field.mult_table, w))
-        return BiquadElem(
-            self.field,
-            tuple(Fraction(sum(x * y for x, y in zip(u, c)), a * b) for c in cols),
-        )
+        M = table_matrix(self.field.mult_table, other.u)
+        return self._image(M, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiquadElem(
-                self.field, tuple(a / Fraction(other) for a in self.coords)
-            )
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        r = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
-
     def bar(self) -> "BiquadElem":
         """Negates sqrt(-n); fixes Q(sqrt(-d)) pointwise."""
-        a, b, c, e = self.naive()
-        return self.field.from_naive((a, b, -c, -e))
+        return self._image(self.field.conj_matrix, self.den)
 
     def complex_conj(self) -> "BiquadElem":
-        a, b, c, e = self.naive()
-        return self.field.from_naive((a, -b, -c, e))
-
-    def trace(self) -> Fraction:
-        return 4 * self.naive()[0]
+        return self._image(self.field.complex_conj_matrix, self.den)
 
     def norm(self) -> Fraction:
         """Product of all four conjugates, nonnegative as the field is
         totally imaginary; read off two integer quadratic forms
         (BiquadField.norm_forms)."""
-        u, den = integer_coords(self.coords)
         D0, _, G, C = self.field.norm_forms
-        m = _pair_products(u)
+        m = _pair_products(self.u)
         t = sum(map(mul, _pair_coeffs(G), m))
         c = sum(map(mul, _pair_coeffs(C), m))
-        return Fraction((4 * D0 * t * t - c * c) // (64 * D0), den**4)
-
-    def abs_norm(self) -> Fraction:
-        return self.norm()
+        return Fraction((4 * D0 * t * t - c * c) // (64 * D0), self.den**4)
 
     def inverse(self) -> "BiquadElem":
-        t = self.bar() * self.complex_conj() * self.complex_conj().bar()
-        nv = _nmul(self.field.d, self.field.n, self.naive(), t.naive())
-        if nv[0] == 0:
-            raise ZeroDivisionError
-        assert nv[1] == 0 and nv[2] == 0 and nv[3] == 0
-        return t / nv[0]
+        """The product of the three other conjugates over the norm."""
+        cc = self.complex_conj()
+        return self.bar() * cc * cc.bar() / self.norm()
 
     def __repr__(self):
         return "BiquadElem(%s)" % (self.coords,)
@@ -514,9 +450,8 @@ def ideal_of_elements(E: BiquadField, gens) -> IntModule:
     gens: the HNF of their stacked integer multiplication matrices."""
     rows = []
     for g in gens:
-        u, den = integer_coords(g.coords)
-        assert den == 1
-        rows += table_matrix(E.mult_table, u)
+        assert g.den == 1
+        rows += table_matrix(E.mult_table, g.u)
     return hnf(E, rows)
 
 
@@ -527,9 +462,8 @@ def _minpoly4(theta: BiquadElem):
     for _ in range(4):
         pows.append(pows[-1] * theta)
     # solve x * A = b with rows A[i] = coords(theta^i), b = coords(theta^4):
-    # x = b * adj(A) / det(A), on the integer-scaled rows
-    _, S = _scaled_matrix([p.coords for p in pows])
-    A, b = S[:4], S[4]
+    # x = b * adj(A) / det(A); theta is integral, so the rows are integers
+    A, b = [p.u for p in pows[:4]], pows[4].u
     det = _det_int(A)
     if det == 0:
         return None

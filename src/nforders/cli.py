@@ -40,7 +40,7 @@ from .orders import (
     UnresolvedError,
     conductor,
     factor_ideal,
-    is_regular_prime,
+    is_coprime_to_conductor,
     maximal_order,
     order_with_index,
     order_zsqrt,
@@ -49,7 +49,7 @@ from .orders import (
     principal_ideal,
     relative_order,
 )
-from .quadratic import QuadField, form_class_group, from_integral_coords, split_prime
+from .quadratic import QuadElem, QuadField, form_class_group, split_prime
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def parse_element(text: str, field: QuadField):
         if m.group("a") is not None and m.group("sign") is None:
             raise ValueError("missing sign between terms in %r" % text)
         s = -1 if m.group("sign") == "-" else 1
-        return from_integral_coords(field, a, s * int(m.group("b") or 1))
+        return QuadElem(field, (a, s * int(m.group("b") or 1)))
     m = _SQRT_RE.match(text)
     if m:
         if bool(m.group("open")) != bool(m.group("close")):
@@ -102,9 +102,8 @@ def parse_element(text: str, field: QuadField):
 
 def fmt_elem(e) -> str:
     """Canonical x+y*w rendering; defined for integral elements."""
-    x, y = e.integral_coords()
-    assert x.denominator == 1 and y.denominator == 1
-    x, y = int(x), int(y)
+    assert e.is_integral()
+    x, y = e.u
     if y == 0:
         return str(x)
     w = "w" if abs(y) == 1 else "%d*w" % abs(y)
@@ -175,7 +174,7 @@ def cmd_conductor(args):
     f = conductor(o)
     contains = None
     if n is not None:
-        one = o.field.one().basis_coords()
+        one = o.field.one().u
         contains = bool(f.module.contains_coords(tuple(4 * n * c for c in one)))
     payload = {
         "command": "conductor",
@@ -254,7 +253,7 @@ def cmd_factor(args):
                 "hnf": _rows(p.module),
                 "norm": int(p.norm()),
                 "exponent": k,
-                "regular": is_regular_prime(p),
+                "regular": is_coprime_to_conductor(p),
             }
             for p, k in fac.factors
         ],
@@ -334,9 +333,9 @@ def _associate(u, v) -> bool:
 
 def example_checks(pair_only: bool = False) -> list:
     F = QuadField(-59)
-    pi = from_integral_coords(F, 1, 1)  # (3 + sqrt(-59))/2
-    x0 = from_integral_coords(F, 2332, 1115)  # (5779 + 1115*sqrt(-59))/2
-    y0 = from_integral_coords(F, 3294, -532)  # 3028 - 266*sqrt(-59)
+    pi = QuadElem(F, (1, 1))  # (3 + sqrt(-59))/2
+    x0 = QuadElem(F, (2332, 1115))  # (5779 + 1115*sqrt(-59))/2
+    y0 = QuadElem(F, (3294, -532))  # 3028 - 266*sqrt(-59)
     checks = []
 
     def add(name, ok, detail):

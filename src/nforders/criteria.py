@@ -12,7 +12,6 @@ inapplicable case never masquerades as a negative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .biquadratic import (
@@ -33,7 +32,7 @@ from .intmath import (
 )
 from .lattice import find_generator
 from .orders import relative_order
-from .quadratic import QuadElem, QuadField, from_integral_coords, pell_solve, split_prime
+from .quadratic import QuadElem, QuadField, pell_solve, split_prime
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -167,16 +166,16 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     )
     target = F(-1)
     squares = [
-        (from_integral_coords(F, b1, b2), from_integral_coords(F, b1, b2) ** 2)
+        (QuadElem(F, (b1, b2)), QuadElem(F, (b1, b2)) ** 2)
         for b1 in coords
         for b2 in coords
     ]
     for a1 in coords:
         for a2 in coords:
-            want = target - from_integral_coords(F, a1, a2) ** 2
+            want = target - QuadElem(F, (a1, a2)) ** 2
             for beta, b2 in squares:
                 if n * b2 == want:
-                    return UnitWitness(from_integral_coords(F, a1, a2), beta, n)
+                    return UnitWitness(QuadElem(F, (a1, a2)), beta, n)
     return None
 
 
@@ -240,7 +239,7 @@ def _roots_in_residue_field(coeffs, q: int, deg: int, r, F: QuadField) -> bool:
     g = [c if isinstance(c, QuadElem) else F(c) for c in coeffs]
     assert all(c.is_integral() for c in g)
     if deg == 1:
-        h = [x + y * r for x, y in (c.integral_coords() for c in g)]
+        h = [x + y * r for x, y in (c.u for c in g)]
     else:
         h = [F(0)] * (2 * len(g) - 1)
         for i, a in enumerate(g):
@@ -265,7 +264,7 @@ def _sqrt_minus_n(F: QuadField, q: int, deg: int, n: int) -> QuadElem | None:
         return None if r is None else F(r)
     c0, c1, _ = F.omega_minpoly()
     b = sqrt_mod(-4 * n * pow(c1 * c1 - 4 * c0, -1, q), q)
-    return from_integral_coords(F, c1 * b * pow(2, -1, q) % q, b)
+    return QuadElem(F, (c1 * b * pow(2, -1, q) % q, b))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +395,7 @@ def _split_relative(alpha: BiquadElem) -> tuple[QuadElem, QuadElem]:
     F = QuadField(-alpha.field.d)
     c0, c1, c2, c3 = alpha.naive()
     # sqrt(d*n) = -sqrt(-d)*sqrt(-n), so the last slot feeds y negatively
-    return QuadElem(F, c0, c1), QuadElem(F, c2, -c3)
+    return F(c0, c1), F(c2, -c3)
 
 
 def represent(p: QuadElem, d: int, n: int):
@@ -419,9 +418,7 @@ def represent(p: QuadElem, d: int, n: int):
     # the prime of O_E above p: p*O_E + (root - sqrt(-n))*O_E
     mod = ideal_of_elements(E, (_embed_F(E, p), _embed_F(E, root) - E.gens()[1]))
     o = relative_order(E)
-    if o.module.den != 1 or o.module.rows != tuple(
-        tuple(int(i == j) for j in range(4)) for i in range(4)
-    ):
+    if not o.is_maximal:
         mod = mod.intersect(o.module)
     nrm = mod.covolume()
     assert nrm == q**deg

@@ -131,7 +131,7 @@ class OrderRep:
         """Integer multiplication matrices, through the field's table, of
         the basis rows of the order other than 1 itself: a lattice is
         closed under the order iff it is closed under each of them."""
-        one = tuple(self.field.one().basis_coords())
+        one = self.field.one().u
         T = self.field.mult_table
         return tuple(table_matrix(T, r) for r in self.module.rows if r != one)
 
@@ -166,12 +166,9 @@ def maximal_order(field) -> OrderRep:
 
 
 def order_zsqrt(field: QuadField) -> OrderRep:
-    """Z[sqrt(D)] inside Q(sqrt(D))."""
-    if field.D % 4 == 1:
-        rows = [[1, 0], [-1, 2]]
-    else:
-        rows = [[1, 0], [0, 1]]
-    return OrderRep(field, hnf(field, rows))
+    """Z[sqrt(D)] inside Q(sqrt(D)): Z + 2*O_K when D = 1 mod 4, as
+    sqrt(D) = 2w - 1, and O_K otherwise."""
+    return order_with_index(field, 2 if field.D % 4 == 1 else 1)
 
 
 def order_with_index(field, f: int) -> OrderRep:
@@ -250,16 +247,12 @@ def is_invertible(a: OrderIdeal) -> bool:
     inv = module_colon(a.order.module, a.module)
     H = hnf_matrix(_product_rows(a.module, inv))
     den = a.module.den * inv.den
-    return _in_lattice(H, [den * c for c in a.field.one().basis_coords()])
+    return _in_lattice(H, [den * c for c in a.field.one().u])
 
 
 def is_coprime_to_conductor(a: OrderIdeal) -> bool:
     f = conductor(a.order)
     return a.module.add(f.module) == a.order.module
-
-
-def is_regular_prime(p: OrderIdeal) -> bool:
-    return is_coprime_to_conductor(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Quadratic fields Q(sqrt(D)): elements, splitting, form class groups, Pell.
 
-Elements are a + b*sqrt(D) with exact rational a, b.  The integral basis is
-{1, w} with w = (1+sqrt(D))/2 when D = 1 mod 4 and w = sqrt(D) otherwise.
-Class numbers are counted on reduced binary quadratic forms (imaginary
-side only), and Pell equations solved through the continued fraction of
-sqrt(D).
+The integral basis is {1, w} with w = (1+sqrt(D))/2 when D = 1 mod 4 and
+w = sqrt(D) otherwise.  Field elements of either degree, quadratic here
+and quartic in biquadratic.py, are integer coordinates over the integral
+basis and one denominator (FieldElem).  Class numbers are counted on
+reduced binary quadratic forms (imaginary side only), and Pell equations
+solved through the continued fraction of sqrt(D).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .intmath import (
     is_prime,
@@ -23,25 +25,17 @@ from .intmath import (
 )
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % type(x).__name__)
-
-
 # ---------------------------------------------------------------------------
 # integer structure constants, shared by the quadratic and quartic fields
 
 
-def integer_coords(coords) -> tuple[list[int], int]:
-    """(u, den) with coords = u / den, u integers and den the lcm of the
-    coordinates' denominators."""
+def integer_coords(coords) -> tuple[tuple, int]:
+    """(u, den) with coords = u / den, u a tuple of integers and den the
+    lcm of the coordinates' denominators."""
     den = 1
     for c in coords:
         den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coords], den
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
 
 def integer_rows(rows, what: str) -> tuple:
@@ -75,11 +69,122 @@ def table_mult_matrix(field, e) -> tuple:
     """Rational multiplication matrix M of the element e, rows indexed by
     the basis: coords(x * e) = coords(x) * M.  Computed on integers through
     field.mult_table and divided once by the denominator of e."""
-    u, den = integer_coords(e.basis_coords())
     return tuple(
-        tuple(Fraction(x, den) for x in row)
-        for row in table_matrix(field.mult_table, u)
+        tuple(Fraction(x, e.den) for x in row)
+        for row in table_matrix(field.mult_table, e.u)
     )
+
+
+# ---------------------------------------------------------------------------
+# field elements of any degree
+
+_SCALARS = (int, Fraction)
+
+
+@dataclass(frozen=True)
+class FieldElem:
+    """The element u/den of a number field: u a tuple of ints over the
+    field's integral basis, whose first member is 1, and den > 0 coprime
+    to the content of u, so equal elements compare and hash equal (Cohen,
+    GTM 138, section 4.2.2).  What does not depend on the degree lives
+    here; each subclass brings its product, conjugates and norm."""
+
+    field: object
+    u: tuple
+    den: int = 1
+
+    def __post_init__(self):
+        u, den = self.u, self.den
+        if len(u) != self.field.degree:
+            raise ValueError("need %d coordinates" % self.field.degree)
+        if not den:
+            raise ZeroDivisionError("element with denominator 0")
+        g = gcd(den, *u) if den > 0 else -gcd(den, *u)
+        if g != 1 or type(u) is not tuple:
+            object.__setattr__(self, "u", tuple(x // g for x in u))
+            object.__setattr__(self, "den", den // g)
+
+    def _check(self, other):
+        if self.field != other.field:
+            raise ValueError("elements of different fields")
+
+    def _scale(self, s):
+        """self * s for a rational s."""
+        return type(self)(
+            self.field, tuple(x * s.numerator for x in self.u), self.den * s.denominator
+        )
+
+    def _image(self, M, den: int):
+        """The element (u M) / den, M an integer matrix on row coordinates."""
+        return type(self)(
+            self.field, tuple(sum(map(mul, self.u, col)) for col in zip(*M)), den
+        )
+
+    def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            other = self.field.one()._scale(other)
+        self._check(other)
+        a, b = self.den, other.den
+        return type(self)(
+            self.field, tuple(x * b + y * a for x, y in zip(self.u, other.u)), a * b
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.field, tuple(-x for x in self.u), self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scale(Fraction(1, other))
+        self._check(other)
+        return self * other.inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        r = self.field.one()
+        base = self
+        while e:
+            if e & 1:
+                r = r * base
+            base = base * base
+            e >>= 1
+        return r
+
+    def is_zero(self) -> bool:
+        return not any(self.u)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def is_integral(self) -> bool:
+        return self.den == 1
+
+    def is_rational(self) -> bool:
+        return not any(self.u[1:])
+
+    def basis_coords(self) -> tuple:
+        """The rational coordinates u/den over the integral basis."""
+        return tuple(Fraction(x, self.den) for x in self.u)
+
+    def trace(self) -> Fraction:
+        """Sum of the conjugates: Tr(b_j) is the trace of the matrix of
+        b_j, the sum over i of mult_table[i][j][i]."""
+        T = self.field.mult_table
+        return Fraction(
+            sum(x * sum(T[i][j][i] for i in range(len(T))) for j, x in enumerate(self.u)),
+            self.den,
+        )
+
+    def abs_norm(self) -> Fraction:
+        return abs(self.norm())
 
 
 @dataclass(frozen=True)
@@ -98,15 +203,14 @@ class QuadField:
         return self.D if self.D % 4 == 1 else 4 * self.D
 
     def __call__(self, a, b=0) -> "QuadElem":
-        return QuadElem(self, _rat(a), _rat(b))
-
-    def sqrt_gen(self) -> "QuadElem":
-        return QuadElem(self, Fraction(0), Fraction(1))
+        """a + b*sqrt(D) for rational a, b; sqrt(D) = 2w - 1 when
+        D = 1 mod 4."""
+        if self.D % 4 == 1:
+            return self.from_basis_coords((a - b, 2 * b))
+        return self.from_basis_coords((a, b))
 
     def omega(self) -> "QuadElem":
-        if self.D % 4 == 1:
-            return QuadElem(self, Fraction(1, 2), Fraction(1, 2))
-        return self.sqrt_gen()
+        return QuadElem(self, (0, 1))
 
     def omega_minpoly(self) -> list[int]:
         # constant term first; x^2 - x - (D-1)/4 or x^2 - D
@@ -116,13 +220,10 @@ class QuadField:
 
     def from_basis_coords(self, coords) -> "QuadElem":
         """Element x + y*w from rational coordinates (x, y)."""
-        x, y = (_rat(c) for c in coords)
-        if self.D % 4 == 1:
-            return QuadElem(self, x + y / 2, y / 2)
-        return QuadElem(self, x, y)
+        return QuadElem(self, *integer_coords(coords))
 
     def one(self) -> "QuadElem":
-        return self(1)
+        return QuadElem(self, (1, 0))
 
     def torsion_units(self) -> list:
         """The roots of unity of an imaginary field (just +-1 for a real
@@ -131,7 +232,7 @@ class QuadField:
             w = self.omega()  # (1+sqrt(-3))/2, a sixth root of unity
             return [self(1), -self(1), w, -w, w * w, -(w * w)]
         if self.disc == -4:
-            i = self.sqrt_gen()
+            i = self(0, 1)  # sqrt(-1)
             return [self(1), -self(1), i, -i]
         return [self(1), -self(1)]
 
@@ -167,107 +268,52 @@ class QuadField:
         return "QuadField(%d)" % self.D
 
 
-@dataclass(frozen=True)
-class QuadElem:
-    field: QuadField
-    a: Fraction
-    b: Fraction
+class QuadElem(FieldElem):
+    """x + y*w = a + b*sqrt(D), held as u = (x, y) over den."""
 
-    def _check(self, other: "QuadElem"):
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
+    @property
+    def a(self) -> Fraction:
+        x, y = self.u
+        if self.field.D % 4 == 1:
+            return Fraction(2 * x + y, 2 * self.den)
+        return Fraction(x, self.den)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, self.a + other, self.b)
-        self._check(other)
-        return QuadElem(self.field, self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElem(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadElem) else -_rat(other))
-
-    def __rsub__(self, other):
-        return -self + other
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.u[1], (2 if self.field.D % 4 == 1 else 1) * self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, self.a * other, self.b * other)
+        """(x1 + y1 w)(x2 + y2 w), with w^2 = c0 + c1 w read off
+        mult_table[1][1]."""
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
         self._check(other)
-        D = self.field.D
+        (x1, y1), (x2, y2) = self.u, other.u
+        c0, c1 = self.field.mult_table[1][1]
+        yy = y1 * y2
         return QuadElem(
             self.field,
-            self.a * other.a + D * self.b * other.b,
-            self.a * other.b + self.b * other.a,
+            (x1 * x2 + c0 * yy, x1 * y2 + y1 * x2 + c1 * yy),
+            self.den * other.den,
         )
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, self.a / other, self.b / other)
-        self._check(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError
-        num = self * other.conj()
-        return QuadElem(self.field, num.a / n, num.b / n)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (self.field(1) / self) ** (-e)
-        r = self.field(1)
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
-
     def conj(self) -> "QuadElem":
-        return QuadElem(self.field, self.a, -self.b)
+        return self._image(self.field.conj_matrix, self.den)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.field.D * self.b * self.b
+        """(x + y w)(x + y w') = x^2 + c1 x y - c0 y^2 over den^2, as
+        w + w' = c1 and w w' = -c0 for w^2 = c0 + c1 w."""
+        x, y = self.u
+        c0, c1 = self.field.mult_table[1][1]
+        return Fraction(x * x + c1 * x * y - c0 * y * y, self.den**2)
 
-    def abs_norm(self) -> Fraction:
-        return abs(self.norm())
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def integral_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates (x, y) with self = x + y*w in the {1, w} basis."""
-        if self.field.D % 4 == 1:
-            return self.a - self.b, 2 * self.b
-        return self.a, self.b
-
-    basis_coords = integral_coords
-
-    def is_integral(self) -> bool:
-        x, y = self.integral_coords()
-        return x.denominator == 1 and y.denominator == 1
+    def inverse(self) -> "QuadElem":
+        return self.conj() / self.norm()
 
     def __repr__(self):
         return "QuadElem(%s + %s*sqrt(%d))" % (self.a, self.b, self.field.D)
-
-
-def from_integral_coords(F: QuadField, x, y) -> QuadElem:
-    return F.from_basis_coords((x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +344,7 @@ def _norm_form_element(F: QuadField, q: int) -> QuadElem | None:
         if is_square(u2):
             u = isqrt(u2)
             if (u - v) % s == 0:
-                return QuadElem(F, Fraction(u, s), Fraction(v, s))
+                return F(Fraction(u, s), Fraction(v, s))
     return None
 
 

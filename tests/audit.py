@@ -28,7 +28,7 @@ from nforders.orders import (
     picard_terms,
     principal_ideal,
 )
-from nforders.quadratic import integer_coords, table_matrix
+from nforders.quadratic import table_matrix
 
 from ideals import ideal_candidates
 from oracles import fundamental_unit
@@ -58,10 +58,9 @@ def _is_unit_mod(o: OrderRep, fmod: IntModule, e) -> bool:
     the table and the sum built as one module."""
     if e.is_zero():
         return False
-    u, den = integer_coords(e.basis_coords())
-    gen = _times(o.module.rows, table_matrix(o.field.mult_table, u))
-    L = lcm(den, fmod.den)
-    rows = [[c * (L // den) for c in r] for r in gen]
+    gen = _times(o.module.rows, table_matrix(o.field.mult_table, e.u))
+    L = lcm(e.den, fmod.den)
+    rows = [[c * (L // e.den) for c in r] for r in gen]
     rows += [[c * (L // fmod.den) for c in r] for r in fmod.rows]
     return IntModule(o.field, tuple(map(tuple, rows)), L) == o.module
 

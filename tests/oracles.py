@@ -5,18 +5,33 @@ Test helpers, not collected by pytest.  The group law on binary forms
 the invariant factors it gives (`form_structure`) check that the reduced
 forms the library counts make up the class group; the library itself
 reads only their number.  `brute_force_represent`, `rel_norm_EF`,
-`principal_generator`, `fundamental_unit`, `is_reduced`, `to_module` and
-`primes_upto` are helpers that nothing in the library calls.
+`principal_generator`, `fundamental_unit`, `is_reduced`, `to_module`,
+`from_integral_coords` and `primes_upto` are helpers that nothing in the
+library calls.  `FracQuad` and `FracBiquad` are the field elements as
+they were before they became integer coordinates over one denominator:
+exact `Fraction` arithmetic, kept as the oracle for the elements that
+replaced them.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
+from operator import mul
 
-from nforders.biquadratic import BiquadElem, BiquadField, _reduce_inverse
+from nforders.biquadratic import (
+    BiquadElem,
+    BiquadField,
+    _naive_to_coords,
+    _nmul,
+    _reduce_inverse,
+)
 from nforders.criteria import verify_identity
 from nforders.intmath import factorize, xgcd
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
+    _pair_coeffs,
+    _pair_products,
     find_generator,
     identity_module,
     ladder_data,
@@ -25,8 +40,9 @@ from nforders.quadratic import (
     BinaryForm,
     QuadElem,
     QuadField,
-    from_integral_coords,
+    integer_coords,
     principal_form,
+    table_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -196,7 +212,7 @@ def rel_norm_EF(e: BiquadElem) -> QuadElem:
     step down to the fixed field of bar."""
     a, b, c, ee = (e * e.bar()).naive()
     assert c == 0 and ee == 0
-    return QuadElem(QuadField(-e.field.d), a, b)
+    return QuadField(-e.field.d)(a, b)
 
 
 def principal_generator(E: BiquadField, m: IntModule):
@@ -218,3 +234,196 @@ def principal_generator(E: BiquadField, m: IntModule):
 def to_module(basis: LatticeBasis) -> IntModule:
     """The IntModule the rows of an LLL-reduced basis span."""
     return IntModule(basis.ambient, basis.rows, basis.den)
+
+
+# ---------------------------------------------------------------------------
+# field elements in Fraction coordinates
+
+
+def from_integral_coords(F: QuadField, x, y) -> QuadElem:
+    """x + y*w in the quadratic field F."""
+    return F.from_basis_coords((x, y))
+
+
+_RATIONAL = (int, Fraction)
+
+
+@dataclass(frozen=True)
+class FracQuad:
+    """a + b*sqrt(D) with Fraction a and b."""
+
+    field: QuadField
+    a: Fraction
+    b: Fraction
+
+    @classmethod
+    def of(cls, e: QuadElem) -> "FracQuad":
+        """The element e, read through its basis coordinates x + y*w."""
+        x, y = e.basis_coords()
+        if e.field.D % 4 == 1:
+            return cls(e.field, x + y / 2, y / 2)
+        return cls(e.field, x, y)
+
+    def __add__(self, other):
+        if isinstance(other, _RATIONAL):
+            return FracQuad(self.field, self.a + other, self.b)
+        return FracQuad(self.field, self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FracQuad(self.field, -self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _RATIONAL):
+            return FracQuad(self.field, self.a * other, self.b * other)
+        D = self.field.D
+        return FracQuad(
+            self.field,
+            self.a * other.a + D * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _RATIONAL):
+            return FracQuad(self.field, self.a / other, self.b / other)
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError
+        num = self * other.conj()
+        return FracQuad(self.field, num.a / n, num.b / n)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return (FracQuad(self.field, Fraction(1), Fraction(0)) / self) ** (-e)
+        r = FracQuad(self.field, Fraction(1), Fraction(0))
+        for _ in range(e):
+            r = r * self
+        return r
+
+    def conj(self):
+        return FracQuad(self.field, self.a, -self.b)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - self.field.D * self.b * self.b
+
+    def trace(self) -> Fraction:
+        return 2 * self.a
+
+    def inverse(self):
+        return self.conj() / self.norm()
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def integral_coords(self) -> tuple:
+        """Coordinates (x, y) with self = x + y*w."""
+        if self.field.D % 4 == 1:
+            return self.a - self.b, 2 * self.b
+        return self.a, self.b
+
+    def to_elem(self) -> QuadElem:
+        return self.field.from_basis_coords(self.integral_coords())
+
+
+@dataclass(frozen=True)
+class FracBiquad:
+    """Fraction coordinates over the integral basis of a quartic field;
+    the conjugates, the trace and rationality are read off the naive
+    coordinates over {1, sqrt(-d), sqrt(-n), sqrt(d*n)}."""
+
+    field: BiquadField
+    coords: tuple
+
+    @classmethod
+    def of(cls, e: BiquadElem) -> "FracBiquad":
+        return cls(e.field, e.basis_coords())
+
+    def _from_naive(self, naive):
+        coords = _naive_to_coords(self.field.basis_inverse, naive)
+        return FracBiquad(self.field, tuple(coords))
+
+    def naive(self):
+        B = self.field.intbasis
+        return tuple(
+            sum(self.coords[i] * B[i][j] for i in range(4)) for j in range(4)
+        )
+
+    def __add__(self, other):
+        if isinstance(other, _RATIONAL):
+            other = self._from_naive((other, 0, 0, 0))
+        return FracBiquad(
+            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FracBiquad(self.field, tuple(-a for a in self.coords))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _RATIONAL):
+            return FracBiquad(self.field, tuple(a * other for a in self.coords))
+        u, a = integer_coords(self.coords)
+        w, b = integer_coords(other.coords)
+        cols = zip(*table_matrix(self.field.mult_table, w))
+        return FracBiquad(
+            self.field,
+            tuple(Fraction(sum(x * y for x, y in zip(u, c)), a * b) for c in cols),
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _RATIONAL):
+            return FracBiquad(
+                self.field, tuple(a / Fraction(other) for a in self.coords)
+            )
+        return self * other.inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        r = self._from_naive((1, 0, 0, 0))
+        for _ in range(e):
+            r = r * self
+        return r
+
+    def bar(self):
+        a, b, c, e = self.naive()
+        return self._from_naive((a, b, -c, -e))
+
+    def complex_conj(self):
+        a, b, c, e = self.naive()
+        return self._from_naive((a, -b, -c, e))
+
+    def trace(self) -> Fraction:
+        return 4 * self.naive()[0]
+
+    def norm(self) -> Fraction:
+        u, den = integer_coords(self.coords)
+        D0, _, G, C = self.field.norm_forms
+        m = _pair_products(u)
+        t = sum(map(mul, _pair_coeffs(G), m))
+        c = sum(map(mul, _pair_coeffs(C), m))
+        return Fraction((4 * D0 * t * t - c * c) // (64 * D0), den**4)
+
+    def inverse(self):
+        t = self.bar() * self.complex_conj() * self.complex_conj().bar()
+        nv = _nmul(self.field.d, self.field.n, self.naive(), t.naive())
+        if nv[0] == 0:
+            raise ZeroDivisionError
+        assert nv[1] == 0 and nv[2] == 0 and nv[3] == 0
+        return t / nv[0]
+
+    def is_rational(self) -> bool:
+        nv = self.naive()
+        return nv[1] == 0 and nv[2] == 0 and nv[3] == 0

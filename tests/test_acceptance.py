@@ -25,8 +25,8 @@ from nforders.orders import (
     conductor,
     factor_ideal,
     ideal_mul,
+    is_coprime_to_conductor,
     is_invertible,
-    is_regular_prime,
     maximal_order,
     order_with_index,
     order_zsqrt,
@@ -39,13 +39,13 @@ from nforders.quadratic import (
     QuadField,
     cf_sqrt,
     form_class_group,
-    from_integral_coords,
     pell_solve,
     split_prime,
 )
 
 from audit import counting_audit
 from ideals import contract_ideal, extend_ideal
+from oracles import from_integral_coords
 
 F59 = QuadField(-59)
 H = Fraction(1, 2)
@@ -205,7 +205,7 @@ def test_acceptance_07_order_property_suite():
         while q <= 100:
             if is_prime(q):
                 p = prime_above(o, q)
-                if is_invertible(p) != is_regular_prime(p):
+                if is_invertible(p) != is_coprime_to_conductor(p):
                     ok_a = False
             q += 1
 

@@ -18,7 +18,7 @@ from nforders.biquadratic import (
 from nforders.intmath import poly_discriminant
 from nforders.lattice import IntModule, UnsupportedFieldError, hnf, identity_module
 from nforders.orders import conductor, module_mul, relative_order
-from nforders.quadratic import QuadElem, QuadField
+from nforders.quadratic import QuadField
 from oracles import fundamental_unit, principal_generator, rel_norm_EF
 
 H = Fraction(1, 2)
@@ -179,7 +179,7 @@ def test_rel_norm_expansion():
         x = E59.from_naive((xa, xb, 0, 0))
         y = E59.from_naive((ya, yb, 0, 0))
         got = rel_norm_EF(x + y * sq)
-        want = QuadElem(F, xa, xb) ** 2 + 2 * QuadElem(F, ya, yb) ** 2
+        want = F(xa, xb) ** 2 + 2 * F(ya, yb) ** 2
         assert got == want
 
 
@@ -197,7 +197,7 @@ def test_rel_norm_half_integer_identity():
     y = E59.from_naive((-3028, 266, 0, 0))
     e = x + y * E59.gens()[1]
     assert e.is_integral()
-    assert rel_norm_EF(e) == QuadElem(QuadField(-59), Fraction(3, 2), Fraction(1, 2))
+    assert rel_norm_EF(e) == QuadField(-59)(Fraction(3, 2), Fraction(1, 2))
     assert e.norm() == 17
 
 

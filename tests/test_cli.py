@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nforders import cli, orders
-from nforders.quadratic import QuadField, from_integral_coords
+from nforders.quadratic import QuadField
+from oracles import from_integral_coords
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

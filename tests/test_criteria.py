@@ -23,8 +23,8 @@ from nforders.criteria import (
     verify_identity,
 )
 from nforders.intmath import is_prime, poly_roots_mod
-from nforders.quadratic import QuadElem, QuadField, from_integral_coords, split_prime
-from oracles import brute_force_represent, primes_upto
+from nforders.quadratic import QuadElem, QuadField, split_prime
+from oracles import brute_force_represent, from_integral_coords, primes_upto
 
 F59 = QuadField(-59)
 F5 = QuadField(-5)
@@ -59,7 +59,7 @@ def roots_in_residue_field_by_scan(coeffs, q, deg, r, F):
     imgs = []
     for c in coeffs:
         c = c if isinstance(c, QuadElem) else F(c)
-        x, y = c.integral_coords()
+        x, y = c.basis_coords()
         imgs.append((int(x) % q, int(y) % q))
     if deg == 1:
         flat = [(x + y * r) % q for x, y in imgs]

@@ -22,8 +22,8 @@ from nforders.intmath import (
     xgcd,
 )
 from nforders.intmath import _roots_quadratic
-from nforders.quadratic import QuadElem, QuadField, from_integral_coords
-from oracles import primes_upto
+from nforders.quadratic import QuadElem, QuadField
+from oracles import from_integral_coords, primes_upto
 
 
 # independent oracles, deliberately dumber than the implementations

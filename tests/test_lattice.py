@@ -16,8 +16,8 @@ from nforders.lattice import (
     kernel_int,
     lll_reduce,
 )
-from nforders.quadratic import QuadField, from_integral_coords
-from oracles import to_module
+from nforders.quadratic import QuadField
+from oracles import from_integral_coords, to_module
 
 
 def random_unimodular(rng, n, steps=8):
@@ -41,7 +41,7 @@ def matmul(A, B):
 
 
 def principal_module(F, alpha):
-    rows = [alpha.integral_coords(), (alpha * F.omega()).integral_coords()]
+    rows = [alpha.basis_coords(), (alpha * F.omega()).basis_coords()]
     return hnf(F, [[int(x), int(y)] for x, y in rows])
 
 

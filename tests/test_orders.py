@@ -16,7 +16,6 @@ from nforders.orders import (
     is_coprime_to_conductor,
     is_invertible,
     is_principal,
-    is_regular_prime,
     maximal_order,
     module_colon,
     module_mul,
@@ -180,8 +179,7 @@ def test_invertible_iff_regular_on_primes():
     for o in grid:
         for q in (2, 3, 5, 7, 11, 13):
             p = prime_above(o, q)
-            assert is_invertible(p) == is_regular_prime(p)
-            assert is_regular_prime(p) == is_coprime_to_conductor(p)
+            assert is_invertible(p) == is_coprime_to_conductor(p)
 
 
 # ---------------------------------------------------------------------------

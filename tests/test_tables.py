@@ -3,9 +3,10 @@
 The oracles below are the element-object implementations the table code
 replaced: module products, colons and conjugates built from field elements
 with Fraction coordinates, multiplication matrices from element products,
-and norms from the conjugate formulas.  Quartic products in the oracles go
-through the naive {1, sqrt(-d), sqrt(-n), sqrt(d*n)} coordinates, so no
-oracle touches a table.
+and norms from the conjugate formulas.  Quadratic products in the oracles
+go through a + b*sqrt(D) (oracles.FracQuad) and quartic ones through the
+naive {1, sqrt(-d), sqrt(-n), sqrt(d*n)} coordinates, so no oracle touches
+a table.
 """
 
 import random
@@ -26,6 +27,7 @@ from nforders.lattice import (
 )
 from nforders.orders import module_colon, module_conj, module_mul, relative_order
 from nforders.quadratic import QuadElem, QuadField, integer_rows
+from oracles import FracQuad
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -56,7 +58,9 @@ def naive_mul(x: BiquadElem, y: BiquadElem) -> BiquadElem:
 
 
 def oracle_mul(x, y):
-    return x * y if isinstance(x, QuadElem) else naive_mul(x, y)
+    if isinstance(x, QuadElem):
+        return (FracQuad.of(x) * FracQuad.of(y)).to_elem()
+    return naive_mul(x, y)
 
 
 def oracle_basis(field):
@@ -68,14 +72,14 @@ def oracle_basis(field):
 
 def oracle_conj(e):
     if isinstance(e, QuadElem):
-        return e.conj()
+        return FracQuad.of(e).conj().to_elem()
     a, b, c, d = e.naive()
     return e.field.from_naive((a, b, -c, -d))
 
 
 def oracle_inverse(e):
     if isinstance(e, QuadElem):
-        return e.conj() / e.norm()
+        return FracQuad.of(e).inverse().to_elem()
     F = e.field
     a, b, c, d = e.naive()
     cc = F.from_naive((a, -b, -c, d))
@@ -87,7 +91,7 @@ def oracle_inverse(e):
 
 def oracle_abs_norm(e):
     if isinstance(e, QuadElem):
-        return abs(e.a * e.a - e.field.D * e.b * e.b)
+        return abs(FracQuad.of(e).norm())
     a, b, c, d = naive_mul(e, oracle_conj(e)).naive()
     assert c == 0 and d == 0
     return a * a + e.field.d * b * b
@@ -95,9 +99,9 @@ def oracle_abs_norm(e):
 
 def oracle_quad_tables(field):
     """(mult_table, conj_matrix) of a quadratic field as QuadField built
-    them before the closed forms: from QuadElem products and conjugates of
+    them before the closed forms: from Fraction products and conjugates of
     the basis {1, w}, checked integral."""
-    basis = (field(1), field.omega())
+    basis = (FracQuad(field, Fraction(1), Fraction(0)), FracQuad.of(field.omega()))
     T = tuple(
         integer_rows([(x * y).integral_coords() for y in basis], "basis product")
         for x in basis
