@@ -6,9 +6,10 @@ Elements are integer coordinates over a verified integral basis and one
 denominator, as in a quadratic field (quadratic.FieldElem).  The basis
 itself is stored in "naive" coordinates over {1, sqrt(-d), sqrt(-n),
 sqrt(d*n)}, which fixes once per field the integer structure constants
-BiquadField.mult_table, through which products, multiplication matrices and
-norms run, and the integer matrices of the two conjugations bar and
-complex_conj.  Nothing downstream touches radicals again.
+BiquadField.mult_table, through which products and module transforms
+run, the integer norm form, and the integer matrices of the two
+conjugations bar and complex_conj.  Nothing downstream touches radicals
+again.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .lattice import (
     _det_int,
     _pair_coeffs,
     _pair_products,
-    _scaled_matrix,
     _times,
     adjugate_int,
     enumerate_by_t2,
@@ -54,7 +54,6 @@ from .quadratic import (
     integer_coords,
     integer_rows,
     table_matrix,
-    table_mult_matrix,
 )
 
 
@@ -83,7 +82,9 @@ def _nmul(d: int, n: int, x, y):
 def _mat_inv(rows):
     """Inverse of a rational square matrix: with rows = A / L, A integer,
     it is L * adj(A) / det(A)."""
-    L, A = _scaled_matrix(rows)
+    n = len(rows)
+    flat, L = integer_coords([x for row in rows for x in row])
+    A = [flat[i : i + n] for i in range(0, n * n, n)]
     det = _det_int(A)
     if det == 0:
         raise ValueError("singular basis matrix")
@@ -169,8 +170,8 @@ class BiquadField:
     def mult_table(self) -> tuple:
         """Structure constants T[i][j] = coords(b_i * b_j) over the integral
         basis, as integer 4-tuples.  Built once per field instance from the
-        naive multiplication and checked integral; all element products,
-        multiplication matrices and norms run through it."""
+        naive multiplication and checked integral; all element products and
+        module transforms run through it."""
         return _products_table(self.d, self.n, self.intbasis, self.basis_inverse)
 
     @cached_property
@@ -248,10 +249,13 @@ class BiquadField:
         t = u G u^t = T2(u) = 2(A1 + A2) den^2 and c = u C u^t =
         2 Tr(sqrt(D0) u conj(u)) = 4 sqrt(D0)(A1 - A2) den^2, so
         4 D0 t^2 - c^2 = 64 D0 A1 A2 den^4 = 64 D0 N(u): the norm on
-        integers, from two quadratic forms (norm, lattice._norm_filter).
-        The window ladder reads its matrices from here (ladder_data)."""
+        integers, from two quadratic forms (norm_form).  The window ladder
+        reads its matrices from here (ladder_data)."""
         D0, _ = self.real_subfield_data()
-        S = integer_rows(self.mult_matrix(self.from_real_quadratic(0, 1)), "sqrt(D0)")
+        sq = self.from_real_quadratic(0, 1)
+        if not sq.is_integral():
+            raise ValueError("sqrt(D0) is not integral")
+        S = tuple(map(tuple, table_matrix(self.mult_table, sq.u)))
         G = self.t2_gram_matrix()
         SG, GSt = _times(S, G), _times(G, tuple(zip(*S)))
         return D0, S, G, tuple(tuple(map(add, a, b)) for a, b in zip(SG, GSt))
@@ -261,9 +265,31 @@ class BiquadField:
         _, s = self.real_subfield_data()
         return self.from_naive((Fraction(x), 0, 0, Fraction(y) / s))
 
-    def mult_matrix(self, e: "BiquadElem"):
-        """Rows M[i] = coords(basis_i * e), so coords(x*e) = coords(x)*M."""
-        return table_mult_matrix(self, e)
+    @cached_property
+    def _norm_pairs(self) -> tuple:
+        """(D0, G, C) of norm_forms, G and C as their coefficients on the
+        products u_i u_j (lattice._pair_coeffs)."""
+        D0, _, G, C = self.norm_forms
+        return D0, _pair_coeffs(G), _pair_coeffs(C)
+
+    def norm_form(self, u) -> int:
+        """N(u), the product of the four conjugates of the integer vector u,
+        nonnegative as the field is totally imaginary: (4 D0 t^2 - c^2) /
+        (64 D0) for the two integer quadratic forms t and c of norm_forms,
+        an exact division."""
+        D0, gq, cq = self._norm_pairs
+        m = _pair_products(u)
+        t = sum(map(mul, gq, m))
+        c = sum(map(mul, cq, m))
+        return (4 * D0 * t * t - c * c) // (64 * D0)
+
+    def prime_rows(self, q: int) -> list:
+        """HNF rows of the primes of the maximal order above the rational
+        prime q, in the order of factor_rational_prime."""
+        return [pf.ideal.module.rows for pf in factor_rational_prime(self, q)]
+
+    def class_number(self) -> int:
+        return class_group(self).h
 
     def relative_order_rows(self):
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring
@@ -332,16 +358,6 @@ class BiquadElem(FieldElem):
 
     def complex_conj(self) -> "BiquadElem":
         return self._image(self.field.complex_conj_matrix, self.den)
-
-    def norm(self) -> Fraction:
-        """Product of all four conjugates, nonnegative as the field is
-        totally imaginary; read off two integer quadratic forms
-        (BiquadField.norm_forms)."""
-        D0, _, G, C = self.field.norm_forms
-        m = _pair_products(self.u)
-        t = sum(map(mul, _pair_coeffs(G), m))
-        c = sum(map(mul, _pair_coeffs(C), m))
-        return Fraction((4 * D0 * t * t - c * c) // (64 * D0), self.den**4)
 
     def inverse(self) -> "BiquadElem":
         """The product of the three other conjugates over the norm."""
@@ -630,7 +646,7 @@ def _reduce_inverse(m: IntModule):
     E = m.ambient
     beta = _short_element(m)
     inv = module_colon(identity_module(E), m)
-    c = inv.transform(E.mult_matrix(beta))
+    c = inv.transform(beta)
     assert c.den == 1
     return beta, c
 

@@ -165,6 +165,11 @@ def _read_poly(path: str) -> list:
     return coeffs
 
 
+def _check_bound(bound) -> None:
+    if bound is not None and bound < 0:
+        raise ValueError("--bound must be nonnegative, got %d" % bound)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -174,8 +179,7 @@ def cmd_conductor(args):
     f = conductor(o)
     contains = None
     if n is not None:
-        one = o.field.one().u
-        contains = bool(f.module.contains_coords(tuple(4 * n * c for c in one)))
+        contains = f.module.contains(o.field.one() * (4 * n))
     payload = {
         "command": "conductor",
         "field": field_label(o.field),
@@ -195,6 +199,7 @@ def cmd_conductor(args):
 
 
 def cmd_picard(args):
+    _check_bound(args.bound)
     o, _ = parse_order(args.order)
     terms = picard_terms(o)
     payload = {
@@ -327,10 +332,6 @@ def cmd_represent(args):
 _EXAMPLE_N = 2
 
 
-def _associate(u, v) -> bool:
-    return (u / v).is_integral() and (v / u).is_integral()
-
-
 def example_checks(pair_only: bool = False) -> list:
     F = QuadField(-59)
     pi = QuadElem(F, (1, 1))  # (3 + sqrt(-59))/2
@@ -362,7 +363,7 @@ def example_checks(pair_only: bool = False) -> list:
         and s.pi is not None
         and s.pi * s.pibar == F(17)
         and s.pi.abs_norm() == 17
-        and (_associate(s.pi, pi) or _associate(s.pibar, pi))
+        and any(_divides(pi, a) and _divides(a, pi) for a in (s.pi, s.pibar))
     )
     add(
         "seventeen_splits",
@@ -392,6 +393,7 @@ def cmd_verify_example(args):
 
 def cmd_sweep(args):
     check_field_params(args.d, args.n)
+    _check_bound(args.bound)
     F = QuadField(-args.d)
     poly = _read_poly(args.poly) if args.poly else None
     rows = []

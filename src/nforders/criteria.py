@@ -118,6 +118,8 @@ def cox_criterion(p: int, n: int, f_n, solve: bool = False) -> CriterionReport:
     residue mod p and the supplied class polynomial has a root mod p.  With
     solve=True a positive verdict is cross-checked against cornacchia and
     the found pair is attached."""
+    if n <= 0:
+        raise ValueError("n must be positive, got %d" % n)
     if p == 2 or not is_prime(p):
         raise ValueError("needs an odd prime, got %d" % p)
     f_n = [int(c) for c in f_n]
@@ -195,12 +197,12 @@ def _residue_data(p: QuadElem):
     if is_prime(nrm):
         q = nrm
         for r in poly_roots_mod(F.omega_minpoly(), q):
-            if ((F.omega() - r) / p).is_integral():
+            if _divides(p, F.omega() - r):
                 return q, 1, r
         raise AssertionError("norm-q element outside every ideal above q")
     q = isqrt(nrm)
     if q * q == nrm and is_prime(q):
-        if (p / F(q)).is_integral() and (F(q) / p).is_integral():
+        if _divides(F(q), p) and _divides(p, q):
             # an associate of q is prime only when q stays inert
             if split_prime(F, q).kind == "inert":
                 return q, 2, None

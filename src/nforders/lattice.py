@@ -22,9 +22,9 @@ from .quadratic import (
     CFExpansion,
     cf_convergents,
     cf_sqrt,
-    integer_coords,
     integer_rows,
     pell_solve,
+    table_matrix,
 )
 
 
@@ -161,16 +161,6 @@ def _times(rows, M, scale: int = 1) -> list:
     return [tuple([scale * sum(map(mul, r, c)) for c in cols]) for r in rows]
 
 
-def _scaled_matrix(rows):
-    """(L, L*rows) for a matrix of ints and Fractions, L the lcm of the
-    entries' denominators, so that L*rows is an integer matrix."""
-    L = 1
-    for row in rows:
-        for x in row:
-            L = lcm(L, x.denominator)
-    return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
-
-
 def _det_int(rows) -> int:
     """Determinant of a square integer matrix by Bareiss fraction-free
     elimination: every division is exact, and a zero pivot is replaced by
@@ -295,13 +285,11 @@ class IntModule:
             det *= self.rows[i][i]
         return Fraction(det, self.den**self.rank)
 
-    def contains_coords(self, coords) -> bool:
-        """Membership of the ambient element with the given rational
-        integral-basis coordinates u / den_u: is u * den = x * rows * den_u
-        for an integer x?  Decided on integers: den_u must divide
-        u * den, and the quotient must be in the row span."""
-        u, den_u = integer_coords(list(coords))
-        return self._contains_int(u, den_u)
+    def contains(self, e) -> bool:
+        """Membership of the field element e = u / den_u: is u * den =
+        x * rows * den_u for an integer x?  Decided on integers: den_u must
+        divide u * den, and the quotient must be in the row span."""
+        return self._contains_int(e.u, e.den)
 
     def contains_module(self, other: "IntModule") -> bool:
         return all(self._contains_int(row, other.den) for row in other.rows)
@@ -328,11 +316,11 @@ class IntModule:
         ker = [vec[:r] for vec in kernel_int(stacked)]
         return IntModule(self.ambient, tuple(_times(ker, B1)), L)
 
-    def transform(self, M) -> "IntModule":
-        """Module spanned by the images row*M of the basis rows, with M a
-        rational matrix acting on integral-basis coordinates."""
-        d, Md = _scaled_matrix(M)
-        return IntModule(self.ambient, tuple(_times(self.rows, Md)), self.den * d)
+    def transform(self, e) -> "IntModule":
+        """The module e * self for a field element e = u / den_e: the rows
+        times the integer multiplication matrix of u, over den * den_e."""
+        M = table_matrix(self.ambient.mult_table, e.u)
+        return IntModule(self.ambient, tuple(_times(self.rows, M)), self.den * e.den)
 
     def index_in(self, other: "IntModule") -> Fraction:
         """[other : self] as a positive rational (integer iff self <= other)."""
@@ -556,32 +544,12 @@ def _pair_products(u) -> list:
 
 def _norm_filter(module, norm: Fraction):
     """Predicate on the points u enumerate_by_t2 returns for the module:
-    |N(u/den)| == norm, den the module's denominator.  The norm is read
-    exactly off integer quadratic forms in u: T2 = 2|N| in an imaginary
-    quadratic field, so u G u^t == 2 norm den^2 with G the T2 Gram; in a
-    quartic field 4 D0 t^2 - c^2 = 64 D0 N(u) for t = u G u^t and
-    c = u C u^t (BiquadField.norm_forms)."""
-    field = module.ambient
-    den = module.den
-    if field.degree == 2:
-        g = _pair_coeffs(field.t2_gram_matrix())
-        target = 2 * norm * den**2
-
-        def keep(u) -> bool:
-            return sum(map(mul, g, _pair_products(u))) == target
-
-        return keep
-    D0, _, G, C = field.norm_forms
-    gq, cq = _pair_coeffs(G), _pair_coeffs(C)
-    target = 64 * D0 * norm * den**4
-
-    def keep(u) -> bool:
-        m = _pair_products(u)
-        t = sum(map(mul, gq, m))
-        c = sum(map(mul, cq, m))
-        return 4 * D0 * t * t - c * c == target
-
-    return keep
+    N(u/den) == norm, den the module's denominator, read exactly off the
+    field's integer norm form: norm_form(u) == norm * den^degree.  The
+    fields searched are totally imaginary, so N is |N|."""
+    form = module.ambient.norm_form
+    target = norm * module.den**module.ambient.degree
+    return lambda u: form(u) == target
 
 
 # the largest power of the fundamental unit _unit_ladder tries

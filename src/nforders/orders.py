@@ -37,13 +37,7 @@ from .lattice import (
     hnf_matrix,
     identity_module,
 )
-from .quadratic import (
-    BinaryForm,
-    QuadField,
-    form_class_group,
-    split_prime,
-    table_matrix,
-)
+from .quadratic import BinaryForm, QuadField, table_matrix
 
 
 class PreconditionError(ValueError):
@@ -121,7 +115,7 @@ class OrderRep:
         m = self.module
         if m.den != 1:
             raise ValueError("an order must consist of integral elements")
-        if not m.contains_coords(self.field.one().basis_coords()):
+        if not m.contains(self.field.one()):
             raise ValueError("an order must contain 1")
         if not _closed_under(self, m.rows):
             raise ValueError("module is not multiplicatively closed")
@@ -225,7 +219,7 @@ class OrderIdeal:
 def principal_ideal(o: OrderRep, e) -> OrderIdeal:
     if e.is_zero():
         raise ValueError("zero element generates no ideal")
-    return OrderIdeal(o, o.module.transform(o.field.mult_matrix(e)))
+    return OrderIdeal(o, o.module.transform(e))
 
 
 def ideal_mul(a: OrderIdeal, b: OrderIdeal) -> OrderIdeal:
@@ -272,28 +266,14 @@ class IdealFactorization:
 
 
 def _primes_above(o: OrderRep, q: int):
-    """Prime ideals of o above the rational prime q, by contracting the
-    ambient factorization."""
-    field = o.field
+    """Prime ideals of o above the rational prime q: the contractions of
+    the primes of O_K above q (the field's prime_rows), each once."""
     out = []
-    if field.degree == 2:
-        s = split_prime(field, q)
-        mods = [hnf(field, [list(r) for r in s.hnf])]
-        if s.kind == "split":
-            mods.append(module_conj(mods[0]))
-    else:
-        from .biquadratic import factor_rational_prime
-
-        mods = [pf.ideal.module for pf in factor_rational_prime(field, q)]
-    for m in mods:
-        contracted = m.intersect(o.module)
-        out.append(OrderIdeal(o, contracted))
-    # dedupe (ramified / inert give one prime)
-    uniq = []
-    for p in out:
-        if p not in uniq:
-            uniq.append(p)
-    return uniq
+    for rows in o.field.prime_rows(q):
+        p = OrderIdeal(o, hnf(o.field, rows).intersect(o.module))
+        if p not in out:
+            out.append(p)
+    return out
 
 
 def factor_ideal(a: OrderIdeal) -> IdealFactorization:
@@ -368,17 +348,9 @@ def unit_index(o: OrderRep) -> int:
             "unit index of a non-maximal quartic order needs the unit group of E"
         )
     tors = field.torsion_units()
-    inside = [z for z in tors if o.module.contains_coords(z.basis_coords())]
+    inside = [z for z in tors if o.module.contains(z)]
     assert len(tors) % len(inside) == 0
     return len(tors) // len(inside)
-
-
-def class_number(field) -> int:
-    if field.degree == 2:
-        return form_class_group(field.disc).h
-    from .biquadratic import class_group
-
-    return class_group(field).h
 
 
 @dataclass(frozen=True)
@@ -397,7 +369,7 @@ def picard_terms(o: OrderRep) -> PicardTerms:
     """The Picard formula for o, each residue count taken once."""
     field = o.field
     u = unit_index(o)  # first: an unresolved index raises before the class group
-    h_K = class_number(field)
+    h_K = field.class_number()
     f = conductor(o)
     omax = maximal_order(field)
     nf_max = residue_unit_count(omax, f.module)

@@ -65,16 +65,6 @@ def table_matrix(T, u) -> list[list[int]]:
     return out
 
 
-def table_mult_matrix(field, e) -> tuple:
-    """Rational multiplication matrix M of the element e, rows indexed by
-    the basis: coords(x * e) = coords(x) * M.  Computed on integers through
-    field.mult_table and divided once by the denominator of e."""
-    return tuple(
-        tuple(Fraction(x, e.den) for x in row)
-        for row in table_matrix(field.mult_table, e.u)
-    )
-
-
 # ---------------------------------------------------------------------------
 # field elements of any degree
 
@@ -87,7 +77,8 @@ class FieldElem:
     field's integral basis, whose first member is 1, and den > 0 coprime
     to the content of u, so equal elements compare and hash equal (Cohen,
     GTM 138, section 4.2.2).  What does not depend on the degree lives
-    here; each subclass brings its product, conjugates and norm."""
+    here, the norm among it; each subclass brings its product and
+    conjugates."""
 
     field: object
     u: tuple
@@ -183,6 +174,11 @@ class FieldElem:
             self.den,
         )
 
+    def norm(self) -> Fraction:
+        """Product of the conjugates: the field's integer norm form of u
+        over den to the degree."""
+        return Fraction(self.field.norm_form(self.u), self.den**self.field.degree)
+
     def abs_norm(self) -> Fraction:
         return abs(self.norm())
 
@@ -260,9 +256,25 @@ class QuadField:
         _, m1, _ = self.omega_minpoly()
         return ((1, 0), (-m1, -1))
 
-    def mult_matrix(self, e: "QuadElem") -> tuple:
-        """Rows M[i] = coords(b_i * e), so coords(x*e) = coords(x)*M."""
-        return table_mult_matrix(self, e)
+    def norm_form(self, u) -> int:
+        """N(x + y w) = (x + y w)(x + y w') = x^2 + c1 x y - c0 y^2, as
+        w + w' = c1 and w w' = -c0 for w^2 = c0 + c1 w."""
+        x, y = u
+        c0, c1 = self.mult_table[1][1]
+        return x * x + c1 * x * y - c0 * y * y
+
+    def prime_rows(self, q: int) -> list:
+        """HNF rows over {1, w} of the primes above the rational prime q,
+        by Kummer-Dedekind (O_K = Z[w]): one prime (q, w - r) for each root
+        r of omega_minpoly() mod q, in the order of the roots, and q O_K
+        itself when there is none."""
+        roots = poly_roots_mod(self.omega_minpoly(), q)
+        if not roots:
+            return [((q, 0), (0, q))]
+        return [((q, 0), ((-r) % q, 1)) for r in roots]
+
+    def class_number(self) -> int:
+        return form_class_group(self.disc).h
 
     def __repr__(self):
         return "QuadField(%d)" % self.D
@@ -302,13 +314,6 @@ class QuadElem(FieldElem):
     def conj(self) -> "QuadElem":
         return self._image(self.field.conj_matrix, self.den)
 
-    def norm(self) -> Fraction:
-        """(x + y w)(x + y w') = x^2 + c1 x y - c0 y^2 over den^2, as
-        w + w' = c1 and w w' = -c0 for w^2 = c0 + c1 w."""
-        x, y = self.u
-        c0, c1 = self.field.mult_table[1][1]
-        return Fraction(x * x + c1 * x * y - c0 * y * y, self.den**2)
-
     def inverse(self) -> "QuadElem":
         return self.conj() / self.norm()
 
@@ -327,7 +332,6 @@ class SplitResult:
     # and always None in a real field
     pi: QuadElem | None
     pibar: QuadElem | None
-    hnf: tuple[tuple[int, int], tuple[int, int]]  # prime ideal in {1, w} basis
 
 
 def _norm_form_element(F: QuadField, q: int) -> QuadElem | None:
@@ -352,8 +356,7 @@ def split_prime(F: QuadField, q: int) -> SplitResult:
     """Splitting behavior of the rational prime q in O_F.
 
     For split/ramified primes also tries to produce a prime element by a
-    norm form search; the HNF rows of one prime ideal above q (in the
-    {1, w} basis) are returned in every case.
+    norm form search; the prime ideals themselves are QuadField.prime_rows.
     """
     if not is_prime(q):
         raise ValueError("split_prime needs a prime, got %d" % q)
@@ -370,14 +373,10 @@ def split_prime(F: QuadField, q: int) -> SplitResult:
         kind = "split" if j == 1 else "inert" if j == -1 else "ramified"
 
     if kind == "inert":
-        return SplitResult("inert", F(q), F(q), ((q, 0), (0, q)))
-
-    # Kummer: root of the minimal polynomial of w mod q gives the ideal
-    r = poly_roots_mod(F.omega_minpoly(), q)[0]
-    hnf = ((q, 0), ((-r) % q, 1))
+        return SplitResult("inert", F(q), F(q))
     pi = _norm_form_element(F, q)
     pibar = pi.conj() if pi is not None else None
-    return SplitResult(kind, pi, pibar, hnf)
+    return SplitResult(kind, pi, pibar)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,7 @@ def in_PK1f(field, alpha, f: OrderIdeal, beta=None) -> bool:
             raise PreconditionError("element is not integral")
         if xi.module.add(f.module) != omax.module:
             raise PreconditionError("element is not coprime to f")
-    diff = (alpha - beta).basis_coords()
-    return f.module.contains_coords(diff)
+    return f.module.contains(alpha - beta)
 
 
 def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
@@ -117,7 +116,7 @@ def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
     units = field.torsion_units()
     for u in units:
         cand = u * g
-        if o.module.contains_coords(cand.basis_coords()):
+        if o.module.contains(cand):
             return True
     if field.degree == 4:
         eta = fundamental_unit(field)
@@ -125,7 +124,7 @@ def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
             for base in (eta**j, eta**-j):
                 for u in units:
                     cand = u * base * g
-                    if o.module.contains_coords(cand.basis_coords()):
+                    if o.module.contains(cand):
                         return True
         raise UnresolvedError(
             "no associate u * eta^(+-j), j <= 8, of the generator lies in o"
@@ -190,11 +189,11 @@ def counting_audit(o: OrderRep, margin: int = 4) -> AuditReport:
     # O_K^x meet K_{f,o} = o^x, exhausting the finite unit group
     tors = field.torsion_units()
     in_order = {
-        t.basis_coords(): o.module.contains_coords(t.basis_coords()) for t in tors
+        t.basis_coords(): o.module.contains(t) for t in tors
     }
     reps = _unit_residues(o, f.module)
     for t in tors:
-        member = any(o.module.contains_coords((t * b).basis_coords()) for b in reps)
+        member = any(o.module.contains(t * b) for b in reps)
         if member != in_order[t.basis_coords()]:
             raise AuditFailure("unit %r crosses K_{f,o} boundary" % (t,))
     checks.append("unit_intersection_is_order_units")

@@ -6,16 +6,16 @@ the invariant factors it gives (`form_structure`) check that the reduced
 forms the library counts make up the class group; the library itself
 reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `principal_generator`, `fundamental_unit`, `is_reduced`, `to_module`,
-`from_integral_coords` and `primes_upto` are helpers that nothing in the
-library calls.  `FracQuad` and `FracBiquad` are the field elements as
-they were before they became integer coordinates over one denominator:
-exact `Fraction` arithmetic, kept as the oracle for the elements that
-replaced them.
+`mult_matrix`, `transform_by_matrix`, `from_integral_coords` and
+`primes_upto` are helpers that nothing in the library calls.  `FracQuad`
+and `FracBiquad` are the field elements as they were before they became
+integer coordinates over one denominator: exact `Fraction` arithmetic,
+kept as the oracle for the elements that replaced them.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from nforders.biquadratic import (
@@ -223,7 +223,7 @@ def principal_generator(E: BiquadField, m: IntModule):
     if lam is None:
         return None
     g = beta / lam
-    assert identity_module(E).transform(E.mult_matrix(g)) == m
+    assert identity_module(E).transform(g) == m
     return g
 
 
@@ -234,6 +234,26 @@ def principal_generator(E: BiquadField, m: IntModule):
 def to_module(basis: LatticeBasis) -> IntModule:
     """The IntModule the rows of an LLL-reduced basis span."""
     return IntModule(basis.ambient, basis.rows, basis.den)
+
+
+def mult_matrix(field, e) -> tuple:
+    """The rational multiplication matrix M of the element e, rows indexed
+    by the integral basis, so coords(x * e) = coords(x) * M: the integer
+    matrix of e.u through field.mult_table over e.den."""
+    return tuple(
+        tuple(Fraction(x, e.den) for x in row)
+        for row in table_matrix(field.mult_table, e.u)
+    )
+
+
+def transform_by_matrix(m: IntModule, M) -> IntModule:
+    """The module the images row * M of m's basis rows span, M a rational
+    matrix on integral-basis coordinates: the rows times M times the lcm L
+    of M's denominators, over den * L."""
+    L = lcm(*(Fraction(x).denominator for row in M for x in row))
+    cols = list(zip(*M))
+    rows = [[L * sum(map(mul, r, c)) for c in cols] for r in m.rows]
+    return IntModule(m.ambient, tuple(map(tuple, rows)), m.den * L)
 
 
 # ---------------------------------------------------------------------------

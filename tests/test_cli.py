@@ -301,6 +301,47 @@ def test_criterion_cox_needs_poly(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "p,n",
+    [
+        # -2 made -n = 2 a residue test mod 11 and answered "unsolvable"
+        ("11", "-2"),
+        # 13 divides n = 0, so the report answered "unknown"
+        ("13", "0"),
+        ("13", "-1"),
+    ],
+)
+def test_criterion_cox_rejects_nonpositive_n(tmp_path, capsys, p, n):
+    poly = tmp_path / "cubic.txt"
+    poly.write_text("-1\n2\n0\n1\n")  # x^3 + 2x - 1
+    code = cli.main(["criterion", "cox", p, "0", n, "--poly", str(poly)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: n must be positive, got %s\n" % n
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["picard", "zsqrt:-3", "--bound", "-1"],
+        ["sweep", "59", "2", "--bound", "-3"],
+    ],
+)
+def test_negative_bound_exits_2(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --bound must be nonnegative, got %s\n" % argv[-1]
+
+
+def test_picard_bound_zero_scans_nothing(capsys):
+    code, doc = run_json(capsys, ["picard", "zsqrt:-3", "--bound", "0"])
+    assert code == 0
+    assert doc["brute_force"] == {"complete": False, "count": 0, "norm_bound": 0}
+
+
 def test_criterion_quadr_without_poly_is_unknown(capsys):
     code, doc = run_json(capsys, ["criterion", "quadr", "1+1*w", "5", "13"])
     assert code == 0

@@ -33,7 +33,7 @@ from nforders.quadratic import (
     pell_solve,
     table_matrix,
 )
-from oracles import fundamental_unit
+from oracles import fundamental_unit, mult_matrix
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -63,7 +63,7 @@ def oracle_twisted_gram(field, h, k) -> tuple:
     (M G) M^t, M the multiplication matrix of h - k*sqrt(D0), checked
     integral."""
     G = field.t2_gram_matrix()
-    M = field.mult_matrix(field.from_real_quadratic(Fraction(h), Fraction(-k)))
+    M = mult_matrix(field, field.from_real_quadratic(Fraction(h), Fraction(-k)))
     MG = [[sum(Ma[i] * G[i][j] for i in range(4)) for j in range(4)] for Ma in M]
     return integer_rows(
         [[sum(x * y for x, y in zip(MGa, Mb)) for Mb in M] for MGa in MG],
@@ -80,7 +80,7 @@ def oracle_power(field, module) -> int:
         r = pell_solve(D0, 1)
     eps = field.from_real_quadratic(Fraction(r.solution.x), Fraction(r.solution.y))
     for m in range(1, 65):
-        if module.contains_module(module.transform(field.mult_matrix(eps**m))):
+        if module.contains_module(module.transform(eps**m)):
             return m
     raise UnsupportedFieldError("no stabilising power")
 
@@ -327,7 +327,7 @@ def test_ladder_data_is_integral():
         lad = ladder_data(field)
         sq = field.from_real_quadratic(0, 1)
         assert [list(r) for r in lad.E] == [
-            list(r) for r in field.mult_matrix(fundamental_unit(field))
+            list(r) for r in mult_matrix(field, fundamental_unit(field))
         ]
         assert sq * sq == field.from_real_quadratic(lad.D0, 0)
         assert all(type(x) is int for M in (lad.G, lad.cross, lad.outer, lad.E)

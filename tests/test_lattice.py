@@ -133,12 +133,12 @@ def test_module_normalization():
 def test_module_contains():
     F = QuadField(-5)
     m = hnf(F, [[2, 0], [1, 1]])
-    assert m.contains_coords([2, 0])
-    assert m.contains_coords([3, 1])
-    assert not m.contains_coords([1, 0])
-    assert not m.contains_coords([Fraction(1, 2), Fraction(1, 2)])
+    assert m.contains(F.from_basis_coords([2, 0]))
+    assert m.contains(F.from_basis_coords([3, 1]))
+    assert not m.contains(F.from_basis_coords([1, 0]))
+    assert not m.contains(F.from_basis_coords([Fraction(1, 2), Fraction(1, 2)]))
     half = hnf(F, [[1, 0], [0, 1]], den=2)
-    assert half.contains_coords([Fraction(1, 2), 0])
+    assert half.contains(F.from_basis_coords([Fraction(1, 2), 0]))
 
 
 def test_module_add_intersect_kernel():
@@ -562,11 +562,8 @@ def test_find_generator_roundtrip():
 
 
 def test_find_generator_prime_above_17():
-    from nforders.quadratic import split_prime
-
     F = QuadField(-59)
-    s = split_prime(F, 17)
-    m = hnf(F, [list(r) for r in s.hnf])
+    m = hnf(F, F.prime_rows(17)[0])
     beta = find_generator(m, 17)
     assert beta is not None
     assert beta.abs_norm() == 17
@@ -584,9 +581,8 @@ def test_find_generator_nonprincipal():
     F59 = QuadField(-59)
     from nforders.quadratic import split_prime
 
-    s3 = split_prime(F59, 3)
-    assert s3.kind == "split"
-    m3 = hnf(F59, [list(r) for r in s3.hnf])
+    assert split_prime(F59, 3).kind == "split"
+    m3 = hnf(F59, F59.prime_rows(3)[0])
     assert find_generator(m3, 3) is None
 
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from nforders.intmath import is_square, jacobi
+from nforders.intmath import is_square, is_squarefree, jacobi
+from nforders.lattice import hnf, identity_module
+from nforders.orders import module_conj, module_mul
 from nforders.quadratic import (
     BinaryForm,
     QuadField,
@@ -157,10 +159,9 @@ def test_split_prime_ideal_hnf_is_stable():
         F = QuadField(D)
         c0, c1, _ = F.omega_minpoly()
         for q in primes_upto(60):
-            s = split_prime(F, q)
-            if s.kind == "inert":
+            if split_prime(F, q).kind == "inert":
                 continue
-            hnf = s.hnf
+            hnf = F.prime_rows(q)[0]
             (qq, _), (r, _) = hnf
             assert qq == q
             # w * q = (0*1 + q*w) and w * (r + w) = -c0 + (r - c1)... check both
@@ -171,6 +172,34 @@ def test_split_prime_ideal_hnf_is_stable():
                 assert lattice_contains(hnf, prod), (D, q)
             # norm of the module index equals q: det of hnf = q
             assert hnf[0][0] * hnf[1][1] - hnf[0][1] * hnf[1][0] == q
+
+
+# every squarefree D != 0, 1 in [-500, 500]
+SQUAREFREE_500 = [D for D in range(-500, 501) if D not in (0, 1) and is_squarefree(D)]
+
+
+def test_prime_rows_against_split_prime():
+    assert len(SQUAREFREE_500) == 611
+    for D in SQUAREFREE_500:
+        F = QuadField(D)
+        O = identity_module(F)
+        for q in primes_upto(59):
+            kind = split_prime(F, q).kind
+            mods = [hnf(F, rows) for rows in F.prime_rows(q)]
+            assert (len(mods) == 2) == (kind == "split"), (D, q)
+            assert len(mods) in (1, 2), (D, q)
+            for m in mods:
+                # an O_K-ideal (stable under w), of norm q, or q^2 when inert
+                assert module_mul(O, m) == m, (D, q)
+                assert m.covolume() == (q * q if kind == "inert" else q), (D, q)
+            if kind == "split":
+                assert module_conj(mods[0]) == mods[1], (D, q)
+            # with ramification the primes multiply to q O_K
+            e = 2 if kind == "ramified" else 1
+            prod = mods[0]
+            for m in mods[1:] + mods[:1] * (e - 1):
+                prod = module_mul(prod, m)
+            assert prod == hnf(F, [[q, 0], [0, q]]), (D, q)
 
 
 def test_split_prime_element_when_found_is_sound():

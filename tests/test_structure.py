@@ -312,3 +312,72 @@ def test_traced_names_resolve():
         if not ok:
             bad.append((modname, qualname))
     assert bad == []
+
+
+# ---------------------------------------------------------------------------
+# one field protocol: the layers above the field ask it, not its degree
+
+
+def test_orders_imports_nothing_from_biquadratic():
+    # the primes above q and the class number come from the field itself
+    # (prime_rows, class_number), at module level or inside a function
+    bad = []
+    for node in ast.walk(_parse(SRC / "orders.py")):
+        if isinstance(node, ast.ImportFrom):
+            if "biquadratic" in (node.module or "") or any(
+                a.name == "biquadratic" for a in node.names
+            ):
+                bad.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any("biquadratic" in a.name for a in node.names):
+                bad.append(node.lineno)
+    assert bad == []
+
+
+def test_norm_is_defined_once_for_both_degrees():
+    from nforders import biquadratic, quadratic
+    from nforders.quadratic import FieldElem
+
+    assert "norm" in vars(FieldElem)
+    subclasses = [
+        obj
+        for mod in (quadratic, biquadratic)
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, FieldElem) and obj is not FieldElem
+    ]
+    assert {c.__name__ for c in subclasses} == {"QuadElem", "BiquadElem"}
+    assert [c.__name__ for c in subclasses if "norm" in vars(c)] == []
+
+
+def _degree_comparisons(path: Path) -> set:
+    """Names of the top-level functions (Class.method for methods) that
+    compare a `.degree` attribute."""
+    out = set()
+    for stmt in _parse(path).body:
+        scopes = [(stmt.name, stmt)] if isinstance(stmt, ast.FunctionDef) else []
+        if isinstance(stmt, ast.ClassDef):
+            scopes = [
+                ("%s.%s" % (stmt.name, sub.name), sub)
+                for sub in stmt.body
+                if isinstance(sub, ast.FunctionDef)
+            ]
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "degree"
+                    for x in [node.left, *node.comparators]
+                ):
+                    out.add(name)
+    return out
+
+
+def test_degree_branches_left_above_the_field():
+    # the rank-2 and rank-4 generator searches differ, the unit index is
+    # decided per degree, and the reduced-form count is rank 2 only;
+    # nothing else in lattice.py or orders.py asks for the degree
+    found = _degree_comparisons(SRC / "lattice.py") | _degree_comparisons(
+        SRC / "orders.py"
+    )
+    assert found <= {"find_generator", "unit_index", "pic_brute_force"}, found
+    # the scan sees a comparison where there is one
+    assert "find_generator" in found
