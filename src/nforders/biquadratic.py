@@ -44,6 +44,7 @@ from .lattice import (
     find_generator,
     hnf,
     identity_module,
+    lll_reduce,
     smith_normal_form,
 )
 from .quadratic import (
@@ -79,41 +80,47 @@ def _nmul(d: int, n: int, x, y):
     )
 
 
-def _mat_inv(rows):
-    """Inverse of a rational square matrix: with rows = A / L, A integer,
-    it is L * adj(A) / det(A)."""
+def _mat_inv(rows) -> tuple:
+    """Inverse of a rational square matrix as (M, D), M an integer matrix
+    and D > 0: with rows = A / L, A integer, it is L * adj(A) / det(A)."""
     n = len(rows)
     flat, L = integer_coords([x for row in rows for x in row])
     A = [flat[i : i + n] for i in range(0, n * n, n)]
     det = _det_int(A)
     if det == 0:
         raise ValueError("singular basis matrix")
-    return tuple(tuple(Fraction(L * x, det) for x in row) for row in adjugate_int(A))
+    L = L if det > 0 else -L
+    return tuple(tuple(L * x for x in row) for row in adjugate_int(A)), abs(det)
 
 
-def _naive_to_coords(Bi, naive) -> list:
-    """Basis coordinates of the element with the given naive coordinates,
-    Bi the inverse of the basis matrix."""
-    nv = [Fraction(x) for x in naive]
-    return [sum(nv[i] * Bi[i][j] for i in range(4)) for j in range(4)]
+def _naive_row(Bi, naive) -> tuple:
+    """(c, den) with c / den the basis coordinates of the element with the
+    given naive coordinates: one integer row times M of Bi = (M, D), the
+    inverse of the basis matrix."""
+    v, e = integer_coords(naive)
+    return _times([v], Bi[0])[0], e * Bi[1]
+
+
+def _integral_row(Bi, naive, what: str) -> tuple:
+    """_naive_row's coordinates as integers; ValueError naming `what`
+    unless each numerator is 0 mod the denominator."""
+    c, den = _naive_row(Bi, naive)
+    if any(x % den for x in c):
+        raise ValueError(what)
+    return tuple(x // den for x in c)
 
 
 def _products_table(d: int, n: int, rows, Bi) -> tuple:
     """T[i][j] = coords(b_i * b_j) for the basis rows (naive coordinates),
     as integers; ValueError when a product leaves the basis span."""
-    T = []
-    for i in range(4):
-        Ti = []
-        for j in range(4):
-            c = _naive_to_coords(Bi, _nmul(d, n, rows[i], rows[j]))
-            if any(x.denominator != 1 for x in c):
-                raise ValueError(
-                    "basis is not closed under multiplication at pair (%d, %d)"
-                    % (i, j)
-                )
-            Ti.append(tuple(int(x) for x in c))
-        T.append(tuple(Ti))
-    return tuple(T)
+    what = "basis is not closed under multiplication at pair (%d, %d)"
+    return tuple(
+        tuple(
+            _integral_row(Bi, _nmul(d, n, ri, rj), what % (i, j))
+            for j, rj in enumerate(rows)
+        )
+        for i, ri in enumerate(rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +165,13 @@ class BiquadField:
         return BiquadElem(self, *integer_coords(coords))
 
     def from_naive(self, naive) -> "BiquadElem":
-        return self.from_basis_coords(_naive_to_coords(self.basis_inverse, naive))
+        return BiquadElem(self, *_naive_row(self.basis_inverse, naive))
 
     @cached_property
     def basis_inverse(self) -> tuple:
-        """Inverse of the basis matrix: naive coordinates times it give
-        basis coordinates."""
+        """Inverse of the basis matrix as (M, D), M an integer matrix over
+        the denominator D > 0: naive coordinates times M / D give basis
+        coordinates."""
         return _mat_inv(self.intbasis)
 
     @cached_property
@@ -189,12 +197,13 @@ class BiquadField:
     def _sign_matrix(self, signs) -> tuple:
         """Rows coords(s(b_i)) for the automorphism s that multiplies the
         naive coordinates by these signs."""
-        return integer_rows(
-            [
-                _naive_to_coords(self.basis_inverse, tuple(map(mul, signs, row)))
-                for row in self.intbasis
-            ],
-            "conjugate of a basis element",
+        return tuple(
+            _integral_row(
+                self.basis_inverse,
+                tuple(map(mul, signs, row)),
+                "conjugate of a basis element is not integral",
+            )
+            for row in self.intbasis
         )
 
     def one(self) -> "BiquadElem":
@@ -291,9 +300,10 @@ class BiquadField:
     def class_number(self) -> int:
         return class_group(self).h
 
-    def relative_order_rows(self):
+    @cached_property
+    def relative_order_rows(self) -> tuple:
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring
-        generator of the integers of Q(sqrt(-d))."""
+        generator of the integers of Q(sqrt(-d)), built once per field."""
         if self.d % 4 == 3:
             w = (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0))
         else:
@@ -304,8 +314,8 @@ class BiquadField:
             e = self.from_naive(naive)
             if e.den != 1:
                 raise ValueError("relative order does not lie in the basis span")
-            rows.append(list(e.u))
-        return rows
+            rows.append(e.u)
+        return tuple(rows)
 
     def torsion_units(self) -> tuple:
         """All roots of unity: exactly the integral elements with T2 = 4."""
@@ -314,7 +324,8 @@ class BiquadField:
     @cached_property
     def _roots_of_unity(self) -> tuple:
         out = []
-        for v in enumerate_by_t2(identity_module(self), self.t2_gram_matrix(), 4):
+        red = lll_reduce(identity_module(self), self.t2_gram_matrix())
+        for v in enumerate_by_t2(red, 4):
             u = self.from_basis_coords(v)
             out.extend((u, -u))
         one = self.one()
@@ -378,7 +389,7 @@ _NATIVE_ROWS = (
     (0, 0, Fraction(1, 2), Fraction(-1, 2)),
 )
 
-_IDENTITY4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+_IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def integral_basis(d: int, n: int, basis=None, disc: int | None = None) -> BiquadField:
@@ -416,7 +427,7 @@ def _native_field(d: int, n: int) -> BiquadField:
     field = _verified_field(d, n, _NATIVE_ROWS, None)
     # the built-in rows are literally {1, w, sqrt(-n), w*sqrt(-n)}, so
     # that order being maximal is the same as the rows being identity
-    assert field.relative_order_rows() == _IDENTITY4
+    assert field.relative_order_rows == _IDENTITY4
     return field
 
 
@@ -428,8 +439,7 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
         raise ValueError("first basis row must be the element 1")
     Bi = _mat_inv(rows)
     for nv in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        if any(c.denominator != 1 for c in _naive_to_coords(Bi, nv)):
-            raise ValueError("basis span misses one of the radical generators")
+        _integral_row(Bi, nv, "basis span misses one of the radical generators")
     _products_table(d, n, rows, Bi)
     # trace pairing: Tr picks 4 times the rational naive coordinate; the
     # rows span a ring, so every product is integral and so is its trace
@@ -631,8 +641,9 @@ def _short_element(m: IntModule) -> BiquadElem:
     E = m.ambient
     G = E.t2_gram_matrix()
     ball = 2 * sqrt_ub(m.covolume() * sqrt_ub(Fraction(abs(E.disc))))
+    red = lll_reduce(m, G)
     while True:
-        pts = enumerate_by_t2(m, G, ball)
+        pts = enumerate_by_t2(red, ball)
         if pts:
             return E.from_basis_coords([Fraction(c, m.den) for c in pts[0]])
         ball *= 2
@@ -755,6 +766,7 @@ class NormMapCondition:
     odd_equal: bool
 
 
+@lru_cache(maxsize=None)
 def norm_map_condition(d: int, n: int) -> NormMapCondition:
     """Class-number comparison between F = Q(sqrt(-d)) and E = F(sqrt(-n)).
 

@@ -12,6 +12,7 @@ inapplicable case never masquerades as a negative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .biquadratic import (
@@ -30,7 +31,7 @@ from .intmath import (
     polp_trim,
     sqrt_mod,
 )
-from .lattice import find_generator
+from .lattice import _times, find_generator
 from .orders import relative_order
 from .quadratic import QuadElem, QuadField, pell_solve, split_prime
 
@@ -146,6 +147,7 @@ def cox_criterion(p: int, n: int, f_n, solve: bool = False) -> CriterionReport:
 _WITNESS_BOX = 8
 
 
+@lru_cache(maxsize=None)
 def unit_witness(d: int, n: int) -> UnitWitness | None:
     """O_F-solution of -1 = alpha^2 + n*beta^2 with F = Q(sqrt(-d)).
 
@@ -186,14 +188,13 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
 
 
 def _residue_data(p: QuadElem):
-    """(q, deg) for the residue field of a prime element: F_q with omega
+    """(q, deg, r) for the residue field of a prime element: F_q with omega
     mapping to a root r (deg 1), or F_{q^2} for p an associate of an inert
     rational prime (deg 2, r None)."""
     F = p.field
-    nrm = p.abs_norm()
-    if nrm.denominator != 1:
+    if not p.is_integral():
         raise ValueError("not an integral element: %r" % (p,))
-    nrm = int(nrm)
+    nrm = abs(F.norm_form(p.u))
     if is_prime(nrm):
         q = nrm
         for r in poly_roots_mod(F.omega_minpoly(), q):
@@ -209,9 +210,9 @@ def _residue_data(p: QuadElem):
     raise ValueError("not a prime element: %r" % (p,))
 
 
-def _prime_field(p: QuadElem, d: int) -> QuadField:
-    """Q(sqrt(-d)), once p is checked to be an element of it that is
-    neither zero nor a unit."""
+def _prime_field(p: QuadElem, d: int):
+    """(F, q, deg, r): F = Q(sqrt(-d)) and _residue_data(p).  The one gate
+    for p: ValueError unless p is a prime element of O_F."""
     F = QuadField(-d)
     if p.field != F:
         raise ValueError("p must live in Q(sqrt(%d))" % -d)
@@ -219,12 +220,16 @@ def _prime_field(p: QuadElem, d: int) -> QuadField:
         raise ValueError("zero is not a prime element")
     if p.abs_norm() == 1 and p.is_integral():
         raise ValueError("a unit is not a prime element")
-    return F
+    return (F,) + _residue_data(p)
 
 
 def _divides(p: QuadElem, x) -> bool:
+    """Does the nonzero integral p divide x in O_F?  x / p = y / N(p) with
+    y = x * conj(p): y integral, each coordinate 0 mod N(p)."""
     x = x if isinstance(x, QuadElem) else p.field(x)
-    return (x / p).is_integral()
+    y = x * p.conj()
+    nrm = p.field.norm_form(p.u)
+    return y.den == 1 and not any(c % nrm for c in y.u)
 
 
 def _roots_in_residue_field(coeffs, q: int, deg: int, r, F: QuadField) -> bool:
@@ -277,7 +282,7 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     """Root test over the order O_F + O_F*sqrt(-n): solvable iff the
     supplied class polynomial g_n has a root in O_F/pO_F.  The polynomial
     is an external input; without it the verdict stays unknown."""
-    F = _prime_field(p, d)
+    F, q, deg, r = _prime_field(p, d)
     hyps = []
 
     def check(name, ok, detail=None):
@@ -299,7 +304,6 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     disc = poly_discriminant(g_n)
     if not check("p_coprime_to_poly_disc", not _divides(p, disc)):
         return done()
-    q, deg, r = _residue_data(p)
     solv = _roots_in_residue_field(g_n, q, deg, r, F)
     return CriterionReport(
         "quadr", tuple(hyps), True, SOLVABLE if solv else UNSOLVABLE
@@ -318,7 +322,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     from .biquadratic import norm_map_condition
 
     check_field_params(d, n)
-    _prime_field(p, d)
+    _, q, deg, _ = _prime_field(p, d)
     hyps = []
 
     def check(name, ok, detail=None):
@@ -361,7 +365,6 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     fd = poly_discriminant(f)
     if not check("p_coprime_to_poly_disc", not _divides(p, fd), "disc = %d" % fd):
         return done()
-    q, deg, _ = _residue_data(p)
     if deg == 1:
         solv = jacobi(-n % q, q) == 1
     else:
@@ -372,6 +375,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     )
 
 
+@lru_cache(maxsize=None)
 def _unit_equation(d: int, n: int):
     """(u, v) with d*u^2 - n*v^2 = 1, via x^2 - dn*y^2 = d, or None."""
     r = pell_solve(d * n, d)
@@ -387,9 +391,9 @@ def _unit_equation(d: int, n: int):
 
 
 def _embed_F(E: BiquadField, x: QuadElem) -> BiquadElem:
-    # Q(sqrt(-d)) sits on the first two naive coordinates
+    # x = u / den over {1, w}, the first two relative_order_rows of E
     assert x.field.D == -E.d
-    return E.from_naive((x.a, x.b, 0, 0))
+    return BiquadElem(E, _times([x.u], E.relative_order_rows[:2])[0], x.den)
 
 
 def _split_relative(alpha: BiquadElem) -> tuple[QuadElem, QuadElem]:
@@ -409,10 +413,9 @@ def represent(p: QuadElem, d: int, n: int):
     the sign-normalization step, never a wrong answer.
     """
     check_field_params(d, n)
-    F = _prime_field(p, d)
+    F, q, deg, _ = _prime_field(p, d)
     if _divides(p, 2 * n):
         raise ValueError("p divides 2n")
-    q, deg, _ = _residue_data(p)
     root = _sqrt_minus_n(F, q, deg, n)
     if root is None:
         return None

@@ -386,8 +386,9 @@ def _integral_gso(G):
 
 
 def lll_reduce(m, g: tuple, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
-    """LLL reduction of the module's basis under the integer Gram matrix g
-    (a tuple of int rows), delta in (1/4, 1], default 3/4.
+    """LLL reduction of the basis rows of m, an IntModule or a LatticeBasis
+    (only .rows, .den and .ambient are read), under the integer Gram
+    matrix g (a tuple of int rows), delta in (1/4, 1], default 3/4.
 
     This is Cohen's integral LLL (A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7): the Gram-Schmidt data d[i] and
@@ -445,11 +446,12 @@ def lll_reduce(m, g: tuple, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
 # Fincke-Pohst enumeration
 
 
-def enumerate_by_t2(m, g: tuple, bound) -> list:
-    """All nonzero lattice vectors v = u/den of the module with
-    v g v^t <= bound, g an integer Gram matrix and den the module's
-    denominator, one of each +-pair, as the integer numerator tuples u.
-    Sorted by (u g u^t, u); complete by exact pruning.
+def enumerate_by_t2(red: LatticeBasis, bound) -> list:
+    """All nonzero vectors v = u/den of the lattice of red, an lll_reduce
+    output under the integer Gram g, with v g v^t <= bound, one of each
+    +-pair, as the integer numerator tuples u.  Sorted by (u g u^t, u), so
+    the list does not depend on which reduced basis comes in; complete by
+    exact pruning.
 
     The search runs on integers: with A the Gram matrix of the reduced rows
     under g and d, lam its integral Gram-Schmidt data,
@@ -463,7 +465,6 @@ def enumerate_by_t2(m, g: tuple, bound) -> list:
     bound = Fraction(bound)
     if bound <= 0:
         return []
-    red = lll_reduce(m, g)
     rows = red.rows
     n = len(rows)
     den = red.den
@@ -648,7 +649,7 @@ def find_generator(module: IntModule, norm):
     if field.degree == 2:
         if field.D > 0:
             raise UnsupportedFieldError("generator search needs an imaginary field")
-        cands = [u for u in enumerate_by_t2(module, G, 2 * norm) if keep(u)]
+        cands = [u for u in enumerate_by_t2(lll_reduce(module, G), 2 * norm) if keep(u)]
         return _canonical_pick(module, cands, G)
 
     # window ladder over the real-subfield convergents
@@ -657,6 +658,7 @@ def find_generator(module: IntModule, norm):
     su = sqrt_ub(Fraction(D0))
     sl = sqrt_lb(Fraction(D0))
     cands = []
+    red = module  # each window reduces the basis the one before reduced
     for i in range(len(gammas) - 1):
         h, k = gammas[i]
         h2, k2 = gammas[i + 1]
@@ -675,6 +677,6 @@ def find_generator(module: IntModule, norm):
             g_lb = Fraction(1)
         # T2(alpha * conj(gamma_i)) <= 2 Q (sqrt(norm*g) + sqrt(norm/g))
         ball = 2 * Q * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
-        Gi = _twisted_gram(lad, h, k)
-        cands.extend(u for u in enumerate_by_t2(module, Gi, ball) if keep(u))
+        red = lll_reduce(red, _twisted_gram(lad, h, k))
+        cands.extend(u for u in enumerate_by_t2(red, ball) if keep(u))
     return _canonical_pick(module, cands, G)

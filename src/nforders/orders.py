@@ -177,7 +177,7 @@ def order_with_index(field, f: int) -> OrderRep:
 def relative_order(field) -> OrderRep:
     """O_F + O_F*sqrt(-n) inside the biquadratic field, built and checked
     once per field."""
-    return OrderRep(field, hnf(field, field.relative_order_rows()))
+    return OrderRep(field, hnf(field, field.relative_order_rows))
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,9 @@ the invariant factors it gives (`form_structure`) check that the reduced
 forms the library counts make up the class group; the library itself
 reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `principal_generator`, `fundamental_unit`, `is_reduced`, `to_module`,
-`mult_matrix`, `transform_by_matrix`, `from_integral_coords` and
-`primes_upto` are helpers that nothing in the library calls.  `FracQuad`
+`mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
+`fraction_inverse`, `naive_to_coords` and `primes_upto` are helpers that
+nothing in the library calls.  `FracQuad`
 and `FracBiquad` are the field elements as they were before they became
 integer coordinates over one denominator: exact `Fraction` arithmetic,
 kept as the oracle for the elements that replaced them.
@@ -15,13 +16,13 @@ kept as the oracle for the elements that replaced them.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
 
 from nforders.biquadratic import (
     BiquadElem,
     BiquadField,
-    _naive_to_coords,
     _nmul,
     _reduce_inverse,
 )
@@ -260,6 +261,38 @@ def transform_by_matrix(m: IntModule, M) -> IntModule:
 # field elements in Fraction coordinates
 
 
+def fraction_inverse(rows) -> tuple:
+    """Inverse of a nonsingular rational square matrix by Gauss-Jordan
+    elimination in Fraction arithmetic."""
+    n = len(rows)
+    A = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if A[i][col])
+        A[col], A[piv] = A[piv], A[col]
+        p = A[col][col]
+        A[col] = [x / p for x in A[col]]
+        for i in range(n):
+            if i != col and A[i][col]:
+                f = A[i][col]
+                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
+    return tuple(tuple(r[n:]) for r in A)
+
+
+def naive_to_coords(E: BiquadField, naive) -> tuple:
+    """Basis coordinates of the element with these naive coordinates over
+    {1, sqrt(-d), sqrt(-n), sqrt(d*n)}, as Fractions, through
+    fraction_inverse of the basis matrix."""
+    Bi = _basis_fraction_inverse(E)
+    nv = [Fraction(x) for x in naive]
+    return tuple(sum(nv[i] * Bi[i][j] for i in range(4)) for j in range(4))
+
+
+@lru_cache(maxsize=None)
+def _basis_fraction_inverse(E: BiquadField) -> tuple:
+    return fraction_inverse(E.intbasis)
+
+
 def from_integral_coords(F: QuadField, x, y) -> QuadElem:
     """x + y*w in the quadratic field F."""
     return F.from_basis_coords((x, y))
@@ -365,8 +398,7 @@ class FracBiquad:
         return cls(e.field, e.basis_coords())
 
     def _from_naive(self, naive):
-        coords = _naive_to_coords(self.field.basis_inverse, naive)
-        return FracBiquad(self.field, tuple(coords))
+        return FracBiquad(self.field, naive_to_coords(self.field, naive))
 
     def naive(self):
         B = self.field.intbasis

@@ -19,7 +19,13 @@ from nforders.intmath import poly_discriminant
 from nforders.lattice import IntModule, UnsupportedFieldError, hnf, identity_module
 from nforders.orders import conductor, module_mul, relative_order
 from nforders.quadratic import QuadField
-from oracles import fundamental_unit, mult_matrix, principal_generator, rel_norm_EF
+from oracles import (
+    fundamental_unit,
+    mult_matrix,
+    naive_to_coords,
+    principal_generator,
+    rel_norm_EF,
+)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -328,7 +334,22 @@ def test_basis_inverse_against_sympy():
         )
 
     for E in (E59, E75, Z12, E8, E37, E715):
-        assert to_sympy(E.basis_inverse) == to_sympy(E.intbasis).inv(), E
+        M, D = E.basis_inverse
+        assert D > 0 and all(type(x) is int for r in M for x in r), E
+        assert to_sympy(M) / D == to_sympy(E.intbasis).inv(), E
+
+
+def test_from_naive_against_fraction_inverse():
+    # one integer row times M over D, against the coordinates a Fraction
+    # Gauss-Jordan inverse of the basis matrix gives
+    rng = random.Random(19)
+    for E in (E59, E75, Z12, E8, E37, E715):
+        naives = [row for row in E.intbasis] + [
+            [Fraction(rng.randrange(-30, 31), rng.choice((1, 2, 3, 4, 12))) for _ in range(4)]
+            for _ in range(40)
+        ]
+        for naive in naives:
+            assert E.from_naive(naive).basis_coords() == naive_to_coords(E, naive), E
 
 
 def test_singular_basis_raises():

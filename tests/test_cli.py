@@ -343,9 +343,30 @@ def test_picard_bound_zero_scans_nothing(capsys):
 
 
 def test_criterion_quadr_without_poly_is_unknown(capsys):
-    code, doc = run_json(capsys, ["criterion", "quadr", "1+1*w", "5", "13"])
+    # 3 + 2*sqrt(-5) has prime norm 29
+    code, doc = run_json(capsys, ["criterion", "quadr", "3+2*w", "5", "13"])
     assert code == 0
     assert doc["verdict"] == "unknown"
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        # 6 is not prime: the first three answered "unknown" with exit 0
+        (["quadr", "6", "59", "2"], "not a prime element"),
+        (["hilbert", "6", "5", "2"], "not a prime element"),
+        (["quadr", "--", "(1+sqrt(-59))/3", "59", "2"], "not an integral element"),
+        (["hilbert", "6", "59", "2"], "not a prime element"),
+        # norm 6 = 2 * 3
+        (["quadr", "1+1*w", "5", "13"], "not a prime element"),
+    ],
+)
+def test_criterion_rejects_p_that_is_not_prime(capsys, argv, error):
+    code = cli.main(["criterion"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: " % error)
 
 
 def test_represent_solution(capsys):

@@ -11,6 +11,7 @@ from nforders.criteria import (
     UNSOLVABLE,
     CriterionReport,
     UnitWitness,
+    _divides,
     cornacchia,
     cox_criterion,
     criterion_hilbert,
@@ -24,7 +25,7 @@ from nforders.criteria import (
 )
 from nforders.intmath import is_prime, poly_roots_mod
 from nforders.quadratic import QuadElem, QuadField, split_prime
-from oracles import brute_force_represent, from_integral_coords, primes_upto
+from oracles import FracQuad, brute_force_represent, from_integral_coords, primes_upto
 
 F59 = QuadField(-59)
 F5 = QuadField(-5)
@@ -244,6 +245,36 @@ def test_quadr_gates():
     r = criterion_quadr(F5(3, 2), 5, 13)
     assert not r.applicable and r.verdict == UNKNOWN
     assert r.hypotheses[-1][0] == "defining_poly_supplied"
+
+
+def test_divides_against_fraction_division():
+    # the integer test (x * conj(p) is 0 mod N(p), coordinate-wise) against
+    # x / p in Fraction arithmetic, for split, inert and ramified p and for
+    # x of denominators 1, 2, 3 and 6, integers and zero
+    rng = random.Random(18)
+    for D in (-1, -3, -5, -23, -59):
+        F = QuadField(D)
+        kinds, ps = set(), []
+        for q in primes_upto(60):
+            s = split_prime(F, q)
+            kinds.add(s.kind)
+            ps += [F(q)] + [e for e in (s.pi, s.pibar) if e is not None]
+        assert kinds == {"split", "inert", "ramified"}
+        dens, outcomes = set(), set()
+        for p in ps:
+            xs = [F(0), F(14), F(29)]
+            for den in (1, 2, 3, 6):
+                for _ in range(6):
+                    z = QuadElem(F, (rng.randrange(-40, 41), rng.randrange(-40, 41)), den)
+                    xs += [z, p * z]
+            for x in xs:
+                dens.add(x.den)
+                quo = FracQuad.of(x) / FracQuad.of(p)
+                want = all(c.denominator == 1 for c in quo.integral_coords())
+                assert _divides(p, x) == want, (p, x)
+                outcomes.add(want)
+            assert _divides(p, int(p.abs_norm()))
+        assert dens == {1, 2, 3, 6} and outcomes == {True, False}
 
 
 def test_quadr_rejects_non_prime_element():

@@ -11,16 +11,19 @@ from math import isqrt, lcm
 
 import pytest
 
-from nforders import criteria
-from nforders.biquadratic import integral_basis
+from nforders import criteria, lattice
+from nforders.biquadratic import factor_rational_prime, integral_basis
 from nforders.criteria import prime_elements
 from nforders.intmath import sqrt_lb, sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
+    _canonical_pick,
     _det_int,
+    _norm_filter,
     _twisted_gram,
     _unit_ladder,
+    enumerate_by_t2,
     find_generator,
     identity_module,
     ladder_data,
@@ -216,9 +219,10 @@ def oracle_find_generator(module, norm):
 # inputs
 
 
-def represent_calls():
+def represent_calls(fields=REPRESENT_FIELDS, bound=REPRESENT_NORM):
     """(module, norm) of every find_generator call represent makes on the
-    prime elements of norm <= REPRESENT_NORM of (59, 2) and (11, 10)."""
+    prime elements of norm <= bound of the fields, by default those of
+    norm <= REPRESENT_NORM of (59, 2) and (11, 10)."""
     calls = []
 
     def record(module, norm):
@@ -228,8 +232,8 @@ def represent_calls():
     saved = criteria.find_generator
     criteria.find_generator = record
     try:
-        for d, n in REPRESENT_FIELDS:
-            for p in prime_elements(QuadField(-d), REPRESENT_NORM):
+        for d, n in fields:
+            for p in prime_elements(QuadField(-d), bound):
                 if not criteria._divides(p, 2 * n):
                     criteria.represent(p, d, n)
     finally:
@@ -332,3 +336,92 @@ def test_ladder_data_is_integral():
         assert sq * sq == field.from_real_quadratic(lad.D0, 0)
         assert all(type(x) is int for M in (lad.G, lad.cross, lad.outer, lad.E)
                    for row in M for x in row)
+
+
+# ---------------------------------------------------------------------------
+# the warm start: each window reduces the basis the window before reduced
+
+
+def ladder_windows(monkeypatch, module, norm):
+    """find_generator(module, norm) with, for each window in order, the
+    basis its LLL started from, the window Gram, the reduced basis, the
+    ball and the points enumerated."""
+    lll, enum = lattice.lll_reduce, lattice.enumerate_by_t2
+    starts, windows = [], []
+
+    def record_lll(m, g):
+        starts.append((m, g))
+        return lll(m, g)
+
+    def record_enum(red, bound):
+        pts = enum(red, bound)
+        windows.append(starts[-1] + (red, bound, pts))
+        return pts
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "lll_reduce", record_lll)
+        mp.setattr(lattice, "enumerate_by_t2", record_enum)
+        alpha = lattice.find_generator(module, norm)
+    assert len(starts) == len(windows)
+    return alpha, windows
+
+
+@pytest.fixture(scope="module")
+def warm_inputs(pool):
+    """Seeded (module, norm) inputs: represent's ideals of (59, 2),
+    (11, 10) and (23, 5), and primes and random modules of E37."""
+    rng = random.Random(18)
+    out = [c for c in pool if c[0].ambient == E59]
+    out = rng.sample(out, 6) + rng.sample([c for c in pool if c[0].ambient == E1110], 6)
+    out += rng.sample(represent_calls(((23, 5),), 400), 6)
+    modules = [pf.ideal.module for q in (2, 3, 5, 7) for pf in factor_rational_prime(E37, q)]
+    modules += random_modules(rng, E37, 6)
+    for module in modules:
+        if outcome(_unit_ladder, E37, module) != "unsupported":
+            out.append((module, module.covolume()))
+    assert len({c[0].ambient for c in out}) == 4 and len(out) > 24
+    return out
+
+
+def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
+    # window i > 0 starts LLL from window i-1's reduced basis; its ball's
+    # points, and their order, are those of a cold start from the HNF rows
+    warm_differs = 0
+    for module, norm in warm_inputs:
+        alpha, windows = ladder_windows(monkeypatch, module, norm)
+        keep = _norm_filter(module, norm)
+        cands = []
+        for i, (start, g, red, bound, pts) in enumerate(windows):
+            assert start is (module if i == 0 else windows[i - 1][2])
+            cold = lll_reduce(module, g)
+            cold_pts = enumerate_by_t2(cold, bound)
+            assert cold_pts == pts
+            warm_differs += cold.rows != red.rows
+            cands += [u for u in cold_pts if keep(u)]
+        assert _canonical_pick(module, cands, module.ambient.t2_gram_matrix()) == alpha
+    # the warm start does reach other reduced bases than the cold one
+    assert warm_differs > 0
+
+
+def test_one_lll_and_one_enumeration_per_window(monkeypatch, pool):
+    # the benchmark traces lll_reduce and enumerate_by_t2: each window of
+    # the ladder makes one call of each
+    module, norm = next(
+        c for c in pool if c[0].ambient == E59 and len(_unit_ladder(E59, c[0])[2]) > 2
+    )
+    calls = {"lll": 0, "enum": 0}
+    lll, enum = lattice.lll_reduce, lattice.enumerate_by_t2
+
+    def count_lll(m, g):
+        calls["lll"] += 1
+        return lll(m, g)
+
+    def count_enum(red, bound):
+        calls["enum"] += 1
+        return enum(red, bound)
+
+    monkeypatch.setattr(lattice, "lll_reduce", count_lll)
+    monkeypatch.setattr(lattice, "enumerate_by_t2", count_enum)
+    lattice.find_generator(module, norm)
+    windows = len(_unit_ladder(E59, module)[2]) - 1
+    assert calls == {"lll": windows, "enum": windows}

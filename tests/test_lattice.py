@@ -408,6 +408,22 @@ def test_lll_matches_rational_lll():
                 assert B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]
 
 
+def test_lll_from_a_reduced_basis_keeps_the_lattice():
+    # find_generator's windows reduce the basis the window before reduced:
+    # LLL from a LatticeBasis gives a basis of the same lattice, with an
+    # equal HNF, and the rows rational LLL gives from that start
+    rng = random.Random(34)
+    for trial in range(60):
+        n = 2 if trial % 2 else 4
+        m = random_module(rng, n, spread=12)
+        g1, g2 = random_form(rng, n), random_form(rng, n)
+        first = lll_reduce(m, integer_multiple(g1)[1])
+        warm = lll_reduce(first, integer_multiple(g2)[1])
+        assert to_module(warm) == m
+        assert warm.den == m.den and warm.ambient == m.ambient
+        assert warm.rows == rational_lll(first, g2), (m, g1, g2)
+
+
 def test_lll_tie_cases():
     # mu = 1/2 exactly: q = floor(mu + 1/2) = 1 acts (|2 lam| > d would not)
     ident = ((1, 0), (0, 1))
@@ -459,7 +475,7 @@ def test_enumerate_matches_rational_enumerate():
         bound = shortest * Fraction(rng.randrange(1, 25), rng.choice([4, 6, 7]))
         got = [
             tuple(Fraction(c, m.den) for c in u)
-            for u in enumerate_by_t2(m, gL, L * bound)
+            for u in enumerate_by_t2(lll_reduce(m, gL), L * bound)
         ]
         assert got == rational_enumerate(m, g, bound), (m, g, bound)
         values = [apply(g, v) for v in got]
@@ -483,22 +499,22 @@ def test_lll_rejects_fraction_entries():
     # were its integer multiple ((6, 3), (3, 10)) by 6
     m = identity_module(QuadField(-5))
     g = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(5, 3)))
-    for call in (lambda: lll_reduce(m, g), lambda: enumerate_by_t2(m, g, 10)):
+    for call in (lambda: lll_reduce(m, g), lambda: enumerate_by_t2(lll_reduce(m, g), 10)):
         try:
             call()
             assert False
         except ValueError:
             pass
     assert integer_multiple(g) == (6, ((6, 3), (3, 10)))
-    assert enumerate_by_t2(m, ((6, 3), (3, 10)), 60)
+    assert enumerate_by_t2(lll_reduce(m, ((6, 3), (3, 10))), 60)
 
 
 def test_enumerate_z2():
     F = QuadField(-5)
     ident = ((1, 0), (0, 1))
     m = identity_module(F)
-    assert enumerate_by_t2(m, ident, 0) == []
-    vecs = enumerate_by_t2(m, ident, 2)
+    assert enumerate_by_t2(lll_reduce(m, ident), 0) == []
+    vecs = enumerate_by_t2(lll_reduce(m, ident), 2)
     assert vecs == [(0, 1), (1, 0), (1, -1), (1, 1)]
 
 
@@ -513,7 +529,7 @@ def test_enumerate_against_box_scan():
         except ValueError:
             continue
         bound = rng.randrange(5, 21)
-        got = enumerate_by_t2(m, g, bound)
+        got = enumerate_by_t2(lll_reduce(m, g), bound)
         # oracle: plain box scan over basis coefficients, on the numerators
         # u = den * v: v g v^t <= bound reads u g u^t <= bound * den^2
         expect = set()
@@ -539,7 +555,7 @@ def test_enumerate_amgm():
     F = QuadField(-59)
     g = F.t2_gram_matrix()
     m = identity_module(F)
-    for vec in enumerate_by_t2(m, g, 40):
+    for vec in enumerate_by_t2(lll_reduce(m, g), 40):
         e = F.from_basis_coords(vec)
         assert e.abs_norm() <= (apply(g, vec) / 2)
 
@@ -668,7 +684,7 @@ def test_enumerate_rank4_with_cross_terms():
         degree = 4
 
     m = IntModule(Amb(), tuple(tuple(int(i == j) for j in range(4)) for i in range(4)), 1)
-    got = enumerate_by_t2(m, G, 40)
+    got = enumerate_by_t2(lll_reduce(m, G), 40)
     brute = set()
     R = 6
     for x0 in range(-R, R + 1):

@@ -277,13 +277,22 @@ def test_benchmark_clear_caches_empties_identity_module(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import clear_caches
 
+    from nforders.biquadratic import norm_map_condition
+    from nforders.criteria import _unit_equation, unit_witness
     from nforders.lattice import identity_module
     from nforders.quadratic import QuadField
 
+    # and so are the per-(d, n) facts of the criteria
+    cached = (identity_module, unit_witness, _unit_equation, norm_map_condition)
     identity_module(QuadField(-5))
-    assert identity_module.cache_info().currsize > 0
+    unit_witness(59, 2)
+    _unit_equation(59, 2)
+    norm_map_condition(59, 2)
+    for fn in cached:
+        assert fn.cache_info().currsize > 0, fn
     clear_caches()
-    assert identity_module.cache_info().currsize == 0
+    for fn in cached:
+        assert fn.cache_info().currsize == 0, fn
 
 
 def test_traced_names_resolve():
