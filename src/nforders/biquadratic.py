@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 from operator import add, mul
 
 from .intmath import (
@@ -694,7 +694,7 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
     B = minkowski_bound(E)
     if B > _BOUND_CAP:
         raise UnsupportedFieldError(
-            "minkowski bound %s exceeds the configured cap %d" % (B, _BOUND_CAP)
+            "minkowski bound %d exceeds the configured cap %d" % (ceil(B), _BOUND_CAP)
         )
     prime_mods = []
     for q in range(2, int(B) + 1):

@@ -15,7 +15,8 @@ with an independent brute-force count to check it, which keys each
 primitive ideal [a, (-b + sqrt(disc o))/2] by its reduced form.  Each residue
 count is closed: for an ideal f of an order o,
 #(o/f)^x = [o : f] * prod (1 - 1/[o : p]) over the primes p of o that
-contain f, found among the primes above the rational divisors of [o : f].
+contain f: the distinct contractions to o of the primes of O_K that
+contain f, found above the rational divisors of [o : f].
 """
 
 from __future__ import annotations
@@ -129,19 +130,17 @@ class OrderRep:
         T = self.field.mult_table
         return tuple(table_matrix(T, r) for r in self.module.rows if r != one)
 
-    @cached_property
-    def _pivot_product(self) -> int:
-        """[O_K : o]: o's module is integral and in canonical lower
-        triangular HNF over the integral basis of O_K, so its index is the
-        product of the diagonal."""
-        return prod(row[i] for i, row in enumerate(self.module.rows))
-
     @property
     def is_maximal(self) -> bool:
         return self.index_in_maximal() == 1
 
     def index_in_maximal(self) -> int:
-        return self._pivot_product
+        return _pivots(self.module.rows)
+
+
+def _pivots(rows) -> int:
+    """[O_K : m], m integral: the diagonal product of its canonical HNF."""
+    return prod(row[i] for i, row in enumerate(rows))
 
 
 def _closed_under(o: OrderRep, rows) -> bool:
@@ -155,6 +154,7 @@ def _closed_under(o: OrderRep, rows) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def maximal_order(field) -> OrderRep:
     return OrderRep(field, identity_module(field))
 
@@ -265,12 +265,18 @@ class IdealFactorization:
         return out
 
 
+@lru_cache(maxsize=None)
+def _prime_modules(field, q: int) -> tuple:
+    """The field's prime_rows(q) as modules, built once per field and q."""
+    return tuple(hnf(field, rows) for rows in field.prime_rows(q))
+
+
 def _primes_above(o: OrderRep, q: int):
     """Prime ideals of o above the rational prime q: the contractions of
-    the primes of O_K above q (the field's prime_rows), each once."""
+    the primes of O_K above q, each once."""
     out = []
-    for rows in o.field.prime_rows(q):
-        p = OrderIdeal(o, hnf(o.field, rows).intersect(o.module))
+    for P in _prime_modules(o.field, q):
+        p = OrderIdeal(o, P if o.is_maximal else P.intersect(o.module))
         if p not in out:
             out.append(p)
     return out
@@ -318,19 +324,22 @@ def residue_unit_count(o: OrderRep, f) -> int:
 
     o/f is a finite ring, the product of its localisations at the primes p
     of o that contain f, so #(o/f)^x = [o : f] * prod (1 - 1/[o : p]).
-    Such a p contains [o : f], so it lies above a prime q dividing it.
-    The trivial quotient counts as 1."""
+    By lying over, the p are the contractions P & o of the primes P of O_K,
+    and as f lies in o, P & o contains f exactly when P does; such a P
+    contains [o : f], so lies above a prime q dividing it.  Each index is
+    a quotient of HNF pivot products.  The trivial quotient counts as 1."""
     fmod = f.module if isinstance(f, OrderIdeal) else f
     if not (o.module.contains_module(fmod) and _closed_under(o, fmod.rows)):
         raise ValueError("f must be an ideal of the order")
-    idx = fmod.index_in(o.module)
-    assert idx.denominator == 1
-    count = int(idx)
+    n_o = o.index_in_maximal()
+    count = _pivots(fmod.rows) // n_o
     for q in factorize(count):
-        for p in _primes_above(o, q):
-            if p.module.contains_module(fmod):
-                Np = int(p.norm())
-                count = count // Np * (Np - 1)
+        ps = [P for P in _prime_modules(o.field, q) if P.contains_module(fmod)]
+        if not o.is_maximal:
+            ps = dict.fromkeys(P.intersect(o.module) for P in ps)
+        for p in ps:
+            Np = _pivots(p.rows) // n_o
+            count = count // Np * (Np - 1)
     return count
 
 

@@ -225,6 +225,15 @@ def test_picard_outputs_are_unchanged(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_picard_past_the_class_group_cap_prints_an_integer_bound(capsys):
+    # the Minkowski bound of Q(sqrt(-43), sqrt(-6)) is about 156.8, past
+    # the cap; the message gives it rounded up, not as a raw fraction
+    code = cli.main(["picard", "rel:43:6"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "minkowski bound 157 exceeds the configured cap 120" in err
+
+
 def test_picard_of_a_large_conductor_completes(capsys):
     # the default complete bound is 2,667 here; the brute force takes the
     # 1,600 invertible primitive ideals in reach, in 800 classes

@@ -1,8 +1,9 @@
 """The closed form of `orders.residue_unit_count` against the enumeration
-of every residue class in `audit.py`, and the scan bound of
+of every residue class in `audit.py` and against Cox's closed form for
+Z + c*O_K, the work one Picard formula does, and the scan bound of
 `pic_brute_force`."""
 
-from math import ceil
+from math import ceil, prod
 
 import pytest
 from fractions import Fraction
@@ -10,12 +11,13 @@ from fractions import Fraction
 from nforders import orders
 from nforders.biquadratic import integral_basis
 from nforders.intmath import factorize
-from nforders.lattice import hnf
+from nforders.lattice import IntModule, hnf
 from nforders.orders import (
     conductor,
     maximal_order,
     order_with_index,
     pic_brute_force,
+    picard_terms,
     relative_order,
     residue_unit_count,
 )
@@ -86,6 +88,81 @@ def test_count_rejects_a_non_ideal():
     # does not lie in it
     with pytest.raises(ValueError):
         residue_unit_count(o, hnf(F, [[3, 0], [1, 3]]))
+
+
+def _is_squarefree(n):
+    return all(e == 1 for e in factorize(n).values())
+
+
+def picard_pool():
+    """The orders of the benchmark's picard workload as (D, c) with
+    o = Z + c*O_K: Z[sqrt(-n)] for squarefree n <= 100, which is c = 2
+    when -n = 1 mod 4 and O_K otherwise, and Z + f*O_K in Q(sqrt(-d)) for
+    squarefree d <= 23 and f <= 6, each order once."""
+    specs = {(-n, 2 if n % 4 == 3 else 1) for n in range(1, 101) if _is_squarefree(n)}
+    specs |= {(-d, f) for d in range(1, 24) if _is_squarefree(d) for f in range(1, 7)}
+    return sorted(specs)
+
+
+def kronecker(D, q):
+    """(D/q) for a fundamental discriminant D and a prime q, by Euler's
+    criterion for odd q and by D mod 8 for q = 2."""
+    if D % q == 0:
+        return 0
+    if q == 2:
+        return 1 if D % 8 in (1, 7) else -1
+    return 1 if pow(D % q, (q - 1) // 2, q) == 1 else -1
+
+
+def test_picard_pool_counts_match_cox():
+    # Cox, Primes of the form x^2 + ny^2, section 7: for o = Z + c*O_K with
+    # conductor f = c*O_K, #(O_K/f)^x = c^2 prod (1 - 1/q)(1 - (d_K/q)/q)
+    # over the primes q | c, and o/f = Z/c has phi(c) units
+    pool = picard_pool()
+    assert len(pool) == 141
+    for D, c in pool:
+        F = QuadField(D)
+        o = order_with_index(F, c)
+        t = picard_terms(o)
+        qs = list(factorize(c))
+        units_max = c * c * prod((q - 1) * (q - kronecker(F.disc, q)) for q in qs)
+        assert t.units_max * prod(q * q for q in qs) == units_max, (D, c)
+        assert t.units_o * prod(qs) == c * prod(q - 1 for q in qs), (D, c)
+
+
+def test_picard_terms_takes_the_primes_of_o_k_once(monkeypatch):
+    # one picard_terms call reads prime_rows once for each prime q of
+    # [O_K : f], for both residue counts, and intersects the primes of O_K
+    # with o's module only: never with O_K, and not at all when o = O_K
+    rows_of = []
+    intersects = []
+    prime_rows = QuadField.prime_rows
+    intersect = IntModule.intersect
+
+    def counted_rows(field, q):
+        rows_of.append(q)
+        return prime_rows(field, q)
+
+    def counted_intersect(m, other):
+        intersects.append(other)
+        return intersect(m, other)
+
+    monkeypatch.setattr(QuadField, "prime_rows", counted_rows)
+    monkeypatch.setattr(IntModule, "intersect", counted_intersect)
+    for D, c in picard_pool():
+        F = QuadField(D)
+        for o in (order_with_index(F, c), maximal_order(F)):
+            orders._prime_modules.cache_clear()
+            rows_of.clear()
+            intersects.clear()
+            t = picard_terms(o)
+            f = conductor(o).module
+            N = prod(row[i] for i, row in enumerate(f.rows))
+            assert sorted(rows_of) == sorted(factorize(N)), (D, c)
+            if o.is_maximal:
+                assert intersects == [] and t.units_max == t.units_o == 1
+            else:
+                assert intersects and all(m == o.module for m in intersects)
 
 
 def test_brute_force_scans_no_further_than_minkowski(monkeypatch):

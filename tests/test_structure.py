@@ -280,11 +280,22 @@ def test_benchmark_clear_caches_empties_identity_module(monkeypatch):
     from nforders.biquadratic import norm_map_condition
     from nforders.criteria import _unit_equation, unit_witness
     from nforders.lattice import identity_module
+    from nforders.orders import _prime_modules, maximal_order
     from nforders.quadratic import QuadField
 
-    # and so are the per-(d, n) facts of the criteria
-    cached = (identity_module, unit_witness, _unit_equation, norm_map_condition)
+    # and so are the per-(d, n) facts of the criteria, the maximal order
+    # and the primes of O_K above each rational prime
+    cached = (
+        identity_module,
+        unit_witness,
+        _unit_equation,
+        norm_map_condition,
+        maximal_order,
+        _prime_modules,
+    )
     identity_module(QuadField(-5))
+    maximal_order(QuadField(-5))
+    _prime_modules(QuadField(-5), 2)
     unit_witness(59, 2)
     _unit_equation(59, 2)
     norm_map_condition(59, 2)
