@@ -182,7 +182,9 @@ def relative_order(field) -> OrderRep:
 
 @lru_cache(maxsize=None)
 def conductor(o: OrderRep) -> "OrderIdeal":
-    """Largest O_K-ideal contained in o: the colon (o : O_K)."""
+    """Largest O_K-ideal contained in o: the colon (o : O_K), or o = O_K."""
+    if o.is_maximal:
+        return OrderIdeal(o, o.module)
     f = module_colon(o.module, identity_module(o.field))
     assert identity_module(o.field).contains_module(f)
     return OrderIdeal(o, f)
@@ -471,39 +473,38 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
 
     I is invertible exactly when gcd(a, b, c) = 1, and then its class is
     the class of the form (a, b, c) (Cox, Primes of the form x^2 + ny^2,
-    section 7), so the reduced form is its key and the count is the
-    number of keys.  Every ideal after the first of its key is checked
-    against that first one: I * conj(rep) must be principal, else
-    AuditFailure.  The conjugate of rep is taken once, when the second
-    ideal of its key arrives; a key met once needs none."""
+    section 7), so the reduced form (a', b', c') is its key and the count
+    is the number of keys.  Each ideal is proven to lie in its key's class
+    by the matrix ((p, q), (r, t)) of BinaryForm.reduction: it takes I's
+    basis (a, -tau), tau = g0 + f*w, to b1 = p*a - r*tau, b2 = q*a - t*tau,
+    and with det 1 and a'*b2 = -b1*tau', tau' = g0' + f*w for
+    g0' = -(b' + s*f)/2, I = (b1/a') * [a', -tau'], the key's ideal.  A
+    failed check raises AuditFailure."""
     if o.field.degree != 2 or o.field.D > 0:
         raise UnresolvedError("brute-force Picard count is rank-2 imaginary only")
-    disc_o = o.field.disc * o.index_in_maximal() ** 2
-    mink = Fraction(2, 3) * sqrt_ub(Fraction(-disc_o))  # 2/pi < 2/3 slack upward
+    f = o.index_in_maximal()
+    s = o.field.disc % 2
+    c0, c1 = o.field.mult_table[1][1]  # w^2 = c0 + c1*w
+    mink = Fraction(2, 3) * sqrt_ub(Fraction(-o.field.disc * f * f))  # 2/pi < 2/3
     if norm_bound is None:
         norm_bound = ceil(mink)
         complete = True
     else:
         complete = Fraction(norm_bound) >= mink
     scan = min(norm_bound, ceil(mink))
-    # reduced form -> HNF rows of the first ideal of its class, and the
-    # conjugate module of that ideal once a second ideal of the class needs it
-    reps: dict[BinaryForm, tuple] = {}
-    rep_conjs: dict[BinaryForm, IntModule] = {}
+    keys = set()
     for a, b, c, rows in _primitive_ideals(o, scan):
         if gcd(gcd(a, b), c) != 1:
             continue
-        key = BinaryForm(a, b, c).reduce()
-        rep = reps.get(key)
-        if rep is None:
-            reps[key] = rows
-            continue
-        rc = rep_conjs.get(key)
-        if rc is None:
-            rc = rep_conjs[key] = module_conj(IntModule(o.field, rep, 1))
-        if is_principal(o, module_mul(IntModule(o.field, rows, 1), rc)) is None:
+        key, ((p, q), (r, t)) = BinaryForm(a, b, c).reduction()
+        g0, g1 = -(b + s * f) // 2, -(key.b + s * f) // 2
+        x, y = p * a - r * g0, -r * f  # b1 = x + y*w; (u0, u1) = a'*b2 + b1*tau'
+        u0 = key.a * (q * a - t * g0) + x * g1 + c0 * y * f
+        u1 = -key.a * t * f + x * f + y * g1 + c1 * y * f
+        if p * t - q * r != 1 or u0 or u1:
             raise AuditFailure(
                 "ideal %r has the reduced form %r of a class it is not in"
                 % (rows, key)
             )
-    return BruteClassCount(len(reps), norm_bound, mink, complete)
+        keys.add(key)
+    return BruteClassCount(len(keys), norm_bound, mink, complete)

@@ -397,24 +397,28 @@ class BinaryForm:
         return gcd(gcd(self.a, self.b), self.c) == 1
 
     def reduce(self) -> "BinaryForm":
+        return self.reduction()[0]
+
+    def reduction(self) -> tuple["BinaryForm", tuple]:
+        """The reduced form F' and ((p, q), (r, t)) in SL2(Z) with
+        F'(x, y) = F(p x + q y, r x + t y), built up move by move."""
         a, b, c = self.a, self.b, self.c
         if a <= 0 or self.disc >= 0:
             raise ValueError("reduction implemented for positive definite forms")
+        p, q, r, t = 1, 0, 0, 1
         while True:
-            if c < a:
+            if c < a or (c == a and b < 0):  # swap by ((0, -1), (1, 0))
                 a, b, c = c, -b, a
+                p, q, r, t = q, -p, t, -r
                 continue
             if b > a or b <= -a:
-                # translate b into (-a, a]
+                # translate b into (-a, a] by ((1, k), (0, 1))
                 k = (a - b) // (2 * a)
-                b2 = b + 2 * k * a
-                c = c + k * b + k * k * a
-                b = b2
+                b, c = b + 2 * k * a, c + k * b + k * k * a
+                q, t = q + k * p, t + k * r
                 continue
             break
-        if (abs(b) == a or a == c) and b < 0:
-            b = -b
-        return BinaryForm(a, b, c)
+        return BinaryForm(a, b, c), ((p, q), (r, t))
 
 
 def principal_form(disc: int) -> BinaryForm:

@@ -5,13 +5,9 @@ Test helpers, not collected by pytest.  `ideal_candidates` scans every
 HNF lattice ((d1, 0), (c, d2)) of O_K with d1 * d2 <= bound and keeps the
 ones closed under the order; `pic_pairwise` keeps its invertible ones and
 compares each with every class representative found so far, one
-principality test per pair.  `principal_queries_eager` is the reduced-form
-loop of `pic_brute_force` as it was when it took each class
-representative's conjugate on arrival.  `picard_pool` gives the orders of
-the picard benchmark.
+principality test per pair.  `picard_pool` gives the orders of the
+picard benchmark.
 """
-
-from math import gcd
 
 from nforders.cli import parse_order
 from nforders.intmath import is_squarefree
@@ -21,7 +17,6 @@ from nforders.orders import (
     OrderRep,
     PreconditionError,
     _closed_under,
-    _primitive_ideals,
     conductor,
     is_coprime_to_conductor,
     is_invertible,
@@ -32,7 +27,6 @@ from nforders.orders import (
     module_mul,
     principal_ideal,
 )
-from nforders.quadratic import BinaryForm
 
 # ---------------------------------------------------------------------------
 # ideal helpers
@@ -105,30 +99,6 @@ def pic_pairwise(o: OrderRep, scan: int) -> int:
         ):
             rep_conjs.append(module_conj(a.module))
     return len(rep_conjs)
-
-
-# ---------------------------------------------------------------------------
-# the reduced-form count with eager conjugates
-
-
-def principal_queries_eager(o: OrderRep, scan: int) -> list:
-    """The modules pic_brute_force's loop hands to is_principal, in order,
-    computed as the loop did when it stored the conjugate of each class's
-    first ideal on arrival: I * conj(rep) for every ideal I after the
-    first of its reduced-form key."""
-    rep_conjs = {}
-    out = []
-    for a, b, c, rows in _primitive_ideals(o, scan):
-        if gcd(gcd(a, b), c) != 1:
-            continue
-        key = BinaryForm(a, b, c).reduce()
-        ideal = IntModule(o.field, rows, 1)
-        rc = rep_conjs.get(key)
-        if rc is None:
-            rep_conjs[key] = module_conj(ideal)
-        else:
-            out.append(module_mul(ideal, rc))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,28 @@
 """The brute-force Picard count by reduced forms against the pairwise count
 it replaced (tests/ideals.py), on the orders of the picard benchmark pool:
 Z[sqrt(-n)] for squarefree n <= 100 and Z + f*O_K in Q(sqrt(-d)) for
-squarefree d <= 23 and f <= 6, each order once."""
+squarefree d <= 23 and f <= 6, each order once.  Each ideal's reduction
+matrix certificate is checked against the lattice search it replaced."""
 
 from math import ceil, gcd
 
 import pytest
 
-from nforders import orders
-from nforders.lattice import IntModule
+from nforders import lattice, orders
+from nforders.lattice import IntModule, hnf
 from nforders.orders import (
     AuditFailure,
     OrderIdeal,
     _primitive_ideals,
     is_invertible,
-    order_zsqrt,
+    is_principal,
+    module_conj,
+    module_mul,
     pic_brute_force,
 )
-from nforders.quadratic import QuadField
+from nforders.quadratic import BinaryForm, QuadElem, form_class_group, reduced_forms
 
-from ideals import ideal_candidates, pic_pairwise, picard_pool, principal_queries_eager
+from ideals import ideal_candidates, pic_pairwise, picard_pool
 
 POOL = picard_pool()
 
@@ -73,34 +76,97 @@ def test_scan_reaches_every_invertible_lattice(spec):
         assert IntModule(o.field, L.module.rows, content) in primitive, L.module
 
 
+def _certificate(o, a, b, c):
+    """The key of the ideal [a, (-b + sqrt(disc o))/2] and, from its
+    reduction matrix, the element lam with I = lam * I', I' the ideal of
+    the key: lam = b1/a', b1 = p*a - r*(g0 + f*w) as in pic_brute_force."""
+    f, s = o.index_in_maximal(), o.field.disc % 2
+    key, ((p, q), (r, t)) = BinaryForm(a, b, c).reduction()
+    g0 = -(b + s * f) // 2
+    lam = QuadElem(o.field, (p * a - r * g0, -r * f), key.a)
+    return key, lam
+
+
+def _ideal_of(o, a, b):
+    """[a, (-b + sqrt(disc o))/2] as a module over {1, w}."""
+    f, s = o.index_in_maximal(), o.field.disc % 2
+    return hnf(o.field, [[a, 0], [-(b + s * f) // 2, f]])
+
+
 @pytest.mark.parametrize("spec", sorted(POOL))
-def test_principal_queries_match_eager_conjugates(monkeypatch, spec):
-    # the lazy conjugate changes no is_principal argument and no order, and
-    # conjugates each class representative at most once
+def test_certificates_against_the_lattice_search(spec):
+    # every invertible ideal the complete scan takes is lam times the ideal
+    # of its key, lam read off the reduction matrix; the lattice search the
+    # count used before stays the oracle that the two share a class
     o = POOL[spec]
-    asked, conjugated = [], []
-    is_principal, module_conj = orders.is_principal, orders.module_conj
-
-    def recording_is_principal(order, m):
-        assert order is o
-        asked.append(m)
-        return is_principal(order, m)
-
-    def recording_module_conj(m):
-        conjugated.append(m)
-        return module_conj(m)
-
-    monkeypatch.setattr(orders, "is_principal", recording_is_principal)
-    monkeypatch.setattr(orders, "module_conj", recording_module_conj)
-    r = pic_brute_force(o)
-    monkeypatch.undo()
-    assert asked == principal_queries_eager(o, ceil(r.minkowski_bound))
-    assert len(set(conjugated)) == len(conjugated) <= r.count
+    scan = ceil(pic_brute_force(o).minkowski_bound)
+    keys = set()
+    for a, b, c, rows in _primitive_ideals(o, scan):
+        if gcd(gcd(a, b), c) != 1:
+            continue
+        ideal = IntModule(o.field, rows, 1)
+        key, lam = _certificate(o, a, b, c)
+        ideal_key = _ideal_of(o, key.a, key.b)
+        assert ideal == ideal_key.transform(lam), rows
+        assert is_principal(o, module_mul(ideal, module_conj(ideal_key))) is not None
+        keys.add(key)
+    assert len(keys) == form_class_group(o.field.disc * o.index_in_maximal() ** 2).h
 
 
-def test_a_form_key_the_ideal_layer_rejects_fails_the_count(monkeypatch):
-    # two ideals of one key that is_principal does not join raise
-    monkeypatch.setattr(orders, "is_principal", lambda o, m: None)
+def _corrupt_first_of_each_key(corrupt):
+    """BinaryForm.reduction with corrupt applied to its result the first
+    time each key comes out, and only then."""
+    reduction, seen = BinaryForm.reduction, set()
+
+    def corrupted(form):
+        key, gamma = reduction(form)
+        if key in seen:
+            return key, gamma
+        seen.add(key)
+        return corrupt(key, gamma)
+
+    return corrupted
+
+
+def _times_t(key, gamma):
+    # gamma * ((1, 1), (0, 1)): determinant 1, but it takes the form to
+    # (a', b' + 2a', ...), not to the key
+    (p, q), (r, t) = gamma
+    return key, ((p, p + q), (r, r + t))
+
+
+def _doubled(key, gamma):
+    # 2 * gamma: the basis equation holds, the determinant is 4
+    return key, tuple(tuple(2 * x for x in row) for row in gamma)
+
+
+def _other_key(key, gamma):
+    # the next reduced form of the discriminant, with the true matrix
+    forms = reduced_forms(key.disc)
+    return forms[(forms.index(key) + 1) % len(forms)], gamma
+
+
+@pytest.mark.parametrize("corrupt", [_times_t, _doubled, _other_key])
+@pytest.mark.parametrize("spec", ["zsqrt:-5", "index:-1:6", "index:-23:1"])
+def test_a_corrupted_reduction_fails_the_count(monkeypatch, corrupt, spec):
+    # the first ideal of each key is checked too: corrupting only that one
+    # reduction raises
+    o = POOL[spec]
+    if corrupt is _other_key:
+        assert pic_brute_force(o).count > 1
+    monkeypatch.setattr(BinaryForm, "reduction", _corrupt_first_of_each_key(corrupt))
     with pytest.raises(AuditFailure, match="reduced form"):
-        pic_brute_force(order_zsqrt(QuadField(-5)))
+        pic_brute_force(o)
 
+
+def test_the_count_makes_no_lattice_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice search on the Picard path")
+
+    for name in ("find_generator", "is_principal", "module_mul", "module_conj"):
+        monkeypatch.setattr(orders, name, refuse)
+    monkeypatch.setattr(lattice, "find_generator", refuse)
+    for spec, o in POOL.items():
+        r = pic_brute_force(o)
+        disc = o.field.disc * o.index_in_maximal() ** 2
+        assert r.complete and r.count == form_class_group(disc).h, spec

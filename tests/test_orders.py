@@ -125,6 +125,24 @@ def test_conductor_of_index_orders():
             assert f.module == hnf(F, [[k, 0], [0, k]])
 
 
+def test_conductor_of_a_maximal_order_is_the_colon(monkeypatch):
+    # the maximal order's conductor is read off without the colon; the
+    # colon (O_K : O_K) is the oracle, in degree 2 and 4
+    from nforders import orders
+    from nforders.biquadratic import integral_basis
+
+    fields = [QuadField(-d) for d in (1, 2, 3, 5, 7, 11, 15, 23, 59, 71)]
+    fields += [integral_basis(59, 2), _e37_order().field]
+    conductor.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(orders, "module_colon", None)
+        found = [conductor(maximal_order(K)) for K in fields]
+    for K, f in zip(fields, found):
+        o = maximal_order(K)
+        assert f.order is o
+        assert f.module == module_colon(o.module, identity_module(K)) == o.module
+
+
 def test_conductor_is_ambient_stable():
     f = conductor(order_with_index(F1, 3))
     assert module_mul(identity_module(F1), f.module) == f.module

@@ -247,6 +247,37 @@ def test_reduce_is_idempotent_and_equivalent():
         assert g.reduce() == g
 
 
+def _transform(f: BinaryForm, gamma) -> BinaryForm:
+    """F(p x + q y, r x + t y) for gamma = ((p, q), (r, t))."""
+    (p, q), (r, t) = gamma
+    return BinaryForm(
+        f.a * p * p + f.b * p * r + f.c * r * r,
+        2 * f.a * p * q + f.b * (p * t + q * r) + 2 * f.c * r * t,
+        f.a * q * q + f.b * q * t + f.c * t * t,
+    )
+
+
+def test_reduction_matrix_takes_the_form_to_its_reduction():
+    # seeded primitive forms, far from reduced, of discriminants down to
+    # -10^5, and the ambiguous forms (a, -a, c) and (a, b, a) with b < 0
+    rng = random.Random(20)
+    forms = [BinaryForm(3, -3, 5), BinaryForm(4, -3, 4), BinaryForm(1, -1, 1)]
+    while len(forms) < 2000:
+        a = rng.randrange(1, 400)
+        b = rng.randrange(-4000, 4000)
+        cmin = (b * b) // (4 * a) + 1
+        c = rng.randrange(cmin, (b * b + 10**5) // (4 * a) + 1)
+        f = BinaryForm(a, b, c)
+        if -(10**5) <= f.disc < 0 and f.is_primitive():
+            forms.append(f)
+    for f in forms:
+        g, gamma = f.reduction()
+        (p, q), (r, t) = gamma
+        assert p * t - q * r == 1
+        assert _transform(f, gamma) == g == f.reduce(), f
+        assert is_reduced(g)
+
+
 def test_composition_group_axioms():
     for disc in (-59, -20, -56, -84, -47, -71):
         forms = reduced_forms(disc)
