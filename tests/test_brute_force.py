@@ -94,13 +94,15 @@ def _ideal_of(o, a, b):
 
 
 @pytest.mark.parametrize("spec", sorted(POOL))
-def test_certificates_against_the_lattice_search(spec):
+def test_principal_queries_match_eager_conjugates(spec):
     # every invertible ideal the complete scan takes is lam times the ideal
     # of its key, lam read off the reduction matrix; the lattice search the
-    # count used before stays the oracle that the two share a class
+    # count used before stays the oracle that the two share a class, asked
+    # of I * conj(I'), the conjugate of each key's ideal I' taken once, on
+    # the key's first arrival
     o = POOL[spec]
     scan = ceil(pic_brute_force(o).minkowski_bound)
-    keys = set()
+    key_conjs = {}
     for a, b, c, rows in _primitive_ideals(o, scan):
         if gcd(gcd(a, b), c) != 1:
             continue
@@ -108,9 +110,10 @@ def test_certificates_against_the_lattice_search(spec):
         key, lam = _certificate(o, a, b, c)
         ideal_key = _ideal_of(o, key.a, key.b)
         assert ideal == ideal_key.transform(lam), rows
-        assert is_principal(o, module_mul(ideal, module_conj(ideal_key))) is not None
-        keys.add(key)
-    assert len(keys) == form_class_group(o.field.disc * o.index_in_maximal() ** 2).h
+        if key not in key_conjs:
+            key_conjs[key] = module_conj(ideal_key)
+        assert is_principal(o, module_mul(ideal, key_conjs[key])) is not None
+    assert len(key_conjs) == form_class_group(o.field.disc * o.index_in_maximal() ** 2).h
 
 
 def _corrupt_first_of_each_key(corrupt):
@@ -157,6 +160,15 @@ def test_a_corrupted_reduction_fails_the_count(monkeypatch, corrupt, spec):
     monkeypatch.setattr(BinaryForm, "reduction", _corrupt_first_of_each_key(corrupt))
     with pytest.raises(AuditFailure, match="reduced form"):
         pic_brute_force(o)
+
+
+def test_a_form_key_the_ideal_layer_rejects_fails_the_count(monkeypatch):
+    # a reduction that hands every ideal the wrong key, with its true
+    # matrix, is caught by the basis equation of the ideal layer
+    reduction = BinaryForm.reduction
+    monkeypatch.setattr(BinaryForm, "reduction", lambda form: _other_key(*reduction(form)))
+    with pytest.raises(AuditFailure, match="reduced form"):
+        pic_brute_force(POOL["zsqrt:-5"])
 
 
 def test_the_count_makes_no_lattice_search(monkeypatch):
