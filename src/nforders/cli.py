@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .biquadratic import (
     UnsupportedPrimeError,
@@ -455,7 +456,9 @@ def cmd_sweep(args):
 # wiring
 
 
+@cache
 def _parser():
+    # one tree per process, built on the first main() call, not at import
     ap = argparse.ArgumentParser(
         prog="nforders",
         description="Orders in quadratic and biquadratic number fields: "

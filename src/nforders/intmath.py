@@ -2,8 +2,8 @@
 
 Everything here works on plain unbounded Python ints (and Fraction where
 rationals are unavoidable).  No floats are used in any decision anywhere in
-this package; the only approximations are explicit rational lower/upper
-bounds produced by sqrt_lb/sqrt_ub.
+this package; the only approximations are explicit rational upper
+bounds produced by sqrt_ub.
 
 Polynomials over Z are plain lists of coefficients, constant term first,
 so coeffs[i] is the coefficient of x^i and the leading coefficient is
@@ -435,19 +435,10 @@ def _roots_quadratic(fp: list[int], p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# exact rational bounds for square roots (no floats)
+# an exact rational bound for square roots (no floats)
 
-# both bounds lie within 1/_SQRT_SCALE of sqrt(x)
+# the bound lies within 1/_SQRT_SCALE of sqrt(x)
 _SQRT_SCALE = 10**9
-
-
-def sqrt_lb(x: Fraction) -> Fraction:
-    """Rational lower bound on sqrt(x) for x >= 0."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    s = isqrt(x.numerator * x.denominator * _SQRT_SCALE**2)
-    return Fraction(s, x.denominator * _SQRT_SCALE)
 
 
 def sqrt_ub(x: Fraction) -> Fraction:

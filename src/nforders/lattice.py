@@ -17,7 +17,7 @@ from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .intmath import sqrt_lb, sqrt_ub, xgcd
+from .intmath import xgcd
 from .quadratic import (
     CFExpansion,
     cf_convergents,
@@ -543,14 +543,17 @@ def _pair_products(u) -> list:
     return list(starmap(mul, combinations_with_replacement(u, 2)))
 
 
-def _norm_filter(module, norm: Fraction):
+def _norm_filter(module, norm):
     """Predicate on the points u enumerate_by_t2 returns for the module:
     N(u/den) == norm, den the module's denominator, read exactly off the
-    field's integer norm form: norm_form(u) == norm * den^degree.  The
-    fields searched are totally imaginary, so N is |N|."""
+    field's integer norm form: norm_form(u) == norm * den^degree, an int.
+    When norm * den^degree is not an integer no point can match: the target
+    is None and the predicate rejects every point.  The fields searched are
+    totally imaginary, so N is |N|."""
     form = module.ambient.norm_form
-    target = norm * module.den**module.ambient.degree
-    return lambda u: form(u) == target
+    target = Fraction(norm) * module.den**module.ambient.degree
+    n = target.numerator if target.denominator == 1 else None
+    return lambda u: form(u) == n
 
 
 # the largest power of the fundamental unit _unit_ladder tries
@@ -607,10 +610,11 @@ def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:
 
 def _unit_ladder(field, module):
     """Smallest m >= 1 with eps^m stabilizing the module, eps the Pell unit
-    of the real quadratic subfield; returns (D0, m, convergent list over m
-    periods).  Decided on integers: rows <- rows*E is the module's HNF rows
-    times E^m, and since eps^m has norm 1, eps^m * module = module exactly
-    when each of those rows lies in the module's lattice."""
+    of the real quadratic subfield; returns (the field's LadderData, m,
+    convergent list over m periods).  Decided on integers: rows <- rows*E
+    is the module's HNF rows times E^m, and since eps^m has norm 1,
+    eps^m * module = module exactly when each of those rows lies in the
+    module's lattice."""
     lad = ladder_data(field)
     H = module.rows
     rows = H
@@ -625,7 +629,7 @@ def _unit_ladder(field, module):
         )
     # convergents gamma_{-1} = 1, gamma_0, ..., gamma_{m*l - 1} = eps^m
     gammas = [(1, 0)] + list(cf_convergents(lad.cf, m * len(lad.cf.period)))
-    return lad.D0, m, gammas
+    return lad, m, gammas
 
 
 def find_generator(module: IntModule, norm):
@@ -653,30 +657,26 @@ def find_generator(module: IntModule, norm):
         return _canonical_pick(module, cands, G)
 
     # window ladder over the real-subfield convergents
-    D0, m, gammas = _unit_ladder(field, module)
-    lad = ladder_data(field)
-    su = sqrt_ub(Fraction(D0))
-    sl = sqrt_lb(Fraction(D0))
+    lad, _, gammas = _unit_ladder(field, module)
+    D0 = lad.D0
+    den2 = module.den * module.den
+    a, b = norm.numerator, norm.denominator
     cands = []
     red = module  # each window reduces the basis the one before reduced
     for i in range(len(gammas) - 1):
         h, k = gammas[i]
         h2, k2 = gammas[i + 1]
         Q = abs(h * h - D0 * k * k)  # |N(gamma_i)|
-        # window width g = (eta/eta')^2 = eta^4 / N(eta)^2, eta = gamma_{i+1}*conj(gamma_i)
+        # eta = gamma_{i+1}*conj(gamma_i) = A + Bc sqrt(D0); eta^2 + eta'^2 = 2 p2
         A = h2 * h - D0 * k2 * k
         Bc = k2 * h - h2 * k
-        n_eta = A * A - D0 * Bc * Bc
-        # eta^2 = (A^2 + D0 B^2) + 2AB sqrt(D0); eta^4 = its square
-        p2, q2 = A * A + D0 * Bc * Bc, 2 * A * Bc
-        P4 = p2 * p2 + D0 * q2 * q2
-        Q4 = 2 * p2 * q2
-        g_ub = Fraction(P4 + Q4 * (su if Q4 > 0 else sl), n_eta * n_eta)
-        g_lb = Fraction(P4 + Q4 * (sl if Q4 > 0 else su), n_eta * n_eta)
-        if g_lb <= 0:
-            g_lb = Fraction(1)
-        # T2(alpha * conj(gamma_i)) <= 2 Q (sqrt(norm*g) + sqrt(norm/g))
-        ball = 2 * Q * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
+        n_eta = abs(A * A - D0 * Bc * Bc)
+        p2 = A * A + D0 * Bc * Bc
+        # T2(alpha * conj(gamma_i)) <= ball = 4 Q p2 sqrt(norm) / |N(eta)|, and
+        # floor(ball * den^2) = isqrt(X) // (b |N(eta)|) exactly, X = (4 Q p2
+        # den^2)^2 a b for norm = a/b (docs/generator-search.md)
+        s = 4 * Q * p2 * den2
+        budget = isqrt(s * s * a * b) // (b * n_eta)
         red = lll_reduce(red, _twisted_gram(lad, h, k))
-        cands.extend(u for u in enumerate_by_t2(red, ball) if keep(u))
+        cands.extend(u for u in enumerate_by_t2(red, Fraction(budget, den2)) if keep(u))
     return _canonical_pick(module, cands, G)

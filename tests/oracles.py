@@ -7,8 +7,8 @@ forms the library counts make up the class group; the library itself
 reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `principal_generator`, `fundamental_unit`, `is_reduced`, `to_module`,
 `mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
-`fraction_inverse`, `naive_to_coords` and `primes_upto` are helpers that
-nothing in the library calls.  `FracQuad`
+`fraction_inverse`, `naive_to_coords`, `primes_upto` and `sqrt_lb` are
+helpers that nothing in the library calls.  `FracQuad`
 and `FracBiquad` are the field elements as they were before they became
 integer coordinates over one denominator: exact `Fraction` arithmetic,
 kept as the oracle for the elements that replaced them.
@@ -27,7 +27,7 @@ from nforders.biquadratic import (
     _reduce_inverse,
 )
 from nforders.criteria import verify_identity
-from nforders.intmath import factorize, xgcd
+from nforders.intmath import _SQRT_SCALE, factorize, xgcd
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
@@ -60,6 +60,16 @@ def primes_upto(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def sqrt_lb(x: Fraction) -> Fraction:
+    """Rational lower bound on sqrt(x) for x >= 0, within 1/_SQRT_SCALE:
+    the partner of the library's sqrt_ub."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("negative radicand")
+    s = isqrt(x.numerator * x.denominator * _SQRT_SCALE**2)
+    return Fraction(s, x.denominator * _SQRT_SCALE)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,51 @@ def test_second_separator_exits_2(argv, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def in_process_run(capsys, argv):
+    """cli.main(argv) in this interpreter: (exit code, stdout, stderr)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fresh_run(argv):
+    """nforders argv in a fresh interpreter: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "nforders.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80"),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # a usage error, two --help pages and a good call, in that order through
+    # the one parser, each give the bytes and exit code of a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["represent", "13"],
+        ["--help"],
+        ["represent", "--help"],
+        ["represent", "--", "(3+sqrt(-59))/2", "59", "2"],
+    ]
+    got = [in_process_run(capsys, argv) for argv in calls]
+    assert [r[0] for r in got] == [2, 0, 0, 0]
+    assert got[0][2].endswith("error: the following arguments are required: d, n\n")
+    assert got == [fresh_run(argv) for argv in calls]
+
+
+# ---------------------------------------------------------------------------
 # the worked example
 
 

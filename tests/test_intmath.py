@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
 from nforders.intmath import (
     factorize,
@@ -15,7 +17,6 @@ from nforders.intmath import (
     poly_roots_mod,
     polp_factor,
     resultant,
-    sqrt_lb,
     sqrt_mod,
     sqrt_ub,
     squarefree_part,
@@ -23,7 +24,7 @@ from nforders.intmath import (
 )
 from nforders.intmath import _roots_quadratic
 from nforders.quadratic import QuadElem, QuadField
-from oracles import from_integral_coords, primes_upto
+from oracles import from_integral_coords, primes_upto, sqrt_lb
 
 
 # independent oracles, deliberately dumber than the implementations
@@ -314,18 +315,10 @@ def test_polp_factor_known():
 
 
 def sympy_factor(f, p):
-    x = sympy.symbols("x")
-    expr = sum(c * x**i for i, c in enumerate(f))
-    _, fac = sympy.factor_list(sympy.Poly(expr, x, modulus=p))
-    return sorted(
-        (
-            tuple(
-                int(c) % p for c in reversed(sympy.Poly(q, x, modulus=p).all_coeffs())
-            ),
-            e,
-        )
-        for q, e in fac
-    )
+    # sympy's factorisation over GF(p) on plain int lists, leading
+    # coefficient first; its factors are monic with entries in [0, p)
+    _, fac = gf_factor(gf_from_int_poly(f[::-1], p), p, ZZ)
+    return sorted((tuple(int(c) for c in reversed(q)), e) for q, e in fac)
 
 
 def test_polp_factor_against_sympy():

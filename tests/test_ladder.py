@@ -7,14 +7,14 @@ over the whole ball."""
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 import pytest
 
 from nforders import criteria, lattice
 from nforders.biquadratic import factor_rational_prime, integral_basis
 from nforders.criteria import prime_elements
-from nforders.intmath import sqrt_lb, sqrt_ub
+from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
@@ -36,7 +36,7 @@ from nforders.quadratic import (
     pell_solve,
     table_matrix,
 )
-from oracles import fundamental_unit, mult_matrix
+from oracles import fundamental_unit, mult_matrix, sqrt_lb
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -181,6 +181,30 @@ def oracle_norm_filter(module, norm):
     return lambda u: abs(_det_int(table_matrix(T, u))) == target
 
 
+def oracle_ball(D0, gammas, i, norm) -> Fraction:
+    """Window i's ball as Fractions: the width w = eta^4 / N(eta)^2,
+    eta = gamma_{i+1} * conj(gamma_i), bracketed on both edges with
+    sqrt_lb/sqrt_ub of D0, and 2|N(gamma_i)| (sqrt(norm*w) +
+    sqrt(norm/w)) rounded up."""
+    norm = Fraction(norm)
+    su = sqrt_ub(Fraction(D0))
+    sl = sqrt_lb(Fraction(D0))
+    h, k = gammas[i]
+    h2, k2 = gammas[i + 1]
+    Qn = abs(h * h - D0 * k * k)
+    A = h2 * h - D0 * k2 * k
+    Bc = k2 * h - h2 * k
+    n_eta = A * A - D0 * Bc * Bc
+    p2, q2 = A * A + D0 * Bc * Bc, 2 * A * Bc
+    P4 = p2 * p2 + D0 * q2 * q2
+    Q4 = 2 * p2 * q2
+    g_ub = Fraction(P4 + Q4 * (su if Q4 > 0 else sl), n_eta * n_eta)
+    g_lb = Fraction(P4 + Q4 * (sl if Q4 > 0 else su), n_eta * n_eta)
+    if g_lb <= 0:
+        g_lb = Fraction(1)
+    return 2 * Qn * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
+
+
 def oracle_find_generator(module, norm):
     """find_generator on the Fraction ladder, for rank-4 modules."""
     field = module.ambient
@@ -188,24 +212,10 @@ def oracle_find_generator(module, norm):
     G = field.t2_gram_matrix()
     keep = oracle_norm_filter(module, norm)
     D0, m, gammas = oracle_ladder(field, module)
-    su = sqrt_ub(Fraction(D0))
-    sl = sqrt_lb(Fraction(D0))
     cands = []
     for i in range(len(gammas) - 1):
         h, k = gammas[i]
-        h2, k2 = gammas[i + 1]
-        Qn = abs(h * h - D0 * k * k)
-        A = h2 * h - D0 * k2 * k
-        Bc = k2 * h - h2 * k
-        n_eta = A * A - D0 * Bc * Bc
-        p2, q2 = A * A + D0 * Bc * Bc, 2 * A * Bc
-        P4 = p2 * p2 + D0 * q2 * q2
-        Q4 = 2 * p2 * q2
-        g_ub = Fraction(P4 + Q4 * (su if Q4 > 0 else sl), n_eta * n_eta)
-        g_lb = Fraction(P4 + Q4 * (sl if Q4 > 0 else su), n_eta * n_eta)
-        if g_lb <= 0:
-            g_lb = Fraction(1)
-        ball = 2 * Qn * (sqrt_ub(norm * g_ub) + sqrt_ub(norm / g_lb))
+        ball = oracle_ball(D0, gammas, i, norm)
         Gi = oracle_twisted_gram(field, h, k)
         cands.extend(
             v
@@ -260,6 +270,12 @@ def random_modules(rng, field, count):
     return out
 
 
+def ladder(field, module):
+    """_unit_ladder's result in oracle_ladder's terms: (D0, m, gammas)."""
+    lad, m, gammas = _unit_ladder(field, module)
+    return lad.D0, m, gammas
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -295,7 +311,7 @@ def test_power_matches_oracle_on_random_modules(field):
     powers = []
     for module in random_modules(rng, field, 12):
         want = outcome(oracle_ladder, field, module)
-        got = outcome(_unit_ladder, field, module)
+        got = outcome(ladder, field, module)
         assert got == want
         powers.append(want if want == "unsupported" else want[1])
     assert any(p != 1 for p in powers)
@@ -303,9 +319,8 @@ def test_power_matches_oracle_on_random_modules(field):
 
 def test_power_matches_oracle_on_represent_ideals(pool):
     for module, _ in pool:
-        assert _unit_ladder(module.ambient, module) == oracle_ladder(
-            module.ambient, module
-        )
+        assert _unit_ladder(module.ambient, module)[0] is ladder_data(module.ambient)
+        assert ladder(module.ambient, module) == oracle_ladder(module.ambient, module)
 
 
 def test_find_generator_matches_oracle_on_represent_pool(pool):
@@ -425,3 +440,83 @@ def test_one_lll_and_one_enumeration_per_window(monkeypatch, pool):
     lattice.find_generator(module, norm)
     windows = len(_unit_ladder(E59, module)[2]) - 1
     assert calls == {"lll": windows, "enum": windows}
+
+
+def test_one_ladder_lookup_per_search(monkeypatch, pool):
+    # find_generator reads the field's LadderData from _unit_ladder instead
+    # of looking it up a second time
+    module, norm = next(c for c in pool if c[0].ambient == E59)
+    lookups = []
+    lookup = lattice.ladder_data
+
+    def count(field):
+        lookups.append(field)
+        return lookup(field)
+
+    monkeypatch.setattr(lattice, "ladder_data", count)
+    lattice.find_generator(module, norm)
+    assert lookups == [E59]
+
+
+# ---------------------------------------------------------------------------
+# each window's integer budget against the Fraction ball
+
+
+@pytest.fixture(scope="module")
+def budget_pool(pool, warm_inputs):
+    """The represent pool, the find_generator calls represent makes on the
+    prime elements of norm <= REPRESENT_NORM of (23, 5) and (71, 2), and
+    the warm-start inputs, whose E37 modules have denominators 2 and 3
+    and norms that are not integers."""
+    return pool + represent_calls(((23, 5), (71, 2))) + warm_inputs
+
+
+def window_budgets(monkeypatch, module, norm) -> list:
+    """The integer budget bound * den^2 that find_generator(module, norm)
+    hands enumerate_by_t2 in each window, in order; no window enumerates."""
+    budgets = []
+
+    def record(red, bound):
+        budget = Fraction(bound) * red.den**2
+        assert budget.denominator == 1
+        budgets.append(budget.numerator)
+        return []
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "enumerate_by_t2", record)
+        lattice.find_generator(module, norm)
+    return budgets
+
+
+def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_pool):
+    # the closed form isqrt(X) // M of each window's budget equals the floor
+    # of the Fraction ball the ladder used before, so every window
+    # enumerates the same points; and it is the exact floor of sqrt(X) / M,
+    # X = (4 |N(gamma_i)| p2 den^2)^2 a b and M = b |N(eta)| for norm = a/b
+    # and eta^2 + eta'^2 = 2 p2
+    windows = 0
+    fields = set()
+    for module, norm in budget_pool:
+        field = module.ambient
+        if outcome(ladder, field, module) == "unsupported":
+            continue
+        fields.add(field)
+        D0, _, gammas = ladder(field, module)
+        budgets = window_budgets(monkeypatch, module, norm)
+        assert len(budgets) == len(gammas) - 1
+        norm = Fraction(norm)
+        a, b = norm.numerator, norm.denominator
+        den2 = module.den**2
+        for i, B in enumerate(budgets):
+            assert B == floor(oracle_ball(D0, gammas, i, norm) * den2)
+            (h, k), (h2, k2) = gammas[i], gammas[i + 1]
+            A, Bc = h2 * h - D0 * k2 * k, k2 * h - h2 * k
+            s = 4 * abs(h * h - D0 * k * k) * (A * A + D0 * Bc * Bc) * den2
+            X = s * s * a * b
+            M = b * abs(A * A - D0 * Bc * Bc)
+            assert (B * M) ** 2 <= X < ((B + 1) * M) ** 2
+            windows += 1
+    assert fields == {E59, E1110, integral_basis(23, 5), integral_basis(71, 2), E37}
+    assert {Fraction(norm).denominator for _, norm in budget_pool} > {1}
+    assert {module.den for module, _ in budget_pool} > {1}
+    assert windows > len(budget_pool)
