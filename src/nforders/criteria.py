@@ -31,8 +31,7 @@ from .intmath import (
     polp_trim,
     sqrt_mod,
 )
-from .lattice import _times, find_generator
-from .orders import relative_order
+from .lattice import UnsupportedFieldError, _times, find_generator
 from .quadratic import QuadElem, QuadField, pell_solve, split_prime
 
 SOLVABLE = "solvable"
@@ -143,44 +142,76 @@ def cox_criterion(p: int, n: int, f_n, solve: bool = False) -> CriterionReport:
 # ---------------------------------------------------------------------------
 # the unit equation
 
-# the coordinate bound of unit_witness's last-resort search
+# the coordinate bound of unit_witness's search for n in {1, 3}
 _WITNESS_BOX = 8
 
 
 @lru_cache(maxsize=None)
 def unit_witness(d: int, n: int) -> UnitWitness | None:
-    """O_F-solution of -1 = alpha^2 + n*beta^2 with F = Q(sqrt(-d)).
+    """O_F-solution of -1 = alpha^2 + n*beta^2 with F = Q(sqrt(-d)), d > 3.
 
-    x^2 - dn*y^2 = -1 gives a rational alpha; the unit equation
-    d*u^2 - n*v^2 = 1 gives alpha = u*sqrt(-d); a small coordinate box
-    catches anything else.  None is a bounded miss, not a proof.
+    x^2 - dn*y^2 = -1 gives alpha = x, beta = y*sqrt(-d); the unit
+    equation d*u^2 - n*v^2 = 1 gives alpha = u*sqrt(-d), beta = v.  Both
+    are decided exactly.  For n not in {1, 3} nothing else exists, so None
+    is a proof: w = alpha + beta*sqrt(-n) is a unit of relative norm -1
+    in the CM field E = F(sqrt(-n)), whose roots of unity are only +-1, so
+    w/conj(w) = +-1 and w lies in K0 = Q(sqrt(dn)) or in sqrt(-d)*K0.
+    With alpha, beta in O_F that is w = x + y*sqrt(-d)*sqrt(-n) or
+    w = u*sqrt(-d) + v*sqrt(-n), x, y, u, v in Z, of relative norms
+    x^2 - dn*y^2 and n*v^2 - d*u^2.  For n in {1, 3}, where E holds i or
+    sqrt(-3), a coordinate box is searched too, and None is a bounded
+    miss.
     """
     check_field_params(d, n)
     if d <= 3:
         raise ValueError("needs d > 3, got %d" % d)
     F = QuadField(-d)
     r = pell_solve(d * n, -1)
-    if r.solution is not None:
-        return UnitWitness(F(r.solution.x), F(0, r.solution.y), n)
+    if r is not None:
+        return UnitWitness(F(r.x), F(0, r.y), n)
     uv = _unit_equation(d, n)
     if uv is not None:
         return UnitWitness(F(0, uv[0]), F(uv[1]), n)
+    if n not in (1, 3):
+        return None
     coords = sorted(
         range(-_WITNESS_BOX, _WITNESS_BOX + 1), key=lambda t: (abs(t), t < 0)
     )
-    target = F(-1)
-    squares = [
-        (QuadElem(F, (b1, b2)), QuadElem(F, (b1, b2)) ** 2)
-        for b1 in coords
-        for b2 in coords
-    ]
-    for a1 in coords:
-        for a2 in coords:
-            want = target - QuadElem(F, (a1, a2)) ** 2
-            for beta, b2 in squares:
-                if n * b2 == want:
-                    return UnitWitness(QuadElem(F, (a1, a2)), beta, n)
+    box = [QuadElem(F, (c1, c2)) for c1 in coords for c2 in coords]
+    scaled = {}  # n*beta^2 -> the first beta in box order
+    for beta in box:
+        scaled.setdefault(n * beta**2, beta)
+    for alpha in box:
+        beta = scaled.get(F(-1) - alpha**2)
+        if beta is not None:
+            return UnitWitness(alpha, beta, n)
     return None
+
+
+@lru_cache(maxsize=None)
+def _unit_equation(d: int, n: int):
+    """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
+    None; d > 1.  With eta = a + b*sqrt(dn) the least unit of norm 1 of
+    Z[sqrt(dn)] (pell_solve), it exists exactly when (a + 1)/2 = d*u^2 and
+    (a - 1)/2 = n*v^2 in integers.
+
+    Proof: gamma = u*sqrt(d) + v*sqrt(n) squares to (d*u^2 + n*v^2) +
+    2uv*sqrt(dn), of norm (d*u^2 - n*v^2)^2 = 1, so gamma^2 = eta^k, k >= 1.
+    k is odd, since gamma = eta^j = x + y*sqrt(dn) would give d*u^2 + n*v^2
+    = x^2 + dn*y^2, and with both forms equal to 1, d*u^2 = x^2, which
+    squarefree d > 1 forbids.  For k = 2j + 1, gamma*eta^-j =
+    (u*x - n*v*y)*sqrt(d) + (v*x - d*u*y)*sqrt(n) keeps the form and the
+    sign, d*(u*x - n*v*y)^2 - n*(v*x - d*u*y)^2 = (d*u^2 - n*v^2)*(x^2 -
+    dn*y^2), and squares to eta: its rational part a = d*u^2 + n*v^2.
+    """
+    a = pell_solve(d * n, 1).x
+    u2, ru = divmod(a + 1, 2 * d)
+    v2, rv = divmod(a - 1, 2 * n)
+    u, v = isqrt(u2), isqrt(v2)
+    if ru or rv or u * u != u2 or v * v != v2:
+        return None
+    assert d * u * u - n * v * v == 1
+    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +349,9 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     the congruence, unit-equation and class-number hypotheses the verdict
     is exactly "-n is a square in O_F/pO_F".  For an inert p that square
     test runs in the degree-2 residue field, where it always passes; the
-    computation is done rather than asserted."""
+    computation is done rather than asserted.  An h_E past the class
+    group's cap leaves norm_map_injective undecided, so the verdict is
+    unknown."""
     from .biquadratic import norm_map_condition
 
     check_field_params(d, n)
@@ -340,10 +373,16 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     if not check(
         "unit_equation_solvable",
         uv is not None,
-        "(u, v) = %r" % (uv,) if uv else "bounded search missed; not exhaustive",
+        "(u, v) = %r" % (uv,)
+        if uv
+        else "no solution, decided from the Pell unit of Z[sqrt(%d)]" % (d * n),
     ):
         return done()
-    nm = norm_map_condition(d, n)
+    try:
+        nm = norm_map_condition(d, n)
+    except UnsupportedFieldError as err:
+        check("norm_map_injective", False, "undecided: %s" % err)
+        return done()
     if not check(
         "norm_map_injective",
         nm.inj_iso,
@@ -375,17 +414,6 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     )
 
 
-@lru_cache(maxsize=None)
-def _unit_equation(d: int, n: int):
-    """(u, v) with d*u^2 - n*v^2 = 1, via x^2 - dn*y^2 = d, or None."""
-    r = pell_solve(d * n, d)
-    if r.solution is None or r.solution.x % d:
-        return None
-    u, v = r.solution.x // d, r.solution.y
-    assert d * u * u - n * v * v == 1
-    return u, v
-
-
 # ---------------------------------------------------------------------------
 # representation solver over O_F
 
@@ -410,7 +438,10 @@ def represent(p: QuadElem, d: int, n: int):
     None is a proof of impossibility: either -n is not a square in the
     residue field, or the ideal above p has no generator of the right norm
     (the enumeration is exhaustive).  UNRESOLVED is an honest shrug from
-    the sign-normalization step, never a wrong answer.
+    the sign-normalization step, never a wrong answer: the generator has
+    relative norm -p and unit_witness has no -1 = alpha^2 + n*beta^2 to
+    turn it (for d <= 3 it is not asked), or its relative norm is p times
+    a unit other than +-1.
     """
     check_field_params(d, n)
     F, q, deg, _ = _prime_field(p, d)
@@ -422,9 +453,6 @@ def represent(p: QuadElem, d: int, n: int):
     E = integral_basis(d, n)
     # the prime of O_E above p: p*O_E + (root - sqrt(-n))*O_E
     mod = ideal_of_elements(E, (_embed_F(E, p), _embed_F(E, root) - E.gens()[1]))
-    o = relative_order(E)
-    if not o.is_maximal:
-        mod = mod.intersect(o.module)
     nrm = mod.covolume()
     assert nrm == q**deg
     alpha = find_generator(mod, nrm)
@@ -433,7 +461,7 @@ def represent(p: QuadElem, d: int, n: int):
     x, y = _split_relative(alpha)
     nu = x**2 + n * y**2
     if nu == -p:
-        w = unit_witness(d, n)
+        w = unit_witness(d, n) if d > 3 else None
         if w is None:
             return UNRESOLVED
         x, y = w.alpha * x - n * w.beta * y, w.alpha * y + w.beta * x

@@ -585,10 +585,8 @@ def ladder_data(field) -> LadderData:
     x^2 - D0*y^2 = -1, or of = +1 when -1 has none.  D0, S, G and cross
     are the field's norm_forms."""
     D0, S, G, cross = field.norm_forms
-    r = pell_solve(D0, -1)
-    if r.solution is None:
-        r = pell_solve(D0, 1)  # always solvable
-    x0, y0 = r.solution.x, r.solution.y
+    r = pell_solve(D0, -1) or pell_solve(D0, 1)
+    x0, y0 = r.x, r.y
     E = tuple(
         tuple(x0 * (i == j) + y0 * sij for j, sij in enumerate(Si))
         for i, Si in enumerate(S)

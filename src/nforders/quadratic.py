@@ -528,53 +528,23 @@ class PellSolution:
         assert self.x * self.x - self.D * self.y * self.y == self.N
 
 
-@dataclass(frozen=True)
-class PellResult:
-    solution: PellSolution | None
-    proven: bool  # for solution=None: True means proven unsolvable
+def pell_solve(D: int, N: int) -> PellSolution | None:
+    """The least positive solution of x^2 - D y^2 = N for N = +-1, or None.
 
-
-def _cf_fundamental(D: int) -> tuple[int, int, int]:
-    """(x, y, period length) with x^2 - D y^2 = (-1)^len(period): the last
-    convergent of the first period."""
-    cf = cf_sqrt(D)
-    l = len(cf.period)
-    *_, (h, k) = cf_convergents(cf, l)
-    assert h * h - D * k * k == (-1) ** l
-    return h, k, l
-
-
-def pell_solve(D: int, N: int, y_max: int = 10**5) -> PellResult:
-    """Solve x^2 - D y^2 = N in positive integers.
-
-    N = +-1 goes through the continued fraction of sqrt(D) and is decided
-    exactly (fundamental solution, or proven-none for N = -1 with even
-    period).  Other N fall back to a convergent scan plus a direct search
-    over y <= y_max; a miss there is reported as unproven.
+    The last convergent h/k of the first period of sqrt(D) gives the
+    fundamental unit h + k*sqrt(D) of Z[sqrt(D)], of norm (-1)^l for l the
+    period length (Cohen, GTM 138, 5.7).  So N = -1 is solvable exactly
+    when l is odd, and N = +1 is solved by that unit, or by its square when
+    l is odd.  Other N raise ValueError.
     """
-    if D <= 0 or is_square(D):
-        raise ValueError("pell_solve needs a positive nonsquare D")
-    if N == 0:
-        raise ValueError("N = 0 has no positive solutions")
-    x0, y0, l = _cf_fundamental(D)
+    if N not in (1, -1):
+        raise ValueError("pell_solve decides N = +-1 only, got %d" % N)
+    cf = cf_sqrt(D)  # ValueError unless D is a positive nonsquare
+    l = len(cf.period)
+    *_, (x, y) = cf_convergents(cf, l)
+    assert x * x - D * y * y == (-1) ** l
+    if l % 2 == 0:
+        return PellSolution(D, 1, x, y) if N == 1 else None
     if N == 1:
-        if l % 2 == 0:
-            return PellResult(PellSolution(D, 1, x0, y0), True)
-        x1 = x0 * x0 + D * y0 * y0
-        y1 = 2 * x0 * y0
-        return PellResult(PellSolution(D, 1, x1, y1), True)
-    if N == -1:
-        if l % 2 == 1:
-            return PellResult(PellSolution(D, -1, x0, y0), True)
-        return PellResult(None, True)
-    # general N: direct scan (smallest y first), then convergent backstop
-    # for solutions whose y lies past the scan window
-    for y in range(1, y_max + 1):
-        x2 = N + D * y * y
-        if x2 > 0 and is_square(x2):
-            return PellResult(PellSolution(D, N, isqrt(x2), y), False)
-    cf = cf_sqrt(D)
-    for h, q in cf_convergents(cf, 2 * len(cf.period) + 2):
-        if h * h - D * q * q == N:
-            return PellResult(PellSolution(D, N, h, q), False)
-    return PellResult(None, False)
+        x, y = x * x + D * y * y, 2 * x * y
+    return PellSolution(D, N, x, y)

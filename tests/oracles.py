@@ -7,11 +7,12 @@ forms the library counts make up the class group; the library itself
 reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `principal_generator`, `fundamental_unit`, `is_reduced`, `to_module`,
 `mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
-`fraction_inverse`, `naive_to_coords`, `primes_upto` and `sqrt_lb` are
-helpers that nothing in the library calls.  `FracQuad`
-and `FracBiquad` are the field elements as they were before they became
-integer coordinates over one denominator: exact `Fraction` arithmetic,
-kept as the oracle for the elements that replaced them.
+`fraction_inverse`, `naive_to_coords`, `primes_upto`, `sqrt_lb`,
+`unit_equation_scan` and `witness_box` are helpers that nothing in the
+library calls.  `FracQuad` and `FracBiquad` are the field elements as
+they were before they became integer coordinates over one denominator:
+exact `Fraction` arithmetic, kept as the oracle for the elements that
+replaced them.
 """
 
 from dataclasses import dataclass
@@ -204,6 +205,50 @@ def brute_force_represent(p, n: int, F: QuadField | None, box: int):
             if y is not None:
                 assert verify_identity(target, x, y, n)
                 return x, y
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the unit equations by bounded search
+
+
+def unit_equation_scan(d: int, n: int, v_max: int = 10**5):
+    """The least (u, v) with d*u^2 - n*v^2 = 1 and 0 < v <= v_max, or None,
+    which is only a statement about the bound: the scan criteria once ran
+    as x^2 - dn*y^2 = d over y <= v_max.  Only v with n*v^2 = -1 mod d can
+    work, so it steps through those classes mod d, in increasing v."""
+    starts = [r for r in range(d) if (n * r * r + 1) % d == 0]
+    for base in range(0, v_max + 1, d):
+        for r in starts:
+            v = base + r
+            if 0 < v <= v_max:
+                u2 = (1 + n * v * v) // d
+                u = isqrt(u2)
+                if u * u == u2:
+                    return u, v
+    return None
+
+
+def witness_box(d: int, n: int, box: int):
+    """Integer coordinate pairs ((a1, a2), (b1, b2)) over {1, w} in
+    [-box, box] with -1 = alpha^2 + n*beta^2 in O_F, F = Q(sqrt(-d)), or
+    None, which is only a statement about the box.  The values n*beta^2
+    sit in a dict keyed by their coordinates."""
+    c0, c1, _ = QuadField(-d).omega_minpoly()
+    coords = range(-box, box + 1)
+
+    def square(a, b):  # (a + b*w)^2 with w^2 = -c1*w - c0
+        return a * a - c0 * b * b, 2 * a * b - c1 * b * b
+
+    scaled = {}
+    for b in ((b1, b2) for b1 in coords for b2 in coords):
+        s0, s1 = square(*b)
+        scaled.setdefault((n * s0, n * s1), b)
+    for a in ((a1, a2) for a1 in coords for a2 in coords):
+        s0, s1 = square(*a)
+        b = scaled.get((-1 - s0, -s1))
+        if b is not None:
+            return a, b
     return None
 
 

@@ -302,7 +302,7 @@ def test_acceptance_09_pell():
     t0 = time.monotonic()
     cf = cf_sqrt(118)
     r = pell_solve(118, 1)
-    got = (r.solution.x, r.solution.y) if r.solution else None
+    got = (r.x, r.y) if r else None
     # direct-search oracle over y <= 10^5
     oracle = None
     for y in range(1, 10**5 + 1):

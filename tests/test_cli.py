@@ -287,6 +287,36 @@ def test_criterion_hilbert_unsolvable(capsys):
     assert doc["verdict"] == "unsolvable"
 
 
+def test_criterion_hilbert_past_the_class_group_cap(capsys):
+    # h_E of (79, 6) is past the quartic class group's cap: the norm-map
+    # hypothesis is undecided and the verdict unknown, not an exit 3
+    code, doc = run_json(capsys, ["criterion", "hilbert", "3", "79", "6"])
+    assert code == 0
+    assert doc["applicable"] is False and doc["verdict"] == "unknown"
+    assert doc["hypotheses"][-2:] == [
+        {
+            "name": "unit_equation_solvable",
+            "passed": True,
+            "detail": "(u, v) = (35, 127)",
+        },
+        {
+            "name": "norm_map_injective",
+            "passed": False,
+            "detail": "undecided: minkowski bound 289 exceeds the configured cap 120",
+        },
+    ]
+
+
+def test_criterion_hilbert_unit_equation_past_the_scan(capsys):
+    code, doc = run_json(capsys, ["criterion", "hilbert", "7", "107", "2"])
+    assert code == 0
+    assert doc["hypotheses"][3] == {
+        "name": "unit_equation_solvable",
+        "passed": True,
+        "detail": "(u, v) = (57003, 416941)",
+    }
+
+
 def test_criterion_inapplicable(capsys):
     code, doc = run_json(capsys, ["criterion", "hilbert", "1+1*w", "59", "3"])
     assert code == 0
@@ -403,6 +433,16 @@ def test_represent_none(capsys):
 def test_represent_rejects_non_prime(capsys):
     code, out = run(capsys, ["represent", "5", "59", "2"])
     assert code == 2
+
+
+def test_represent_d_3_is_unknown(capsys):
+    # a generator of relative norm -p needs a unit witness, which is sought
+    # only for d > 3: "unknown" with exit 3, as where the norm is p times a
+    # unit other than +-1
+    for p in ("3+2*w", "5"):
+        code, doc = run_json(capsys, ["represent", p, "3", "2"])
+        assert code == 3
+        assert doc["result"] == "unknown"
 
 
 @pytest.mark.parametrize(
@@ -606,6 +646,19 @@ def test_sweep_small(capsys):
     assert doc["total"] == len(doc["rows"]) == 2
     assert all(r["agree"] is True for r in doc["rows"])
     assert {r["norm"] for r in doc["rows"]} == {17}
+
+
+def test_sweep_past_the_scan_and_the_cap(capsys):
+    # (107, 2): the unit equation's solution lies past the old scan and h_E
+    # past the class group's cap; the solver verifies the rows that the
+    # unit witness turns, and the criterion stays unknown
+    code, out = run(capsys, ["sweep", "107", "2", "--bound", "300", "--csv"])
+    assert code == 0
+    rows = {r.split(",")[0]: r.split(",")[2:4] for r in out.splitlines()[1:]}
+    assert len(rows) == 19
+    assert {c for c, _ in rows.values()} == {"unknown"}
+    for p in ("7", "7+w", "11-w"):
+        assert rows[p] == ["unknown", "solution"]
 
 
 def test_sweep_csv(capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -12,6 +12,7 @@ from nforders.criteria import (
     CriterionReport,
     UnitWitness,
     _divides,
+    _unit_equation,
     cornacchia,
     cox_criterion,
     criterion_hilbert,
@@ -23,9 +24,16 @@ from nforders.criteria import (
     unit_witness,
     verify_identity,
 )
-from nforders.intmath import is_prime, poly_roots_mod
-from nforders.quadratic import QuadElem, QuadField, split_prime
-from oracles import FracQuad, brute_force_represent, from_integral_coords, primes_upto
+from nforders.intmath import is_prime, is_squarefree, poly_roots_mod
+from nforders.quadratic import QuadElem, QuadField, pell_solve, split_prime
+from oracles import (
+    FracQuad,
+    brute_force_represent,
+    from_integral_coords,
+    primes_upto,
+    unit_equation_scan,
+    witness_box,
+)
 
 F59 = QuadField(-59)
 F5 = QuadField(-5)
@@ -179,7 +187,9 @@ def test_unit_witness_sqrt_branch():
 
 
 def test_unit_witness_none():
-    # 7u^2 - 5v^2 = 1 is insoluble mod 5, and no small witness exists
+    # x^2 - 35y^2 = -1 has no solution (the period of sqrt(35) is even) and
+    # 7u^2 - 5v^2 = 1 is insoluble mod 5; for n not in {1, 3} that proves
+    # there is no witness at all
     assert unit_witness(7, 5) is None
 
 
@@ -188,6 +198,106 @@ def test_unit_witness_rejects():
         unit_witness(3, 2)
     with pytest.raises(ValueError):
         unit_witness(59, 59)
+
+
+# the native fields: d = 3 mod 4, n = 1, 2 mod 4, gcd(d, n) = 1
+NATIVE_GRID = [
+    (d, n)
+    for d in range(7, 400)
+    if d % 4 == 3 and is_squarefree(d)
+    for n in range(1, 31)
+    if n % 4 in (1, 2) and is_squarefree(n) and gcd(d, n) == 1
+]
+
+# the native fields whose least solution of d*u^2 - n*v^2 = 1 lies past
+# the scan's v <= 10^5
+PAST_THE_SCAN = {
+    (103, 22): (115849409, 250669269),
+    (107, 2): (57003, 416941),
+    (131, 26): (268792043235, 603344533807),
+    (139, 10): (2875487, 10720593),
+    (139, 26): (538105, 1244193),
+    (179, 2): (22209, 210107),
+    (179, 26): (4446698569965, 11667492550493),
+    (211, 10): (13008091, 59752323),
+    (211, 26): (52179, 148645),
+    (223, 22): (29703206909, 94568049489),
+    (227, 2): (6104097, 65030839),
+    (251, 26): (55442601878471201751, 172263707489275700275),
+    (271, 6): (701405, 4713873),
+    (307, 2): (23817, 295081),
+    (331, 10): (90569, 521067),
+    (339, 26): (16234347, 58620295),
+    (347, 2): (7475426163, 98465863939),
+    (347, 26): (788080401, 2879045911),
+    (379, 10): (56834063, 349887405),
+}
+
+
+def test_unit_equation_matches_scan_oracle():
+    found, past = 0, set()
+    for d, n in NATIVE_GRID:
+        got = _unit_equation(d, n)
+        want = unit_equation_scan(d, n)
+        if want is not None:
+            assert got == want, (d, n)
+            found += 1
+        elif got is not None:
+            past.add((d, n))
+    assert found == 74
+    assert past == set(PAST_THE_SCAN)
+
+
+def test_unit_equation_past_the_scan_is_verified():
+    for (d, n), (u, v) in PAST_THE_SCAN.items():
+        assert _unit_equation(d, n) == (u, v)
+        assert d * u * u - n * v * v == 1
+        w = unit_witness(d, n)
+        assert w.alpha**2 + n * w.beta**2 == QuadField(-d)(-1)
+    r = criterion_hilbert(QuadField(-107)(7), 107, 2)
+    assert r.hypotheses[3] == (
+        "unit_equation_solvable",
+        True,
+        "(u, v) = (57003, 416941)",
+    )
+
+
+def test_unit_equation_none_is_decided():
+    # 7u^2 - 2v^2 = 1: the Pell unit 15 + 2*sqrt(14) gives (15 + 1)/14,
+    # not an integer
+    assert pell_solve(14, 1).x == 15
+    assert _unit_equation(7, 2) is None
+    r = criterion_hilbert(QuadField(-7)(3), 7, 2)
+    assert r.hypotheses[-1] == (
+        "unit_equation_solvable",
+        False,
+        "no solution, decided from the Pell unit of Z[sqrt(14)]",
+    )
+
+
+def test_witness_box_adds_nothing_past_the_two_equations():
+    # for d > 3 and n not in {1, 3} a witness is x + y*sqrt(-d)*sqrt(-n) or
+    # u*sqrt(-d) + v*sqrt(-n), so the box finds one only where unit_witness
+    # already has one from the two equations
+    hits = 0
+    for d, n in NATIVE_GRID:
+        if n == 1:
+            continue
+        if witness_box(d, n, 8) is not None:
+            hits += 1
+            assert unit_witness(d, n) is not None, (d, n)
+    assert hits > 0
+
+
+def test_unit_witness_box_for_n_1():
+    # E = Q(sqrt(-d), i) has more roots of unity, and the box finds
+    # witnesses that neither equation gives
+    for d, alpha, beta in [(11, (1, 1), (2, -1)), (19, (5, 3), (8, -3))]:
+        F = QuadField(-d)
+        assert pell_solve(d, -1) is None and _unit_equation(d, 1) is None
+        assert witness_box(d, 1, 8) is not None
+        w = unit_witness(d, 1)
+        assert (w.alpha, w.beta) == (QuadElem(F, alpha), QuadElem(F, beta))
 
 
 def test_unit_witness_invariant():

@@ -78,10 +78,8 @@ def oracle_power(field, module) -> int:
     """Smallest m >= 1 with eps^m * module inside the module, eps the Pell
     unit as a field element, decided by transform and contains_module."""
     D0, _ = field.real_subfield_data()
-    r = pell_solve(D0, -1)
-    if r.solution is None:
-        r = pell_solve(D0, 1)
-    eps = field.from_real_quadratic(Fraction(r.solution.x), Fraction(r.solution.y))
+    r = pell_solve(D0, -1) or pell_solve(D0, 1)
+    eps = field.from_real_quadratic(Fraction(r.x), Fraction(r.y))
     for m in range(1, 65):
         if module.contains_module(module.transform(eps**m)):
             return m

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import pytest
+
+from nforders.criteria import _unit_equation
 from nforders.intmath import is_square, is_squarefree, jacobi
 from nforders.lattice import hnf, identity_module
 from nforders.orders import module_conj, module_mul
@@ -380,15 +383,14 @@ def test_convergents_approximate():
 
 def test_pell_negative_one():
     r = pell_solve(2, -1)
-    assert (r.solution.x, r.solution.y) == (1, 1)
+    assert (r.x, r.y) == (1, 1)
     r = pell_solve(5, -1)
-    assert (r.solution.x, r.solution.y) == (2, 1)
+    assert (r.x, r.y) == (2, 1)
     r = pell_solve(13, -1)
-    assert (r.solution.x, r.solution.y) == (18, 5)
-    r = pell_solve(3, -1)
-    assert r.solution is None and r.proven
-    r = pell_solve(118, -1)
-    assert r.solution is None and r.proven
+    assert (r.x, r.y) == (18, 5)
+    # None is a proof: the period of sqrt(D) is even
+    assert pell_solve(3, -1) is None
+    assert pell_solve(118, -1) is None
 
 
 def test_pell_negative_one_iff_odd_period():
@@ -397,21 +399,19 @@ def test_pell_negative_one_iff_odd_period():
             continue
         r = pell_solve(D, -1)
         odd = len(cf_sqrt(D).period) % 2 == 1
-        assert (r.solution is not None) == odd
-        assert r.proven
+        assert (r is not None) == odd
 
 
 def test_pell_plus_one_fundamental():
     cases = {2: (3, 2), 3: (2, 1), 5: (9, 4), 61: (1766319049, 226153980)}
     for D, (x, y) in cases.items():
         r = pell_solve(D, 1)
-        assert (r.solution.x, r.solution.y) == (x, y)
-        assert r.proven
+        assert (r.x, r.y) == (x, y)
 
 
 def test_pell_118_against_scan_oracle():
     r = pell_solve(118, 1)
-    assert (r.solution.x, r.solution.y) == (306917, 28254)
+    assert (r.x, r.y) == (306917, 28254)
     # independent scan for the least y with 118 y^2 + 1 square
     found = None
     for y in range(1, 10**5):
@@ -423,15 +423,12 @@ def test_pell_118_against_scan_oracle():
 
 
 def test_pell_general_n():
-    # 59 u^2 - 2 v^2 = 1 scaled by 59: x^2 - 118 y^2 = 59 with 59 | x
-    r = pell_solve(118, 59)
-    assert r.solution is not None
-    s = r.solution
-    assert s.x * s.x - 118 * s.y * s.y == 59
-    assert (s.x, s.y) == (3009, 277)
-    # no solution found within bound is reported unproven
-    r2 = pell_solve(7, 3, y_max=50)
-    assert r2.solution is None and not r2.proven
+    # 59 u^2 - 2 v^2 = 1 from the Pell unit 306917 + 28254*sqrt(118):
+    # 59 * 51^2 = (306917 + 1)/2 and 2 * 277^2 = (306917 - 1)/2
+    assert _unit_equation(59, 2) == (51, 277)
+    for N in (0, 2, -2, 59):
+        with pytest.raises(ValueError):
+            pell_solve(118, N)
 
 
 def test_pell_rejects_squares():
