@@ -568,7 +568,11 @@ class LadderData:
     sqrt(D0).  With G the T2 Gram, an integer matrix, `cross` =
     S G + G S^t and `outer` = S G S^t: the twisted Gram M G M^t of
     M = h*I - k*S, the matrix of h - k*sqrt(D0), is then
-    h^2 G - hk cross + k^2 outer."""
+    h^2 G - hk cross + k^2 outer.  `V` is the integer matrix of the
+    midpoint unit v = conj(e)/sqrt(-c): the period of the expansion `cf`
+    has even length 2*mid, e = h + k*sqrt(D0) is its mid-th convergent,
+    with |N(e)| = c in {d, n}, and v is checked integral with
+    v^2 = -eps^-1.  V is None when the field has no such unit."""
 
     D0: int
     cf: CFExpansion
@@ -577,6 +581,7 @@ class LadderData:
     G: tuple
     cross: tuple
     outer: tuple
+    V: tuple
 
 
 @lru_cache(maxsize=None)
@@ -592,7 +597,16 @@ def ladder_data(field) -> LadderData:
         for i, Si in enumerate(S)
     )
     outer = tuple(_times(_times(S, G), tuple(zip(*S))))
-    return LadderData(D0, cf_sqrt(D0), (x0, y0), E, G, cross, outer)
+    cf = cf_sqrt(D0)
+    V = None
+    if len(cf.period) % 2 == 0:
+        *_, (h, k) = cf_convergents(cf, len(cf.period) // 2)
+        c = abs(h * h - D0 * k * k)
+        if c in (field.d, field.n):
+            v = field.from_real_quadratic(h, -k) * field.gens()[c == field.n] / -c
+            if v.is_integral() and v * v == -field.from_real_quadratic(x0, -y0):
+                V = tuple(map(tuple, table_matrix(field.mult_table, v.u)))
+    return LadderData(D0, cf, (x0, y0), E, G, cross, outer, V)
 
 
 def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:
@@ -609,12 +623,17 @@ def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:
 def _unit_ladder(field, module):
     """Smallest m >= 1 with eps^m stabilizing the module, eps the Pell unit
     of the real quadratic subfield; returns (the field's LadderData, m,
-    convergent list over m periods).  Decided on integers: rows <- rows*E
-    is the module's HNF rows times E^m, and since eps^m has norm 1,
-    eps^m * module = module exactly when each of those rows lies in the
-    module's lattice."""
+    convergent list over m periods).  When the midpoint unit v of
+    LadderData stabilizes the module, m = 1 and the list covers half a
+    period.  Decided on integers: rows <- rows*E is the module's HNF rows
+    times E^m, and since eps^m has norm 1, eps^m * module = module exactly
+    when each of those rows lies in the module's lattice; so for v, from
+    the rows times V."""
     lad = ladder_data(field)
     H = module.rows
+    if lad.V and all(_in_lattice(H, r) for r in _times(H, lad.V)):
+        # gamma_{-1} = 1, gamma_0, ..., gamma_{mid - 1} = e: half a period
+        return lad, 1, [(1, 0)] + list(cf_convergents(lad.cf, len(lad.cf.period) // 2))
     rows = H
     for m in range(1, _LADDER_MAX_POWER + 1):
         rows = _times(rows, lad.E)
@@ -640,7 +659,10 @@ def find_generator(module: IntModule, norm):
     the module is swept window by window along the continued-fraction
     convergents of the real quadratic subfield, which tile one fundamental
     domain of the unit action on the ratio of the two complex absolute
-    values.
+    values; over half a period when the module is stabilized by the
+    midpoint unit v, whose square is a unit of that subfield.  The pick is
+    the full period's either way (docs/generator-search.md, "Half a
+    period").
     """
     field = module.ambient
     norm = Fraction(norm)

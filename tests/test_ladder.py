@@ -1,9 +1,10 @@
 """The integer window ladder of find_generator against the Fraction code it
 replaced: the twisted Gram of every window, the stabilising power m of the
-Pell unit, and the generator find_generator returns.  The oracles below
-keep that earlier code as it was: Fraction multiplication matrices, a
-transform/contains_module stabilisation test, and a Fincke-Pohst descent
-over the whole ball."""
+Pell unit, the half-period ladder of the midpoint unit, and the generator
+find_generator returns.  The oracles below keep that earlier code as it
+was: Fraction multiplication matrices, a transform/contains_module
+stabilisation test, and a Fincke-Pohst descent over the whole ball of
+every window of the full period."""
 
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from nforders.lattice import (
     _canonical_pick,
     _det_int,
     _norm_filter,
+    _times,
     _twisted_gram,
     _unit_ladder,
     enumerate_by_t2,
@@ -36,7 +38,7 @@ from nforders.quadratic import (
     pell_solve,
     table_matrix,
 )
-from oracles import fundamental_unit, mult_matrix, sqrt_lb
+from oracles import FracBiquad, fundamental_unit, mult_matrix, naive_to_coords, sqrt_lb
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -86,17 +88,53 @@ def oracle_power(field, module) -> int:
     raise UnsupportedFieldError("no stabilising power")
 
 
-def oracle_ladder(field, module):
-    m = oracle_power(field, module)
-    D0, _ = field.real_subfield_data()
+def oracle_convergents(D0, periods):
+    """1 and the convergents h + k*sqrt(D0) of sqrt(D0) over `periods`
+    periods, by the recurrence on the partial quotients."""
     cf = cf_sqrt(D0)
-    quots = [cf.a0] + list(cf.period) * m
+    quots = [cf.a0] + list(cf.period) * periods
     gammas = [(1, 0)]
     h1, h2, k1, k2 = 1, 0, 0, 1
-    for a in quots[: m * len(cf.period)]:
+    for a in quots[: periods * len(cf.period)]:
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
         gammas.append((h1, k1))
+    return gammas
+
+
+def oracle_ladder(field, module):
+    """(D0, m, convergents over m periods): the full ladder."""
+    m = oracle_power(field, module)
+    D0, _ = field.real_subfield_data()
+    return D0, m, oracle_convergents(D0, m)
+
+
+def oracle_midpoint_unit(field):
+    """(mid, v) with v = conj(e)/sqrt(-c) a FracBiquad, e = h + k*sqrt(D0)
+    the convergent at mid = l/2 of an even period l and c = |N(e)| in
+    {d, n}, built from naive coordinates; None when there is no such e."""
+    D0, s = field.real_subfield_data()
+    gammas = oracle_convergents(D0, 1)
+    l = len(gammas) - 1
+    h, k = gammas[l // 2]
+    c = abs(h * h - D0 * k * k)
+    if l % 2 or c not in (field.d, field.n):
+        return None
+    conj_e = FracBiquad(field, naive_to_coords(field, (h, 0, 0, Fraction(-k, s))))
+    root = (0, 1, 0, 0) if c == field.d else (0, 0, 1, 0)
+    return l // 2, conj_e / FracBiquad(field, naive_to_coords(field, root))
+
+
+def oracle_unit_ladder(field, module):
+    """oracle_ladder, cut to the first mid + 1 convergents when the
+    midpoint unit v maps the module into itself (transform and
+    contains_module on the integral element v)."""
+    D0, m, gammas = oracle_ladder(field, module)
+    mv = oracle_midpoint_unit(field)
+    if mv is not None:
+        mid, v = mv
+        if module.contains_module(module.transform(field.from_basis_coords(v.coords))):
+            return D0, m, gammas[: mid + 1]
     return D0, m, gammas
 
 
@@ -269,7 +307,7 @@ def random_modules(rng, field, count):
 
 
 def ladder(field, module):
-    """_unit_ladder's result in oracle_ladder's terms: (D0, m, gammas)."""
+    """_unit_ladder's result in oracle_unit_ladder's terms: (D0, m, gammas)."""
     lad, m, gammas = _unit_ladder(field, module)
     return lad.D0, m, gammas
 
@@ -308,7 +346,7 @@ def test_power_matches_oracle_on_random_modules(field):
     rng = random.Random(100 * field.d + field.n)
     powers = []
     for module in random_modules(rng, field, 12):
-        want = outcome(oracle_ladder, field, module)
+        want = outcome(oracle_unit_ladder, field, module)
         got = outcome(ladder, field, module)
         assert got == want
         powers.append(want if want == "unsupported" else want[1])
@@ -318,7 +356,8 @@ def test_power_matches_oracle_on_random_modules(field):
 def test_power_matches_oracle_on_represent_ideals(pool):
     for module, _ in pool:
         assert _unit_ladder(module.ambient, module)[0] is ladder_data(module.ambient)
-        assert ladder(module.ambient, module) == oracle_ladder(module.ambient, module)
+        field = module.ambient
+        assert ladder(field, module) == oracle_unit_ladder(field, module)
 
 
 def test_find_generator_matches_oracle_on_represent_pool(pool):
@@ -349,6 +388,102 @@ def test_ladder_data_is_integral():
         assert sq * sq == field.from_real_quadratic(lad.D0, 0)
         assert all(type(x) is int for M in (lad.G, lad.cross, lad.outer, lad.E)
                    for row in M for x in row)
+
+
+# ---------------------------------------------------------------------------
+# half a period: the midpoint unit v of E
+
+
+MIDPOINT_FIELDS = (E59, E1110, integral_basis(71, 2), integral_basis(79, 2),
+                   integral_basis(31, 6))
+
+
+@pytest.mark.parametrize("field", MIDPOINT_FIELDS, ids=repr)
+def test_midpoint_unit_is_a_square_root_of_minus_eps_inverse(field):
+    lad = ladder_data(field)
+    mid, v = oracle_midpoint_unit(field)
+    assert mid == len(lad.cf.period) // 2
+    assert len(_unit_ladder(field, identity_module(field))[2]) == mid + 1
+    # v and v^-1 are integral: v is a unit of O_E
+    assert all(c.denominator == 1 for c in v.coords)
+    assert all(c.denominator == 1 for c in v.inverse().coords)
+    V = mult_matrix(field, field.from_basis_coords(v.coords))
+    assert [list(r) for r in lad.V] == [list(r) for r in V]
+    assert all(type(x) is int for row in lad.V for x in row)
+    # v^2 = -eps^-1, so v^-1 = -v*eps: V V E = -I
+    eps_inv = mult_matrix(field, fundamental_unit(field).inverse())
+    assert [list(r) for r in _times(lad.V, lad.V)] == [[-x for x in r] for r in eps_inv]
+    minus_one = [[-int(i == j) for j in range(4)] for i in range(4)]
+    assert [list(r) for r in _times(_times(lad.V, lad.V), lad.E)] == minus_one
+
+
+def test_no_midpoint_unit_on_23_5():
+    E235 = integral_basis(23, 5)
+    lad = ladder_data(E235)
+    assert oracle_midpoint_unit(E235) is None
+    assert lad.V is None
+    assert len(_unit_ladder(E235, identity_module(E235))[2]) - 1 == 10
+
+
+def test_represent_pool_runs_half_a_period(monkeypatch, pool):
+    # 5 windows per (59, 2) call and 1 per (11, 10) call: 201 in all,
+    # where the full period ran 402
+    windows = {E59: [], E1110: []}
+    lll = lattice.lll_reduce
+
+    def count(m, g):
+        windows[m.ambient][-1] += 1
+        return lll(m, g)
+
+    monkeypatch.setattr(lattice, "lll_reduce", count)
+    for module, norm in pool:
+        windows[module.ambient].append(0)
+        lattice.find_generator(module, norm)
+    assert set(windows[E59]) == {5} and set(windows[E1110]) == {1}
+    assert sum(windows[E59]) + sum(windows[E1110]) == 201
+
+
+def test_find_generator_matches_oracle_on_23_5_and_71_2():
+    # (23, 5) has no midpoint unit and runs the full period; (71, 2) runs
+    # half of it
+    calls = represent_calls(((23, 5), (71, 2)))
+    halves = {c[0].ambient: len(_unit_ladder(c[0].ambient, c[0])[2]) - 1 for c in calls}
+    assert halves == {integral_basis(23, 5): 10, integral_basis(71, 2): 2}
+    found = 0
+    for module, norm in calls:
+        want = oracle_find_generator(module, norm)
+        assert find_generator(module, norm) == want
+        found += want is not None
+    assert 0 < found < len(calls)
+
+
+def test_find_generator_matches_oracle_on_e37_modules():
+    # E37's modules with v*M = M run half a period and those with v*M != M
+    # the full one; the norms are those of the module's covolume and of
+    # short elements, so most searches find an element
+    rng = random.Random(37)
+    modules = [pf.ideal.module
+               for q in (2, 3, 5) for pf in factor_rational_prime(E37, q)]
+    modules += random_modules(rng, E37, 12)
+    G = E37.t2_gram_matrix()
+    half = {True: 0, False: 0}
+    found = 0
+    for module in modules:
+        if outcome(_unit_ladder, E37, module) == "unsupported":
+            continue
+        is_half = oracle_unit_ladder(E37, module) != oracle_ladder(E37, module)
+        assert is_half == (len(_unit_ladder(E37, module)[2]) - 1 == 3)
+        short = enumerate_by_t2(lll_reduce(module, G), 12)[:3]
+        norms = {module.covolume()} | {
+            E37.from_basis_coords([Fraction(c, module.den) for c in u]).norm()
+            for u in short
+        }
+        for norm in norms:
+            want = oracle_find_generator(module, norm)
+            assert find_generator(module, norm) == want
+            half[is_half] += 1
+            found += want is not None
+    assert half[True] > 0 and half[False] > 0 and found > len(modules) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +547,8 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
             warm_differs += cold.rows != red.rows
             cands += [u for u in cold_pts if keep(u)]
         assert _canonical_pick(module, cands, module.ambient.t2_gram_matrix()) == alpha
+        # and it is the full period's pick, as the Fraction ladder makes it
+        assert alpha == oracle_find_generator(module, norm)
     # the warm start does reach other reduced bases than the cold one
     assert warm_differs > 0
 

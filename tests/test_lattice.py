@@ -256,10 +256,8 @@ def test_lll_shortens_skewed_basis():
 
 
 def bilinear(g, u, v) -> Fraction:
-    n = len(g)
-    return sum(
-        Fraction(u[i]) * g[i][j] * Fraction(v[j]) for i in range(n) for j in range(n)
-    )
+    """u g v^t as a Fraction: each row of g against v, then against u."""
+    return Fraction(sum(a * sum(x * b for x, b in zip(row, v)) for a, row in zip(u, g)))
 
 
 def apply(g, v) -> Fraction:
@@ -292,7 +290,10 @@ def rational_gso(basis, g):
 
 
 def rational_lll(m, g, delta=Fraction(3, 4)):
-    """LLL recomputing exact rational Gram-Schmidt data after every step."""
+    """LLL on exact rational Gram-Schmidt data (Cohen, Alg. 2.6.3): a size
+    reduction b_k -= q b_j updates row k of mu in place (RED: mu_kj -= q,
+    mu_ki -= q mu_ji for i < j, and B is unchanged); a swap recomputes all
+    of the data."""
     basis = [list(r) for r in m.rows]
     n = len(basis)
     mu, B = rational_gso(basis, g)
@@ -302,7 +303,9 @@ def rational_lll(m, g, delta=Fraction(3, 4)):
             q = floor(mu[k][j] + Fraction(1, 2))
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-                mu, B = rational_gso(basis, g)
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
         if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
