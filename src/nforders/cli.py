@@ -38,6 +38,7 @@ from .criteria import (
 from .intmath import jacobi, poly_discriminant
 from .lattice import UnsupportedFieldError
 from .orders import (
+    AuditFailure,
     UnresolvedError,
     conductor,
     factor_ideal,
@@ -276,7 +277,7 @@ def cmd_criterion(args):
             raise ValueError("cox takes a rational prime, got %r" % args.p)
         if poly is None:
             raise ValueError("cox needs a class polynomial (--poly FILE)")
-        rep = cox_criterion(int(m.group(1)), args.n, poly, solve=True)
+        rep = cox_criterion(int(m.group(1)), args.n, poly)
     else:
         F = QuadField(-args.d)
         p = parse_element(args.p, F)
@@ -556,6 +557,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except AuditFailure as err:
+        print("error: %s" % err, file=sys.stderr)
+        return 1
     except (UnresolvedError, UnsupportedFieldError, UnsupportedPrimeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 3

@@ -113,11 +113,11 @@ def cornacchia(p: int, n: int) -> tuple[int, int] | None:
     return x, y
 
 
-def cox_criterion(p: int, n: int, f_n, solve: bool = False) -> CriterionReport:
+def cox_criterion(p: int, n: int, f_n) -> CriterionReport:
     """Root test for p = x^2 + n*y^2 over Z: p is representable iff -n is a
-    residue mod p and the supplied class polynomial has a root mod p.  With
-    solve=True a positive verdict is cross-checked against cornacchia and
-    the found pair is attached."""
+    residue mod p and the supplied class polynomial has a root mod p.  A
+    positive verdict is cross-checked against cornacchia and the found
+    pair is attached."""
     if n <= 0:
         raise ValueError("n must be positive, got %d" % n)
     if p == 2 or not is_prime(p):
@@ -131,7 +131,7 @@ def cox_criterion(p: int, n: int, f_n, solve: bool = False) -> CriterionReport:
         return CriterionReport("cox", tuple(hyps), False, UNKNOWN)
     solv = jacobi(-n % p, p) == 1 and poly_roots_mod(f_n, p) != []
     rep = None
-    if solv and solve:
+    if solv:
         rep = cornacchia(p, n)
         if rep is not None:
             assert rep[0] ** 2 + n * rep[1] ** 2 == p
@@ -435,13 +435,18 @@ def _split_relative(alpha: BiquadElem) -> tuple[QuadElem, QuadElem]:
 def represent(p: QuadElem, d: int, n: int):
     """(x, y) in O_F^2 with p = x^2 + n*y^2, exactly verified.
 
-    None is a proof of impossibility: either -n is not a square in the
-    residue field, or the ideal above p has no generator of the right norm
-    (the enumeration is exhaustive).  UNRESOLVED is an honest shrug from
-    the sign-normalization step, never a wrong answer: the generator has
-    relative norm -p and unit_witness has no -1 = alpha^2 + n*beta^2 to
-    turn it (for d <= 3 it is not asked), or its relative norm is p times
-    a unit other than +-1.
+    None is a proof.  A pair gives beta = x + y*sqrt(-n) of relative norm
+    p, a generator of the prime P above p that the root of -n gives or of
+    its conjugate.  So None follows when -n is not a square in the residue
+    field, when P has no generator (the enumeration is exhaustive), and
+    when the generator alpha has relative norm -p and no unit of O_E = O_F
+    + O_F*sqrt(-n) has relative norm -1, which unit_witness's None proves
+    for d > 3 and n not in {1, 3}: the generators of P and its conjugate
+    are the unit multiples of alpha and conj(alpha) (see "What None
+    means" in docs/generator-search.md).  UNRESOLVED is an honest shrug,
+    never a wrong answer: the generator has relative norm -p and that
+    proof does not apply, or its relative norm is p times a unit other
+    than +-1.
     """
     check_field_params(d, n)
     F, q, deg, _ = _prime_field(p, d)
@@ -463,7 +468,7 @@ def represent(p: QuadElem, d: int, n: int):
     if nu == -p:
         w = unit_witness(d, n) if d > 3 else None
         if w is None:
-            return UNRESOLVED
+            return None if d > 3 and n not in (1, 3) else UNRESOLVED
         x, y = w.alpha * x - n * w.beta * y, w.alpha * y + w.beta * x
     elif nu != p:
         return UNRESOLVED  # unit beyond +-1, outside this solver's remit

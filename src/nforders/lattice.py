@@ -23,7 +23,6 @@ from .quadratic import (
     cf_convergents,
     cf_sqrt,
     integer_rows,
-    pell_solve,
     table_matrix,
 )
 
@@ -385,10 +384,10 @@ def _integral_gso(G):
     return d, lam
 
 
-def lll_reduce(m, g: tuple, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
+def lll_reduce(m, g: tuple) -> LatticeBasis:
     """LLL reduction of the basis rows of m, an IntModule or a LatticeBasis
     (only .rows, .den and .ambient are read), under the integer Gram
-    matrix g (a tuple of int rows), delta in (1/4, 1], default 3/4.
+    matrix g (a tuple of int rows), with Lovasz constant delta = 3/4.
 
     This is Cohen's integral LLL (A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7): the Gram-Schmidt data d[i] and
@@ -401,10 +400,6 @@ def lll_reduce(m, g: tuple, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
     would otherwise round."""
     if not all(isinstance(x, int) for row in g for x in row):
         raise ValueError("Gram form must have int entries")
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta <= 1:
-        raise ValueError("delta must satisfy 1/4 < delta <= 1")
-    dnum, dden = delta.numerator, delta.denominator
     basis = [list(r) for r in m.rows]
     n = len(basis)
     d, lam = _integral_gso(_basis_gram(basis, g))
@@ -421,7 +416,8 @@ def lll_reduce(m, g: tuple, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
                 for l in range(j):
                     lk[l] -= q * lj[l]
         la = lk[k - 1]
-        if dden * d[k + 1] * d[k - 1] >= dnum * d[k] * d[k] - dden * la * la:
+        # Lovasz: |b_k*|^2 >= (3/4 - mu^2) |b_(k-1)*|^2, times 4 d[k] d[k-1]
+        if 4 * (d[k + 1] * d[k - 1] + la * la) >= 3 * d[k] * d[k]:
             k += 1
             continue
         # swap rows k-1 and k (Cohen's SWAPI)
@@ -556,57 +552,54 @@ def _norm_filter(module, norm):
     return lambda u: form(u) == n
 
 
-# the largest power of the fundamental unit _unit_ladder tries
-_LADDER_MAX_POWER = 64
+# the most periods of convergents the window ladder of _unit_ladder runs
+_LADDER_MAX_PERIODS = 64
 
 
 @dataclass(frozen=True)
 class LadderData:
     """What the rank-4 window ladder needs of a field, built once per field
-    (ladder_data).  `unit` is the Pell unit (x0, y0), eps = x0 + y0*sqrt(D0),
-    and `E` its integer multiplication matrix x0*I + y0*S, S that of
-    sqrt(D0).  With G the T2 Gram, an integer matrix, `cross` =
-    S G + G S^t and `outer` = S G S^t: the twisted Gram M G M^t of
-    M = h*I - k*S, the matrix of h - k*sqrt(D0), is then
-    h^2 G - hk cross + k^2 outer.  `V` is the integer matrix of the
-    midpoint unit v = conj(e)/sqrt(-c): the period of the expansion `cf`
-    has even length 2*mid, e = h + k*sqrt(D0) is its mid-th convergent,
-    with |N(e)| = c in {d, n}, and v is checked integral with
-    v^2 = -eps^-1.  V is None when the field has no such unit."""
+    (ladder_data).  `U` is the integer multiplication matrix of the ladder
+    unit u, and each power of u moves the ladder `step` convergents of the
+    expansion `cf` of sqrt(D0) on.  With G the T2 Gram, an integer matrix,
+    and S the matrix of sqrt(D0), `cross` = S G + G S^t and `outer` =
+    S G S^t: the twisted Gram M G M^t of M = h*I - k*S, the matrix of
+    h - k*sqrt(D0), is then h^2 G - hk cross + k^2 outer."""
 
     D0: int
     cf: CFExpansion
-    unit: tuple
-    E: tuple
+    U: tuple
+    step: int
     G: tuple
     cross: tuple
     outer: tuple
-    V: tuple
 
 
 @lru_cache(maxsize=None)
 def ladder_data(field) -> LadderData:
-    """The field's LadderData; its Pell unit is the least solution of
-    x^2 - D0*y^2 = -1, or of = +1 when -1 has none.  D0, S, G and cross
-    are the field's norm_forms."""
+    """The field's LadderData.  The period of `cf` has length l, and its
+    last convergent is the Pell unit eps = x0 + y0*sqrt(D0), the least
+    solution of x^2 - D0*y^2 = +-1 (Cohen, GTM 138, 5.7).  The ladder unit
+    is the midpoint unit v = conj(e)/sqrt(-c), with step mid, when l =
+    2*mid is even and the mid-th convergent e has |N(e)| = c in {d, n},
+    and v is checked integral with v^2 = -eps^-1; else it is eps, with
+    step l.  D0, S, G and cross are the field's norm_forms."""
     D0, S, G, cross = field.norm_forms
-    r = pell_solve(D0, -1) or pell_solve(D0, 1)
-    x0, y0 = r.x, r.y
-    E = tuple(
-        tuple(x0 * (i == j) + y0 * sij for j, sij in enumerate(Si))
-        for i, Si in enumerate(S)
-    )
     outer = tuple(_times(_times(S, G), tuple(zip(*S))))
     cf = cf_sqrt(D0)
-    V = None
-    if len(cf.period) % 2 == 0:
-        *_, (h, k) = cf_convergents(cf, len(cf.period) // 2)
+    l = len(cf.period)
+    gammas = list(cf_convergents(cf, l))
+    x0, y0 = gammas[-1]
+    unit, step = field.from_real_quadratic(x0, y0), l
+    if l % 2 == 0:
+        h, k = gammas[l // 2 - 1]
         c = abs(h * h - D0 * k * k)
         if c in (field.d, field.n):
             v = field.from_real_quadratic(h, -k) * field.gens()[c == field.n] / -c
             if v.is_integral() and v * v == -field.from_real_quadratic(x0, -y0):
-                V = tuple(map(tuple, table_matrix(field.mult_table, v.u)))
-    return LadderData(D0, cf, (x0, y0), E, G, cross, outer, V)
+                unit, step = v, l // 2
+    U = tuple(map(tuple, table_matrix(field.mult_table, unit.u)))
+    return LadderData(D0, cf, U, step, G, cross, outer)
 
 
 def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:
@@ -621,32 +614,24 @@ def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:
 
 
 def _unit_ladder(field, module):
-    """Smallest m >= 1 with eps^m stabilizing the module, eps the Pell unit
-    of the real quadratic subfield; returns (the field's LadderData, m,
-    convergent list over m periods).  When the midpoint unit v of
-    LadderData stabilizes the module, m = 1 and the list covers half a
-    period.  Decided on integers: rows <- rows*E is the module's HNF rows
-    times E^m, and since eps^m has norm 1, eps^m * module = module exactly
-    when each of those rows lies in the module's lattice; so for v, from
-    the rows times V."""
+    """Smallest m >= 1 with u^m stabilizing the module, u the ladder unit
+    of the field's LadderData; returns (the LadderData, m, the convergents
+    gamma_{-1} = 1, gamma_0, ..., gamma_{m*step - 1}): m periods for the
+    Pell unit, m half periods for the midpoint unit.  Decided on integers:
+    rows <- rows*U is the module's HNF rows times U^m, and since u^m has
+    norm 1, u^m * module = module exactly when each of those rows lies in
+    the module's lattice.  Past _LADDER_MAX_PERIODS periods of windows it
+    raises UnsupportedFieldError."""
     lad = ladder_data(field)
-    H = module.rows
-    if lad.V and all(_in_lattice(H, r) for r in _times(H, lad.V)):
-        # gamma_{-1} = 1, gamma_0, ..., gamma_{mid - 1} = e: half a period
-        return lad, 1, [(1, 0)] + list(cf_convergents(lad.cf, len(lad.cf.period) // 2))
-    rows = H
-    for m in range(1, _LADDER_MAX_POWER + 1):
-        rows = _times(rows, lad.E)
+    H = rows = module.rows
+    for m in range(1, _LADDER_MAX_PERIODS * len(lad.cf.period) // lad.step + 1):
+        rows = _times(rows, lad.U)
         if all(_in_lattice(H, r) for r in rows):
-            break
-    else:
-        raise UnsupportedFieldError(
-            "no power of the fundamental unit up to %d stabilizes the module"
-            % _LADDER_MAX_POWER
-        )
-    # convergents gamma_{-1} = 1, gamma_0, ..., gamma_{m*l - 1} = eps^m
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, m * len(lad.cf.period)))
-    return lad, m, gammas
+            return lad, m, [(1, 0)] + list(cf_convergents(lad.cf, m * lad.step))
+    raise UnsupportedFieldError(
+        "no power of the ladder unit within %d periods stabilizes the module"
+        % _LADDER_MAX_PERIODS
+    )
 
 
 def find_generator(module: IntModule, norm):
@@ -659,10 +644,10 @@ def find_generator(module: IntModule, norm):
     the module is swept window by window along the continued-fraction
     convergents of the real quadratic subfield, which tile one fundamental
     domain of the unit action on the ratio of the two complex absolute
-    values; over half a period when the module is stabilized by the
-    midpoint unit v, whose square is a unit of that subfield.  The pick is
-    the full period's either way (docs/generator-search.md, "Half a
-    period").
+    values: m half periods when the midpoint unit v, whose square is a
+    unit of that subfield, has v^m stabilizing the module, m periods of
+    the Pell unit eps otherwise.  The pick is the one over whole periods
+    of eps either way (docs/generator-search.md, "Half a period").
     """
     field = module.ambient
     norm = Fraction(norm)

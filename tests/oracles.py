@@ -36,13 +36,13 @@ from nforders.lattice import (
     _pair_products,
     find_generator,
     identity_module,
-    ladder_data,
 )
 from nforders.quadratic import (
     BinaryForm,
     QuadElem,
     QuadField,
     integer_coords,
+    pell_solve,
     principal_form,
     table_matrix,
 )
@@ -260,7 +260,9 @@ def fundamental_unit(E: BiquadField) -> BiquadElem:
     """The continued-fraction unit of the real quadratic subfield,
     embedded; taken from x^2 - D0*y^2 = -1 when that has a solution.  It is
     the Pell unit the generator search's window ladder uses."""
-    return E.from_real_quadratic(*ladder_data(E).unit)
+    D0, _ = E.real_subfield_data()
+    r = pell_solve(D0, -1) or pell_solve(D0, 1)
+    return E.from_real_quadratic(r.x, r.y)
 
 
 def rel_norm_EF(e: BiquadElem) -> QuadElem:

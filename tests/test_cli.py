@@ -154,6 +154,20 @@ def test_picard_nonmaximal(capsys):
     assert doc["agree"] is True
 
 
+def test_audit_failure_exits_1_with_an_error_line(capsys, monkeypatch):
+    # a failed internal check is "a computed check failed": exit 1 and one
+    # "error: ..." line on stderr, no traceback and no JSON
+    def fail(o):
+        raise orders.AuditFailure("Picard formula is not integral: 7 / 2")
+
+    monkeypatch.setattr(cli, "picard_terms", fail)
+    code = cli.main(["picard", "zsqrt:-14"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: Picard formula is not integral: 7 / 2\n"
+
+
 def test_picard_counts_each_residue_group_once(capsys, monkeypatch):
     counted = []
     residue_unit_count = orders.residue_unit_count

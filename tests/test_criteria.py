@@ -144,7 +144,7 @@ def test_cornacchia_two_squares():
 
 
 def test_cox_known():
-    r = cox_criterion(13, 1, (0, 1), solve=True)
+    r = cox_criterion(13, 1, (0, 1))
     assert r.applicable and r.verdict == SOLVABLE
     assert r.representation == (3, 2)
     assert cox_criterion(7, 1, (0, 1)).verdict == UNSOLVABLE
@@ -163,7 +163,7 @@ def test_cox_matches_cornacchia_n2():
     for p in range(3, 500, 2):
         if not is_prime(p):
             continue
-        r = cox_criterion(p, 2, (0, 1), solve=True)
+        r = cox_criterion(p, 2, (0, 1))
         assert (r.verdict == SOLVABLE) == (cornacchia(p, 2) is not None)
         if r.representation:
             x, y = r.representation
@@ -536,6 +536,27 @@ def test_represent_agrees_with_criterion_small():
         assert (got is not None) == (rep.verdict == SOLVABLE), p
         if got is not None:
             assert verify_identity(p, got[0], got[1], 2)
+
+
+def test_represent_proves_the_23_5_nones():
+    # (23, 5) has no unit witness, so every generator of a prime above p
+    # has relative norm -p when one has: each of the 142 prime elements of
+    # norm <= 3000 gets a verified pair or a proven None, never UNRESOLVED
+    assert unit_witness(23, 5) is None
+    F = QuadField(-23)
+    pool = [p for p in prime_elements(F, 3000) if not _divides(p, 10)]
+    assert len(pool) == 142
+    nones = 0
+    for p in pool:
+        got = represent(p, 23, 5)
+        assert got is not UNRESOLVED, p
+        if got is None:
+            nones += 1
+            # a small box never contradicts a proven None
+            assert brute_force_represent(p, 5, F, 4) is None, p
+        else:
+            assert verify_identity(p, got[0], got[1], 5)
+    assert 0 < nones < len(pool)
 
 
 # ---------------------------------------------------------------------------

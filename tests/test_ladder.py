@@ -1,10 +1,10 @@
 """The integer window ladder of find_generator against the Fraction code it
-replaced: the twisted Gram of every window, the stabilising power m of the
-Pell unit, the half-period ladder of the midpoint unit, and the generator
-find_generator returns.  The oracles below keep that earlier code as it
-was: Fraction multiplication matrices, a transform/contains_module
-stabilisation test, and a Fincke-Pohst descent over the whole ball of
-every window of the full period."""
+replaced: the twisted Gram of every window, the ladder unit (the midpoint
+unit v where the field has one, else the Pell unit eps) and its stabilising
+power m, and the generator find_generator returns.  The oracles below keep
+that earlier code as it was: Fraction multiplication matrices, a
+transform/contains_module stabilisation test, and a Fincke-Pohst descent
+over the whole ball of every window of whole periods of eps."""
 
 import random
 from fractions import Fraction
@@ -35,7 +35,6 @@ from nforders.quadratic import (
     QuadField,
     cf_sqrt,
     integer_rows,
-    pell_solve,
     table_matrix,
 )
 from oracles import FracBiquad, fundamental_unit, mult_matrix, naive_to_coords, sqrt_lb
@@ -76,37 +75,39 @@ def oracle_twisted_gram(field, h, k) -> tuple:
     )
 
 
-def oracle_power(field, module) -> int:
-    """Smallest m >= 1 with eps^m * module inside the module, eps the Pell
-    unit as a field element, decided by transform and contains_module."""
-    D0, _ = field.real_subfield_data()
-    r = pell_solve(D0, -1) or pell_solve(D0, 1)
-    eps = field.from_real_quadratic(Fraction(r.x), Fraction(r.y))
-    for m in range(1, 65):
-        if module.contains_module(module.transform(eps**m)):
+def oracle_power(module, unit, max_power) -> int:
+    """Smallest m in 1..max_power with unit^m * module inside the module,
+    unit a field element, decided by transform and contains_module."""
+    for m in range(1, max_power + 1):
+        if module.contains_module(module.transform(unit**m)):
             return m
     raise UnsupportedFieldError("no stabilising power")
 
 
-def oracle_convergents(D0, periods):
-    """1 and the convergents h + k*sqrt(D0) of sqrt(D0) over `periods`
-    periods, by the recurrence on the partial quotients."""
+def oracle_convergents(D0, count):
+    """1 and the first `count` convergents h + k*sqrt(D0) of sqrt(D0), by
+    the recurrence on the partial quotients."""
     cf = cf_sqrt(D0)
-    quots = [cf.a0] + list(cf.period) * periods
+    quots = [cf.a0] + list(cf.period) * (count // len(cf.period) + 1)
     gammas = [(1, 0)]
     h1, h2, k1, k2 = 1, 0, 0, 1
-    for a in quots[: periods * len(cf.period)]:
+    for a in quots[:count]:
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
         gammas.append((h1, k1))
     return gammas
 
 
+def period_length(field) -> int:
+    return len(cf_sqrt(field.real_subfield_data()[0]).period)
+
+
 def oracle_ladder(field, module):
-    """(D0, m, convergents over m periods): the full ladder."""
-    m = oracle_power(field, module)
+    """(D0, m, convergents over m periods): the full ladder of the Pell
+    unit eps, eps^m the least power that stabilises the module, m <= 64."""
     D0, _ = field.real_subfield_data()
-    return D0, m, oracle_convergents(D0, m)
+    m = oracle_power(module, fundamental_unit(field), 64)
+    return D0, m, oracle_convergents(D0, m * period_length(field))
 
 
 def oracle_midpoint_unit(field):
@@ -114,9 +115,8 @@ def oracle_midpoint_unit(field):
     the convergent at mid = l/2 of an even period l and c = |N(e)| in
     {d, n}, built from naive coordinates; None when there is no such e."""
     D0, s = field.real_subfield_data()
-    gammas = oracle_convergents(D0, 1)
-    l = len(gammas) - 1
-    h, k = gammas[l // 2]
+    l = period_length(field)
+    h, k = oracle_convergents(D0, l)[l // 2]
     c = abs(h * h - D0 * k * k)
     if l % 2 or c not in (field.d, field.n):
         return None
@@ -125,17 +125,29 @@ def oracle_midpoint_unit(field):
     return l // 2, conj_e / FracBiquad(field, naive_to_coords(field, root))
 
 
-def oracle_unit_ladder(field, module):
-    """oracle_ladder, cut to the first mid + 1 convergents when the
-    midpoint unit v maps the module into itself (transform and
-    contains_module on the integral element v)."""
-    D0, m, gammas = oracle_ladder(field, module)
+def oracle_ladder_unit(field):
+    """(step, u): the midpoint unit v of oracle_midpoint_unit as a field
+    element, with step mid, when v is integral with v^2 = -eps^-1; else
+    the Pell unit eps, with step l."""
+    eps = fundamental_unit(field)
     mv = oracle_midpoint_unit(field)
     if mv is not None:
         mid, v = mv
-        if module.contains_module(module.transform(field.from_basis_coords(v.coords))):
-            return D0, m, gammas[: mid + 1]
-    return D0, m, gammas
+        if all(c.denominator == 1 for c in v.coords) and v * v == -FracBiquad.of(
+            eps.inverse()
+        ):
+            return mid, field.from_basis_coords(v.coords)
+    return period_length(field), eps
+
+
+def oracle_unit_ladder(field, module):
+    """(D0, m, the convergents over m steps): u^m the least power of the
+    ladder unit u of oracle_ladder_unit that stabilises the module, within
+    64 periods."""
+    D0, _ = field.real_subfield_data()
+    step, unit = oracle_ladder_unit(field)
+    m = oracle_power(module, unit, 64 * period_length(field) // step)
+    return D0, m, oracle_convergents(D0, m * step)
 
 
 def oracle_enumerate(m, g, bound) -> list:
@@ -328,17 +340,21 @@ def test_window_grams_equal_fraction_products(field):
     rng = random.Random(71)
     modules = [identity_module(field)] + random_modules(rng, field, 6)
     seen = set()
+    windows = []
     for module in modules:
         try:
             _, m, gammas = _unit_ladder(field, module)
         except UnsupportedFieldError:
             continue
         seen.add(m)
+        windows.append(len(gammas) - 1)
         for h, k in gammas[:-1]:
             want = oracle_twisted_gram(field, h, k)
             got = _twisted_gram(ladder_data(field), h, k)
             assert got == want
-    assert len(seen) > 1  # windows over more than one period
+    # more than one power of the ladder unit, and windows over two periods
+    assert len(seen) > 1
+    assert max(windows) >= 2 * period_length(field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -371,22 +387,34 @@ def test_find_generator_matches_oracle_on_represent_pool(pool):
 
 
 def test_fundamental_unit_is_the_ladder_unit():
+    # the last convergent of one period is the Pell unit eps, and the ladder
+    # unit u steps the ladder by a whole period (u = eps) or by half of one
+    # (u^2 = -eps^-1, so U U E = -I)
+    minus_one = [[-int(i == j) for j in range(4)] for i in range(4)]
     for field in FIELDS:
-        x0, y0 = ladder_data(field).unit
+        lad = ladder_data(field)
+        l = period_length(field)
+        x0, y0 = oracle_convergents(lad.D0, l)[-1]
         eps = fundamental_unit(field)
         assert eps == field.from_real_quadratic(x0, y0)
         assert abs(x0 * x0 - field.real_subfield_data()[0] * y0 * y0) == 1
+        E = mult_matrix(field, eps)
+        if lad.step == l:
+            assert [list(r) for r in lad.U] == [list(r) for r in E]
+        else:
+            assert 2 * lad.step == l
+            assert [list(r) for r in _times(_times(lad.U, lad.U), E)] == minus_one
 
 
 def test_ladder_data_is_integral():
     for field in FIELDS:
         lad = ladder_data(field)
+        step, unit = oracle_ladder_unit(field)
+        assert lad.step == step
         sq = field.from_real_quadratic(0, 1)
-        assert [list(r) for r in lad.E] == [
-            list(r) for r in mult_matrix(field, fundamental_unit(field))
-        ]
+        assert [list(r) for r in lad.U] == [list(r) for r in mult_matrix(field, unit)]
         assert sq * sq == field.from_real_quadratic(lad.D0, 0)
-        assert all(type(x) is int for M in (lad.G, lad.cross, lad.outer, lad.E)
+        assert all(type(x) is int for M in (lad.G, lad.cross, lad.outer, lad.U)
                    for row in M for x in row)
 
 
@@ -402,26 +430,31 @@ MIDPOINT_FIELDS = (E59, E1110, integral_basis(71, 2), integral_basis(79, 2),
 def test_midpoint_unit_is_a_square_root_of_minus_eps_inverse(field):
     lad = ladder_data(field)
     mid, v = oracle_midpoint_unit(field)
-    assert mid == len(lad.cf.period) // 2
+    assert mid == len(lad.cf.period) // 2 == lad.step
     assert len(_unit_ladder(field, identity_module(field))[2]) == mid + 1
     # v and v^-1 are integral: v is a unit of O_E
     assert all(c.denominator == 1 for c in v.coords)
     assert all(c.denominator == 1 for c in v.inverse().coords)
     V = mult_matrix(field, field.from_basis_coords(v.coords))
-    assert [list(r) for r in lad.V] == [list(r) for r in V]
-    assert all(type(x) is int for row in lad.V for x in row)
+    assert [list(r) for r in lad.U] == [list(r) for r in V]
+    assert all(type(x) is int for row in lad.U for x in row)
     # v^2 = -eps^-1, so v^-1 = -v*eps: V V E = -I
-    eps_inv = mult_matrix(field, fundamental_unit(field).inverse())
-    assert [list(r) for r in _times(lad.V, lad.V)] == [[-x for x in r] for r in eps_inv]
+    eps = fundamental_unit(field)
+    eps_inv = mult_matrix(field, eps.inverse())
+    assert [list(r) for r in _times(lad.U, lad.U)] == [[-x for x in r] for r in eps_inv]
     minus_one = [[-int(i == j) for j in range(4)] for i in range(4)]
-    assert [list(r) for r in _times(_times(lad.V, lad.V), lad.E)] == minus_one
+    E = mult_matrix(field, eps)
+    assert [list(r) for r in _times(_times(lad.U, lad.U), E)] == minus_one
 
 
 def test_no_midpoint_unit_on_23_5():
     E235 = integral_basis(23, 5)
     lad = ladder_data(E235)
     assert oracle_midpoint_unit(E235) is None
-    assert lad.V is None
+    # the ladder unit is eps, one period of 10 windows a step
+    assert lad.step == len(lad.cf.period) == 10
+    E = mult_matrix(E235, fundamental_unit(E235))
+    assert [list(r) for r in lad.U] == [list(r) for r in E]
     assert len(_unit_ladder(E235, identity_module(E235))[2]) - 1 == 10
 
 
@@ -457,6 +490,73 @@ def test_find_generator_matches_oracle_on_23_5_and_71_2():
     assert 0 < found < len(calls)
 
 
+LADDER_FIELDS = FIELDS + MIDPOINT_FIELDS[2:] + (integral_basis(23, 5),)
+
+
+@pytest.fixture(scope="module")
+def ladder_modules():
+    """48 seeded random modules on each of the 8 fields of LADDER_FIELDS,
+    as (module, the ladder's m and convergents, the full ladder of eps's
+    convergents), where the full ladder is within 64 periods."""
+    out = []
+    for field in LADDER_FIELDS:
+        rng = random.Random(1000 * field.d + field.n)
+        for module in random_modules(rng, field, 48):
+            full = outcome(oracle_ladder, field, module)
+            if full != "unsupported":
+                out.append((module, _unit_ladder(field, module)[1:], full[2]))
+    assert len({module.ambient for module, _, _ in out}) == 8
+    return out
+
+
+def odd_power(module, m) -> bool:
+    """Does an odd power v^m, m > 1, of the midpoint unit v stabilise the
+    module, v itself not?"""
+    lad = ladder_data(module.ambient)
+    return m > 1 and m % 2 == 1 and 2 * lad.step == len(lad.cf.period)
+
+
+def test_ladder_never_runs_more_windows_than_the_full_period(ladder_modules):
+    # the ladder's windows are the first ones of the full ladder of eps:
+    # half of them where an odd power v^m stabilises the module (m = 1 too),
+    # else all
+    halved = {True: 0, False: 0}
+    for module, (m, gammas), full in ladder_modules:
+        assert len(gammas) <= len(full) and gammas == full[: len(gammas)]
+        lad = ladder_data(module.ambient)
+        half = m % 2 == 1 and 2 * lad.step == len(lad.cf.period)
+        assert len(gammas) - 1 == (len(full) - 1) // (2 if half else 1)
+        halved[half] += 1
+    assert halved[True] > 0 and halved[False] > 0
+    assert sum(odd_power(module, m) for module, (m, _), _ in ladder_modules) > 0
+
+
+def test_find_generator_matches_oracle_on_odd_powers(ladder_modules):
+    # modules that only an odd power v^m, m > 1, stabilises run m half
+    # periods, half the full ladder's m periods; the pick is the full
+    # ladder's.  The norms are the covolume's and those of short elements,
+    # so most searches find an element
+    searches = found = 0
+    fields = set()
+    for module, (m, gammas), full in ladder_modules:
+        if not odd_power(module, m):
+            continue
+        field = module.ambient
+        fields.add(field)
+        G = field.t2_gram_matrix()
+        short = enumerate_by_t2(lll_reduce(module, G), 12 * module.covolume())[:4]
+        norms = {module.covolume()} | {
+            field.from_basis_coords([Fraction(c, module.den) for c in u]).norm()
+            for u in short
+        }
+        for norm in norms:
+            want = oracle_find_generator(module, norm)
+            assert find_generator(module, norm) == want
+            searches += 1
+            found += want is not None
+    assert len(fields) > 1 and found > searches // 2
+
+
 def test_find_generator_matches_oracle_on_e37_modules():
     # E37's modules with v*M = M run half a period and those with v*M != M
     # the full one; the norms are those of the module's covolume and of
@@ -471,7 +571,7 @@ def test_find_generator_matches_oracle_on_e37_modules():
     for module in modules:
         if outcome(_unit_ladder, E37, module) == "unsupported":
             continue
-        is_half = oracle_unit_ladder(E37, module) != oracle_ladder(E37, module)
+        is_half = oracle_unit_ladder(E37, module)[2] != oracle_ladder(E37, module)[2]
         assert is_half == (len(_unit_ladder(E37, module)[2]) - 1 == 3)
         short = enumerate_by_t2(lll_reduce(module, G), 12)[:3]
         norms = {module.covolume()} | {
