@@ -440,7 +440,7 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
     Bi = _mat_inv(rows)
     for nv in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
         _integral_row(Bi, nv, "basis span misses one of the radical generators")
-    _products_table(d, n, rows, Bi)
+    table = _products_table(d, n, rows, Bi)
     # trace pairing: Tr picks 4 times the rational naive coordinate; the
     # rows span a ring, so every product is integral and so is its trace
     tg = integer_rows(
@@ -454,7 +454,10 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
         raise ValueError(
             "trace-form discriminant %s does not match declared %d" % (D, disc)
         )
-    return BiquadField(d, n, rows, D)
+    field = BiquadField(d, n, rows, D)
+    # the verified tables are the field's: seed the cached properties
+    vars(field).update(basis_inverse=Bi, mult_table=table)
+    return field
 
 
 # ---------------------------------------------------------------------------

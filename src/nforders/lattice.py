@@ -518,10 +518,13 @@ def _canonical_pick(module, cands, g: tuple):
     (g(v), v) on the points v = u/den."""
     if not cands:
         return None
-    best = min(
-        cands, key=lambda u: (sum(a * sum(map(mul, row, u)) for a, row in zip(u, g)), u)
-    )
+    best = min(cands, key=lambda u: (_form_value(g, u), u))
     return module.ambient.from_basis_coords([Fraction(c, module.den) for c in best])
+
+
+def _form_value(g, u) -> int:
+    """u g u^t of an integer vector u and an integer Gram g."""
+    return sum(a * sum(map(mul, row, u)) for a, row in zip(u, g))
 
 
 def _pair_coeffs(g) -> tuple:
@@ -634,6 +637,108 @@ def _unit_ladder(field, module):
     )
 
 
+def _rmul(x, y, D0) -> tuple:
+    """The product of x = h + k*sqrt(D0) and y in Z[sqrt(D0)], as (h, k)."""
+    return x[0] * y[0] + D0 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _before(x, y, D0) -> bool:
+    """l(x) < l(y) for nonzero x, y in Z[sqrt(D0)], l(z) = log|z/z'|.  With
+    x*conj(y) = H + K*sqrt(D0), l(x) - l(y) = l(H + K*sqrt(D0)), which is
+    negative exactly when (H + K sqrt(D0))^2 < (H - K sqrt(D0))^2, that is
+    when H*K < 0."""
+    (a, b), (c, d) = x, y
+    return (a * c - D0 * b * d) * (b * c - a * d) < 0
+
+
+def _twist(ea, eb, D0) -> tuple:
+    """An element c of Z[sqrt(D0)] with l(c) near the midpoint of l(ea) and
+    l(eb): c = s_b*ea + s_a*eb, s = isqrt|N(e)|, once ea and eb are positive
+    at the first place and, where their norms differ in sign, eb is taken
+    times sqrt(D0).  Then ea and eb have the same sign at each place, so
+    l(c) lies between l(ea) and l(eb), and with exact square roots c =
+    sqrt|N(ea) N(eb)| (ea/sqrt|N(ea)| + eb/sqrt|N(eb)|) would have l(c) the
+    midpoint.  The window's ball is computed from c itself."""
+
+    def positive(e):
+        h, k = e
+        return e if (h if h * h > D0 * k * k else k) > 0 else (-h, -k)
+
+    ea, eb = positive(ea), positive(eb)
+    na, nb = ea[0] ** 2 - D0 * ea[1] ** 2, eb[0] ** 2 - D0 * eb[1] ** 2
+    if (na > 0) != (nb > 0):
+        eb, nb = (D0 * eb[1], eb[0]), -D0 * nb
+    sa, sb = isqrt(abs(na)), isqrt(abs(nb))
+    return sb * ea[0] + sa * eb[0], sb * ea[1] + sa * eb[1]
+
+
+def _stretches(D0, gammas) -> list:
+    """The stretches (c, ea, eb) the ladder over the rungs gammas = [1,
+    gamma_1, ..., gamma_T], T >= 2, searches, in order of l: the edges ea,
+    eb are in Z[sqrt(D0)], each stretch's eb is the next one's ea, and c is
+    its twist (_twist).  With P = l(gamma_T) and L = min(l_i - r_i) = min
+    l(gamma_i^2 * conj(gamma_(i+1))), the edges run from L through the
+    translates gamma_i*conj(gamma_T) above it, 1 and the rungs to L + P,
+    so the stretches tile J = [L, L + P]; where L < -P/2 they run to the
+    first rung at or past P/2 instead and cover J = [-P/2, P/2]
+    (docs/generator-search.md, "Centred windows")."""
+    T = len(gammas) - 1
+    gT, one = gammas[T], (1, 0)
+    low = None
+    for g, (h2, k2) in zip(gammas, gammas[1:]):
+        e = _rmul(_rmul(g, g, D0), (h2, -k2), D0)
+        if low is None or _before(e, low, D0):
+            low = e
+    if _before(_rmul(_rmul(low, low, D0), gT, D0), one, D0):  # L < -P/2
+        high = next(g for g in gammas if not _before(_rmul(g, g, D0), gT, D0))
+    else:
+        high = _rmul(low, gT, D0)
+    shifted = (_rmul(g, (gT[0], -gT[1]), D0) for g in gammas[:T])
+    edges = [low] + [t for t in shifted if _before(low, t, D0) and _before(t, one, D0)]
+    edges += [one] + [g for g in gammas[1:T] if _before(g, high, D0)] + [high]
+    return [(_twist(ea, eb, D0), ea, eb) for ea, eb in zip(edges, edges[1:])]
+
+
+def _budget(rho: Fraction, norm: Fraction, den: int) -> int:
+    """floor(ball * den^2) for ball^2 = norm * rho, exactly: the integer
+    budget u g u^t <= floor(ball * den^2) holds the points u/den of the
+    ball, as each point's form value is an integer, and floor(sqrt(q)) =
+    isqrt(floor(q)) for a rational q >= 0."""
+    return isqrt(rho.numerator * norm.numerator * den**4 // (rho.denominator * norm.denominator))
+
+
+@lru_cache(maxsize=None)
+def _ladder_windows(lad: LadderData, T: int) -> tuple:
+    """(windows, balls) of the ladder over the convergents gamma_0 = 1, ...,
+    gamma_T of lad.cf, each a tuple of (twisted Gram, rho) with ball^2 =
+    N rho on norm-N searches.  `balls` are the windows twisted by gamma_i
+    with the ball at gamma_(i+1), which hold the norm-N points with lam in
+    [l_i - r_i, l_(i+1)]; the pick is the least norm-N point in their union
+    [L, P].  `windows` are searched instead: the _stretches twisted by
+    their c, with the ball at the farther edge; for T = 1 one window
+    twisted by 1 covers J = [-P/2, P/2], with cosh(P/2)^2 = (p_T +
+    |N(gamma_T)|) / (2|N(gamma_T)|), p(h + k*sqrt(D0)) = h^2 + D0*k^2."""
+    D0 = lad.D0
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+
+    def window(c, *edges):
+        # the ball at the farther edge e: T2(x * conj(c)) = 4 sqrt(N) |N(c)|
+        # cosh(lam - l(c)) on norm-N points, and |N(c)| cosh(l(e) - l(c)) =
+        # p(c*conj(e)) / |N(e)|
+        def ball2(h, k):
+            w0, w1 = _rmul(c, (h, -k), D0)
+            return Fraction(4 * (w0 * w0 + D0 * w1 * w1), h * h - D0 * k * k) ** 2
+
+        return _twisted_gram(lad, *c), max(starmap(ball2, edges))
+
+    balls = tuple(window(g, g2) for g, g2 in zip(gammas, gammas[1:]))
+    if T == 1:
+        h, k = gammas[1]
+        p, n = h * h + D0 * k * k, abs(h * h - D0 * k * k)
+        return ((_twisted_gram(lad, 1, 0), Fraction(8 * (p + n), n)),), balls
+    return tuple(starmap(window, _stretches(D0, gammas))), balls
+
+
 def find_generator(module: IntModule, norm):
     """Element alpha of the module with |absolute norm| equal to `norm`,
     which forces alpha*O = module for any order O the module is an ideal of
@@ -646,8 +751,11 @@ def find_generator(module: IntModule, norm):
     domain of the unit action on the ratio of the two complex absolute
     values: m half periods when the midpoint unit v, whose square is a
     unit of that subfield, has v^m stabilizing the module, m periods of
-    the Pell unit eps otherwise.  The pick is the one over whole periods
-    of eps either way (docs/generator-search.md, "Half a period").
+    the Pell unit eps otherwise.  Each window is centred on its own stretch
+    of one period; a norm-N point counts only if it also lies in the ball
+    of a window twisted by a rung, which keeps the pick the one over whole
+    periods of eps either way (docs/generator-search.md, "Half a period"
+    and "Centred windows").
     """
     field = module.ambient
     norm = Fraction(norm)
@@ -661,27 +769,17 @@ def find_generator(module: IntModule, norm):
         cands = [u for u in enumerate_by_t2(lll_reduce(module, G), 2 * norm) if keep(u)]
         return _canonical_pick(module, cands, G)
 
-    # window ladder over the real-subfield convergents
+    # centred windows over one period of the ladder unit's power
     lad, _, gammas = _unit_ladder(field, module)
-    D0 = lad.D0
-    den2 = module.den * module.den
-    a, b = norm.numerator, norm.denominator
+    windows, balls = _ladder_windows(lad, len(gammas) - 1)
+    den = module.den
     cands = []
     red = module  # each window reduces the basis the one before reduced
-    for i in range(len(gammas) - 1):
-        h, k = gammas[i]
-        h2, k2 = gammas[i + 1]
-        Q = abs(h * h - D0 * k * k)  # |N(gamma_i)|
-        # eta = gamma_{i+1}*conj(gamma_i) = A + Bc sqrt(D0); eta^2 + eta'^2 = 2 p2
-        A = h2 * h - D0 * k2 * k
-        Bc = k2 * h - h2 * k
-        n_eta = abs(A * A - D0 * Bc * Bc)
-        p2 = A * A + D0 * Bc * Bc
-        # T2(alpha * conj(gamma_i)) <= ball = 4 Q p2 sqrt(norm) / |N(eta)|, and
-        # floor(ball * den^2) = isqrt(X) // (b |N(eta)|) exactly, X = (4 Q p2
-        # den^2)^2 a b for norm = a/b (docs/generator-search.md)
-        s = 4 * Q * p2 * den2
-        budget = isqrt(s * s * a * b) // (b * n_eta)
-        red = lll_reduce(red, _twisted_gram(lad, h, k))
-        cands.extend(u for u in enumerate_by_t2(red, Fraction(budget, den2)) if keep(u))
+    for g, rho in windows:
+        red = lll_reduce(red, g)
+        bound = Fraction(_budget(rho, norm, den), den * den)
+        cands.extend(u for u in enumerate_by_t2(red, bound) if keep(u))
+    if cands:
+        bounds = [(g, _budget(rho, norm, den)) for g, rho in balls]
+        cands = [u for u in cands if any(_form_value(g, u) <= B for g, B in bounds)]
     return _canonical_pick(module, cands, G)

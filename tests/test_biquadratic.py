@@ -120,6 +120,30 @@ def test_basis_closed_under_multiplication():
                 assert (x * y).is_integral()
 
 
+def test_field_keeps_the_tables_it_verified(monkeypatch):
+    # integral_basis builds the basis inverse and the product table once, to
+    # verify the basis, and the field reads them instead of rebuilding:
+    # the same tables a fresh build gives
+    built = {"inverse": 0, "table": 0}
+    mat_inv, products = biquadratic._mat_inv, biquadratic._products_table
+
+    def count_inv(rows):
+        built["inverse"] += 1
+        return mat_inv(rows)
+
+    def count_table(*args):
+        built["table"] += 1
+        return products(*args)
+
+    monkeypatch.setattr(biquadratic, "_mat_inv", count_inv)
+    monkeypatch.setattr(biquadratic, "_products_table", count_table)
+    E = integral_basis(3, 7, basis=B37, disc=441)
+    assert E.mult_table == products(3, 7, E.intbasis, mat_inv(E.intbasis))
+    assert E.basis_inverse == mat_inv(E.intbasis)
+    E.from_naive((H, H, 0, 0)) * E.from_naive((0, 0, 1, 0))
+    assert built == {"inverse": 1, "table": 1}
+
+
 # ---------------------------------------------------------------------------
 # element arithmetic
 

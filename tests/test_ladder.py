@@ -7,6 +7,7 @@ transform/contains_module stabilisation test, and a Fincke-Pohst descent
 over the whole ball of every window of whole periods of eps."""
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
@@ -19,20 +20,25 @@ from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
+    _budget,
     _canonical_pick,
     _det_int,
+    _ladder_windows,
     _norm_filter,
+    _stretches,
     _times,
     _twisted_gram,
     _unit_ladder,
     enumerate_by_t2,
     find_generator,
+    hnf,
     identity_module,
     ladder_data,
     lll_reduce,
 )
 from nforders.quadratic import (
     QuadField,
+    cf_convergents,
     cf_sqrt,
     integer_rows,
     table_matrix,
@@ -271,6 +277,33 @@ def oracle_find_generator(module, norm):
             if keep([int(c * module.den) for c in v])
         )
     return oracle_pick(field, cands, G)
+
+
+def oracle_l(e, D0) -> Decimal:
+    """l(e) = log|e/e'| of e = h + k*sqrt(D0), in decimals with enough digits
+    to resolve the cancellation in e'."""
+    h, k = e
+    with localcontext() as ctx:
+        ctx.prec = 60 + 3 * len(str(abs(h) + abs(k) * D0))
+        s = Decimal(D0).sqrt()
+        return +(abs(h + k * s) / abs(h - k * s)).ln()
+
+
+def t2(field, x) -> Fraction:
+    """T2(x) of a field element, from its basis coordinates and the T2 Gram."""
+    return form_value(field.t2_gram_matrix(), x.coords)
+
+
+def oracle_window_ball2(field, c, edges, norm) -> Fraction:
+    """ball^2 of the twist by c = h + k*sqrt(D0) over a stretch, read off
+    E's arithmetic: the norm-N points at l(e) have T2(x * conj(c)) =
+    sqrt(N / N(e)) T2(e * conj(c)), as e itself is such a point for N =
+    N(e); the ball is the larger of the two edges'."""
+    conj_c = field.from_real_quadratic(c[0], -c[1])
+    return max(
+        Fraction(norm) * t2(field, x * conj_c) ** 2 / x.norm()
+        for x in (field.from_real_quadratic(*e) for e in edges)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +664,28 @@ def warm_inputs(pool):
     return out
 
 
+def rung_balls(module, norm) -> list:
+    """(Gram, budget) of the windows twisted by the rungs gamma_i, from the
+    Fraction ladder: the balls a candidate of find_generator must lie in."""
+    field = module.ambient
+    D0, _, gammas = ladder(field, module)
+    den2 = module.den**2
+    return [
+        (oracle_twisted_gram(field, *gammas[i]),
+         floor(oracle_ball(D0, gammas, i, norm) * den2))
+        for i in range(len(gammas) - 1)
+    ]
+
+
 def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
     # window i > 0 starts LLL from window i-1's reduced basis; its ball's
-    # points, and their order, are those of a cold start from the HNF rows
+    # points, and their order, are those of a cold start from the HNF rows;
+    # the norm-N points in a rung's ball are the candidates
     warm_differs = 0
     for module, norm in warm_inputs:
         alpha, windows = ladder_windows(monkeypatch, module, norm)
         keep = _norm_filter(module, norm)
+        balls = rung_balls(module, norm)
         cands = []
         for i, (start, g, red, bound, pts) in enumerate(windows):
             assert start is (module if i == 0 else windows[i - 1][2])
@@ -645,7 +693,10 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
             cold_pts = enumerate_by_t2(cold, bound)
             assert cold_pts == pts
             warm_differs += cold.rows != red.rows
-            cands += [u for u in cold_pts if keep(u)]
+            cands += [
+                u for u in cold_pts
+                if keep(u) and any(form_value(gb, u) <= B for gb, B in balls)
+            ]
         assert _canonical_pick(module, cands, module.ambient.t2_gram_matrix()) == alpha
         # and it is the full period's pick, as the Fraction ladder makes it
         assert alpha == oracle_find_generator(module, norm)
@@ -673,7 +724,8 @@ def test_one_lll_and_one_enumeration_per_window(monkeypatch, pool):
     monkeypatch.setattr(lattice, "lll_reduce", count_lll)
     monkeypatch.setattr(lattice, "enumerate_by_t2", count_enum)
     lattice.find_generator(module, norm)
-    windows = len(_unit_ladder(E59, module)[2]) - 1
+    lad, _, gammas = _unit_ladder(E59, module)
+    windows = len(_ladder_windows(lad, len(gammas) - 1)[0])
     assert calls == {"lll": windows, "enum": windows}
 
 
@@ -724,11 +776,12 @@ def window_budgets(monkeypatch, module, norm) -> list:
 
 
 def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_pool):
-    # the closed form isqrt(X) // M of each window's budget equals the floor
-    # of the Fraction ball the ladder used before, so every window
-    # enumerates the same points; and it is the exact floor of sqrt(X) / M,
-    # X = (4 |N(gamma_i)| p2 den^2)^2 a b and M = b |N(eta)| for norm = a/b
-    # and eta^2 + eta'^2 = 2 p2
+    # each window's budget is the exact floor of its ball times den^2: the
+    # ball at the farther edge of its stretch, read off E's arithmetic, or,
+    # where T = 1, the one window twisted by 1 over [-P/2, P/2], with
+    # 16 cosh(P/2)^2 = 8 (cosh(P) + 1) and 4 sqrt(N(gamma_1)) cosh(P) =
+    # T2(gamma_1); and the rung balls the candidates are filtered by are
+    # the Fraction ladder's windows, floored
     windows = 0
     fields = set()
     for module, norm in budget_pool:
@@ -737,21 +790,140 @@ def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_poo
             continue
         fields.add(field)
         D0, _, gammas = ladder(field, module)
+        T = len(gammas) - 1
         budgets = window_budgets(monkeypatch, module, norm)
-        assert len(budgets) == len(gammas) - 1
         norm = Fraction(norm)
-        a, b = norm.numerator, norm.denominator
-        den2 = module.den**2
-        for i, B in enumerate(budgets):
-            assert B == floor(oracle_ball(D0, gammas, i, norm) * den2)
-            (h, k), (h2, k2) = gammas[i], gammas[i + 1]
-            A, Bc = h2 * h - D0 * k2 * k, k2 * h - h2 * k
-            s = 4 * abs(h * h - D0 * k * k) * (A * A + D0 * Bc * Bc) * den2
-            X = s * s * a * b
-            M = b * abs(A * A - D0 * Bc * Bc)
-            assert (B * M) ** 2 <= X < ((B + 1) * M) ** 2
+        den4 = module.den**4
+        if T == 1:
+            g1 = field.from_real_quadratic(*gammas[1])
+            root = isqrt(int(g1.norm()))
+            assert root * root == g1.norm()
+            balls2 = [8 * norm * (t2(field, g1) / (4 * root) + 1)]
+        else:
+            balls2 = [
+                oracle_window_ball2(field, c, edges, norm)
+                for c, *edges in _stretches(D0, gammas)
+            ]
+        assert len(budgets) == len(balls2)
+        for B, ball2 in zip(budgets, balls2):
+            assert B * B <= ball2 * den4 < (B + 1) ** 2
             windows += 1
+        rungs = _ladder_windows(ladder_data(field), T)[1]
+        assert len(rungs) == T
+        for i, (_, rho) in enumerate(rungs):
+            B = floor(oracle_ball(D0, gammas, i, norm) * module.den**2)
+            assert _budget(rho, norm, module.den) == B
     assert fields == {E59, E1110, integral_basis(23, 5), integral_basis(71, 2), E37}
     assert {Fraction(norm).denominator for _, norm in budget_pool} > {1}
     assert {module.den for module, _ in budget_pool} > {1}
     assert windows > len(budget_pool)
+
+
+# ---------------------------------------------------------------------------
+# centred windows: the stretches of J and the associates at its ends
+
+
+def check_stretches(field, T) -> str:
+    """Check the windows of the field's ladder over T rungs against l in
+    decimals; returns which of the three layouts they have."""
+    lad = ladder_data(field)
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    windows = _ladder_windows(lad, T)[0]
+    assert T <= len(windows) <= T + 1
+    if T == 1:
+        assert len(windows) == 1
+        assert windows[0][0] == tuple(map(tuple, field.t2_gram_matrix()))
+        return "one"
+    D0 = lad.D0
+    ls = [oracle_l(g, D0) for g in gammas]
+    P = ls[T]
+    L = min(2 * ls[i] - ls[i + 1] for i in range(T))
+    stretches = _stretches(D0, gammas)
+    assert len(stretches) == len(windows)
+    for (_, _, eb), (_, ea, _) in zip(stretches, stretches[1:]):
+        assert eb == ea
+    for (c, ea, eb), (g, _) in zip(stretches, windows):
+        la, lc, lb = oracle_l(ea, D0), oracle_l(c, D0), oracle_l(eb, D0)
+        assert la < lb and la <= lc <= lb
+        assert g == oracle_twisted_gram(field, *c)
+    first, last = oracle_l(stretches[0][1], D0), oracle_l(stretches[-1][2], D0)
+    tol = Decimal(10) ** -40
+    assert abs(first - L) < tol
+    if L >= -P / 2 - tol:
+        assert abs(last - (L + P)) < tol
+        return "exact"
+    assert first < -P / 2 and abs(last - min(l for l in ls if l >= P / 2)) < tol
+    return "cover"
+
+
+def test_stretches_tile_j():
+    # consecutive stretches share an edge and climb in l, each twist lies
+    # within its stretch, and the edges run from L to L + P: the stretches
+    # span J = [L, L + P] exactly where L >= -P/2; where L < -P/2 they run
+    # from L to the first rung at or past P/2, so they cover J = [-P/2,
+    # P/2]; T = 1 runs one window.  No ladder gains more than one window
+    with localcontext() as ctx:
+        ctx.prec = 400
+        kinds = [
+            check_stretches(field, m * ladder_data(field).step)
+            for field in LADDER_FIELDS
+            for m in range(1, 5)
+        ]
+    assert set(kinds) == {"exact", "cover", "one"}
+
+
+def odd_power_order(field, f):
+    """Z[v^3] + f*O_E, v the midpoint unit: an order that v^3 stabilises, and
+    for f = 5 on (59, 2) v itself not."""
+    v = field.from_basis_coords(ladder_data(field).U[0])
+    v3 = v * v * v
+    rows = [p.u for p in (field.one(), v3, v3 * v3, v3 * v3 * v3)]
+    return hnf(field, rows + [[f * (i == j) for j in range(4)] for i in range(4)])
+
+
+@pytest.mark.parametrize(
+    "field, order",
+    [(E59, None), (integral_basis(23, 5), None), (E59, 5)],
+    ids=["59_2", "23_5", "59_2_odd_power"],
+)
+def test_find_generator_reaches_both_ends_of_j(field, order):
+    # x*R for x in the first stretch [L, 0), at L or at its twist, and in
+    # the last stretch before L + P, at its left rung or at its twist, R
+    # the maximal order or one only v^3 stabilises: the norm-N points of
+    # x*R with lam in J are x times roots of unity, so a ladder that
+    # dropped the first or the last window, or ran short of its period,
+    # would find another associate or none.  On (59, 2) x = L lies on the
+    # first window's sphere and in no other window's ball
+    R = identity_module(field) if order is None else odd_power_order(field, order)
+    D0, m, gammas = oracle_unit_ladder(field, R)
+    assert m == (1 if order is None else 3)
+    stretches = _stretches(D0, gammas)
+    (c0, low, _), (c1, rung, _) = stretches[0], stretches[-1]
+    for e in (low, c0, rung, c1):
+        x = field.from_real_quadratic(*e)
+        module = R.transform(x)
+        norm = x.norm()
+        got = find_generator(module, norm)
+        assert got == oracle_find_generator(module, norm)
+        assert t2(field, got) == t2(field, x)
+
+
+def test_rung_balls_keep_the_pick_past_l():
+    # x = 57 - 5*sqrt(115) on (23, 5) has l(x) below L, inside the first
+    # window's ball but in no rung's, and its translate by eps lies in the
+    # last stretch: find_generator drops x, as the Fraction ladder never
+    # sees it, and returns the translate, though x has the smaller T2
+    E235 = integral_basis(23, 5)
+    lad, _, gammas = _unit_ladder(E235, identity_module(E235))
+    x = E235.from_real_quadratic(57, -5)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        low = _stretches(lad.D0, gammas)[0][1]
+        assert oracle_l((57, -5), lad.D0) < oracle_l(low, lad.D0)
+    module = identity_module(E235).transform(x)
+    norm = x.norm()
+    g, rho = _ladder_windows(lad, len(gammas) - 1)[0][0]
+    assert form_value(g, x.coords) <= _budget(rho, norm, module.den)
+    got = find_generator(module, norm)
+    assert got == oracle_find_generator(module, norm)
+    assert t2(E235, got) > t2(E235, x)
