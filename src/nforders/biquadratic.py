@@ -22,6 +22,7 @@ from math import ceil, gcd, isqrt
 from operator import add, mul
 
 from .intmath import (
+    UnsupportedPrimeError,
     is_prime,
     is_squarefree,
     jacobi,
@@ -56,10 +57,6 @@ from .quadratic import (
     integer_rows,
     table_matrix,
 )
-
-
-class UnsupportedPrimeError(ValueError):
-    """Every scanned equation order has index divisible by the prime."""
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .intmath import (
     sqrt_mod,
 )
 from .lattice import UnsupportedFieldError, _times, find_generator
-from .quadratic import QuadElem, QuadField, pell_solve, split_prime
+from .quadratic import QuadElem, QuadField, pell_solve, split_kind, split_prime
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -236,7 +236,7 @@ def _residue_data(p: QuadElem):
     if q * q == nrm and is_prime(q):
         if _divides(F(q), p) and _divides(p, q):
             # an associate of q is prime only when q stays inert
-            if split_prime(F, q).kind == "inert":
+            if split_kind(F, q) == "inert":
                 return q, 2, None
     raise ValueError("not a prime element: %r" % (p,))
 

@@ -12,8 +12,9 @@ coeffs[-1] (nonzero).  The zero polynomial is the empty list.
 Every question about a polynomial mod a prime p goes through one factoring
 routine, polp_factor (Cantor-Zassenhaus: distinct-degree factorisation,
 then equal-degree splitting), in any degree and for every p.  The roots
-of poly_roots_mod are its linear factors, with the quadratic formula as
-the one shortcut.  Nothing here scans the residues mod p.
+of poly_roots_mod are its linear factors, with two shortcuts: the
+quadratic formula, and evaluation at every residue when p <= deg f, the
+only scan of the residues mod p here.
 """
 
 from __future__ import annotations
@@ -72,15 +73,25 @@ def is_squarefree(n: int) -> bool:
     return n != 0 and squarefree_part(n) in (n, -(-n))
 
 
+class UnsupportedPrimeError(ValueError):
+    """A prime that the package cannot prove prime or cannot work with."""
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_12, the least strong pseudoprime to every base in _MR_WITNESSES
+# (Jaeschke, Math. Comp. 61 (1993); Sorenson-Webster, Math. Comp. 86
+# (2017)): 399165290221 * 798330580441
+_PSI12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set.
+    """Miller-Rabin with the witnesses 2, 3, ..., 37, a proof either way
+    below psi_12 = 318665857834031151167461.
 
-    The set (2, 3, ..., 37) is proven deterministic for n < 3.3e24, far above
-    anything this package handles; beyond that it is a strong pseudoprime
-    test with error probability below 4^-12.
+    A failed witness proves n composite at any size, so False is always
+    a proof.  At or above psi_12 passing every witness proves nothing
+    (psi_12 itself passes), so that case raises UnsupportedPrimeError.
     """
     if n < 2:
         return False
@@ -102,6 +113,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI12:
+        raise UnsupportedPrimeError(
+            "cannot prove %d prime: the Miller-Rabin witnesses 2..37 decide "
+            "primality only below psi_12 = %d" % (n, _PSI12)
+        )
     return True
 
 
@@ -409,16 +425,19 @@ def _split_equal_degree(h: list[int], d: int, p: int) -> list[list[int]]:
 def poly_roots_mod(f: list[int], p: int) -> list[int]:
     """Sorted roots of f mod p.
 
-    A quadratic mod an odd prime goes through the quadratic formula with a
-    Tonelli-Shanks square root; anything else reads the roots off the
-    linear factors from polp_factor.
+    When p <= deg f the roots are the residues 0..p-1 at which f vanishes,
+    found by evaluating f at each of them.  Otherwise a quadratic goes
+    through the quadratic formula with a Tonelli-Shanks square root, and
+    anything else reads the roots off the linear factors from polp_factor.
     """
     if not is_prime(p):
         raise ValueError("poly_roots_mod needs a prime modulus")
     fp = polp_trim(f, p)
     if not fp:
         raise ValueError("polynomial vanishes mod p")
-    if len(fp) == 3 and p != 2:
+    if p < len(fp):
+        return [x for x in range(p) if not poly_eval(fp, x) % p]
+    if len(fp) == 3:
         return _roots_quadratic(fp, p)
     return sorted(-q[0] % p for q, _ in polp_factor(fp, p) if len(q) == 2)
 

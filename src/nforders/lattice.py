@@ -161,11 +161,15 @@ def _times(rows, M, scale: int = 1) -> list:
 
 
 def _det_int(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
+    """Determinant of a square integer matrix: a*d - b*c for n = 2, which
+    is what one Bareiss step computes, else Bareiss fraction-free
     elimination: every division is exact, and a zero pivot is replaced by
     a row swap from below (the determinant is 0 when there is none)."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     A = [list(r) for r in rows]
-    n = len(A)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -192,6 +196,9 @@ def adjugate_int(M) -> list[list[int]]:
     n = len(M)
     if n == 1:
         return [[1]]
+    if n == 2:
+        (a, b), (c, d) = M
+        return [[d, -b], [-c, a]]
     adj = [[0] * n for _ in range(n)]
     for i in range(n):
         minor_rows = M[:i] + M[i + 1 :]
@@ -294,6 +301,8 @@ class IntModule:
         return all(self._contains_int(row, other.den) for row in other.rows)
 
     def _contains_int(self, u, den_u: int) -> bool:
+        if den_u == 1 and self.den == 1:
+            return _in_lattice(self.rows, u)
         w = [c * self.den for c in u]
         if any(c % den_u for c in w):
             return False

@@ -273,15 +273,25 @@ def _prime_modules(field, q: int) -> tuple:
     return tuple(hnf(field, rows) for rows in field.prime_rows(q))
 
 
-def _primes_above(o: OrderRep, q: int):
-    """Prime ideals of o above the rational prime q: the contractions of
-    the primes of O_K above q, each once."""
+def _contractions(o: OrderRep, q: int, f: IntModule | None = None) -> list:
+    """Modules of the prime ideals of o above the rational prime q that
+    contain f (all of them when f is None): the contractions P & o of the
+    primes P of O_K above q that contain f, each once.  A contraction c
+    is a maximal ideal of o, so a P that contains c has P & o = c: P & o
+    is taken only for a P that contains none of the contractions found
+    so far, once per prime of o."""
     out = []
     for P in _prime_modules(o.field, q):
-        p = OrderIdeal(o, P if o.is_maximal else P.intersect(o.module))
-        if p not in out:
-            out.append(p)
+        if f is not None and not P.contains_module(f):
+            continue
+        if not any(P.contains_module(c) for c in out):
+            out.append(P if o.is_maximal else P.intersect(o.module))
     return out
+
+
+def _primes_above(o: OrderRep, q: int):
+    """Prime ideals of o above the rational prime q, each once."""
+    return [OrderIdeal(o, c) for c in _contractions(o, q)]
 
 
 def factor_ideal(a: OrderIdeal) -> IdealFactorization:
@@ -328,7 +338,8 @@ def residue_unit_count(o: OrderRep, f) -> int:
     of o that contain f, so #(o/f)^x = [o : f] * prod (1 - 1/[o : p]).
     By lying over, the p are the contractions P & o of the primes P of O_K,
     and as f lies in o, P & o contains f exactly when P does; such a P
-    contains [o : f], so lies above a prime q dividing it.  Each index is
+    contains [o : f], so lies above a prime q dividing it.  _contractions
+    takes one intersection per p, none when o is maximal.  Each index is
     a quotient of HNF pivot products.  The trivial quotient counts as 1."""
     fmod = f.module if isinstance(f, OrderIdeal) else f
     if not (o.module.contains_module(fmod) and _closed_under(o, fmod.rows)):
@@ -336,10 +347,7 @@ def residue_unit_count(o: OrderRep, f) -> int:
     n_o = o.index_in_maximal()
     count = _pivots(fmod.rows) // n_o
     for q in factorize(count):
-        ps = [P for P in _prime_modules(o.field, q) if P.contains_module(fmod)]
-        if not o.is_maximal:
-            ps = dict.fromkeys(P.intersect(o.module) for P in ps)
-        for p in ps:
+        for p in _contractions(o, q, fmod):
             Np = _pivots(p.rows) // n_o
             count = count // Np * (Np - 1)
     return count

@@ -352,6 +352,19 @@ def _norm_form_element(F: QuadField, q: int) -> QuadElem | None:
     return None
 
 
+def split_kind(F: QuadField, q: int) -> str:
+    """"split", "inert" or "ramified": how the rational prime q splits in
+    O_F, read off disc mod 8 for q = 2 and off the Jacobi symbol
+    (disc | q) otherwise."""
+    disc = F.disc
+    if q == 2:
+        if disc % 2 == 0:
+            return "ramified"
+        return "split" if disc % 8 == 1 else "inert"
+    j = jacobi(disc, q)
+    return "split" if j == 1 else "inert" if j == -1 else "ramified"
+
+
 def split_prime(F: QuadField, q: int) -> SplitResult:
     """Splitting behavior of the rational prime q in O_F.
 
@@ -360,18 +373,7 @@ def split_prime(F: QuadField, q: int) -> SplitResult:
     """
     if not is_prime(q):
         raise ValueError("split_prime needs a prime, got %d" % q)
-    disc = F.disc
-    if q == 2:
-        if disc % 2 == 0:
-            kind = "ramified"
-        elif disc % 8 == 1:
-            kind = "split"
-        else:
-            kind = "inert"
-    else:
-        j = jacobi(disc, q)
-        kind = "split" if j == 1 else "inert" if j == -1 else "ramified"
-
+    kind = split_kind(F, q)
     if kind == "inert":
         return SplitResult("inert", F(q), F(q))
     pi = _norm_form_element(F, q)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -482,6 +483,45 @@ def test_zero_element_exits_2(argv):
         assert proc.returncode == 2, elem
         assert proc.stdout == ""
         assert proc.stderr == "error: %s\n" % why
+
+
+PSI12 = "318665857834031151167461"  # 399165290221 * 798330580441
+PSI13 = "3317044064679887385961981"  # 1287836182261 * 2575672364521
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criterion", "hilbert", PSI13, "59", "2"],
+        ["criterion", "hilbert", PSI13, "31", "2"],
+        ["represent", PSI12, "59", "2"],
+        ["criterion", "hilbert", PSI12, "59", "2"],
+    ],
+)
+def test_strong_pseudoprimes_exit_3_at_once(capsys, argv):
+    # both pass the Miller-Rabin witnesses 2..37 and are composite: no
+    # verdict and no search, exit 3 with psi_12 named, in well under 1 s
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot prove ")
+    assert err.endswith("psi_12 = %s\n" % PSI12)
+
+
+def test_split_prime_that_is_no_prime_element_exits_2_at_once(capsys):
+    # 10000000000000099 is prime and splits in Q(sqrt(-31)), so its
+    # residue test reads the splitting kind only, with no scan for an
+    # element of norm q
+    start = time.perf_counter()
+    code, out, err = in_process_run(
+        capsys, ["criterion", "hilbert", "10000000000000099", "31", "2"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "error: not a prime element: QuadElem(10000000000000099 + 0*sqrt(-31))\n"
+    )
 
 
 def test_poly_file_errors(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
+from nforders import biquadratic
 from nforders.intmath import (
+    UnsupportedPrimeError,
     factorize,
     is_prime,
     is_square,
@@ -120,6 +123,46 @@ def test_is_prime_against_sympy():
     for _ in range(200):
         n = rng.randrange(2, 2**64)
         assert is_prime(n) == sympy.isprime(n), n
+
+
+# Jaeschke's psi_12 and psi_13: the least strong pseudoprimes to all the
+# prime bases up to 37 and up to 41, both composite
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_is_prime_refuses_psi12_and_psi13():
+    assert PSI12 == 399165290221 * 798330580441
+    assert PSI13 == 1287836182261 * 2575672364521
+    for n in (PSI12, PSI13):
+        with pytest.raises(UnsupportedPrimeError, match=str(PSI12)):
+            is_prime(n)
+    # the class the CLI maps to exit 3 is this one
+    assert biquadratic.UnsupportedPrimeError is UnsupportedPrimeError
+
+
+def test_is_prime_against_sympy_around_psi12():
+    # just below psi_12 every answer is a proof; at or above it a failed
+    # witness still proves compositeness, and passing every one raises
+    rng = random.Random(26)
+    below = [PSI12 - rng.randrange(1, 10**12) for _ in range(300)]
+    below += [sympy.prevprime(PSI12 - k * 10**9) for k in range(1, 11)]
+    for n in below:
+        assert is_prime(n) == sympy.isprime(n), n
+    above = [rng.randrange(PSI12, 10**40) for _ in range(300)]
+    above += [
+        sympy.nextprime(rng.randrange(10**12, 10**15))
+        * sympy.nextprime(rng.randrange(10**12, 10**15))
+        for _ in range(20)
+    ]
+    for n in above:
+        if sympy.isprime(n):
+            with pytest.raises(UnsupportedPrimeError):
+                is_prime(n)
+        else:
+            assert is_prime(n) is False, n
+    with pytest.raises(UnsupportedPrimeError):
+        is_prime(sympy.nextprime(PSI12))
 
 
 def test_primes_upto():
@@ -268,6 +311,24 @@ def test_poly_roots_mod_paths_agree():
         d = rng.choice([1, 2, 3, 4, 5, 6, 8]) if p == 2 else rng.choice([1, 3, 4, 5, 7])
         f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
         assert poly_roots_mod(f, p) == roots_by_scan(f, p), (f, p)
+
+
+def test_polp_factor_linear_factors_in_degrees_at_least_p():
+    # poly_roots_mod evaluates where p <= deg f; polp_factor still answers
+    # there for _roots_in_residue_field and factor_rational_prime, and its
+    # linear factors are the roots the scan finds
+    rng = random.Random(26)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            d = rng.randrange(p, p + 6)
+            f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+            if rng.randrange(3) == 0:  # a repeated linear factor
+                r = rng.randrange(p)
+                f = poly_mul(f, [-r, 1])
+                f = poly_mul(f, [-r, 1])
+            linear = sorted(-q[0] % p for q, _ in polp_factor(f, p) if len(q) == 2)
+            assert linear == roots_by_scan(f, p), (f, p)
+            assert poly_roots_mod(f, p) == linear, (f, p)
 
 
 def test_poly_roots_mod_quadratic_path():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import mul
 
 import pytest
 
@@ -8,6 +9,8 @@ from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
+    _det_int,
+    adjugate_int,
     enumerate_by_t2,
     find_generator,
     hnf,
@@ -206,6 +209,29 @@ def test_t2_gram_det_is_abs_disc():
         G = F.t2_gram_matrix()
         assert all(isinstance(x, int) for row in G for x in row), F
         assert _det_int(G) == abs(F.disc), F
+
+
+def test_closed_form_2x2_det_and_adjugate():
+    # the closed forms against Bareiss, which _det_int runs on the matrix
+    # bordered by a 1 (its determinant is the same), with zero pivots,
+    # singular matrices and negative entries among the seeded draws
+    rng = random.Random(26)
+    entries = [0] * 20 + list(range(-40, 41)) + [-(10**12) - 7, 10**15 + 3]
+    for _ in range(600):
+        M = [[rng.choice(entries) for _ in range(2)] for _ in range(2)]
+        if rng.randrange(5) == 0:  # rows proportional: det 0
+            k = rng.choice([-3, -1, 0, 2])
+            M[1] = [k * x for x in M[0]]
+        bordered = [M[0] + [0], M[1] + [0], [0, 0, 1]]
+        det = _det_int(M)
+        assert det == _det_int(bordered), M
+        adj = adjugate_int(M)
+        for X, Y in ((M, adj), (adj, M)):
+            XY = [[sum(map(mul, row, col)) for col in zip(*Y)] for row in X]
+            assert XY == [[det, 0], [0, det]], M
+    assert _det_int([[0, 1], [1, 0]]) == -1
+    assert _det_int(((0, 0), (5, 7))) == 0
+    assert adjugate_int(((2, 3), (5, 7))) == [[7, -3], [-5, 2]]
 
 
 def test_kernel_int():

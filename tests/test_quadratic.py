@@ -17,6 +17,7 @@ from nforders.quadratic import (
     pell_solve,
     principal_form,
     reduced_forms,
+    split_kind,
     split_prime,
 )
 from oracles import (
@@ -154,6 +155,23 @@ def test_split_prime_matches_jacobi():
             j = jacobi(F.disc, q)
             expect = {1: "split", -1: "inert", 0: "ramified"}[j]
             assert s.kind == expect, (D, q)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 31, 59])
+def test_split_kind_matches_split_prime_and_prime_rows(d):
+    # the kind alone, with no prime element searched for, and the primes
+    # above q read off the roots of w's minimal polynomial as a check
+    F = QuadField(-d)
+    for q in primes_upto(2000):
+        kind = split_kind(F, q)
+        assert kind == split_prime(F, q).kind, (d, q)
+        rows = F.prime_rows(q)
+        expect = (
+            "split" if len(rows) == 2
+            else "inert" if rows == [((q, 0), (0, q))]
+            else "ramified"
+        )
+        assert kind == expect, (d, q)
 
 
 def test_split_prime_ideal_hnf_is_stable():

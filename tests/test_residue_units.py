@@ -165,6 +165,35 @@ def test_picard_terms_takes_the_primes_of_o_k_once(monkeypatch):
                 assert intersects and all(m == o.module for m in intersects)
 
 
+@pytest.mark.parametrize("pool", ["benchmark", "large"])
+def test_residue_count_intersects_once_per_prime_of_o(monkeypatch, pool):
+    # o = Z + c*O_K has conductor f = c*O_K and o/f = Z/c, so the primes
+    # of o that contain f are one for each prime q | c: one intersection
+    # each in the count for o, none in the count for O_K; both counts
+    # agree with the enumeration wherever it is cheap
+    orders_ = picard_pool() if pool == "benchmark" else [(-1, 2000), (-3, 1001)]
+    intersects = []
+    intersect = IntModule.intersect
+
+    def counted_intersect(m, other):
+        intersects.append(other)
+        return intersect(m, other)
+
+    monkeypatch.setattr(IntModule, "intersect", counted_intersect)
+    for D, c in orders_:
+        F = QuadField(D)
+        o = order_with_index(F, c)
+        omax = maximal_order(F)
+        f = conductor(o).module
+        for order in (o, omax):
+            intersects.clear()
+            count = residue_unit_count(order, f)
+            primes = 0 if order.is_maximal else len(factorize(c))
+            assert len(intersects) == primes, (D, c, order.is_maximal)
+            if not order.is_maximal or c <= 6:
+                assert count == residue_unit_count_by_enumeration(order, f), (D, c)
+
+
 def test_brute_force_scans_no_further_than_minkowski(monkeypatch):
     seen = []
     primitive_ideals = orders._primitive_ideals
