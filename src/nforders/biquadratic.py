@@ -25,7 +25,6 @@ from .intmath import (
     UnsupportedPrimeError,
     is_prime,
     is_squarefree,
-    jacobi,
     poly_discriminant,
     poly_eval,
     poly_roots_mod,
@@ -55,6 +54,7 @@ from .quadratic import (
     form_class_group,
     integer_coords,
     integer_rows,
+    split_kind,
     table_matrix,
 )
 
@@ -620,13 +620,8 @@ def residue_degree(E: BiquadField, q: int) -> int:
     least one quadratic subfield, else 1.  (Inert in all three is
     impossible; the three Frobenius images multiply to the identity.)"""
     D0, _ = E.real_subfield_data()
-    for D in (QuadField(-E.d).disc, QuadField(-E.n).disc, QuadField(D0).disc):
-        if q == 2:
-            if D % 2 and D % 8 == 5:
-                return 2
-        elif D % q and jacobi(D % q, q) == -1:
-            return 2
-    return 1
+    subfields = (QuadField(-E.d), QuadField(-E.n), QuadField(D0))
+    return 2 if any(split_kind(F, q) == "inert" for F in subfields) else 1
 
 
 def minkowski_bound(E: BiquadField) -> Fraction:

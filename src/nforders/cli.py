@@ -138,7 +138,7 @@ def parse_order(text: str):
         if parts[0] == "rel" and len(parts) == 3:
             d, n = int(parts[1]), int(parts[2])
             return relative_order(integral_basis(d, n)), n
-    except UnsupportedFieldError:
+    except (UnsupportedFieldError, UnsupportedPrimeError):
         raise
     except ValueError as err:
         raise ValueError("bad order spec %r: %s" % (text, err)) from None

@@ -1,6 +1,6 @@
 """Solvability criteria and solvers for p = x^2 + n*y^2.
 
-The rational-integer story (Cornacchia descent plus a polynomial root test)
+The rational-integer story (a form reduction plus a polynomial root test)
 sits next to its order-level analogue: a prime element p of Q(sqrt(-d)) is
 tested in its actual residue field, and a positive verdict is made
 constructive by digging a generator out of a rank-4 ideal lattice and
@@ -32,7 +32,14 @@ from .intmath import (
     sqrt_mod,
 )
 from .lattice import UnsupportedFieldError, _times, find_generator
-from .quadratic import QuadElem, QuadField, pell_solve, split_kind, split_prime
+from .quadratic import (
+    QuadElem,
+    QuadField,
+    pell_solve,
+    principal_representation,
+    split_kind,
+    split_prime,
+)
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -86,29 +93,19 @@ class UnitWitness:
 
 
 def cornacchia(p: int, n: int) -> tuple[int, int] | None:
-    """Solve x^2 + n*y^2 = p over Z, x > 0, y >= 0, or prove there is
-    nothing: take a square root of -n mod p and run the Euclidean descent
-    until the remainder drops under sqrt(p)."""
+    """Solve x^2 + n*y^2 = p over Z, x > 0, y >= 0 and x > y when n = 1,
+    or prove there is nothing: x^2 + n*y^2 is the principal form of
+    discriminant -4n, so principal_representation decides it."""
     if p == 2 or not is_prime(p):
         raise ValueError("cornacchia needs an odd prime, got %d" % p)
     if n <= 0:
         raise ValueError("n must be positive")
     if n % p == 0:
         raise ValueError("p divides n")
-    if jacobi(-n % p, p) != 1:
+    rep = principal_representation(-4 * n, p)
+    if rep is None:
         return None
-    r = p - sqrt_mod(-n, p)  # the larger square root of -n
-    a, b = p, r
-    bound = isqrt(p)
-    while b > bound:
-        a, b = b, a % b
-    x = b
-    rest, rem = divmod(p - x * x, n)
-    if rem:
-        return None
-    y = isqrt(rest)
-    if y * y != rest:
-        return None
+    x, y = sorted(map(abs, rep), reverse=True) if n == 1 else map(abs, rep)
     assert x > 0 and y >= 0 and x * x + n * y * y == p
     return x, y
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, isqrt
+from math import isqrt, prod
 
 # ---------------------------------------------------------------------------
 # basic integer helpers
@@ -53,24 +53,11 @@ def squarefree_part(n: int) -> int:
     """Largest squarefree divisor d of |n| with n = d * square, sign kept."""
     if n == 0:
         return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    d = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            if e % 2:
-                d *= f
-        f += 1 if f == 2 else 2
-    return sign * d * n
+    return (-1 if n < 0 else 1) * prod(p for p, e in factorize(n).items() if e % 2)
 
 
 def is_squarefree(n: int) -> bool:
-    return n != 0 and squarefree_part(n) in (n, -(-n))
+    return n != 0 and squarefree_part(n) == n
 
 
 class UnsupportedPrimeError(ValueError):
@@ -79,10 +66,14 @@ class UnsupportedPrimeError(ValueError):
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# psi_12, the least strong pseudoprime to every base in _MR_WITNESSES
+# psi_k, the least strong pseudoprime to the first k bases of _MR_WITNESSES
 # (Jaeschke, Math. Comp. 61 (1993); Sorenson-Webster, Math. Comp. 86
-# (2017)): 399165290221 * 798330580441
-_PSI12 = 318665857834031151167461
+# (2017)); psi_12 = 399165290221 * 798330580441
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -90,8 +81,9 @@ def is_prime(n: int) -> bool:
     below psi_12 = 318665857834031151167461.
 
     A failed witness proves n composite at any size, so False is always
-    a proof.  At or above psi_12 passing every witness proves nothing
-    (psi_12 itself passes), so that case raises UnsupportedPrimeError.
+    a proof.  Passing the first k witnesses proves n prime below psi_k.
+    At or above psi_12 passing every witness proves nothing (psi_12
+    itself passes), so that case raises UnsupportedPrimeError.
     """
     if n < 2:
         return False
@@ -103,32 +95,38 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a, psi in zip(_MR_WITNESSES, _PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _PSI12:
-        raise UnsupportedPrimeError(
-            "cannot prove %d prime: the Miller-Rabin witnesses 2..37 decide "
-            "primality only below psi_12 = %d" % (n, _PSI12)
-        )
-    return True
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise UnsupportedPrimeError(
+        "cannot prove %d prime: the Miller-Rabin witnesses 2..37 decide "
+        "primality only below psi_12 = %d" % (n, _PSI[-1])
+    )
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (desk scale)."""
+    """Prime factorization of |n|: of its square root when n is a square,
+    else by trial division up to a cofactor of 1 or, from the divisor 1001
+    on, one that is_prime proves prime (or cannot decide)."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
+    r = isqrt(n)
+    if r > 1 and r * r == n:
+        return {p: 2 * e for p, e in factorize(r).items()}
     out: dict[int, int] = {}
-    f = 2
+    f, tested = 2, 1
     while f * f <= n:
+        if f > 1000 and n != tested and is_prime(tested := n):
+            break
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f

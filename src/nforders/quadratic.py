@@ -22,6 +22,7 @@ from .intmath import (
     is_squarefree,
     jacobi,
     poly_roots_mod,
+    sqrt_mod,
 )
 
 
@@ -328,28 +329,10 @@ class QuadElem(FieldElem):
 @dataclass(frozen=True)
 class SplitResult:
     kind: str  # "split" | "inert" | "ramified"
-    # q when inert, else an element of norm q: None when there is none,
-    # and always None in a real field
+    # q when inert, else an element of norm q off a form reduction: None
+    # when there is none, and always None in a real field
     pi: QuadElem | None
     pibar: QuadElem | None
-
-
-def _norm_form_element(F: QuadField, q: int) -> QuadElem | None:
-    """An integral element of norm q in an imaginary field, the one of
-    least |v| then with u >= 0: (u + v*sqrt(D))/s with u^2 + |D| v^2 =
-    s^2 q, s = 2 and u = v mod 2 when D = 1 mod 4, else s = 1.  None for a
-    real field, or when there is none."""
-    D = F.D
-    if D > 0:
-        return None
-    s = 2 if D % 4 == 1 else 1
-    for v in range(isqrt(s * s * q // -D) + 1):
-        u2 = s * s * q + D * v * v
-        if is_square(u2):
-            u = isqrt(u2)
-            if (u - v) % s == 0:
-                return F(Fraction(u, s), Fraction(v, s))
-    return None
 
 
 def split_kind(F: QuadField, q: int) -> str:
@@ -366,19 +349,31 @@ def split_kind(F: QuadField, q: int) -> str:
 
 
 def split_prime(F: QuadField, q: int) -> SplitResult:
-    """Splitting behavior of the rational prime q in O_F.
-
-    For split/ramified primes also tries to produce a prime element by a
-    norm form search; the prime ideals themselves are QuadField.prime_rows.
-    """
+    """Splitting behavior of the rational prime q in O_F and, for q split or
+    ramified in an imaginary field, the element (u + v*sqrt(D))/s of norm q
+    (s = 2 when D = 1 mod 4, else 1) of least |v|, then with v, u >= 0,
+    from principal_representation.  The prime ideals are prime_rows."""
     if not is_prime(q):
         raise ValueError("split_prime needs a prime, got %d" % q)
     kind = split_kind(F, q)
     if kind == "inert":
         return SplitResult("inert", F(q), F(q))
-    pi = _norm_form_element(F, q)
-    pibar = pi.conj() if pi is not None else None
-    return SplitResult(kind, pi, pibar)
+    rep = principal_representation(F.disc, q) if F.D < 0 else None
+    if rep is None:
+        return SplitResult(kind, None, None)
+    # sign and conjugation flip the signs of u and v; up to sign only the
+    # units i and (+-1 + sqrt(-3))/2 move |v|
+    x, y = rep
+    s = 2 if F.D % 4 == 1 else 1
+    u, v = (2 * x + y, y) if s == 2 else (x, y)
+    pairs = [(u, v)]
+    if F.D == -1:
+        pairs.append((v, u))
+    elif F.D == -3:
+        pairs += [((u - 3 * v) // 2, (u + v) // 2), ((u + 3 * v) // 2, (v - u) // 2)]
+    v, u = min((abs(v), abs(u)) for u, v in pairs)
+    pi = F(Fraction(u, s), Fraction(v, s))
+    return SplitResult(kind, pi, pi.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +392,6 @@ class BinaryForm:
 
     def is_primitive(self) -> bool:
         return gcd(gcd(self.a, self.b), self.c) == 1
-
-    def reduce(self) -> "BinaryForm":
-        return self.reduction()[0]
 
     def reduction(self) -> tuple["BinaryForm", tuple]:
         """The reduced form F' and ((p, q), (r, t)) in SL2(Z) with
@@ -429,6 +421,22 @@ def principal_form(disc: int) -> BinaryForm:
     if disc % 4 == 1:
         return BinaryForm(1, 1, (1 - disc) // 4)
     raise ValueError("discriminant must be 0 or 1 mod 4")
+
+
+def principal_representation(disc: int, q: int) -> tuple[int, int] | None:
+    """(x, y) at which principal_form(disc) takes the value q, for disc < 0
+    and q prime, or None when there is none (Cox, Primes of the form x^2 +
+    ny^2, section 2): the forms that represent q are the classes of (q, +-b,
+    c) with b^2 = disc (mod 4q), inverse to each other, and the reduction
+    ((p, s), (r, t)) of one sends (t, -r) to (1, 0), where it is q."""
+    if q == 2:
+        b = next((b for b in range(4) if (b * b - disc) % 8 == 0), None)
+    elif (b := sqrt_mod(disc, q)) is not None:
+        b += q * ((b - disc) % 2)  # b = disc mod 2, so b^2 = disc mod 4q
+    if b is None:
+        return None
+    f, (_, (r, t)) = BinaryForm(q, b, (b * b - disc) // (4 * q)).reduction()
+    return (t, -r) if f == principal_form(disc) else None
 
 
 def reduced_forms(disc: int) -> list[BinaryForm]:
@@ -464,7 +472,7 @@ class ClassGroupResult:
 
 def form_class_group(disc: int) -> ClassGroupResult:
     forms = reduced_forms(disc)
-    assert principal_form(disc).reduce() in forms
+    assert principal_form(disc) in forms
     return ClassGroupResult(disc, len(forms), tuple(forms))
 
 

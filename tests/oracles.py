@@ -9,10 +9,11 @@ reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
 `fraction_inverse`, `naive_to_coords`, `primes_upto`, `sqrt_lb`,
 `unit_equation_scan` and `witness_box` are helpers that nothing in the
-library calls.  `FracQuad` and `FracBiquad` are the field elements as
-they were before they became integer coordinates over one denominator:
-exact `Fraction` arithmetic, kept as the oracle for the elements that
-replaced them.
+library calls.  `oracle_norm_form_element` is the scan `split_prime` ran
+for its element before it read it off a form reduction.  `FracQuad` and
+`FracBiquad` are the field elements as they were before they became
+integer coordinates over one denominator: exact `Fraction` arithmetic,
+kept as the oracle for the elements that replaced them.
 """
 
 from dataclasses import dataclass
@@ -73,6 +74,21 @@ def sqrt_lb(x: Fraction) -> Fraction:
     return Fraction(s, x.denominator * _SQRT_SCALE)
 
 
+def oracle_norm_form_element(F: QuadField, q: int) -> QuadElem | None:
+    """The integral element of norm q in an imaginary field of least |v|,
+    then with u >= 0, by a scan over v: (u + v*sqrt(D))/s with u^2 +
+    |D| v^2 = s^2 q, s = 2 and u = v mod 2 when D = 1 mod 4, else s = 1.
+    None when there is none."""
+    D = F.D
+    s = 2 if D % 4 == 1 else 1
+    for v in range(isqrt(s * s * q // -D) + 1):
+        u2 = s * s * q + D * v * v
+        u = isqrt(u2)
+        if u * u == u2 and (u - v) % s == 0:
+            return F(Fraction(u, s), Fraction(v, s))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # binary quadratic forms
 
@@ -86,7 +102,7 @@ def is_reduced(f: BinaryForm) -> bool:
 
 
 def form_inverse(f: BinaryForm) -> BinaryForm:
-    return BinaryForm(f.a, -f.b, f.c).reduce()
+    return BinaryForm(f.a, -f.b, f.c).reduction()[0]
 
 
 def compose(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
@@ -115,13 +131,13 @@ def compose(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
     a3, b3 = v1 * v2, f2.b + 2 * v2 * r
     c3, rest = divmod(b3 * b3 - f1.disc, 4 * a3)
     assert rest == 0
-    return BinaryForm(a3, b3, c3).reduce()
+    return BinaryForm(a3, b3, c3).reduction()[0]
 
 
 def form_pow(f: BinaryForm, e: int) -> BinaryForm:
     if e < 0:
         return form_pow(form_inverse(f), -e)
-    r = principal_form(f.disc).reduce()
+    r = principal_form(f.disc).reduction()[0]
     base = f
     while e:
         if e & 1:
@@ -142,7 +158,7 @@ def form_structure(forms) -> tuple[int, ...]:
     n = len(forms)
     if n == 1:
         return ()
-    identity = principal_form(forms[0].disc).reduce()
+    identity = principal_form(forms[0].disc).reduction()[0]
     # elementary divisors per prime
     per_prime: dict[int, list[int]] = {}
     for p, e in factorize(n).items():

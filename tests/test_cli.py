@@ -496,6 +496,11 @@ PSI13 = "3317044064679887385961981"  # 1287836182261 * 2575672364521
         ["criterion", "hilbert", PSI13, "31", "2"],
         ["represent", PSI12, "59", "2"],
         ["criterion", "hilbert", PSI12, "59", "2"],
+        # factorize proves cofactors prime, so a norm of psi_12^2 and a
+        # field discriminant of -psi_12 reach is_prime and no trial
+        # division up to the root
+        ["factor", "max:-59", PSI12],
+        ["picard", "max:-" + PSI12],
     ],
 )
 def test_strong_pseudoprimes_exit_3_at_once(capsys, argv):
@@ -522,6 +527,29 @@ def test_split_prime_that_is_no_prime_element_exits_2_at_once(capsys):
     assert err == (
         "error: not a prime element: QuadElem(10000000000000099 + 0*sqrt(-31))\n"
     )
+
+
+@pytest.mark.parametrize(
+    "q,norms",
+    [
+        # inert in Q(sqrt(-59)): q O_K is prime
+        (100000000000000000361, [100000000000000000361**2]),
+        # split: two primes of norm q
+        (100000007, [100000007, 100000007]),
+    ],
+)
+def test_factor_of_a_large_rational_prime_at_once(capsys, q, norms):
+    # q O_K has norm q^2, which factorize reads as a square whose root it
+    # proves prime, with no trial division up to q
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, ["factor", "max:-59", str(q)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["remultiplies"] is True
+    assert [(f["norm"], f["exponent"]) for f in doc["factors"]] == [
+        (N, 1) for N in norms
+    ]
 
 
 def test_poly_file_errors(tmp_path, capsys):

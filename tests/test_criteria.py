@@ -121,7 +121,9 @@ def test_cornacchia_rejects():
 
 
 def test_cornacchia_against_exhaustive_scan():
-    for n in (1, 2, 3, 5, 6, 10):
+    # squarefree n, and n with a square factor, where -4n is no field
+    # discriminant; for n = 1 the pair is ordered x > y
+    for n in (1, 2, 3, 5, 6, 10, 4, 8, 9, 12, 27):
         for p in range(3, 300, 2):
             if not is_prime(p) or n % p == 0:
                 continue
@@ -130,6 +132,12 @@ def test_cornacchia_against_exhaustive_scan():
             assert (got is None) == (want is None), (p, n)
             if got:
                 assert got[0] ** 2 + n * got[1] ** 2 == p
+                assert got[0] > 0 and got[1] >= 0
+                if n == 1:
+                    assert got[0] > got[1], p
+                else:
+                    # x^2 + n y^2 = p has one pair x, y >= 0 for n > 1
+                    assert got == want, (p, n)
 
 
 def test_cornacchia_two_squares():

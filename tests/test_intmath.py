@@ -6,12 +6,13 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
-from nforders import biquadratic
+from nforders import biquadratic, intmath
 from nforders.intmath import (
     UnsupportedPrimeError,
     factorize,
     is_prime,
     is_square,
+    is_squarefree,
     jacobi,
     poly_deriv,
     poly_discriminant,
@@ -163,6 +164,84 @@ def test_is_prime_against_sympy_around_psi12():
             assert is_prime(n) is False, n
     with pytest.raises(UnsupportedPrimeError):
         is_prime(sympy.nextprime(PSI12))
+
+
+# psi_1, ..., psi_11 (A014233): the least strong pseudoprime to the first
+# k prime bases, so the first k witnesses decide every n below psi_k
+PSI_1_TO_11 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+)
+
+
+def test_is_prime_against_sympy_around_each_psi():
+    # is_prime stops at the first k with n < psi_k: each psi_k is composite
+    # and fools the first k witnesses, and next to it every answer agrees
+    # with sympy
+    assert intmath._PSI == PSI_1_TO_11 + (PSI12,)
+    for psi in PSI_1_TO_11:
+        assert not sympy.isprime(psi)
+        assert is_prime(psi) is False, psi
+        for n in range(psi - 300, psi + 300):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_squarefree_part_against_sympy():
+    for n in range(-3000, 3001):
+        want = -1 if n < 0 else 1
+        for p, e in sympy.factorint(n).items():
+            if p > 0 and e % 2:
+                want *= p
+        assert squarefree_part(n) == (want if n else 0), n
+        squarefree = n != 0 and all(
+            e == 1 for p, e in sympy.factorint(n).items() if p > 0
+        )
+        assert is_squarefree(n) == squarefree, n
+
+
+def test_factorize_squares_and_large_prime_cofactors():
+    q = 100000000000000000361  # 21 digits, prime
+    assert factorize(q * q) == {q: 2}
+    assert factorize(-(q**2)) == {q: 2}
+    assert factorize(12 * q) == {2: 2, 3: 1, q: 1}
+    assert factorize(4 * 100000007**2) == {2: 2, 100000007: 2}
+    assert factorize(1) == {}
+    # the cofactor is tested again each time a divisor past 1001 leaves a
+    # new one, so a prime left after 1009 * 1013 ends the division
+    assert factorize(1009 * 1013 * q) == {1009: 1, 1013: 1, q: 1}
+    rng = random.Random(27)
+    for _ in range(100):
+        n = rng.randrange(1, 10**4) * sympy.nextprime(rng.randrange(10**9, 10**18))
+        assert factorize(n) == sympy.factorint(n), n
+    # a cofactor that passes every witness at or above psi_12 is refused
+    with pytest.raises(UnsupportedPrimeError):
+        factorize(3 * PSI12)
+
+
+def test_factorize_keeps_is_prime_off_small_inputs(monkeypatch):
+    # the cofactor is first tested at the divisor 1001, so no n below
+    # 1001^2 reaches is_prime
+    calls = []
+    monkeypatch.setattr(intmath, "is_prime", lambda n: calls.append(n) or True)
+    rng = random.Random(28)
+    for n in list(range(1, 3000)) + [rng.randrange(1, 1001**2) for _ in range(300)]:
+        factorize(n)
+    assert calls == []
+    # past 1001 each new cofactor is asked once
+    monkeypatch.setattr(
+        intmath, "is_prime", lambda n: calls.append(n) or sympy.isprime(n)
+    )
+    assert factorize(3 * 1009 * 1013 * 1019) == {3: 1, 1009: 1, 1013: 1, 1019: 1}
+    assert calls == [1009 * 1013 * 1019, 1013 * 1019]
 
 
 def test_primes_upto():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -16,6 +17,7 @@ from nforders.quadratic import (
     form_class_group,
     pell_solve,
     principal_form,
+    principal_representation,
     reduced_forms,
     split_kind,
     split_prime,
@@ -27,6 +29,7 @@ from oracles import (
     form_pow,
     form_structure,
     is_reduced,
+    oracle_norm_form_element,
     primes_upto,
 )
 
@@ -234,6 +237,74 @@ def test_split_prime_element_when_found_is_sound():
                 assert s.pibar == s.pi.conj()
 
 
+def _assert_split_prime_is_the_scans(Ds, bound):
+    primes = primes_upto(bound)
+    for D in Ds:
+        F = QuadField(D)
+        for q in primes:
+            s = split_prime(F, q)
+            if s.kind != "inert":
+                assert s.pi == oracle_norm_form_element(F, q), (D, q)
+
+
+@pytest.mark.parametrize("lo", range(-500, -1, 100))
+def test_split_prime_element_is_the_scans(lo):
+    # the element read off the form reduction is the one the scan over v
+    # finds, with the same choice among associates and conjugates, for
+    # every squarefree D in [-500, -2] and q < 3,000
+    Ds = [D for D in range(lo, min(lo + 100, -1)) if is_squarefree(D)]
+    _assert_split_prime_is_the_scans(Ds, 3000)
+
+
+@pytest.mark.parametrize(
+    "Ds",
+    [
+        # the unit fields -1 and -3, -2 and -7 of class number 1, and -59
+        (-1, -2, -3, -7, -59),
+        (-5, -6, -10, -11, -14, -15, -19, -23),
+        (-31, -43, -47, -67, -71, -163, -1003, -5077),
+    ],
+)
+def test_split_prime_element_is_the_scans_to_20000(Ds):
+    _assert_split_prime_is_the_scans(Ds, 20000)
+
+
+def test_split_prime_element_of_a_large_prime_at_once():
+    # the scan over v took 0.9 s on this prime, and hours at 21 digits
+    F = QuadField(-59)
+    for q, ab in (
+        (100000000000031, (8507166, 684305)),
+        (100000000000000000039, (Fraction(1468522391, 2), Fraction(2596749735, 2))),
+    ):
+        start = time.perf_counter()
+        s = split_prime(F, q)
+        assert time.perf_counter() - start < 0.05, q
+        assert s.kind == "split" and s.pi.norm() == q
+        assert (s.pi.a, s.pi.b) == ab
+
+
+def test_principal_representation_against_a_box():
+    # every negative discriminant to -400, fundamental or not, and every
+    # prime q < 200: (x, y) with x^2 + bxy + cy^2 = q exactly when a box
+    # search finds one
+    for disc in range(-3, -401, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        f = principal_form(disc)
+        for q in primes_upto(200):
+            box = isqrt(4 * q) + 1
+            found = any(
+                f.a * x * x + f.b * x * y + f.c * y * y == q
+                for x in range(-box, box + 1)
+                for y in range(0, box + 1)
+            )
+            rep = principal_representation(disc, q)
+            assert (rep is not None) == found, (disc, q)
+            if rep is not None:
+                x, y = rep
+                assert f.a * x * x + f.b * x * y + f.c * y * y == q, (disc, q)
+
+
 def test_reduced_forms_known():
     assert [(f.a, f.b, f.c) for f in reduced_forms(-4)] == [(1, 0, 1)]
     assert [(f.a, f.b, f.c) for f in reduced_forms(-20)] == [(1, 0, 5), (2, 2, 3)]
@@ -262,10 +333,10 @@ def test_reduce_is_idempotent_and_equivalent():
         f = BinaryForm(a, b, c)
         if f.disc >= 0:
             continue
-        g = f.reduce()
+        g = f.reduction()[0]
         assert is_reduced(g)
         assert g.disc == f.disc
-        assert g.reduce() == g
+        assert g.reduction()[0] == g
 
 
 def _transform(f: BinaryForm, gamma) -> BinaryForm:
@@ -295,14 +366,14 @@ def test_reduction_matrix_takes_the_form_to_its_reduction():
         g, gamma = f.reduction()
         (p, q), (r, t) = gamma
         assert p * t - q * r == 1
-        assert _transform(f, gamma) == g == f.reduce(), f
+        assert _transform(f, gamma) == g, f
         assert is_reduced(g)
 
 
 def test_composition_group_axioms():
     for disc in (-59, -20, -56, -84, -47, -71):
         forms = reduced_forms(disc)
-        ident = principal_form(disc).reduce()
+        ident = principal_form(disc).reduction()[0]
         assert ident in forms
         for f in forms:
             assert compose(f, ident) == f
@@ -339,7 +410,7 @@ def test_class_group_structure_consistent():
         # every element's order divides the largest invariant factor
         if structure:
             e = structure[-1]
-            ident = principal_form(disc).reduce()
+            ident = principal_form(disc).reduction()[0]
             for f in res.forms:
                 assert form_pow(f, e) == ident
 

@@ -13,6 +13,9 @@ recursive call, say) do not count; for a method or property that
 statement is its def, so a call from another method of the same class
 counts.  Dunder names are exempt.
 
+Every name a module in src/ imports, at its top or inside a function,
+is read somewhere in that module.
+
 A parameter with a default, on a function or method in src/ whose name is
 not a dunder, must be passed, by keyword or by position, at some call in
 src/ or tests/: a default every caller takes is a constant.  Calls are
@@ -127,6 +130,28 @@ def unreferenced_names(src_dir: Path = SRC, bench_dir: Path = PERFBENCH) -> list
     return bad
 
 
+def unused_imports(src_dir: Path = SRC) -> list:
+    """(module, name) for every name an import in a src/ module binds and
+    the module never reads; `from __future__` imports are exempt."""
+    bad = []
+    for p in sorted(src_dir.glob("*.py")):
+        tree = _parse(p)
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        bad.append((p.stem, name))
+    return bad
+
+
 def _calls(trees) -> dict:
     """name -> [(positional args passed, keywords passed, via attribute)],
     with a starred argument counting as every later position and a **
@@ -212,6 +237,26 @@ def test_every_top_level_name_is_referenced():
 
 def test_every_default_is_passed_somewhere():
     assert unpassed_defaults() == []
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_import_checker_flags_an_unread_name(tmp_path):
+    # a name imported at the top or inside a function and never read is
+    # reported; one read in an annotation, in a call or as the root of an
+    # attribute passes, and so does the __future__ import
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from math import gcd, isqrt\n\n"
+        "def f(x: Fraction) -> int:\n"
+        "    from operator import mul\n"
+        "    return isqrt(x.numerator) + len(os.path.sep)\n"
+    )
+    assert unused_imports(tmp_path) == [("m", "gcd"), ("m", "mul")]
 
 
 def test_checker_flags_an_orphan(tmp_path):
