@@ -297,6 +297,20 @@ class BiquadField:
     def class_number(self) -> int:
         return class_group(self).h
 
+    def residue_unit_counts(self, f: int) -> tuple[int, int]:
+        """The Picard formula's residue counts for the order of index f:
+        (1, 1) for f = 1, the maximal order, which is its own conductor, so
+        both quotients are the zero ring, counted as 1.  The conductor of a
+        smaller quartic order is not read off its index, so f > 1 raises
+        UnresolvedError."""
+        from .orders import UnresolvedError
+
+        if f != 1:
+            raise UnresolvedError(
+                "residue counts of a quartic order of index %d are not decided" % f
+            )
+        return 1, 1
+
     @cached_property
     def relative_order_rows(self) -> tuple:
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring

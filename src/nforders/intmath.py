@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 # ---------------------------------------------------------------------------
 # basic integer helpers
@@ -113,9 +113,9 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n|: of its square root when n is a square,
-    else by trial division up to a cofactor of 1 or, from the divisor 1001
-    on, one that is_prime proves prime (or cannot decide)."""
+    """Prime factorization of |n|, in increasing order of the primes: of its
+    square root when n is a square, else by trial division up to 1000 and,
+    for a cofactor left at the divisor 1001, by _large_primes."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -123,10 +123,12 @@ def factorize(n: int) -> dict[int, int]:
     if r > 1 and r * r == n:
         return {p: 2 * e for p, e in factorize(r).items()}
     out: dict[int, int] = {}
-    f, tested = 2, 1
+    f = 2
     while f * f <= n:
-        if f > 1000 and n != tested and is_prime(tested := n):
-            break
+        if f > 1000:
+            for p in _large_primes(n, f):
+                out[p] = out.get(p, 0) + 1
+            return out
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
@@ -134,6 +136,77 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, in increasing order."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def _large_primes(n: int, f: int) -> list[int]:
+    """The prime factors of n, with multiplicity and sorted, when n has no
+    prime factor below f: a factor below f^2 is then prime, any other is
+    asked of is_prime, and a composite one is split by _rho_divisor."""
+    out, rest = [], [n]
+    while rest:
+        m = rest.pop()
+        if m < f * f or is_prime(m):
+            out.append(m)
+        else:
+            d = _rho_divisor(m)
+            rest += [d, m // d]
+    return sorted(out)
+
+
+# squarings mod n that _rho_divisor spends on one composite, over all its
+# seeds, before it gives up; about 0.2 s on a 30-digit n
+_RHO_MAX_STEPS = 1 << 18
+# differences multiplied together between two gcds
+_RHO_BATCH = 128
+
+
+def _rho_divisor(n: int) -> int:
+    """A divisor 1 < d < n of the composite n, by Brent's variant of
+    Pollard's rho (Brent, BIT 20 (1980); Cohen, GTM 138, section 8.5):
+    iterate y -> y^2 + c mod n from y = 2 for c = 1, 2, ..., compare x, the
+    y at each power of two, with the next r values, and take one gcd with
+    n per _RHO_BATCH differences.  A batch whose gcd reaches n is stepped
+    through again one difference at a time.  Past _RHO_MAX_STEPS
+    squarings in all it raises UnsupportedPrimeError."""
+    steps, c = 0, 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        # a round costs at most 2r squarings
+        while g == 1 and steps + 2 * r <= _RHO_MAX_STEPS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            steps += r + min(k, r)
+            r *= 2
+        if g == 1:
+            raise UnsupportedPrimeError(
+                "cannot factor %d: Pollard-Brent rho found no divisor in "
+                "%d squarings" % (n, _RHO_MAX_STEPS)
+            )
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------

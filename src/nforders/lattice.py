@@ -20,15 +20,12 @@ from operator import mul
 from .intmath import xgcd
 from .quadratic import (
     CFExpansion,
+    UnsupportedFieldError,
     cf_convergents,
     cf_sqrt,
     integer_rows,
     table_matrix,
 )
-
-
-class UnsupportedFieldError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

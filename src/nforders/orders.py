@@ -12,11 +12,11 @@ back-substitution; factorization is trial division with HNF comparison;
 and Picard groups come out of the unit/residue counting formula
 #Pic(o) = h_K * #(O_K/f)^x / ([O_K^x : o^x] * #(o/f)^x), f the conductor,
 with an independent brute-force count to check it, which keys each
-primitive ideal [a, (-b + sqrt(disc o))/2] by its reduced form.  Each residue
-count is closed: for an ideal f of an order o,
-#(o/f)^x = [o : f] * prod (1 - 1/[o : p]) over the primes p of o that
-contain f: the distinct contractions to o of the primes of O_K that
-contain f, found above the rational divisors of [o : f].
+primitive ideal [a, (-b + sqrt(disc o))/2] by its reduced form.  Both
+residue counts are read off the index [O_K : o] by the field
+(residue_unit_counts): a quadratic order of index f is Z + f*O_K, with
+conductor f*O_K and o/f = Z/f, and a maximal order of any degree is its
+own conductor, so no conductor or prime ideal is built for them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, gcd, prod
 
-from .intmath import factorize, sqrt_ub
+from .intmath import divisors, factorize, sqrt_ub
 from .lattice import (
     IntModule,
     _det_int,
@@ -273,17 +273,14 @@ def _prime_modules(field, q: int) -> tuple:
     return tuple(hnf(field, rows) for rows in field.prime_rows(q))
 
 
-def _contractions(o: OrderRep, q: int, f: IntModule | None = None) -> list:
-    """Modules of the prime ideals of o above the rational prime q that
-    contain f (all of them when f is None): the contractions P & o of the
-    primes P of O_K above q that contain f, each once.  A contraction c
-    is a maximal ideal of o, so a P that contains c has P & o = c: P & o
-    is taken only for a P that contains none of the contractions found
-    so far, once per prime of o."""
+def _contractions(o: OrderRep, q: int) -> list:
+    """Modules of the prime ideals of o above the rational prime q: the
+    contractions P & o of the primes P of O_K above q, each once.  A
+    contraction c is a maximal ideal of o, so a P that contains c has
+    P & o = c: P & o is taken only for a P that contains none of the
+    contractions found so far, once per prime of o."""
     out = []
     for P in _prime_modules(o.field, q):
-        if f is not None and not P.contains_module(f):
-            continue
         if not any(P.contains_module(c) for c in out):
             out.append(P if o.is_maximal else P.intersect(o.module))
     return out
@@ -331,28 +328,6 @@ def factor_ideal(a: OrderIdeal) -> IdealFactorization:
 # residue and unit counting
 
 
-def residue_unit_count(o: OrderRep, f) -> int:
-    """#(o/f)^x for an ideal f of o, given as an OrderIdeal or its module.
-
-    o/f is a finite ring, the product of its localisations at the primes p
-    of o that contain f, so #(o/f)^x = [o : f] * prod (1 - 1/[o : p]).
-    By lying over, the p are the contractions P & o of the primes P of O_K,
-    and as f lies in o, P & o contains f exactly when P does; such a P
-    contains [o : f], so lies above a prime q dividing it.  _contractions
-    takes one intersection per p, none when o is maximal.  Each index is
-    a quotient of HNF pivot products.  The trivial quotient counts as 1."""
-    fmod = f.module if isinstance(f, OrderIdeal) else f
-    if not (o.module.contains_module(fmod) and _closed_under(o, fmod.rows)):
-        raise ValueError("f must be an ideal of the order")
-    n_o = o.index_in_maximal()
-    count = _pivots(fmod.rows) // n_o
-    for q in factorize(count):
-        for p in _contractions(o, q, fmod):
-            Np = _pivots(p.rows) // n_o
-            count = count // Np * (Np - 1)
-    return count
-
-
 def unit_index(o: OrderRep) -> int:
     """[O_K^x : o^x].  Decided for imaginary quadratic fields, whose unit
     group is the torsion, and for the maximal order of a quartic field.
@@ -385,14 +360,21 @@ class PicardTerms:
 
 
 def picard_terms(o: OrderRep) -> PicardTerms:
-    """The Picard formula for o, each residue count taken once."""
+    """The Picard formula for o, with both residue counts read off its
+    index f = [O_K : o] by field.residue_unit_counts.
+
+    A quadratic order of index f is
+    Z + f*O_K (Cox, Primes of the form x^2 + ny^2, section 7): its
+    conductor is f*O_K, so #(O_K/f)^x = f^2 prod (1 - 1/q)(1 - chi(q)/q)
+    over the primes q | f, chi(q) = 1, -1, 0 as q splits, stays inert or
+    ramifies, and o/f = Z/f has phi(f) units.  A maximal order is its
+    own conductor, so both quotients are the zero ring and count 1.  A
+    non-maximal quartic order raises UnresolvedError at its unit index,
+    before any count."""
     field = o.field
     u = unit_index(o)  # first: an unresolved index raises before the class group
     h_K = field.class_number()
-    f = conductor(o)
-    omax = maximal_order(field)
-    nf_max = residue_unit_count(omax, f.module)
-    nf_o = residue_unit_count(o, f.module)
+    nf_max, nf_o = field.residue_unit_counts(o.index_in_maximal())
     num = h_K * nf_max
     den = u * nf_o
     if num % den:
@@ -409,6 +391,19 @@ def picard_number(o: OrderRep) -> int:
 
 # ---------------------------------------------------------------------------
 # brute-force Picard count
+
+
+# (a, b) pairs past which pic_brute_force refuses to scan.  The complete
+# scan of Z + 2000*Z[i] visits 4,935,847 of them in about 0.7 s on a
+# 2-vCPU machine, and that of any order with |disc o| <= 10^7 fewer.
+_BRUTE_FORCE_MAX_PAIRS = 6 * 10**6
+
+
+def _scan_pairs(f: int, scan: int) -> int:
+    """The number of (a, b) pairs _primitive_ideals visits for an order of
+    index f: for each q | f, a = k*q for k = 1..m, m = scan*q // f, and k
+    values of b for each."""
+    return sum(m * (m + 1) // 2 for m in (scan * q // f for q in divisors(f)))
 
 
 @dataclass(frozen=True)
@@ -444,19 +439,18 @@ def _primitive_ideals(o: OrderRep, scan: int):
     mod 2, so I has the rows (a, 0) and (g0, f), and its content is
     gcd(a, g0, f), a divisor q of f.  For each q the loop takes a in qZ and
     b = -s*f mod 2q, which makes q divide g0, and keeps the ideals whose
-    content is exactly q."""
+    content is exactly q.  The test b^2 = disc o mod 4a runs in one
+    comprehension per a."""
     f = o.index_in_maximal()
     s = o.field.disc % 2
     disc = o.field.disc * f * f
-    for q in range(1, f + 1):
-        if f % q:
-            continue
+    for q in divisors(f):
         for a in range(q, scan * q * q // f + 1, q):
-            lo = 1 - a
-            for b in range(lo + (-s * f - lo) % (2 * q), a + 1, 2 * q):
-                c, r = divmod(b * b - disc, 4 * a)
-                if r:
-                    continue
+            lo, m = 1 - a, 4 * a
+            t = disc % m
+            bs = range(lo + (-s * f - lo) % (2 * q), a + 1, 2 * q)
+            for b in [b for b in bs if b * b % m == t]:
+                c = (b * b - disc) // m
                 g0 = -(b + s * f) // 2
                 if gcd(gcd(a, g0), f) == q:
                     yield a, b, c, ((a, 0), (g0 % a, f))
@@ -500,6 +494,12 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     else:
         complete = Fraction(norm_bound) >= mink
     scan = min(norm_bound, ceil(mink))
+    pairs = _scan_pairs(f, scan)
+    if pairs > _BRUTE_FORCE_MAX_PAIRS:
+        raise UnresolvedError(
+            "brute-force Picard count would scan %d (a, b) pairs, past the "
+            "limit %d" % (pairs, _BRUTE_FORCE_MAX_PAIRS)
+        )
     keys = set()
     for a, b, c, rows in _primitive_ideals(o, scan):
         if gcd(gcd(a, b), c) != 1:

@@ -17,6 +17,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .intmath import (
+    factorize,
     is_prime,
     is_square,
     is_squarefree,
@@ -24,6 +25,10 @@ from .intmath import (
     poly_roots_mod,
     sqrt_mod,
 )
+
+
+class UnsupportedFieldError(ValueError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +282,20 @@ class QuadField:
     def class_number(self) -> int:
         return form_class_group(self.disc).h
 
+    def residue_unit_counts(self, f: int) -> tuple[int, int]:
+        """(#(O_K/f O_K)^x, #(o/f O_K)^x) for o = Z + f*O_K, the order of
+        index f, whose conductor is f*O_K (Cox, Primes of the form x^2 +
+        ny^2, section 7).  O_K/f O_K is the product over q^e || f of the
+        O_K/q^e O_K, with q^(2e) (1 - 1/q)(1 - chi(q)/q) units, chi(q) = 1,
+        -1 or 0 as q splits, stays inert or ramifies; and o/f O_K is Z/f,
+        with phi(f) units.  Both are 1 for f = 1."""
+        phi = psi = f  # phi(f), and f * prod (1 - chi(q)/q)
+        for q in factorize(f):
+            chi = {"split": 1, "inert": -1, "ramified": 0}[split_kind(self, q)]
+            phi = phi // q * (q - 1)
+            psi = psi // q * (q - chi)
+        return phi * psi, phi
+
     def __repr__(self):
         return "QuadField(%d)" % self.D
 
@@ -439,10 +458,22 @@ def principal_representation(disc: int, q: int) -> tuple[int, int] | None:
     return (t, -r) if f == principal_form(disc) else None
 
 
+# |disc| above which reduced_forms refuses to run: its loops take about
+# |disc|/10 steps, 0.1 s at this bound on a 2-vCPU machine
+_REDUCED_FORMS_MAX_DISC = 10**7
+
+
 def reduced_forms(disc: int) -> list[BinaryForm]:
-    """All reduced primitive positive definite forms of the discriminant."""
+    """All reduced primitive positive definite forms of the discriminant,
+    for |disc| up to _REDUCED_FORMS_MAX_DISC; UnsupportedFieldError past
+    it."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("need a negative discriminant = 0 or 1 mod 4")
+    if -disc > _REDUCED_FORMS_MAX_DISC:
+        raise UnsupportedFieldError(
+            "reduced forms of discriminant %d: |disc| exceeds the limit %d"
+            % (disc, _REDUCED_FORMS_MAX_DISC)
+        )
     out = []
     b = disc % 2
     while 3 * b * b <= -disc:

@@ -5,7 +5,7 @@ Test helpers, not collected by pytest.  `counting_audit` recomputes
 congruence-subgroup predicates `in_PK1f` and `in_PKOf`.  `_residue_reps`
 and `_is_unit_mod` enumerate the classes of o/f one by one;
 `residue_unit_count_by_enumeration` counts the units among them, the
-oracle for the closed form `orders.residue_unit_count`.
+oracle for the prime-contraction count `oracles.residue_unit_count`.
 """
 
 from dataclasses import dataclass

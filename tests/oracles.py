@@ -9,8 +9,12 @@ reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
 `fraction_inverse`, `naive_to_coords`, `primes_upto`, `sqrt_lb`,
 `unit_equation_scan` and `witness_box` are helpers that nothing in the
-library calls.  `oracle_norm_form_element` is the scan `split_prime` ran
-for its element before it read it off a form reduction.  `FracQuad` and
+library calls.  `residue_unit_count` is the prime-contraction count of
+#(o/f)^x for any ideal f of any order, which the Picard formula ran twice
+per order before it read both counts off the index; it is the oracle for
+the closed forms of `QuadField.residue_unit_counts`.
+`oracle_norm_form_element` is the scan `split_prime` ran for its element
+before it read it off a form reduction.  `FracQuad` and
 `FracBiquad` are the field elements as they were before they became
 integer coordinates over one denominator: exact `Fraction` arithmetic,
 kept as the oracle for the elements that replaced them.
@@ -38,6 +42,7 @@ from nforders.lattice import (
     find_generator,
     identity_module,
 )
+from nforders.orders import OrderIdeal, OrderRep, _closed_under, _contractions, _pivots
 from nforders.quadratic import (
     BinaryForm,
     QuadElem,
@@ -87,6 +92,34 @@ def oracle_norm_form_element(F: QuadField, q: int) -> QuadElem | None:
         if u * u == u2 and (u - v) % s == 0:
             return F(Fraction(u, s), Fraction(v, s))
     return None
+
+
+# ---------------------------------------------------------------------------
+# residue counts
+
+
+def residue_unit_count(o: OrderRep, f) -> int:
+    """#(o/f)^x for an ideal f of o, given as an OrderIdeal or its module.
+
+    o/f is a finite ring, the product of its localisations at the primes p
+    of o that contain f, so #(o/f)^x = [o : f] * prod (1 - 1/[o : p]).
+    By lying over, the p are the contractions P & o of the primes P of O_K,
+    and as f lies in o, P & o contains f exactly when P does; such a P
+    contains [o : f], so lies above a prime q dividing it.  _contractions
+    takes one intersection per prime of o above q, none when o is
+    maximal.  Each index is a quotient of HNF pivot products.  The trivial
+    quotient counts as 1."""
+    fmod = f.module if isinstance(f, OrderIdeal) else f
+    if not (o.module.contains_module(fmod) and _closed_under(o, fmod.rows)):
+        raise ValueError("f must be an ideal of the order")
+    n_o = o.index_in_maximal()
+    count = _pivots(fmod.rows) // n_o
+    for q in factorize(count):
+        for p in _contractions(o, q):
+            if p.contains_module(fmod):
+                Np = _pivots(p.rows) // n_o
+                count = count // Np * (Np - 1)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nforders import cli, orders
+from nforders.lattice import IntModule
 from nforders.quadratic import QuadField
 from oracles import from_integral_coords
 
@@ -170,23 +171,41 @@ def test_audit_failure_exits_1_with_an_error_line(capsys, monkeypatch):
 
 
 def test_picard_counts_each_residue_group_once(capsys, monkeypatch):
-    counted = []
-    residue_unit_count = orders.residue_unit_count
+    # both counts come off the index 3: picard_terms builds no conductor,
+    # colon module, prime of O_K or intersection
+    inside, calls = [], []
+    picard_terms = cli.picard_terms
 
-    def count(o, f):
-        counted.append(o)
-        return residue_unit_count(o, f)
+    def traced_terms(o):
+        inside.append(o)
+        try:
+            return picard_terms(o)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(orders, "residue_unit_count", count)
-    # and wherever the CLI might bind it by name
-    monkeypatch.setattr(cli, "residue_unit_count", count, raising=False)
+    def counting(name, fn):
+        def counted(*args):
+            if inside:
+                calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(cli, "picard_terms", traced_terms)
+    for owner, name in [
+        (orders, "conductor"),
+        (orders, "module_colon"),
+        (QuadField, "prime_rows"),
+        (IntModule, "intersect"),
+    ]:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     code, doc = run_json(capsys, ["picard", "index:-7:3"])
     assert code == 0
     # 3 is inert in Q(sqrt(-7)): (O_K/3)^x has 9 - 1 elements, and
     # o/3O_K = (Z + 3O_K)/3O_K is Z/3, with 2 units
     assert doc["unit_counts"] == {"maximal_mod_conductor": 8, "order_mod_conductor": 2}
     assert doc["picard"] == 8 // 2
-    assert len(counted) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,190 @@
+"""The input contract of the CLI: every call ends in bounded time with exit
+0, 1, 2 or 3 and no traceback.  Inputs whose work grows with their size
+meet a named limit first: the Pollard-Brent steps of `factorize`, the
+|disc| of `reduced_forms` and the (a, b) pairs of the brute-force Picard
+count, which then prints null."""
+
+import contextlib
+import io
+import json
+import random
+import time
+from math import ceil
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nforders import cli, orders
+from nforders.orders import (
+    UnresolvedError,
+    _scan_pairs,
+    order_with_index,
+    order_zsqrt,
+    pic_brute_force,
+)
+from nforders.quadratic import (
+    _REDUCED_FORMS_MAX_DISC,
+    QuadField,
+    UnsupportedFieldError,
+    form_class_group,
+    reduced_forms,
+)
+
+from ideals import picard_pool
+
+
+def timed_main(argv):
+    """cli.main(argv) in this interpreter: (exit code, stdout, stderr,
+    seconds)."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+# ---------------------------------------------------------------------------
+# the reproductions that used to hang
+
+
+Q1, Q2 = 1000000007, 1000000009  # 3 and 1 mod 4: inert and split in Q(i)
+
+
+@pytest.mark.parametrize(
+    "argv,picard",
+    [
+        # 100000007 = 3 mod 4 is inert in Q(i): h_K (q^2 - 1) / (2 (q - 1))
+        (["picard", "index:-1:100000007"], 50000004),
+        # f = Q1 * Q2 goes through Pollard-Brent rho
+        (["picard", "index:-1:%d" % (Q1 * Q2)], (Q1 + 1) * (Q2 - 1) // 2),
+    ],
+    ids=["prime", "two_primes"],
+)
+def test_picard_of_a_huge_index_prints_no_brute_force(argv, picard):
+    code, out, err, seconds = timed_main(argv)
+    assert seconds < 1.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["picard"] == picard
+    assert doc["brute_force"] is None and doc["agree"] is None
+
+
+@pytest.mark.parametrize("spec", ["max:-100000000003", "zsqrt:-10000000019"])
+def test_picard_of_a_huge_discriminant_exits_3(spec):
+    code, out, err, seconds = timed_main(["picard", spec])
+    assert seconds < 1.0
+    assert code == 3 and out == ""
+    assert "exceeds the limit %d" % _REDUCED_FORMS_MAX_DISC in err
+
+
+def test_factor_of_a_product_of_two_large_primes():
+    code, out, err, seconds = timed_main(["factor", "max:-59", str(Q1 * Q2)])
+    assert seconds < 1.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["remultiplies"] is True
+    # Q2 splits in Q(sqrt(-59)) and Q1 stays inert
+    assert [(f["norm"], f["exponent"]) for f in doc["factors"]] == [
+        (Q2, 1),
+        (Q2, 1),
+        (Q1 * Q1, 1),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the limits sit above every input the tests and the benchmark use
+
+
+def test_brute_force_limit_keeps_the_pools_complete():
+    # the benchmark's picard pool, the acceptance-06 grid and the largest
+    # order a test scans in full, Z + 2000*Z[i], each scan under the limit
+    pool = list(picard_pool().values())
+    pool += [
+        order_zsqrt(QuadField(-n))
+        for n in range(1, 31)
+        if not any(n % (q * q) == 0 for q in range(2, 6))
+    ]
+    pool.append(order_with_index(QuadField(-1), 2000))
+    for o in pool:
+        r = pic_brute_force(o)
+        assert r.complete
+        scan = ceil(r.minkowski_bound)
+        assert _scan_pairs(o.index_in_maximal(), scan) <= orders._BRUTE_FORCE_MAX_PAIRS
+
+
+def test_brute_force_refuses_a_scan_past_the_limit():
+    o = order_with_index(QuadField(-1), 3000)
+    limit = "past the limit %d" % orders._BRUTE_FORCE_MAX_PAIRS
+    with pytest.raises(UnresolvedError, match=limit):
+        pic_brute_force(o)
+    # an explicit bound below the limit still scans
+    assert pic_brute_force(o, 100).complete is False
+
+
+def test_reduced_forms_limit():
+    D = -_REDUCED_FORMS_MAX_DISC
+    while D % 4 not in (0, 1):
+        D += 1
+    start = time.perf_counter()
+    assert form_class_group(D).h > 0
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(UnsupportedFieldError, match="exceeds the limit"):
+        reduced_forms(D - 4)
+
+
+# ---------------------------------------------------------------------------
+# any order spec with integers of up to 30 digits
+
+
+def _digits(seed: int, k: int) -> int:
+    return random.Random(seed).randrange(10 ** (k - 1), 10**k)
+
+
+# a size of 1 to 30 digits first, so that every size is drawn as often;
+# hypothesis favours round numbers, and a seeded draw gives the rest
+DIGITS = st.one_of(
+    st.integers(1, 30).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1)),
+    st.builds(_digits, st.integers(0, 2**32), st.integers(1, 30)),
+)
+INTS = st.one_of(DIGITS, DIGITS.map(lambda x: -x), st.just(0))
+FIELD_D = st.one_of(st.sampled_from([-1, -2, -3, -7, -14, -59, 2, 5]), INTS)
+FIELD_DN = st.one_of(st.sampled_from([2, 3, 5, 7, 10, 11, 23, 31, 59]), INTS)
+SPEC = st.one_of(
+    st.builds("max:{}".format, FIELD_D),
+    st.builds("zsqrt:{}".format, FIELD_D),
+    st.builds("index:{}:{}".format, FIELD_D, INTS),
+    st.builds("rel:{}:{}".format, FIELD_DN, FIELD_DN),
+)
+ELEMENT = st.one_of(
+    st.builds(str, INTS), st.builds("{}+{}*w".format, INTS, DIGITS)
+)
+ARGV = st.one_of(
+    st.builds(lambda s: ["picard", "--", s], SPEC),
+    st.builds(lambda s, b: ["picard", "--bound", str(b), "--", s], SPEC, INTS),
+    st.builds(lambda s: ["conductor", "--", s], SPEC),
+    st.builds(lambda s, e: ["factor", "--", s, e], SPEC, ELEMENT),
+)
+
+
+# two 15-digit primes: past the Pollard-Brent steps factorize may spend
+HARD = 100000000000031 * 1000000000000037
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=ARGV)
+@example(argv=["picard", "--", "index:-1:%d" % (Q1 * Q2)])
+@example(argv=["picard", "--", "index:-1:%d" % HARD])
+@example(argv=["picard", "--", "max:-%d" % HARD])
+@example(argv=["conductor", "--", "rel:%d:2" % HARD])
+@example(argv=["factor", "--", "max:-59", str(HARD)])
+@example(argv=["factor", "--", "max:-59", "%d+1*w" % Q1])
+@example(argv=["picard", "--bound", "5", "--", "index:-1:%d" % 10**29])
+@example(argv=["picard", "--", "max:-%d" % (10**30 - 3)])
+def test_every_spec_ends_in_bounded_time(argv):
+    code, _, err, seconds = timed_main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, argv
+    assert seconds < 2.0, (argv, seconds)

@@ -244,6 +244,24 @@ def test_factorize_keeps_is_prime_off_small_inputs(monkeypatch):
     assert calls == [1009 * 1013 * 1019, 1013 * 1019]
 
 
+def test_factorize_splits_large_cofactors_by_rho():
+    # a cofactor left at the divisor 1001 with two or more prime factors is
+    # split by Pollard-Brent rho; the primes come out in increasing order
+    rng = random.Random(30)
+    for _ in range(40):
+        n = rng.randrange(1, 10**4)
+        for _ in range(rng.randrange(2, 4)):
+            n *= sympy.nextprime(rng.randrange(10**3, 10 ** rng.randrange(4, 10)))
+        fac = factorize(n)
+        assert fac == sympy.factorint(n) and list(fac) == sorted(fac), n
+    assert factorize(1000000007 * 1000000009) == {1000000007: 1, 1000000009: 1}
+    assert factorize(7 * 1009**3 * 1013) == {7: 1, 1009: 3, 1013: 1}
+    # two 15-digit primes need more squarings than the cap allows: the
+    # refusal exits 3, where trial division would run for days
+    with pytest.raises(UnsupportedPrimeError, match="Pollard-Brent"):
+        factorize(100000000000031 * 1000000000000037)
+
+
 def test_primes_upto():
     ps = primes_upto(10**4)
     assert ps[:6] == [2, 3, 5, 7, 11, 13]

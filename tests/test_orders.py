@@ -24,7 +24,6 @@ from nforders.orders import (
     pic_brute_force,
     picard_number,
     principal_ideal,
-    residue_unit_count,
     unit_ideal,
     unit_index,
 )
@@ -39,6 +38,7 @@ from ideals import (
     ideal_quot,
     picard_pool,
 )
+from oracles import residue_unit_count
 
 F1 = QuadField(-1)
 F2 = QuadField(-2)

@@ -1,7 +1,9 @@
-"""The closed form of `orders.residue_unit_count` against the enumeration
-of every residue class in `audit.py` and against Cox's closed form for
-Z + c*O_K, the work one Picard formula does, and the scan bound of
-`pic_brute_force`."""
+"""The residue counts of the Picard formula: the prime-contraction count
+`oracles.residue_unit_count` against the enumeration of every residue
+class in `audit.py`, the closed forms `residue_unit_counts` that
+`picard_terms` reads off the index against that count and against Cox's
+closed form for Z + c*O_K, the work one Picard formula does, and the scan
+bounds of `pic_brute_force`."""
 
 from math import ceil, prod
 
@@ -13,17 +15,18 @@ from nforders.biquadratic import integral_basis
 from nforders.intmath import factorize
 from nforders.lattice import IntModule, hnf
 from nforders.orders import (
+    UnresolvedError,
     conductor,
     maximal_order,
     order_with_index,
     pic_brute_force,
     picard_terms,
     relative_order,
-    residue_unit_count,
 )
 from nforders.quadratic import QuadField
 
 from audit import residue_unit_count_by_enumeration
+from oracles import residue_unit_count
 
 SQUAREFREE = [d for d in range(1, 24) if all(e == 1 for e in factorize(d).values())]
 
@@ -67,6 +70,55 @@ def test_e37_relative_and_maximal_order():
     f = conductor(o).module
     assert_counts_agree(maximal_order(o.field), f)
     assert_counts_agree(o, f)
+    # the Picard formula does not read these counts: E37's unit index is
+    # undecided, and its field does not read counts off an index > 1
+    with pytest.raises(UnresolvedError):
+        picard_terms(o)
+    with pytest.raises(UnresolvedError):
+        o.field.residue_unit_counts(o.index_in_maximal())
+
+
+def test_closed_forms_match_the_contraction_count():
+    # every order Z + f*O_K of Q(sqrt(-d)), d < 200 squarefree, f < 40:
+    # the field's closed forms are the prime-contraction counts modulo the
+    # conductor the library computes as a colon module
+    orders_seen = 0
+    for d in range(1, 200):
+        if not _is_squarefree(d):
+            continue
+        F = QuadField(-d)
+        omax = maximal_order(F)
+        for f in range(1, 40):
+            o = order_with_index(F, f)
+            fmod = conductor(o).module
+            expected = (residue_unit_count(omax, fmod), residue_unit_count(o, fmod))
+            assert F.residue_unit_counts(o.index_in_maximal()) == expected, (d, f)
+            orders_seen += 1
+    assert orders_seen == 4758
+
+
+def test_maximal_quartic_orders_count_one():
+    # the acceptance-08 fields: a maximal order is its own conductor
+    H, Q = Fraction(1, 2), Fraction(1, 4)
+    fields = [
+        integral_basis(d, n)
+        for d, n in [
+            (3, 1), (3, 2), (3, 5), (3, 10), (7, 1), (7, 2), (7, 5), (7, 10),
+            (11, 1), (11, 2), (11, 5), (15, 2), (19, 1), (23, 2), (35, 2),
+            (59, 2), (59, 5),
+        ]
+    ]
+    rows12 = ((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
+    rows715 = ((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
+    fields += [
+        integral_basis(1, 2, basis=rows12, disc=256),
+        _e37(),
+        integral_basis(7, 15, basis=rows715, disc=11025),
+    ]
+    for E in fields:
+        omax = maximal_order(E)
+        assert E.residue_unit_counts(omax.index_in_maximal()) == (1, 1), E
+        assert residue_unit_count(omax, conductor(omax)) == 1, E
 
 
 @pytest.mark.parametrize("d,n", [(59, 2), (11, 10)])
@@ -130,39 +182,44 @@ def test_picard_pool_counts_match_cox():
         assert t.units_o * prod(qs) == c * prod(q - 1 for q in qs), (D, c)
 
 
+def _counting(calls, name, fn):
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return counted
+
+
 def test_picard_terms_takes_the_primes_of_o_k_once(monkeypatch):
-    # one picard_terms call reads prime_rows once for each prime q of
-    # [O_K : f], for both residue counts, and intersects the primes of O_K
-    # with o's module only: never with O_K, and not at all when o = O_K
-    rows_of = []
-    intersects = []
-    prime_rows = QuadField.prime_rows
-    intersect = IntModule.intersect
-
-    def counted_rows(field, q):
-        rows_of.append(q)
-        return prime_rows(field, q)
-
-    def counted_intersect(m, other):
-        intersects.append(other)
-        return intersect(m, other)
-
-    monkeypatch.setattr(QuadField, "prime_rows", counted_rows)
-    monkeypatch.setattr(IntModule, "intersect", counted_intersect)
+    # one picard_terms call reads both residue counts off the index: it
+    # builds no conductor, colon module, prime of O_K or intersection, on
+    # any order of the pool or its maximal order, and its counts are the
+    # prime-contraction counts modulo the conductor, 1 and 1 when o = O_K
+    calls = []
+    for owner, name in [
+        (orders, "conductor"),
+        (orders, "module_colon"),
+        (QuadField, "prime_rows"),
+        (IntModule, "intersect"),
+    ]:
+        monkeypatch.setattr(owner, name, _counting(calls, name, getattr(owner, name)))
     for D, c in picard_pool():
         F = QuadField(D)
         for o in (order_with_index(F, c), maximal_order(F)):
             orders._prime_modules.cache_clear()
-            rows_of.clear()
-            intersects.clear()
+            calls.clear()
             t = picard_terms(o)
+            assert calls == [], (D, c)
             f = conductor(o).module
-            N = prod(row[i] for i, row in enumerate(f.rows))
-            assert sorted(rows_of) == sorted(factorize(N)), (D, c)
+            assert t.units_max == residue_unit_count(maximal_order(F), f), (D, c)
+            assert t.units_o == residue_unit_count(o, f), (D, c)
             if o.is_maximal:
-                assert intersects == [] and t.units_max == t.units_o == 1
-            else:
-                assert intersects and all(m == o.module for m in intersects)
+                assert t.units_max == t.units_o == 1
+    # the counters see the work of the contraction count
+    calls.clear()
+    o = order_with_index(QuadField(-7), 3)
+    residue_unit_count(o, orders.conductor(o))
+    assert {"conductor", "prime_rows", "intersect"} <= set(calls)
 
 
 @pytest.mark.parametrize("pool", ["benchmark", "large"])
