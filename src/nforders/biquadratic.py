@@ -109,15 +109,29 @@ def _integral_row(Bi, naive, what: str) -> tuple:
 
 def _products_table(d: int, n: int, rows, Bi) -> tuple:
     """T[i][j] = coords(b_i * b_j) for the basis rows (naive coordinates),
-    as integers; ValueError when a product leaves the basis span."""
+    as integers; ValueError when a product leaves the basis span.  With
+    rows = A / L, A integer, and Bi = (M, D), b_i * b_j has the coordinates
+    _nmul(A_i, A_j) M / (D L^2), each numerator 0 mod D L^2 if integral."""
     what = "basis is not closed under multiplication at pair (%d, %d)"
-    return tuple(
-        tuple(
-            _integral_row(Bi, _nmul(d, n, ri, rj), what % (i, j))
-            for j, rj in enumerate(rows)
-        )
-        for i, ri in enumerate(rows)
-    )
+    flat, L = integer_coords([x for row in rows for x in row])
+    A, M, den = [flat[i : i + 4] for i in range(0, 16, 4)], Bi[0], Bi[1] * L * L
+    out = []
+    for i, ai in enumerate(A):
+        c = _times([_nmul(d, n, ai, aj) for aj in A], M)
+        for j, cj in enumerate(c):
+            if any(x % den for x in cj):
+                raise ValueError(what % (i, j))
+        out.append(tuple(tuple(x // den for x in cj) for cj in c))
+    return tuple(out)
+
+
+def _trace_form(T, rows) -> list:
+    """Tr(b_i * b_j) = sum_k T[i][j][k] Tr(b_k) for the structure constants
+    T of the basis rows (naive coordinates), Tr(b_k) being 4 times the
+    rational naive coordinate of b_k; ValueError unless those are integers,
+    as they are when the rows span a ring."""
+    (tr,) = integer_rows([[4 * row[0] for row in rows]], "trace form")
+    return [[sum(map(mul, Tij, tr)) for Tij in Ti] for Ti in T]
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +163,6 @@ class BiquadField:
     disc: int
 
     degree = 4
-
-    def __post_init__(self):
-        check_field_params(self.d, self.n)
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.intbasis)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("intbasis must be 4x4")
-        object.__setattr__(self, "intbasis", rows)
-        object.__setattr__(self, "disc", int(self.disc))
 
     def from_basis_coords(self, coords) -> "BiquadElem":
         return BiquadElem(self, *integer_coords(coords))
@@ -226,19 +232,10 @@ class BiquadField:
 
     @cached_property
     def _t2_gram_rows(self) -> tuple:
-        els = [
-            self.from_basis_coords([1 if j == i else 0 for j in range(4)])
-            for i in range(4)
-        ]
-        out = []
-        for x in els:
-            row = []
-            for y in els:
-                t = (x * y.complex_conj()).trace()
-                assert t.denominator == 1
-                row.append(int(t))
-            out.append(tuple(row))
-        return tuple(out)
+        # Tr(b_i * conj(b_j)) = sum_m C[j][m] Tr(b_i * b_m), row j of C
+        # the coordinates of conj(b_j)
+        P = _trace_form(self.mult_table, self.intbasis)
+        return tuple(_times(P, tuple(zip(*self.complex_conj_matrix))))
 
     def real_subfield_data(self) -> tuple[int, int]:
         """(D0, s) with d*n = s*s*D0 and D0 squarefree; Q(sqrt(D0)) is the
@@ -315,18 +312,12 @@ class BiquadField:
     def relative_order_rows(self) -> tuple:
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring
         generator of the integers of Q(sqrt(-d)), built once per field."""
-        if self.d % 4 == 3:
-            w = (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0))
-        else:
-            w = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-        wn = _nmul(self.d, self.n, w, (0, 0, 1, 0))
-        rows = []
-        for naive in ((1, 0, 0, 0), w, (0, 0, 1, 0), wn):
-            e = self.from_naive(naive)
-            if e.den != 1:
-                raise ValueError("relative order does not lie in the basis span")
-            rows.append(e.u)
-        return tuple(rows)
+        h = Fraction(1, 2) if self.d % 4 == 3 else 0
+        w, t = self.from_naive((h, 1 - h, 0, 0)), self.gens()[1]
+        els = (self.one(), w, t, w * t)
+        if any(e.den != 1 for e in els):
+            raise ValueError("relative order does not lie in the basis span")
+        return tuple(e.u for e in els)
 
     def torsion_units(self) -> tuple:
         """All roots of unity: exactly the integral elements with T2 = 4."""
@@ -358,12 +349,6 @@ class BiquadElem(FieldElem):
     """An element of Q(sqrt(-d), sqrt(-n)) over the field's integral basis."""
 
     coords = property(FieldElem.basis_coords)
-
-    def naive(self):
-        """Coordinates over {1, sqrt(-d), sqrt(-n), sqrt(d*n)}."""
-        return tuple(
-            sum(map(mul, self.u, col)) / self.den for col in zip(*self.field.intbasis)
-        )
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -452,19 +437,14 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
     for nv in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
         _integral_row(Bi, nv, "basis span misses one of the radical generators")
     table = _products_table(d, n, rows, Bi)
-    # trace pairing: Tr picks 4 times the rational naive coordinate; the
-    # rows span a ring, so every product is integral and so is its trace
-    tg = integer_rows(
-        [[4 * _nmul(d, n, rows[i], rows[j])[0] for j in range(4)] for i in range(4)],
-        "trace form",
-    )
-    D = _det_int(tg)
+    D = _det_int(_trace_form(table, rows))
     if D == 0:
         raise ValueError("degenerate trace form")
     if disc is not None and D != disc:
         raise ValueError(
             "trace-form discriminant %s does not match declared %d" % (D, disc)
         )
+    check_field_params(d, n)
     field = BiquadField(d, n, rows, D)
     # the verified tables are the field's: seed the cached properties
     vars(field).update(basis_inverse=Bi, mult_table=table)

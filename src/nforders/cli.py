@@ -28,6 +28,7 @@ from .criteria import (
     UNKNOWN,
     UNRESOLVED,
     _divides,
+    _prime_field,
     cox_criterion,
     criterion_hilbert,
     criterion_quadr,
@@ -401,7 +402,7 @@ def cmd_sweep(args):
     rows = []
     divergences = 0
     for p in prime_elements(F, args.bound):
-        if _divides(p, 2 * args.d * args.n):
+        if (2 * args.d * args.n) % _prime_field(p, args.d)[1] == 0:
             continue
         rep = criterion_hilbert(p, args.d, args.n, f=poly)
         out = represent(p, args.d, args.n)

@@ -16,22 +16,23 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .biquadratic import (
+    _IDENTITY4,
     BiquadElem,
     BiquadField,
     check_field_params,
-    ideal_of_elements,
     integral_basis,
 )
 from .intmath import (
     is_prime,
     jacobi,
     poly_discriminant,
+    poly_eval,
     poly_roots_mod,
     polp_factor,
     polp_trim,
     sqrt_mod,
 )
-from .lattice import UnsupportedFieldError, _times, find_generator
+from .lattice import IntModule, UnsupportedFieldError, find_generator
 from .quadratic import (
     QuadElem,
     QuadField,
@@ -211,36 +212,53 @@ def _unit_equation(d: int, n: int):
     return u, v
 
 
+def _unit_detail(d: int, n: int, uv) -> str:
+    """unit_equation_solvable's detail: (u, v), or their bit lengths where
+    one has more digits than Python converts to a string."""
+    if uv is None:
+        return "no solution, decided from the Pell unit of Z[sqrt(%d)]" % (d * n)
+    try:
+        return "(u, v) = %r" % (uv,)
+    except ValueError:
+        bits = tuple(x.bit_length() for x in uv)
+        return "%d*u^2 - %d*v^2 = 1 with u of %d bits and v of %d bits" % ((d, n) + bits)
+
+
 # ---------------------------------------------------------------------------
 # residue fields of prime elements
 
 
 def _residue_data(p: QuadElem):
-    """(q, deg, r) for the residue field of a prime element: F_q with omega
-    mapping to a root r (deg 1), or F_{q^2} for p an associate of an inert
-    rational prime (deg 2, r None)."""
+    """(q, deg, r) for the residue field of a prime element p = x + y*w:
+    F_q with omega mapping to a root r (deg 1), or F_{q^2} for p an
+    associate of an inert rational prime (deg 2, r None).  For N(p) = q,
+    q does not divide y (else q | x and q^2 | N(p) = x^2 + c1*x*y - c0*y^2,
+    w^2 = c0 + c1*w), and with r = -x/y mod q a root of omega's minimal
+    polynomial, (q, w - r) is a prime of norm q holding p = (x + y*r) +
+    y*(w - r), so it is (p).  For N(p) = q^2, p is an associate of q
+    exactly when q divides x and y."""
     F = p.field
     if not p.is_integral():
         raise ValueError("not an integral element: %r" % (p,))
+    x, y = p.u
     nrm = abs(F.norm_form(p.u))
     if is_prime(nrm):
         q = nrm
-        for r in poly_roots_mod(F.omega_minpoly(), q):
-            if _divides(p, F.omega() - r):
-                return q, 1, r
-        raise AssertionError("norm-q element outside every ideal above q")
+        r = -x * pow(y, -1, q) % q
+        assert poly_eval(F.omega_minpoly(), r) % q == 0 and (x + y * r) % q == 0
+        return q, 1, r
     q = isqrt(nrm)
-    if q * q == nrm and is_prime(q):
-        if _divides(F(q), p) and _divides(p, q):
-            # an associate of q is prime only when q stays inert
-            if split_kind(F, q) == "inert":
-                return q, 2, None
+    # an associate of q is prime only when q stays inert
+    if q * q == nrm and is_prime(q) and not x % q and not y % q:
+        if split_kind(F, q) == "inert":
+            return q, 2, None
     raise ValueError("not a prime element: %r" % (p,))
 
 
 def _prime_field(p: QuadElem, d: int):
     """(F, q, deg, r): F = Q(sqrt(-d)) and _residue_data(p).  The one gate
-    for p: ValueError unless p is a prime element of O_F."""
+    for p: ValueError unless p is a prime element of O_F.  (p) meets Z in
+    qZ, so p divides a rational integer m exactly when q divides m."""
     F = QuadField(-d)
     if p.field != F:
         raise ValueError("p must live in Q(sqrt(%d))" % -d)
@@ -323,13 +341,13 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     w = unit_witness(d, n)
     if not check("unit_witness_found", w is not None):
         return done()
-    if not check("p_coprime_to_2n", not _divides(p, 2 * n), "2n = %d" % (2 * n)):
+    if not check("p_coprime_to_2n", (2 * n) % q, "2n = %d" % (2 * n)):
         return done()
     if not check(
         "defining_poly_supplied", g_n is not None, "class polynomials are inputs"
     ):
         return done()
-    disc = poly_discriminant(g_n)
+    disc = poly_discriminant(g_n)  # an element of O_F when g_n is over O_F
     if not check("p_coprime_to_poly_disc", not _divides(p, disc)):
         return done()
     solv = _roots_in_residue_field(g_n, q, deg, r, F)
@@ -367,13 +385,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     if not check("n_is_1_or_2_mod_4", n % 4 in (1, 2), "n = %d" % n):
         return done()
     uv = _unit_equation(d, n)
-    if not check(
-        "unit_equation_solvable",
-        uv is not None,
-        "(u, v) = %r" % (uv,)
-        if uv
-        else "no solution, decided from the Pell unit of Z[sqrt(%d)]" % (d * n),
-    ):
+    if not check("unit_equation_solvable", uv is not None, _unit_detail(d, n, uv)):
         return done()
     try:
         nm = norm_map_condition(d, n)
@@ -386,7 +398,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
         "h_F = %d, h_E = %d, odd_equal = %s" % (nm.h_F, nm.h_E, nm.odd_equal),
     ):
         return done()
-    if not check("p_coprime_to_2n", not _divides(p, 2 * n), "2n = %d" % (2 * n)):
+    if not check("p_coprime_to_2n", (2 * n) % q, "2n = %d" % (2 * n)):
         return done()
     if f is None:
         f = _BUILTIN_POLY.get((d, n))
@@ -399,7 +411,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     ):
         return done()
     fd = poly_discriminant(f)
-    if not check("p_coprime_to_poly_disc", not _divides(p, fd), "disc = %d" % fd):
+    if not check("p_coprime_to_poly_disc", fd % q, "disc = %d" % fd):
         return done()
     if deg == 1:
         solv = jacobi(-n % q, q) == 1
@@ -415,18 +427,31 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
 # representation solver over O_F
 
 
-def _embed_F(E: BiquadField, x: QuadElem) -> BiquadElem:
-    # x = u / den over {1, w}, the first two relative_order_rows of E
-    assert x.field.D == -E.d
-    return BiquadElem(E, _times([x.u], E.relative_order_rows[:2])[0], x.den)
+def _prime_above(E: BiquadField, q: int, deg: int, r, root: QuadElem) -> IntModule:
+    """The prime P of O_E above the prime element p of O_F with
+    _residue_data (q, deg, r): the kernel of the ring map O_E -> O_F/p,
+    t = sqrt(-n) -> root, onto a field of q^deg elements.  It is a ring map
+    as root^2 + n lies in p, and P = p*O_E + (root - t)*O_E, as O_E = O_F
+    + O_F*t.  Over {1, w, t, w*t} its rows are already the canonical HNF:
+    the HNF rows of p*O_F, then t - root and w*t - w*root with root and
+    w*root reduced mod p, to an integer through w -> r for deg 1."""
+    assert E.relative_order_rows == _IDENTITY4
+    c0, c1 = QuadField(-E.d).mult_table[1][1]
+    a, b = root.u
+    wa, wb = c0 * b, a + c1 * b  # w*root
+    if deg == 1:
+        a, b, wa, wb = a + b * r, 0, wa + wb * r, 0
+    assert (a * a + b * wa + E.n) % q == 0 and (a + wb) * b % q == 0
+    top = ((q, 0, 0, 0), (-r % q, 1, 0, 0)) if deg == 1 else ((q, 0, 0, 0), (0, q, 0, 0))
+    return IntModule(E, top + ((-a % q, -b % q, 1, 0), (-wa % q, -wb % q, 0, 1)), 1)
 
 
 def _split_relative(alpha: BiquadElem) -> tuple[QuadElem, QuadElem]:
-    """alpha = x + y*sqrt(-n) with x, y in Q(sqrt(-d))."""
+    """alpha = x + y*sqrt(-n) with x, y in Q(sqrt(-d)), over the basis
+    {1, w, sqrt(-n), w*sqrt(-n)} of the fields _prime_above searches."""
     F = QuadField(-alpha.field.d)
-    c0, c1, c2, c3 = alpha.naive()
-    # sqrt(d*n) = -sqrt(-d)*sqrt(-n), so the last slot feeds y negatively
-    return F(c0, c1), F(c2, -c3)
+    u0, u1, u2, u3 = alpha.u
+    return QuadElem(F, (u0, u1), alpha.den), QuadElem(F, (u2, u3), alpha.den)
 
 
 def represent(p: QuadElem, d: int, n: int):
@@ -446,18 +471,13 @@ def represent(p: QuadElem, d: int, n: int):
     than +-1.
     """
     check_field_params(d, n)
-    F, q, deg, _ = _prime_field(p, d)
-    if _divides(p, 2 * n):
+    F, q, deg, r = _prime_field(p, d)
+    if (2 * n) % q == 0:
         raise ValueError("p divides 2n")
     root = _sqrt_minus_n(F, q, deg, n)
     if root is None:
         return None
-    E = integral_basis(d, n)
-    # the prime of O_E above p: p*O_E + (root - sqrt(-n))*O_E
-    mod = ideal_of_elements(E, (_embed_F(E, p), _embed_F(E, root) - E.gens()[1]))
-    nrm = mod.covolume()
-    assert nrm == q**deg
-    alpha = find_generator(mod, nrm)
+    alpha = find_generator(_prime_above(integral_basis(d, n), q, deg, r, root), q**deg)
     if alpha is None:
         return None  # the ideal is not principal, so no pair exists
     x, y = _split_relative(alpha)

@@ -10,10 +10,11 @@ enter as explicit rational upper/lower bounds.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, starmap
+from itertools import chain, combinations_with_replacement, islice, starmap
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -597,11 +598,12 @@ def ladder_data(field) -> LadderData:
     outer = tuple(_times(_times(S, G), tuple(zip(*S))))
     cf = cf_sqrt(D0)
     l = len(cf.period)
-    gammas = list(cf_convergents(cf, l))
-    x0, y0 = gammas[-1]
+    gammas = cf_convergents(cf, l)  # kept: the mid-th and the last
+    mid = next(islice(gammas, l // 2 - 1, None)) if l % 2 == 0 else None
+    ((x0, y0),) = deque(gammas, maxlen=1)
     unit, step = field.from_real_quadratic(x0, y0), l
-    if l % 2 == 0:
-        h, k = gammas[l // 2 - 1]
+    if mid is not None:
+        h, k = mid
         c = abs(h * h - D0 * k * k)
         if c in (field.d, field.n):
             v = field.from_real_quadratic(h, -k) * field.gens()[c == field.n] / -c

@@ -399,11 +399,11 @@ def picard_number(o: OrderRep) -> int:
 _BRUTE_FORCE_MAX_PAIRS = 6 * 10**6
 
 
-def _scan_pairs(f: int, scan: int) -> int:
+def _scan_pairs(f: int, scan: int, divs) -> int:
     """The number of (a, b) pairs _primitive_ideals visits for an order of
-    index f: for each q | f, a = k*q for k = 1..m, m = scan*q // f, and k
-    values of b for each."""
-    return sum(m * (m + 1) // 2 for m in (scan * q // f for q in divisors(f)))
+    index f with the divisors divs: for each q | f, a = k*q for k = 1..m,
+    m = scan*q // f, and k values of b for each."""
+    return sum(m * (m + 1) // 2 for m in (scan * q // f for q in divs))
 
 
 @dataclass(frozen=True)
@@ -428,12 +428,13 @@ def is_principal(o: OrderRep, m: IntModule):
     return g / d
 
 
-def _primitive_ideals(o: OrderRep, scan: int):
+def _primitive_ideals(o: OrderRep, scan: int, divs):
     """The primitive o-ideals I = [a, (-b + sqrt(disc o))/2], b^2 = disc o
     mod 4a and b in (-a, a], whose lattices I/q in O_K have index
-    [O_K : I/q] = a*f/q^2 <= scan, f = [O_K : o] and q the content of I in
-    O_K (rank 2 only).  Yields (a, b, c, rows) with c = (b^2 - disc o)/4a
-    and rows the HNF of I over the basis {1, w} of O_K.
+    [O_K : I/q] = a*f/q^2 <= scan, f = [O_K : o] with the divisors divs
+    and q the content of I in O_K (rank 2 only).  Yields (a, b, c, rows)
+    with c = (b^2 - disc o)/4a and rows the HNF of I over the basis {1, w}
+    of O_K.
 
     (-b + sqrt(disc o))/2 is g0 + f*w with g0 = -(b + s*f)/2, s = disc K
     mod 2, so I has the rows (a, 0) and (g0, f), and its content is
@@ -444,7 +445,7 @@ def _primitive_ideals(o: OrderRep, scan: int):
     f = o.index_in_maximal()
     s = o.field.disc % 2
     disc = o.field.disc * f * f
-    for q in divisors(f):
+    for q in divs:
         for a in range(q, scan * q * q // f + 1, q):
             lo, m = 1 - a, 4 * a
             t = disc % m
@@ -494,14 +495,15 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     else:
         complete = Fraction(norm_bound) >= mink
     scan = min(norm_bound, ceil(mink))
-    pairs = _scan_pairs(f, scan)
+    divs = divisors(f)
+    pairs = _scan_pairs(f, scan, divs)
     if pairs > _BRUTE_FORCE_MAX_PAIRS:
         raise UnresolvedError(
             "brute-force Picard count would scan %d (a, b) pairs, past the "
             "limit %d" % (pairs, _BRUTE_FORCE_MAX_PAIRS)
         )
     keys = set()
-    for a, b, c, rows in _primitive_ideals(o, scan):
+    for a, b, c, rows in _primitive_ideals(o, scan, divs):
         if gcd(gcd(a, b), c) != 1:
             continue
         key, ((p, q), (r, t)) = BinaryForm(a, b, c).reduction()

@@ -10,6 +10,7 @@ solved through the continued fraction of sqrt(D).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -170,15 +171,6 @@ class FieldElem:
     def basis_coords(self) -> tuple:
         """The rational coordinates u/den over the integral basis."""
         return tuple(Fraction(x, self.den) for x in self.u)
-
-    def trace(self) -> Fraction:
-        """Sum of the conjugates: Tr(b_j) is the trace of the matrix of
-        b_j, the sum over i of mult_table[i][j][i]."""
-        T = self.field.mult_table
-        return Fraction(
-            sum(x * sum(T[i][j][i] for i in range(len(T))) for j, x in enumerate(self.u)),
-            self.den,
-        )
 
     def norm(self) -> Fraction:
         """Product of the conjugates: the field's integer norm form of u
@@ -519,21 +511,22 @@ class CFExpansion:
 
 
 def cf_sqrt(D: int) -> CFExpansion:
-    """Periodic continued fraction of sqrt(D) via the exact P,Q recurrence."""
+    """Periodic continued fraction of sqrt(D) via the exact P,Q recurrence.
+    Q_k = 1 exactly when the period length divides k, where a_k = 2*a0
+    (Cohen, GTM 138, 5.7), so the period ends at the first Q_k = 1."""
     if D <= 0 or is_square(D):
         raise ValueError("cf_sqrt needs a positive nonsquare")
     a0 = isqrt(D)
     m, d, a = 0, 1, a0
     period = []
-    states = {}
     while True:
         m = d * a - m
         d = (D - m * m) // d
         a = (a0 + m) // d
-        if (m, d) in states:
-            break
-        states[(m, d)] = len(period)
         period.append(a)
+        if d == 1:
+            break
+    assert a == 2 * a0
     return CFExpansion(D, a0, tuple(period))
 
 
@@ -582,7 +575,8 @@ def pell_solve(D: int, N: int) -> PellSolution | None:
         raise ValueError("pell_solve decides N = +-1 only, got %d" % N)
     cf = cf_sqrt(D)  # ValueError unless D is a positive nonsquare
     l = len(cf.period)
-    *_, (x, y) = cf_convergents(cf, l)
+    # only the last convergent is kept: the k-th has about k*log(a0) bits
+    ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
     assert x * x - D * y * y == (-1) ** l
     if l % 2 == 0:
         return PellSolution(D, 1, x, y) if N == 1 else None

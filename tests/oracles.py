@@ -7,14 +7,19 @@ forms the library counts make up the class group; the library itself
 reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `principal_generator`, `fundamental_unit`, `is_reduced`, `to_module`,
 `mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
-`fraction_inverse`, `naive_to_coords`, `primes_upto`, `sqrt_lb`,
-`unit_equation_scan` and `witness_box` are helpers that nothing in the
-library calls.  `residue_unit_count` is the prime-contraction count of
+`fraction_inverse`, `naive`, `trace`, `naive_to_coords`, `primes_upto`,
+`sqrt_lb`, `unit_equation_scan` and `witness_box` are helpers that nothing
+in the library calls.  `residue_unit_count` is the prime-contraction count of
 #(o/f)^x for any ideal f of any order, which the Picard formula ran twice
 per order before it read both counts off the index; it is the oracle for
 the closed forms of `QuadField.residue_unit_counts`.
 `oracle_norm_form_element` is the scan `split_prime` ran for its element
-before it read it off a form reduction.  `FracQuad` and
+before it read it off a form reduction.  `residue_data_by_root_search`,
+`prime_above_by_generators` (through `embed_F`) and `split_relative_naive`
+are the paths `represent` took from a prime element to the searched
+module and back before it read each in closed form, and
+`products_table_by_fractions` and `trace_form_by_fractions` the Fraction
+products a supplied basis was verified with.  `FracQuad` and
 `FracBiquad` are the field elements as they were before they became
 integer coordinates over one denominator: exact `Fraction` arithmetic,
 kept as the oracle for the elements that replaced them.
@@ -29,14 +34,17 @@ from operator import mul
 from nforders.biquadratic import (
     BiquadElem,
     BiquadField,
+    _integral_row,
     _nmul,
     _reduce_inverse,
+    ideal_of_elements,
 )
-from nforders.criteria import verify_identity
-from nforders.intmath import _SQRT_SCALE, factorize, xgcd
+from nforders.criteria import _divides, verify_identity
+from nforders.intmath import _SQRT_SCALE, factorize, is_prime, poly_roots_mod, xgcd
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
+    _times,
     _pair_coeffs,
     _pair_products,
     find_generator,
@@ -48,8 +56,10 @@ from nforders.quadratic import (
     QuadElem,
     QuadField,
     integer_coords,
+    integer_rows,
     pell_solve,
     principal_form,
+    split_kind,
     table_matrix,
 )
 
@@ -305,6 +315,21 @@ def witness_box(d: int, n: int, box: int):
 # the quartic field E = Q(sqrt(-d), sqrt(-n))
 
 
+def trace(x) -> Fraction:
+    """Sum of the conjugates of a field element of either degree: Tr(b_j)
+    is the trace of the matrix of b_j, the sum over i of
+    mult_table[i][j][i]."""
+    T = x.field.mult_table
+    tr = [sum(T[i][j][i] for i in range(len(T))) for j in range(len(T))]
+    return Fraction(sum(map(mul, x.u, tr)), x.den)
+
+
+def naive(x: BiquadElem) -> tuple:
+    """The coordinates of x over {1, sqrt(-d), sqrt(-n), sqrt(d*n)}, as
+    Fractions, through the basis rows."""
+    return tuple(sum(map(mul, x.u, col)) / x.den for col in zip(*x.field.intbasis))
+
+
 def fundamental_unit(E: BiquadField) -> BiquadElem:
     """The continued-fraction unit of the real quadratic subfield,
     embedded; taken from x^2 - D0*y^2 = -1 when that has a solution.  It is
@@ -317,7 +342,7 @@ def fundamental_unit(E: BiquadField) -> BiquadElem:
 def rel_norm_EF(e: BiquadElem) -> QuadElem:
     """e * bar(e) as an element of Q(sqrt(-d)): the norm for the quadratic
     step down to the fixed field of bar."""
-    a, b, c, ee = (e * e.bar()).naive()
+    a, b, c, ee = naive(e * e.bar())
     assert c == 0 and ee == 0
     return QuadField(-e.field.d)(a, b)
 
@@ -332,6 +357,75 @@ def principal_generator(E: BiquadField, m: IntModule):
     g = beta / lam
     assert identity_module(E).transform(g) == m
     return g
+
+
+# ---------------------------------------------------------------------------
+# represent's input path as it ran before its closed forms
+
+
+def residue_data_by_root_search(p: QuadElem):
+    """(q, deg, r) of criteria._residue_data, found as it was: for N(p) = q
+    prime, the root r of omega's minimal polynomial mod q with p | w - r;
+    for N(p) = q^2, p and q dividing each other and q inert."""
+    F = p.field
+    if not p.is_integral():
+        raise ValueError("not an integral element: %r" % (p,))
+    nrm = abs(F.norm_form(p.u))
+    if is_prime(nrm):
+        for r in poly_roots_mod(F.omega_minpoly(), nrm):
+            if _divides(p, F.omega() - r):
+                return nrm, 1, r
+        raise AssertionError("norm-q element outside every ideal above q")
+    q = isqrt(nrm)
+    if q * q == nrm and is_prime(q) and _divides(F(q), p) and _divides(p, q):
+        if split_kind(F, q) == "inert":
+            return q, 2, None
+    raise ValueError("not a prime element: %r" % (p,))
+
+
+def embed_F(E: BiquadField, x: QuadElem) -> BiquadElem:
+    """x in Q(sqrt(-d)) as an element of E, through the first two rows of
+    E.relative_order_rows, the coordinates of 1 and w."""
+    assert x.field.D == -E.d
+    return BiquadElem(E, _times([x.u], E.relative_order_rows[:2])[0], x.den)
+
+
+def prime_above_by_generators(E: BiquadField, p: QuadElem, root: QuadElem) -> IntModule:
+    """The prime of O_E above p as the HNF of the ideal p*O_E + (root -
+    sqrt(-n))*O_E, built from its two generators' multiplication matrices."""
+    return ideal_of_elements(E, (embed_F(E, p), embed_F(E, root) - E.gens()[1]))
+
+
+def split_relative_naive(alpha: BiquadElem) -> tuple:
+    """(x, y) with alpha = x + y*sqrt(-n), read off alpha's naive
+    coordinates over {1, sqrt(-d), sqrt(-n), sqrt(d*n)}: sqrt(d*n) =
+    -sqrt(-d)*sqrt(-n), so the last one feeds y negatively."""
+    F = QuadField(-alpha.field.d)
+    c0, c1, c2, c3 = naive(alpha)
+    return F(c0, c1), F(c2, -c3)
+
+
+def products_table_by_fractions(d: int, n: int, rows, Bi) -> tuple:
+    """The structure constants of the basis rows (naive coordinates), each
+    product taken in Fractions and mapped to basis coordinates; ValueError
+    when one is not integral."""
+    what = "basis is not closed under multiplication at pair (%d, %d)"
+    return tuple(
+        tuple(
+            _integral_row(Bi, _nmul(d, n, ri, rj), what % (i, j))
+            for j, rj in enumerate(rows)
+        )
+        for i, ri in enumerate(rows)
+    )
+
+
+def trace_form_by_fractions(d: int, n: int, rows) -> tuple:
+    """The trace form Tr(b_i * b_j) of the basis rows, 4 times the rational
+    naive coordinate of each product in Fractions; ValueError when an
+    entry is not an integer."""
+    return integer_rows(
+        [[4 * _nmul(d, n, ri, rj)[0] for rj in rows] for ri in rows], "trace form"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from math import ceil, gcd
 import pytest
 
 from nforders import lattice, orders
+from nforders.intmath import divisors
 from nforders.lattice import IntModule, hnf
 from nforders.orders import (
     AuditFailure,
@@ -49,7 +50,7 @@ def test_gcd_decides_invertibility(spec):
     disc = o.field.disc * o.index_in_maximal() ** 2
     scan = ceil(pic_brute_force(o).minkowski_bound)
     seen = set()
-    for a, b, c, rows in _primitive_ideals(o, scan):
+    for a, b, c, rows in _primitive_ideals(o, scan, divisors(o.index_in_maximal())):
         assert -a < b <= a and b * b - 4 * a * c == disc
         assert rows not in seen
         seen.add(rows)
@@ -65,7 +66,7 @@ def test_scan_reaches_every_invertible_lattice(spec):
     o = POOL[spec]
     scan = ceil(pic_brute_force(o).minkowski_bound)
     primitive = set()
-    for a, b, c, rows in _primitive_ideals(o, scan):
+    for a, b, c, rows in _primitive_ideals(o, scan, divisors(o.index_in_maximal())):
         q = gcd(gcd(rows[0][0], rows[1][0]), rows[1][1])
         primitive.add(IntModule(o.field, rows, q))
     for L in ideal_candidates(o, scan):
@@ -103,7 +104,7 @@ def test_principal_queries_match_eager_conjugates(spec):
     o = POOL[spec]
     scan = ceil(pic_brute_force(o).minkowski_bound)
     key_conjs = {}
-    for a, b, c, rows in _primitive_ideals(o, scan):
+    for a, b, c, rows in _primitive_ideals(o, scan, divisors(o.index_in_maximal())):
         if gcd(gcd(a, b), c) != 1:
             continue
         ideal = IntModule(o.field, rows, 1)

@@ -351,6 +351,22 @@ def test_criterion_hilbert_unit_equation_past_the_scan(capsys):
     }
 
 
+def test_criterion_hilbert_unit_past_the_string_limit(capsys):
+    # d*u^2 - n*v^2 = 1 is solvable for (100000259, 2), with u and v of
+    # more than 4,300 digits, Python's limit for int-to-string conversion:
+    # the detail gives their bit lengths, and the run ends normally
+    argv = ["criterion", "hilbert", "17", "100000259", "2"]
+    code, out, err = in_process_run(capsys, argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["hypotheses"][3] == {
+        "name": "unit_equation_solvable",
+        "passed": True,
+        "detail": "100000259*u^2 - 2*v^2 = 1 with u of 19652 bits and v of 19665 bits",
+    }
+    assert doc["verdict"] == "unknown"
+
+
 def test_criterion_inapplicable(capsys):
     code, doc = run_json(capsys, ["criterion", "hilbert", "1+1*w", "59", "3"])
     assert code == 0

@@ -14,7 +14,7 @@ import pytest
 
 from nforders.biquadratic import BiquadElem, integral_basis
 from nforders.quadratic import FieldElem, QuadElem, QuadField
-from oracles import FracBiquad, FracQuad
+from oracles import FracBiquad, FracQuad, naive, trace
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -80,7 +80,7 @@ def test_invariants_match_fraction_oracle(field):
     for x, _ in pairs(field, 60):
         fx = frac(x)
         assert x.norm() == fx.norm() and x.abs_norm() == abs(fx.norm())
-        assert x.trace() == fx.trace()
+        assert trace(x) == fx.trace()
         assert x.is_rational() == fx.is_rational()
         assert x.is_integral() == all(c.denominator == 1 for c in x.basis_coords())
         if x:
@@ -92,8 +92,8 @@ def test_invariants_match_fraction_oracle(field):
         else:
             assert frac(x.bar()) == fx.bar()
             assert frac(x.complex_conj()) == fx.complex_conj()
-            assert x.naive() == fx.naive()
-            assert field.from_naive(x.naive()) == x
+            assert naive(x) == fx.naive()
+            assert field.from_naive(naive(x)) == x
             assert x.coords == fx.coords
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nforders import cli, orders
+from nforders.intmath import divisors
 from nforders.orders import (
     UnresolvedError,
     _scan_pairs,
@@ -112,7 +113,8 @@ def test_brute_force_limit_keeps_the_pools_complete():
         r = pic_brute_force(o)
         assert r.complete
         scan = ceil(r.minkowski_bound)
-        assert _scan_pairs(o.index_in_maximal(), scan) <= orders._BRUTE_FORCE_MAX_PAIRS
+        f = o.index_in_maximal()
+        assert _scan_pairs(f, scan, divisors(f)) <= orders._BRUTE_FORCE_MAX_PAIRS
 
 
 def test_brute_force_refuses_a_scan_past_the_limit():

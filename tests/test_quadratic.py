@@ -1,10 +1,13 @@
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+from nforders import quadratic
 from nforders.criteria import _unit_equation
 from nforders.intmath import is_square, is_squarefree, jacobi
 from nforders.lattice import hnf, identity_module
@@ -31,6 +34,7 @@ from oracles import (
     is_reduced,
     oracle_norm_form_element,
     primes_upto,
+    trace,
 )
 
 
@@ -64,7 +68,7 @@ def test_norm_conj_trace():
     F = QuadField(-59)
     p = F(Fraction(3, 2), Fraction(1, 2))
     assert p.norm() == 17
-    assert p.trace() == 3
+    assert trace(p) == 3
     assert p.conj() == F(Fraction(3, 2), Fraction(-1, 2))
     assert (p * p.conj()).a == 17 and (p * p.conj()).b == 0
 
@@ -509,6 +513,44 @@ def test_pell_118_against_scan_oracle():
             found = (isqrt(x2), y)
             break
     assert found == (306917, 28254)
+
+
+def test_pell_solve_streams_the_convergents(monkeypatch):
+    # pell_solve keeps only the last convergent: with the expansion built
+    # beforehand its peak is a few integers of the unit's size, where
+    # keeping all l = 5,850 convergents of sqrt(20000038) took 8.4 MB
+    D = 20000038
+    cf = cf_sqrt(D)
+    assert len(cf.period) == 5850
+    monkeypatch.setattr(quadratic, "cf_sqrt", lambda _: cf)
+    tracemalloc.start()
+    try:
+        x = pell_solve(D, 1).x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * sys.getsizeof(x), (peak, sys.getsizeof(x))
+
+
+def test_cf_sqrt_period_against_the_state_cycle():
+    # the period ends at the first Q_k = 1; the oracle runs the (P, Q)
+    # recurrence until a state repeats
+    def period_by_cycle(D):
+        a0 = isqrt(D)
+        m, d, a = 0, 1, a0
+        period, seen = [], set()
+        while True:
+            m = d * a - m
+            d = (D - m * m) // d
+            a = (a0 + m) // d
+            if (m, d) in seen:
+                return tuple(period)
+            seen.add((m, d))
+            period.append(a)
+
+    for D in list(range(2, 3000)) + [20000038, 200000518]:
+        if not is_square(D):
+            assert cf_sqrt(D).period == period_by_cycle(D), D
 
 
 def test_pell_general_n():

@@ -255,11 +255,11 @@ def test_brute_force_scans_no_further_than_minkowski(monkeypatch):
     seen = []
     primitive_ideals = orders._primitive_ideals
 
-    def recording(o, bound):
+    def recording(o, bound, divs):
         seen.append(bound)
         if bound > 100:
             raise AssertionError("scan to index %d" % bound)
-        return primitive_ideals(o, bound)
+        return primitive_ideals(o, bound, divs)
 
     monkeypatch.setattr(orders, "_primitive_ideals", recording)
     r = pic_brute_force(maximal_order(QuadField(-5)), 10**6)

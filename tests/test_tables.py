@@ -28,7 +28,7 @@ from nforders.lattice import (
 )
 from nforders.orders import module_colon, module_conj, module_mul, relative_order
 from nforders.quadratic import QuadElem, QuadField, integer_rows
-from oracles import FracQuad, mult_matrix, transform_by_matrix
+from oracles import FracQuad, mult_matrix, naive, transform_by_matrix
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -46,8 +46,8 @@ def naive_mul(x: BiquadElem, y: BiquadElem) -> BiquadElem:
     """x*y through naive coordinates, s*t = -u, s*u = d*t, t*u = n*s."""
     F = x.field
     d, n = F.d, F.n
-    a, b, c, e = x.naive()
-    a2, b2, c2, e2 = y.naive()
+    a, b, c, e = naive(x)
+    a2, b2, c2, e2 = naive(y)
     return F.from_naive(
         (
             a * a2 - d * b * b2 - n * c * c2 + d * n * e * e2,
@@ -74,7 +74,7 @@ def oracle_basis(field):
 def oracle_conj(e):
     if isinstance(e, QuadElem):
         return FracQuad.of(e).conj().to_elem()
-    a, b, c, d = e.naive()
+    a, b, c, d = naive(e)
     return e.field.from_naive((a, b, -c, -d))
 
 
@@ -82,10 +82,10 @@ def oracle_inverse(e):
     if isinstance(e, QuadElem):
         return FracQuad.of(e).inverse().to_elem()
     F = e.field
-    a, b, c, d = e.naive()
+    a, b, c, d = naive(e)
     cc = F.from_naive((a, -b, -c, d))
     t = naive_mul(naive_mul(oracle_conj(e), cc), oracle_conj(cc))
-    nv = naive_mul(e, t).naive()
+    nv = naive(naive_mul(e, t))
     assert nv[1:] == (0, 0, 0)
     return t / nv[0]
 
@@ -93,7 +93,7 @@ def oracle_inverse(e):
 def oracle_abs_norm(e):
     if isinstance(e, QuadElem):
         return abs(FracQuad.of(e).norm())
-    a, b, c, d = naive_mul(e, oracle_conj(e)).naive()
+    a, b, c, d = naive(naive_mul(e, oracle_conj(e)))
     assert c == 0 and d == 0
     return a * a + e.field.d * b * b
 
