@@ -45,12 +45,15 @@ from .lattice import (
     hnf,
     identity_module,
     lll_reduce,
+    module_colon,
+    module_mul,
     smith_normal_form,
 )
 from .quadratic import (
     _SCALARS,
     FieldElem,
     QuadField,
+    UnresolvedError,
     form_class_group,
     integer_coords,
     integer_rows,
@@ -289,7 +292,7 @@ class BiquadField:
     def prime_rows(self, q: int) -> list:
         """HNF rows of the primes of the maximal order above the rational
         prime q, in the order of factor_rational_prime."""
-        return [pf.ideal.module.rows for pf in factor_rational_prime(self, q)]
+        return [pf.module.rows for pf in factor_rational_prime(self, q)]
 
     def class_number(self) -> int:
         return class_group(self).h
@@ -300,8 +303,6 @@ class BiquadField:
         both quotients are the zero ring, counted as 1.  The conductor of a
         smaller quartic order is not read off its index, so f > 1 raises
         UnresolvedError."""
-        from .orders import UnresolvedError
-
         if f != 1:
             raise UnresolvedError(
                 "residue counts of a quartic order of index %d are not decided" % f
@@ -457,10 +458,10 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
 
 @dataclass(frozen=True)
 class PrimeFactor:
-    """One prime of the maximal order above a rational prime: the ideal,
+    """One prime of the maximal order above a rational prime: its module,
     its ramification index and its residue degree."""
 
-    ideal: object
+    module: IntModule
     e: int
     f: int
 
@@ -512,8 +513,6 @@ def factor_rational_prime(E: BiquadField, q: int):
     """Primes of the maximal order above q as PrimeFactor entries, read off
     the factorization mod q of the minimal polynomial of the first
     primitive element whose equation order has index coprime to q."""
-    from .orders import OrderIdeal, maximal_order
-
     if not is_prime(q):
         raise ValueError("%d is not prime" % q)
     for theta, f in _primitive_candidates(E):
@@ -523,17 +522,16 @@ def factor_rational_prime(E: BiquadField, q: int):
         assert idx * idx == idx2
         if gcd(idx, q) != 1:
             continue
-        O = maximal_order(E)
         out = []
         total = 0
         for g, mult in polp_factor(f, q):
             mod = ideal_of_elements(E, (E.one() * q, poly_eval(g, theta)))
             deg = len(g) - 1
             assert mod.covolume() == q**deg
-            out.append(PrimeFactor(OrderIdeal(O, mod), mult, deg))
+            out.append(PrimeFactor(mod, mult, deg))
             total += mult * deg
         assert total == 4
-        return sorted(out, key=lambda pf: (pf.f, pf.e, pf.ideal.module.rows))
+        return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
     if E.disc % q:
         return _factor_obstructed(E, q)
     raise UnsupportedPrimeError(
@@ -569,8 +567,6 @@ def _factor_obstructed(E: BiquadField, q: int):
     subfield extend to primes or to products of two primes, and ideal sums
     pick out the common factors.
     """
-    from .orders import OrderIdeal, maximal_order, module_mul
-
     split = []
     for F, om in _subfield_omegas(E):
         # the minimal polynomial of w has two roots mod q exactly when q
@@ -596,9 +592,8 @@ def _factor_obstructed(E: BiquadField, q: int):
     for m in mods[1:]:
         prod = module_mul(prod, m)
     assert prod == hnf(E, [[q if i == j else 0 for j in range(4)] for i in range(4)])
-    O = maximal_order(E)
-    out = [PrimeFactor(OrderIdeal(O, m), 1, f) for m in mods]
-    return sorted(out, key=lambda pf: (pf.f, pf.e, pf.ideal.module.rows))
+    out = [PrimeFactor(m, 1, f) for m in mods]
+    return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +636,6 @@ def _short_element(m: IntModule) -> BiquadElem:
 def _reduce_inverse(m: IntModule):
     """(beta, c) with beta a shortest element of m and c = beta * m^(-1),
     an integral ideal of small norm in the inverse class of m."""
-    from .orders import module_colon
-
     E = m.ambient
     beta = _short_element(m)
     inv = module_colon(identity_module(E), m)
@@ -678,8 +671,6 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
     that grows that subgroup lists every class once and gives each
     generator one relation; their Smith form gives the invariant factors.
     """
-    from .orders import module_mul
-
     B = minkowski_bound(E)
     if B > _BOUND_CAP:
         raise UnsupportedFieldError(
@@ -695,7 +686,7 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
             continue
         for pf in factor_rational_prime(E, q):
             if Fraction(q) ** pf.f <= B:
-                prime_mods.append(pf.ideal.module)
+                prime_mods.append(pf.module)
     prime_mods.sort(key=lambda m: (m.covolume(), m.rows))
 
     # a prime class becomes a generator only when the subgroup H the earlier

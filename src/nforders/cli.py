@@ -16,6 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from .biquadratic import (
     UnsupportedPrimeError,
@@ -28,7 +29,6 @@ from .criteria import (
     UNKNOWN,
     UNRESOLVED,
     _divides,
-    _prime_field,
     cox_criterion,
     criterion_hilbert,
     criterion_quadr,
@@ -402,7 +402,8 @@ def cmd_sweep(args):
     rows = []
     divergences = 0
     for p in prime_elements(F, args.bound):
-        if (2 * args.d * args.n) % _prime_field(p, args.d)[1] == 0:
+        norm = int(p.abs_norm())  # q, or q^2 for an inert q
+        if gcd(2 * args.d * args.n, norm) > 1:
             continue
         rep = criterion_hilbert(p, args.d, args.n, f=poly)
         out = represent(p, args.d, args.n)
@@ -421,7 +422,7 @@ def cmd_sweep(args):
         rows.append(
             {
                 "p": fmt_elem(p),
-                "norm": int(p.abs_norm()),
+                "norm": norm,
                 "criterion": rep.verdict,
                 "solver": solver,
                 "agree": agree,

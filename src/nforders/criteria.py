@@ -11,6 +11,7 @@ inapplicable case never masquerades as a negative one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -21,6 +22,7 @@ from .biquadratic import (
     BiquadField,
     check_field_params,
     integral_basis,
+    norm_map_condition,
 )
 from .intmath import (
     is_prime,
@@ -36,6 +38,8 @@ from .lattice import IntModule, UnsupportedFieldError, find_generator
 from .quadratic import (
     QuadElem,
     QuadField,
+    cf_convergents,
+    cf_sqrt,
     pell_solve,
     principal_representation,
     split_kind,
@@ -189,25 +193,35 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
 @lru_cache(maxsize=None)
 def _unit_equation(d: int, n: int):
     """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
-    None; d > 1.  With eta = a + b*sqrt(dn) the least unit of norm 1 of
-    Z[sqrt(dn)] (pell_solve), it exists exactly when (a + 1)/2 = d*u^2 and
-    (a - 1)/2 = n*v^2 in integers.
+    None; d, n squarefree and 1 < d != n.  It is read off the norms N_k =
+    h_k^2 - dn*q_k^2 of the first period of sqrt(dn) (CFExpansion.norms):
+    the first k with N_k = d gives (h_k/d, q_k), with N_k = -n (q_k, h_k/n).
+    With no such k there is no solution, and no convergent is built.
 
-    Proof: gamma = u*sqrt(d) + v*sqrt(n) squares to (d*u^2 + n*v^2) +
-    2uv*sqrt(dn), of norm (d*u^2 - n*v^2)^2 = 1, so gamma^2 = eta^k, k >= 1.
-    k is odd, since gamma = eta^j = x + y*sqrt(dn) would give d*u^2 + n*v^2
-    = x^2 + dn*y^2, and with both forms equal to 1, d*u^2 = x^2, which
-    squarefree d > 1 forbids.  For k = 2j + 1, gamma*eta^-j =
-    (u*x - n*v*y)*sqrt(d) + (v*x - d*u*y)*sqrt(n) keeps the form and the
-    sign, d*(u*x - n*v*y)^2 - n*(v*x - d*u*y)^2 = (d*u^2 - n*v^2)*(x^2 -
-    dn*y^2), and squares to eta: its rational part a = d*u^2 + n*v^2.
+    A match solves the equation: d | h_k^2 forces d | h_k, d squarefree,
+    and N_k/d = 1; likewise for -n.  A solution gamma = u*sqrt(d) +
+    v*sqrt(n) gives the coprime pairs (d*u, v) of norm d and (n*v, u) of
+    norm -n, with h + q*sqrt(dn) = sqrt(d)*gamma and sqrt(n)*gamma; the
+    one whose |norm| is m = min(d, n) < sqrt(dn) is a convergent
+    (Lagrange; Niven, Zuckerman and Montgomery, section 7.8).  gamma^2 has
+    norm 1, so it is eta^k, eta the least unit of norm 1 of Z[sqrt(dn)].
+    k = 2j would make gamma = eta^j = x + y*sqrt(dn), and the rational
+    parts of gamma^2 and eta^2j, with both norms 1, give d*u^2 = x^2,
+    which squarefree d > 1 forbids.  For k = 2j + 1, gamma*eta^-j =
+    (u*x - n*v*y)*sqrt(d) + (v*x - d*u*y)*sqrt(n) is a solution again and
+    squares to eta.  So the solutions are gamma_0*eta^j, gamma_0 =
+    sqrt(eta), and as h_k + q_k*sqrt(dn) grows with k, the first match is
+    sqrt(m)*gamma_0, the least solution.  It lies in the first period:
+    sqrt(m*eta) < eta, the last convergent of an even period, as eta >
+    d + n; for an odd period eta = eps^2, eps the last convergent, so
+    gamma_0 = eps lies in Q(sqrt(dn)), which leaves n = 1 and the match eps.
     """
-    a = pell_solve(d * n, 1).x
-    u2, ru = divmod(a + 1, 2 * d)
-    v2, rv = divmod(a - 1, 2 * n)
-    u, v = isqrt(u2), isqrt(v2)
-    if ru or rv or u * u != u2 or v * v != v2:
+    cf = cf_sqrt(d * n)
+    k = next((k for k, N in enumerate(cf.norms) if N == d or N == -n), None)
+    if k is None:
         return None
+    ((h, q),) = deque(cf_convergents(cf, k + 1), maxlen=1)
+    u, v = (h // d, q) if cf.norms[k] == d else (q, h // n)
     assert d * u * u - n * v * v == 1
     return u, v
 
@@ -367,8 +381,6 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     computation is done rather than asserted.  An h_E past the class
     group's cap leaves norm_map_injective undecided, so the verdict is
     unknown."""
-    from .biquadratic import norm_map_condition
-
     check_field_params(d, n)
     _, q, deg, _ = _prime_field(p, d)
     hyps = []

@@ -3,9 +3,11 @@
 Modules are Z-lattices given by integer basis rows over a common denominator,
 kept in a canonical Hermite normal form: row i has its pivot on the diagonal,
 zeros to the right of it, pivots positive, and the entries below each pivot
-reduced modulo the pivot.  All reductions, enumerations and generator
-searches run in exact integer/rational arithmetic; square roots only ever
-enter as explicit rational upper/lower bounds.
+reduced modulo the pivot.  Products and colons of modules run on the
+rows through the field's structure constants.  All reductions,
+enumerations and generator searches run in exact integer/rational
+arithmetic; square roots only ever enter as explicit rational upper/lower
+bounds.
 """
 
 from __future__ import annotations
@@ -344,6 +346,46 @@ def identity_module(ambient) -> IntModule:
     r = ambient.degree
     rows = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
     return IntModule(ambient, rows, 1)
+
+
+# ---------------------------------------------------------------------------
+# module arithmetic
+
+
+def _product_rows(m1: IntModule, m2: IntModule) -> list:
+    """The integer rows r1 (x) r2 through the table T[i][j] =
+    coords(b_i * b_j): they span m1 * m2 over the denominator den1 * den2."""
+    T = m1.ambient.mult_table
+    rows = []
+    for r1 in m1.rows:
+        rows += _times(m2.rows, table_matrix(T, r1))
+    return rows
+
+
+def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
+    """Z-span of all pairwise products of the two bases."""
+    return IntModule(m1.ambient, tuple(_product_rows(m1, m2)), m1.den * m2.den)
+
+
+def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
+    """(m1 : m2) = {x in the field : x*m2 is contained in m1}, with one HNF.
+
+    With B the rows of m1 and M_r the integer multiplication matrix of a
+    row r of m2, x * r / den2 lies in m1 iff x * M_r * adj(B) * den1 lies
+    in E * Z^n, E = den2 * det(B).  Put the columns of every
+    M_r * adj(B) * den1 together and let K have as columns a basis of the
+    lattice they span: the condition on all r reads x * K in E * Z^n, so
+    the colon is E * Z^n * K^(-1), the rows E * adj(K) over det(K)."""
+    B = m1.rows
+    adjB = adjugate_int(B)
+    T = m1.ambient.mult_table
+    cols = []
+    for r in m2.rows:
+        cols += zip(*_times(table_matrix(T, r), adjB, m1.den))
+    K = [list(c) for c in zip(*hnf_matrix(cols))]
+    E = m2.den * _det_int(B)
+    rows = tuple(tuple(E * x for x in row) for row in adjugate_int(K))
+    return IntModule(m1.ambient, rows, _det_int(K))
 
 
 # ---------------------------------------------------------------------------

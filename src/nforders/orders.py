@@ -3,13 +3,14 @@
 An order is a finite-index subring of the maximal order, stored as an
 IntModule over the ambient integral basis.  Ideals carry their order and a
 module; fractional ideals use the module denominator.  Everything reduces
-to exact integer linear algebra on the HNF rows: a lattice is an ideal when
-each row times each of the order's integer multiplication matrices passes
-an integer back-substitution (_closed_under), so no product module is
-built to test it; conductors are colon modules, taken with one HNF;
-an ideal a is invertible when 1 lies in a * (o : a), one more HNF and a
-back-substitution; factorization is trial division with HNF comparison;
-and Picard groups come out of the unit/residue counting formula
+to exact integer linear algebra on the HNF rows, with the module products
+and colons of lattice: a lattice is an ideal when each row times each of
+the order's integer multiplication matrices passes an integer
+back-substitution (_closed_under), so no product module is built to test
+it; conductors are colon modules; an ideal a is invertible when 1 lies in
+a * (o : a), one more HNF and a back-substitution; factorization is trial
+division with HNF comparison; and Picard groups come out of the
+unit/residue counting formula
 #Pic(o) = h_K * #(O_K/f)^x / ([O_K^x : o^x] * #(o/f)^x), f the conductor,
 with an independent brute-force count to check it, which keys each
 primitive ideal [a, (-b + sqrt(disc o))/2] by its reduced form.  Both
@@ -31,76 +32,24 @@ from .lattice import (
     IntModule,
     _det_int,
     _in_lattice,
+    _product_rows,
     _times,
-    adjugate_int,
     find_generator,
     hnf,
     hnf_matrix,
     identity_module,
+    module_colon,
+    module_mul,
 )
-from .quadratic import BinaryForm, QuadField, table_matrix
+from .quadratic import BinaryForm, QuadField, UnresolvedError, table_matrix
 
 
 class PreconditionError(ValueError):
     pass
 
 
-class UnresolvedError(Exception):
-    pass
-
-
 class AuditFailure(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# module arithmetic
-
-# The module operations below run on the integer rows only, through the
-# field's structure constants T[i][j] = coords(b_i * b_j) and its integer
-# conjugation matrix; no field element is built.
-
-
-def _product_rows(m1: IntModule, m2: IntModule) -> list:
-    """The integer rows r1 (x) r2 through the table: they span m1 * m2
-    over the denominator den1 * den2."""
-    T = m1.ambient.mult_table
-    rows = []
-    for r1 in m1.rows:
-        rows += _times(m2.rows, table_matrix(T, r1))
-    return rows
-
-
-def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
-    """Z-span of all pairwise products of the two bases."""
-    return IntModule(m1.ambient, tuple(_product_rows(m1, m2)), m1.den * m2.den)
-
-
-def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
-    """(m1 : m2) = {x in the field : x*m2 is contained in m1}, with one HNF.
-
-    With B the rows of m1 and M_r the integer multiplication matrix of a
-    row r of m2, x * r / den2 lies in m1 iff x * M_r * adj(B) * den1 lies
-    in E * Z^n, E = den2 * det(B).  Put the columns of every
-    M_r * adj(B) * den1 together and let K have as columns a basis of the
-    lattice they span: the condition on all r reads x * K in E * Z^n, so
-    the colon is E * Z^n * K^(-1), the rows E * adj(K) over det(K)."""
-    B = m1.rows
-    adjB = adjugate_int(B)
-    T = m1.ambient.mult_table
-    cols = []
-    for r in m2.rows:
-        cols += zip(*_times(table_matrix(T, r), adjB, m1.den))
-    K = [list(c) for c in zip(*hnf_matrix(cols))]
-    E = m2.den * _det_int(B)
-    rows = tuple(tuple(E * x for x in row) for row in adjugate_int(K))
-    return IntModule(m1.ambient, rows, _det_int(K))
-
-
-def module_conj(m: IntModule) -> IntModule:
-    """Image of m under the field's conjugation (the quadratic bar, or the
-    biquadratic bar action)."""
-    return IntModule(m.ambient, tuple(_times(m.rows, m.ambient.conj_matrix)), m.den)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +162,6 @@ class OrderIdeal:
     def norm(self) -> Fraction:
         """Index [o : a] (a rational for fractional ideals)."""
         return self.module.index_in(self.order.module)
-
-    def conj(self) -> "OrderIdeal":
-        return OrderIdeal(self.order, module_conj(self.module))
 
 
 def principal_ideal(o: OrderRep, e) -> OrderIdeal:

@@ -32,6 +32,10 @@ class UnsupportedFieldError(ValueError):
     pass
 
 
+class UnresolvedError(Exception):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # integer structure constants, shared by the quadratic and quartic fields
 
@@ -508,6 +512,7 @@ class CFExpansion:
     D: int
     a0: int
     period: tuple[int, ...]
+    norms: tuple[int, ...]  # h_k^2 - D q_k^2 = (-1)^(k+1) Q_(k+1), k < len(period)
 
 
 def cf_sqrt(D: int) -> CFExpansion:
@@ -518,16 +523,17 @@ def cf_sqrt(D: int) -> CFExpansion:
         raise ValueError("cf_sqrt needs a positive nonsquare")
     a0 = isqrt(D)
     m, d, a = 0, 1, a0
-    period = []
+    period, norms = [], []
     while True:
         m = d * a - m
         d = (D - m * m) // d
         a = (a0 + m) // d
         period.append(a)
+        norms.append(d if len(norms) % 2 else -d)
         if d == 1:
             break
     assert a == 2 * a0
-    return CFExpansion(D, a0, tuple(period))
+    return CFExpansion(D, a0, tuple(period), tuple(norms))
 
 
 def cf_convergents(cf: CFExpansion, count: int):
@@ -575,11 +581,11 @@ def pell_solve(D: int, N: int) -> PellSolution | None:
         raise ValueError("pell_solve decides N = +-1 only, got %d" % N)
     cf = cf_sqrt(D)  # ValueError unless D is a positive nonsquare
     l = len(cf.period)
+    if l % 2 == 0 and N == -1:
+        return None
     # only the last convergent is kept: the k-th has about k*log(a0) bits
     ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
     assert x * x - D * y * y == (-1) ** l
-    if l % 2 == 0:
-        return PellSolution(D, 1, x, y) if N == 1 else None
-    if N == 1:
+    if l % 2 and N == 1:
         x, y = x * x + D * y * y, 2 * x * y
     return PellSolution(D, N, x, y)

@@ -22,7 +22,6 @@ from nforders.orders import (
     conductor,
     is_principal,
     maximal_order,
-    module_conj,
     module_mul,
     pic_brute_force,
     picard_terms,
@@ -30,7 +29,7 @@ from nforders.orders import (
 )
 from nforders.quadratic import table_matrix
 
-from ideals import ideal_candidates
+from ideals import ideal_candidates, module_conj
 from oracles import fundamental_unit
 
 # ---------------------------------------------------------------------------

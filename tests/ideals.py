@@ -11,7 +11,7 @@ picard benchmark.
 
 from nforders.cli import parse_order
 from nforders.intmath import is_squarefree
-from nforders.lattice import IntModule
+from nforders.lattice import IntModule, _times
 from nforders.orders import (
     OrderIdeal,
     OrderRep,
@@ -23,13 +23,22 @@ from nforders.orders import (
     is_principal,
     maximal_order,
     module_colon,
-    module_conj,
     module_mul,
     principal_ideal,
 )
 
 # ---------------------------------------------------------------------------
 # ideal helpers
+
+
+def module_conj(m: IntModule) -> IntModule:
+    """Image of m under the field's conjugation (the quadratic bar, or the
+    biquadratic bar action)."""
+    return IntModule(m.ambient, tuple(_times(m.rows, m.ambient.conj_matrix)), m.den)
+
+
+def ideal_conj(a: OrderIdeal) -> OrderIdeal:
+    return OrderIdeal(a.order, module_conj(a.module))
 
 
 def ideal_add(a: OrderIdeal, b: OrderIdeal) -> OrderIdeal:

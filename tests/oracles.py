@@ -9,7 +9,9 @@ reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
 `fraction_inverse`, `naive`, `trace`, `naive_to_coords`, `primes_upto`,
 `sqrt_lb`, `unit_equation_scan` and `witness_box` are helpers that nothing
-in the library calls.  `residue_unit_count` is the prime-contraction count of
+in the library calls.  `unit_equation_by_pell_unit` is the closed form the
+unit equation was decided by before it was read off the norms of one
+period of sqrt(dn).  `residue_unit_count` is the prime-contraction count of
 #(o/f)^x for any ideal f of any order, which the Picard formula ran twice
 per order before it read both counts off the index; it is the oracle for
 the closed forms of `QuadField.residue_unit_counts`.
@@ -286,6 +288,20 @@ def unit_equation_scan(d: int, n: int, v_max: int = 10**5):
                 if u * u == u2:
                     return u, v
     return None
+
+
+def unit_equation_by_pell_unit(d: int, n: int):
+    """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
+    None, by the closed form criteria once ran: with a + b*sqrt(dn) the
+    least unit of norm 1 of Z[sqrt(dn)], a solution exists exactly when
+    (a + 1)/2 = d*u^2 and (a - 1)/2 = n*v^2 in integers."""
+    a = pell_solve(d * n, 1).x
+    u2, ru = divmod(a + 1, 2 * d)
+    v2, rv = divmod(a - 1, 2 * n)
+    u, v = isqrt(u2), isqrt(v2)
+    if ru or rv or u * u != u2 or v * v != v2:
+        return None
+    return u, v
 
 
 def witness_box(d: int, n: int, box: int):

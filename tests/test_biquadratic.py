@@ -15,9 +15,15 @@ from nforders.biquadratic import (
     norm_map_condition,
     residue_degree,
 )
-from nforders.intmath import poly_discriminant
+from nforders.intmath import is_prime, poly_discriminant
 from nforders.lattice import IntModule, UnsupportedFieldError, hnf, identity_module
-from nforders.orders import conductor, module_mul, relative_order
+from nforders.orders import (
+    _closed_under,
+    conductor,
+    maximal_order,
+    module_mul,
+    relative_order,
+)
 from nforders.quadratic import QuadField
 from oracles import (
     fundamental_unit,
@@ -258,17 +264,29 @@ def test_factor_recomposes():
         prod = identity_module(E59)
         for pf in pfs:
             for _ in range(pf.e):
-                prod = module_mul(prod, pf.ideal.module)
+                prod = module_mul(prod, pf.module)
         assert prod == q_ideal(E59, q)
+
+
+def test_prime_factors_are_ideals():
+    # each prime's module is closed under O_E, the check an ideal object
+    # ran when factor_rational_prime built one; the list reaches both the
+    # equation-order path and the subfield sums of _factor_obstructed
+    for E in (E59, integral_basis(11, 10), integral_basis(71, 2), E37):
+        O = maximal_order(E)
+        for q in (q for q in range(2, 50) if is_prime(q)):
+            for pf in factor_rational_prime(E, q):
+                assert pf.module.den == 1, (E, q)
+                assert _closed_under(O, pf.module.rows), (E, q, pf)
 
 
 def test_factor_distinct_covolumes():
     for q in (13, 17):
         pfs = factor_rational_prime(E59, q)
-        mods = {pf.ideal.module for pf in pfs}
+        mods = {pf.module for pf in pfs}
         assert len(mods) == len(pfs)
         for pf in pfs:
-            assert pf.ideal.module.covolume() == q**pf.f
+            assert pf.module.covolume() == q**pf.f
 
 
 def test_primitive_element_choice_is_invisible(monkeypatch):
@@ -289,10 +307,10 @@ def test_primitive_element_choice_is_invisible(monkeypatch):
         return candidates
 
     for q in (5, 17):
-        base = {pf.ideal.module for pf in factor_rational_prime(E59, q)}
+        base = {pf.module for pf in factor_rational_prime(E59, q)}
         for k in (1, 2):
             monkeypatch.setattr(biquadratic, "_primitive_candidates", skipping(q, k))
-            alt = {pf.ideal.module for pf in factor_rational_prime(E59, q)}
+            alt = {pf.module for pf in factor_rational_prime(E59, q)}
             monkeypatch.undo()
             assert alt == base
 
@@ -303,11 +321,11 @@ def test_obstructed_primes_still_factor():
     for E, q, count, f in ((E59, 3, 4, 1), (E715, 2, 4, 1), (E37, 2, 2, 2)):
         pfs = factor_rational_prime(E, q)
         assert [(pf.e, pf.f) for pf in pfs] == [(1, f)] * count
-        mods = {pf.ideal.module for pf in pfs}
+        mods = {pf.module for pf in pfs}
         assert len(mods) == count
         prod = identity_module(E)
         for pf in pfs:
-            prod = module_mul(prod, pf.ideal.module)
+            prod = module_mul(prod, pf.module)
         assert prod == q_ideal(E, q)
 
 
@@ -552,7 +570,7 @@ def test_relative_order_z8_has_index_two():
 def test_principal_generator_found():
     pfs = factor_rational_prime(E59, 17)
     for pf in pfs:
-        g = principal_generator(E59, pf.ideal.module)
+        g = principal_generator(E59, pf.module)
         assert g is not None
         assert g.norm() == 17
 
@@ -561,7 +579,7 @@ def test_principal_generator_absent():
     # no element of norm 3 exists (a^2 + 59*b^2 = 12 is insoluble), so the
     # norm-3 primes cannot be principal; this is where h = 3 shows up
     pf = factor_rational_prime(E59, 3)[0]
-    assert principal_generator(E59, pf.ideal.module) is None
+    assert principal_generator(E59, pf.module) is None
 
 
 # ---------------------------------------------------------------------------

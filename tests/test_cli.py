@@ -367,6 +367,25 @@ def test_criterion_hilbert_unit_past_the_string_limit(capsys):
     assert doc["verdict"] == "unknown"
 
 
+def test_criterion_hilbert_unsolvable_unit_equation_at_once(capsys):
+    # 100000000003u^2 - 5v^2 = 1 has no solution, which the norms of the
+    # period of sqrt(500000000015) show with no convergent built; the
+    # period runs 205,772 quotients, and streaming them as convergents to
+    # the Pell unit took about 6.5 s
+    argv = ["criterion", "hilbert", "3", "100000000003", "5"]
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, argv)
+    assert time.perf_counter() - start < 1.5
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["hypotheses"][3] == {
+        "name": "unit_equation_solvable",
+        "passed": False,
+        "detail": "no solution, decided from the Pell unit of Z[sqrt(500000000015)]",
+    }
+    assert (doc["applicable"], doc["verdict"]) == (False, "unknown")
+
+
 def test_criterion_inapplicable(capsys):
     code, doc = run_json(capsys, ["criterion", "hilbert", "1+1*w", "59", "3"])
     assert code == 0

@@ -31,6 +31,7 @@ from oracles import (
     brute_force_represent,
     from_integral_coords,
     primes_upto,
+    unit_equation_by_pell_unit,
     unit_equation_scan,
     witness_box,
 )
@@ -268,6 +269,26 @@ def test_unit_equation_past_the_scan_is_verified():
         True,
         "(u, v) = (57003, 416941)",
     )
+
+
+def test_unit_equation_matches_the_pell_unit_closed_form():
+    # every squarefree pair with 2 <= d < 400, 1 <= n < 80 and d != n,
+    # coprime or not, n = 1 included: the first matching norm of the period
+    # gives what the squares test on the Pell unit gives
+    pairs = [
+        (d, n)
+        for d in range(2, 400)
+        if is_squarefree(d)
+        for n in range(1, 80)
+        if is_squarefree(n) and n != d
+    ]
+    assert len(pairs) == 12051
+    solved = 0
+    for d, n in pairs:
+        want = unit_equation_by_pell_unit(d, n)
+        assert _unit_equation(d, n) == want, (d, n)
+        solved += want is not None
+    assert 0 < solved < len(pairs)
 
 
 def test_unit_equation_none_is_decided():

@@ -9,13 +9,13 @@ import io
 import json
 import random
 import time
-from math import ceil
+from math import ceil, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nforders import cli, orders
-from nforders.intmath import divisors
+from nforders.intmath import divisors, is_squarefree
 from nforders.orders import (
     UnresolvedError,
     _scan_pairs,
@@ -152,12 +152,46 @@ DIGITS = st.one_of(
     st.builds(_digits, st.integers(0, 2**32), st.integers(1, 30)),
 )
 INTS = st.one_of(DIGITS, DIGITS.map(lambda x: -x), st.just(0))
-FIELD_D = st.one_of(st.sampled_from([-1, -2, -3, -7, -14, -59, 2, 5]), INTS)
+
+
+def either(*strategies):
+    """One of the strategies, each drawn as often; st.one_of flattens a
+    nested one_of into its members, so INTS there counts four times."""
+    return st.integers(0, len(strategies) - 1).flatmap(lambda i: strategies[i])
+
+
+# the specs reach the library when D is squarefree, an index is positive
+# and (d, n) is a pair with a built-in basis, so those are drawn more often
+# than any integer: squarefree D as products of distinct primes, small or
+# of 10 and 15 digits, whose rho the factorization may not finish
+PRIMES = [q for q in range(2, 100) if all(q % r for r in range(2, q))]
+PRIMES += [Q1, Q2, 100000000000031, 1000000000000037]
+SQUAREFREE = st.lists(
+    st.sampled_from(PRIMES), min_size=1, max_size=4, unique=True
+).map(prod)
+INDEX = either(st.integers(1, 1000), DIGITS, INTS)
+NATIVE = st.sampled_from(
+    [
+        (d, n)
+        for d in range(3, 200, 4)
+        if is_squarefree(d)
+        for n in range(1, 60)
+        if n % 4 in (1, 2) and is_squarefree(n) and gcd(d, n) == 1
+    ]
+    + [(Q1, 2), (Q1, 5), (100000000003, 2), (3, Q2)]
+)
+FIELD_D = either(
+    st.sampled_from([-1, -2, -3, -7, -14, -59, 2, 5]),
+    SQUAREFREE.map(lambda x: -x),
+    SQUAREFREE,
+    INTS,
+)
 FIELD_DN = st.one_of(st.sampled_from([2, 3, 5, 7, 10, 11, 23, 31, 59]), INTS)
-SPEC = st.one_of(
+SPEC = either(
     st.builds("max:{}".format, FIELD_D),
     st.builds("zsqrt:{}".format, FIELD_D),
-    st.builds("index:{}:{}".format, FIELD_D, INTS),
+    st.builds("index:{}:{}".format, FIELD_D, INDEX),
+    NATIVE.map(lambda dn: "rel:%d:%d" % dn),
     st.builds("rel:{}:{}".format, FIELD_DN, FIELD_DN),
 )
 ELEMENT = st.one_of(

@@ -595,8 +595,7 @@ def test_find_generator_matches_oracle_on_e37_modules():
     # the full one; the norms are those of the module's covolume and of
     # short elements, so most searches find an element
     rng = random.Random(37)
-    modules = [pf.ideal.module
-               for q in (2, 3, 5) for pf in factor_rational_prime(E37, q)]
+    modules = [pf.module for q in (2, 3, 5) for pf in factor_rational_prime(E37, q)]
     modules += random_modules(rng, E37, 12)
     G = E37.t2_gram_matrix()
     half = {True: 0, False: 0}
@@ -655,7 +654,7 @@ def warm_inputs(pool):
     out = [c for c in pool if c[0].ambient == E59]
     out = rng.sample(out, 6) + rng.sample([c for c in pool if c[0].ambient == E1110], 6)
     out += rng.sample(represent_calls(((23, 5),), 400), 6)
-    modules = [pf.ideal.module for q in (2, 3, 5, 7) for pf in factor_rational_prime(E37, q)]
+    modules = [pf.module for q in (2, 3, 5, 7) for pf in factor_rational_prime(E37, q)]
     modules += random_modules(rng, E37, 6)
     for module in modules:
         if outcome(_unit_ladder, E37, module) != "unsupported":

@@ -11,7 +11,7 @@ from nforders import quadratic
 from nforders.criteria import _unit_equation
 from nforders.intmath import is_square, is_squarefree, jacobi
 from nforders.lattice import hnf, identity_module
-from nforders.orders import module_conj, module_mul
+from nforders.orders import module_mul
 from nforders.quadratic import (
     BinaryForm,
     QuadField,
@@ -25,6 +25,7 @@ from nforders.quadratic import (
     split_kind,
     split_prime,
 )
+from ideals import module_conj
 from oracles import (
     compose,
     from_integral_coords,

@@ -383,19 +383,45 @@ def test_traced_names_resolve():
 # one field protocol: the layers above the field ask it, not its degree
 
 
+def _imports_of(path: Path, name: str) -> list:
+    """Line numbers of the imports in the module at path, at module level
+    or inside a function, that name the module `name`."""
+    bad = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            if name in (node.module or "") or any(a.name == name for a in node.names):
+                bad.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(name in a.name for a in node.names):
+                bad.append(node.lineno)
+    return bad
+
+
 def test_orders_imports_nothing_from_biquadratic():
     # the primes above q and the class number come from the field itself
     # (prime_rows, class_number), at module level or inside a function
+    assert _imports_of(SRC / "orders.py", "biquadratic") == []
+
+
+def test_biquadratic_imports_nothing_from_orders():
+    # module products and colons live in lattice, UnresolvedError in
+    # quadratic, and a prime above q is a module, not an order's ideal
+    assert _imports_of(SRC / "biquadratic.py", "orders") == []
+
+
+def test_src_has_no_function_level_import():
+    # the imports of src/ form a DAG read off the module tops:
+    # intmath -> quadratic -> lattice -> {orders, biquadratic} -> criteria
+    # -> cli; no import waits inside a function to break a cycle
     bad = []
-    for node in ast.walk(_parse(SRC / "orders.py")):
-        if isinstance(node, ast.ImportFrom):
-            if "biquadratic" in (node.module or "") or any(
-                a.name == "biquadratic" for a in node.names
-            ):
-                bad.append(node.lineno)
-        elif isinstance(node, ast.Import):
-            if any("biquadratic" in a.name for a in node.names):
-                bad.append(node.lineno)
+    for p in sorted(SRC.glob("*.py")):
+        tree = _parse(p)
+        top = {id(stmt) for stmt in tree.body}
+        bad += [
+            (p.stem, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
     assert bad == []
 
 

@@ -26,8 +26,9 @@ from nforders.lattice import (
     enumerate_by_t2,
     lll_reduce,
 )
-from nforders.orders import module_colon, module_conj, module_mul, relative_order
+from nforders.orders import module_colon, module_mul, relative_order
 from nforders.quadratic import QuadElem, QuadField, integer_rows
+from ideals import module_conj
 from oracles import FracQuad, mult_matrix, naive, transform_by_matrix
 
 H = Fraction(1, 2)
