@@ -320,28 +320,6 @@ class BiquadField:
             raise ValueError("relative order does not lie in the basis span")
         return tuple(e.u for e in els)
 
-    def torsion_units(self) -> tuple:
-        """All roots of unity: exactly the integral elements with T2 = 4."""
-        return self._roots_of_unity
-
-    @cached_property
-    def _roots_of_unity(self) -> tuple:
-        out = []
-        red = lll_reduce(identity_module(self), self.t2_gram_matrix())
-        for v in enumerate_by_t2(red, 4):
-            u = self.from_basis_coords(v)
-            out.extend((u, -u))
-        one = self.one()
-        for u in out:
-            pw = u
-            for _ in range(12):
-                if pw == one:
-                    break
-                pw = pw * u
-            else:
-                raise AssertionError("non-torsion unit in the T2 = 4 shell")
-        return tuple(sorted(out, key=lambda z: z.coords))
-
     def __repr__(self):
         return "BiquadField(%d, %d)" % (self.d, self.n)
 

@@ -40,7 +40,6 @@ from .quadratic import (
     QuadField,
     cf_convergents,
     cf_sqrt,
-    pell_solve,
     principal_representation,
     split_kind,
     split_prime,
@@ -154,10 +153,12 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
 
     x^2 - dn*y^2 = -1 gives alpha = x, beta = y*sqrt(-d); the unit
     equation d*u^2 - n*v^2 = 1 gives alpha = u*sqrt(-d), beta = v.  Both
-    are decided exactly.  For n not in {1, 3} nothing else exists, so None
-    is a proof: w = alpha + beta*sqrt(-n) is a unit of relative norm -1
-    in the CM field E = F(sqrt(-n)), whose roots of unity are only +-1, so
-    w/conj(w) = +-1 and w lies in K0 = Q(sqrt(dn)) or in sqrt(-d)*K0.
+    are decided exactly off one expansion of sqrt(dn), the first by the
+    last convergent of an odd period as in pell_solve.  For n not in {1, 3}
+    nothing else exists, so None is a proof: w = alpha + beta*sqrt(-n) is
+    a unit of relative norm -1 in the CM field E = F(sqrt(-n)), whose
+    roots of unity are only +-1, so w/conj(w) = +-1 and w lies in K0 =
+    Q(sqrt(dn)) or in sqrt(-d)*K0.
     With alpha, beta in O_F that is w = x + y*sqrt(-d)*sqrt(-n) or
     w = u*sqrt(-d) + v*sqrt(-n), x, y, u, v in Z, of relative norms
     x^2 - dn*y^2 and n*v^2 - d*u^2.  For n in {1, 3}, where E holds i or
@@ -168,10 +169,12 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     if d <= 3:
         raise ValueError("needs d > 3, got %d" % d)
     F = QuadField(-d)
-    r = pell_solve(d * n, -1)
-    if r is not None:
-        return UnitWitness(F(r.x), F(0, r.y), n)
-    uv = _unit_equation(d, n)
+    cf = cf_sqrt(d * n)
+    l = len(cf.period)
+    if l % 2:
+        ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
+        return UnitWitness(F(x), F(0, y), n)
+    uv = _unit_equation_in(cf, d, n)
     if uv is not None:
         return UnitWitness(F(0, uv[0]), F(uv[1]), n)
     if n not in (1, 3):
@@ -192,11 +195,17 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
 
 @lru_cache(maxsize=None)
 def _unit_equation(d: int, n: int):
+    """_unit_equation_in on the expansion of sqrt(dn), once per (d, n)."""
+    return _unit_equation_in(cf_sqrt(d * n), d, n)
+
+
+def _unit_equation_in(cf, d: int, n: int):
     """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
-    None; d, n squarefree and 1 < d != n.  It is read off the norms N_k =
-    h_k^2 - dn*q_k^2 of the first period of sqrt(dn) (CFExpansion.norms):
-    the first k with N_k = d gives (h_k/d, q_k), with N_k = -n (q_k, h_k/n).
-    With no such k there is no solution, and no convergent is built.
+    None; d, n squarefree, 1 < d != n and cf the expansion of sqrt(dn).
+    It is read off the norms N_k = h_k^2 - dn*q_k^2 of the first period
+    (CFExpansion.norms): the first k with N_k = d gives (h_k/d, q_k), with
+    N_k = -n (q_k, h_k/n).  With no such k there is no solution, and no
+    convergent is built.
 
     A match solves the equation: d | h_k^2 forces d | h_k, d squarefree,
     and N_k/d = 1; likewise for -n.  A solution gamma = u*sqrt(d) +
@@ -216,7 +225,6 @@ def _unit_equation(d: int, n: int):
     d + n; for an odd period eta = eps^2, eps the last convergent, so
     gamma_0 = eps lies in Q(sqrt(dn)), which leaves n = 1 and the match eps.
     """
-    cf = cf_sqrt(d * n)
     k = next((k for k, N in enumerate(cf.norms) if N == d or N == -n), None)
     if k is None:
         return None

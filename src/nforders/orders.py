@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, gcd, prod
+from math import gcd, isqrt, prod
 
-from .intmath import divisors, factorize, sqrt_ub
+from .intmath import _SQRT_SCALE, divisors, factorize
 from .lattice import (
     IntModule,
     _det_int,
@@ -279,7 +279,12 @@ def unit_index(o: OrderRep) -> int:
     group is the torsion, and for the maximal order of a quartic field.
     A non-maximal quartic order raises UnresolvedError: the Pell unit of
     the real quadratic subfield need not generate O_E^x modulo torsion, so
-    the first of its powers that lies in o does not give the index."""
+    the first of its powers that lies in o does not give the index.
+
+    A maximal order has index 1.  A non-maximal imaginary quadratic o = Z
+    + f*O_K (Cox, Primes of the form x^2 + ny^2, section 7) has o^x = O_K^x
+    & o = {+-1}, as a root of unity other than +-1 comes only with disc K =
+    -3 or -4 and generates O_K there; so the index is #(O_K^x)/2."""
     field = o.field
     if field.degree == 2 and field.D > 0:
         raise UnresolvedError("real quadratic unit index not supported")
@@ -287,10 +292,7 @@ def unit_index(o: OrderRep) -> int:
         raise UnresolvedError(
             "unit index of a non-maximal quartic order needs the unit group of E"
         )
-    tors = field.torsion_units()
-    inside = [z for z in tors if o.module.contains(z)]
-    assert len(tors) % len(inside) == 0
-    return len(tors) // len(inside)
+    return 1 if o.is_maximal else len(field.torsion_units()) // 2
 
 
 @dataclass(frozen=True)
@@ -386,21 +388,23 @@ def _primitive_ideals(o: OrderRep, scan: int, divs):
     mod 2, so I has the rows (a, 0) and (g0, f), and its content is
     gcd(a, g0, f), a divisor q of f.  For each q the loop takes a in qZ and
     b = -s*f mod 2q, which makes q divide g0, and keeps the ideals whose
-    content is exactly q.  The test b^2 = disc o mod 4a runs in one
-    comprehension per a."""
+    content is exactly q.  The pairs (a, b) with b^2 = disc o mod 4a are
+    collected in one comprehension per q."""
     f = o.index_in_maximal()
     s = o.field.disc % 2
     disc = o.field.disc * f * f
     for q in divs:
-        for a in range(q, scan * q * q // f + 1, q):
-            lo, m = 1 - a, 4 * a
-            t = disc % m
-            bs = range(lo + (-s * f - lo) % (2 * q), a + 1, 2 * q)
-            for b in [b for b in bs if b * b % m == t]:
-                c = (b * b - disc) // m
-                g0 = -(b + s * f) // 2
-                if gcd(gcd(a, g0), f) == q:
-                    yield a, b, c, ((a, 0), (g0 % a, f))
+        pairs = [
+            (a, b)
+            for a in range(q, scan * q * q // f + 1, q)
+            for m, t in [(4 * a, disc % (4 * a))]
+            for b in range(1 - a + (a - 1 - s * f) % (2 * q), a + 1, 2 * q)
+            if b * b % m == t
+        ]
+        for a, b in pairs:
+            g0 = -(b + s * f) // 2
+            if gcd(a, g0, f) == q:
+                yield a, b, (b * b - disc) // (4 * a), ((a, 0), (g0 % a, f))
 
 
 def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCount:
@@ -418,10 +422,13 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     and in C, and as [O_K*M : M] = f = [O_K : o], [O_K : L] <=
     (2/pi)*sqrt(|disc K|)*f = (2/pi)*sqrt(|disc o|).  So the scan stops
     there whatever the bound; a smaller explicit bound makes the result a
-    lower bound only (complete=False).
+    lower bound only (complete=False).  As 2/pi < 2/3, minkowski_bound is
+    (2/3)*sqrt_ub(|disc o|) = num/den, num = 2*(isqrt(|disc o|*S^2) + 1) and
+    den = 3*S for S = _SQRT_SCALE, as sqrt_ub(x) = (isqrt(x*S^2) + 1)/S; so
+    its ceiling is -(-num // den), and B reaches it exactly when B*den >= num.
 
-    I is invertible exactly when gcd(a, b, c) = 1, and then its class is
-    the class of the form (a, b, c) (Cox, Primes of the form x^2 + ny^2,
+    I is invertible exactly when its form (a, b, c) is primitive, and then
+    its class is the class of the form (Cox, Primes of the form x^2 + ny^2,
     section 7), so the reduced form (a', b', c') is its key and the count
     is the number of keys.  Each ideal is proven to lie in its key's class
     by the matrix ((p, q), (r, t)) of BinaryForm.reduction: it takes I's
@@ -434,13 +441,12 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     f = o.index_in_maximal()
     s = o.field.disc % 2
     c0, c1 = o.field.mult_table[1][1]  # w^2 = c0 + c1*w
-    mink = Fraction(2, 3) * sqrt_ub(Fraction(-o.field.disc * f * f))  # 2/pi < 2/3
+    num, den = 2 * (isqrt(-o.field.disc * (f * _SQRT_SCALE) ** 2) + 1), 3 * _SQRT_SCALE
+    ceil_mink = -(-num // den)
     if norm_bound is None:
-        norm_bound = ceil(mink)
-        complete = True
-    else:
-        complete = Fraction(norm_bound) >= mink
-    scan = min(norm_bound, ceil(mink))
+        norm_bound = ceil_mink
+    complete = norm_bound * den >= num
+    scan = min(norm_bound, ceil_mink)
     divs = divisors(f)
     pairs = _scan_pairs(f, scan, divs)
     if pairs > _BRUTE_FORCE_MAX_PAIRS:
@@ -450,9 +456,10 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
         )
     keys = set()
     for a, b, c, rows in _primitive_ideals(o, scan, divs):
-        if gcd(gcd(a, b), c) != 1:
+        form = BinaryForm(a, b, c)
+        if not form.is_primitive():
             continue
-        key, ((p, q), (r, t)) = BinaryForm(a, b, c).reduction()
+        key, ((p, q), (r, t)) = form.reduction()
         g0, g1 = -(b + s * f) // 2, -(key.b + s * f) // 2
         x, y = p * a - r * g0, -r * f  # b1 = x + y*w; (u0, u1) = a'*b2 + b1*tau'
         u0 = key.a * (q * a - t * g0) + x * g1 + c0 * y * f
@@ -463,4 +470,4 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
                 % (rows, key)
             )
         keys.add(key)
-    return BruteClassCount(len(keys), norm_bound, mink, complete)
+    return BruteClassCount(len(keys), norm_bound, Fraction(num, den), complete)

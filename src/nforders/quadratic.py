@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .intmath import (
     factorize,
@@ -151,13 +152,11 @@ class FieldElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        r = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
+        r = self if e else self.field.one()
+        for bit in bin(e)[3:]:  # the bits below the top one, from the left
+            r = r * r
+            if bit == "1":
+                r = r * self
         return r
 
     def is_zero(self) -> bool:
@@ -226,13 +225,14 @@ class QuadField:
     def torsion_units(self) -> list:
         """The roots of unity of an imaginary field (just +-1 for a real
         one)."""
+        one = self.one()
         if self.disc == -3:
             w = self.omega()  # (1+sqrt(-3))/2, a sixth root of unity
-            return [self(1), -self(1), w, -w, w * w, -(w * w)]
+            return [one, -one, w, -w, w * w, -(w * w)]
         if self.disc == -4:
-            i = self(0, 1)  # sqrt(-1)
-            return [self(1), -self(1), i, -i]
-        return [self(1), -self(1)]
+            i = self.omega()  # sqrt(-1)
+            return [one, -one, i, -i]
+        return [one, -one]
 
     def t2_gram_matrix(self) -> tuple:
         """Gram matrix of T2 on the basis {1, w}, T2 the sum of |x|^2 over
@@ -395,8 +395,9 @@ def split_prime(F: QuadField, q: int) -> SplitResult:
 # binary quadratic forms
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(NamedTuple):
+    """a*x^2 + b*xy + c*y^2; compares, hashes and sorts as (a, b, c)."""
+
     a: int
     b: int
     c: int
@@ -406,27 +407,25 @@ class BinaryForm:
         return self.b * self.b - 4 * self.a * self.c
 
     def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
+        return gcd(*self) == 1
 
     def reduction(self) -> tuple["BinaryForm", tuple]:
         """The reduced form F' and ((p, q), (r, t)) in SL2(Z) with
         F'(x, y) = F(p x + q y, r x + t y), built up move by move."""
-        a, b, c = self.a, self.b, self.c
-        if a <= 0 or self.disc >= 0:
+        a, b, c = self
+        if a <= 0 or b * b >= 4 * a * c:
             raise ValueError("reduction implemented for positive definite forms")
         p, q, r, t = 1, 0, 0, 1
         while True:
             if c < a or (c == a and b < 0):  # swap by ((0, -1), (1, 0))
                 a, b, c = c, -b, a
                 p, q, r, t = q, -p, t, -r
-                continue
-            if b > a or b <= -a:
-                # translate b into (-a, a] by ((1, k), (0, 1))
+            elif b > a or b <= -a:  # translate b into (-a, a] by ((1, k), (0, 1))
                 k = (a - b) // (2 * a)
                 b, c = b + 2 * k * a, c + k * b + k * k * a
                 q, t = q + k * p, t + k * r
-                continue
-            break
+            else:
+                break
         return BinaryForm(a, b, c), ((p, q), (r, t))
 
 
@@ -461,8 +460,10 @@ _REDUCED_FORMS_MAX_DISC = 10**7
 
 def reduced_forms(disc: int) -> list[BinaryForm]:
     """All reduced primitive positive definite forms of the discriminant,
-    for |disc| up to _REDUCED_FORMS_MAX_DISC; UnsupportedFieldError past
-    it."""
+    sorted, for |disc| up to _REDUCED_FORMS_MAX_DISC; UnsupportedFieldError
+    past it.  For each b = disc mod 2, 0 <= b <= sqrt(|disc|/3), one
+    comprehension takes the a in [b, sqrt(m)] dividing m = (b^2 - disc)/4
+    with gcd(a, b, m/a) = 1; (a, -b, c) joins when 0 < b < a < c."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("need a negative discriminant = 0 or 1 mod 4")
     if -disc > _REDUCED_FORMS_MAX_DISC:
@@ -471,21 +472,14 @@ def reduced_forms(disc: int) -> list[BinaryForm]:
             % (disc, _REDUCED_FORMS_MAX_DISC)
         )
     out = []
-    b = disc % 2
-    while 3 * b * b <= -disc:
+    for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
         m = (b * b - disc) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                f = BinaryForm(a, b, c)
-                if f.is_primitive():
-                    out.append(f)
-                    if 0 < b < a < c:
-                        out.append(BinaryForm(a, -b, c))
-            a += 1
-        b += 2
-    return sorted(out, key=lambda f: (f.a, f.b, f.c))
+        out += [
+            BinaryForm(a, b, m // a)
+            for a in range(max(b, 1), isqrt(m) + 1)
+            if m % a == 0 and gcd(a, b, m // a) == 1
+        ]
+    return sorted(out + [BinaryForm(a, -b, c) for a, b, c in out if 0 < b < a < c])
 
 
 @dataclass(frozen=True)

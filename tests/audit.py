@@ -30,7 +30,7 @@ from nforders.orders import (
 from nforders.quadratic import table_matrix
 
 from ideals import ideal_candidates, module_conj
-from oracles import fundamental_unit
+from oracles import fundamental_unit, torsion_units
 
 # ---------------------------------------------------------------------------
 # residue enumeration
@@ -112,7 +112,7 @@ def in_PKOf(atilde: OrderIdeal, o: OrderRep) -> bool:
     if g is None:
         return False
     field = o.field
-    units = field.torsion_units()
+    units = torsion_units(field)
     for u in units:
         cand = u * g
         if o.module.contains(cand):
@@ -186,7 +186,7 @@ def counting_audit(o: OrderRep, margin: int = 4) -> AuditReport:
     checks.append("ray_class_count_equals_picard")
 
     # O_K^x meet K_{f,o} = o^x, exhausting the finite unit group
-    tors = field.torsion_units()
+    tors = torsion_units(field)
     in_order = {
         t.basis_coords(): o.module.contains(t) for t in tors
     }

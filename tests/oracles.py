@@ -15,6 +15,13 @@ period of sqrt(dn).  `residue_unit_count` is the prime-contraction count of
 #(o/f)^x for any ideal f of any order, which the Picard formula ran twice
 per order before it read both counts off the index; it is the oracle for
 the closed forms of `QuadField.residue_unit_counts`.
+`unit_index_by_torsion`, `brute_force_bound_by_fraction` and
+`reduced_forms_by_loop` are `unit_index`, the Minkowski bound of
+`pic_brute_force` and `reduced_forms` as they were before they became
+a closed form, integers and comprehensions; `torsion_units` gives the
+roots of unity of a quadratic or quartic field, the latter by the T2 = 4
+enumeration `BiquadField.torsion_units` ran before nothing in the library
+read it.
 `oracle_norm_form_element` is the scan `split_prime` ran for its element
 before it read it off a form reduction.  `residue_data_by_root_search`,
 `prime_above_by_generators` (through `embed_F`) and `split_relative_naive`
@@ -30,7 +37,7 @@ kept as the oracle for the elements that replaced them.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import ceil, isqrt, lcm
 from operator import mul
 
 from nforders.biquadratic import (
@@ -42,15 +49,24 @@ from nforders.biquadratic import (
     ideal_of_elements,
 )
 from nforders.criteria import _divides, verify_identity
-from nforders.intmath import _SQRT_SCALE, factorize, is_prime, poly_roots_mod, xgcd
+from nforders.intmath import (
+    _SQRT_SCALE,
+    factorize,
+    is_prime,
+    poly_roots_mod,
+    sqrt_ub,
+    xgcd,
+)
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
     _times,
     _pair_coeffs,
     _pair_products,
+    enumerate_by_t2,
     find_generator,
     identity_module,
+    lll_reduce,
 )
 from nforders.orders import OrderIdeal, OrderRep, _closed_under, _contractions, _pivots
 from nforders.quadratic import (
@@ -134,8 +150,76 @@ def residue_unit_count(o: OrderRep, f) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def torsion_units(field) -> tuple:
+    """The roots of unity of a quadratic or quartic field.  A quartic one
+    has exactly the integral elements with T2 = 4, found by enumeration
+    (the library read them until its unit index became a closed form)."""
+    if field.degree == 2:
+        return tuple(field.torsion_units())
+    out = []
+    red = lll_reduce(identity_module(field), field.t2_gram_matrix())
+    for v in enumerate_by_t2(red, 4):
+        u = field.from_basis_coords(v)
+        out.extend((u, -u))
+    one = field.one()
+    for u in out:
+        pw = u
+        for _ in range(12):
+            if pw == one:
+                break
+            pw = pw * u
+        else:
+            raise AssertionError("non-torsion unit in the T2 = 4 shell")
+    return tuple(sorted(out, key=lambda z: z.coords))
+
+
+def unit_index_by_torsion(o: OrderRep) -> int:
+    """[O_K^x : o^x] as unit_index found it before its closed form, for an
+    imaginary quadratic order or a maximal order: the roots of unity of
+    the field over those the order's module contains."""
+    tors = torsion_units(o.field)
+    inside = [z for z in tors if o.module.contains(z)]
+    assert len(tors) % len(inside) == 0
+    return len(tors) // len(inside)
+
+
+def brute_force_bound_by_fraction(o: OrderRep, norm_bound=None) -> tuple:
+    """(norm_bound, minkowski_bound, complete) as pic_brute_force set them
+    before its bound was kept in integers: the Fraction (2/3)*sqrt_ub(|disc
+    o|), its ceiling for a missing bound, and whether the bound reaches it."""
+    f = o.index_in_maximal()
+    mink = Fraction(2, 3) * sqrt_ub(Fraction(-o.field.disc * f * f))
+    if norm_bound is None:
+        return ceil(mink), mink, True
+    return norm_bound, mink, Fraction(norm_bound) >= mink
+
+
 # ---------------------------------------------------------------------------
 # binary quadratic forms
+
+
+def reduced_forms_by_loop(disc: int) -> list:
+    """The reduced primitive forms of a negative discriminant as
+    reduced_forms listed them before its candidate a became one
+    comprehension: a while loop over b and one over a, each form checked
+    with is_primitive, sorted by (a, b, c)."""
+    out = []
+    b = disc % 2
+    while 3 * b * b <= -disc:
+        m = (b * b - disc) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                f = BinaryForm(a, b, c)
+                if f.is_primitive():
+                    out.append(f)
+                    if 0 < b < a < c:
+                        out.append(BinaryForm(a, -b, c))
+            a += 1
+        b += 2
+    return sorted(out, key=lambda f: (f.a, f.b, f.c))
 
 
 def is_reduced(f: BinaryForm) -> bool:

@@ -23,6 +23,7 @@ from nforders.orders import (
 from nforders.quadratic import BinaryForm, QuadElem, form_class_group, reduced_forms
 
 from ideals import ideal_candidates, module_conj, pic_pairwise, picard_pool
+from oracles import brute_force_bound_by_fraction
 
 POOL = picard_pool()
 
@@ -38,6 +39,19 @@ def test_count_matches_pairwise_oracle(spec):
         r = pic_brute_force(o, bound)
         scan = min(r.norm_bound, ceil(r.minkowski_bound))
         assert r.count == pic_pairwise(o, scan), bound
+
+
+def test_integer_bound_matches_the_fraction_oracle():
+    # (norm_bound, minkowski_bound, complete) against the Fraction bound
+    # they were read off before, for no bound and every bound from 0 to one
+    # past the ceiling of the Minkowski bound
+    for spec, o in POOL.items():
+        top = ceil(brute_force_bound_by_fraction(o)[1])
+        for bound in [None] + list(range(top + 2)):
+            r = pic_brute_force(o, bound)
+            got = (r.norm_bound, r.minkowski_bound, r.complete)
+            assert got == brute_force_bound_by_fraction(o, bound), (spec, bound)
+            assert type(r.norm_bound) is int, (spec, bound)
 
 
 @pytest.mark.parametrize("spec", sorted(POOL))

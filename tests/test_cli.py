@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from nforders import cli, orders
 from nforders.lattice import IntModule
 from nforders.quadratic import QuadField
+from ideals import picard_pool
 from oracles import from_integral_coords
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -257,6 +258,21 @@ def test_picard_outputs_are_unchanged(capsys):
         code, out = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_picard_pool_outputs_are_unchanged(capsys):
+    # the exit code and stdout of `picard SPEC` and `picard SPEC --bound 5`
+    # for each order of the picard benchmark pool, in spec order, recorded
+    # before the form kernels moved to tuples and integer bounds
+    digest = hashlib.sha256()
+    for spec in sorted(picard_pool()):
+        for extra in ([], ["--bound", "5"]):
+            code, out = run(capsys, ["picard", spec, *extra])
+            digest.update(("%d\n%s" % (code, out)).encode())
+    assert (
+        digest.hexdigest()
+        == "83907a949a1375e00b4557630c4868b476573d84e0a057b0e9c0e4d7c315f2a3"
+    )
 
 
 def test_picard_past_the_class_group_cap_prints_an_integer_bound(capsys):

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from nforders import criteria, quadratic
 from nforders.criteria import (
     SOLVABLE,
     UNKNOWN,
@@ -25,7 +26,7 @@ from nforders.criteria import (
     verify_identity,
 )
 from nforders.intmath import is_prime, is_squarefree, poly_roots_mod
-from nforders.quadratic import QuadElem, QuadField, pell_solve, split_prime
+from nforders.quadratic import QuadElem, QuadField, cf_sqrt, pell_solve, split_prime
 from oracles import (
     FracQuad,
     brute_force_represent,
@@ -316,6 +317,33 @@ def test_witness_box_adds_nothing_past_the_two_equations():
             hits += 1
             assert unit_witness(d, n) is not None, (d, n)
     assert hits > 0
+
+
+def test_unit_witness_expands_sqrt_dn_once(monkeypatch):
+    # both equations are read off one expansion of sqrt(dn): an odd period
+    # (5, 2), an even one with the unit equation solvable (107, 2), one
+    # with neither (7, 2), the box (11, 1), and the period of 454,206 of
+    # sqrt(200000000006)
+    calls = []
+
+    def counted(D):
+        calls.append(D)
+        return cf_sqrt(D)
+
+    monkeypatch.setattr(quadratic, "cf_sqrt", counted)
+    monkeypatch.setattr(criteria, "cf_sqrt", counted)
+    for d, n, found in [
+        (5, 2, True),
+        (107, 2, True),
+        (7, 2, False),
+        (11, 1, True),
+        (100000000003, 5, False),
+    ]:
+        unit_witness.cache_clear()
+        _unit_equation.cache_clear()
+        calls.clear()
+        assert (unit_witness(d, n) is not None) == found, (d, n)
+        assert calls == [d * n], (d, n)
 
 
 def test_unit_witness_box_for_n_1():

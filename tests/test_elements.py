@@ -75,6 +75,38 @@ def test_ring_operations_match_fraction_oracle(field):
                 x / y
 
 
+@pytest.mark.parametrize("field", [QuadField(-59), integral_basis(59, 2)], ids=repr)
+def test_pow_matches_repeated_multiplication(field, monkeypatch):
+    # x**e for e in -5..20 against |e| products from one, inverted for a
+    # negative e; square-and-multiply makes only the products the bits of
+    # e ask for, one for x**2
+    cls = type(field.one())
+    mul, products = cls.__mul__, []
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    rng = random.Random(33)
+    for _ in range(6):
+        x = rand_elem(rng, field)
+        if not x:
+            continue
+        for e in range(-5, 21):
+            want = field.one()
+            for _ in range(abs(e)):
+                want = want * x
+            if e < 0:
+                want = want.inverse()
+            monkeypatch.setattr(cls, "__mul__", counted)
+            products.clear()
+            got = x**e
+            monkeypatch.setattr(cls, "__mul__", mul)
+            assert (got.u, got.den) == (want.u, want.den), e
+            if e >= 0:  # a quartic inverse makes products of its own
+                assert len(products) == max(e.bit_length() + bin(e).count("1") - 2, 0)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_invariants_match_fraction_oracle(field):
     for x, _ in pairs(field, 60):

@@ -39,7 +39,7 @@ from ideals import (
     ideal_quot,
     picard_pool,
 )
-from oracles import residue_unit_count
+from oracles import residue_unit_count, unit_index_by_torsion
 
 F1 = QuadField(-1)
 F2 = QuadField(-2)
@@ -442,6 +442,22 @@ def test_unit_index_unresolved_on_nonmaximal_quartic_order():
         picard_number(o)
     # the maximal order keeps its index
     assert unit_index(maximal_order(o.field)) == 1
+
+
+def test_unit_index_matches_the_torsion_oracle():
+    # the closed form, 1 or #W/2, against the roots of unity each order
+    # contains: the picard pool and the maximal orders of three quartic
+    # fields, E37 among them
+    from nforders.biquadratic import integral_basis
+
+    pool = list(picard_pool().values())
+    assert len(pool) == 141
+    quartic = [integral_basis(59, 2), integral_basis(11, 10), _e37_order().field]
+    seen = set()
+    for o in pool + [maximal_order(E) for E in quartic]:
+        assert unit_index(o) == unit_index_by_torsion(o), o.module.rows
+        seen.add(unit_index(o))
+    assert seen == {1, 2, 3}
 
 
 def test_in_pkof_quartic_miss_is_unresolved():

@@ -35,6 +35,7 @@ from oracles import (
     is_reduced,
     oracle_norm_form_element,
     primes_upto,
+    reduced_forms_by_loop,
     trace,
 )
 
@@ -326,6 +327,34 @@ def test_reduced_forms_are_reduced_primitive():
             assert f.disc == disc
             assert is_reduced(f)
             assert f.is_primitive()
+
+
+def test_reduced_forms_match_the_loop_oracle():
+    # every discriminant = 0, 1 mod 4 in [-5000, -3]: the same forms, in
+    # the same order, as the two while loops reduced_forms ran before
+    discs = [disc for disc in range(-5000, -2) if disc % 4 in (0, 1)]
+    assert len(discs) == 2500
+    for disc in discs:
+        got = reduced_forms(disc)
+        assert got == reduced_forms_by_loop(disc), disc
+        assert all(type(f) is BinaryForm for f in got), disc
+
+
+def test_binary_form_is_its_tuple():
+    # a NamedTuple: equal, hashed and sorted as the plain (a, b, c), with
+    # the dataclass's repr
+    f = BinaryForm(3, -1, 5)
+    assert f == (3, -1, 5) and hash(f) == hash((3, -1, 5))
+    assert repr(f) == "BinaryForm(a=3, b=-1, c=5)"
+    assert (f.a, f.b, f.c, f.disc) == (3, -1, 5, -59)
+    assert sorted([BinaryForm(3, 1, 5), f, BinaryForm(1, 1, 15)]) == [
+        (1, 1, 15),
+        (3, -1, 5),
+        (3, 1, 5),
+    ]
+    assert not BinaryForm(2, 2, 4).is_primitive()
+    with pytest.raises(ValueError, match="positive definite"):
+        BinaryForm(1, 2, 1).reduction()
 
 
 def test_reduce_is_idempotent_and_equivalent():
