@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, prod
 from operator import add, mul
 
 from .intmath import (
@@ -297,15 +297,16 @@ class BiquadField:
     def class_number(self) -> int:
         return class_group(self).h
 
-    def residue_unit_counts(self, f: int) -> tuple[int, int]:
-        """The Picard formula's residue counts for the order of index f:
-        (1, 1) for f = 1, the maximal order, which is its own conductor, so
-        both quotients are the zero ring, counted as 1.  The conductor of a
-        smaller quartic order is not read off its index, so f > 1 raises
-        UnresolvedError."""
-        if f != 1:
+    def residue_unit_counts(self, fac) -> tuple[int, int]:
+        """The Picard formula's residue counts for the order of index f =
+        prod q^e over the pairs (q, e) of fac: (1, 1) for f = 1, the maximal
+        order, which is its own conductor, so both quotients are the zero
+        ring, counted as 1.  The conductor of a smaller quartic order is not
+        read off its index, so f > 1 raises UnresolvedError."""
+        if fac:
             raise UnresolvedError(
-                "residue counts of a quartic order of index %d are not decided" % f
+                "residue counts of a quartic order of index %d are not decided"
+                % prod(q**e for q, e in fac)
             )
         return 1, 1
 

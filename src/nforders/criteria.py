@@ -447,16 +447,18 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
 # representation solver over O_F
 
 
-def _prime_above(E: BiquadField, q: int, deg: int, r, root: QuadElem) -> IntModule:
-    """The prime P of O_E above the prime element p of O_F with
-    _residue_data (q, deg, r): the kernel of the ring map O_E -> O_F/p,
+def _prime_above(
+    E: BiquadField, F: QuadField, q: int, deg: int, r, root: QuadElem
+) -> IntModule:
+    """The prime P of O_E above the prime element p of O_F, F = Q(sqrt(-d)),
+    with _residue_data (q, deg, r): the kernel of the ring map O_E -> O_F/p,
     t = sqrt(-n) -> root, onto a field of q^deg elements.  It is a ring map
     as root^2 + n lies in p, and P = p*O_E + (root - t)*O_E, as O_E = O_F
     + O_F*t.  Over {1, w, t, w*t} its rows are already the canonical HNF:
     the HNF rows of p*O_F, then t - root and w*t - w*root with root and
     w*root reduced mod p, to an integer through w -> r for deg 1."""
     assert E.relative_order_rows == _IDENTITY4
-    c0, c1 = QuadField(-E.d).mult_table[1][1]
+    c0, c1 = F.mult_table[1][1]
     a, b = root.u
     wa, wb = c0 * b, a + c1 * b  # w*root
     if deg == 1:
@@ -466,10 +468,9 @@ def _prime_above(E: BiquadField, q: int, deg: int, r, root: QuadElem) -> IntModu
     return IntModule(E, top + ((-a % q, -b % q, 1, 0), (-wa % q, -wb % q, 0, 1)), 1)
 
 
-def _split_relative(alpha: BiquadElem) -> tuple[QuadElem, QuadElem]:
-    """alpha = x + y*sqrt(-n) with x, y in Q(sqrt(-d)), over the basis
+def _split_relative(alpha: BiquadElem, F: QuadField) -> tuple[QuadElem, QuadElem]:
+    """alpha = x + y*sqrt(-n) with x, y in F = Q(sqrt(-d)), over the basis
     {1, w, sqrt(-n), w*sqrt(-n)} of the fields _prime_above searches."""
-    F = QuadField(-alpha.field.d)
     u0, u1, u2, u3 = alpha.u
     return QuadElem(F, (u0, u1), alpha.den), QuadElem(F, (u2, u3), alpha.den)
 
@@ -497,10 +498,11 @@ def represent(p: QuadElem, d: int, n: int):
     root = _sqrt_minus_n(F, q, deg, n)
     if root is None:
         return None
-    alpha = find_generator(_prime_above(integral_basis(d, n), q, deg, r, root), q**deg)
+    P = _prime_above(integral_basis(d, n), F, q, deg, r, root)
+    alpha = find_generator(P, q**deg)
     if alpha is None:
         return None  # the ideal is not principal, so no pair exists
-    x, y = _split_relative(alpha)
+    x, y = _split_relative(alpha, F)
     nu = x**2 + n * y**2
     if nu == -p:
         w = unit_witness(d, n) if d > 3 else None

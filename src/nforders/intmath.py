@@ -138,10 +138,11 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, in increasing order."""
+def divisors(fac) -> list[int]:
+    """The positive divisors, in increasing order, of prod p^e over the
+    pairs (p, e) of the factorization fac."""
     out = [1]
-    for p, e in factorize(n).items():
+    for p, e in fac:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 

@@ -12,19 +12,22 @@ a * (o : a), one more HNF and a back-substitution; factorization is trial
 division with HNF comparison; and Picard groups come out of the
 unit/residue counting formula
 #Pic(o) = h_K * #(O_K/f)^x / ([O_K^x : o^x] * #(o/f)^x), f the conductor,
-with an independent brute-force count to check it, which keys each
-primitive ideal [a, (-b + sqrt(disc o))/2] by its reduced form.  Both
-residue counts are read off the index [O_K : o] by the field
-(residue_unit_counts): a quadratic order of index f is Z + f*O_K, with
-conductor f*O_K and o/f = Z/f, and a maximal order of any degree is its
-own conductor, so no conductor or prime ideal is built for them.
+with an independent brute-force count to check it, which scans the
+primitive ideals [a, (-b + sqrt(disc o))/2] in place on integers, drops
+the non-invertible ones there and keys each invertible one by its reduced
+form (reduce_form, audited).  Both residue counts are read off the
+factorization of the index [O_K : o] by the field (residue_unit_counts),
+and the scan's divisors off the same factorization, found once per order:
+a quadratic order of index f is Z + f*O_K, with conductor f*O_K and o/f =
+Z/f, and a maximal order of any degree is its own conductor, so no
+conductor or prime ideal is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from .intmath import _SQRT_SCALE, divisors, factorize
@@ -41,7 +44,7 @@ from .lattice import (
     module_colon,
     module_mul,
 )
-from .quadratic import BinaryForm, QuadField, UnresolvedError, table_matrix
+from .quadratic import BinaryForm, QuadField, UnresolvedError, reduce_form, table_matrix
 
 
 class PreconditionError(ValueError):
@@ -58,26 +61,25 @@ class AuditFailure(Exception):
 
 @dataclass(frozen=True)
 class OrderRep:
+    """An order, proven one on its integer rows when built: integral, with
+    1 = (1, 0, ...) in their span, and closed under mult_matrices, the
+    field-table matrices of its rows other than 1 (a lattice is closed
+    under o exactly when it is closed under each of them)."""
+
     field: object
     module: IntModule
 
     def __post_init__(self):
-        m = self.module
-        if m.den != 1:
+        rows = self.module.rows
+        if self.module.den != 1:
             raise ValueError("an order must consist of integral elements")
-        if not m.contains(self.field.one()):
+        one = (1,) + (0,) * (len(rows) - 1)
+        if not _in_lattice(rows, one):
             raise ValueError("an order must contain 1")
-        if not _closed_under(self, m.rows):
+        mats = tuple(table_matrix(self.field.mult_table, r) for r in rows if r != one)
+        object.__setattr__(self, "mult_matrices", mats)
+        if not _closed_under(self, rows):
             raise ValueError("module is not multiplicatively closed")
-
-    @cached_property
-    def mult_matrices(self) -> tuple:
-        """Integer multiplication matrices, through the field's table, of
-        the basis rows of the order other than 1 itself: a lattice is
-        closed under the order iff it is closed under each of them."""
-        one = self.field.one().u
-        T = self.field.mult_table
-        return tuple(table_matrix(T, r) for r in self.module.rows if r != one)
 
     @property
     def is_maximal(self) -> bool:
@@ -284,7 +286,8 @@ def unit_index(o: OrderRep) -> int:
     A maximal order has index 1.  A non-maximal imaginary quadratic o = Z
     + f*O_K (Cox, Primes of the form x^2 + ny^2, section 7) has o^x = O_K^x
     & o = {+-1}, as a root of unity other than +-1 comes only with disc K =
-    -3 or -4 and generates O_K there; so the index is #(O_K^x)/2."""
+    -3 or -4 and generates O_K there; so the index is #(O_K^x)/2, read
+    off disc K: 6/2 at -3, 4/2 at -4 and 2/2 otherwise."""
     field = o.field
     if field.degree == 2 and field.D > 0:
         raise UnresolvedError("real quadratic unit index not supported")
@@ -292,7 +295,9 @@ def unit_index(o: OrderRep) -> int:
         raise UnresolvedError(
             "unit index of a non-maximal quartic order needs the unit group of E"
         )
-    return 1 if o.is_maximal else len(field.torsion_units()) // 2
+    if o.is_maximal:
+        return 1
+    return {-3: 3, -4: 2}.get(field.disc, 1)
 
 
 @dataclass(frozen=True)
@@ -307,9 +312,16 @@ class PicardTerms:
     picard: int
 
 
+@lru_cache(maxsize=None)
+def _index_factors(o: OrderRep) -> tuple:
+    """The pairs (q, e) of the factorization of f = [O_K : o], found once
+    per order for both the Picard formula and the brute-force count."""
+    return tuple(factorize(o.index_in_maximal()).items())
+
+
 def picard_terms(o: OrderRep) -> PicardTerms:
-    """The Picard formula for o, with both residue counts read off its
-    index f = [O_K : o] by field.residue_unit_counts.
+    """The Picard formula for o, with both residue counts read off the
+    factorization of its index f = [O_K : o] by field.residue_unit_counts.
 
     A quadratic order of index f is
     Z + f*O_K (Cox, Primes of the form x^2 + ny^2, section 7): its
@@ -322,7 +334,7 @@ def picard_terms(o: OrderRep) -> PicardTerms:
     field = o.field
     u = unit_index(o)  # first: an unresolved index raises before the class group
     h_K = field.class_number()
-    nf_max, nf_o = field.residue_unit_counts(o.index_in_maximal())
+    nf_max, nf_o = field.residue_unit_counts(_index_factors(o))
     num = h_K * nf_max
     den = u * nf_o
     if num % den:
@@ -348,10 +360,10 @@ _BRUTE_FORCE_MAX_PAIRS = 6 * 10**6
 
 
 def _scan_pairs(f: int, scan: int, divs) -> int:
-    """The number of (a, b) pairs _primitive_ideals visits for an order of
-    index f with the divisors divs: for each q | f, a = k*q for k = 1..m,
-    m = scan*q // f, and k values of b for each."""
-    return sum(m * (m + 1) // 2 for m in (scan * q // f for q in divs))
+    """The number of (a, b) pairs the scan of pic_brute_force visits for an
+    order of index f with the divisors divs: for each k | f, a = j*k for
+    j = 1..m, m = scan*k // f, and j values of b for each."""
+    return sum(m * (m + 1) // 2 for m in (scan * k // f for k in divs))
 
 
 @dataclass(frozen=True)
@@ -376,45 +388,21 @@ def is_principal(o: OrderRep, m: IntModule):
     return g / d
 
 
-def _primitive_ideals(o: OrderRep, scan: int, divs):
-    """The primitive o-ideals I = [a, (-b + sqrt(disc o))/2], b^2 = disc o
-    mod 4a and b in (-a, a], whose lattices I/q in O_K have index
-    [O_K : I/q] = a*f/q^2 <= scan, f = [O_K : o] with the divisors divs
-    and q the content of I in O_K (rank 2 only).  Yields (a, b, c, rows)
-    with c = (b^2 - disc o)/4a and rows the HNF of I over the basis {1, w}
-    of O_K.
-
-    (-b + sqrt(disc o))/2 is g0 + f*w with g0 = -(b + s*f)/2, s = disc K
-    mod 2, so I has the rows (a, 0) and (g0, f), and its content is
-    gcd(a, g0, f), a divisor q of f.  For each q the loop takes a in qZ and
-    b = -s*f mod 2q, which makes q divide g0, and keeps the ideals whose
-    content is exactly q.  The pairs (a, b) with b^2 = disc o mod 4a are
-    collected in one comprehension per q."""
-    f = o.index_in_maximal()
-    s = o.field.disc % 2
-    disc = o.field.disc * f * f
-    for q in divs:
-        pairs = [
-            (a, b)
-            for a in range(q, scan * q * q // f + 1, q)
-            for m, t in [(4 * a, disc % (4 * a))]
-            for b in range(1 - a + (a - 1 - s * f) % (2 * q), a + 1, 2 * q)
-            if b * b % m == t
-        ]
-        for a, b in pairs:
-            g0 = -(b + s * f) // 2
-            if gcd(a, g0, f) == q:
-                yield a, b, (b * b - disc) // (4 * a), ((a, 0), (g0 % a, f))
-
-
 def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCount:
     """Class count of invertible ideals modulo principals, by enumeration.
 
     The bound is on the index [O_K : L] of the lattices L in O_K whose
-    multiplier ring is o, not on their o-norm.  Each such L is I/q for a
-    primitive o-ideal I and a divisor q of its content in O_K
-    (_primitive_ideals), the least index coming with q the content, so
-    the scan takes each primitive I whose I/content is in range.
+    multiplier ring is o, not on their o-norm.  Each such L is I/k for a
+    primitive o-ideal I = [a, (-b + sqrt(disc o))/2], b^2 = disc o mod 4a
+    and b in (-a, a], and a divisor k of its content in O_K, the least
+    index a*f/k^2 coming with k the content; so the scan takes each
+    primitive I whose I/content is in range.  (-b + sqrt(disc o))/2 is
+    g0 + f*w with g0 = -(b + s*f)/2, s = disc K mod 2, so I has the rows
+    (a, 0) and (g0, f) over {1, w}, and its content is gcd(a, g0, f), a
+    divisor k of f.  For each k the scan runs in place over a in kZ and b
+    = -s*f mod 2k, which makes k divide g0, and takes the (a, b) with b^2
+    = disc o mod 4a, content exactly k and an invertible ideal: nothing
+    is built for the others.
 
     The scan to (2/pi)*sqrt(|disc o|) is complete.  For a class C take M
     invertible in C^(-1) and, by Minkowski, x in O_K*M with |N(x)| <=
@@ -427,27 +415,29 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     den = 3*S for S = _SQRT_SCALE, as sqrt_ub(x) = (isqrt(x*S^2) + 1)/S; so
     its ceiling is -(-num // den), and B reaches it exactly when B*den >= num.
 
-    I is invertible exactly when its form (a, b, c) is primitive, and then
-    its class is the class of the form (Cox, Primes of the form x^2 + ny^2,
-    section 7), so the reduced form (a', b', c') is its key and the count
-    is the number of keys.  Each ideal is proven to lie in its key's class
-    by the matrix ((p, q), (r, t)) of BinaryForm.reduction: it takes I's
-    basis (a, -tau), tau = g0 + f*w, to b1 = p*a - r*tau, b2 = q*a - t*tau,
-    and with det 1 and a'*b2 = -b1*tau', tau' = g0' + f*w for
-    g0' = -(b' + s*f)/2, I = (b1/a') * [a', -tau'], the key's ideal.  A
-    failed check raises AuditFailure."""
+    I is invertible exactly when its form (a, b, c), c = (b^2 - disc o)/4a,
+    is primitive, and then its class is the class of the form (Cox, Primes
+    of the form x^2 + ny^2, section 7), so the reduced form (a', b', c') is
+    its key and the count is the number of keys.  Only invertible ideals
+    reach the reduction and its audit: each is proven to lie in its key's
+    class by the matrix ((p, q), (r, t)) of reduce_form, which takes I's
+    basis (a, -tau), tau = g0 + f*w, to b1 = p*a - r*tau, b2 = q*a - t*tau;
+    with det 1 and a'*b2 = -b1*tau', tau' = g0' + f*w for g0' = -(b' +
+    s*f)/2, I = (b1/a') * [a', -tau'], the key's ideal.  A failed check
+    raises AuditFailure."""
     if o.field.degree != 2 or o.field.D > 0:
         raise UnresolvedError("brute-force Picard count is rank-2 imaginary only")
     f = o.index_in_maximal()
     s = o.field.disc % 2
+    disc = o.field.disc * f * f
     c0, c1 = o.field.mult_table[1][1]  # w^2 = c0 + c1*w
-    num, den = 2 * (isqrt(-o.field.disc * (f * _SQRT_SCALE) ** 2) + 1), 3 * _SQRT_SCALE
+    num, den = 2 * (isqrt(-disc * _SQRT_SCALE**2) + 1), 3 * _SQRT_SCALE
     ceil_mink = -(-num // den)
     if norm_bound is None:
         norm_bound = ceil_mink
     complete = norm_bound * den >= num
     scan = min(norm_bound, ceil_mink)
-    divs = divisors(f)
+    divs = divisors(_index_factors(o))
     pairs = _scan_pairs(f, scan, divs)
     if pairs > _BRUTE_FORCE_MAX_PAIRS:
         raise UnresolvedError(
@@ -455,19 +445,26 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
             "limit %d" % (pairs, _BRUTE_FORCE_MAX_PAIRS)
         )
     keys = set()
-    for a, b, c, rows in _primitive_ideals(o, scan, divs):
-        form = BinaryForm(a, b, c)
-        if not form.is_primitive():
-            continue
-        key, ((p, q), (r, t)) = form.reduction()
-        g0, g1 = -(b + s * f) // 2, -(key.b + s * f) // 2
-        x, y = p * a - r * g0, -r * f  # b1 = x + y*w; (u0, u1) = a'*b2 + b1*tau'
-        u0 = key.a * (q * a - t * g0) + x * g1 + c0 * y * f
-        u1 = -key.a * t * f + x * f + y * g1 + c1 * y * f
-        if p * t - q * r != 1 or u0 or u1:
-            raise AuditFailure(
-                "ideal %r has the reduced form %r of a class it is not in"
-                % (rows, key)
-            )
-        keys.add(key)
+    for k in divs:
+        ideals = [
+            (a, b, c, g0)
+            for a in range(k, scan * k * k // f + 1, k)
+            for m, dm in [(4 * a, disc % (4 * a))]
+            for b in range(1 - a + (a - 1 - s * f) % (2 * k), a + 1, 2 * k)
+            if b * b % m == dm
+            for g0, c in [(-(b + s * f) // 2, (b * b - disc) // m)]
+            if gcd(a, g0, f) == k and gcd(a, b, c) == 1
+        ]
+        for a, b, c, g0 in ideals:
+            ka, kb, kc, p, q, r, t = reduce_form(a, b, c)  # key (a', b', c')
+            g1 = -(kb + s * f) // 2
+            x, y = p * a - r * g0, -r * f  # b1 = x + y*w; (u0, u1) = a'*b2 + b1*tau'
+            u0 = ka * (q * a - t * g0) + x * g1 + c0 * y * f
+            u1 = -ka * t * f + x * f + y * g1 + c1 * y * f
+            if p * t - q * r != 1 or u0 or u1:
+                raise AuditFailure(
+                    "ideal %r has the reduced form %r of a class it is not in"
+                    % (((a, 0), (g0 % a, f)), BinaryForm(ka, kb, kc))
+                )
+            keys.add((ka, kb, kc))
     return BruteClassCount(len(keys), norm_bound, Fraction(num, den), complete)

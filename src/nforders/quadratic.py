@@ -19,7 +19,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .intmath import (
-    factorize,
     is_prime,
     is_square,
     is_squarefree,
@@ -206,9 +205,6 @@ class QuadField:
             return self.from_basis_coords((a - b, 2 * b))
         return self.from_basis_coords((a, b))
 
-    def omega(self) -> "QuadElem":
-        return QuadElem(self, (0, 1))
-
     def omega_minpoly(self) -> list[int]:
         # constant term first; x^2 - x - (D-1)/4 or x^2 - D
         if self.D % 4 == 1:
@@ -221,18 +217,6 @@ class QuadField:
 
     def one(self) -> "QuadElem":
         return QuadElem(self, (1, 0))
-
-    def torsion_units(self) -> list:
-        """The roots of unity of an imaginary field (just +-1 for a real
-        one)."""
-        one = self.one()
-        if self.disc == -3:
-            w = self.omega()  # (1+sqrt(-3))/2, a sixth root of unity
-            return [one, -one, w, -w, w * w, -(w * w)]
-        if self.disc == -4:
-            i = self.omega()  # sqrt(-1)
-            return [one, -one, i, -i]
-        return [one, -one]
 
     def t2_gram_matrix(self) -> tuple:
         """Gram matrix of T2 on the basis {1, w}, T2 the sum of |x|^2 over
@@ -278,18 +262,19 @@ class QuadField:
     def class_number(self) -> int:
         return form_class_group(self.disc).h
 
-    def residue_unit_counts(self, f: int) -> tuple[int, int]:
+    def residue_unit_counts(self, fac) -> tuple[int, int]:
         """(#(O_K/f O_K)^x, #(o/f O_K)^x) for o = Z + f*O_K, the order of
-        index f, whose conductor is f*O_K (Cox, Primes of the form x^2 +
-        ny^2, section 7).  O_K/f O_K is the product over q^e || f of the
+        index f = prod q^e over the pairs (q, e) of fac, its factorization,
+        whose conductor is f*O_K (Cox, Primes of the form x^2 + ny^2,
+        section 7).  O_K/f O_K is the product over q^e || f of the
         O_K/q^e O_K, with q^(2e) (1 - 1/q)(1 - chi(q)/q) units, chi(q) = 1,
         -1 or 0 as q splits, stays inert or ramifies; and o/f O_K is Z/f,
         with phi(f) units.  Both are 1 for f = 1."""
-        phi = psi = f  # phi(f), and f * prod (1 - chi(q)/q)
-        for q in factorize(f):
+        phi = psi = 1  # phi(f), and f * prod (1 - chi(q)/q)
+        for q, e in fac:
             chi = {"split": 1, "inert": -1, "ramified": 0}[split_kind(self, q)]
-            phi = phi // q * (q - 1)
-            psi = psi // q * (q - chi)
+            phi *= q ** (e - 1) * (q - 1)
+            psi *= q ** (e - 1) * (q - chi)
         return phi * psi, phi
 
     def __repr__(self):
@@ -406,27 +391,30 @@ class BinaryForm(NamedTuple):
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def is_primitive(self) -> bool:
-        return gcd(*self) == 1
-
     def reduction(self) -> tuple["BinaryForm", tuple]:
         """The reduced form F' and ((p, q), (r, t)) in SL2(Z) with
-        F'(x, y) = F(p x + q y, r x + t y), built up move by move."""
-        a, b, c = self
-        if a <= 0 or b * b >= 4 * a * c:
-            raise ValueError("reduction implemented for positive definite forms")
-        p, q, r, t = 1, 0, 0, 1
-        while True:
-            if c < a or (c == a and b < 0):  # swap by ((0, -1), (1, 0))
-                a, b, c = c, -b, a
-                p, q, r, t = q, -p, t, -r
-            elif b > a or b <= -a:  # translate b into (-a, a] by ((1, k), (0, 1))
-                k = (a - b) // (2 * a)
-                b, c = b + 2 * k * a, c + k * b + k * k * a
-                q, t = q + k * p, t + k * r
-            else:
-                break
+        F'(x, y) = F(p x + q y, r x + t y), from reduce_form."""
+        a, b, c, p, q, r, t = reduce_form(*self)
         return BinaryForm(a, b, c), ((p, q), (r, t))
+
+
+def reduce_form(a: int, b: int, c: int) -> tuple:
+    """(a', b', c', p, q, r, t): the reduced form of the positive definite
+    a*x^2 + b*xy + c*y^2 and ((p, q), (r, t)) in SL2(Z) with
+    F'(x, y) = F(p x + q y, r x + t y), built up move by move on ints."""
+    if a <= 0 or b * b >= 4 * a * c:
+        raise ValueError("reduction implemented for positive definite forms")
+    p, q, r, t = 1, 0, 0, 1
+    while True:
+        if c < a or (c == a and b < 0):  # swap by ((0, -1), (1, 0))
+            a, b, c = c, -b, a
+            p, q, r, t = q, -p, t, -r
+        elif b > a or b <= -a:  # translate b into (-a, a] by ((1, k), (0, 1))
+            k = (a - b) // (2 * a)
+            b, c = b + 2 * k * a, c + k * b + k * k * a
+            q, t = q + k * p, t + k * r
+        else:
+            return a, b, c, p, q, r, t
 
 
 def principal_form(disc: int) -> BinaryForm:

@@ -19,9 +19,13 @@ the closed forms of `QuadField.residue_unit_counts`.
 `reduced_forms_by_loop` are `unit_index`, the Minkowski bound of
 `pic_brute_force` and `reduced_forms` as they were before they became
 a closed form, integers and comprehensions; `torsion_units` gives the
-roots of unity of a quadratic or quartic field, the latter by the T2 = 4
-enumeration `BiquadField.torsion_units` ran before nothing in the library
-read it.
+roots of unity of a quadratic or quartic field, the former as
+`QuadField.torsion_units` listed them and the latter by the T2 = 4
+enumeration `BiquadField.torsion_units` ran, before nothing in the library
+read them.  `primitive_ideals` is the scan `pic_brute_force` ran as a
+generator, every primitive ideal with its HNF rows, before it dropped the
+non-invertible ones in place, and `brute_force_by_primitive_ideals` the
+count it made over them with `BinaryForm.reduction`.
 `oracle_norm_form_element` is the scan `split_prime` ran for its element
 before it read it off a form reduction.  `residue_data_by_root_search`,
 `prime_above_by_generators` (through `embed_F`) and `split_relative_naive`
@@ -37,7 +41,7 @@ kept as the oracle for the elements that replaced them.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 from operator import mul
 
 from nforders.biquadratic import (
@@ -51,6 +55,7 @@ from nforders.biquadratic import (
 from nforders.criteria import _divides, verify_identity
 from nforders.intmath import (
     _SQRT_SCALE,
+    divisors,
     factorize,
     is_prime,
     poly_roots_mod,
@@ -83,6 +88,11 @@ from nforders.quadratic import (
 
 # ---------------------------------------------------------------------------
 # integers
+
+
+def omega(F: QuadField) -> QuadElem:
+    """w, the second element of the integral basis {1, w} of F."""
+    return QuadElem(F, (0, 1))
 
 
 def primes_upto(n: int) -> list[int]:
@@ -152,11 +162,18 @@ def residue_unit_count(o: OrderRep, f) -> int:
 
 @lru_cache(maxsize=None)
 def torsion_units(field) -> tuple:
-    """The roots of unity of a quadratic or quartic field.  A quartic one
-    has exactly the integral elements with T2 = 4, found by enumeration
-    (the library read them until its unit index became a closed form)."""
+    """The roots of unity of a quadratic or quartic field (the library read
+    them until its unit index became a closed form).  A quadratic one has
+    +-1, and the powers of w = (1+sqrt(-3))/2 or i = sqrt(-1) at disc -3
+    and -4 (just +-1 for a real one).  A quartic one has exactly the
+    integral elements with T2 = 4, found by enumeration."""
     if field.degree == 2:
-        return tuple(field.torsion_units())
+        one, w = field.one(), omega(field)
+        if field.disc == -3:  # w is a sixth root of unity
+            return (one, -one, w, -w, w * w, -(w * w))
+        if field.disc == -4:  # w = sqrt(-1)
+            return (one, -one, w, -w)
+        return (one, -one)
     out = []
     red = lll_reduce(identity_module(field), field.t2_gram_matrix())
     for v in enumerate_by_t2(red, 4):
@@ -199,11 +216,51 @@ def brute_force_bound_by_fraction(o: OrderRep, norm_bound=None) -> tuple:
 # binary quadratic forms
 
 
+def primitive_ideals(o: OrderRep, scan: int):
+    """The primitive o-ideals I = [a, (-b + sqrt(disc o))/2] that
+    pic_brute_force scans, as a generator, the scan as it ran before it
+    took only invertible ideals in place: b^2 = disc o mod 4a, b in (-a,
+    a], and the lattice I/q in O_K of index [O_K : I/q] = a*f/q^2 <=
+    scan, f = [O_K : o] and q the content of I in O_K.  Yields (a, b, c,
+    rows) with c = (b^2 - disc o)/4a and rows the HNF of I over the basis
+    {1, w} of O_K, invertible or not.
+
+    (-b + sqrt(disc o))/2 is g0 + f*w with g0 = -(b + s*f)/2, s = disc K
+    mod 2, so I has the rows (a, 0) and (g0, f), and its content is
+    gcd(a, g0, f), a divisor q of f.  For each q the loop takes a in qZ and
+    b = -s*f mod 2q, which makes q divide g0, and keeps the ideals whose
+    content is exactly q."""
+    f = o.index_in_maximal()
+    s = o.field.disc % 2
+    disc = o.field.disc * f * f
+    for q in divisors(factorize(f).items()):
+        for a in range(q, scan * q * q // f + 1, q):
+            for b in range(1 - a + (a - 1 - s * f) % (2 * q), a + 1, 2 * q):
+                if b * b % (4 * a) != disc % (4 * a):
+                    continue
+                g0 = -(b + s * f) // 2
+                if gcd(a, g0, f) == q:
+                    yield a, b, (b * b - disc) // (4 * a), ((a, 0), (g0 % a, f))
+
+
+def brute_force_by_primitive_ideals(o: OrderRep, norm_bound=None) -> tuple:
+    """(count, norm_bound, complete) of pic_brute_force as it ran over
+    primitive_ideals: the ideals whose form is primitive, keyed by
+    BinaryForm.reduction, to the bound brute_force_bound_by_fraction sets."""
+    norm_bound, mink, complete = brute_force_bound_by_fraction(o, norm_bound)
+    keys = {
+        BinaryForm(a, b, c).reduction()[0]
+        for a, b, c, _ in primitive_ideals(o, min(norm_bound, ceil(mink)))
+        if gcd(a, b, c) == 1
+    }
+    return len(keys), norm_bound, complete
+
+
 def reduced_forms_by_loop(disc: int) -> list:
     """The reduced primitive forms of a negative discriminant as
     reduced_forms listed them before its candidate a became one
     comprehension: a while loop over b and one over a, each form checked
-    with is_primitive, sorted by (a, b, c)."""
+    for primitivity, sorted by (a, b, c)."""
     out = []
     b = disc % 2
     while 3 * b * b <= -disc:
@@ -213,7 +270,7 @@ def reduced_forms_by_loop(disc: int) -> list:
             if m % a == 0:
                 c = m // a
                 f = BinaryForm(a, b, c)
-                if f.is_primitive():
+                if gcd(*f) == 1:
                     out.append(f)
                     if 0 < b < a < c:
                         out.append(BinaryForm(a, -b, c))
@@ -473,7 +530,7 @@ def residue_data_by_root_search(p: QuadElem):
     nrm = abs(F.norm_form(p.u))
     if is_prime(nrm):
         for r in poly_roots_mod(F.omega_minpoly(), nrm):
-            if _divides(p, F.omega() - r):
+            if _divides(p, omega(F) - r):
                 return nrm, 1, r
         raise AssertionError("norm-q element outside every ideal above q")
     q = isqrt(nrm)

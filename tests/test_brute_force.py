@@ -2,28 +2,40 @@
 it replaced (tests/ideals.py), on the orders of the picard benchmark pool:
 Z[sqrt(-n)] for squarefree n <= 100 and Z + f*O_K in Q(sqrt(-d)) for
 squarefree d <= 23 and f <= 6, each order once.  Each ideal's reduction
-matrix certificate is checked against the lattice search it replaced."""
+matrix certificate is checked against the lattice search it replaced, and
+the scan that drops non-invertible ideals in place against the generator
+of every primitive ideal it replaced (oracles.primitive_ideals)."""
 
 from math import ceil, gcd
 
 import pytest
 
 from nforders import lattice, orders
-from nforders.intmath import divisors
 from nforders.lattice import IntModule, hnf
 from nforders.orders import (
     AuditFailure,
     OrderIdeal,
-    _primitive_ideals,
     is_invertible,
     is_principal,
     module_mul,
     pic_brute_force,
 )
-from nforders.quadratic import BinaryForm, QuadElem, form_class_group, reduced_forms
+from nforders.quadratic import (
+    BinaryForm,
+    QuadElem,
+    form_class_group,
+    reduce_form,
+    reduced_forms,
+)
 
 from ideals import ideal_candidates, module_conj, pic_pairwise, picard_pool
-from oracles import brute_force_bound_by_fraction
+from oracles import (
+    brute_force_bound_by_fraction,
+    brute_force_by_primitive_ideals,
+    is_reduced,
+    primitive_ideals,
+    reduced_forms_by_loop,
+)
 
 POOL = picard_pool()
 
@@ -43,8 +55,11 @@ def test_count_matches_pairwise_oracle(spec):
 
 def test_integer_bound_matches_the_fraction_oracle():
     # (norm_bound, minkowski_bound, complete) against the Fraction bound
-    # they were read off before, for no bound and every bound from 0 to one
-    # past the ceiling of the Minkowski bound
+    # they were read off before, and the count of the scan that drops
+    # non-invertible ideals in place and reduces on ints against every
+    # primitive ideal of the oracle generator, filtered by gcd and keyed by
+    # BinaryForm.reduction, for no bound and every bound from 0 to one past
+    # the ceiling of the Minkowski bound
     for spec, o in POOL.items():
         top = ceil(brute_force_bound_by_fraction(o)[1])
         for bound in [None] + list(range(top + 2)):
@@ -52,6 +67,34 @@ def test_integer_bound_matches_the_fraction_oracle():
             got = (r.norm_bound, r.minkowski_bound, r.complete)
             assert got == brute_force_bound_by_fraction(o, bound), (spec, bound)
             assert type(r.norm_bound) is int, (spec, bound)
+            got = (r.count, r.norm_bound, r.complete)
+            assert got == brute_force_by_primitive_ideals(o, bound), (spec, bound)
+
+
+def test_reduce_form_matches_the_reduction():
+    # every form the complete pool scan reaches, invertible or not, and
+    # every (a, b, c) of the reduced_forms oracle's range, with a swap and
+    # a translate of each so that the reduction moves: the integer kernel
+    # is BinaryForm.reduction's key and matrix, flattened, and the matrix
+    # has determinant 1 and takes the form to its key, which is reduced
+    forms = set()
+    for o in POOL.values():
+        scan = ceil(pic_brute_force(o).minkowski_bound)
+        forms.update((a, b, c) for a, b, c, _ in primitive_ideals(o, scan))
+    for disc in range(-3, -1200, -1):
+        if disc % 4 in (0, 1):
+            for a, b, c in reduced_forms_by_loop(disc):
+                forms.update([(a, b, c), (c, -b, a), (a, b + 2 * a, a + b + c)])
+    assert len(forms) > 5000
+    for a, b, c in sorted(forms):
+        key, ((p, q), (r, t)) = BinaryForm(a, b, c).reduction()
+        assert reduce_form(a, b, c) == (*key, p, q, r, t), (a, b, c)
+        assert p * t - q * r == 1 and is_reduced(key), (a, b, c)
+        assert key == (
+            a * p * p + b * p * r + c * r * r,
+            2 * a * p * q + b * (p * t + q * r) + 2 * c * r * t,
+            a * q * q + b * q * t + c * t * t,
+        ), (a, b, c)
 
 
 @pytest.mark.parametrize("spec", sorted(POOL))
@@ -63,7 +106,7 @@ def test_gcd_decides_invertibility(spec):
     disc = o.field.disc * o.index_in_maximal() ** 2
     scan = ceil(pic_brute_force(o).minkowski_bound)
     seen = set()
-    for a, b, c, rows in _primitive_ideals(o, scan, divisors(o.index_in_maximal())):
+    for a, b, c, rows in primitive_ideals(o, scan):
         assert -a < b <= a and b * b - 4 * a * c == disc
         assert rows not in seen
         seen.add(rows)
@@ -79,7 +122,7 @@ def test_scan_reaches_every_invertible_lattice(spec):
     o = POOL[spec]
     scan = ceil(pic_brute_force(o).minkowski_bound)
     primitive = set()
-    for a, b, c, rows in _primitive_ideals(o, scan, divisors(o.index_in_maximal())):
+    for a, b, c, rows in primitive_ideals(o, scan):
         q = gcd(gcd(rows[0][0], rows[1][0]), rows[1][1])
         primitive.add(IntModule(o.field, rows, q))
     for L in ideal_candidates(o, scan):
@@ -117,7 +160,7 @@ def test_principal_queries_match_eager_conjugates(spec):
     o = POOL[spec]
     scan = ceil(pic_brute_force(o).minkowski_bound)
     key_conjs = {}
-    for a, b, c, rows in _primitive_ideals(o, scan, divisors(o.index_in_maximal())):
+    for a, b, c, rows in primitive_ideals(o, scan):
         if gcd(gcd(a, b), c) != 1:
             continue
         ideal = IntModule(o.field, rows, 1)
@@ -130,19 +173,31 @@ def test_principal_queries_match_eager_conjugates(spec):
     assert len(key_conjs) == form_class_group(o.field.disc * o.index_in_maximal() ** 2).h
 
 
+def _as_kernel(reduction):
+    """A reduce_form for the scan that runs reduction, a map of the form
+    (a, b, c) to (key, ((p, q), (r, t))) as BinaryForm.reduction gives
+    them, and flattens its result."""
+
+    def kernel(a, b, c):
+        key, ((p, q), (r, t)) = reduction(BinaryForm(a, b, c))
+        return (*key, p, q, r, t)
+
+    return kernel
+
+
 def _corrupt_first_of_each_key(corrupt):
-    """BinaryForm.reduction with corrupt applied to its result the first
+    """The scan's reduce_form with corrupt applied to its result the first
     time each key comes out, and only then."""
-    reduction, seen = BinaryForm.reduction, set()
+    seen = set()
 
     def corrupted(form):
-        key, gamma = reduction(form)
+        key, gamma = form.reduction()
         if key in seen:
             return key, gamma
         seen.add(key)
         return corrupt(key, gamma)
 
-    return corrupted
+    return _as_kernel(corrupted)
 
 
 def _times_t(key, gamma):
@@ -171,7 +226,7 @@ def test_a_corrupted_reduction_fails_the_count(monkeypatch, corrupt, spec):
     o = POOL[spec]
     if corrupt is _other_key:
         assert pic_brute_force(o).count > 1
-    monkeypatch.setattr(BinaryForm, "reduction", _corrupt_first_of_each_key(corrupt))
+    monkeypatch.setattr(orders, "reduce_form", _corrupt_first_of_each_key(corrupt))
     with pytest.raises(AuditFailure, match="reduced form"):
         pic_brute_force(o)
 
@@ -179,8 +234,8 @@ def test_a_corrupted_reduction_fails_the_count(monkeypatch, corrupt, spec):
 def test_a_form_key_the_ideal_layer_rejects_fails_the_count(monkeypatch):
     # a reduction that hands every ideal the wrong key, with its true
     # matrix, is caught by the basis equation of the ideal layer
-    reduction = BinaryForm.reduction
-    monkeypatch.setattr(BinaryForm, "reduction", lambda form: _other_key(*reduction(form)))
+    wrong = _as_kernel(lambda form: _other_key(*form.reduction()))
+    monkeypatch.setattr(orders, "reduce_form", wrong)
     with pytest.raises(AuditFailure, match="reduced form"):
         pic_brute_force(POOL["zsqrt:-5"])
 

@@ -294,6 +294,37 @@ def test_picard_of_a_large_conductor_completes(capsys):
     assert doc["agree"] is True
 
 
+def test_picard_factorizes_the_index_once(capsys, monkeypatch):
+    # 1000000016000000063 = 1000000007 * 1000000009: the formula's residue
+    # counts and the divisors behind the brute force's refusal read one
+    # factorization of the index
+    f = 1000000016000000063
+    calls = []
+
+    def counting(factorize):
+        def counted(n):
+            if abs(n) == f:
+                calls.append(n)
+            return factorize(n)
+
+        return counted
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nforders") and hasattr(mod, "factorize"):
+            monkeypatch.setattr(mod, "factorize", counting(mod.factorize))
+    orders._index_factors.cache_clear()
+    code, out = run(capsys, ["picard", "index:-1:%d" % f])
+    assert code == 0
+    assert out == (
+        '{"agree":null,"brute_force":null,"command":"picard",'
+        '"field":"Q(sqrt(-1))","h_K":1,"order":"index:-1:1000000016000000063",'
+        '"picard":500000008000000032,"unit_counts":{"maximal_mod_conductor":'
+        "1000000030000000336000001664000003072,"
+        '"order_mod_conductor":1000000014000000048},"unit_index":2}\n'
+    )
+    assert len(calls) == 1
+
+
 def test_factor_remultiplies(capsys):
     code, doc = run_json(capsys, ["factor", "zsqrt:-14", "3+1*w"])
     assert code == 0

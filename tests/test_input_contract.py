@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nforders import cli, orders
-from nforders.intmath import divisors, is_squarefree
+from nforders.intmath import divisors, factorize, is_squarefree
 from nforders.orders import (
     UnresolvedError,
     _scan_pairs,
@@ -114,7 +114,8 @@ def test_brute_force_limit_keeps_the_pools_complete():
         assert r.complete
         scan = ceil(r.minkowski_bound)
         f = o.index_in_maximal()
-        assert _scan_pairs(f, scan, divisors(f)) <= orders._BRUTE_FORCE_MAX_PAIRS
+        divs = divisors(factorize(f).items())
+        assert _scan_pairs(f, scan, divs) <= orders._BRUTE_FORCE_MAX_PAIRS
 
 
 def test_brute_force_refuses_a_scan_past_the_limit():

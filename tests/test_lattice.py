@@ -20,7 +20,7 @@ from nforders.lattice import (
     lll_reduce,
 )
 from nforders.quadratic import QuadField
-from oracles import from_integral_coords, to_module
+from oracles import from_integral_coords, omega, to_module
 
 
 def random_unimodular(rng, n, steps=8):
@@ -44,7 +44,7 @@ def matmul(A, B):
 
 
 def principal_module(F, alpha):
-    rows = [alpha.basis_coords(), (alpha * F.omega()).basis_coords()]
+    rows = [alpha.basis_coords(), (alpha * omega(F)).basis_coords()]
     return hnf(F, [[int(x), int(y)] for x, y in rows])
 
 

@@ -101,13 +101,31 @@ def test_index_is_the_pivot_product():
 
 
 def test_order_must_contain_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^an order must contain 1$"):
         OrderRep(F3, hnf(F3, [[2, 0], [1, 1]]))
 
 
 def test_order_must_be_integral():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^an order must consist of integral elements$"):
         OrderRep(F3, IntModule(F3, ((1, 0), (0, 1)), 2))
+
+
+@pytest.mark.parametrize(
+    "diag,den,message",
+    [
+        # Z + Z*w + Z*t + 2Z*w*t holds 1 but not w * t
+        ((1, 1, 1, 2), 1, "module is not multiplicatively closed"),
+        ((1, 1, 1, 1), 2, "an order must consist of integral elements"),
+        ((2, 1, 1, 1), 1, "an order must contain 1"),
+    ],
+)
+def test_quartic_order_rejections(diag, den, message):
+    from nforders.biquadratic import integral_basis
+
+    E = integral_basis(59, 2)
+    rows = [[x if i == j else 0 for j in range(4)] for i, x in enumerate(diag)]
+    with pytest.raises(ValueError, match="^%s$" % message):
+        OrderRep(E, hnf(E, rows, den))
 
 
 # ---------------------------------------------------------------------------

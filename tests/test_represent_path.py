@@ -21,6 +21,7 @@ from nforders.criteria import (
 from nforders.quadratic import QuadElem, QuadField, split_kind
 from oracles import (
     embed_F,
+    omega,
     prime_above_by_generators,
     products_table_by_fractions,
     residue_data_by_root_search,
@@ -75,12 +76,12 @@ def test_prime_above_matches_the_ideal_of_its_generators(d, n):
         root = _sqrt_minus_n(F, q, deg, n)
         if root is None:
             continue
-        P = _prime_above(E, q, deg, r, root)
+        P = _prime_above(E, F, q, deg, r, root)
         assert P == prime_above_by_generators(E, p, root), p
         assert P.covolume() == q**deg
         # another lift of root to O_F gives the same kernel
-        lift = root + (F.omega() - r if deg == 1 else F.omega() * q)
-        assert _prime_above(E, q, deg, r, lift) == P, p
+        lift = root + (omega(F) - r if deg == 1 else omega(F) * q)
+        assert _prime_above(E, F, q, deg, r, lift) == P, p
         degrees.add(deg)
     assert degrees == {1, 2}
 
@@ -110,7 +111,7 @@ def test_split_relative_matches_naive_coordinates(d, n):
     assert len(pairs) > 200
     for x, y in pairs:
         alpha = embed_F(E, x) + embed_F(E, y) * t
-        assert _split_relative(alpha) == split_relative_naive(alpha) == (x, y)
+        assert _split_relative(alpha, F) == split_relative_naive(alpha) == (x, y)
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ def test_e37_relative_and_maximal_order():
     with pytest.raises(UnresolvedError):
         picard_terms(o)
     with pytest.raises(UnresolvedError):
-        o.field.residue_unit_counts(o.index_in_maximal())
+        o.field.residue_unit_counts(factorize(o.index_in_maximal()).items())
 
 
 def test_closed_forms_match_the_contraction_count():
@@ -92,7 +92,8 @@ def test_closed_forms_match_the_contraction_count():
             o = order_with_index(F, f)
             fmod = conductor(o).module
             expected = (residue_unit_count(omax, fmod), residue_unit_count(o, fmod))
-            assert F.residue_unit_counts(o.index_in_maximal()) == expected, (d, f)
+            fac = factorize(o.index_in_maximal()).items()
+            assert F.residue_unit_counts(fac) == expected, (d, f)
             orders_seen += 1
     assert orders_seen == 4758
 
@@ -117,7 +118,8 @@ def test_maximal_quartic_orders_count_one():
     ]
     for E in fields:
         omax = maximal_order(E)
-        assert E.residue_unit_counts(omax.index_in_maximal()) == (1, 1), E
+        fac = factorize(omax.index_in_maximal()).items()
+        assert E.residue_unit_counts(fac) == (1, 1), E
         assert residue_unit_count(omax, conductor(omax)) == 1, E
 
 
@@ -252,16 +254,27 @@ def test_residue_count_intersects_once_per_prime_of_o(monkeypatch, pool):
 
 
 def test_brute_force_scans_no_further_than_minkowski(monkeypatch):
+    # the bound the scan runs to, as its pair count reads it, and the index
+    # [O_K : I] = a of each invertible ideal it hands to reduce_form (the
+    # maximal order: content 1) are recorded
     seen = []
-    primitive_ideals = orders._primitive_ideals
+    scan_pairs, reduce_form = orders._scan_pairs, orders.reduce_form
 
-    def recording(o, bound, divs):
+    def record(bound):
         seen.append(bound)
         if bound > 100:
             raise AssertionError("scan to index %d" % bound)
-        return primitive_ideals(o, bound, divs)
 
-    monkeypatch.setattr(orders, "_primitive_ideals", recording)
+    def recording_pairs(f, bound, divs):
+        record(bound)
+        return scan_pairs(f, bound, divs)
+
+    def recording_kernel(a, b, c):
+        record(a)
+        return reduce_form(a, b, c)
+
+    monkeypatch.setattr(orders, "_scan_pairs", recording_pairs)
+    monkeypatch.setattr(orders, "reduce_form", recording_kernel)
     r = pic_brute_force(maximal_order(QuadField(-5)), 10**6)
     assert seen and all(b <= ceil(r.minkowski_bound) for b in seen)
     assert (r.count, r.norm_bound, r.complete) == (2, 10**6, True)

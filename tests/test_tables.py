@@ -29,7 +29,7 @@ from nforders.lattice import (
 from nforders.orders import module_colon, module_mul, relative_order
 from nforders.quadratic import QuadElem, QuadField, integer_rows
 from ideals import module_conj
-from oracles import FracQuad, mult_matrix, naive, transform_by_matrix
+from oracles import FracQuad, mult_matrix, naive, omega, transform_by_matrix
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -103,7 +103,7 @@ def oracle_quad_tables(field):
     """(mult_table, conj_matrix) of a quadratic field as QuadField built
     them before the closed forms: from Fraction products and conjugates of
     the basis {1, w}, checked integral."""
-    basis = (FracQuad(field, Fraction(1), Fraction(0)), FracQuad.of(field.omega()))
+    basis = (FracQuad(field, Fraction(1), Fraction(0)), FracQuad.of(omega(field)))
     T = tuple(
         integer_rows([(x * y).integral_coords() for y in basis], "basis product")
         for x in basis
