@@ -167,6 +167,11 @@ class BiquadField:
 
     degree = 4
 
+    def __hash__(self):
+        # equal fields have equal (d, n, disc); hashing the Fraction basis
+        # entries costs more than a lookup keyed on the field should
+        return hash((self.d, self.n, self.disc))
+
     def from_basis_coords(self, coords) -> "BiquadElem":
         return BiquadElem(self, *integer_coords(coords))
 

@@ -381,6 +381,12 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
 _BUILTIN_POLY = {(59, 2): (-1, 2, 0, 1)}  # x^3 + 2x - 1
 
 
+@lru_cache(maxsize=None)
+def _poly_disc(f: tuple):
+    """poly_discriminant of the coefficients f, once per polynomial."""
+    return poly_discriminant(list(f))
+
+
 def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     """Residue test for p = x^2 + n*y^2 over O_F, F = Q(sqrt(-d)): under
     the congruence, unit-equation and class-number hypotheses the verdict
@@ -430,7 +436,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
         else "no class field polynomial on record for (%d, %d)" % (d, n),
     ):
         return done()
-    fd = poly_discriminant(f)
+    fd = _poly_disc(tuple(f))
     if not check("p_coprime_to_poly_disc", fd % q, "disc = %d" % fd):
         return done()
     if deg == 1:

@@ -26,6 +26,12 @@ read them.  `primitive_ideals` is the scan `pic_brute_force` ran as a
 generator, every primitive ideal with its HNF rows, before it dropped the
 non-invertible ones in place, and `brute_force_by_primitive_ideals` the
 count it made over them with `BinaryForm.reduction`.
+`full_range_ideals` and `brute_force_by_full_range` are the scan and
+count that replaced them, in place on integers with b over the whole
+(-a, a], as they ran before the scan took b >= 0 and mirrored the rest,
+and `order_proof_by_matrices` is the proof `OrderRep` gave on the
+multiplication matrices of all its rows before it took the products of
+its rows.
 `oracle_norm_form_element` is the scan `split_prime` ran for its element
 before it read it off a form reduction.  `residue_data_by_root_search`,
 `prime_above_by_generators` (through `embed_F`) and `split_relative_naive`
@@ -65,6 +71,7 @@ from nforders.intmath import (
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
+    _in_lattice,
     _times,
     _pair_coeffs,
     _pair_products,
@@ -73,7 +80,15 @@ from nforders.lattice import (
     identity_module,
     lll_reduce,
 )
-from nforders.orders import OrderIdeal, OrderRep, _closed_under, _contractions, _pivots
+from nforders.orders import (
+    AuditFailure,
+    BruteClassCount,
+    OrderIdeal,
+    OrderRep,
+    _closed_under,
+    _contractions,
+    _pivots,
+)
 from nforders.quadratic import (
     BinaryForm,
     QuadElem,
@@ -82,6 +97,7 @@ from nforders.quadratic import (
     integer_rows,
     pell_solve,
     principal_form,
+    reduce_form,
     split_kind,
     table_matrix,
 )
@@ -254,6 +270,73 @@ def brute_force_by_primitive_ideals(o: OrderRep, norm_bound=None) -> tuple:
         if gcd(a, b, c) == 1
     }
     return len(keys), norm_bound, complete
+
+
+def full_range_ideals(o: OrderRep, scan: int) -> list:
+    """(a, b, c, g0) of each invertible primitive ideal pic_brute_force
+    reduces, as its scan took them in place before it ran b over [0, a]
+    and mirrored each 0 < b < a: for each content k | f, a in kZ up to
+    scan*k^2/f and b over the whole (-a, a] in the progression b = -s*f
+    mod 2k, kept when b^2 = disc o mod 4a, the content gcd(a, g0, f) is
+    k and the form (a, b, c) is primitive."""
+    f = o.index_in_maximal()
+    s = o.field.disc % 2
+    disc = o.field.disc * f * f
+    out = []
+    for k in divisors(factorize(f).items()):
+        out += [
+            (a, b, c, g0)
+            for a in range(k, scan * k * k // f + 1, k)
+            for m, dm in [(4 * a, disc % (4 * a))]
+            for b in range(1 - a + (a - 1 - s * f) % (2 * k), a + 1, 2 * k)
+            if b * b % m == dm
+            for g0, c in [(-(b + s * f) // 2, (b * b - disc) // m)]
+            if gcd(a, g0, f) == k and gcd(a, b, c) == 1
+        ]
+    return out
+
+
+def brute_force_by_full_range(o: OrderRep, norm_bound=None) -> BruteClassCount:
+    """pic_brute_force as it ran over full_range_ideals: the integer
+    Minkowski bound, and each ideal keyed by reduce_form and audited by
+    its determinant and basis equation before its key is counted."""
+    f = o.index_in_maximal()
+    s = o.field.disc % 2
+    c0, c1 = o.field.mult_table[1][1]
+    num = 2 * (isqrt(-o.field.disc * f * f * _SQRT_SCALE**2) + 1)
+    den = 3 * _SQRT_SCALE
+    ceil_mink = -(-num // den)
+    if norm_bound is None:
+        norm_bound = ceil_mink
+    keys = set()
+    for a, b, c, g0 in full_range_ideals(o, min(norm_bound, ceil_mink)):
+        ka, kb, kc, p, q, r, t = reduce_form(a, b, c)
+        g1 = -(kb + s * f) // 2
+        x, y = p * a - r * g0, -r * f
+        u0 = ka * (q * a - t * g0) + x * g1 + c0 * y * f
+        u1 = -ka * t * f + x * f + y * g1 + c1 * y * f
+        if p * t - q * r != 1 or u0 or u1:
+            raise AuditFailure("ideal %r: reduced form of another class" % ((a, b),))
+        keys.add((ka, kb, kc))
+    complete = norm_bound * den >= num
+    return BruteClassCount(len(keys), norm_bound, Fraction(num, den), complete)
+
+
+def order_proof_by_matrices(field, module: IntModule):
+    """The ValueError message OrderRep gave the module before it proved an
+    order on the products of its rows, or None for an order: integral,
+    holding 1, and each row times the field-table matrix of each row other
+    than 1, built for every order, in the row span."""
+    rows = module.rows
+    if module.den != 1:
+        return "an order must consist of integral elements"
+    one = (1,) + (0,) * (len(rows) - 1)
+    if not _in_lattice(rows, one):
+        return "an order must contain 1"
+    mats = [table_matrix(field.mult_table, r) for r in rows if r != one]
+    if not all(_in_lattice(rows, v) for M in mats for v in _times(rows, M)):
+        return "module is not multiplicatively closed"
+    return None
 
 
 def reduced_forms_by_loop(disc: int) -> list:

@@ -121,6 +121,17 @@ def test_supplied_basis_rejections():
         integral_basis(7, 5, basis=halved, disc=78400)
 
 
+def test_equal_fields_hash_equal():
+    # the hash reads (d, n, disc) only, so equal fields hash equal: the
+    # cached native field, a fresh one, and a supplied basis equal to it
+    native = integral_basis(59, 2)
+    supplied = integral_basis(59, 2, basis=native.intbasis, disc=native.disc)
+    assert supplied is not native and supplied == native
+    assert hash(supplied) == hash(native) == hash((59, 2, native.disc))
+    assert len({native, supplied, E59}) == 1
+    assert integral_basis(11, 10) != native
+
+
 def test_basis_closed_under_multiplication():
     for E in (E59, E8, E37):
         rows = [E.from_basis_coords(tuple(int(i == j) for j in range(4))) for i in range(4)]

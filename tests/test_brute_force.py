@@ -11,6 +11,7 @@ from math import ceil, gcd
 import pytest
 
 from nforders import lattice, orders
+from nforders.intmath import is_squarefree
 from nforders.lattice import IntModule, hnf
 from nforders.orders import (
     AuditFailure,
@@ -18,11 +19,13 @@ from nforders.orders import (
     is_invertible,
     is_principal,
     module_mul,
+    order_with_index,
     pic_brute_force,
 )
 from nforders.quadratic import (
     BinaryForm,
     QuadElem,
+    QuadField,
     form_class_group,
     reduce_form,
     reduced_forms,
@@ -31,7 +34,9 @@ from nforders.quadratic import (
 from ideals import ideal_candidates, module_conj, pic_pairwise, picard_pool
 from oracles import (
     brute_force_bound_by_fraction,
+    brute_force_by_full_range,
     brute_force_by_primitive_ideals,
+    full_range_ideals,
     is_reduced,
     primitive_ideals,
     reduced_forms_by_loop,
@@ -69,6 +74,57 @@ def test_integer_bound_matches_the_fraction_oracle():
             assert type(r.norm_bound) is int, (spec, bound)
             got = (r.count, r.norm_bound, r.complete)
             assert got == brute_force_by_primitive_ideals(o, bound), (spec, bound)
+
+
+def _index_grid() -> dict:
+    """Z + f*O_K in Q(sqrt(-d)) for squarefree d < 120 and f <= 12, as
+    {(d, f): order}; it holds every order of the pool."""
+    return {
+        (d, f): order_with_index(QuadField(-d), f)
+        for d in range(1, 120)
+        if is_squarefree(d)
+        for f in range(1, 13)
+    }
+
+
+def test_mirrored_scan_matches_the_full_range_oracle():
+    # (count, norm_bound, complete) of the scan that takes b >= 0 and
+    # mirrors the rest, against the scan over the whole (-a, a] it
+    # replaced: for no bound on the 900 orders of the grid, and for every
+    # bound from 0 to one past the ceiling of the Minkowski bound on the
+    # pool, which lies inside the grid
+    grid = _index_grid()
+    assert len(grid) == 900
+    assert set(POOL.values()) <= set(grid.values())
+    fields = lambda r: (r.count, r.norm_bound, r.minkowski_bound, r.complete)
+    for key, o in grid.items():
+        assert fields(pic_brute_force(o)) == fields(brute_force_by_full_range(o)), key
+    for spec, o in POOL.items():
+        top = ceil(pic_brute_force(o).minkowski_bound)
+        for bound in range(top + 2):
+            got = fields(pic_brute_force(o, bound))
+            assert got == fields(brute_force_by_full_range(o, bound)), (spec, bound)
+
+
+def test_every_mirrored_ideal_is_reduced_and_audited(monkeypatch):
+    # reduce_form, whose result the audit checks, is called once for each
+    # invertible ideal of the full-range scan, the mirror of an ideal with
+    # 0 < b < a included: none takes its key from its mirror
+    calls = []
+
+    def recording(a, b, c):
+        calls.append((a, b, c))
+        return reduce_form(a, b, c)
+
+    monkeypatch.setattr(orders, "reduce_form", recording)
+    mirrored = 0
+    for spec, o in POOL.items():
+        calls.clear()
+        scan = ceil(pic_brute_force(o).minkowski_bound)
+        want = sorted((a, b, c) for a, b, c, _ in full_range_ideals(o, scan))
+        assert sorted(calls) == want, spec
+        mirrored += sum(1 for a, b, _ in calls if b < 0)
+    assert mirrored > 0
 
 
 def test_reduce_form_matches_the_reduction():

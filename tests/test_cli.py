@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nforders import cli, orders
+from nforders import cli, criteria, orders
 from nforders.lattice import IntModule
 from nforders.quadratic import QuadField
 from ideals import picard_pool
@@ -863,6 +863,23 @@ def test_sweep_2000_output_is_unchanged(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "38747332aee597c401b7e20573978d346e4dd4c233dc8cdce92388f6532fcdcb"
     )
+
+
+def test_sweep_takes_the_poly_discriminant_once(capsys, monkeypatch):
+    # every row's hilbert criterion reads the discriminant of x^3 + 2x - 1;
+    # it is taken once per polynomial, not once per row
+    calls = []
+
+    def counted(f):
+        calls.append(tuple(f))
+        return poly_discriminant(f)
+
+    poly_discriminant = criteria.poly_discriminant
+    monkeypatch.setattr(criteria, "poly_discriminant", counted)
+    criteria._poly_disc.cache_clear()
+    code, out = run(capsys, ["sweep", "59", "2", "--bound", "2000"])
+    assert code == 0 and json.loads(out)["total"] == 96
+    assert calls == [(-1, 2, 0, 1)]
 
 
 def test_inert_3023_outputs_are_unchanged(tmp_path, capsys):

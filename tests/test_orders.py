@@ -3,6 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from nforders import orders
 from nforders.intmath import factorize
 from nforders.lattice import IntModule, hnf, identity_module
 from nforders.orders import (
@@ -39,7 +40,7 @@ from ideals import (
     ideal_quot,
     picard_pool,
 )
-from oracles import residue_unit_count, unit_index_by_torsion
+from oracles import order_proof_by_matrices, residue_unit_count, unit_index_by_torsion
 
 F1 = QuadField(-1)
 F2 = QuadField(-2)
@@ -128,6 +129,78 @@ def test_quartic_order_rejections(diag, den, message):
         OrderRep(E, hnf(E, rows, den))
 
 
+def _random_lattice(rng, field):
+    """hnf of 1 and degree - 1 lower triangular rows with pivots in 1..4 and
+    entries below each pivot under it: a full-rank lattice holding 1."""
+    n = field.degree
+    rows = [[1] + [0] * (n - 1)]
+    for i in range(1, n):
+        p = rng.randint(1, 4)
+        rows.append([rng.randrange(p) for _ in range(i)] + [p] + [0] * (n - 1 - i))
+    return hnf(field, rows)
+
+
+def _order_error(field, module):
+    try:
+        OrderRep(field, module)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_order_proof_matches_the_matrix_oracle(seed):
+    # the proof on the products of the rows against the proof on each row
+    # times the multiplication matrix of each other row, on seeded random
+    # lattices that hold 1 in Q(sqrt(-5)), Q(sqrt(-3)) and three quartic
+    # fields, and on the same lattices with row 0 doubled or a denominator
+    from nforders.biquadratic import integral_basis
+
+    rng = random.Random(seed)
+    fields = [F5, F3] + [integral_basis(d, n) for d, n in [(59, 2), (11, 10), (23, 5)]]
+    verdicts = set()
+    for field in fields:
+        for _ in range(200):
+            m = _random_lattice(rng, field)
+            doubled = (tuple(2 * x for x in m.rows[0]),) + m.rows[1:]
+            for rows, den in [(m.rows, 1), (m.rows, 2), (doubled, 1)]:
+                mod = IntModule(field, rows, den)
+                got = _order_error(field, mod)
+                assert got == order_proof_by_matrices(field, mod), (field, rows, den)
+                verdicts.add((field.degree, got))
+    both = (
+        None,
+        "an order must contain 1",
+        "an order must consist of integral elements",
+    )
+    assert verdicts == {(d, v) for d in (2, 4) for v in both} | {
+        (4, "module is not multiplicatively closed")
+    }
+
+
+def test_an_index_order_is_proven_on_one_product(monkeypatch):
+    # Z + 6*O_K: 1 in o, then (6w)^2, two back-substitutions; a quartic
+    # maximal order: 1, then the 6 products of its three other rows
+    calls = []
+
+    def counted(H, w):
+        calls.append(w)
+        return in_lattice(H, w)
+
+    in_lattice = orders._in_lattice
+    monkeypatch.setattr(orders, "_in_lattice", counted)
+    order_with_index(QuadField(-5), 6)
+    assert len(calls) == 2
+    from nforders.biquadratic import integral_basis
+
+    E = integral_basis(59, 2)
+    calls.clear()
+    OrderRep(E, identity_module(E))
+    assert len(calls) == 7
+
+
+# ---------------------------------------------------------------------------
+# conductors
 # ---------------------------------------------------------------------------
 # conductors
 
