@@ -64,14 +64,11 @@ class AuditFailure(Exception):
 @dataclass(frozen=True)
 class OrderRep:
     """An order, proven one on its integer rows when built: integral, with
-    1 = (1, 0, ...) in their span, and holding the product r_i * r_j, i <=
-    j, of each two of its rows other than 1, read on integers off the
-    field's mult_table.  As the rows are a canonical HNF, 1 is in their
-    span only as row 0, and by bilinearity those products lie in o
-    exactly when o is closed under multiplication.  mult_matrices, the
-    field-table matrices of the rows other than 1, is built on first use:
-    only _closed_under reads it, to test an OrderIdeal.  The index [O_K :
-    o] is read off the rows once, when the order is built."""
+    1 = (1, 0, ...) in their span, which in a canonical HNF makes it row
+    0, and holding the product r_i * r_j, i <= j, of each two other rows,
+    read on integers off the field's mult_table (by bilinearity, o is
+    then closed).  mult_matrices, which _closed_under reads for an
+    OrderIdeal, is built on first use; the index once, when built."""
 
     field: object
     module: IntModule
@@ -379,11 +376,10 @@ def picard_number(o: OrderRep) -> int:
 # brute-force Picard count
 
 
-# (a, b) pairs past which pic_brute_force refuses to scan.  The count is of
-# the full range b in (-a, a], though the scan tests only b >= 0, about
-# half of them, and mirrors the rest: the complete scan of Z + 2000*Z[i]
-# counts 4,935,847 pairs and takes about 0.2 s on a 2-vCPU machine, and
-# that of any order with |disc o| <= 10^7 counts fewer.
+# (a, b) pairs past which pic_brute_force refuses to scan, counted over the
+# full range b in (-a, a] though the scan tests only b >= 0, about half of
+# them.  The complete scan of Z + 2000*Z[i] counts 4,935,847 in about 0.2
+# s on a 2-vCPU machine, and that of any order with |disc o| <= 10^7 fewer.
 _BRUTE_FORCE_MAX_PAIRS = 6 * 10**6
 
 
