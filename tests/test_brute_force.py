@@ -4,7 +4,9 @@ Z[sqrt(-n)] for squarefree n <= 100 and Z + f*O_K in Q(sqrt(-d)) for
 squarefree d <= 23 and f <= 6, each order once.  Each ideal's reduction
 matrix certificate is checked against the lattice search it replaced, and
 the scan that drops non-invertible ideals in place against the generator
-of every primitive ideal it replaced (oracles.primitive_ideals)."""
+of every primitive ideal it replaced (oracles.primitive_ideals), and the
+scan that tests b >= 0 and mirrors the rest against the full-range scan
+it replaced (oracles.full_range_ideals)."""
 
 from math import ceil, gcd
 

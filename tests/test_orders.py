@@ -130,8 +130,8 @@ def test_quartic_order_rejections(diag, den, message):
 
 
 def _random_lattice(rng, field):
-    """hnf of 1 and degree - 1 lower triangular rows with pivots in 1..4 and
-    entries below each pivot under it: a full-rank lattice holding 1."""
+    """A full-rank lattice holding 1: the HNF of (1, 0, ...) and, for i >=
+    1, a row i with a pivot p in 1..4 and entries in [0, p) before it."""
     n = field.degree
     rows = [[1] + [0] * (n - 1)]
     for i in range(1, n):
@@ -181,6 +181,8 @@ def test_order_proof_matches_the_matrix_oracle(seed):
 def test_an_index_order_is_proven_on_one_product(monkeypatch):
     # Z + 6*O_K: 1 in o, then (6w)^2, two back-substitutions; a quartic
     # maximal order: 1, then the 6 products of its three other rows
+    from nforders.biquadratic import integral_basis
+
     calls = []
 
     def counted(H, w):
@@ -191,16 +193,12 @@ def test_an_index_order_is_proven_on_one_product(monkeypatch):
     monkeypatch.setattr(orders, "_in_lattice", counted)
     order_with_index(QuadField(-5), 6)
     assert len(calls) == 2
-    from nforders.biquadratic import integral_basis
-
     E = integral_basis(59, 2)
     calls.clear()
     OrderRep(E, identity_module(E))
     assert len(calls) == 7
 
 
-# ---------------------------------------------------------------------------
-# conductors
 # ---------------------------------------------------------------------------
 # conductors
 
