@@ -14,12 +14,12 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import ceil, gcd, isqrt, prod
 from operator import add, mul
+from typing import NamedTuple
 
 from .intmath import (
     UnsupportedPrimeError,
@@ -151,7 +151,6 @@ def check_field_params(d: int, n: int) -> None:
         raise ValueError("d and n must be distinct, got %d twice" % d)
 
 
-@dataclass(frozen=True)
 class BiquadField:
     """Q(sqrt(-d), sqrt(-n)) together with a fixed integral basis.
 
@@ -160,12 +159,17 @@ class BiquadField:
     which verifies the ring axioms, rather than directly.
     """
 
-    d: int
-    n: int
-    intbasis: tuple
-    disc: int
-
     degree = 4
+
+    def __init__(self, d: int, n: int, intbasis: tuple, disc: int):
+        self.d, self.n, self.intbasis, self.disc = d, n, intbasis, disc
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.d, self.n, self.intbasis, self.disc) == (
+                other.d, other.n, other.intbasis, other.disc
+            )
+        return NotImplemented
 
     def __hash__(self):
         # equal fields have equal (d, n, disc); hashing the Fraction basis
@@ -440,8 +444,7 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
 # prime factorization through a primitive element
 
 
-@dataclass(frozen=True)
-class PrimeFactor:
+class PrimeFactor(NamedTuple):
     """One prime of the maximal order above a rational prime: its module,
     its ramification index and its residue degree."""
 
@@ -640,8 +643,7 @@ def _principal_class(m: IntModule) -> bool:
     return find_generator(c, c.covolume()) is not None
 
 
-@dataclass(frozen=True)
-class BiquadClassGroup:
+class BiquadClassGroup(NamedTuple):
     disc: int
     h: int
     structure: tuple
@@ -722,8 +724,7 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
 # the norm-map cardinality condition
 
 
-@dataclass(frozen=True)
-class NormMapCondition:
+class NormMapCondition(NamedTuple):
     inj_iso: bool
     h_F: int
     h_E: int

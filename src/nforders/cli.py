@@ -9,7 +9,6 @@ the reader of stdout has closed it.
 """
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -430,6 +429,8 @@ def cmd_sweep(args):
         )
     code = 1 if divergences else 0
     if args.csv:
+        import csv  # only here: at the top, every other call would pay for it
+
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["p", "norm", "criterion", "solver", "agree"])
         for r in rows:

@@ -12,7 +12,6 @@ inapplicable case never masquerades as a negative one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -65,31 +64,45 @@ class _Unresolved:
 UNRESOLVED = _Unresolved()
 
 
-@dataclass(frozen=True)
 class CriterionReport:
-    criterion: str
-    hypotheses: tuple  # (name, passed, detail) triples, in evaluation order
-    applicable: bool
-    verdict: str
-    representation: tuple | None = None
+    # hypotheses: (name, passed, detail) triples, in evaluation order
+    def __init__(self, criterion, hypotheses, applicable, verdict, representation=None):
+        assert verdict in (SOLVABLE, UNSOLVABLE, UNKNOWN)
+        if not applicable:
+            assert verdict == UNKNOWN
+        if representation is not None:
+            assert verdict == SOLVABLE
+        self.criterion, self.hypotheses = criterion, hypotheses
+        self.applicable, self.verdict = applicable, verdict
+        self.representation = representation
 
-    def __post_init__(self):
-        assert self.verdict in (SOLVABLE, UNSOLVABLE, UNKNOWN)
-        if not self.applicable:
-            assert self.verdict == UNKNOWN
-        if self.representation is not None:
-            assert self.verdict == SOLVABLE
+    def _key(self) -> tuple:
+        return (
+            self.criterion, self.hypotheses, self.applicable, self.verdict,
+            self.representation,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class UnitWitness:
-    alpha: QuadElem
-    beta: QuadElem
-    n: int
+    def __init__(self, alpha: QuadElem, beta: QuadElem, n: int):
+        assert alpha**2 + n * beta**2 == alpha.field(-1)
+        self.alpha, self.beta, self.n = alpha, beta, n
 
-    def __post_init__(self):
-        F = self.alpha.field
-        assert self.alpha**2 + self.n * self.beta**2 == F(-1)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.beta, self.n) == (other.alpha, other.beta, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta, self.n))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ bounds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, islice, starmap
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .intmath import xgcd
 from .quadratic import (
@@ -246,7 +246,6 @@ def smith_normal_form(rows) -> list[int]:
 # modules
 
 
-@dataclass(frozen=True)
 class IntModule:
     """(1/den) times the row span of `rows`, in ambient integral-basis
     coordinates.  The entries of `rows` and `den` must be integers (ints,
@@ -254,12 +253,7 @@ class IntModule:
     Construction canonicalizes, so equal modules compare equal: rows that
     are already a canonical HNF tuple of tuples are kept as given."""
 
-    ambient: object
-    rows: tuple
-    den: int
-
-    def __post_init__(self):
-        rows, den = self.rows, self.den
+    def __init__(self, ambient, rows: tuple, den: int):
         if type(den) is not int or not all(type(x) is int for r in rows for x in r):
             den = integer_rows([[den]], "module denominator")[0][0]
             rows = integer_rows(rows, "module entry")
@@ -269,7 +263,7 @@ class IntModule:
             den = -den
         if not _is_canonical(rows):
             rows = hnf_matrix(rows)
-        r = getattr(self.ambient, "degree", None) or len(rows)
+        r = getattr(ambient, "degree", None) or len(rows)
         if len(rows) != r:
             raise ValueError("module is not full rank")
         if den != 1:
@@ -278,8 +272,18 @@ class IntModule:
                 rows = [[x // g for x in row] for row in rows]
                 den //= g
         if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
-            object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "den", den)
+            rows = tuple(map(tuple, rows))
+        self.ambient, self.rows, self.den = ambient, rows, den
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.rows, self.den) == (
+                other.ambient, other.rows, other.den
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.rows, self.den))
 
     @property
     def rank(self) -> int:
@@ -392,16 +396,17 @@ def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
 # exact LLL
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     """A not-necessarily-HNF basis (LLL output keeps the reduced order).
     `gso` is the integral Gram-Schmidt data (d, lam) of the rows under the
-    integer form LLL ran on (see _integral_gso)."""
+    integer form LLL ran on (see _integral_gso).  Nothing compares or
+    hashes a basis (lll_reduce and enumerate_by_t2 read its fields), so
+    `gso`, whose lists make it unhashable, is a plain field."""
 
     ambient: object
     rows: tuple
     den: int
-    gso: tuple = dc_field(compare=False)
+    gso: tuple
 
 
 def _basis_gram(rows, g):
@@ -607,9 +612,15 @@ def _norm_filter(module, norm):
 # the most periods of convergents the window ladder of _unit_ladder runs
 _LADDER_MAX_PERIODS = 64
 
+# the longest period of sqrt(D0) ladder_data takes.  The windows list up
+# to a period of convergents, whose digits grow with the period, so their
+# memory grows as its square: the period 454,206 of sqrt(200000000006) ran
+# out of memory, while 16,144 (sqrt(115344766)) still answers, in about two
+# minutes on a 2-vCPU machine
+_LADDER_MAX_PERIOD = 2**14
 
-@dataclass(frozen=True)
-class LadderData:
+
+class LadderData(NamedTuple):
     """What the rank-4 window ladder needs of a field, built once per field
     (ladder_data).  `U` is the integer multiplication matrix of the ladder
     unit u, and each power of u moves the ladder `step` convergents of the
@@ -635,11 +646,18 @@ def ladder_data(field) -> LadderData:
     is the midpoint unit v = conj(e)/sqrt(-c), with step mid, when l =
     2*mid is even and the mid-th convergent e has |N(e)| = c in {d, n},
     and v is checked integral with v^2 = -eps^-1; else it is eps, with
-    step l.  D0, S, G and cross are the field's norm_forms."""
+    step l.  D0, S, G and cross are the field's norm_forms.  A period past
+    _LADDER_MAX_PERIOD raises UnsupportedFieldError before any convergent
+    is built."""
     D0, S, G, cross = field.norm_forms
-    outer = tuple(_times(_times(S, G), tuple(zip(*S))))
     cf = cf_sqrt(D0)
     l = len(cf.period)
+    if l > _LADDER_MAX_PERIOD:
+        raise UnsupportedFieldError(
+            "the continued fraction of sqrt(%d) has period %d, past the ladder's "
+            "limit %d" % (D0, l, _LADDER_MAX_PERIOD)
+        )
+    outer = tuple(_times(_times(S, G), tuple(zip(*S))))
     gammas = cf_convergents(cf, l)  # kept: the mid-th and the last
     mid = next(islice(gammas, l // 2 - 1, None)) if l % 2 == 0 else None
     ((x0, y0),) = deque(gammas, maxlen=1)

@@ -27,10 +27,10 @@ conductor or prime ideal is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .intmath import _SQRT_SCALE, divisors, factorize
 from .lattice import (
@@ -61,7 +61,6 @@ class AuditFailure(Exception):
 # orders
 
 
-@dataclass(frozen=True)
 class OrderRep:
     """An order, proven one on its integer rows when built: integral, with
     1 = (1, 0, ...) in their span, which in a canonical HNF makes it row
@@ -70,21 +69,26 @@ class OrderRep:
     then closed).  mult_matrices, which _closed_under reads for an
     OrderIdeal, is built on first use; the index once, when built."""
 
-    field: object
-    module: IntModule
-
-    def __post_init__(self):
-        rows = self.module.rows
-        if self.module.den != 1:
+    def __init__(self, field, module: IntModule):
+        rows = module.rows
+        if module.den != 1:
             raise ValueError("an order must consist of integral elements")
         if not _in_lattice(rows, (1,) + (0,) * (len(rows) - 1)):
             raise ValueError("an order must contain 1")
-        T, gens = self.field.mult_table, rows[1:]
+        T, gens = field.mult_table, rows[1:]
         for i, x in enumerate(gens):
             for y in gens[i:]:
                 if not _in_lattice(rows, _product(T, x, y)):
                     raise ValueError("module is not multiplicatively closed")
-        object.__setattr__(self, "_index", _pivots(rows))
+        self.field, self.module, self._index = field, module, _pivots(rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.module) == (other.field, other.module)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.module))
 
     @cached_property
     def mult_matrices(self) -> tuple:
@@ -168,14 +172,19 @@ def conductor(o: OrderRep) -> "OrderIdeal":
 # ideals
 
 
-@dataclass(frozen=True)
 class OrderIdeal:
-    order: OrderRep
-    module: IntModule
-
-    def __post_init__(self):
-        if not _closed_under(self.order, self.module.rows):
+    def __init__(self, order: OrderRep, module: IntModule):
+        if not _closed_under(order, module.rows):
             raise ValueError("module is not stable under the order")
+        self.order, self.module = order, module
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.module) == (other.order, other.module)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.module))
 
     @property
     def field(self):
@@ -226,8 +235,7 @@ def is_coprime_to_conductor(a: OrderIdeal) -> bool:
 # factorization coprime to the conductor
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
+class IdealFactorization(NamedTuple):
     factors: tuple  # ((OrderIdeal, exponent), ...)
 
     def remultiply(self, o: OrderRep) -> OrderIdeal:
@@ -323,8 +331,7 @@ def unit_index(o: OrderRep) -> int:
     return {-3: 3, -4: 2}.get(field.disc, 1)
 
 
-@dataclass(frozen=True)
-class PicardTerms:
+class PicardTerms(NamedTuple):
     """#Pic(o) = h_K * #(O_K/f)^x / ([O_K^x:o^x] * #(o/f)^x), f the
     conductor of o, with each term of the formula."""
 
@@ -390,8 +397,7 @@ def _scan_pairs(f: int, scan: int, divs) -> int:
     return sum(m * (m + 1) // 2 for m in (scan * k // f for k in divs))
 
 
-@dataclass(frozen=True)
-class BruteClassCount:
+class BruteClassCount(NamedTuple):
     count: int
     norm_bound: int
     minkowski_bound: Fraction
@@ -423,14 +429,16 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
     primitive I whose I/content is in range.  (-b + sqrt(disc o))/2 is
     g0 + f*w with g0 = -(b + s*f)/2, s = disc K mod 2, so I has the rows
     (a, 0) and (g0, f) over {1, w}, and its content is gcd(a, g0, f), a
-    divisor k of f.  For each k the scan runs in place over a in kZ and b
-    = -s*f mod 2k, which makes k divide g0, and takes the (a, b) with b^2
-    = disc o mod 4a, content exactly k and an invertible ideal: nothing
-    is built for the others.  It runs b over [0, a] only, and adds the
-    mirror (a, -b) of each ideal it takes with 0 < b < a: as k | s*f the
-    progression is symmetric, b^2 and c are unchanged, and g0' = (b -
-    s*f)/2 = -g0 - s*f gives the same content, as f | s*f.  A mirror is
-    reduced and audited as every other ideal is.
+    divisor k of f.  For each k the scan runs in place over b = -s*f mod
+    2k, which makes k divide g0 (and b, as k | s*f), and over a in kZ
+    from b up, and takes the (a, b) with a | (b^2 - disc o)/4, an integer
+    as b = disc o mod 2, so b^2 = disc o mod 4a; content exactly k; and
+    an invertible ideal: nothing is built for the others.  It runs b
+    over [0, a] only, and adds the mirror (a, -b) of each ideal it takes
+    with 0 < b < a: as k | s*f the progression is symmetric, b^2 and c
+    are unchanged, and g0' = (b - s*f)/2 = -g0 - s*f gives the same
+    content, as f | s*f.  A mirror is reduced and audited as every other
+    ideal is.
 
     The scan to (2/pi)*sqrt(|disc o|) is complete.  For a class C take M
     invertible in C^(-1) and, by Minkowski, x in O_K*M with |N(x)| <=
@@ -474,14 +482,13 @@ def pic_brute_force(o: OrderRep, norm_bound: int | None = None) -> BruteClassCou
         )
     keys = set()
     for k in divs:
+        top = scan * k * k // f
         ideals = [
-            (a, b, c, g0)
-            for a in range(k, scan * k * k // f + 1, k)
-            for m, dm in [(4 * a, disc % (4 * a))]
-            for b in range(-s * f % (2 * k), a + 1, 2 * k)
-            if b * b % m == dm
-            for g0, c in [(-(b + s * f) // 2, (b * b - disc) // m)]
-            if gcd(a, g0, f) == k and gcd(a, b, c) == 1
+            (a, b, n // a, g0)
+            for b in range(-s * f % (2 * k), top + 1, 2 * k)
+            for n, g0 in [((b * b - disc) // 4, -(b + s * f) // 2)]
+            for a in range(max(b, k), top + 1, k)
+            if n % a == 0 and gcd(a, g0, f) == k and gcd(a, b, n // a) == 1
         ]
         ideals += [(a, -b, c, g0 + b) for a, b, c, g0 in ideals if 0 < b < a]
         for a, b, c, g0 in ideals:

@@ -11,7 +11,6 @@ solved through the continued fraction of sqrt(D).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -82,7 +81,6 @@ def table_matrix(T, u) -> list[list[int]]:
 _SCALARS = (int, Fraction)
 
 
-@dataclass(frozen=True)
 class FieldElem:
     """The element u/den of a number field: u a tuple of ints over the
     field's integral basis, whose first member is 1, and den > 0 coprime
@@ -91,20 +89,23 @@ class FieldElem:
     here, the norm among it; each subclass brings its product and
     conjugates."""
 
-    field: object
-    u: tuple
-    den: int = 1
-
-    def __post_init__(self):
-        u, den = self.u, self.den
-        if len(u) != self.field.degree:
-            raise ValueError("need %d coordinates" % self.field.degree)
+    def __init__(self, field, u: tuple, den: int = 1):
+        if len(u) != field.degree:
+            raise ValueError("need %d coordinates" % field.degree)
         if not den:
             raise ZeroDivisionError("element with denominator 0")
         g = gcd(den, *u) if den > 0 else -gcd(den, *u)
         if g != 1 or type(u) is not tuple:
-            object.__setattr__(self, "u", tuple(x // g for x in u))
-            object.__setattr__(self, "den", den // g)
+            u, den = tuple(x // g for x in u), den // g
+        self.field, self.u, self.den = field, u, den
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.u, self.den) == (other.field, other.u, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.u, self.den))
 
     def _check(self, other):
         if self.field != other.field:
@@ -183,16 +184,23 @@ class FieldElem:
         return abs(self.norm())
 
 
-@dataclass(frozen=True)
 class QuadField:
     """Q(sqrt(D)) for squarefree D != 0, 1."""
 
-    D: int
     degree = 2
 
-    def __post_init__(self):
-        if self.D in (0, 1) or not is_squarefree(self.D):
-            raise ValueError("QuadField needs squarefree D != 0, 1, got %d" % self.D)
+    def __init__(self, D: int):
+        if D in (0, 1) or not is_squarefree(D):
+            raise ValueError("QuadField needs squarefree D != 0, 1, got %d" % D)
+        self.D = D
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.D,) == (other.D,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.D,))
 
     @property
     def disc(self) -> int:
@@ -326,8 +334,7 @@ class QuadElem(FieldElem):
 # prime splitting
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     kind: str  # "split" | "inert" | "ramified"
     # q when inert, else an element of norm q off a form reduction: None
     # when there is none, and always None in a real field
@@ -470,8 +477,7 @@ def reduced_forms(disc: int) -> list[BinaryForm]:
     return sorted(out + [BinaryForm(a, -b, c) for a, b, c in out if 0 < b < a < c])
 
 
-@dataclass(frozen=True)
-class ClassGroupResult:
+class ClassGroupResult(NamedTuple):
     """The reduced forms of a negative discriminant and their number h."""
 
     disc: int
@@ -489,8 +495,7 @@ def form_class_group(disc: int) -> ClassGroupResult:
 # continued fractions and Pell equations
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     D: int
     a0: int
     period: tuple[int, ...]
@@ -539,15 +544,20 @@ def cf_convergents(cf: CFExpansion, count: int):
         q2, q1 = q1, q
 
 
-@dataclass(frozen=True)
 class PellSolution:
-    D: int
-    N: int
-    x: int
-    y: int
+    def __init__(self, D: int, N: int, x: int, y: int):
+        assert x * x - D * y * y == N
+        self.D, self.N, self.x, self.y = D, N, x, y
 
-    def __post_init__(self):
-        assert self.x * self.x - self.D * self.y * self.y == self.N
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.D, self.N, self.x, self.y) == (
+                other.D, other.N, other.x, other.y
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.D, self.N, self.x, self.y))
 
 
 def pell_solve(D: int, N: int) -> PellSolution | None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nforders import cli, criteria, orders
+from nforders import cli, criteria, lattice, orders
 from nforders.lattice import IntModule
 from nforders.quadratic import QuadField
 from ideals import picard_pool
@@ -880,6 +880,20 @@ def test_sweep_takes_the_poly_discriminant_once(capsys, monkeypatch):
     code, out = run(capsys, ["sweep", "59", "2", "--bound", "2000"])
     assert code == 0 and json.loads(out)["total"] == 96
     assert calls == [(-1, 2, 0, 1)]
+
+
+def test_represent_past_the_ladder_cap_exits_3(capsys):
+    # the period of sqrt(2 * 100000000003) is 454,206, past the ladder's
+    # cap: exit 3 with a message once the expansion is read, where the
+    # windows over its convergents ran out of memory
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, ["represent", "3", "100000000003", "2"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert err == (
+        "error: the continued fraction of sqrt(200000000006) has period 454206, "
+        "past the ladder's limit %d\n" % lattice._LADDER_MAX_PERIOD
+    )
 
 
 def test_inert_3023_outputs_are_unchanged(tmp_path, capsys):

@@ -2,20 +2,24 @@
 0, 1, 2 or 3 and no traceback.  Inputs whose work grows with their size
 meet a named limit first: the Pollard-Brent steps of `factorize`, the
 |disc| of `reduced_forms` and the (a, b) pairs of the brute-force Picard
-count, which then prints null."""
+count, which then prints null; and the period of sqrt(D0) that the
+window ladder of a quartic field takes."""
 
+import ast
 import contextlib
 import io
 import json
 import random
+import re
 import time
 from math import ceil, gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nforders import cli, orders
-from nforders.intmath import divisors, factorize, is_squarefree
+from nforders import cli, lattice, orders
+from nforders.intmath import divisors, factorize, is_squarefree, squarefree_part
 from nforders.orders import (
     UnresolvedError,
     _scan_pairs,
@@ -27,11 +31,15 @@ from nforders.quadratic import (
     _REDUCED_FORMS_MAX_DISC,
     QuadField,
     UnsupportedFieldError,
+    cf_sqrt,
     form_class_group,
     reduced_forms,
 )
 
 from ideals import picard_pool
+
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def timed_main(argv):
@@ -116,6 +124,39 @@ def test_brute_force_limit_keeps_the_pools_complete():
         f = o.index_in_maximal()
         divs = divisors(factorize(f).items())
         assert _scan_pairs(f, scan, divs) <= orders._BRUTE_FORCE_MAX_PAIRS
+
+
+def _ladder_fields() -> set:
+    """The (d, n) of every quartic field a test or a benchmark pool builds
+    or a test's CLI call names, read off the sources, and the largest
+    known input that answers, represent 7 10000019 2."""
+    pat = re.compile(
+        r'integral_basis\(\s*(\d+),\s*(\d+)'
+        r'|\["represent",\s*[^,]+,\s*"(\d+)",\s*"(\d+)"'
+        r'|\["sweep",\s*"(\d+)",\s*"(\d+)"'
+        r'|REPRESENT_FIELDS = (\(\(.*\)\))'
+    )
+    out = {(10000019, 2)}
+    for path in sorted(TESTS.glob("*.py")) + [PERFBENCH / "workloads.py"]:
+        for m in pat.finditer(path.read_text()):
+            if m.group(7):
+                out.update(ast.literal_eval(m.group(7)))
+            else:
+                d, n = (int(g) for g in m.groups()[:6] if g is not None)
+                out.add((d, n))
+    return {(d, n) for d, n in out if n > 0 and d != n}
+
+
+def test_ladder_cap_keeps_every_pool_test_and_sweep_field():
+    # every field the tests, the sweeps and the represent pool reach has
+    # its sqrt(D0) period under the cap, D0 the squarefree part of d*n,
+    # but the one test_cli pins past it
+    fields = _ladder_fields()
+    assert {(59, 2), (11, 10), (107, 2), (23, 5), (3, 7)} <= fields
+    periods = {dn: len(cf_sqrt(squarefree_part(dn[0] * dn[1])).period) for dn in fields}
+    over = {dn for dn, l in periods.items() if l > lattice._LADDER_MAX_PERIOD}
+    assert over == {(100000000003, 2)}
+    assert max(l for dn, l in periods.items() if dn not in over) == 5850
 
 
 def test_brute_force_refuses_a_scan_past_the_limit():
