@@ -159,6 +159,9 @@ def cox_criterion(p: int, n: int, f_n) -> CriterionReport:
 # the coordinate bound of unit_witness's search for n in {1, 3}
 _WITNESS_BOX = 8
 
+# the most convergents of sqrt(dn) a witness is built from (7 s for 227,102)
+_WITNESS_MAX_CONVERGENTS = 2**15
+
 
 @lru_cache(maxsize=None)
 def unit_witness(d: int, n: int) -> UnitWitness | None:
@@ -176,7 +179,7 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     w = u*sqrt(-d) + v*sqrt(-n), x, y, u, v in Z, of relative norms
     x^2 - dn*y^2 and n*v^2 - d*u^2.  For n in {1, 3}, where E holds i or
     sqrt(-3), a coordinate box is searched too, and None is a bounded
-    miss.
+    miss.  Past _WITNESS_MAX_CONVERGENTS it raises UnsupportedFieldError.
     """
     check_field_params(d, n)
     if d <= 3:
@@ -185,9 +188,13 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     cf = cf_sqrt(d * n)
     l = len(cf.period)
     if l % 2:
+        if l > _WITNESS_MAX_CONVERGENTS:
+            raise UnsupportedFieldError(_unit_detail(d, n, l - 1))
         ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
         return UnitWitness(F(x), F(0, y), n)
     uv = _unit_equation_in(cf, d, n)
+    if type(uv) is int:
+        raise UnsupportedFieldError(_unit_detail(d, n, uv))
     if uv is not None:
         return UnitWitness(F(0, uv[0]), F(uv[1]), n)
     if n not in (1, 3):
@@ -237,10 +244,11 @@ def _unit_equation_in(cf, d: int, n: int):
     sqrt(m*eta) < eta, the last convergent of an even period, as eta >
     d + n; for an odd period eta = eps^2, eps the last convergent, so
     gamma_0 = eps lies in Q(sqrt(dn)), which leaves n = 1 and the match eps.
+    A match k past _WITNESS_MAX_CONVERGENTS is not built: k is returned.
     """
     k = next((k for k, N in enumerate(cf.norms) if N == d or N == -n), None)
-    if k is None:
-        return None
+    if k is None or k >= _WITNESS_MAX_CONVERGENTS:
+        return k
     ((h, q),) = deque(cf_convergents(cf, k + 1), maxlen=1)
     u, v = (h // d, q) if cf.norms[k] == d else (q, h // n)
     assert d * u * u - n * v * v == 1
@@ -248,10 +256,13 @@ def _unit_equation_in(cf, d: int, n: int):
 
 
 def _unit_detail(d: int, n: int, uv) -> str:
-    """unit_equation_solvable's detail: (u, v), or their bit lengths where
-    one has more digits than Python converts to a string."""
+    """unit_equation_solvable's detail: (u, v), their bit lengths where one
+    has more digits than Python prints, or a witness index past the limit."""
     if uv is None:
         return "no solution, decided from the Pell unit of Z[sqrt(%d)]" % (d * n)
+    if type(uv) is int:
+        msg = "solvable, not built: the witness is convergent %d of sqrt(%d), past the limit %d"
+        return msg % (uv, d * n, _WITNESS_MAX_CONVERGENTS)
     try:
         return "(u, v) = %r" % (uv,)
     except ValueError:
@@ -405,9 +416,9 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     the congruence, unit-equation and class-number hypotheses the verdict
     is exactly "-n is a square in O_F/pO_F".  For an inert p that square
     test runs in the degree-2 residue field, where it always passes; the
-    computation is done rather than asserted.  An h_E past the class
-    group's cap leaves norm_map_injective undecided, so the verdict is
-    unknown."""
+    computation is done rather than asserted.  Past cf_sqrt's limit or the
+    class group's cap, unit_equation_solvable or norm_map_injective is
+    undecided, and the verdict unknown."""
     check_field_params(d, n)
     _, q, deg, _ = _prime_field(p, d)
     hyps = []
@@ -423,7 +434,11 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
         return done()
     if not check("n_is_1_or_2_mod_4", n % 4 in (1, 2), "n = %d" % n):
         return done()
-    uv = _unit_equation(d, n)
+    try:
+        uv = _unit_equation(d, n)
+    except UnsupportedFieldError as err:
+        check("unit_equation_solvable", False, "undecided: %s" % err)
+        return done()
     if not check("unit_equation_solvable", uv is not None, _unit_detail(d, n, uv)):
         return done()
     try:

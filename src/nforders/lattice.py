@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, islice, starmap
+from itertools import accumulate, chain, combinations_with_replacement, islice, starmap
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
@@ -409,9 +409,9 @@ class LatticeBasis(NamedTuple):
     gso: tuple
 
 
-def _basis_gram(rows, g):
-    """Integer Gram matrix rows * g * rows^t of integer basis rows."""
-    return _times(_times(rows, g), tuple(zip(*rows)))
+def _basis_gram(B, g):
+    """Entries j <= i of the integer Gram B g B^t of basis rows B: all _integral_gso reads."""
+    return [[sum(map(mul, r, B[j])) for j in range(i + 1)] for i, r in enumerate(_times(B, g))]
 
 
 def _integral_gso(G):
@@ -454,21 +454,23 @@ def lll_reduce(m, g: tuple) -> LatticeBasis:
     would otherwise round."""
     if not all(isinstance(x, int) for row in g for x in row):
         raise ValueError("Gram form must have int entries")
-    basis = [list(r) for r in m.rows]
+    basis = list(m.rows)
     n = len(basis)
     d, lam = _integral_gso(_basis_gram(basis, g))
     k = 1
     while k < n:
         lk = lam[k]
+        row = basis[k]
         for j in range(k - 1, -1, -1):
             dj = d[j + 1]
             q = (2 * lk[j] + dj) // (2 * dj)
             if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+                row = [a - q * b for a, b in zip(row, basis[j])]
                 lk[j] -= q * dj
                 lj = lam[j]
                 for l in range(j):
                     lk[l] -= q * lj[l]
+        basis[k] = row
         la = lk[k - 1]
         # Lovasz: |b_k*|^2 >= (3/4 - mu^2) |b_(k-1)*|^2, times 4 d[k] d[k-1]
         if 4 * (d[k + 1] * d[k - 1] + la * la) >= 3 * d[k] * d[k]:
@@ -486,7 +488,8 @@ def lll_reduce(m, g: tuple) -> LatticeBasis:
             li[k] = (d[k + 1] * li[k - 1] - la * t) // d[k]
             li[k - 1] = (bk * t + la * li[k]) // d[k + 1]
         d[k] = bk
-        k = max(k - 1, 1)
+        if k > 1:
+            k -= 1
     # d and lam were kept exact through every step: they are the data of
     # the reduced rows
     return LatticeBasis(m.ambient, tuple(map(tuple, basis)), m.den, (d, lam))
@@ -775,17 +778,28 @@ def _budget(rho: Fraction, norm: Fraction, den: int) -> int:
     return isqrt(rho.numerator * norm.numerator * den**4 // (rho.denominator * norm.denominator))
 
 
+def _least_cosh(D0, c, near, far) -> Fraction:
+    """The reach of the window twisted by c over the stretch from near, the
+    edge nearer lam = 0, to far: cosh at l(near) or l(c^2 conj(far)), or 1."""
+    x = _rmul(_rmul(c, c, D0), (far[0], -far[1]), D0)
+    s = near[0] * near[1]  # l(h + k sqrt(D0)) has the sign of h*k
+    h, k = x if _before(x, near, D0) == (s > 0) else near
+    return Fraction(h * h + D0 * k * k, abs(h * h - D0 * k * k)) if h * k * s > 0 else Fraction(1)
+
+
 @lru_cache(maxsize=None)
 def _ladder_windows(lad: LadderData, T: int) -> tuple:
-    """(windows, balls) of the ladder over the convergents gamma_0 = 1, ...,
-    gamma_T of lad.cf, each a tuple of (twisted Gram, rho) with ball^2 =
-    N rho on norm-N searches.  `balls` are the windows twisted by gamma_i
-    with the ball at gamma_(i+1), which hold the norm-N points with lam in
-    [l_i - r_i, l_(i+1)]; the pick is the least norm-N point in their union
-    [L, P].  `windows` are searched instead: the _stretches twisted by
-    their c, with the ball at the farther edge; for T = 1 one window
-    twisted by 1 covers J = [-P/2, P/2], with cosh(P/2)^2 = (p_T +
-    |N(gamma_T)|) / (2|N(gamma_T)|), p(h + k*sqrt(D0)) = h^2 + D0*k^2."""
+    """(windows, balls, walk, ends) of the ladder over the convergents
+    gamma_0 = 1, ..., gamma_T of lad.cf, windows and balls each a tuple of
+    (twisted Gram, rho) with ball^2 = N rho on norm-N searches.  `balls`
+    are the windows twisted by gamma_i with the ball at gamma_(i+1), which
+    hold the norm-N points with lam in [l_i - r_i, l_(i+1)]; the pick is
+    the least norm-N point in their union [L, P].  `windows` are searched
+    instead: the _stretches twisted by their c, with the ball at the
+    farther edge; for T = 1 one window twisted by 1 covers J = [-P/2,
+    P/2], with cosh(P/2)^2 = (p_T + |N(gamma_T)|) / (2|N(gamma_T)|), p(h +
+    k*sqrt(D0)) = h^2 + D0*k^2.  `walk` is the indices of the two sides
+    searched, out from the stretch ending at lam = 0; `ends` feed _least_cosh."""
     D0 = lad.D0
     gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
 
@@ -803,8 +817,22 @@ def _ladder_windows(lad: LadderData, T: int) -> tuple:
     if T == 1:
         h, k = gammas[1]
         p, n = h * h + D0 * k * k, abs(h * h - D0 * k * k)
-        return ((_twisted_gram(lad, 1, 0), Fraction(8 * (p + n), n)),), balls
-    return tuple(starmap(window, _stretches(D0, gammas))), balls
+        windows = ((_twisted_gram(lad, 1, 0), Fraction(8 * (p + n), n)),)
+        return windows, balls, ((0,), ()), (((1, 0),) * 3,)  # its range holds 0
+    stretches = _stretches(D0, gammas)
+    centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
+    walk = tuple(range(centre, len(stretches))), tuple(range(centre - 1, -1, -1))
+    ends = [(c, ea, eb) if i > centre else (c, eb, ea) for i, (c, ea, eb) in enumerate(stretches)]
+    return tuple(starmap(window, stretches)), balls, walk, tuple(ends)
+
+
+@lru_cache(maxsize=None)
+def _walk_reach(lad: LadderData, T: int) -> tuple:
+    """Per side of the walk, the least reach of each window and those after
+    it; built on a ladder's first kept candidate, so a None never builds it."""
+    walk, ends = _ladder_windows(lad, T)[2:]
+    reach = [_least_cosh(lad.D0, *x) for x in ends]
+    return tuple(list(accumulate((reach[i] for i in side[::-1]), min))[::-1] for side in walk)
 
 
 def find_generator(module: IntModule, norm):
@@ -823,7 +851,8 @@ def find_generator(module: IntModule, norm):
     of one period; a norm-N point counts only if it also lies in the ball
     of a window twisted by a rung, which keeps the pick the one over whole
     periods of eps either way (docs/generator-search.md, "Half a period"
-    and "Centred windows").
+    and "Centred windows"), out from lam = 0 while one can beat the best
+    candidate kept, so a None searches every window ("Stopping early").
     """
     field = module.ambient
     norm = Fraction(norm)
@@ -837,17 +866,26 @@ def find_generator(module: IntModule, norm):
         cands = [u for u in enumerate_by_t2(lll_reduce(module, G), 2 * norm) if keep(u)]
         return _canonical_pick(module, cands, G)
 
-    # centred windows over one period of the ladder unit's power
+    # centred windows over one period of the ladder unit's power, walked out from 0
     lad, _, gammas = _unit_ladder(field, module)
-    windows, balls = _ladder_windows(lad, len(gammas) - 1)
+    windows, balls, walk, _ = _ladder_windows(lad, T := len(gammas) - 1)
     den = module.den
     cands = []
-    red = module  # each window reduces the basis the one before reduced
-    for g, rho in windows:
-        red = lll_reduce(red, g)
-        bound = Fraction(_budget(rho, norm, den), den * den)
-        cands.extend(u for u in enumerate_by_t2(red, bound) if keep(u))
-    if cands:
-        bounds = [(g, _budget(rho, norm, den)) for g, rho in balls]
-        cands = [u for u in cands if any(_form_value(g, u) <= B for g, B in bounds)]
+    best = bounds = centre = None
+    for s, side in enumerate(walk):
+        red = centre or module  # each window reduces the basis the one before reduced
+        for j, i in enumerate(side):
+            if best is not None:
+                a, b = _walk_reach(lad, T)[s][j].as_integer_ratio()
+                if 16 * norm.numerator * den**4 * a * a > norm.denominator * (best * b) ** 2:
+                    break  # best < 4 sqrt(N) den^2 a/b, strictly: a tie in G(u) goes to u
+            g, rho = windows[i]
+            red = lll_reduce(red, g)
+            centre = centre or red
+            bound = Fraction(_budget(rho, norm, den), den * den)
+            points = [u for u in enumerate_by_t2(red, bound) if keep(u)]
+            if points:
+                bounds = bounds or [(g, _budget(rho, norm, den)) for g, rho in balls]
+                cands += [u for u in points if any(_form_value(g, u) <= B for g, B in bounds)]
+                best = min((_form_value(G, u) for u in cands), default=None)
     return _canonical_pick(module, cands, G)

@@ -502,16 +502,20 @@ class CFExpansion(NamedTuple):
     norms: tuple[int, ...]  # h_k^2 - D q_k^2 = (-1)^(k+1) Q_(k+1), k < len(period)
 
 
+_CF_MAX_PERIOD = 2**20  # the longest period cf_sqrt expands, about 0.6 s
+
+
 def cf_sqrt(D: int) -> CFExpansion:
     """Periodic continued fraction of sqrt(D) via the exact P,Q recurrence.
     Q_k = 1 exactly when the period length divides k, where a_k = 2*a0
-    (Cohen, GTM 138, 5.7), so the period ends at the first Q_k = 1."""
+    (Cohen, GTM 138, 5.7), so the period ends at the first Q_k = 1, or
+    past _CF_MAX_PERIOD quotients in UnsupportedFieldError."""
     if D <= 0 or is_square(D):
         raise ValueError("cf_sqrt needs a positive nonsquare")
     a0 = isqrt(D)
     m, d, a = 0, 1, a0
     period, norms = [], []
-    while True:
+    for _ in range(_CF_MAX_PERIOD):
         m = d * a - m
         d = (D - m * m) // d
         a = (a0 + m) // d
@@ -519,6 +523,9 @@ def cf_sqrt(D: int) -> CFExpansion:
         norms.append(d if len(norms) % 2 else -d)
         if d == 1:
             break
+    else:
+        msg = "the continued fraction of sqrt(%d) has a period past the expansion's limit %d"
+        raise UnsupportedFieldError(msg % (D, _CF_MAX_PERIOD))
     assert a == 2 * a0
     return CFExpansion(D, a0, tuple(period), tuple(norms))
 

@@ -31,7 +31,9 @@ count that replaced them, in place on integers with b over the whole
 (-a, a], as they ran before the scan took b >= 0 and mirrored the rest,
 and `order_proof_by_matrices` is the proof `OrderRep` gave on the
 multiplication matrices of all its rows before it took the products of
-its rows.
+its rows.  `full_ladder_search` is `find_generator`'s rank-4 search as it
+ran before it stopped early, every window in `l` order, and
+`full_ladder_points` the norm-N points of each of those windows.
 `oracle_norm_form_element` is the scan `split_prime` ran for its element
 before it read it off a form reduction.  `residue_data_by_root_search`,
 `prime_above_by_generators` (through `embed_F`) and `split_relative_naive`
@@ -71,10 +73,16 @@ from nforders.intmath import (
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
+    _budget,
+    _canonical_pick,
+    _form_value,
     _in_lattice,
+    _ladder_windows,
+    _norm_filter,
     _times,
     _pair_coeffs,
     _pair_products,
+    _unit_ladder,
     enumerate_by_t2,
     find_generator,
     identity_module,
@@ -695,6 +703,43 @@ def transform_by_matrix(m: IntModule, M) -> IntModule:
     cols = list(zip(*M))
     rows = [[L * sum(map(mul, r, c)) for c in cols] for r in m.rows]
     return IntModule(m.ambient, tuple(map(tuple, rows)), m.den * L)
+
+
+def full_ladder_points(module, norm) -> list:
+    """The norm-N points of every centred window of the module's rank-4
+    ladder, N = norm, window by window in l order, each LLL started from
+    the basis the window before reduced: the windows find_generator
+    searched before it stopped early, in the order it searched them."""
+    norm = Fraction(norm)
+    keep = _norm_filter(module, norm)
+    lad, _, gammas = _unit_ladder(module.ambient, module)
+    windows = _ladder_windows(lad, len(gammas) - 1)[0]
+    den = module.den
+    out = []
+    red = module
+    for g, rho in windows:
+        red = lll_reduce(red, g)
+        bound = Fraction(_budget(rho, norm, den), den * den)
+        out.append([u for u in enumerate_by_t2(red, bound) if keep(u)])
+    return out
+
+
+def full_ladder_search(module, norm):
+    """find_generator on a rank-4 module as it ran before it stopped early:
+    the norm-N points of every window (full_ladder_points), those in some
+    rung window's ball kept, and the least of them picked."""
+    norm = Fraction(norm)
+    field = module.ambient
+    lad, _, gammas = _unit_ladder(field, module)
+    balls = _ladder_windows(lad, len(gammas) - 1)[1]
+    bounds = [(g, _budget(rho, norm, module.den)) for g, rho in balls]
+    cands = [
+        u
+        for points in full_ladder_points(module, norm)
+        for u in points
+        if any(_form_value(g, u) <= B for g, B in bounds)
+    ]
+    return _canonical_pick(module, cands, field.t2_gram_matrix())
 
 
 # ---------------------------------------------------------------------------

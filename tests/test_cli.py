@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nforders import cli, criteria, lattice, orders
+from nforders import cli, criteria, lattice, orders, quadratic
 from nforders.lattice import IntModule
 from nforders.quadratic import QuadField
 from ideals import picard_pool
@@ -894,6 +894,65 @@ def test_represent_past_the_ladder_cap_exits_3(capsys):
         "error: the continued fraction of sqrt(200000000006) has period 454206, "
         "past the ladder's limit %d\n" % lattice._LADDER_MAX_PERIOD
     )
+
+
+def test_represent_past_the_expansion_limit_exits_3(capsys):
+    # the period of sqrt(200000000000062) is 11,152,988: cf_sqrt stops at
+    # its limit of 2^20 quotients, where the whole period took 5.5 s
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, ["represent", "17", "100000000000031", "2"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert err == (
+        "error: the continued fraction of sqrt(200000000000062) has a period past "
+        "the expansion's limit %d\n" % quadratic._CF_MAX_PERIOD
+    )
+
+
+def test_criterion_hilbert_past_the_expansion_limit_is_undecided(capsys):
+    # the unit equation of (100000000000031, 2) is read off the same
+    # expansion: past its limit it is undecided, and the verdict unknown
+    argv = ["criterion", "hilbert", "17", "100000000000031", "2"]
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["hypotheses"][3] == {
+        "name": "unit_equation_solvable",
+        "passed": False,
+        "detail": "undecided: the continued fraction of sqrt(200000000000062) has a "
+        "period past the expansion's limit %d" % quadratic._CF_MAX_PERIOD,
+    }
+    assert (doc["applicable"], doc["verdict"]) == (False, "unknown")
+
+
+def test_criterion_hilbert_witness_past_the_limit(capsys):
+    # 100000000003u^2 - 2v^2 = 1 is solvable, decided off the norms of the
+    # period of sqrt(200000000006); its witness, convergent 227,102, is not
+    # built, where building it took 7 s
+    argv = ["criterion", "hilbert", "3", "100000000003", "2"]
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["hypotheses"][3] == {
+        "name": "unit_equation_solvable",
+        "passed": True,
+        "detail": "solvable, not built: the witness is convergent 227102 of "
+        "sqrt(200000000006), past the limit %d" % criteria._WITNESS_MAX_CONVERGENTS,
+    }
+
+
+def test_sweep_past_the_ladder_cap_exits_3_at_once(capsys):
+    # each row's criterion decides the unit equation without building its
+    # witness, so the first row's represent meets the ladder's cap at once
+    start = time.perf_counter()
+    code, out, err = in_process_run(capsys, ["sweep", "100000000003", "2", "--bound", "20"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert "past the ladder's limit %d" % lattice._LADDER_MAX_PERIOD in err
 
 
 def test_inert_3023_outputs_are_unchanged(tmp_path, capsys):

@@ -4,7 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from nforders import criteria, quadratic
+from nforders import criteria, lattice, quadratic
 from nforders.criteria import (
     SOLVABLE,
     UNKNOWN,
@@ -344,6 +344,60 @@ def test_unit_witness_expands_sqrt_dn_once(monkeypatch):
         calls.clear()
         assert (unit_witness(d, n) is not None) == found, (d, n)
         assert calls == [d * n], (d, n)
+
+
+def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
+    # 107u^2 - 2v^2 = 1 is matched at convergent k of sqrt(214); with the
+    # limit at k + 1 the witness is built, at k it is not: the equation is
+    # still decided solvable, and unit_witness raises rather than give a
+    # None that represent would read as a proof
+    cf = cf_sqrt(214)
+    k = next(k for k, N in enumerate(cf.norms) if N in (107, -2))
+    monkeypatch.setattr(criteria, "_WITNESS_MAX_CONVERGENTS", k + 1)
+    assert criteria._unit_equation_in(cf, 107, 2) == (57003, 416941)
+
+    def no_convergents(cf, count):
+        raise AssertionError("a convergent was built")
+
+    monkeypatch.setattr(criteria, "_WITNESS_MAX_CONVERGENTS", k)
+    monkeypatch.setattr(criteria, "cf_convergents", no_convergents)
+    assert criteria._unit_equation_in(cf, 107, 2) == k
+    _unit_equation.cache_clear()
+    unit_witness.cache_clear()
+    try:
+        r = criterion_hilbert(QuadField(-107)(7), 107, 2)
+        assert r.hypotheses[3] == (
+            "unit_equation_solvable",
+            True,
+            "solvable, not built: the witness is convergent %d of sqrt(214), "
+            "past the limit %d" % (k, k),
+        )
+        with pytest.raises(quadratic.UnsupportedFieldError, match="past the limit"):
+            unit_witness(107, 2)
+        # an odd period's witness is its last convergent: sqrt(10) = [3; 6]
+        monkeypatch.setattr(criteria, "_WITNESS_MAX_CONVERGENTS", 0)
+        with pytest.raises(
+            quadratic.UnsupportedFieldError,
+            match=r"convergent 0 of sqrt\(10\), past the limit 0",
+        ):
+            unit_witness(5, 2)
+    finally:
+        _unit_equation.cache_clear()
+        unit_witness.cache_clear()
+
+
+def test_witness_limit_keeps_every_answer():
+    # the limit sits above the period of sqrt(200000518), 23,014, whose
+    # convergent 11,506 is the witness test_cli pins as bit lengths, and
+    # above the ladder's longest period, so every witness represent reaches
+    # past the ladder is built
+    cf = cf_sqrt(200000518)
+    assert len(cf.period) == 23014
+    assert next(k for k, N in enumerate(cf.norms) if N in (100000259, -2)) == 11506
+    assert criteria._WITNESS_MAX_CONVERGENTS > 23014
+    assert criteria._WITNESS_MAX_CONVERGENTS > lattice._LADDER_MAX_PERIOD
+    with pytest.raises(quadratic.UnsupportedFieldError, match="convergent 227102 "):
+        unit_witness(100000000003, 2)
 
 
 def test_unit_witness_box_for_n_1():

@@ -2,8 +2,9 @@
 0, 1, 2 or 3 and no traceback.  Inputs whose work grows with their size
 meet a named limit first: the Pollard-Brent steps of `factorize`, the
 |disc| of `reduced_forms` and the (a, b) pairs of the brute-force Picard
-count, which then prints null; and the period of sqrt(D0) that the
-window ladder of a quartic field takes."""
+count, which then prints null; the period of sqrt(D0) that the window
+ladder of a quartic field takes; the period `cf_sqrt` expands; and the
+convergent a unit-equation witness is built from."""
 
 import ast
 import contextlib
@@ -147,15 +148,24 @@ def _ladder_fields() -> set:
     return {(d, n) for d, n in out if n > 0 and d != n}
 
 
+def _period(D: int) -> float:
+    """The period of sqrt(D), infinite past cf_sqrt's limit."""
+    try:
+        return len(cf_sqrt(D).period)
+    except UnsupportedFieldError:
+        return float("inf")
+
+
 def test_ladder_cap_keeps_every_pool_test_and_sweep_field():
     # every field the tests, the sweeps and the represent pool reach has
     # its sqrt(D0) period under the cap, D0 the squarefree part of d*n,
-    # but the one test_cli pins past it
+    # but the two test_cli pins past it, the second past cf_sqrt's limit
     fields = _ladder_fields()
     assert {(59, 2), (11, 10), (107, 2), (23, 5), (3, 7)} <= fields
-    periods = {dn: len(cf_sqrt(squarefree_part(dn[0] * dn[1])).period) for dn in fields}
+    periods = {dn: _period(squarefree_part(dn[0] * dn[1])) for dn in fields}
     over = {dn for dn, l in periods.items() if l > lattice._LADDER_MAX_PERIOD}
-    assert over == {(100000000003, 2)}
+    assert over == {(100000000003, 2), (100000000000031, 2)}
+    assert periods[100000000000031, 2] == float("inf")
     assert max(l for dn, l in periods.items() if dn not in over) == 5850
 
 
@@ -239,16 +249,41 @@ SPEC = either(
 ELEMENT = st.one_of(
     st.builds(str, INTS), st.builds("{}+{}*w".format, INTS, DIGITS)
 )
+# criterion reaches the library on a prime element of Q(sqrt(-d)), so small
+# primes and split ones of Q(sqrt(-59)) and Q(i) are drawn as often as any
+# element; POLY stands for a class polynomial file
+POLY = "POLY"
+PRIME = either(
+    st.sampled_from(["3", "5", "7", "13", "17", "1+1*w", "3+1*w", "2+1*w", str(Q1)]),
+    ELEMENT,
+)
+CRITERION = st.builds(
+    lambda theorem, poly, p, dn: ["criterion"] + (["--poly", POLY] if poly else [])
+    + [theorem, "--", p, str(dn[0]), str(dn[1])],
+    st.sampled_from(["cox", "quadr", "hilbert"]),
+    st.booleans(),
+    PRIME,
+    either(NATIVE, st.tuples(FIELD_DN, FIELD_DN)),
+)
 ARGV = st.one_of(
     st.builds(lambda s: ["picard", "--", s], SPEC),
     st.builds(lambda s, b: ["picard", "--bound", str(b), "--", s], SPEC, INTS),
     st.builds(lambda s: ["conductor", "--", s], SPEC),
     st.builds(lambda s, e: ["factor", "--", s, e], SPEC, ELEMENT),
+    CRITERION,
 )
 
 
 # two 15-digit primes: past the Pollard-Brent steps factorize may spend
 HARD = 100000000000031 * 1000000000000037
+
+
+@pytest.fixture(scope="module")
+def poly_file(tmp_path_factory) -> str:
+    """x^3 + 2x - 1, the class polynomial of (59, 2), one coefficient a line."""
+    path = tmp_path_factory.mktemp("poly") / "cubic.txt"
+    path.write_text("-1\n2\n0\n1\n")
+    return str(path)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -261,7 +296,10 @@ HARD = 100000000000031 * 1000000000000037
 @example(argv=["factor", "--", "max:-59", "%d+1*w" % Q1])
 @example(argv=["picard", "--bound", "5", "--", "index:-1:%d" % 10**29])
 @example(argv=["picard", "--", "max:-%d" % (10**30 - 3)])
-def test_every_spec_ends_in_bounded_time(argv):
+@example(argv=["criterion", "hilbert", "--", "17", "100000000000031", "2"])
+@example(argv=["criterion", "quadr", "--", "3", "100000000003", "2"])
+def test_every_spec_ends_in_bounded_time(poly_file, argv):
+    argv = [poly_file if a == POLY else a for a in argv]
     code, _, err, seconds = timed_main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, argv

@@ -4,7 +4,9 @@ unit v where the field has one, else the Pell unit eps) and its stabilising
 power m, and the generator find_generator returns.  The oracles below keep
 that earlier code as it was: Fraction multiplication matrices, a
 transform/contains_module stabilisation test, and a Fincke-Pohst descent
-over the whole ball of every window of whole periods of eps."""
+over the whole ball of every window of whole periods of eps.  The early
+stop of the walk is checked against oracles.full_ladder_search, the
+search of every centred window it replaced."""
 
 import random
 from decimal import Decimal, localcontext
@@ -24,11 +26,14 @@ from nforders.lattice import (
     _canonical_pick,
     _det_int,
     _ladder_windows,
+    _least_cosh,
     _norm_filter,
+    _rmul,
     _stretches,
     _times,
     _twisted_gram,
     _unit_ladder,
+    _walk_reach,
     enumerate_by_t2,
     find_generator,
     hnf,
@@ -43,7 +48,15 @@ from nforders.quadratic import (
     integer_rows,
     table_matrix,
 )
-from oracles import FracBiquad, fundamental_unit, mult_matrix, naive_to_coords, sqrt_lb
+from oracles import (
+    FracBiquad,
+    full_ladder_points,
+    full_ladder_search,
+    fundamental_unit,
+    mult_matrix,
+    naive_to_coords,
+    sqrt_lb,
+)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -491,22 +504,33 @@ def test_no_midpoint_unit_on_23_5():
     assert len(_unit_ladder(E235, identity_module(E235))[2]) - 1 == 10
 
 
+def ladder_size(module) -> int:
+    """The number of centred windows of the module's ladder."""
+    lad, _, gammas = _unit_ladder(module.ambient, module)
+    return len(_ladder_windows(lad, len(gammas) - 1)[0])
+
+
 def test_represent_pool_runs_half_a_period(monkeypatch, pool):
-    # 5 windows per (59, 2) call and 1 per (11, 10) call: 201 in all,
-    # where the full period ran 402
-    windows = {E59: [], E1110: []}
+    # 5 windows per (59, 2) ladder and 1 per (11, 10) ladder: 201 in all,
+    # where the full period ran 402; stopping early, the searches run 163
+    # of them, 77 on (59, 2)
+    built = {E59: [], E1110: []}
+    searched = {E59: [], E1110: []}
     lll = lattice.lll_reduce
 
     def count(m, g):
-        windows[m.ambient][-1] += 1
+        searched[m.ambient][-1] += 1
         return lll(m, g)
 
     monkeypatch.setattr(lattice, "lll_reduce", count)
     for module, norm in pool:
-        windows[module.ambient].append(0)
+        built[module.ambient].append(ladder_size(module))
+        searched[module.ambient].append(0)
         lattice.find_generator(module, norm)
-    assert set(windows[E59]) == {5} and set(windows[E1110]) == {1}
-    assert sum(windows[E59]) + sum(windows[E1110]) == 201
+    assert set(built[E59]) == {5} and set(built[E1110]) == {1}
+    assert sum(built[E59]) + sum(built[E1110]) == 201
+    assert sum(searched[E59]) == 77 and sum(searched[E1110]) == 86
+    assert sum(searched[E59]) + sum(searched[E1110]) == 163
 
 
 def test_find_generator_matches_oracle_on_23_5_and_71_2():
@@ -676,18 +700,40 @@ def rung_balls(module, norm) -> list:
     ]
 
 
+def walk_order(module) -> tuple:
+    """The indices, in l order, of the module's centred windows on each
+    side of the walk: from the stretch that ends at lam = 0 rightward,
+    then leftward from the one before it."""
+    lad, _, gammas = _unit_ladder(module.ambient, module)
+    if len(gammas) == 2:
+        return [0], []
+    stretches = _stretches(lad.D0, gammas)
+    centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
+    return list(range(centre, len(stretches))), list(range(centre - 1, -1, -1))
+
+
 def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
-    # window i > 0 starts LLL from window i-1's reduced basis; its ball's
-    # points, and their order, are those of a cold start from the HNF rows;
-    # the norm-N points in a rung's ball are the candidates
-    warm_differs = 0
-    for module, norm in warm_inputs:
+    # each window after the first starts LLL from the reduced basis of the
+    # window searched before it on its side, the first on the left side
+    # from the centre window's; its ball's points, and their order, are
+    # those of a cold start from the HNF rows; the norm-N points in a
+    # rung's ball are the candidates.  (71, 2) adds ladders whose walk has
+    # a left side
+    warm_differs = lefts = 0
+    inputs = warm_inputs + represent_calls(((71, 2),), 400)
+    for module, norm in inputs:
         alpha, windows = ladder_windows(monkeypatch, module, norm)
         keep = _norm_filter(module, norm)
         balls = rung_balls(module, norm)
+        lad, _, gammas = _unit_ladder(module.ambient, module)
+        grams, _, (_, left), _ = _ladder_windows(lad, len(gammas) - 1)
+        left = {grams[i][0] for i in left}
+        first_left = next((i for i, w in enumerate(windows) if w[1] in left), None)
+        lefts += first_left is not None
         cands = []
         for i, (start, g, red, bound, pts) in enumerate(windows):
-            assert start is (module if i == 0 else windows[i - 1][2])
+            # the left side starts again from the centre window's basis
+            assert start is (module if i == 0 else windows[0 if i == first_left else i - 1][2])
             cold = lll_reduce(module, g)
             cold_pts = enumerate_by_t2(cold, bound)
             assert cold_pts == pts
@@ -700,15 +746,12 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
         # and it is the full period's pick, as the Fraction ladder makes it
         assert alpha == oracle_find_generator(module, norm)
     # the warm start does reach other reduced bases than the cold one
-    assert warm_differs > 0
+    assert warm_differs > 0 and lefts > 0
 
 
-def test_one_lll_and_one_enumeration_per_window(monkeypatch, pool):
-    # the benchmark traces lll_reduce and enumerate_by_t2: each window of
-    # the ladder makes one call of each
-    module, norm = next(
-        c for c in pool if c[0].ambient == E59 and len(_unit_ladder(E59, c[0])[2]) > 2
-    )
+def count_windows(monkeypatch, module, norm) -> tuple:
+    """(the generator, lll_reduce calls, enumerate_by_t2 calls) of
+    find_generator(module, norm)."""
     calls = {"lll": 0, "enum": 0}
     lll, enum = lattice.lll_reduce, lattice.enumerate_by_t2
 
@@ -720,12 +763,21 @@ def test_one_lll_and_one_enumeration_per_window(monkeypatch, pool):
         calls["enum"] += 1
         return enum(red, bound)
 
-    monkeypatch.setattr(lattice, "lll_reduce", count_lll)
-    monkeypatch.setattr(lattice, "enumerate_by_t2", count_enum)
-    lattice.find_generator(module, norm)
-    lad, _, gammas = _unit_ladder(E59, module)
-    windows = len(_ladder_windows(lad, len(gammas) - 1)[0])
-    assert calls == {"lll": windows, "enum": windows}
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "lll_reduce", count_lll)
+        mp.setattr(lattice, "enumerate_by_t2", count_enum)
+        alpha = lattice.find_generator(module, norm)
+    return alpha, calls["lll"], calls["enum"]
+
+
+def test_one_lll_and_one_enumeration_per_window(monkeypatch, budget_pool):
+    # the benchmark traces lll_reduce and enumerate_by_t2: each window the
+    # ladder searches makes one call of each
+    for module, norm in budget_pool:
+        if outcome(ladder, module.ambient, module) == "unsupported":
+            continue
+        _, lll, enum = count_windows(monkeypatch, module, norm)
+        assert 1 <= lll == enum <= ladder_size(module)
 
 
 def test_one_ladder_lookup_per_search(monkeypatch, pool):
@@ -775,7 +827,8 @@ def window_budgets(monkeypatch, module, norm) -> list:
 
 
 def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_pool):
-    # each window's budget is the exact floor of its ball times den^2: the
+    # each window's budget is the exact floor of its ball times den^2, with
+    # every window searched: the
     # ball at the farther edge of its stretch, read off E's arithmetic, or,
     # where T = 1, the one window twisted by 1 over [-P/2, P/2], with
     # 16 cosh(P/2)^2 = 8 (cosh(P) + 1) and 4 sqrt(N(gamma_1)) cosh(P) =
@@ -799,9 +852,11 @@ def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_poo
             assert root * root == g1.norm()
             balls2 = [8 * norm * (t2(field, g1) / (4 * root) + 1)]
         else:
+            # in the order of the walk, as no window here finds a point
+            stretches = _stretches(D0, gammas)
             balls2 = [
                 oracle_window_ball2(field, c, edges, norm)
-                for c, *edges in _stretches(D0, gammas)
+                for c, *edges in (stretches[i] for side in walk_order(module) for i in side)
             ]
         assert len(budgets) == len(balls2)
         for B, ball2 in zip(budgets, balls2):
@@ -926,3 +981,208 @@ def test_rung_balls_keep_the_pick_past_l():
     got = find_generator(module, norm)
     assert got == oracle_find_generator(module, norm)
     assert t2(E235, got) > t2(E235, x)
+
+
+# ---------------------------------------------------------------------------
+# stopping early: the walk skips a window whose every point has a larger T2
+# than a candidate already kept
+
+
+@pytest.fixture(scope="module")
+def early_pool(budget_pool, ladder_modules):
+    """budget_pool's searches on a supported ladder, and the odd-power
+    modules of ladder_modules with the norms of their covolume and of
+    three short elements."""
+    out = [
+        (module, norm)
+        for module, norm in budget_pool
+        if outcome(ladder, module.ambient, module) != "unsupported"
+    ]
+    for module, (m, _), _ in ladder_modules:
+        if odd_power(module, m):
+            field = module.ambient
+            G = field.t2_gram_matrix()
+            short = enumerate_by_t2(lll_reduce(module, G), 12 * module.covolume())[:3]
+            out.append((module, module.covolume()))
+            out += [
+                (module, field.from_basis_coords([Fraction(c, module.den) for c in u]).norm())
+                for u in short
+            ]
+    return out
+
+
+def test_early_exit_matches_the_full_ladder(early_pool):
+    # the same pick and the same None as the search of every window
+    found = 0
+    for module, norm in early_pool:
+        want = full_ladder_search(module, norm)
+        assert find_generator(module, norm) == want
+        found += want is not None
+    assert 0 < found < len(early_pool)
+
+
+def test_a_none_searches_every_window(monkeypatch, early_pool):
+    # a None has no candidate to stop on, so its proof covers every window;
+    # a search that finds one may stop early, and some do
+    searched = total = nones = 0
+    for module, norm in early_pool:
+        alpha, lll, _ = count_windows(monkeypatch, module, norm)
+        windows = ladder_size(module)
+        if alpha is None:
+            assert lll == windows
+            nones += windows > 1
+        searched += lll
+        total += windows
+    assert nones > 0 and searched < total
+
+
+def cosh(x: Decimal) -> Decimal:
+    return (x.exp() + (-x).exp()) / 2
+
+
+def window_reaches(field, T) -> list:
+    """Each centred window's least cosh(lam) over the points it holds, in l
+    order, from decimals: its range is l(c) +- |l(e) - l(c)|, e the edge of
+    its stretch farther from l(c); 1 where the range holds 0."""
+    lad = ladder_data(field)
+    D0 = lad.D0
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    out = []
+    for c, ea, eb in _stretches(D0, gammas):
+        lc = oracle_l(c, D0)
+        r = max(abs(oracle_l(e, D0) - lc) for e in (ea, eb))
+        lo, hi = lc - r, lc + r
+        out.append(Decimal(1) if lo <= 0 <= hi else cosh(min(abs(lo), abs(hi))))
+    return out
+
+
+def exact_reaches(field, T) -> list:
+    """Each centred window's _least_cosh, from its stretch's edge nearer 0,
+    found in decimals, and the other edge."""
+    lad = ladder_data(field)
+    D0 = lad.D0
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    out = []
+    for c, ea, eb in _stretches(D0, gammas):
+        near, far = sorted((ea, eb), key=lambda e: abs(oracle_l(e, D0)))
+        out.append(_least_cosh(D0, c, near, far))
+    return out
+
+
+REACH_FIELDS = LADDER_FIELDS + (integral_basis(183, 1),)
+
+
+def test_least_cosh_matches_the_decimal_range():
+    # each window's reach is cosh at the end of its lam range nearer 0,
+    # or 1 where the range holds 0, over two steps of every field's ladder
+    with localcontext() as ctx:
+        ctx.prec = 400
+        checked = inside = 0
+        for field in REACH_FIELDS:
+            T = 2 * ladder_data(field).step
+            for got, want in zip(exact_reaches(field, T), window_reaches(field, T)):
+                if want == 1:
+                    assert got == 1
+                    inside += 1
+                else:
+                    assert abs(Decimal(got.numerator) / got.denominator - want) < want * Decimal(10) ** -60
+                checked += 1
+    assert checked > inside > len(REACH_FIELDS)
+
+
+def test_least_cosh_on_both_sides_of_0():
+    # c = 3 + 2 sqrt(2) has N(c) = 1 and cosh(l(c)) = p(c) = 17; a window
+    # twisted by c^2 over the stretch from c to c^3 reaches l(c) at its
+    # lower end, its mirror image by conj the same on the left of 0; over
+    # the stretch from 1 to c^3 twisted by c, and from c to c^5 twisted by
+    # c^2, the range is [-l(c), 3 l(c)] or [-l(c), 5 l(c)], which holds 0,
+    # though the stretch does not cross it
+    def power(x, m):
+        out = (1, 0)
+        for _ in range(m):
+            out = _rmul(out, x, 2)
+        return out
+
+    c, cbar = (3, 2), (3, -2)
+    assert _least_cosh(2, power(c, 2), c, power(c, 3)) == 17
+    assert _least_cosh(2, power(cbar, 2), cbar, power(cbar, 3)) == 17
+    assert _least_cosh(2, c, (1, 0), power(c, 3)) == 1
+    assert _least_cosh(2, cbar, (1, 0), power(cbar, 3)) == 1
+    assert _least_cosh(2, power(c, 2), c, power(c, 5)) == 1
+    assert _least_cosh(2, power(cbar, 2), cbar, power(cbar, 5)) == 1
+
+
+def test_every_point_of_a_window_is_past_its_reach(early_pool):
+    # every norm-N point the full ladder finds in a window has T2 at least
+    # 4 sqrt(N) times the window's reach, and so at least the least reach
+    # of the windows before it on its side of the walk; exactly, on
+    # integers: G(u)^2 >= 16 N den^4 reach^2
+    points = tight = 0
+    for module, norm in early_pool:
+        field = module.ambient
+        lad, _, gammas = _unit_ladder(field, module)
+        T = len(gammas) - 1
+        walk = _ladder_windows(lad, T)[2]
+        assert walk == tuple(map(tuple, walk_order(module)))
+        least = {}
+        for side, reach in zip(walk, _walk_reach(lad, T)):
+            least.update(zip(side, reach))
+        own = [Fraction(1)] if T == 1 else exact_reaches(field, T)
+        G = field.t2_gram_matrix()
+        norm = Fraction(norm)
+        scale = 16 * norm * module.den**4
+        for i, pts in enumerate(full_ladder_points(module, norm)):
+            assert least[i] <= own[i]
+            for u in pts:
+                g2 = form_value(G, u) ** 2
+                assert g2 >= scale * own[i] ** 2
+                tight += g2 < 2 * scale * own[i] ** 2
+                points += 1
+    assert points > len(early_pool) and tight > 0
+
+
+def test_walk_keeps_the_least_reach_of_the_rest():
+    # the reaches along a side need not grow: on (183, 1) the third window
+    # of the walk reaches farther than the fourth, so the walk bounds each
+    # window by the least reach of it and of every window after it
+    E1831 = integral_basis(183, 1)
+    lad = ladder_data(E1831)
+    T = lad.step
+    with localcontext() as ctx:
+        ctx.prec = 200
+        own = exact_reaches(E1831, T)
+    walk = _ladder_windows(lad, T)[2]
+    assert walk == (tuple(range(T)), ())
+    assert _walk_reach(lad, T) == ([min(own[i:]) for i in range(T)], [])
+    assert own[2] > own[3] > own[1] == 1
+
+
+@pytest.mark.parametrize("field", (E59, integral_basis(183, 1)), ids=repr)
+def test_a_window_reach_is_attained(field):
+    # the end x of a window's lam range nearer 0, in Z[sqrt(D0)], is a
+    # norm-N(x) point of O_E in that window's ball with T2 exactly 4
+    # sqrt(N) reach: the bound is sharp, so only a strict test may skip
+    # the window, as a tie in T2 goes to u
+    lad = ladder_data(field)
+    D0, T = lad.D0, lad.step
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    windows = _ladder_windows(lad, T)[0]
+    G = field.t2_gram_matrix()
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = 200
+        for (c, ea, eb), (g, rho), reach in zip(
+            _stretches(D0, gammas), windows, exact_reaches(field, T)
+        ):
+            if reach == 1:
+                continue
+            lc = oracle_l(c, D0)
+            e = max((ea, eb), key=lambda e: abs(oracle_l(e, D0) - lc))
+            ends = (e, _rmul(_rmul(c, c, D0), (e[0], -e[1]), D0))
+            x = field.from_real_quadratic(*min(ends, key=lambda e: abs(oracle_l(e, D0))))
+            assert x.den == 1
+            norm = x.norm()
+            assert form_value(G, x.u) ** 2 == 16 * norm * reach**2
+            assert form_value(g, x.u) <= _budget(rho, norm, 1)
+            checked += 1
+    assert checked >= 2

@@ -466,6 +466,20 @@ def test_cf_sqrt_known():
     assert list(cf118.period) == [1, 6, 3, 2, 10, 2, 3, 6, 1, 20]
 
 
+def test_cf_sqrt_stops_at_its_limit(monkeypatch):
+    # a period of exactly the limit is expanded; one quotient more raises,
+    # once the limit's quotients are expanded and before the period ends
+    assert len(cf_sqrt(118).period) == 10
+    monkeypatch.setattr(quadratic, "_CF_MAX_PERIOD", 10)
+    assert cf_sqrt(118).period == (1, 6, 3, 2, 10, 2, 3, 6, 1, 20)
+    monkeypatch.setattr(quadratic, "_CF_MAX_PERIOD", 9)
+    with pytest.raises(
+        quadratic.UnsupportedFieldError,
+        match=r"sqrt\(118\) has a period past the expansion's limit 9$",
+    ):
+        cf_sqrt(118)
+
+
 def test_cf_sqrt_structure():
     # period ends in 2*a0 and the body is a palindrome
     for D in range(2, 200):
