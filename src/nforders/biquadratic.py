@@ -16,19 +16,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product as iter_product
 from math import ceil, gcd, isqrt, prod
 from operator import add, mul
 from typing import NamedTuple
 
 from .intmath import (
-    UnsupportedPrimeError,
     is_prime,
     is_squarefree,
-    poly_discriminant,
-    poly_eval,
     poly_roots_mod,
-    polp_factor,
     sqrt_ub,
     squarefree_part,
 )
@@ -44,6 +39,7 @@ from .lattice import (
     find_generator,
     hnf,
     identity_module,
+    kernel_int,
     lll_reduce,
     module_colon,
     module_mul,
@@ -441,7 +437,7 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
 
 
 # ---------------------------------------------------------------------------
-# prime factorization through a primitive element
+# prime factorization through the q-radical
 
 
 class PrimeFactor(NamedTuple):
@@ -463,67 +459,53 @@ def ideal_of_elements(E: BiquadField, gens) -> IntModule:
     return hnf(E, rows)
 
 
-def _minpoly4(theta: BiquadElem):
-    """Constant-first monic minimal polynomial when theta generates the
-    whole field, else None."""
-    pows = [theta.field.one()]
-    for _ in range(4):
-        pows.append(pows[-1] * theta)
-    # solve x * A = b with rows A[i] = coords(theta^i), b = coords(theta^4):
-    # x = b * adj(A) / det(A); theta is integral, so the rows are integers
-    A, b = [p.u for p in pows[:4]], pows[4].u
-    det = _det_int(A)
-    if det == 0:
-        return None
-    out = []
-    for c in _times([b], adjugate_int(A))[0]:
-        q, rem = divmod(c, det)
-        assert rem == 0  # theta is integral, so the minpoly is
-        out.append(-q)
-    out.append(1)
-    assert poly_eval(out, theta).is_zero()
+def _power_mod(E: BiquadField, u, k: int, q: int) -> tuple:
+    """Coordinates of u^k mod q for the integer coordinates u: square and
+    multiply through E.mult_table."""
+    out = E.one().u
+    for bit in bin(k)[2:]:
+        out = _times([out], table_matrix(E.mult_table, out))[0]
+        if bit == "1":
+            out = _times([out], table_matrix(E.mult_table, u))[0]
+        out = tuple(c % q for c in out)
     return out
 
 
-def _primitive_candidates(E: BiquadField):
-    combos = sorted(iter_product(range(4), repeat=3), key=lambda t: (max(t), sum(t), t))
-    for c1, c2, c3 in combos:
-        if c1 == c2 == c3 == 0:
-            continue
-        theta = E.from_basis_coords((0, c1, c2, c3))
-        f = _minpoly4(theta)
-        if f is not None:
-            yield theta, f
-
-
 def factor_rational_prime(E: BiquadField, q: int):
-    """Primes of the maximal order above q as PrimeFactor entries, read off
-    the factorization mod q of the minimal polynomial of the first
-    primitive element whose equation order has index coprime to q."""
+    """Primes of the maximal order above q as PrimeFactor entries, sorted
+    by (f, e, rows).
+
+    R = rad(q O_E), the product of the primes P above q, is the kernel of
+    the F_q-linear map x -> x^k on O_E/q for a power k >= 4 of q, as every
+    e(P) <= 4 (Cohen, GTM 138, §6.1): its matrix M has rows b_i^k mod q,
+    and R is the first four coordinates of the integer kernel of [M; q I].
+    A prime p of a quadratic subfield in which q splits extends to the
+    product of the P above p, to powers, and in a Dedekind ring a sum of
+    ideals is their gcd: m + p O_E, for m a product of distinct P, is the
+    product of those above p, of covolume 1 when there are none.  So
+    refining R by both primes of every split subfield leaves one module
+    per prime: P and sP, s in V4 outside the decomposition group D, lie
+    above distinct primes of the fixed field of H = D (of any H but <s>
+    when D = 1), in which q has [V4 : DH] = 2 primes.  Each module has
+    covolume q^f, f <= 2 (V4 is not cyclic), and e = 4 / (g f).
+    """
     if not is_prime(q):
         raise ValueError("%d is not prime" % q)
-    for theta, f in _primitive_candidates(E):
-        idx2, rem = divmod(poly_discriminant(f), E.disc)
-        assert rem == 0 and idx2 > 0
-        idx = isqrt(idx2)
-        assert idx * idx == idx2
-        if gcd(idx, q) != 1:
-            continue
-        out = []
-        total = 0
-        for g, mult in polp_factor(f, q):
-            mod = ideal_of_elements(E, (E.one() * q, poly_eval(g, theta)))
-            deg = len(g) - 1
-            assert mod.covolume() == q**deg
-            out.append(PrimeFactor(mod, mult, deg))
-            total += mult * deg
-        assert total == 4
-        return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
-    if E.disc % q:
-        return _factor_obstructed(E, q)
-    raise UnsupportedPrimeError(
-        "every scanned equation order has index divisible by %d" % q
-    )
+    k = q * q if q < 4 else q
+    unit = identity_module(E).rows
+    M = [_power_mod(E, b, k, q) for b in unit] + [[q * c for c in b] for b in unit]
+    mods = [hnf(E, [v[:4] for v in kernel_int(M)])]
+    for F, om in _subfield_omegas(E):
+        roots = poly_roots_mod(F.omega_minpoly(), q)
+        if len(roots) == 2:
+            w = E.from_naive(om)
+            primes = [ideal_of_elements(E, (E.one() * q, w - r)) for r in roots]
+            sums = (m.add(p) for m in mods for p in primes)
+            mods = [m for m in sums if m.covolume() > 1]
+    g, f = len(mods), 1 if mods[0].covolume() == q else 2
+    assert all(m.covolume() == q**f for m in mods) and 4 % (g * f) == 0
+    out = [PrimeFactor(m, 4 // (g * f), f) for m in mods]
+    return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
 
 
 def _subfield_omegas(E: BiquadField):
@@ -543,44 +525,6 @@ def _subfield_omegas(E: BiquadField):
             )
         out.append((QuadField(D), om))
     return out
-
-
-def _factor_obstructed(E: BiquadField, q: int):
-    """Primes above an unramified q for which no scanned equation order has
-    coprime index.  That happens exactly when q has more residue-degree-f
-    primes than there are monic irreducibles of degree f mod q (q = 2 or 3
-    splitting completely, or q = 2 with two degree-2 primes), so the primes
-    are built from the quadratic subfields instead: primes of a split
-    subfield extend to primes or to products of two primes, and ideal sums
-    pick out the common factors.
-    """
-    split = []
-    for F, om in _subfield_omegas(E):
-        # the minimal polynomial of w has two roots mod q exactly when q
-        # splits in F (q is unramified in F); q and w - r generate a prime
-        # above it in F, extended here to the maximal order of E
-        roots = poly_roots_mod(F.omega_minpoly(), q)
-        if len(roots) == 2:
-            w = E.from_naive(om)
-            split.append([ideal_of_elements(E, (E.one() * q, w - r)) for r in roots])
-    f = residue_degree(E, q)
-    if f == 2:
-        # split in exactly one subfield, inert in the other two; the two
-        # extended ideals are already prime
-        (mods,) = split
-    else:
-        # split in all three; each pairwise sum over two subfields is one of
-        # the four primes, and the four pairs hit all of them
-        mods = [hnf(E, m1.rows + m2.rows) for m1 in split[0] for m2 in split[1]]
-    for m in mods:
-        assert m.den == 1 and m.covolume() == q**f
-    assert len(set(mods)) == len(mods) == 4 // f
-    prod = mods[0]
-    for m in mods[1:]:
-        prod = module_mul(prod, m)
-    assert prod == hnf(E, [[q if i == j else 0 for j in range(4)] for i in range(4)])
-    out = [PrimeFactor(m, 1, f) for m in mods]
-    return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .biquadratic import (
-    UnsupportedPrimeError,
-    check_field_params,
-    class_group,
-    integral_basis,
-)
+from .biquadratic import check_field_params, class_group, integral_basis
 from .criteria import (
     SOLVABLE,
     UNKNOWN,
@@ -35,7 +30,7 @@ from .criteria import (
     represent,
     verify_identity,
 )
-from .intmath import jacobi, poly_discriminant
+from .intmath import UnsupportedPrimeError, jacobi, poly_discriminant
 from .lattice import UnsupportedFieldError
 from .orders import (
     AuditFailure,

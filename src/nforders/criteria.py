@@ -373,7 +373,9 @@ def _sqrt_minus_n(F: QuadField, q: int, deg: int, n: int) -> QuadElem | None:
 def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     """Root test over the order O_F + O_F*sqrt(-n): solvable iff the
     supplied class polynomial g_n has a root in O_F/pO_F.  The polynomial
-    is an external input; without it the verdict stays unknown."""
+    is an external input; without it the verdict stays unknown, and so it
+    does past unit_witness's limits, where unit_witness_found is
+    undecided."""
     F, q, deg, r = _prime_field(p, d)
     hyps = []
 
@@ -384,7 +386,11 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     done = lambda: CriterionReport("quadr", tuple(hyps), False, UNKNOWN)
     if not check("d_exceeds_3", d > 3, "d = %d" % d):
         return done()
-    w = unit_witness(d, n)
+    try:
+        w = unit_witness(d, n)
+    except UnsupportedFieldError as err:
+        check("unit_witness_found", False, "undecided: %s" % err)
+        return done()
     if not check("unit_witness_found", w is not None):
         return done()
     if not check("p_coprime_to_2n", (2 * n) % q, "2n = %d" % (2 * n)):

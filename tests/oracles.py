@@ -44,29 +44,41 @@ products a supplied basis was verified with.  `FracQuad` and
 `FracBiquad` are the field elements as they were before they became
 integer coordinates over one denominator: exact `Fraction` arithmetic,
 kept as the oracle for the elements that replaced them.
+`factor_by_primitive_element` (with `_minpoly4`, `_primitive_candidates`
+and `_factor_obstructed`) is `factor_rational_prime` as it ran before the
+q-radical: Kummer-Dedekind on the first primitive element whose equation
+order has index prime to q, and sums of subfield primes where none has.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 from math import ceil, gcd, isqrt, lcm
 from operator import mul
 
 from nforders.biquadratic import (
     BiquadElem,
     BiquadField,
+    PrimeFactor,
     _integral_row,
     _nmul,
     _reduce_inverse,
+    _subfield_omegas,
     ideal_of_elements,
+    residue_degree,
 )
 from nforders.criteria import _divides, verify_identity
 from nforders.intmath import (
     _SQRT_SCALE,
+    UnsupportedPrimeError,
     divisors,
     factorize,
     is_prime,
+    poly_discriminant,
+    poly_eval,
     poly_roots_mod,
+    polp_factor,
     sqrt_ub,
     xgcd,
 )
@@ -75,6 +87,7 @@ from nforders.lattice import (
     LatticeBasis,
     _budget,
     _canonical_pick,
+    _det_int,
     _form_value,
     _in_lattice,
     _ladder_windows,
@@ -83,10 +96,13 @@ from nforders.lattice import (
     _pair_coeffs,
     _pair_products,
     _unit_ladder,
+    adjugate_int,
     enumerate_by_t2,
     find_generator,
+    hnf,
     identity_module,
     lll_reduce,
+    module_mul,
 )
 from nforders.orders import (
     AuditFailure,
@@ -605,6 +621,112 @@ def principal_generator(E: BiquadField, m: IntModule):
     g = beta / lam
     assert identity_module(E).transform(g) == m
     return g
+
+
+# ---------------------------------------------------------------------------
+# the primes above q as they were found before the q-radical
+
+
+def _minpoly4(theta: BiquadElem):
+    """Constant-first monic minimal polynomial when theta generates the
+    whole field, else None."""
+    pows = [theta.field.one()]
+    for _ in range(4):
+        pows.append(pows[-1] * theta)
+    # solve x * A = b with rows A[i] = coords(theta^i), b = coords(theta^4):
+    # x = b * adj(A) / det(A); theta is integral, so the rows are integers
+    A, b = [p.u for p in pows[:4]], pows[4].u
+    det = _det_int(A)
+    if det == 0:
+        return None
+    out = []
+    for c in _times([b], adjugate_int(A))[0]:
+        q, rem = divmod(c, det)
+        assert rem == 0  # theta is integral, so the minpoly is
+        out.append(-q)
+    out.append(1)
+    assert poly_eval(out, theta).is_zero()
+    return out
+
+
+def _primitive_candidates(E: BiquadField):
+    combos = sorted(iter_product(range(4), repeat=3), key=lambda t: (max(t), sum(t), t))
+    for c1, c2, c3 in combos:
+        if c1 == c2 == c3 == 0:
+            continue
+        theta = E.from_basis_coords((0, c1, c2, c3))
+        f = _minpoly4(theta)
+        if f is not None:
+            yield theta, f
+
+
+def factor_by_primitive_element(E: BiquadField, q: int):
+    """factor_rational_prime as it ran before the q-radical: the primes
+    read off the factorization mod q of the minimal polynomial of the first
+    primitive element whose equation order has index coprime to q
+    (Kummer-Dedekind), else the subfield sums of _factor_obstructed."""
+    if not is_prime(q):
+        raise ValueError("%d is not prime" % q)
+    for theta, f in _primitive_candidates(E):
+        idx2, rem = divmod(poly_discriminant(f), E.disc)
+        assert rem == 0 and idx2 > 0
+        idx = isqrt(idx2)
+        assert idx * idx == idx2
+        if gcd(idx, q) != 1:
+            continue
+        out = []
+        total = 0
+        for g, mult in polp_factor(f, q):
+            mod = ideal_of_elements(E, (E.one() * q, poly_eval(g, theta)))
+            deg = len(g) - 1
+            assert mod.covolume() == q**deg
+            out.append(PrimeFactor(mod, mult, deg))
+            total += mult * deg
+        assert total == 4
+        return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
+    if E.disc % q:
+        return _factor_obstructed(E, q)
+    raise UnsupportedPrimeError(
+        "every scanned equation order has index divisible by %d" % q
+    )
+
+
+def _factor_obstructed(E: BiquadField, q: int):
+    """Primes above an unramified q for which no scanned equation order has
+    coprime index.  That happens exactly when q has more residue-degree-f
+    primes than there are monic irreducibles of degree f mod q (q = 2 or 3
+    splitting completely, or q = 2 with two degree-2 primes), so the primes
+    are built from the quadratic subfields instead: primes of a split
+    subfield extend to primes or to products of two primes, and ideal sums
+    pick out the common factors.
+    """
+    split = []
+    for F, om in _subfield_omegas(E):
+        # the minimal polynomial of w has two roots mod q exactly when q
+        # splits in F (q is unramified in F); q and w - r generate a prime
+        # above it in F, extended here to the maximal order of E
+        roots = poly_roots_mod(F.omega_minpoly(), q)
+        if len(roots) == 2:
+            w = E.from_naive(om)
+            split.append([ideal_of_elements(E, (E.one() * q, w - r)) for r in roots])
+    f = residue_degree(E, q)
+    if f == 2:
+        # split in exactly one subfield, inert in the other two; the two
+        # extended ideals are already prime
+        (mods,) = split
+    else:
+        # split in all three; each pairwise sum over two subfields is one of
+        # the four primes, and the four pairs hit all of them
+        mods = [hnf(E, m1.rows + m2.rows) for m1 in split[0] for m2 in split[1]]
+    for m in mods:
+        assert m.den == 1 and m.covolume() == q**f
+    assert len(set(mods)) == len(mods) == 4 // f
+    prod = mods[0]
+    for m in mods[1:]:
+        prod = module_mul(prod, m)
+    assert prod == hnf(E, [[q if i == j else 0 for j in range(4)] for i in range(4)])
+    out = [PrimeFactor(m, 1, f) for m in mods]
+    return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ from nforders.orders import (
     relative_order,
 )
 from nforders.quadratic import QuadField
+import oracles
 from oracles import (
+    _minpoly4,
+    factor_by_primitive_element,
     fundamental_unit,
     mult_matrix,
     naive,
@@ -282,8 +285,9 @@ def test_factor_recomposes():
 
 def test_prime_factors_are_ideals():
     # each prime's module is closed under O_E, the check an ideal object
-    # ran when factor_rational_prime built one; the list reaches both the
-    # equation-order path and the subfield sums of _factor_obstructed
+    # ran when factor_rational_prime built one; the list reaches primes
+    # that no equation order of index prime to q gives (q = 3 in E59, 2 in
+    # E37) as well as ramified ones
     for E in (E59, integral_basis(11, 10), integral_basis(71, 2), E37):
         O = maximal_order(E)
         for q in (q for q in range(2, 50) if is_prime(q)):
@@ -303,8 +307,9 @@ def test_factor_distinct_covolumes():
 
 def test_primitive_element_choice_is_invisible(monkeypatch):
     # skipping the first k primitive elements whose equation order has
-    # index prime to q changes the polynomial factored, not the ideals
-    original = biquadratic._primitive_candidates
+    # index prime to q changes the polynomial the oracle factors, not the
+    # ideals
+    original = oracles._primitive_candidates
 
     def skipping(q, k):
         def candidates(E):
@@ -319,17 +324,18 @@ def test_primitive_element_choice_is_invisible(monkeypatch):
         return candidates
 
     for q in (5, 17):
-        base = {pf.module for pf in factor_rational_prime(E59, q)}
+        base = {pf.module for pf in factor_by_primitive_element(E59, q)}
         for k in (1, 2):
-            monkeypatch.setattr(biquadratic, "_primitive_candidates", skipping(q, k))
-            alt = {pf.module for pf in factor_rational_prime(E59, q)}
+            monkeypatch.setattr(oracles, "_primitive_candidates", skipping(q, k))
+            alt = {pf.module for pf in factor_by_primitive_element(E59, q)}
             monkeypatch.undo()
             assert alt == base
 
 
 def test_obstructed_primes_still_factor():
     # more primes of residue degree f than monic irreducibles of degree f
-    # mod q: no equation order works, the subfield route must take over
+    # mod q: no equation order has index prime to q, which is why the
+    # primitive-element oracle needs its subfield route there
     for E, q, count, f in ((E59, 3, 4, 1), (E715, 2, 4, 1), (E37, 2, 2, 2)):
         pfs = factor_rational_prime(E, q)
         assert [(pf.e, pf.f) for pf in pfs] == [(1, f)] * count
@@ -339,6 +345,40 @@ def test_obstructed_primes_still_factor():
         for pf in pfs:
             prod = module_mul(prod, pf.module)
         assert prod == q_ideal(E, q)
+
+
+# the native fields of the oracle grid beside E59, E75 and Z12: the
+# classgroup fields, the two past the class-group cap and small d and n
+GRID_NATIVE = (
+    (11, 10), (71, 2), (23, 5), (31, 6), (79, 2), (15, 2), (43, 6), (47, 5),
+    (3, 2), (3, 5), (7, 2), (7, 13), (11, 2), (19, 6), (23, 1), (35, 2),
+)
+
+
+def test_factor_matches_the_primitive_element_oracle():
+    # the q-radical refined by the split subfields against Kummer-Dedekind
+    # on a primitive element, with its subfield fallback: modules, e, f
+    # and order, for every prime q below 200 and below each field's
+    # Minkowski bound.  All five splitting types of V4 occur, e = 4 (2 in
+    # E8) and the complete splittings no equation order reaches among them
+    fields = [E59, E75, Z12, E8, E37, E715]
+    fields += [integral_basis(d, n) for d, n in GRID_NATIVE]
+    cases, shapes = 0, set()
+    for E in fields:
+        top = max(200, int(minkowski_bound(E)) + 1)
+        for q in filter(is_prime, range(2, top)):
+            got = factor_rational_prime(E, q)
+            assert got == factor_by_primitive_element(E, q), (E, q)
+            cases += 1
+            shapes.add(tuple((pf.e, pf.f) for pf in got))
+    assert cases == 1012
+    assert shapes == {
+        ((1, 1),) * 4,
+        ((1, 2),) * 2,
+        ((2, 1),) * 2,
+        ((2, 2),),
+        ((4, 1),),
+    }
 
 
 def _sympy_elem(E, theta):
@@ -357,8 +397,6 @@ def _sympy_elem(E, theta):
 def test_minpoly4_against_sympy():
     import sympy
 
-    from nforders.biquadratic import _minpoly4
-
     x = sympy.Symbol("x")
     rng = random.Random(41)
     for E in (E59, E75, E8, E37):
@@ -373,8 +411,6 @@ def test_minpoly4_against_sympy():
 
 
 def test_minpoly4_non_primitive_is_none():
-    from nforders.biquadratic import _minpoly4
-
     for E in (E59, E8, E37):
         s, t, u = E.gens()
         for theta in (E.one() * 3, s, t + 1, u * 2 - 5):

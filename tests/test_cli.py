@@ -945,6 +945,38 @@ def test_criterion_hilbert_witness_past_the_limit(capsys):
     }
 
 
+def test_criterion_quadr_past_the_witness_limits_is_undecided(capsys):
+    # unit_witness raises past the witness limit and past cf_sqrt's; quadr
+    # exits 0 and reports unit_witness_found undecided with verdict
+    # unknown, as hilbert reports its unit equation
+    cases = (
+        (
+            "3",
+            "100000000003",
+            "solvable, not built: the witness is convergent 227102 of "
+            "sqrt(200000000006), past the limit %d" % criteria._WITNESS_MAX_CONVERGENTS,
+        ),
+        (
+            "17",
+            "100000000000031",
+            "the continued fraction of sqrt(200000000000062) has a period past "
+            "the expansion's limit %d" % quadratic._CF_MAX_PERIOD,
+        ),
+    )
+    for p, d, why in cases:
+        start = time.perf_counter()
+        code, out, err = in_process_run(capsys, ["criterion", "quadr", p, d, "2"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["hypotheses"][1] == {
+            "name": "unit_witness_found",
+            "passed": False,
+            "detail": "undecided: " + why,
+        }
+        assert (doc["applicable"], doc["verdict"]) == (False, "unknown")
+
+
 def test_sweep_past_the_ladder_cap_exits_3_at_once(capsys):
     # each row's criterion decides the unit equation without building its
     # witness, so the first row's represent meets the ladder's cap at once

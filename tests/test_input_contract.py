@@ -13,6 +13,7 @@ import json
 import random
 import re
 import time
+from functools import lru_cache
 from math import ceil, gcd, prod
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nforders import cli, lattice, orders
+from nforders.criteria import prime_elements
 from nforders.intmath import divisors, factorize, is_squarefree, squarefree_part
 from nforders.orders import (
     UnresolvedError,
@@ -251,19 +253,35 @@ ELEMENT = st.one_of(
 )
 # criterion reaches the library on a prime element of Q(sqrt(-d)), so small
 # primes and split ones of Q(sqrt(-59)) and Q(i) are drawn as often as any
-# element; POLY stands for a class polynomial file
+# element, and as often again a prime element of the drawn native field
+# itself, which goes on to the unit equation and the residue tests; POLY
+# stands for a class polynomial file
 POLY = "POLY"
 PRIME = either(
     st.sampled_from(["3", "5", "7", "13", "17", "1+1*w", "3+1*w", "2+1*w", str(Q1)]),
     ELEMENT,
 )
+
+
+@lru_cache(maxsize=None)
+def prime_elements_of(d: int) -> tuple:
+    """The prime elements of Q(sqrt(-d)) of norm at most 1000, as the CLI
+    writes them: at least five for each native d."""
+    return tuple(map(cli.fmt_elem, prime_elements(QuadField(-d), 1000)))
+
+
+PRIME_IN_NATIVE = NATIVE.flatmap(
+    lambda dn: st.tuples(st.sampled_from(prime_elements_of(dn[0])), st.just(dn))
+)
 CRITERION = st.builds(
-    lambda theorem, poly, p, dn: ["criterion"] + (["--poly", POLY] if poly else [])
-    + [theorem, "--", p, str(dn[0]), str(dn[1])],
+    lambda theorem, poly, p_dn: ["criterion"] + (["--poly", POLY] if poly else [])
+    + [theorem, "--", p_dn[0], *map(str, p_dn[1])],
     st.sampled_from(["cox", "quadr", "hilbert"]),
     st.booleans(),
-    PRIME,
-    either(NATIVE, st.tuples(FIELD_DN, FIELD_DN)),
+    either(
+        st.tuples(PRIME, either(NATIVE, st.tuples(FIELD_DN, FIELD_DN))),
+        PRIME_IN_NATIVE,
+    ),
 )
 ARGV = st.one_of(
     st.builds(lambda s: ["picard", "--", s], SPEC),

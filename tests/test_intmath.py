@@ -6,7 +6,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
-from nforders import biquadratic, intmath
+from nforders import cli, intmath
 from nforders.intmath import (
     UnsupportedPrimeError,
     factorize,
@@ -139,7 +139,7 @@ def test_is_prime_refuses_psi12_and_psi13():
         with pytest.raises(UnsupportedPrimeError, match=str(PSI12)):
             is_prime(n)
     # the class the CLI maps to exit 3 is this one
-    assert biquadratic.UnsupportedPrimeError is UnsupportedPrimeError
+    assert cli.UnsupportedPrimeError is UnsupportedPrimeError
 
 
 def test_is_prime_against_sympy_around_psi12():
@@ -412,8 +412,8 @@ def test_poly_roots_mod_paths_agree():
 
 def test_polp_factor_linear_factors_in_degrees_at_least_p():
     # poly_roots_mod evaluates where p <= deg f; polp_factor still answers
-    # there for _roots_in_residue_field and factor_rational_prime, and its
-    # linear factors are the roots the scan finds
+    # there for _roots_in_residue_field and the primitive-element oracle,
+    # and its linear factors are the roots the scan finds
     rng = random.Random(26)
     for p in (2, 3, 5, 7):
         for _ in range(40):
