@@ -24,13 +24,11 @@ from .biquadratic import (
     norm_map_condition,
 )
 from .intmath import (
+    has_root_mod,
     is_prime,
     jacobi,
     poly_discriminant,
     poly_eval,
-    poly_roots_mod,
-    polp_factor,
-    polp_trim,
     sqrt_mod,
 )
 from .lattice import IntModule, UnsupportedFieldError, find_generator
@@ -143,7 +141,12 @@ def cox_criterion(p: int, n: int, f_n) -> CriterionReport:
         hyps.append(("p_coprime_to_poly_disc", d % p != 0, "disc = %d" % d))
     if not all(h[1] for h in hyps):
         return CriterionReport("cox", tuple(hyps), False, UNKNOWN)
-    solv = jacobi(-n % p, p) == 1 and poly_roots_mod(f_n, p) != []
+    residue = jacobi(-n % p, p) == 1
+    # a linear f_n with p | content passes the disc test (disc = 1) but is
+    # no class polynomial mod p
+    if residue and not any(c % p for c in f_n):
+        raise ValueError("polynomial vanishes mod p")
+    solv = residue and has_root_mod(f_n, p)
     rep = None
     if solv:
         rep = cornacchia(p, n)
@@ -333,7 +336,7 @@ def _roots_in_residue_field(coeffs, q: int, deg: int, r, F: QuadField) -> bool:
     polynomial g*conj(g), which lies in Z[x].  Conjugation induces
     Frobenius on O_F/qO_F, so a root of h in F_(q^2) is a root of g or
     the Frobenius image of one.  Either way g has a root exactly when h
-    vanishes mod q or has an irreducible factor whose degree divides deg.
+    has one in F_(q^deg), which has_root_mod decides.
     """
     g = [c if isinstance(c, QuadElem) else F(c) for c in coeffs]
     assert all(c.is_integral() for c in g)
@@ -346,8 +349,7 @@ def _roots_in_residue_field(coeffs, q: int, deg: int, r, F: QuadField) -> bool:
                 h[i + j] += a * b.conj()
         assert all(c.is_rational() for c in h)
         h = [c.a for c in h]
-    h = polp_trim([int(c) for c in h], q)
-    return not h or any(deg % (len(f) - 1) == 0 for f, _ in polp_factor(h, q))
+    return has_root_mod([int(c) for c in h], q, deg)
 
 
 def _sqrt_minus_n(F: QuadField, q: int, deg: int, n: int) -> QuadElem | None:

@@ -9,18 +9,18 @@ Polynomials over Z are plain lists of coefficients, constant term first,
 so coeffs[i] is the coefficient of x^i and the leading coefficient is
 coeffs[-1] (nonzero).  The zero polynomial is the empty list.
 
-Every question about a polynomial mod a prime p goes through one factoring
-routine, polp_factor (Cantor-Zassenhaus: distinct-degree factorisation,
-then equal-degree splitting), in any degree and for every p.  The roots
-of poly_roots_mod are its linear factors, with two shortcuts: the
-quadratic formula, and evaluation at every residue when p <= deg f, the
-only scan of the residues mod p here.
+Nothing here factors a polynomial mod a prime p completely.  A root in
+F_(p^k) exists exactly when f vanishes mod p or gcd(f, x^(p^k) - x) is
+not constant (Cohen, GTM 138, section 3.4), and has_root_mod asks just
+that.  The roots of poly_roots_mod are the linear factors of
+gcd(f, x^p - x), split by Cantor-Zassenhaus in degree 1, with two
+shortcuts: the quadratic formula, and evaluation at every residue when
+p <= deg f, the only scan of the residues mod p here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, isqrt, prod
 
 # ---------------------------------------------------------------------------
@@ -296,16 +296,6 @@ def poly_deriv(f: list) -> list:
     return poly_trim([i * c for i, c in enumerate(f)][1:])
 
 
-def poly_mul(f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
 def resultant(f: list, g: list):
     """res(f, g) by the Euclidean recurrence over the field of the
     coefficients (Cohen, GTM 138, section 3.3), as an element of it: the
@@ -411,86 +401,47 @@ def polp_powmod(f, e, h, p):
     return r
 
 
-def polp_factor(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Monic irreducible factors of f mod p with multiplicities, sorted by
-    (degree, coefficients).  The unit leading coefficient is dropped.
-
-    Cantor-Zassenhaus, in any degree.  Distinct-degree factorisation: once
-    every power of the factors of degree < d is divided out of `rest`,
-    gcd(rest, x^(p^d) - x) is the product of the distinct degree-d factors
-    of rest, which _split_equal_degree breaks apart.  Multiplicities come
-    from trial division by each factor found.
-    """
+def has_root_mod(f: list[int], p: int, k: int = 1) -> bool:
+    """Does f have a root in F_(p^k)?  True when f vanishes mod p, else
+    whether gcd(f, x^(p^k) - x) has positive degree: x^(p^k) - x is the
+    product of every monic irreducible of degree dividing k."""
     if not is_prime(p):
-        raise ValueError("polp_factor needs a prime modulus")
-    g = polp_trim(f, p)
-    if not g:
-        raise ValueError("polynomial vanishes mod p")
-    inv = pow(g[-1], -1, p)
-    rest = [c * inv % p for c in g]
-    out = []
-    xq, d = [0, 1], 0  # xq = x^(p^d) mod rest
-    # every factor of rest has degree > d, so rest of degree < 2(d + 1) is
-    # 1 or irreducible
-    while len(rest) - 1 >= 2 * (d + 1):
-        d += 1
-        xq = polp_powmod(xq, p, rest, p)
-        xq_minus_x = xq + [0] * (2 - len(xq))
-        xq_minus_x[1] -= 1
-        for q in _split_equal_degree(polp_gcd(rest, xq_minus_x, p), d, p):
-            e = 0
-            while True:
-                quo, rem = polp_divmod(rest, q, p)
-                if rem:
-                    break
-                rest, e = quo, e + 1
-            out.append((tuple(q), e))
-    if len(rest) > 1:
-        out.append((tuple(rest), 1))
-    check = [1]
-    for q, e in out:
-        for _ in range(e):
-            check = [c % p for c in poly_mul(check, list(q))]
-    assert polp_trim(check, p) == [c * inv % p for c in g]
-    return sorted(out, key=lambda t: (len(t[0]), t[0]))
+        raise ValueError("has_root_mod needs a prime modulus")
+    fp = polp_trim(f, p)
+    return not fp or len(_frobenius_gcd(fp, p, k)) > 1
 
 
-def _split_equal_degree(h: list[int], d: int, p: int) -> list[list[int]]:
-    """The monic irreducible factors of h, a monic product of distinct
-    irreducibles of degree d mod p.
+def _frobenius_gcd(fp: list[int], p: int, k: int) -> list[int]:
+    """gcd(fp, x^(p^k) - x) mod p for fp nonzero mod p: the product of the
+    distinct monic irreducible factors of fp whose degree divides k."""
+    s = polp_powmod([0, 1], p**k, fp, p) + [0, 0]
+    s[1] -= 1
+    return polp_gcd(fp, s, p)
 
-    A probe t splits a part g along gcd(g, t^((p^d-1)/2) - 1) for odd p and
-    along the trace gcd(g, t + t^2 + ... + t^(2^(d-1))) for p = 2.  The
-    probes run over the nonconstant polynomials of degree < deg h in turn.
-    By the Chinese remainder theorem one of them separates any two factors
-    of h, so the loop ends, and the result does not depend on which probe
-    does it.
+
+def _split_linear(g: list[int], p: int) -> list[list[int]]:
+    """The monic linear factors of g, a monic product of distinct linear
+    factors mod p, where p is odd or g has degree at most 1.
+
+    Cantor-Zassenhaus in degree 1: the probe x + c splits a part h along
+    gcd(h, (x + c)^((p-1)/2) - 1), the product of its x - r with r + c a
+    nonzero square.  The nonzero squares mod an odd p are no translate of
+    themselves, so some c in 0..p-1 separates any two roots, and the loop
+    over c = 0, 1, ... ends.
     """
-    parts = [h] if len(h) > 1 else []
-    i = p  # the probe's coefficients are the base-p digits of i
-    while any(len(g) - 1 > d for g in parts):
-        t, k = [], i
-        while k:
-            k, c = divmod(k, p)
-            t.append(c)
-        i += 1
+    parts, c = [g] if len(g) > 1 else [], 0
+    while any(len(h) > 2 for h in parts):
         split = []
-        for g in parts:
-            if len(g) - 1 > d:
-                if p == 2:
-                    u = s = polp_divmod(t, g, p)[1]
-                    for _ in range(d - 1):
-                        u = polp_mulmod(u, u, g, p)
-                        s = [a ^ b for a, b in zip_longest(s, u, fillvalue=0)]
-                else:
-                    s = polp_powmod(t, (p**d - 1) // 2, g, p) or [0]
-                    s[0] -= 1
-                a = polp_gcd(g, s, p)
-                if 0 < len(a) - 1 < len(g) - 1:
-                    split += [a, polp_divmod(g, a, p)[0]]
+        for h in parts:
+            if len(h) > 2:
+                s = polp_powmod([c, 1], (p - 1) // 2, h, p) or [0]
+                s[0] -= 1
+                a = polp_gcd(h, s, p)
+                if 1 < len(a) < len(h):
+                    split += [a, polp_divmod(h, a, p)[0]]
                     continue
-            split.append(g)
-        parts = split
+            split.append(h)
+        parts, c = split, c + 1
     return parts
 
 
@@ -500,7 +451,8 @@ def poly_roots_mod(f: list[int], p: int) -> list[int]:
     When p <= deg f the roots are the residues 0..p-1 at which f vanishes,
     found by evaluating f at each of them.  Otherwise a quadratic goes
     through the quadratic formula with a Tonelli-Shanks square root, and
-    anything else reads the roots off the linear factors from polp_factor.
+    anything else reads the roots off the linear factors of
+    gcd(f, x^p - x), which _split_linear separates.
     """
     if not is_prime(p):
         raise ValueError("poly_roots_mod needs a prime modulus")
@@ -511,7 +463,7 @@ def poly_roots_mod(f: list[int], p: int) -> list[int]:
         return [x for x in range(p) if not poly_eval(fp, x) % p]
     if len(fp) == 3:
         return _roots_quadratic(fp, p)
-    return sorted(-q[0] % p for q, _ in polp_factor(fp, p) if len(q) == 2)
+    return sorted(-h[0] % p for h in _split_linear(_frobenius_gcd(fp, p, 1), p))
 
 
 def _roots_quadratic(fp: list[int], p: int) -> list[int]:

@@ -48,12 +48,15 @@ kept as the oracle for the elements that replaced them.
 and `_factor_obstructed`) is `factor_rational_prime` as it ran before the
 q-radical: Kummer-Dedekind on the first primitive element whose equation
 order has index prime to q, and sums of subfield primes where none has.
+`polp_factor` (with `_split_equal_degree` and `poly_mul`) is the complete
+Cantor-Zassenhaus factorization mod p that the root tests of the library
+ran before they took one gcd with x^(p^k) - x.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import product as iter_product, zip_longest
 from math import ceil, gcd, isqrt, lcm
 from operator import mul
 
@@ -78,7 +81,12 @@ from nforders.intmath import (
     poly_discriminant,
     poly_eval,
     poly_roots_mod,
-    polp_factor,
+    poly_trim,
+    polp_divmod,
+    polp_gcd,
+    polp_mulmod,
+    polp_powmod,
+    polp_trim,
     sqrt_ub,
     xgcd,
 )
@@ -1086,3 +1094,101 @@ class FracBiquad:
     def is_rational(self) -> bool:
         nv = self.naive()
         return nv[1] == 0 and nv[2] == 0 and nv[3] == 0
+
+
+# ---------------------------------------------------------------------------
+# full factorization mod p, as the library ran it before its root tests
+# took one gcd with x^(p^k) - x
+
+
+def poly_mul(f: list[int], g: list[int]) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_trim(out)
+
+
+def polp_factor(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Monic irreducible factors of f mod p with multiplicities, sorted by
+    (degree, coefficients).  The unit leading coefficient is dropped.
+
+    Cantor-Zassenhaus, in any degree.  Distinct-degree factorisation: once
+    every power of the factors of degree < d is divided out of `rest`,
+    gcd(rest, x^(p^d) - x) is the product of the distinct degree-d factors
+    of rest, which _split_equal_degree breaks apart.  Multiplicities come
+    from trial division by each factor found.
+    """
+    if not is_prime(p):
+        raise ValueError("polp_factor needs a prime modulus")
+    g = polp_trim(f, p)
+    if not g:
+        raise ValueError("polynomial vanishes mod p")
+    inv = pow(g[-1], -1, p)
+    rest = [c * inv % p for c in g]
+    out = []
+    xq, d = [0, 1], 0  # xq = x^(p^d) mod rest
+    # every factor of rest has degree > d, so rest of degree < 2(d + 1) is
+    # 1 or irreducible
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        xq = polp_powmod(xq, p, rest, p)
+        xq_minus_x = xq + [0] * (2 - len(xq))
+        xq_minus_x[1] -= 1
+        for q in _split_equal_degree(polp_gcd(rest, xq_minus_x, p), d, p):
+            e = 0
+            while True:
+                quo, rem = polp_divmod(rest, q, p)
+                if rem:
+                    break
+                rest, e = quo, e + 1
+            out.append((tuple(q), e))
+    if len(rest) > 1:
+        out.append((tuple(rest), 1))
+    check = [1]
+    for q, e in out:
+        for _ in range(e):
+            check = [c % p for c in poly_mul(check, list(q))]
+    assert polp_trim(check, p) == [c * inv % p for c in g]
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def _split_equal_degree(h: list[int], d: int, p: int) -> list[list[int]]:
+    """The monic irreducible factors of h, a monic product of distinct
+    irreducibles of degree d mod p.
+
+    A probe t splits a part g along gcd(g, t^((p^d-1)/2) - 1) for odd p and
+    along the trace gcd(g, t + t^2 + ... + t^(2^(d-1))) for p = 2.  The
+    probes run over the nonconstant polynomials of degree < deg h in turn.
+    By the Chinese remainder theorem one of them separates any two factors
+    of h, so the loop ends, and the result does not depend on which probe
+    does it.
+    """
+    parts = [h] if len(h) > 1 else []
+    i = p  # the probe's coefficients are the base-p digits of i
+    while any(len(g) - 1 > d for g in parts):
+        t, k = [], i
+        while k:
+            k, c = divmod(k, p)
+            t.append(c)
+        i += 1
+        split = []
+        for g in parts:
+            if len(g) - 1 > d:
+                if p == 2:
+                    u = s = polp_divmod(t, g, p)[1]
+                    for _ in range(d - 1):
+                        u = polp_mulmod(u, u, g, p)
+                        s = [a ^ b for a, b in zip_longest(s, u, fillvalue=0)]
+                else:
+                    s = polp_powmod(t, (p**d - 1) // 2, g, p) or [0]
+                    s[0] -= 1
+                a = polp_gcd(g, s, p)
+                if 0 < len(a) - 1 < len(g) - 1:
+                    split += [a, polp_divmod(g, a, p)[0]]
+                    continue
+            split.append(g)
+        parts = split
+    return parts

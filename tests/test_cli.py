@@ -15,7 +15,7 @@ from nforders import cli, criteria, lattice, orders, quadratic
 from nforders.lattice import IntModule
 from nforders.quadratic import QuadField
 from ideals import picard_pool
-from oracles import from_integral_coords
+from oracles import from_integral_coords, polp_factor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -454,6 +454,55 @@ def test_criterion_cox(tmp_path, capsys):
 def test_criterion_cox_needs_poly(capsys):
     code, out = run(capsys, ["criterion", "cox", "17", "0", "2"])
     assert code == 2
+
+
+def test_criterion_cox_rejects_a_poly_that_vanishes_mod_p(tmp_path, capsys):
+    # 5 + 5x has disc 1 but no roots to count mod 5, where -1 is a square
+    poly = tmp_path / "lin5.txt"
+    poly.write_text("5\n5\n")
+    code = cli.main(["criterion", "cox", "5", "0", "1", "--poly", str(poly)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: polynomial vanishes mod p\n"
+
+
+# a degree-8 and a degree-20 class polynomial stand-in, constant term first
+DEG8 = [1, 2, 0, 1, 0, -1, 0, 3, 1]
+DEG20 = [5, 0, -1, 0, 0, 0, 0, 3, 0, 0, 0, 2] + [0] * 8 + [1]
+
+
+@pytest.mark.parametrize(
+    "theorem,p,d,n,q,k,poly,verdict",
+    [
+        # 101 and 31 are inert in Q(sqrt(-59)): a root in F_(q^2), which
+        # DEG8 has mod 31 only through a quadratic factor
+        ("quadr", "101", "59", "2", 101, 2, DEG8, "unsolvable"),
+        ("quadr", "101", "59", "2", 101, 2, DEG20, "solvable"),
+        ("quadr", "31", "59", "2", 31, 2, DEG8, "solvable"),
+        ("quadr", "31", "59", "2", 31, 2, DEG20, "solvable"),
+        # 1 + w has norm 17: a root in F_17
+        ("quadr", "1+1*w", "59", "2", 17, 1, DEG8, "unsolvable"),
+        ("quadr", "1+1*w", "59", "2", 17, 1, DEG20, "solvable"),
+        # -2 is a square mod both primes, so the root test decides
+        ("cox", "1000003", "0", "2", 1000003, 1, DEG8, "unsolvable"),
+        ("cox", "1000003", "0", "2", 1000003, 1, DEG20, "solvable"),
+        ("cox", "1000081", "0", "2", 1000081, 1, DEG8, "unsolvable"),
+        ("cox", "1000081", "0", "2", 1000081, 1, DEG20, "solvable"),
+    ],
+)
+def test_criterion_root_tests_match_full_factorization(
+    tmp_path, capsys, theorem, p, d, n, q, k, poly, verdict
+):
+    # the verdict is whether the polynomial has an irreducible factor of
+    # degree dividing k mod q, read off the complete factorization
+    degrees = {len(g) - 1 for g, _ in polp_factor(poly, q)}
+    assert verdict == ("solvable" if any(k % e == 0 for e in degrees) else "unsolvable")
+    path = tmp_path / "poly.txt"
+    path.write_text("".join("%d\n" % c for c in poly))
+    argv = ["criterion", theorem, p, d, n, "--poly", str(path)]
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["applicable"] is True
+    assert doc["verdict"] == verdict
 
 
 @pytest.mark.parametrize(

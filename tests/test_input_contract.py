@@ -255,8 +255,8 @@ ELEMENT = st.one_of(
 # primes and split ones of Q(sqrt(-59)) and Q(i) are drawn as often as any
 # element, and as often again a prime element of the drawn native field
 # itself, which goes on to the unit equation and the residue tests; POLY
-# stands for a class polynomial file
-POLY = "POLY"
+# and POLY20 stand for class polynomial files of degree 3 and 20
+POLY, POLY20 = "POLY", "POLY20"
 PRIME = either(
     st.sampled_from(["3", "5", "7", "13", "17", "1+1*w", "3+1*w", "2+1*w", str(Q1)]),
     ELEMENT,
@@ -274,10 +274,10 @@ PRIME_IN_NATIVE = NATIVE.flatmap(
     lambda dn: st.tuples(st.sampled_from(prime_elements_of(dn[0])), st.just(dn))
 )
 CRITERION = st.builds(
-    lambda theorem, poly, p_dn: ["criterion"] + (["--poly", POLY] if poly else [])
+    lambda theorem, poly, p_dn: ["criterion"] + (["--poly", poly] if poly else [])
     + [theorem, "--", p_dn[0], *map(str, p_dn[1])],
     st.sampled_from(["cox", "quadr", "hilbert"]),
-    st.booleans(),
+    either(st.none(), st.sampled_from([POLY, POLY20])),
     either(
         st.tuples(PRIME, either(NATIVE, st.tuples(FIELD_DN, FIELD_DN))),
         PRIME_IN_NATIVE,
@@ -297,11 +297,15 @@ HARD = 100000000000031 * 1000000000000037
 
 
 @pytest.fixture(scope="module")
-def poly_file(tmp_path_factory) -> str:
-    """x^3 + 2x - 1, the class polynomial of (59, 2), one coefficient a line."""
-    path = tmp_path_factory.mktemp("poly") / "cubic.txt"
-    path.write_text("-1\n2\n0\n1\n")
-    return str(path)
+def poly_files(tmp_path_factory) -> dict:
+    """POLY and POLY20 mapped to their files, one coefficient a line:
+    x^3 + 2x - 1, the class polynomial of (59, 2), and
+    x^20 + 2x^11 + 3x^7 - x^2 + 5."""
+    tmp = tmp_path_factory.mktemp("poly")
+    (tmp / "cubic.txt").write_text("-1\n2\n0\n1\n")
+    deg20 = [5, 0, -1, 0, 0, 0, 0, 3, 0, 0, 0, 2] + [0] * 8 + [1]
+    (tmp / "deg20.txt").write_text("".join("%d\n" % c for c in deg20))
+    return {POLY: str(tmp / "cubic.txt"), POLY20: str(tmp / "deg20.txt")}
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -316,8 +320,8 @@ def poly_file(tmp_path_factory) -> str:
 @example(argv=["picard", "--", "max:-%d" % (10**30 - 3)])
 @example(argv=["criterion", "hilbert", "--", "17", "100000000000031", "2"])
 @example(argv=["criterion", "quadr", "--", "3", "100000000003", "2"])
-def test_every_spec_ends_in_bounded_time(poly_file, argv):
-    argv = [poly_file if a == POLY else a for a in argv]
+def test_every_spec_ends_in_bounded_time(poly_files, argv):
+    argv = [poly_files.get(a, a) for a in argv]
     code, _, err, seconds = timed_main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, argv

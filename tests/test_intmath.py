@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 import sympy
@@ -16,10 +17,9 @@ from nforders.intmath import (
     jacobi,
     poly_deriv,
     poly_discriminant,
+    has_root_mod,
     poly_eval,
-    poly_mul,
     poly_roots_mod,
-    polp_factor,
     resultant,
     sqrt_mod,
     sqrt_ub,
@@ -28,7 +28,7 @@ from nforders.intmath import (
 )
 from nforders.intmath import _roots_quadratic
 from nforders.quadratic import QuadElem, QuadField
-from oracles import from_integral_coords, primes_upto, sqrt_lb
+from oracles import from_integral_coords, poly_mul, polp_factor, primes_upto, sqrt_lb
 
 
 # independent oracles, deliberately dumber than the implementations
@@ -399,8 +399,8 @@ def test_poly_roots_mod_scan_path():
 
 
 def test_poly_roots_mod_paths_agree():
-    # the linear factors of polp_factor against the scan, in degrees the
-    # quadratic formula does not take, and p = 2 in every degree
+    # the linear factors of gcd(f, x^p - x) against the scan, in degrees
+    # the quadratic formula does not take, and p = 2 in every degree
     rng = random.Random(7)
     ps = [p for p in primes_upto(300)] + [1009, 7919]
     for _ in range(160):
@@ -411,9 +411,9 @@ def test_poly_roots_mod_paths_agree():
 
 
 def test_polp_factor_linear_factors_in_degrees_at_least_p():
-    # poly_roots_mod evaluates where p <= deg f; polp_factor still answers
-    # there for _roots_in_residue_field and the primitive-element oracle,
-    # and its linear factors are the roots the scan finds
+    # poly_roots_mod evaluates where p <= deg f; the oracle polp_factor
+    # still answers there for the primitive-element oracle, and its linear
+    # factors are the roots the scan finds
     rng = random.Random(26)
     for p in (2, 3, 5, 7):
         for _ in range(40):
@@ -460,6 +460,106 @@ def test_poly_roots_mod_large_prime():
     q = 999999937  # prime, 1 mod 4
     rts = poly_roots_mod([1, 0, 1], q)
     assert len(rts) == 2 and all(r * r % q == q - 1 for r in rts)
+
+
+def quadratic_extension(p):
+    """F_(p^2) as pairs (u, v) = u + v*t, t a root of the first monic
+    t^2 + m1*t + m0 with no root mod p: (elements, product)."""
+    m0, m1 = next(
+        (m0, m1)
+        for m1 in range(p)
+        for m0 in range(p)
+        if all((x * x + m1 * x + m0) % p for x in range(p))
+    )
+
+    def mul(a, b):
+        bd = a[1] * b[1]
+        return (a[0] * b[0] - bd * m0) % p, (a[0] * b[1] + a[1] * b[0] - bd * m1) % p
+
+    return [(u, v) for u in range(p) for v in range(p)], mul
+
+
+def has_root_by_evaluation(f, p, k):
+    # f evaluated by Horner at every element of F_p (k = 1) or of F_(p^2)
+    # (k = 2), the prime field sitting in it as the pairs (u, 0)
+    elements, mul = quadratic_extension(p)
+    if k == 1:
+        elements = [(u, 0) for u in range(p)]
+    for z in elements:
+        r = (0, 0)
+        for c in reversed(f):
+            r = mul(r, z)
+            r = ((r[0] + c) % p, r[1])
+        if r == (0, 0):
+            return True
+    return False
+
+
+def test_has_root_mod_every_monic_of_degree_at_most_4():
+    # every monic f of degree 0 to 4 over F_p, p in {2, 3, 5, 7}, against
+    # evaluation at every element of F_p and of F_(p^2).  A gcd taken with
+    # x^(p^k) in place of x^(p^k) - x sees only the root 0
+    count = 0
+    for p in (2, 3, 5, 7):
+        for d in range(5):
+            for low in iter_product(range(p), repeat=d):
+                f = list(low) + [1]
+                for k in (1, 2):
+                    assert has_root_mod(f, p, k) == has_root_by_evaluation(f, p, k), (
+                        f,
+                        p,
+                        k,
+                    )
+                    count += 1
+    assert count == 2 * sum(p**d for p in (2, 3, 5, 7) for d in range(5))
+
+
+def test_has_root_mod_when_f_vanishes_and_on_a_composite():
+    # every element is a root of a polynomial that vanishes mod p
+    assert has_root_mod([], 5) is True
+    assert has_root_mod([7, 0, 14], 7, 2) is True
+    assert has_root_mod([7, 1, 14], 7) is True  # x
+    assert has_root_mod([1, 7], 7, 2) is False  # the constant 1
+    with pytest.raises(ValueError, match="prime modulus"):
+        has_root_mod([1, 0, 1], 15)
+
+
+def test_has_root_mod_against_polp_factor():
+    # 800 cases: 400 random f, q from 3 to 10^12 + 39, degree 1 to 20, a
+    # quarter of them with a repeated factor spliced in, each asked for a
+    # root in F_q and in F_(q^2).  A root in F_(q^k) is a monic irreducible
+    # factor of degree dividing k
+    rng = random.Random(41)
+    qs = [3, 5, 7, 11, 101, 1009, 65537, 1000003, 10**9 + 7, 10**12 + 39]
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        q = rng.choice(qs)
+        deg = rng.randrange(1, 21)
+        f = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
+        if rng.randrange(4) == 0 and deg < 19:
+            g = [rng.randrange(q), rng.randrange(q), 1]
+            f = poly_mul(poly_mul(g, g), f)
+        degrees = {len(g) - 1 for g, _ in polp_factor(f, q)}
+        for k in (1, 2):
+            want = any(k % e == 0 for e in degrees)
+            assert has_root_mod(f, q, k) == want, (f, q, k)
+            found[want] += 1
+    assert min(found.values()) > 100, found
+
+
+def test_poly_roots_mod_many_linear_factors():
+    # ten distinct roots mod 10^9 + 7, times x^2 + 1 (irreducible, as
+    # p = 3 mod 4) and one root repeated: the degree-1 splitter needs
+    # several probes to separate ten factors
+    p = 10**9 + 7
+    rng = random.Random(12)
+    roots = sorted(rng.sample(range(p), 10))
+    f = [1, 0, 1]
+    for r in roots + roots[:1]:
+        f = poly_mul(f, [-r, 1])
+    assert poly_roots_mod(f, p) == roots
+    assert has_root_mod(f, p) is True
+    assert poly_roots_mod(poly_mul([1, 0, 1], [1, 0, 1]), p) == []
 
 
 def test_polp_factor_known():
