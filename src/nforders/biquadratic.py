@@ -254,14 +254,14 @@ class BiquadField:
 
     @cached_property
     def norm_forms(self) -> tuple:
-        """(D0, S, G, C): S the integer matrix of sqrt(D0), G the T2 Gram
-        and C = S G + G S^t, all integer.  For x = u/den let A1, A2 be
+        """(D0, G, C): G the T2 Gram and C = S G + G S^t, S the integer
+        matrix of sqrt(D0), all integer.  For x = u/den let A1, A2 be
         |x|^2 at the two complex places, sqrt(D0) > 0 at the first.  Then
         t = u G u^t = T2(u) = 2(A1 + A2) den^2 and c = u C u^t =
         2 Tr(sqrt(D0) u conj(u)) = 4 sqrt(D0)(A1 - A2) den^2, so
         4 D0 t^2 - c^2 = 64 D0 A1 A2 den^4 = 64 D0 N(u): the norm on
         integers, from two quadratic forms (norm_form).  The window ladder
-        reads its matrices from here (ladder_data)."""
+        twists by p t - hk c (lattice._twisted_gram)."""
         D0, _ = self.real_subfield_data()
         sq = self.from_real_quadratic(0, 1)
         if not sq.is_integral():
@@ -269,7 +269,7 @@ class BiquadField:
         S = tuple(map(tuple, table_matrix(self.mult_table, sq.u)))
         G = self.t2_gram_matrix()
         SG, GSt = _times(S, G), _times(G, tuple(zip(*S)))
-        return D0, S, G, tuple(tuple(map(add, a, b)) for a, b in zip(SG, GSt))
+        return D0, G, tuple(tuple(map(add, a, b)) for a, b in zip(SG, GSt))
 
     def from_real_quadratic(self, x, y) -> "BiquadElem":
         """x + y*sqrt(D0), embedded via sqrt(D0) = sqrt(d*n)/s."""
@@ -280,7 +280,7 @@ class BiquadField:
     def _norm_pairs(self) -> tuple:
         """(D0, G, C) of norm_forms, G and C as their coefficients on the
         products u_i u_j (lattice._pair_coeffs)."""
-        D0, _, G, C = self.norm_forms
+        D0, G, C = self.norm_forms
         return D0, _pair_coeffs(G), _pair_coeffs(C)
 
     def norm_form(self, u) -> int:

@@ -129,24 +129,24 @@ def cox_criterion(p: int, n: int, f_n) -> CriterionReport:
     """Root test for p = x^2 + n*y^2 over Z: p is representable iff -n is a
     residue mod p and the supplied class polynomial has a root mod p.  A
     positive verdict is cross-checked against cornacchia and the found
-    pair is attached."""
+    pair is attached.  A polynomial that vanishes mod p raises ValueError,
+    whatever the residue symbol."""
     if n <= 0:
         raise ValueError("n must be positive, got %d" % n)
     if p == 2 or not is_prime(p):
         raise ValueError("needs an odd prime, got %d" % p)
     f_n = [int(c) for c in f_n]
+    # a linear f_n with p | content passes the disc test (disc = 1) but is
+    # no class polynomial mod p
+    if not any(c % p for c in f_n):
+        raise ValueError("polynomial vanishes mod p")
     hyps = [("p_coprime_to_n", n % p != 0, "n = %d" % n)]
     if hyps[0][1]:
         d = poly_discriminant(f_n)
         hyps.append(("p_coprime_to_poly_disc", d % p != 0, "disc = %d" % d))
     if not all(h[1] for h in hyps):
         return CriterionReport("cox", tuple(hyps), False, UNKNOWN)
-    residue = jacobi(-n % p, p) == 1
-    # a linear f_n with p | content passes the disc test (disc = 1) but is
-    # no class polynomial mod p
-    if residue and not any(c % p for c in f_n):
-        raise ValueError("polynomial vanishes mod p")
-    solv = residue and has_root_mod(f_n, p)
+    solv = jacobi(-n % p, p) == 1 and has_root_mod(f_n, p)
     rep = None
     if solv:
         rep = cornacchia(p, n)
@@ -377,8 +377,10 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     supplied class polynomial g_n has a root in O_F/pO_F.  The polynomial
     is an external input; without it the verdict stays unknown, and so it
     does past unit_witness's limits, where unit_witness_found is
-    undecided."""
+    undecided.  A polynomial that vanishes in O_F/pO_F raises ValueError."""
     F, q, deg, r = _prime_field(p, d)
+    if g_n is not None and all(_divides(p, c) for c in g_n):
+        raise ValueError("polynomial vanishes mod p")
     hyps = []
 
     def check(name, ok, detail=None):

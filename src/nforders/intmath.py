@@ -9,13 +9,11 @@ Polynomials over Z are plain lists of coefficients, constant term first,
 so coeffs[i] is the coefficient of x^i and the leading coefficient is
 coeffs[-1] (nonzero).  The zero polynomial is the empty list.
 
-Nothing here factors a polynomial mod a prime p completely.  A root in
-F_(p^k) exists exactly when f vanishes mod p or gcd(f, x^(p^k) - x) is
-not constant (Cohen, GTM 138, section 3.4), and has_root_mod asks just
-that.  The roots of poly_roots_mod are the linear factors of
-gcd(f, x^p - x), split by Cantor-Zassenhaus in degree 1, with two
-shortcuts: the quadratic formula, and evaluation at every residue when
-p <= deg f, the only scan of the residues mod p here.
+Nothing here factors a polynomial mod a prime p.  A root in F_(p^k)
+exists exactly when f vanishes mod p or gcd(f, x^(p^k) - x) is not
+constant (Cohen, GTM 138, section 3.4), and has_root_mod asks just that.
+poly_roots_mod lists the roots of a polynomial of degree at most 2 mod p,
+by the quadratic formula, or by evaluation at 0 and 1 when p = 2.
 """
 
 from __future__ import annotations
@@ -419,51 +417,23 @@ def _frobenius_gcd(fp: list[int], p: int, k: int) -> list[int]:
     return polp_gcd(fp, s, p)
 
 
-def _split_linear(g: list[int], p: int) -> list[list[int]]:
-    """The monic linear factors of g, a monic product of distinct linear
-    factors mod p, where p is odd or g has degree at most 1.
-
-    Cantor-Zassenhaus in degree 1: the probe x + c splits a part h along
-    gcd(h, (x + c)^((p-1)/2) - 1), the product of its x - r with r + c a
-    nonzero square.  The nonzero squares mod an odd p are no translate of
-    themselves, so some c in 0..p-1 separates any two roots, and the loop
-    over c = 0, 1, ... ends.
-    """
-    parts, c = [g] if len(g) > 1 else [], 0
-    while any(len(h) > 2 for h in parts):
-        split = []
-        for h in parts:
-            if len(h) > 2:
-                s = polp_powmod([c, 1], (p - 1) // 2, h, p) or [0]
-                s[0] -= 1
-                a = polp_gcd(h, s, p)
-                if 1 < len(a) < len(h):
-                    split += [a, polp_divmod(h, a, p)[0]]
-                    continue
-            split.append(h)
-        parts, c = split, c + 1
-    return parts
-
-
 def poly_roots_mod(f: list[int], p: int) -> list[int]:
-    """Sorted roots of f mod p.
-
-    When p <= deg f the roots are the residues 0..p-1 at which f vanishes,
-    found by evaluating f at each of them.  Otherwise a quadratic goes
-    through the quadratic formula with a Tonelli-Shanks square root, and
-    anything else reads the roots off the linear factors of
-    gcd(f, x^p - x), which _split_linear separates.
-    """
+    """Sorted roots mod p of f, of degree at most 2 mod p: the residues 0
+    and 1 at which f vanishes when p = 2, else one inverse for a linear f
+    and the quadratic formula, with a Tonelli-Shanks square root, for a
+    quadratic.  ValueError on degree 3 and up."""
     if not is_prime(p):
         raise ValueError("poly_roots_mod needs a prime modulus")
     fp = polp_trim(f, p)
     if not fp:
         raise ValueError("polynomial vanishes mod p")
-    if p < len(fp):
-        return [x for x in range(p) if not poly_eval(fp, x) % p]
+    if len(fp) > 3:
+        raise ValueError("poly_roots_mod takes degree at most 2 mod p")
+    if p == 2:
+        return [x for x in (0, 1) if poly_eval(fp, x) % 2 == 0]
     if len(fp) == 3:
         return _roots_quadratic(fp, p)
-    return sorted(-h[0] % p for h in _split_linear(_frobenius_gcd(fp, p, 1), p))
+    return [-fp[0] * pow(fp[1], -1, p) % p] if len(fp) == 2 else []
 
 
 def _roots_quadratic(fp: list[int], p: int) -> list[int]:

@@ -627,18 +627,15 @@ class LadderData(NamedTuple):
     """What the rank-4 window ladder needs of a field, built once per field
     (ladder_data).  `U` is the integer multiplication matrix of the ladder
     unit u, and each power of u moves the ladder `step` convergents of the
-    expansion `cf` of sqrt(D0) on.  With G the T2 Gram, an integer matrix,
-    and S the matrix of sqrt(D0), `cross` = S G + G S^t and `outer` =
-    S G S^t: the twisted Gram M G M^t of M = h*I - k*S, the matrix of
-    h - k*sqrt(D0), is then h^2 G - hk cross + k^2 outer."""
+    expansion `cf` of sqrt(D0) on.  G and C are the field's norm_forms, of
+    which a twist is the weighted difference (_twisted_gram)."""
 
     D0: int
     cf: CFExpansion
     U: tuple
     step: int
     G: tuple
-    cross: tuple
-    outer: tuple
+    C: tuple
 
 
 @lru_cache(maxsize=None)
@@ -649,10 +646,10 @@ def ladder_data(field) -> LadderData:
     is the midpoint unit v = conj(e)/sqrt(-c), with step mid, when l =
     2*mid is even and the mid-th convergent e has |N(e)| = c in {d, n},
     and v is checked integral with v^2 = -eps^-1; else it is eps, with
-    step l.  D0, S, G and cross are the field's norm_forms.  A period past
+    step l.  D0, G and C are the field's norm_forms.  A period past
     _LADDER_MAX_PERIOD raises UnsupportedFieldError before any convergent
     is built."""
-    D0, S, G, cross = field.norm_forms
+    D0, G, C = field.norm_forms
     cf = cf_sqrt(D0)
     l = len(cf.period)
     if l > _LADDER_MAX_PERIOD:
@@ -660,7 +657,6 @@ def ladder_data(field) -> LadderData:
             "the continued fraction of sqrt(%d) has period %d, past the ladder's "
             "limit %d" % (D0, l, _LADDER_MAX_PERIOD)
         )
-    outer = tuple(_times(_times(S, G), tuple(zip(*S))))
     gammas = cf_convergents(cf, l)  # kept: the mid-th and the last
     mid = next(islice(gammas, l // 2 - 1, None)) if l % 2 == 0 else None
     ((x0, y0),) = deque(gammas, maxlen=1)
@@ -673,35 +669,32 @@ def ladder_data(field) -> LadderData:
             if v.is_integral() and v * v == -field.from_real_quadratic(x0, -y0):
                 unit, step = v, l // 2
     U = tuple(map(tuple, table_matrix(field.mult_table, unit.u)))
-    return LadderData(D0, cf, U, step, G, cross, outer)
+    return LadderData(D0, cf, U, step, G, C)
 
 
-def _twisted_gram(lad: LadderData, h: int, k: int) -> tuple:
-    """The Gram of T2(x * conj(gamma)), gamma = h + k*sqrt(D0): the integer
-    matrix M G M^t = h^2 G - hk cross + k^2 outer of LadderData, M = h*I -
-    k*S the matrix of conj(gamma)."""
-    hh, hk, kk = h * h, h * k, k * k
-    return tuple(
-        tuple(hh * a - hk * b + kk * c for a, b, c in zip(ra, rb, rc))
-        for ra, rb, rc in zip(lad.G, lad.cross, lad.outer)
-    )
+def _twisted_gram(lad: LadderData, p: int, hk: int) -> tuple:
+    """The Gram p*G - hk*C of T2(x * conj(gamma)), gamma = h + k*sqrt(D0),
+    from its weights p = h^2 + D0*k^2 and hk: M G M^t of M = h*I - k*S, S
+    the matrix of sqrt(D0), is h^2 G - hk C + k^2 S G S^t, and S G S^t =
+    D0 G, as T2(x * sqrt(D0)) = D0 T2(x) for the real sqrt(D0)."""
+    return tuple(tuple(p * a - hk * b for a, b in zip(ra, rb)) for ra, rb in zip(lad.G, lad.C))
 
 
 def _unit_ladder(field, module):
-    """Smallest m >= 1 with u^m stabilizing the module, u the ladder unit
-    of the field's LadderData; returns (the LadderData, m, the convergents
-    gamma_{-1} = 1, gamma_0, ..., gamma_{m*step - 1}): m periods for the
-    Pell unit, m half periods for the midpoint unit.  Decided on integers:
-    rows <- rows*U is the module's HNF rows times U^m, and since u^m has
-    norm 1, u^m * module = module exactly when each of those rows lies in
-    the module's lattice.  Past _LADDER_MAX_PERIODS periods of windows it
-    raises UnsupportedFieldError."""
+    """(the field's LadderData, T = m*step), m >= 1 the least with u^m
+    stabilizing the module, u the ladder unit: the ladder runs over the
+    convergents gamma_1, ..., gamma_T, m periods for the Pell unit, m half
+    periods for the midpoint unit.  Decided on integers: rows <- rows*U is
+    the module's HNF rows times U^m, and since u^m has norm 1, u^m * module
+    = module exactly when each of those rows lies in the module's lattice.
+    Past _LADDER_MAX_PERIODS periods of windows it raises
+    UnsupportedFieldError."""
     lad = ladder_data(field)
     H = rows = module.rows
     for m in range(1, _LADDER_MAX_PERIODS * len(lad.cf.period) // lad.step + 1):
         rows = _times(rows, lad.U)
         if all(_in_lattice(H, r) for r in rows):
-            return lad, m, [(1, 0)] + list(cf_convergents(lad.cf, m * lad.step))
+            return lad, m * lad.step
     raise UnsupportedFieldError(
         "no power of the ladder unit within %d periods stabilizes the module"
         % _LADDER_MAX_PERIODS
@@ -791,10 +784,11 @@ def _least_cosh(D0, c, near, far) -> Fraction:
 def _ladder_windows(lad: LadderData, T: int) -> tuple:
     """(windows, balls, walk, ends) of the ladder over the convergents
     gamma_0 = 1, ..., gamma_T of lad.cf, windows and balls each a tuple of
-    (twisted Gram, rho) with ball^2 = N rho on norm-N searches.  `balls`
-    are the windows twisted by gamma_i with the ball at gamma_(i+1), which
-    hold the norm-N points with lam in [l_i - r_i, l_(i+1)]; the pick is
-    the least norm-N point in their union [L, P].  `windows` are searched
+    (the twist's weights (p, hk) of LadderData, rho) with ball^2 = N rho on
+    norm-N searches.  `balls` are the windows twisted by gamma_i with the
+    ball at gamma_(i+1), which hold the norm-N points with lam in
+    [l_i - r_i, l_(i+1)]; the pick is the least norm-N point in their
+    union [L, P].  `windows` are searched
     instead: the _stretches twisted by their c, with the ball at the
     farther edge; for T = 1 one window twisted by 1 covers J = [-P/2,
     P/2], with cosh(P/2)^2 = (p_T + |N(gamma_T)|) / (2|N(gamma_T)|), p(h +
@@ -811,13 +805,14 @@ def _ladder_windows(lad: LadderData, T: int) -> tuple:
             w0, w1 = _rmul(c, (h, -k), D0)
             return Fraction(4 * (w0 * w0 + D0 * w1 * w1), h * h - D0 * k * k) ** 2
 
-        return _twisted_gram(lad, *c), max(starmap(ball2, edges))
+        h, k = c
+        return (h * h + D0 * k * k, h * k), max(starmap(ball2, edges))
 
     balls = tuple(window(g, g2) for g, g2 in zip(gammas, gammas[1:]))
     if T == 1:
         h, k = gammas[1]
         p, n = h * h + D0 * k * k, abs(h * h - D0 * k * k)
-        windows = ((_twisted_gram(lad, 1, 0), Fraction(8 * (p + n), n)),)
+        windows = (((1, 0), Fraction(8 * (p + n), n)),)
         return windows, balls, ((0,), ()), (((1, 0),) * 3,)  # its range holds 0
     stretches = _stretches(D0, gammas)
     centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
@@ -867,8 +862,8 @@ def find_generator(module: IntModule, norm):
         return _canonical_pick(module, cands, G)
 
     # centred windows over one period of the ladder unit's power, walked out from 0
-    lad, _, gammas = _unit_ladder(field, module)
-    windows, balls, walk, _ = _ladder_windows(lad, T := len(gammas) - 1)
+    lad, T = _unit_ladder(field, module)
+    windows, balls, walk, _ = _ladder_windows(lad, T)
     den = module.den
     cands = []
     best = bounds = centre = None
@@ -879,13 +874,16 @@ def find_generator(module: IntModule, norm):
                 a, b = _walk_reach(lad, T)[s][j].as_integer_ratio()
                 if 16 * norm.numerator * den**4 * a * a > norm.denominator * (best * b) ** 2:
                     break  # best < 4 sqrt(N) den^2 a/b, strictly: a tie in G(u) goes to u
-            g, rho = windows[i]
-            red = lll_reduce(red, g)
+            w, rho = windows[i]
+            red = lll_reduce(red, _twisted_gram(lad, *w))
             centre = centre or red
             bound = Fraction(_budget(rho, norm, den), den * den)
             points = [u for u in enumerate_by_t2(red, bound) if keep(u)]
             if points:
-                bounds = bounds or [(g, _budget(rho, norm, den)) for g, rho in balls]
-                cands += [u for u in points if any(_form_value(g, u) <= B for g, B in bounds)]
-                best = min((_form_value(G, u) for u in cands), default=None)
+                bounds = bounds or [(p, hk, _budget(rho, norm, den)) for (p, hk), rho in balls]
+                for u in points:
+                    t, c = _form_value(G, u), _form_value(lad.C, u)
+                    if any(p * t - hk * c <= B for p, hk, B in bounds):
+                        cands.append(u)
+                        best = t if best is None else min(best, t)
     return _canonical_pick(module, cands, G)

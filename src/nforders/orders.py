@@ -77,9 +77,8 @@ class OrderRep:
             raise ValueError("an order must contain 1")
         T, gens = field.mult_table, rows[1:]
         for i, x in enumerate(gens):
-            for y in gens[i:]:
-                if not _in_lattice(rows, _product(T, x, y)):
-                    raise ValueError("module is not multiplicatively closed")
+            if not all(_in_lattice(rows, v) for v in _times(gens[i:], table_matrix(T, x))):
+                raise ValueError("module is not multiplicatively closed")
         self.field, self.module, self._index = field, module, _pivots(rows)
 
     def __eq__(self, other):
@@ -101,19 +100,6 @@ class OrderRep:
 
     def index_in_maximal(self) -> int:
         return self._index
-
-
-def _product(T, x, y) -> list:
-    """coords(x * y) for the integer coordinates x and y under the
-    structure constants T[i][j] = coords(b_i * b_j)."""
-    out = [0] * len(x)
-    for xi, Ti in zip(x, T):
-        if xi:
-            for yj, Tij in zip(y, Ti):
-                if yj:
-                    c = xi * yj
-                    out = [o + c * t for o, t in zip(out, Tij)]
-    return out
 
 
 def _pivots(rows) -> int:

@@ -74,6 +74,8 @@ from nforders.biquadratic import (
 from nforders.criteria import _divides, verify_identity
 from nforders.intmath import (
     _SQRT_SCALE,
+    _frobenius_gcd,
+    _roots_quadratic,
     UnsupportedPrimeError,
     divisors,
     factorize,
@@ -103,6 +105,7 @@ from nforders.lattice import (
     _times,
     _pair_coeffs,
     _pair_products,
+    _twisted_gram,
     _unit_ladder,
     adjugate_int,
     enumerate_by_t2,
@@ -842,13 +845,13 @@ def full_ladder_points(module, norm) -> list:
     searched before it stopped early, in the order it searched them."""
     norm = Fraction(norm)
     keep = _norm_filter(module, norm)
-    lad, _, gammas = _unit_ladder(module.ambient, module)
-    windows = _ladder_windows(lad, len(gammas) - 1)[0]
+    lad, T = _unit_ladder(module.ambient, module)
+    windows = _ladder_windows(lad, T)[0]
     den = module.den
     out = []
     red = module
-    for g, rho in windows:
-        red = lll_reduce(red, g)
+    for w, rho in windows:
+        red = lll_reduce(red, _twisted_gram(lad, *w))
         bound = Fraction(_budget(rho, norm, den), den * den)
         out.append([u for u in enumerate_by_t2(red, bound) if keep(u)])
     return out
@@ -860,9 +863,9 @@ def full_ladder_search(module, norm):
     rung window's ball kept, and the least of them picked."""
     norm = Fraction(norm)
     field = module.ambient
-    lad, _, gammas = _unit_ladder(field, module)
-    balls = _ladder_windows(lad, len(gammas) - 1)[1]
-    bounds = [(g, _budget(rho, norm, module.den)) for g, rho in balls]
+    lad, T = _unit_ladder(field, module)
+    balls = _ladder_windows(lad, T)[1]
+    bounds = [(_twisted_gram(lad, *w), _budget(rho, norm, module.den)) for w, rho in balls]
     cands = [
         u
         for points in full_ladder_points(module, norm)
@@ -1077,7 +1080,7 @@ class FracBiquad:
 
     def norm(self) -> Fraction:
         u, den = integer_coords(self.coords)
-        D0, _, G, C = self.field.norm_forms
+        D0, G, C = self.field.norm_forms
         m = _pair_products(u)
         t = sum(map(mul, _pair_coeffs(G), m))
         c = sum(map(mul, _pair_coeffs(C), m))
@@ -1097,8 +1100,8 @@ class FracBiquad:
 
 
 # ---------------------------------------------------------------------------
-# full factorization mod p, as the library ran it before its root tests
-# took one gcd with x^(p^k) - x
+# full factorization and roots in any degree mod p, as the library ran
+# them before its root tests took one gcd with x^(p^k) - x
 
 
 def poly_mul(f: list[int], g: list[int]) -> list[int]:
@@ -1153,6 +1156,53 @@ def polp_factor(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
             check = [c % p for c in poly_mul(check, list(q))]
     assert polp_trim(check, p) == [c * inv % p for c in g]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def roots_by_splitting(f: list[int], p: int) -> list[int]:
+    """Sorted roots of f mod p in any degree, as the library found them
+    before poly_roots_mod took degree 2 at most.
+
+    When p <= deg f the roots are the residues 0..p-1 at which f vanishes,
+    found by evaluating f at each of them.  Otherwise a quadratic goes
+    through the quadratic formula, and anything else reads the roots off
+    the linear factors of gcd(f, x^p - x), which _split_linear separates.
+    """
+    if not is_prime(p):
+        raise ValueError("roots_by_splitting needs a prime modulus")
+    fp = polp_trim(f, p)
+    if not fp:
+        raise ValueError("polynomial vanishes mod p")
+    if p < len(fp):
+        return [x for x in range(p) if not poly_eval(fp, x) % p]
+    if len(fp) == 3:
+        return _roots_quadratic(fp, p)
+    return sorted(-h[0] % p for h in _split_linear(_frobenius_gcd(fp, p, 1), p))
+
+
+def _split_linear(g: list[int], p: int) -> list[list[int]]:
+    """The monic linear factors of g, a monic product of distinct linear
+    factors mod p, where p is odd or g has degree at most 1.
+
+    Cantor-Zassenhaus in degree 1: the probe x + c splits a part h along
+    gcd(h, (x + c)^((p-1)/2) - 1), the product of its x - r with r + c a
+    nonzero square.  The nonzero squares mod an odd p are no translate of
+    themselves, so some c in 0..p-1 separates any two roots, and the loop
+    over c = 0, 1, ... ends.
+    """
+    parts, c = [g] if len(g) > 1 else [], 0
+    while any(len(h) > 2 for h in parts):
+        split = []
+        for h in parts:
+            if len(h) > 2:
+                s = polp_powmod([c, 1], (p - 1) // 2, h, p) or [0]
+                s[0] -= 1
+                a = polp_gcd(h, s, p)
+                if 1 < len(a) < len(h):
+                    split += [a, polp_divmod(h, a, p)[0]]
+                    continue
+            split.append(h)
+        parts, c = split, c + 1
+    return parts
 
 
 def _split_equal_degree(h: list[int], d: int, p: int) -> list[list[int]]:

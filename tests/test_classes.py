@@ -92,8 +92,8 @@ RECORDS = [
     (NormMapCondition, ("inj_iso", "h_F", "h_E", "odd_equal"), (True, 3, 3, True)),
     (
         LadderData,
-        ("D0", "cf", "U", "step", "G", "cross", "outer"),
-        (LAD.D0, LAD.cf, LAD.U, LAD.step, LAD.G, LAD.cross, LAD.outer),
+        ("D0", "cf", "U", "step", "G", "C"),
+        (LAD.D0, LAD.cf, LAD.U, LAD.step, LAD.G, LAD.C),
     ),
     (IdealFactorization, ("factors",), (((OrderIdeal(O, O.module), 1),),)),
     (

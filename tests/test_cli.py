@@ -466,6 +466,31 @@ def test_criterion_cox_rejects_a_poly_that_vanishes_mod_p(tmp_path, capsys):
     assert captured.err == "error: polynomial vanishes mod p\n"
 
 
+@pytest.mark.parametrize(
+    "theorem,p,d,n,coeffs",
+    [
+        # -1 is no square mod 7: the residue symbol alone would say unsolvable
+        ("cox", "7", "0", "1", "7\n7\n"),
+        # 101 is inert in Q(sqrt(-59)) and 1 + w has norm 17; a linear
+        # polynomial has disc 1, so the disc test passes
+        ("quadr", "101", "59", "2", "101\n101\n"),
+        ("quadr", "1+1*w", "59", "2", "17\n17\n"),
+        # the disc of 17 + 17x^2 is divisible by 17: rejected all the same
+        ("quadr", "1+1*w", "59", "2", "17\n0\n17\n"),
+    ],
+    ids=["cox-7-nonresidue", "quadr-101-linear", "quadr-17-linear", "quadr-17-quadratic"],
+)
+def test_criterion_rejects_a_poly_that_vanishes_mod_p_whatever_the_residue(
+    tmp_path, capsys, theorem, p, d, n, coeffs
+):
+    poly = tmp_path / "vanishing.txt"
+    poly.write_text(coeffs)
+    code = cli.main(["criterion", theorem, p, d, n, "--poly", str(poly)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: polynomial vanishes mod p\n"
+
+
 # a degree-8 and a degree-20 class polynomial stand-in, constant term first
 DEG8 = [1, 2, 0, 1, 0, -1, 0, 3, 1]
 DEG20 = [5, 0, -1, 0, 0, 0, 0, 3, 0, 0, 0, 2] + [0] * 8 + [1]

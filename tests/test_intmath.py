@@ -28,7 +28,14 @@ from nforders.intmath import (
 )
 from nforders.intmath import _roots_quadratic
 from nforders.quadratic import QuadElem, QuadField
-from oracles import from_integral_coords, poly_mul, polp_factor, primes_upto, sqrt_lb
+from oracles import (
+    from_integral_coords,
+    poly_mul,
+    polp_factor,
+    primes_upto,
+    roots_by_splitting,
+    sqrt_lb,
+)
 
 
 # independent oracles, deliberately dumber than the implementations
@@ -390,7 +397,9 @@ def test_discriminant_of_products_picks_up_square_factor():
 
 def test_poly_roots_mod_scan_path():
     f = [-1, 2, 0, 1]
-    roots = poly_roots_mod(f, 17)
+    roots = roots_by_splitting(f, 17)
+    with pytest.raises(ValueError):
+        poly_roots_mod(f, 17)
     assert 12 in roots
     assert all(poly_eval(f, r) % 17 == 0 for r in roots)
     assert poly_roots_mod([1, 0, 1], 5) == [2, 3]
@@ -399,15 +408,22 @@ def test_poly_roots_mod_scan_path():
 
 
 def test_poly_roots_mod_paths_agree():
-    # the linear factors of gcd(f, x^p - x) against the scan, in degrees
-    # the quadratic formula does not take, and p = 2 in every degree
+    # the linear factors of gcd(f, x^p - x) (the oracle roots_by_splitting)
+    # against the scan, in degrees the quadratic formula does not take, and
+    # p = 2 in every degree; poly_roots_mod agrees in degrees 1 and 2 and
+    # refuses the rest
     rng = random.Random(7)
     ps = [p for p in primes_upto(300)] + [1009, 7919]
     for _ in range(160):
         p = rng.choice(ps)
         d = rng.choice([1, 2, 3, 4, 5, 6, 8]) if p == 2 else rng.choice([1, 3, 4, 5, 7])
         f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
-        assert poly_roots_mod(f, p) == roots_by_scan(f, p), (f, p)
+        assert roots_by_splitting(f, p) == roots_by_scan(f, p), (f, p)
+        if d <= 2:
+            assert poly_roots_mod(f, p) == roots_by_scan(f, p), (f, p)
+        else:
+            with pytest.raises(ValueError):
+                poly_roots_mod(f, p)
 
 
 def test_polp_factor_linear_factors_in_degrees_at_least_p():
@@ -425,7 +441,7 @@ def test_polp_factor_linear_factors_in_degrees_at_least_p():
                 f = poly_mul(f, [-r, 1])
             linear = sorted(-q[0] % p for q, _ in polp_factor(f, p) if len(q) == 2)
             assert linear == roots_by_scan(f, p), (f, p)
-            assert poly_roots_mod(f, p) == linear, (f, p)
+            assert roots_by_splitting(f, p) == linear, (f, p)
 
 
 def test_poly_roots_mod_quadratic_path():
@@ -450,11 +466,35 @@ def test_poly_roots_mod_quadratic_path():
     assert poly_roots_mod([-2, 0, 1], 2) == [0]
 
 
+def test_poly_roots_mod_takes_degree_at_most_2():
+    # one inverse for a linear f, the scan at p = 2, and the degree read mod
+    # p: a cubic whose leading coefficient p divides is a quadratic there.
+    # Degree 3 and up, a polynomial that vanishes mod p and a composite
+    # modulus raise ValueError
+    rng = random.Random(42)
+    for p in primes_upto(200) + [10**9 + 7]:
+        for _ in range(5):
+            f = [rng.randrange(p), rng.randrange(1, p)]
+            assert poly_roots_mod(f, p) == roots_by_splitting(f, p), (f, p)
+    for f in iter_product(range(2), range(2), range(2)):
+        f = list(f)
+        if any(f):
+            assert poly_roots_mod(f, 2) == roots_by_scan(f, 2), f
+    assert poly_roots_mod([3, 0, 0, 7], 7) == []
+    assert poly_roots_mod([1, 0, -1, 7], 7) == [1, 6]
+    for f, p in (([1, 0, 0, 1], 5), ([1, 1, 1, 1, 1], 2), ([5, 5], 5), ([1, 1], 9)):
+        with pytest.raises(ValueError):
+            poly_roots_mod(f, p)
+
+
 def test_poly_roots_mod_large_prime():
     p = 10**9 + 7
     # (x - 3)(x - 5)(x - 11) expanded
     f = poly_mul(poly_mul([-3, 1], [-5, 1]), [-11, 1])
-    assert poly_roots_mod(f, p) == [3, 5, 11]
+    assert roots_by_splitting(f, p) == [3, 5, 11]
+    with pytest.raises(ValueError):
+        poly_roots_mod(f, p)
+    assert poly_roots_mod([-3, 1], p) == [3]
     # p = 3 mod 4, so x^2 + 1 stays irreducible
     assert poly_roots_mod([1, 0, 1], p) == []
     q = 999999937  # prime, 1 mod 4
@@ -557,9 +597,11 @@ def test_poly_roots_mod_many_linear_factors():
     f = [1, 0, 1]
     for r in roots + roots[:1]:
         f = poly_mul(f, [-r, 1])
-    assert poly_roots_mod(f, p) == roots
+    assert roots_by_splitting(f, p) == roots
+    with pytest.raises(ValueError):
+        poly_roots_mod(f, p)
     assert has_root_mod(f, p) is True
-    assert poly_roots_mod(poly_mul([1, 0, 1], [1, 0, 1]), p) == []
+    assert roots_by_splitting(poly_mul([1, 0, 1], [1, 0, 1]), p) == []
 
 
 def test_polp_factor_known():

@@ -11,6 +11,7 @@ search of every centred window it replaced."""
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
 from math import floor, isqrt, lcm
 
 import pytest
@@ -225,6 +226,11 @@ def form_value(g, v) -> Fraction:
     )
 
 
+def matrix_product(A, B) -> list:
+    """A B of two matrices of Fractions or ints, entry by entry."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 def oracle_pick(field, coords_list, g):
     best = best_key = None
     for coords in coords_list:
@@ -365,9 +371,12 @@ def random_modules(rng, field, count):
 
 
 def ladder(field, module):
-    """_unit_ladder's result in oracle_unit_ladder's terms: (D0, m, gammas)."""
-    lad, m, gammas = _unit_ladder(field, module)
-    return lad.D0, m, gammas
+    """_unit_ladder's result in oracle_unit_ladder's terms: (D0, m, gammas),
+    m = T / step and gammas the convergents 1, gamma_1, ..., gamma_T."""
+    lad, T = _unit_ladder(field, module)
+    m, r = divmod(T, lad.step)
+    assert r == 0 and m >= 1
+    return lad.D0, m, [(1, 0)] + list(cf_convergents(lad.cf, T))
 
 
 def outcome(fn, *args):
@@ -387,17 +396,20 @@ def test_window_grams_equal_fraction_products(field):
     modules = [identity_module(field)] + random_modules(rng, field, 6)
     seen = set()
     windows = []
+    lad = ladder_data(field)
     for module in modules:
         try:
-            _, m, gammas = _unit_ladder(field, module)
+            _, m, gammas = ladder(field, module)
         except UnsupportedFieldError:
             continue
         seen.add(m)
         windows.append(len(gammas) - 1)
-        for h, k in gammas[:-1]:
-            want = oracle_twisted_gram(field, h, k)
-            got = _twisted_gram(ladder_data(field), h, k)
-            assert got == want
+        # the rung balls' weights (p, hk) give the Gram of each rung's twist
+        balls = _ladder_windows(lad, len(gammas) - 1)[1]
+        assert len(balls) == len(gammas) - 1
+        for (h, k), (w, _) in zip(gammas, balls):
+            assert w == (h * h + lad.D0 * k * k, h * k)
+            assert _twisted_gram(lad, *w) == oracle_twisted_gram(field, h, k)
     # more than one power of the ladder unit, and windows over two periods
     assert len(seen) > 1
     assert max(windows) >= 2 * period_length(field)
@@ -460,8 +472,14 @@ def test_ladder_data_is_integral():
         sq = field.from_real_quadratic(0, 1)
         assert [list(r) for r in lad.U] == [list(r) for r in mult_matrix(field, unit)]
         assert sq * sq == field.from_real_quadratic(lad.D0, 0)
-        assert all(type(x) is int for M in (lad.G, lad.cross, lad.outer, lad.U)
+        assert all(type(x) is int for M in (lad.G, lad.C, lad.U)
                    for row in M for x in row)
+        # C = S G + G S^t, S the matrix of sqrt(D0), in Fractions
+        assert lad.G == field.t2_gram_matrix()
+        SG = matrix_product(mult_matrix(field, sq), lad.G)
+        assert [list(r) for r in lad.C] == [
+            [SG[i][j] + SG[j][i] for j in range(4)] for i in range(4)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +495,7 @@ def test_midpoint_unit_is_a_square_root_of_minus_eps_inverse(field):
     lad = ladder_data(field)
     mid, v = oracle_midpoint_unit(field)
     assert mid == len(lad.cf.period) // 2 == lad.step
-    assert len(_unit_ladder(field, identity_module(field))[2]) == mid + 1
+    assert _unit_ladder(field, identity_module(field))[1] == mid
     # v and v^-1 are integral: v is a unit of O_E
     assert all(c.denominator == 1 for c in v.coords)
     assert all(c.denominator == 1 for c in v.inverse().coords)
@@ -501,13 +519,13 @@ def test_no_midpoint_unit_on_23_5():
     assert lad.step == len(lad.cf.period) == 10
     E = mult_matrix(E235, fundamental_unit(E235))
     assert [list(r) for r in lad.U] == [list(r) for r in E]
-    assert len(_unit_ladder(E235, identity_module(E235))[2]) - 1 == 10
+    assert _unit_ladder(E235, identity_module(E235))[1] == 10
 
 
 def ladder_size(module) -> int:
     """The number of centred windows of the module's ladder."""
-    lad, _, gammas = _unit_ladder(module.ambient, module)
-    return len(_ladder_windows(lad, len(gammas) - 1)[0])
+    lad, T = _unit_ladder(module.ambient, module)
+    return len(_ladder_windows(lad, T)[0])
 
 
 def test_represent_pool_runs_half_a_period(monkeypatch, pool):
@@ -537,7 +555,7 @@ def test_find_generator_matches_oracle_on_23_5_and_71_2():
     # (23, 5) has no midpoint unit and runs the full period; (71, 2) runs
     # half of it
     calls = represent_calls(((23, 5), (71, 2)))
-    halves = {c[0].ambient: len(_unit_ladder(c[0].ambient, c[0])[2]) - 1 for c in calls}
+    halves = {c[0].ambient: _unit_ladder(c[0].ambient, c[0])[1] for c in calls}
     assert halves == {integral_basis(23, 5): 10, integral_basis(71, 2): 2}
     found = 0
     for module, norm in calls:
@@ -548,6 +566,22 @@ def test_find_generator_matches_oracle_on_23_5_and_71_2():
 
 
 LADDER_FIELDS = FIELDS + MIDPOINT_FIELDS[2:] + (integral_basis(23, 5),)
+E715 = integral_basis(
+    7, 15, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=11025
+)
+
+
+@pytest.mark.parametrize(
+    "field", LADDER_FIELDS + (integral_basis(183, 1), E715), ids=repr
+)
+def test_outer_gram_is_d0_times_g(field):
+    # S G S^t = D0 G, S the matrix of sqrt(D0): T2(x*sqrt(D0)) = D0 T2(x),
+    # as sqrt(D0) is real; so a twist needs only G and C = S G + G S^t
+    D0 = field.real_subfield_data()[0]
+    S = mult_matrix(field, field.from_real_quadratic(0, 1))
+    G = field.t2_gram_matrix()
+    SGSt = matrix_product(matrix_product(S, G), list(zip(*S)))
+    assert SGSt == [[D0 * x for x in row] for row in G]
 
 
 @pytest.fixture(scope="module")
@@ -561,7 +595,7 @@ def ladder_modules():
         for module in random_modules(rng, field, 48):
             full = outcome(oracle_ladder, field, module)
             if full != "unsupported":
-                out.append((module, _unit_ladder(field, module)[1:], full[2]))
+                out.append((module, ladder(field, module)[1:], full[2]))
     assert len({module.ambient for module, _, _ in out}) == 8
     return out
 
@@ -628,7 +662,7 @@ def test_find_generator_matches_oracle_on_e37_modules():
         if outcome(_unit_ladder, E37, module) == "unsupported":
             continue
         is_half = oracle_unit_ladder(E37, module)[2] != oracle_ladder(E37, module)[2]
-        assert is_half == (len(_unit_ladder(E37, module)[2]) - 1 == 3)
+        assert is_half == (_unit_ladder(E37, module)[1] == 3)
         short = enumerate_by_t2(lll_reduce(module, G), 12)[:3]
         norms = {module.covolume()} | {
             E37.from_basis_coords([Fraction(c, module.den) for c in u]).norm()
@@ -704,10 +738,10 @@ def walk_order(module) -> tuple:
     """The indices, in l order, of the module's centred windows on each
     side of the walk: from the stretch that ends at lam = 0 rightward,
     then leftward from the one before it."""
-    lad, _, gammas = _unit_ladder(module.ambient, module)
+    D0, _, gammas = ladder(module.ambient, module)
     if len(gammas) == 2:
         return [0], []
-    stretches = _stretches(lad.D0, gammas)
+    stretches = _stretches(D0, gammas)
     centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
     return list(range(centre, len(stretches))), list(range(centre - 1, -1, -1))
 
@@ -725,9 +759,9 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
         alpha, windows = ladder_windows(monkeypatch, module, norm)
         keep = _norm_filter(module, norm)
         balls = rung_balls(module, norm)
-        lad, _, gammas = _unit_ladder(module.ambient, module)
-        grams, _, (_, left), _ = _ladder_windows(lad, len(gammas) - 1)
-        left = {grams[i][0] for i in left}
+        lad, T = _unit_ladder(module.ambient, module)
+        twists, _, (_, left), _ = _ladder_windows(lad, T)
+        left = {_twisted_gram(lad, *twists[i][0]) for i in left}
         first_left = next((i for i, w in enumerate(windows) if w[1] in left), None)
         lefts += first_left is not None
         cands = []
@@ -794,6 +828,49 @@ def test_one_ladder_lookup_per_search(monkeypatch, pool):
     monkeypatch.setattr(lattice, "ladder_data", count)
     lattice.find_generator(module, norm)
     assert lookups == [E59]
+
+
+def test_a_warm_ladder_builds_no_convergent(monkeypatch, pool):
+    # once a field's ladder and windows are cached, a search reads them:
+    # _unit_ladder returns T, and builds no list of convergents
+    want = [find_generator(module, norm) for module, norm in pool]
+    calls = []
+    convergents = lattice.cf_convergents
+
+    def count(*args):
+        calls.append(args)
+        return convergents(*args)
+
+    monkeypatch.setattr(lattice, "cf_convergents", count)
+    assert [lattice.find_generator(module, norm) for module, norm in pool] == want
+    assert calls == []
+
+
+def test_rung_test_on_t_and_c_is_the_fraction_balls_test(pool):
+    # find_generator keeps a norm-N point u of a window when p t - hk c <= B
+    # for the weights (p, hk) and budget B of some rung, t = u G u^t and c =
+    # u C u^t: rung by rung, that is the Fraction ladder's twisted Gram
+    # value and its floored ball, so the same points are kept.  The
+    # represent pool keeps every point; x = 57 - 5*sqrt(115) on (23, 5)
+    # lies in a window but in no rung's ball
+    E235 = integral_basis(23, 5)
+    x = E235.from_real_quadratic(57, -5)
+    kept = dropped = 0
+    for module, norm in pool + [(identity_module(E235).transform(x), x.norm())]:
+        lad, T = _unit_ladder(module.ambient, module)
+        balls = _ladder_windows(lad, T)[1]
+        fraction_balls = rung_balls(module, norm)
+        assert len(balls) == len(fraction_balls) == T
+        for u in chain.from_iterable(full_ladder_points(module, norm)):
+            t, c = form_value(lad.G, u), form_value(lad.C, u)
+            inside = []
+            for ((p, hk), rho), (g, B) in zip(balls, fraction_balls):
+                assert p * t - hk * c == form_value(g, u)
+                assert _budget(rho, Fraction(norm), module.den) == B
+                inside.append(p * t - hk * c <= B)
+            kept += any(inside)
+            dropped += not any(inside)
+    assert kept > 40 and dropped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +963,7 @@ def check_stretches(field, T) -> str:
     assert T <= len(windows) <= T + 1
     if T == 1:
         assert len(windows) == 1
-        assert windows[0][0] == tuple(map(tuple, field.t2_gram_matrix()))
+        assert _twisted_gram(lad, *windows[0][0]) == tuple(map(tuple, field.t2_gram_matrix()))
         return "one"
     D0 = lad.D0
     ls = [oracle_l(g, D0) for g in gammas]
@@ -896,10 +973,10 @@ def check_stretches(field, T) -> str:
     assert len(stretches) == len(windows)
     for (_, _, eb), (_, ea, _) in zip(stretches, stretches[1:]):
         assert eb == ea
-    for (c, ea, eb), (g, _) in zip(stretches, windows):
+    for (c, ea, eb), (w, _) in zip(stretches, windows):
         la, lc, lb = oracle_l(ea, D0), oracle_l(c, D0), oracle_l(eb, D0)
         assert la < lb and la <= lc <= lb
-        assert g == oracle_twisted_gram(field, *c)
+        assert _twisted_gram(lad, *w) == oracle_twisted_gram(field, *c)
     first, last = oracle_l(stretches[0][1], D0), oracle_l(stretches[-1][2], D0)
     tol = Decimal(10) ** -40
     assert abs(first - L) < tol
@@ -968,7 +1045,8 @@ def test_rung_balls_keep_the_pick_past_l():
     # last stretch: find_generator drops x, as the Fraction ladder never
     # sees it, and returns the translate, though x has the smaller T2
     E235 = integral_basis(23, 5)
-    lad, _, gammas = _unit_ladder(E235, identity_module(E235))
+    lad, T = _unit_ladder(E235, identity_module(E235))
+    gammas = ladder(E235, identity_module(E235))[2]
     x = E235.from_real_quadratic(57, -5)
     with localcontext() as ctx:
         ctx.prec = 100
@@ -976,8 +1054,8 @@ def test_rung_balls_keep_the_pick_past_l():
         assert oracle_l((57, -5), lad.D0) < oracle_l(low, lad.D0)
     module = identity_module(E235).transform(x)
     norm = x.norm()
-    g, rho = _ladder_windows(lad, len(gammas) - 1)[0][0]
-    assert form_value(g, x.coords) <= _budget(rho, norm, module.den)
+    w, rho = _ladder_windows(lad, T)[0][0]
+    assert form_value(_twisted_gram(lad, *w), x.coords) <= _budget(rho, norm, module.den)
     got = find_generator(module, norm)
     assert got == oracle_find_generator(module, norm)
     assert t2(E235, got) > t2(E235, x)
@@ -1120,8 +1198,7 @@ def test_every_point_of_a_window_is_past_its_reach(early_pool):
     points = tight = 0
     for module, norm in early_pool:
         field = module.ambient
-        lad, _, gammas = _unit_ladder(field, module)
-        T = len(gammas) - 1
+        lad, T = _unit_ladder(field, module)
         walk = _ladder_windows(lad, T)[2]
         assert walk == tuple(map(tuple, walk_order(module)))
         least = {}
@@ -1171,7 +1248,7 @@ def test_a_window_reach_is_attained(field):
     checked = 0
     with localcontext() as ctx:
         ctx.prec = 200
-        for (c, ea, eb), (g, rho), reach in zip(
+        for (c, ea, eb), (w, rho), reach in zip(
             _stretches(D0, gammas), windows, exact_reaches(field, T)
         ):
             if reach == 1:
@@ -1183,6 +1260,6 @@ def test_a_window_reach_is_attained(field):
             assert x.den == 1
             norm = x.norm()
             assert form_value(G, x.u) ** 2 == 16 * norm * reach**2
-            assert form_value(g, x.u) <= _budget(rho, norm, 1)
+            assert form_value(_twisted_gram(lad, *w), x.u) <= _budget(rho, norm, 1)
             checked += 1
     assert checked >= 2
