@@ -11,7 +11,6 @@ inapplicable case never masquerades as a negative one.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -29,14 +28,14 @@ from .intmath import (
     jacobi,
     poly_discriminant,
     poly_eval,
+    poly_trim,
     sqrt_mod,
 )
 from .lattice import IntModule, UnsupportedFieldError, find_generator
 from .quadratic import (
     QuadElem,
     QuadField,
-    cf_convergents,
-    cf_sqrt,
+    pell_data,
     principal_representation,
     split_kind,
     split_prime,
@@ -129,8 +128,8 @@ def cox_criterion(p: int, n: int, f_n) -> CriterionReport:
     """Root test for p = x^2 + n*y^2 over Z: p is representable iff -n is a
     residue mod p and the supplied class polynomial has a root mod p.  A
     positive verdict is cross-checked against cornacchia and the found
-    pair is attached.  A polynomial that vanishes mod p raises ValueError,
-    whatever the residue symbol."""
+    pair is attached.  A polynomial or a leading coefficient that vanishes
+    mod p raises ValueError, whatever the residue symbol."""
     if n <= 0:
         raise ValueError("n must be positive, got %d" % n)
     if p == 2 or not is_prime(p):
@@ -140,6 +139,8 @@ def cox_criterion(p: int, n: int, f_n) -> CriterionReport:
     # no class polynomial mod p
     if not any(c % p for c in f_n):
         raise ValueError("polynomial vanishes mod p")
+    if poly_trim(f_n)[-1] % p == 0:
+        raise ValueError("leading coefficient vanishes mod p")
     hyps = [("p_coprime_to_n", n % p != 0, "n = %d" % n)]
     if hyps[0][1]:
         d = poly_discriminant(f_n)
@@ -162,7 +163,7 @@ def cox_criterion(p: int, n: int, f_n) -> CriterionReport:
 # the coordinate bound of unit_witness's search for n in {1, 3}
 _WITNESS_BOX = 8
 
-# the most convergents of sqrt(dn) a witness is built from (7 s for 227,102)
+# the most convergents of sqrt(dn) a witness is built from (5 s for 227,102)
 _WITNESS_MAX_CONVERGENTS = 2**15
 
 
@@ -173,7 +174,7 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     x^2 - dn*y^2 = -1 gives alpha = x, beta = y*sqrt(-d); the unit
     equation d*u^2 - n*v^2 = 1 gives alpha = u*sqrt(-d), beta = v.  Both
     are decided exactly off one expansion of sqrt(dn), the first by the
-    last convergent of an odd period as in pell_solve.  For n not in {1, 3}
+    Pell unit of an odd period (pell_data).  For n not in {1, 3}
     nothing else exists, so None is a proof: w = alpha + beta*sqrt(-n) is
     a unit of relative norm -1 in the CM field E = F(sqrt(-n)), whose
     roots of unity are only +-1, so w/conj(w) = +-1 and w lies in K0 =
@@ -188,14 +189,14 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     if d <= 3:
         raise ValueError("needs d > 3, got %d" % d)
     F = QuadField(-d)
-    cf = cf_sqrt(d * n)
-    l = len(cf.period)
+    P = pell_data(d * n)
+    l = len(P.cf.period)
     if l % 2:
         if l > _WITNESS_MAX_CONVERGENTS:
             raise UnsupportedFieldError(_unit_detail(d, n, l - 1))
-        ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
+        x, y = P.unit
         return UnitWitness(F(x), F(0, y), n)
-    uv = _unit_equation_in(cf, d, n)
+    uv = _unit_equation(d, n)
     if type(uv) is int:
         raise UnsupportedFieldError(_unit_detail(d, n, uv))
     if uv is not None:
@@ -218,17 +219,12 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
 
 @lru_cache(maxsize=None)
 def _unit_equation(d: int, n: int):
-    """_unit_equation_in on the expansion of sqrt(dn), once per (d, n)."""
-    return _unit_equation_in(cf_sqrt(d * n), d, n)
-
-
-def _unit_equation_in(cf, d: int, n: int):
     """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
-    None; d, n squarefree, 1 < d != n and cf the expansion of sqrt(dn).
-    It is read off the norms N_k = h_k^2 - dn*q_k^2 of the first period
-    (CFExpansion.norms): the first k with N_k = d gives (h_k/d, q_k), with
-    N_k = -n (q_k, h_k/n).  With no such k there is no solution, and no
-    convergent is built.
+    None; d, n squarefree, 1 < d != n.  It reads one convergent g_k = h_k +
+    q_k*sqrt(dn) of pell_data(dn), of norm N_k (CFExpansion.norms): for an
+    even period l, k = l/2 - 1, and for an odd one k = l - 1, the Pell unit.
+    N_k = d gives (h_k/d, q_k), N_k = -n (q_k, h_k/n), and any other N_k
+    proves there is no solution.
 
     A match solves the equation: d | h_k^2 forces d | h_k, d squarefree,
     and N_k/d = 1; likewise for -n.  A solution gamma = u*sqrt(d) +
@@ -236,24 +232,31 @@ def _unit_equation_in(cf, d: int, n: int):
     norm -n, with h + q*sqrt(dn) = sqrt(d)*gamma and sqrt(n)*gamma; the
     one whose |norm| is m = min(d, n) < sqrt(dn) is a convergent
     (Lagrange; Niven, Zuckerman and Montgomery, section 7.8).  gamma^2 has
-    norm 1, so it is eta^k, eta the least unit of norm 1 of Z[sqrt(dn)].
-    k = 2j would make gamma = eta^j = x + y*sqrt(dn), and the rational
+    norm 1, so it is eta^e, eta the least unit of norm 1 of Z[sqrt(dn)].
+    e = 2j would make gamma = eta^j = x + y*sqrt(dn), and the rational
     parts of gamma^2 and eta^2j, with both norms 1, give d*u^2 = x^2,
-    which squarefree d > 1 forbids.  For k = 2j + 1, gamma*eta^-j =
+    which squarefree d > 1 forbids.  For e = 2j + 1, gamma*eta^-j =
     (u*x - n*v*y)*sqrt(d) + (v*x - d*u*y)*sqrt(n) is a solution again and
     squares to eta.  So the solutions are gamma_0*eta^j, gamma_0 =
-    sqrt(eta), and as h_k + q_k*sqrt(dn) grows with k, the first match is
-    sqrt(m)*gamma_0, the least solution.  It lies in the first period:
-    sqrt(m*eta) < eta, the last convergent of an even period, as eta >
-    d + n; for an odd period eta = eps^2, eps the last convergent, so
-    gamma_0 = eps lies in Q(sqrt(dn)), which leaves n = 1 and the match eps.
-    A match k past _WITNESS_MAX_CONVERGENTS is not built: k is returned.
+    sqrt(eta).  Only k can match: f(t) = g_t^2/|N_t| = g_t/|g'_t| grows
+    strictly with t, as g_t grows and |g'_t| = |g'_(t-1)|/x_(t+1) falls
+    (PellData), and a match at t has g_t = sqrt(|N_t|)*gamma, so f(t) =
+    gamma^2 = eta^(2j+1).  f(k) = eta, the Pell unit for even l and its
+    square for odd l (PellData), so sqrt(m)*gamma_0 is g_k, and a match at
+    t < l has f(t) <= f(l - 1), eta^2 or eta: f(t) = eta and t = k.  No
+    convergent is built without a match, nor for a match past
+    _WITNESS_MAX_CONVERGENTS: then k is returned.
     """
-    k = next((k for k, N in enumerate(cf.norms) if N == d or N == -n), None)
-    if k is None or k >= _WITNESS_MAX_CONVERGENTS:
+    P = pell_data(d * n)
+    l = len(P.cf.period)
+    k = l - 1 if l % 2 else l // 2 - 1
+    N = P.cf.norms[k]
+    if N != d and N != -n:
+        return None
+    if k >= _WITNESS_MAX_CONVERGENTS:
         return k
-    ((h, q),) = deque(cf_convergents(cf, k + 1), maxlen=1)
-    u, v = (h // d, q) if cf.norms[k] == d else (q, h // n)
+    h, q = P.unit if l % 2 else P.mid
+    u, v = (h // d, q) if N == d else (q, h // n)
     assert d * u * u - n * v * v == 1
     return u, v
 
@@ -377,10 +380,13 @@ def criterion_quadr(p: QuadElem, d: int, n: int, g_n=None) -> CriterionReport:
     supplied class polynomial g_n has a root in O_F/pO_F.  The polynomial
     is an external input; without it the verdict stays unknown, and so it
     does past unit_witness's limits, where unit_witness_found is
-    undecided.  A polynomial that vanishes in O_F/pO_F raises ValueError."""
+    undecided.  A polynomial or a leading coefficient that vanishes in
+    O_F/pO_F raises ValueError."""
     F, q, deg, r = _prime_field(p, d)
     if g_n is not None and all(_divides(p, c) for c in g_n):
         raise ValueError("polynomial vanishes mod p")
+    if g_n is not None and _divides(p, poly_trim(g_n)[-1]):
+        raise ValueError("leading coefficient vanishes mod p")
     hyps = []
 
     def check(name, ok, detail=None):

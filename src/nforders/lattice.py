@@ -12,10 +12,9 @@ bounds.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations_with_replacement, islice, starmap
+from itertools import accumulate, chain, combinations_with_replacement, starmap
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
@@ -25,8 +24,8 @@ from .quadratic import (
     CFExpansion,
     UnsupportedFieldError,
     cf_convergents,
-    cf_sqrt,
     integer_rows,
+    pell_data,
     table_matrix,
 )
 
@@ -618,8 +617,8 @@ _LADDER_MAX_PERIODS = 64
 # the longest period of sqrt(D0) ladder_data takes.  The windows list up
 # to a period of convergents, whose digits grow with the period, so their
 # memory grows as its square: the period 454,206 of sqrt(200000000006) ran
-# out of memory, while 16,144 (sqrt(115344766)) still answers, in about two
-# minutes on a 2-vCPU machine
+# out of memory, while 16,144 (sqrt(115344766)) still answers, in about 70 s
+# on a 2-vCPU machine
 _LADDER_MAX_PERIOD = 2**14
 
 
@@ -640,36 +639,34 @@ class LadderData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def ladder_data(field) -> LadderData:
-    """The field's LadderData.  The period of `cf` has length l, and its
-    last convergent is the Pell unit eps = x0 + y0*sqrt(D0), the least
-    solution of x^2 - D0*y^2 = +-1 (Cohen, GTM 138, 5.7).  The ladder unit
-    is the midpoint unit v = conj(e)/sqrt(-c), with step mid, when l =
-    2*mid is even and the mid-th convergent e has |N(e)| = c in {d, n},
-    and v is checked integral with v^2 = -eps^-1; else it is eps, with
-    step l.  D0, G and C are the field's norm_forms.  A period past
+    """The field's LadderData, off pell_data(D0): `cf` has period l, and
+    the Pell unit eps = x0 + y0*sqrt(D0) is the least solution of x^2 -
+    D0*y^2 = +-1 (Cohen, GTM 138, 5.7).  The ladder unit is the midpoint
+    unit v = conj(e)/sqrt(-c), with step mid, when l = 2*mid is even and
+    the mid-th convergent e (PellData.mid) has |N(e)| = c in {d, n}, and v
+    is checked integral with v^2 = -eps^-1; else it is eps, with step l.
+    D0, G and C are the field's norm_forms.  A period past
     _LADDER_MAX_PERIOD raises UnsupportedFieldError before any convergent
     is built."""
     D0, G, C = field.norm_forms
-    cf = cf_sqrt(D0)
-    l = len(cf.period)
+    P = pell_data(D0)
+    l = len(P.cf.period)
     if l > _LADDER_MAX_PERIOD:
         raise UnsupportedFieldError(
             "the continued fraction of sqrt(%d) has period %d, past the ladder's "
             "limit %d" % (D0, l, _LADDER_MAX_PERIOD)
         )
-    gammas = cf_convergents(cf, l)  # kept: the mid-th and the last
-    mid = next(islice(gammas, l // 2 - 1, None)) if l % 2 == 0 else None
-    ((x0, y0),) = deque(gammas, maxlen=1)
+    x0, y0 = P.unit
     unit, step = field.from_real_quadratic(x0, y0), l
-    if mid is not None:
-        h, k = mid
+    if l % 2 == 0:
+        h, k = P.mid
         c = abs(h * h - D0 * k * k)
         if c in (field.d, field.n):
             v = field.from_real_quadratic(h, -k) * field.gens()[c == field.n] / -c
             if v.is_integral() and v * v == -field.from_real_quadratic(x0, -y0):
                 unit, step = v, l // 2
     U = tuple(map(tuple, table_matrix(field.mult_table, unit.u)))
-    return LadderData(D0, cf, U, step, G, C)
+    return LadderData(D0, P.cf, U, step, G, C)
 
 
 def _twisted_gram(lad: LadderData, p: int, hk: int) -> tuple:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain, cycle, islice
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
@@ -533,22 +534,51 @@ def cf_sqrt(D: int) -> CFExpansion:
 def cf_convergents(cf: CFExpansion, count: int):
     """Yield the first `count` convergents (h_k, q_k) of the expansion cf,
     h_k = a_k*h_(k-1) + h_(k-2) and likewise q_k."""
-
-    def quotients():
-        yield cf.a0
-        while True:
-            yield from cf.period
-
-    h1, h2 = 1, 0  # h_{k-1}, h_{k-2}
-    q1, q2 = 0, 1
-    gen = quotients()
-    for _ in range(count):
-        a = next(gen)
-        h = a * h1 + h2
-        q = a * q1 + q2
+    h, h2, q, q2 = 1, 0, 0, 1  # h_(k-1), h_(k-2), q_(k-1), q_(k-2)
+    for a in islice(chain((cf.a0,), cycle(cf.period)), count):
+        h, h2, q, q2 = a * h + h2, h, a * q + q2, q
         yield h, q
-        h2, h1 = h1, h
-        q2, q1 = q1, q
+
+
+class PellData:
+    """The expansion `cf` of sqrt(D) and, read off its first ceil(l/2)
+    convergents g_k = h_k + q_k*sqrt(D), l the period and s = l//2: `mid`,
+    g_(s-1) (g_-1 = 1), and `unit`, the Pell unit eps = g_(l-1), the least
+    unit above 1 of Z[sqrt(D)], of norm (-1)^l (Cohen, GTM 138, 5.7).  Both
+    are (h, q) pairs, walked on the first read, after a caller's limit on l.
+
+    With ' the conjugate and x_k = (P_k + sqrt(D))/Q_k the complete
+    quotients of cf_sqrt, x_k = -g'_(k-2)/g'_(k-1) (g_-2 = sqrt(D)), so x_1
+    ... x_k = (-1)^k/g'_(k-1) = g_(k-1)/Q_k, and the symmetric period,
+    Q_(l-k) = Q_k and P_(l+1-k) = P_k (Perron, Die Lehre von den
+    Kettenbrüchen, section 24), gives x_(l+1-k) = -1/x'_k, as D - P_k^2 =
+    Q_k Q_(k-1).  So eps = x_1 ... x_l (Q_l = 1), whose last s factors are
+    (-1)^s/(x_1 ... x_s)' = (-1)^s Q_s/g'_(s-1): for l = 2s, eps =
+    (g_(s-1)/Q_s) (-1)^s Q_s/g'_(s-1) = g_(s-1)^2/|N(g_(s-1))|, and for l =
+    2s + 1, eps = (g_s/Q_(s+1)) (-1)^s Q_s/g'_(s-1) = g_(s-1) g_s/|N(g_(s-1))|,
+    as Q_(s+1) = Q_s.  Each division is checked exact, and the unit's norm.
+    """
+
+    def __init__(self, D: int):
+        self.cf = cf_sqrt(D)
+
+    @cached_property
+    def _half(self) -> tuple:
+        """(mid, unit)."""
+        D, l = self.cf.D, len(self.cf.period)
+        last = deque(chain([(1, 0)], cf_convergents(self.cf, (l + 1) // 2)), maxlen=2)
+        (h, q), (h2, q2) = last if l % 2 else (last[-1],) * 2
+        c = abs(h * h - D * q * q)
+        x, rx = divmod(h * h2 + D * q * q2, c)
+        y, ry = divmod(h * q2 + h2 * q, c)
+        assert rx == ry == 0 and x * x - D * y * y == (-1) ** l
+        return (h, q), (x, y)
+
+    mid = property(lambda self: self._half[0])
+    unit = property(lambda self: self._half[1])
+
+
+pell_data = lru_cache(maxsize=None)(PellData)  # one PellData per D
 
 
 class PellSolution:
@@ -570,21 +600,17 @@ class PellSolution:
 def pell_solve(D: int, N: int) -> PellSolution | None:
     """The least positive solution of x^2 - D y^2 = N for N = +-1, or None.
 
-    The last convergent h/k of the first period of sqrt(D) gives the
-    fundamental unit h + k*sqrt(D) of Z[sqrt(D)], of norm (-1)^l for l the
-    period length (Cohen, GTM 138, 5.7).  So N = -1 is solvable exactly
-    when l is odd, and N = +1 is solved by that unit, or by its square when
-    l is odd.  Other N raise ValueError.
+    The Pell unit of pell_data has norm (-1)^l, l the period of sqrt(D), so
+    N = -1 is solvable exactly when l is odd, and N = +1 is solved by that
+    unit, or by its square when l is odd.  Other N raise ValueError.
     """
     if N not in (1, -1):
         raise ValueError("pell_solve decides N = +-1 only, got %d" % N)
-    cf = cf_sqrt(D)  # ValueError unless D is a positive nonsquare
-    l = len(cf.period)
+    P = pell_data(D)  # ValueError unless D is a positive nonsquare
+    l = len(P.cf.period)
     if l % 2 == 0 and N == -1:
         return None
-    # only the last convergent is kept: the k-th has about k*log(a0) bits
-    ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
-    assert x * x - D * y * y == (-1) ** l
+    x, y = P.unit
     if l % 2 and N == 1:
         x, y = x * x + D * y * y, 2 * x * y
     return PellSolution(D, N, x, y)

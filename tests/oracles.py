@@ -11,7 +11,10 @@ reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `sqrt_lb`, `unit_equation_scan` and `witness_box` are helpers that nothing
 in the library calls.  `unit_equation_by_pell_unit` is the closed form the
 unit equation was decided by before it was read off the norms of one
-period of sqrt(dn).  `residue_unit_count` is the prime-contraction count of
+period of sqrt(dn), and `unit_equation_by_norm_scan` that scan of the
+norms, before only the midpoint was read.  `pell_unit_by_full_period` is
+the walk over a whole period of sqrt(D) that `pell_solve` and the window
+ladder ran before the Pell unit was read off half of it.  `residue_unit_count` is the prime-contraction count of
 #(o/f)^x for any ideal f of any order, which the Picard formula ran twice
 per order before it read both counts off the index; it is the oracle for
 the closed forms of `QuadField.residue_unit_counts`.
@@ -53,6 +56,7 @@ Cantor-Zassenhaus factorization mod p that the root tests of the library
 ran before they took one gcd with x^(p^k) - x.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,6 +75,7 @@ from nforders.biquadratic import (
     ideal_of_elements,
     residue_degree,
 )
+from nforders import criteria
 from nforders.criteria import _divides, verify_identity
 from nforders.intmath import (
     _SQRT_SCALE,
@@ -128,6 +133,8 @@ from nforders.quadratic import (
     BinaryForm,
     QuadElem,
     QuadField,
+    cf_convergents,
+    cf_sqrt,
     integer_coords,
     integer_rows,
     pell_solve,
@@ -561,6 +568,34 @@ def unit_equation_by_pell_unit(d: int, n: int):
     if ru or rv or u * u != u2 or v * v != v2:
         return None
     return u, v
+
+
+def unit_equation_by_norm_scan(d: int, n: int):
+    """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
+    None, off the norms N_k = h_k^2 - dn*q_k^2 of the first period of
+    sqrt(dn): the first k with N_k = d gives (h_k/d, q_k), with N_k = -n
+    (q_k, h_k/n).  A match k past criteria._WITNESS_MAX_CONVERGENTS is not
+    built: k is returned."""
+    cf = cf_sqrt(d * n)
+    k = next((k for k, N in enumerate(cf.norms) if N == d or N == -n), None)
+    if k is None or k >= criteria._WITNESS_MAX_CONVERGENTS:
+        return k
+    ((h, q),) = deque(cf_convergents(cf, k + 1), maxlen=1)
+    u, v = (h // d, q) if cf.norms[k] == d else (q, h // n)
+    assert d * u * u - n * v * v == 1
+    return u, v
+
+
+def pell_unit_by_full_period(D: int) -> tuple:
+    """(x, y) of the last convergent of the first period of sqrt(D), the
+    fundamental unit x + y*sqrt(D) of Z[sqrt(D)], of norm (-1)^l for l the
+    period length (Cohen, GTM 138, 5.7).  Only the last convergent is kept:
+    the k-th has about k*log(a0) bits."""
+    cf = cf_sqrt(D)
+    l = len(cf.period)
+    ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
+    assert x * x - D * y * y == (-1) ** l
+    return x, y
 
 
 def witness_box(d: int, n: int, box: int):

@@ -491,6 +491,40 @@ def test_criterion_rejects_a_poly_that_vanishes_mod_p_whatever_the_residue(
     assert captured.err == "error: polynomial vanishes mod p\n"
 
 
+@pytest.mark.parametrize(
+    "theorem,p,d,n,coeffs",
+    [
+        # 1 + 5x is the constant 1 mod 5, though 5 = 1^2 + 1*2^2
+        ("cox", "5", "0", "1", "1\n5\n"),
+        # 1 + 101x is the constant 1 mod the inert 101
+        ("quadr", "101", "59", "2", "1\n101\n"),
+    ],
+    ids=["cox-5", "quadr-101"],
+)
+def test_criterion_rejects_a_poly_whose_leading_coefficient_vanishes_mod_p(
+    tmp_path, capsys, theorem, p, d, n, coeffs
+):
+    poly = tmp_path / "lead.txt"
+    poly.write_text(coeffs)
+    code = cli.main(["criterion", theorem, p, d, n, "--poly", str(poly)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: leading coefficient vanishes mod p\n"
+
+
+def test_criterion_reads_the_leading_coefficient_past_zero_top_terms(tmp_path, capsys):
+    # 1 + 2x + 0x^2 is the linear 1 + 2x, whose leading 2 is a unit mod 5
+    # and mod 101; its root 2 mod 5 makes 5 = 2^2 + 1^2 solvable
+    poly = tmp_path / "poly.txt"
+    poly.write_text("1\n2\n0\n")
+    code, doc = run_json(capsys, ["criterion", "cox", "5", "0", "1", "--poly", str(poly)])
+    assert (code, doc["verdict"], doc["representation"]) == (0, "solvable", [2, 1])
+    code, doc = run_json(
+        capsys, ["criterion", "quadr", "101", "59", "2", "--poly", str(poly)]
+    )
+    assert code == 0 and doc["applicable"]
+
+
 # a degree-8 and a degree-20 class polynomial stand-in, constant term first
 DEG8 = [1, 2, 0, 1, 0, -1, 0, 3, 1]
 DEG20 = [5, 0, -1, 0, 0, 0, 0, 3, 0, 0, 0, 2] + [0] * 8 + [1]
@@ -820,11 +854,16 @@ def test_parser_is_built_once():
 
 
 def in_process_run(capsys, argv):
-    """cli.main(argv) in this interpreter: (exit code, stdout, stderr)."""
+    """cli.main(argv) in this interpreter: (exit code, stdout, stderr).
+    The expansions of sqrt(D) that pell_data kept are dropped after, as a
+    CLI process drops them at exit: the period 454,206 of
+    sqrt(200000000006) holds 22 MB."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse's --help and usage errors
         code = exc.code
+    finally:
+        quadratic.pell_data.cache_clear()
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -954,6 +993,44 @@ def test_sweep_takes_the_poly_discriminant_once(capsys, monkeypatch):
     code, out = run(capsys, ["sweep", "59", "2", "--bound", "2000"])
     assert code == 0 and json.loads(out)["total"] == 96
     assert calls == [(-1, 2, 0, 1)]
+
+
+def test_sweep_expands_sqrt_118_once(capsys, monkeypatch):
+    # the window ladder, the unit equation and unit_witness read one
+    # expansion of sqrt(118), from cold caches, and no walk of its
+    # convergents asks for more than half the period of 10: the ladder of
+    # (59, 2) steps by the midpoint unit, and the Pell unit and the unit
+    # equation are read off the first 5 convergents
+    mods = [m for name, m in sys.modules.items() if name.startswith("nforders.")]
+    for mod in mods:
+        for obj in list(vars(mod).values()):
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    expansions, walks = [], []
+    cf_sqrt, cf_convergents = quadratic.cf_sqrt, quadratic.cf_convergents
+
+    def counted_sqrt(D):
+        expansions.append(D)
+        return cf_sqrt(D)
+
+    def counted_walk(cf, count):
+        walks.append((cf.D, count))
+        return cf_convergents(cf, count)
+
+    for mod in mods:
+        if hasattr(mod, "cf_sqrt"):
+            monkeypatch.setattr(mod, "cf_sqrt", counted_sqrt)
+        if hasattr(mod, "cf_convergents"):
+            monkeypatch.setattr(mod, "cf_convergents", counted_walk)
+    code, out = run(capsys, ["sweep", "59", "2", "--bound", "2000"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "38747332aee597c401b7e20573978d346e4dd4c233dc8cdce92388f6532fcdcb"
+    )
+    assert expansions == [118]
+    assert walks and {D for D, _ in walks} == {118}
+    assert max(count for _, count in walks) == 5, walks
 
 
 def test_represent_past_the_ladder_cap_exits_3(capsys):

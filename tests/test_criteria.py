@@ -32,6 +32,7 @@ from oracles import (
     brute_force_represent,
     from_integral_coords,
     primes_upto,
+    unit_equation_by_norm_scan,
     unit_equation_by_pell_unit,
     unit_equation_scan,
     witness_box,
@@ -274,8 +275,9 @@ def test_unit_equation_past_the_scan_is_verified():
 
 def test_unit_equation_matches_the_pell_unit_closed_form():
     # every squarefree pair with 2 <= d < 400, 1 <= n < 80 and d != n,
-    # coprime or not, n = 1 included: the first matching norm of the period
-    # gives what the squares test on the Pell unit gives
+    # coprime or not, n = 1 included: the midpoint of the period gives what
+    # the squares test on the Pell unit gives, and what the scan of every
+    # norm of the period gives
     pairs = [
         (d, n)
         for d in range(2, 400)
@@ -284,12 +286,17 @@ def test_unit_equation_matches_the_pell_unit_closed_form():
         if is_squarefree(n) and n != d
     ]
     assert len(pairs) == 12051
-    solved = 0
-    for d, n in pairs:
-        want = unit_equation_by_pell_unit(d, n)
-        assert _unit_equation(d, n) == want, (d, n)
-        solved += want is not None
-    assert 0 < solved < len(pairs)
+    solved = odd = 0
+    try:
+        for d, n in pairs:
+            want = unit_equation_by_pell_unit(d, n)
+            assert _unit_equation(d, n) == want, (d, n)
+            assert unit_equation_by_norm_scan(d, n) == want, (d, n)
+            solved += want is not None
+            odd += len(quadratic.pell_data(d * n).cf.period) % 2
+    finally:
+        quadratic.pell_data.cache_clear()  # 7,318 expansions
+    assert (solved, odd) == (1373, 789)
 
 
 def test_unit_equation_none_is_decided():
@@ -320,10 +327,11 @@ def test_witness_box_adds_nothing_past_the_two_equations():
 
 
 def test_unit_witness_expands_sqrt_dn_once(monkeypatch):
-    # both equations are read off one expansion of sqrt(dn): an odd period
-    # (5, 2), an even one with the unit equation solvable (107, 2), one
-    # with neither (7, 2), the box (11, 1), and the period of 454,206 of
-    # sqrt(200000000006)
+    # both equations are read off one expansion of sqrt(dn), pell_data's:
+    # an odd period (5, 2), an even one with the unit equation solvable
+    # (107, 2), one with neither (7, 2), the box (11, 1), and the period of
+    # 454,206 of sqrt(200000000006).  The unit equation read after the
+    # witness expands nothing more
     calls = []
 
     def counted(D):
@@ -331,19 +339,23 @@ def test_unit_witness_expands_sqrt_dn_once(monkeypatch):
         return cf_sqrt(D)
 
     monkeypatch.setattr(quadratic, "cf_sqrt", counted)
-    monkeypatch.setattr(criteria, "cf_sqrt", counted)
-    for d, n, found in [
-        (5, 2, True),
-        (107, 2, True),
-        (7, 2, False),
-        (11, 1, True),
-        (100000000003, 5, False),
-    ]:
-        unit_witness.cache_clear()
-        _unit_equation.cache_clear()
-        calls.clear()
-        assert (unit_witness(d, n) is not None) == found, (d, n)
-        assert calls == [d * n], (d, n)
+    try:
+        for d, n, found in [
+            (5, 2, True),
+            (107, 2, True),
+            (7, 2, False),
+            (11, 1, True),
+            (100000000003, 5, False),
+        ]:
+            unit_witness.cache_clear()
+            _unit_equation.cache_clear()
+            quadratic.pell_data.cache_clear()
+            calls.clear()
+            assert (unit_witness(d, n) is not None) == found, (d, n)
+            _unit_equation(d, n)
+            assert calls == [d * n], (d, n)
+    finally:
+        quadratic.pell_data.cache_clear()
 
 
 def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
@@ -354,14 +366,18 @@ def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
     cf = cf_sqrt(214)
     k = next(k for k, N in enumerate(cf.norms) if N in (107, -2))
     monkeypatch.setattr(criteria, "_WITNESS_MAX_CONVERGENTS", k + 1)
-    assert criteria._unit_equation_in(cf, 107, 2) == (57003, 416941)
+    _unit_equation.cache_clear()
+    quadratic.pell_data.cache_clear()
+    assert _unit_equation(107, 2) == (57003, 416941)
 
     def no_convergents(cf, count):
         raise AssertionError("a convergent was built")
 
     monkeypatch.setattr(criteria, "_WITNESS_MAX_CONVERGENTS", k)
-    monkeypatch.setattr(criteria, "cf_convergents", no_convergents)
-    assert criteria._unit_equation_in(cf, 107, 2) == k
+    monkeypatch.setattr(quadratic, "cf_convergents", no_convergents)
+    _unit_equation.cache_clear()
+    quadratic.pell_data.cache_clear()
+    assert _unit_equation(107, 2) == k
     _unit_equation.cache_clear()
     unit_witness.cache_clear()
     try:
@@ -384,6 +400,7 @@ def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
     finally:
         _unit_equation.cache_clear()
         unit_witness.cache_clear()
+        quadratic.pell_data.cache_clear()
 
 
 def test_witness_limit_keeps_every_answer():
@@ -396,8 +413,11 @@ def test_witness_limit_keeps_every_answer():
     assert next(k for k, N in enumerate(cf.norms) if N in (100000259, -2)) == 11506
     assert criteria._WITNESS_MAX_CONVERGENTS > 23014
     assert criteria._WITNESS_MAX_CONVERGENTS > lattice._LADDER_MAX_PERIOD
-    with pytest.raises(quadratic.UnsupportedFieldError, match="convergent 227102 "):
-        unit_witness(100000000003, 2)
+    try:
+        with pytest.raises(quadratic.UnsupportedFieldError, match="convergent 227102 "):
+            unit_witness(100000000003, 2)
+    finally:
+        quadratic.pell_data.cache_clear()  # the 454,206 quotients of sqrt(200000000006)
 
 
 def test_unit_witness_box_for_n_1():

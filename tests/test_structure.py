@@ -490,3 +490,33 @@ def test_degree_branches_left_above_the_field():
     assert found <= {"find_generator", "unit_index", "pic_brute_force"}, found
     # the scan sees a comparison where there is one
     assert "find_generator" in found
+
+
+def _callers(name: str) -> list:
+    """(module, function or Class.method) of every call in src/ to `name`,
+    called by that name or as an attribute; "" for module level."""
+    out = []
+    for p in sorted(SRC.glob("*.py")):
+        for stmt in _parse(p).body:
+            subs = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for sub in subs:
+                where = getattr(sub, "name", "")
+                if sub is not stmt:
+                    where = "%s.%s" % (stmt.name, where)
+                for node in ast.walk(sub):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                            out.append((p.stem, where))
+    return out
+
+
+def test_sqrt_d_is_expanded_in_one_place():
+    # PellData, which pell_data keeps once per D, is the one caller of
+    # cf_sqrt: the window ladder, the unit equation, unit_witness and
+    # pell_solve read its expansion and its half-period walk
+    assert _callers("cf_sqrt") == [("quadratic", "PellData.__init__")]
+    # the scan sees calls at module level, in functions and in methods
+    assert ("lattice", "ladder_data") in _callers("pell_data")
+    assert ("quadratic", "") in _callers("lru_cache")
+    assert ("quadratic", "PellData._half") in _callers("cf_convergents")
