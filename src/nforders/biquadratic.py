@@ -48,6 +48,7 @@ from .lattice import (
 from .quadratic import (
     _SCALARS,
     FieldElem,
+    Keyed,
     QuadField,
     UnresolvedError,
     form_class_group,
@@ -147,7 +148,7 @@ def check_field_params(d: int, n: int) -> None:
         raise ValueError("d and n must be distinct, got %d twice" % d)
 
 
-class BiquadField:
+class BiquadField(Keyed):
     """Q(sqrt(-d), sqrt(-n)) together with a fixed integral basis.
 
     Rows of `intbasis` give the basis elements in naive coordinates; the
@@ -160,12 +161,8 @@ class BiquadField:
     def __init__(self, d: int, n: int, intbasis: tuple, disc: int):
         self.d, self.n, self.intbasis, self.disc = d, n, intbasis, disc
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.d, self.n, self.intbasis, self.disc) == (
-                other.d, other.n, other.intbasis, other.disc
-            )
-        return NotImplemented
+    def _key(self) -> tuple:
+        return self.d, self.n, self.intbasis, self.disc
 
     def __hash__(self):
         # equal fields have equal (d, n, disc); hashing the Fraction basis

@@ -33,6 +33,7 @@ from .intmath import (
 )
 from .lattice import IntModule, UnsupportedFieldError, find_generator
 from .quadratic import (
+    Keyed,
     QuadElem,
     QuadField,
     pell_data,
@@ -61,7 +62,7 @@ class _Unresolved:
 UNRESOLVED = _Unresolved()
 
 
-class CriterionReport:
+class CriterionReport(Keyed):
     # hypotheses: (name, passed, detail) triples, in evaluation order
     def __init__(self, criterion, hypotheses, applicable, verdict, representation=None):
         assert verdict in (SOLVABLE, UNSOLVABLE, UNKNOWN)
@@ -79,27 +80,14 @@ class CriterionReport:
             self.representation,
         )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
-
-
-class UnitWitness:
+class UnitWitness(Keyed):
     def __init__(self, alpha: QuadElem, beta: QuadElem, n: int):
         assert alpha**2 + n * beta**2 == alpha.field(-1)
         self.alpha, self.beta, self.n = alpha, beta, n
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.beta, self.n) == (other.alpha, other.beta, other.n)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta, self.n))
+    def _key(self) -> tuple:
+        return self.alpha, self.beta, self.n
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +182,7 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     if l % 2:
         if l > _WITNESS_MAX_CONVERGENTS:
             raise UnsupportedFieldError(_unit_detail(d, n, l - 1))
-        x, y = P.unit
+        x, y = P.half[1]
         return UnitWitness(F(x), F(0, y), n)
     uv = _unit_equation(d, n)
     if type(uv) is int:
@@ -221,31 +209,28 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
 def _unit_equation(d: int, n: int):
     """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
     None; d, n squarefree, 1 < d != n.  It reads one convergent g_k = h_k +
-    q_k*sqrt(dn) of pell_data(dn), of norm N_k (CFExpansion.norms): for an
-    even period l, k = l/2 - 1, and for an odd one k = l - 1, the Pell unit.
-    N_k = d gives (h_k/d, q_k), N_k = -n (q_k, h_k/n), and any other N_k
-    proves there is no solution.
+    q_k*sqrt(dn) of pell_data(dn), of norm N_k (CFExpansion.norms): k = l/2
+    - 1 for an even period l, the Pell unit k = l - 1 for an odd one.  N_k
+    = d gives (h_k/d, q_k), N_k = -n (q_k, h_k/n); any other N_k proves
+    there is no solution.  A match past _WITNESS_MAX_CONVERGENTS is not
+    built: k is returned.
 
     A match solves the equation: d | h_k^2 forces d | h_k, d squarefree,
     and N_k/d = 1; likewise for -n.  A solution gamma = u*sqrt(d) +
-    v*sqrt(n) gives the coprime pairs (d*u, v) of norm d and (n*v, u) of
-    norm -n, with h + q*sqrt(dn) = sqrt(d)*gamma and sqrt(n)*gamma; the
-    one whose |norm| is m = min(d, n) < sqrt(dn) is a convergent
-    (Lagrange; Niven, Zuckerman and Montgomery, section 7.8).  gamma^2 has
-    norm 1, so it is eta^e, eta the least unit of norm 1 of Z[sqrt(dn)].
-    e = 2j would make gamma = eta^j = x + y*sqrt(dn), and the rational
-    parts of gamma^2 and eta^2j, with both norms 1, give d*u^2 = x^2,
-    which squarefree d > 1 forbids.  For e = 2j + 1, gamma*eta^-j =
-    (u*x - n*v*y)*sqrt(d) + (v*x - d*u*y)*sqrt(n) is a solution again and
-    squares to eta.  So the solutions are gamma_0*eta^j, gamma_0 =
-    sqrt(eta).  Only k can match: f(t) = g_t^2/|N_t| = g_t/|g'_t| grows
-    strictly with t, as g_t grows and |g'_t| = |g'_(t-1)|/x_(t+1) falls
-    (PellData), and a match at t has g_t = sqrt(|N_t|)*gamma, so f(t) =
-    gamma^2 = eta^(2j+1).  f(k) = eta, the Pell unit for even l and its
-    square for odd l (PellData), so sqrt(m)*gamma_0 is g_k, and a match at
-    t < l has f(t) <= f(l - 1), eta^2 or eta: f(t) = eta and t = k.  No
-    convergent is built without a match, nor for a match past
-    _WITNESS_MAX_CONVERGENTS: then k is returned.
+    v*sqrt(n) gives h + q*sqrt(dn) = sqrt(d)*gamma of norm d and
+    sqrt(n)*gamma of norm -n, coprime pairs; the one of |norm| m = min(d,
+    n) < sqrt(dn) is a convergent (Lagrange; Niven, Zuckerman and
+    Montgomery, section 7.8).  gamma^2 has norm 1, so it is eta^e, eta the
+    least unit of norm 1 of Z[sqrt(dn)].  e = 2j would make gamma = eta^j =
+    x + y*sqrt(dn), and the rational parts of gamma^2 = eta^2j give d*u^2 =
+    x^2, which squarefree d > 1 forbids.  For e = 2j + 1, gamma*eta^-j =
+    (u*x - n*v*y)*sqrt(d) + (v*x - d*u*y)*sqrt(n) is a solution squaring to
+    eta, so the least solution gamma_0 has gamma_0^2 = eta.  A match at t
+    has g_t = sqrt(|N_t|)*gamma, so f(t) = g_t^2/|N_t| = g_t/|g'_t| is
+    gamma^2 = eta^(2j+1); f grows strictly, as g_t grows and |g'_t| falls
+    (PellData's x_k > 1), and f(k) = eta (PellData).  So the convergent
+    sqrt(m)*gamma_0 is g_k, and a match at t < l, where f(t) <= f(l - 1),
+    eta or eta^2, has f(t) = eta and t = k.
     """
     P = pell_data(d * n)
     l = len(P.cf.period)
@@ -255,7 +240,7 @@ def _unit_equation(d: int, n: int):
         return None
     if k >= _WITNESS_MAX_CONVERGENTS:
         return k
-    h, q = P.unit if l % 2 else P.mid
+    h, q = P.half[l % 2]
     u, v = (h // d, q) if N == d else (q, h // n)
     assert d * u * u - n * v * v == 1
     return u, v

@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .intmath import xgcd
 from .quadratic import (
     CFExpansion,
+    Keyed,
     UnsupportedFieldError,
     cf_convergents,
     integer_rows,
@@ -245,7 +246,7 @@ def smith_normal_form(rows) -> list[int]:
 # modules
 
 
-class IntModule:
+class IntModule(Keyed):
     """(1/den) times the row span of `rows`, in ambient integral-basis
     coordinates.  The entries of `rows` and `den` must be integers (ints,
     or Fractions with denominator 1); any other value raises ValueError.
@@ -274,15 +275,8 @@ class IntModule:
             rows = tuple(map(tuple, rows))
         self.ambient, self.rows, self.den = ambient, rows, den
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ambient, self.rows, self.den) == (
-                other.ambient, other.rows, other.den
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient, self.rows, self.den))
+    def _key(self) -> tuple:
+        return self.ambient, self.rows, self.den
 
     @property
     def rank(self) -> int:
@@ -643,7 +637,7 @@ def ladder_data(field) -> LadderData:
     the Pell unit eps = x0 + y0*sqrt(D0) is the least solution of x^2 -
     D0*y^2 = +-1 (Cohen, GTM 138, 5.7).  The ladder unit is the midpoint
     unit v = conj(e)/sqrt(-c), with step mid, when l = 2*mid is even and
-    the mid-th convergent e (PellData.mid) has |N(e)| = c in {d, n}, and v
+    the mid-th convergent e (PellData.half) has |N(e)| = c in {d, n}, and v
     is checked integral with v^2 = -eps^-1; else it is eps, with step l.
     D0, G and C are the field's norm_forms.  A period past
     _LADDER_MAX_PERIOD raises UnsupportedFieldError before any convergent
@@ -656,10 +650,9 @@ def ladder_data(field) -> LadderData:
             "the continued fraction of sqrt(%d) has period %d, past the ladder's "
             "limit %d" % (D0, l, _LADDER_MAX_PERIOD)
         )
-    x0, y0 = P.unit
+    (h, k), (x0, y0) = P.half
     unit, step = field.from_real_quadratic(x0, y0), l
     if l % 2 == 0:
-        h, k = P.mid
         c = abs(h * h - D0 * k * k)
         if c in (field.d, field.n):
             v = field.from_real_quadratic(h, -k) * field.gens()[c == field.n] / -c

