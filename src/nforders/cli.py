@@ -109,10 +109,6 @@ def fmt_elem(e) -> str:
     return "%d%s%s" % (x, "+" if y > 0 else "-", w)
 
 
-def _fmt_any(t):
-    return t if isinstance(t, int) else fmt_elem(t)
-
-
 def parse_order(text: str):
     """Order spec -> (OrderRep, n or None).
 
@@ -292,11 +288,7 @@ def cmd_criterion(args):
         ],
         "applicable": rep.applicable,
         "verdict": rep.verdict,
-        "representation": (
-            None
-            if rep.representation is None
-            else [_fmt_any(t) for t in rep.representation]
-        ),
+        "representation": None if rep.representation is None else list(rep.representation),
     }
     return payload, 0
 

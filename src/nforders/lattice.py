@@ -560,16 +560,10 @@ def enumerate_by_t2(red: LatticeBasis, bound) -> list:
 # principal-ideal generator search
 
 
-def _canonical_pick(module, cands, g: tuple):
-    """The candidate of least (u g u^t, u) as a field element u/den, None
-    when there is none; the candidates are points u enumerate_by_t2
-    returned for the module, so each has its first nonzero coordinate
-    positive.  All share the module's den > 0, so this is the order of
-    (g(v), v) on the points v = u/den."""
-    if not cands:
-        return None
-    best = min(cands, key=lambda u: (_form_value(g, u), u))
-    return module.ambient.from_basis_coords([Fraction(c, module.den) for c in best])
+def _element(module, u):
+    """The point u/den of the module as a field element, None for None."""
+    den = module.den
+    return None if u is None else module.ambient.from_basis_coords([Fraction(c, den) for c in u])
 
 
 def _form_value(g, u) -> int:
@@ -611,8 +605,8 @@ _LADDER_MAX_PERIODS = 64
 # the longest period of sqrt(D0) ladder_data takes.  The windows list up
 # to a period of convergents, whose digits grow with the period, so their
 # memory grows as its square: the period 454,206 of sqrt(200000000006) ran
-# out of memory, while 16,144 (sqrt(115344766)) still answers, in about 70 s
-# on a 2-vCPU machine
+# out of memory, while 16,144 (sqrt(115344766)) still answers, in 51 s and
+# 96 MB peak RSS on a 2-vCPU machine (represent 5 57672383 2)
 _LADDER_MAX_PERIOD = 2**14
 
 
@@ -620,8 +614,9 @@ class LadderData(NamedTuple):
     """What the rank-4 window ladder needs of a field, built once per field
     (ladder_data).  `U` is the integer multiplication matrix of the ladder
     unit u, and each power of u moves the ladder `step` convergents of the
-    expansion `cf` of sqrt(D0) on.  G and C are the field's norm_forms, of
-    which a twist is the weighted difference (_twisted_gram)."""
+    expansion `cf` of sqrt(D0) on.  G and C are the field's norm_forms: a
+    twist is their weighted difference (_twisted_gram), and a point's two
+    values under them give its lam (_in_range)."""
 
     D0: int
     cf: CFExpansion
@@ -772,20 +767,21 @@ def _least_cosh(D0, c, near, far) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _ladder_windows(lad: LadderData, T: int) -> tuple:
-    """(windows, balls, walk, ends) of the ladder over the convergents
-    gamma_0 = 1, ..., gamma_T of lad.cf, windows and balls each a tuple of
-    (the twist's weights (p, hk) of LadderData, rho) with ball^2 = N rho on
-    norm-N searches.  `balls` are the windows twisted by gamma_i with the
-    ball at gamma_(i+1), which hold the norm-N points with lam in
-    [l_i - r_i, l_(i+1)]; the pick is the least norm-N point in their
-    union [L, P].  `windows` are searched
-    instead: the _stretches twisted by their c, with the ball at the
+    """(windows, edges, walk, ends) of the ladder over the convergents
+    gamma_0 = 1, ..., gamma_T of lad.cf, windows a tuple of (the twist's
+    weights (p, hk) of LadderData, rho) with ball^2 = N rho on norm-N
+    searches: the _stretches twisted by their c, with the ball at the
     farther edge; for T = 1 one window twisted by 1 covers J = [-P/2,
     P/2], with cosh(P/2)^2 = (p_T + |N(gamma_T)|) / (2|N(gamma_T)|), p(h +
-    k*sqrt(D0)) = h^2 + D0*k^2.  `walk` is the indices of the two sides
-    searched, out from the stretch ending at lam = 0; `ends` feed _least_cosh."""
+    k*sqrt(D0)) = h^2 + D0*k^2.  The pick is the least norm-N point with
+    lam in [L, P]: `edges` is (E_L^2, gamma_T^2) for _in_range, E_L the
+    stretches' first edge, conj(gamma_1) for T = 1.  `walk` is the indices
+    of the two sides searched, out from the stretch ending at lam = 0;
+    `ends` feed _least_cosh."""
     D0 = lad.D0
     gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    h, k = gammas[T]
+    high = h * h + D0 * k * k, 2 * h * k  # gamma_T^2
 
     def window(c, *edges):
         # the ball at the farther edge e: T2(x * conj(c)) = 4 sqrt(N) |N(c)|
@@ -798,17 +794,25 @@ def _ladder_windows(lad: LadderData, T: int) -> tuple:
         h, k = c
         return (h * h + D0 * k * k, h * k), max(starmap(ball2, edges))
 
-    balls = tuple(window(g, g2) for g, g2 in zip(gammas, gammas[1:]))
     if T == 1:
-        h, k = gammas[1]
-        p, n = h * h + D0 * k * k, abs(h * h - D0 * k * k)
+        p, n = high[0], abs(h * h - D0 * k * k)
         windows = (((1, 0), Fraction(8 * (p + n), n)),)
-        return windows, balls, ((0,), ()), (((1, 0),) * 3,)  # its range holds 0
+        return windows, ((p, -high[1]), high), ((0,), ()), (((1, 0),) * 3,)  # its range holds 0
     stretches = _stretches(D0, gammas)
     centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
     walk = tuple(range(centre, len(stretches))), tuple(range(centre - 1, -1, -1))
     ends = [(c, ea, eb) if i > centre else (c, eb, ea) for i, (c, ea, eb) in enumerate(stretches)]
-    return tuple(starmap(window, stretches)), balls, walk, tuple(ends)
+    low = stretches[0][1]
+    return tuple(starmap(window, stretches)), (_rmul(low, low, D0), high), walk, tuple(ends)
+
+
+def _in_range(D0, edges, t: int, c: int) -> bool:
+    """L <= lam <= P for a norm-N point u with t = u G u^t, c = u C u^t
+    and the edges (E_L^2, gamma_T^2) of _ladder_windows, exactly: z =
+    2*D0*t + c*sqrt(D0) has z/z' = A1/A2, the ratio of u's squared
+    absolute values at the two places, so l(z) = 2*lam."""
+    z, (low, high) = (2 * D0 * t, c), edges
+    return not (_before(z, low, D0) or _before(high, z, D0))
 
 
 @lru_cache(maxsize=None)
@@ -833,8 +837,8 @@ def find_generator(module: IntModule, norm):
     values: m half periods when the midpoint unit v, whose square is a
     unit of that subfield, has v^m stabilizing the module, m periods of
     the Pell unit eps otherwise.  Each window is centred on its own stretch
-    of one period; a norm-N point counts only if it also lies in the ball
-    of a window twisted by a rung, which keeps the pick the one over whole
+    of one period, and a norm-N point counts only if L <= lam <= P, the
+    union of the rung windows (_in_range): the pick is the one over whole
     periods of eps either way (docs/generator-search.md, "Half a period"
     and "Centred windows"), out from lam = 0 while one can beat the best
     candidate kept, so a None searches every window ("Stopping early").
@@ -848,32 +852,29 @@ def find_generator(module: IntModule, norm):
     if field.degree == 2:
         if field.D > 0:
             raise UnsupportedFieldError("generator search needs an imaginary field")
-        cands = [u for u in enumerate_by_t2(lll_reduce(module, G), 2 * norm) if keep(u)]
-        return _canonical_pick(module, cands, G)
+        # the points come sorted by (u G u^t, u): the first kept is the pick
+        points = enumerate_by_t2(lll_reduce(module, G), 2 * norm)
+        return _element(module, next(filter(keep, points), None))
 
     # centred windows over one period of the ladder unit's power, walked out from 0
     lad, T = _unit_ladder(field, module)
-    windows, balls, walk, _ = _ladder_windows(lad, T)
+    windows, edges, walk, _ = _ladder_windows(lad, T)
     den = module.den
-    cands = []
-    best = bounds = centre = None
+    best = centre = None  # best: the least (u G u^t, u) kept
     for s, side in enumerate(walk):
         red = centre or module  # each window reduces the basis the one before reduced
         for j, i in enumerate(side):
             if best is not None:
                 a, b = _walk_reach(lad, T)[s][j].as_integer_ratio()
-                if 16 * norm.numerator * den**4 * a * a > norm.denominator * (best * b) ** 2:
+                if 16 * norm.numerator * den**4 * a * a > norm.denominator * (best[0] * b) ** 2:
                     break  # best < 4 sqrt(N) den^2 a/b, strictly: a tie in G(u) goes to u
             w, rho = windows[i]
             red = lll_reduce(red, _twisted_gram(lad, *w))
             centre = centre or red
             bound = Fraction(_budget(rho, norm, den), den * den)
-            points = [u for u in enumerate_by_t2(red, bound) if keep(u)]
-            if points:
-                bounds = bounds or [(p, hk, _budget(rho, norm, den)) for (p, hk), rho in balls]
-                for u in points:
-                    t, c = _form_value(G, u), _form_value(lad.C, u)
-                    if any(p * t - hk * c <= B for p, hk, B in bounds):
-                        cands.append(u)
-                        best = t if best is None else min(best, t)
-    return _canonical_pick(module, cands, G)
+            for u in filter(keep, enumerate_by_t2(red, bound)):
+                t = _form_value(G, u)
+                if best is None or (t, u) < best:
+                    if _in_range(lad.D0, edges, t, _form_value(lad.C, u)):
+                        best = t, u
+    return _element(module, None if best is None else best[1])

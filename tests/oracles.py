@@ -36,7 +36,10 @@ and `order_proof_by_matrices` is the proof `OrderRep` gave on the
 multiplication matrices of all its rows before it took the products of
 its rows.  `full_ladder_search` is `find_generator`'s rank-4 search as it
 ran before it stopped early, every window in `l` order, and
-`full_ladder_points` the norm-N points of each of those windows.
+`full_ladder_points` the norm-N points of each of those windows;
+`rung_windows` are the balls of the windows twisted by the rungs, whose
+union a candidate had to lie in before find_generator tested
+`L <= lam <= P`, and `canonical_pick` the least candidate it picked.
 `oracle_norm_form_element` is the scan `split_prime` ran for its element
 before it read it off a form reduction.  `residue_data_by_root_search`,
 `prime_above_by_generators` (through `embed_F`) and `split_relative_naive`
@@ -101,12 +104,13 @@ from nforders.lattice import (
     IntModule,
     LatticeBasis,
     _budget,
-    _canonical_pick,
     _det_int,
+    _element,
     _form_value,
     _in_lattice,
     _ladder_windows,
     _norm_filter,
+    _rmul,
     _times,
     _pair_coeffs,
     _pair_products,
@@ -892,22 +896,49 @@ def full_ladder_points(module, norm) -> list:
     return out
 
 
+def rung_windows(module, norm) -> list:
+    """(weights (p, hk), budget) of the windows of the module's ladder
+    twisted by the rungs gamma_0 = 1, ..., gamma_(T-1), each with its ball
+    at the next rung, on norm-N searches: window i holds the norm-N points
+    with lam in [l_i - r_i, l_(i+1)], and those intervals chain from L to
+    P.  Each ball is ball^2 = N rho, rho = (4 p(c conj(e)) / N(e))^2 for
+    the twist c = gamma_i and the edge e = gamma_(i+1), as _ladder_windows
+    built it before find_generator tested L <= lam <= P, and floored by
+    _budget."""
+    lad, T = _unit_ladder(module.ambient, module)
+    D0 = lad.D0
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    out = []
+    for (h, k), (h2, k2) in zip(gammas, gammas[1:]):
+        w0, w1 = _rmul((h, k), (h2, -k2), D0)
+        rho = Fraction(4 * (w0 * w0 + D0 * w1 * w1), h2 * h2 - D0 * k2 * k2) ** 2
+        out.append(((h * h + D0 * k * k, h * k), _budget(rho, Fraction(norm), module.den)))
+    return out
+
+
+def canonical_pick(module, cands):
+    """The candidate of least (u G u^t, u), G the T2 Gram, as a field
+    element u/den, None when there is none: the points enumerate_by_t2
+    returns have their first nonzero coordinate positive and share the
+    module's den > 0, so this is the order of (T2(v), v) on v = u/den."""
+    G = module.ambient.t2_gram_matrix()
+    return _element(module, min(cands, key=lambda u: (_form_value(G, u), u), default=None))
+
+
 def full_ladder_search(module, norm):
-    """find_generator on a rank-4 module as it ran before it stopped early:
-    the norm-N points of every window (full_ladder_points), those in some
-    rung window's ball kept, and the least of them picked."""
-    norm = Fraction(norm)
-    field = module.ambient
-    lad, T = _unit_ladder(field, module)
-    balls = _ladder_windows(lad, T)[1]
-    bounds = [(_twisted_gram(lad, *w), _budget(rho, norm, module.den)) for w, rho in balls]
+    """find_generator on a rank-4 module as it ran before it stopped early
+    and before it tested L <= lam <= P: the norm-N points of every window
+    (full_ladder_points), those in some rung window's ball (rung_windows)
+    kept, and the least of them picked."""
+    lad = _unit_ladder(module.ambient, module)[0]
+    bounds = [(_twisted_gram(lad, *w), B) for w, B in rung_windows(module, norm)]
     cands = [
         u
         for points in full_ladder_points(module, norm)
         for u in points
         if any(_form_value(g, u) <= B for g, B in bounds)
     ]
-    return _canonical_pick(module, cands, field.t2_gram_matrix())
+    return canonical_pick(module, cands)
 
 
 # ---------------------------------------------------------------------------

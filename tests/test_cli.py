@@ -1153,6 +1153,18 @@ def test_inert_3023_outputs_are_unchanged(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_long_period_output_is_unchanged():
+    # the ladder of (10000019, 2) runs the period 5,850 of sqrt(D0), the
+    # longest of any field the tests name; its generator is pinned byte for
+    # byte, in a fresh process so its windows stay out of this one
+    code, out, err = fresh_run(["represent", "7", "10000019", "2"])
+    assert code == 0 and err == ""
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f346151981f595d0bab9f4b5975ca65fb2c4bfd1ad8cbe11d16b6ac8d8de8122"
+    )
+
+
 # ---------------------------------------------------------------------------
 # output discipline
 

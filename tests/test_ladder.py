@@ -24,8 +24,8 @@ from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
     _budget,
-    _canonical_pick,
     _det_int,
+    _in_range,
     _ladder_windows,
     _least_cosh,
     _norm_filter,
@@ -51,11 +51,13 @@ from nforders.quadratic import (
 )
 from oracles import (
     FracBiquad,
+    canonical_pick,
     full_ladder_points,
     full_ladder_search,
     fundamental_unit,
     mult_matrix,
     naive_to_coords,
+    rung_windows,
     sqrt_lb,
 )
 
@@ -403,11 +405,13 @@ def test_window_grams_equal_fraction_products(field):
         except UnsupportedFieldError:
             continue
         seen.add(m)
-        windows.append(len(gammas) - 1)
-        # the rung balls' weights (p, hk) give the Gram of each rung's twist
-        balls = _ladder_windows(lad, len(gammas) - 1)[1]
-        assert len(balls) == len(gammas) - 1
-        for (h, k), (w, _) in zip(gammas, balls):
+        T = len(gammas) - 1
+        windows.append(T)
+        # the centred windows' weights (p, hk) give the Gram of each twist
+        twists = [(1, 0)] if T == 1 else [c for c, _, _ in _stretches(lad.D0, gammas)]
+        centred = _ladder_windows(lad, T)[0]
+        assert len(centred) == len(twists)
+        for (h, k), (w, _) in zip(twists, centred):
             assert w == (h * h + lad.D0 * k * k, h * k)
             assert _twisted_gram(lad, *w) == oracle_twisted_gram(field, h, k)
     # more than one power of the ladder unit, and windows over two periods
@@ -776,7 +780,7 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
                 u for u in cold_pts
                 if keep(u) and any(form_value(gb, u) <= B for gb, B in balls)
             ]
-        assert _canonical_pick(module, cands, module.ambient.t2_gram_matrix()) == alpha
+        assert canonical_pick(module, cands) == alpha
         # and it is the full period's pick, as the Fraction ladder makes it
         assert alpha == oracle_find_generator(module, norm)
     # the warm start does reach other reduced bases than the cold one
@@ -846,31 +850,63 @@ def test_a_warm_ladder_builds_no_convergent(monkeypatch, pool):
     assert calls == []
 
 
-def test_rung_test_on_t_and_c_is_the_fraction_balls_test(pool):
-    # find_generator keeps a norm-N point u of a window when p t - hk c <= B
-    # for the weights (p, hk) and budget B of some rung, t = u G u^t and c =
-    # u C u^t: rung by rung, that is the Fraction ladder's twisted Gram
-    # value and its floored ball, so the same points are kept.  The
-    # represent pool keeps every point; x = 57 - 5*sqrt(115) on (23, 5)
+def test_interval_test_keeps_the_points_the_fraction_rung_balls_keep(pool):
+    # find_generator keeps a norm-N point u of a window when L <= lam <= P,
+    # read off t = u G u^t and c = u C u^t by _in_range: on every norm-N
+    # point of every window, that is the test of the Fraction ladder's rung
+    # balls, whose union is [L, P].  The integer rung windows of
+    # oracles.full_ladder_search are those balls rung by rung: p t - hk c is
+    # the Fraction twisted Gram's value, and the budget its floored ball.
+    # The represent pool keeps every point; x = 57 - 5*sqrt(115) on (23, 5)
     # lies in a window but in no rung's ball
     E235 = integral_basis(23, 5)
     x = E235.from_real_quadratic(57, -5)
     kept = dropped = 0
     for module, norm in pool + [(identity_module(E235).transform(x), x.norm())]:
         lad, T = _unit_ladder(module.ambient, module)
-        balls = _ladder_windows(lad, T)[1]
+        edges = _ladder_windows(lad, T)[1]
+        rungs = rung_windows(module, norm)
         fraction_balls = rung_balls(module, norm)
-        assert len(balls) == len(fraction_balls) == T
+        assert len(rungs) == len(fraction_balls) == T
         for u in chain.from_iterable(full_ladder_points(module, norm)):
             t, c = form_value(lad.G, u), form_value(lad.C, u)
             inside = []
-            for ((p, hk), rho), (g, B) in zip(balls, fraction_balls):
+            for ((p, hk), budget), (g, B) in zip(rungs, fraction_balls):
                 assert p * t - hk * c == form_value(g, u)
-                assert _budget(rho, Fraction(norm), module.den) == B
+                assert budget == B
                 inside.append(p * t - hk * c <= B)
+            assert _in_range(lad.D0, edges, t, c) == any(inside)
             kept += any(inside)
             dropped += not any(inside)
     assert kept > 40 and dropped > 0
+
+
+@pytest.mark.parametrize(
+    "dn", [(59, 2), (23, 5), (71, 2), (11, 10)], ids=["59_2", "23_5", "71_2", "11_10"]
+)
+def test_interval_test_keeps_its_closed_edges(dn):
+    # on O_E, gamma_T has lam = P and E_L has lam = L, exactly on the edges
+    # of [L, P], so both are kept; gamma_T*gamma_1 and E_L*conj(gamma_1)
+    # lie past them and are dropped.  Each verdict is the Fraction rung
+    # balls' at the norm N(e)^2 of the point.  (71, 2) has L < -P/2, and
+    # (11, 10) has T = 1, where E_L = conj(gamma_1)
+    field = integral_basis(*dn)
+    R = identity_module(field)
+    lad, T = _unit_ladder(field, R)
+    D0, _, gammas = ladder(field, R)
+    edges = _ladder_windows(lad, T)[1]
+    g1, gT = gammas[1], gammas[T]
+    low = (g1[0], -g1[1]) if T == 1 else _stretches(D0, gammas)[0][1]
+    points = (gT, low, _rmul(gT, g1, D0), _rmul(low, (g1[0], -g1[1]), D0))
+    verdicts = []
+    for e in points:
+        x = field.from_real_quadratic(*e)
+        assert x.den == 1
+        t, c = form_value(lad.G, x.u), form_value(lad.C, x.u)
+        kept = _in_range(D0, edges, t, c)
+        assert kept == any(form_value(g, x.u) <= B for g, B in rung_balls(R, x.norm()))
+        verdicts.append(kept)
+    assert verdicts == [True, True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -909,8 +945,7 @@ def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_poo
     # ball at the farther edge of its stretch, read off E's arithmetic, or,
     # where T = 1, the one window twisted by 1 over [-P/2, P/2], with
     # 16 cosh(P/2)^2 = 8 (cosh(P) + 1) and 4 sqrt(N(gamma_1)) cosh(P) =
-    # T2(gamma_1); and the rung balls the candidates are filtered by are
-    # the Fraction ladder's windows, floored
+    # T2(gamma_1)
     windows = 0
     fields = set()
     for module, norm in budget_pool:
@@ -939,11 +974,12 @@ def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_poo
         for B, ball2 in zip(budgets, balls2):
             assert B * B <= ball2 * den4 < (B + 1) ** 2
             windows += 1
-        rungs = _ladder_windows(ladder_data(field), T)[1]
+        # and the rung windows of oracles.full_ladder_search are the
+        # Fraction ladder's windows, floored
+        rungs = rung_windows(module, norm)
         assert len(rungs) == T
-        for i, (_, rho) in enumerate(rungs):
-            B = floor(oracle_ball(D0, gammas, i, norm) * module.den**2)
-            assert _budget(rho, norm, module.den) == B
+        for i, (_, budget) in enumerate(rungs):
+            assert budget == floor(oracle_ball(D0, gammas, i, norm) * module.den**2)
     assert fields == {E59, E1110, integral_basis(23, 5), integral_basis(71, 2), E37}
     assert {Fraction(norm).denominator for _, norm in budget_pool} > {1}
     assert {module.den for module, _ in budget_pool} > {1}
