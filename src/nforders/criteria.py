@@ -205,7 +205,6 @@ def unit_witness(d: int, n: int) -> UnitWitness | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def _unit_equation(d: int, n: int):
     """The least (u, v) in positive integers with d*u^2 - n*v^2 = 1, or
     None; d, n squarefree, 1 < d != n.  It reads one convergent g_k = h_k +

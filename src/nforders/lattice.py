@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations_with_replacement, starmap
+from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
@@ -756,34 +756,25 @@ def _budget(rho: Fraction, norm: Fraction, den: int) -> int:
     return isqrt(rho.numerator * norm.numerator * den**4 // (rho.denominator * norm.denominator))
 
 
-def _least_cosh(D0, c, near, far) -> Fraction:
-    """The reach of the window twisted by c over the stretch from near, the
-    edge nearer lam = 0, to far: cosh at l(near) or l(c^2 conj(far)), or 1."""
-    x = _rmul(_rmul(c, c, D0), (far[0], -far[1]), D0)
-    s = near[0] * near[1]  # l(h + k sqrt(D0)) has the sign of h*k
-    h, k = x if _before(x, near, D0) == (s > 0) else near
-    return Fraction(h * h + D0 * k * k, abs(h * h - D0 * k * k)) if h * k * s > 0 else Fraction(1)
-
-
 @lru_cache(maxsize=None)
 def _ladder_windows(lad: LadderData, T: int) -> tuple:
-    """(windows, edges, walk, ends) of the ladder over the convergents
-    gamma_0 = 1, ..., gamma_T of lad.cf, windows a tuple of (the twist's
-    weights (p, hk) of LadderData, rho) with ball^2 = N rho on norm-N
-    searches: the _stretches twisted by their c, with the ball at the
-    farther edge; for T = 1 one window twisted by 1 covers J = [-P/2,
-    P/2], with cosh(P/2)^2 = (p_T + |N(gamma_T)|) / (2|N(gamma_T)|), p(h +
-    k*sqrt(D0)) = h^2 + D0*k^2.  The pick is the least norm-N point with
-    lam in [L, P]: `edges` is (E_L^2, gamma_T^2) for _in_range, E_L the
-    stretches' first edge, conj(gamma_1) for T = 1.  `walk` is the indices
-    of the two sides searched, out from the stretch ending at lam = 0;
-    `ends` feed _least_cosh."""
+    """(windows, edges, walk) of the ladder over the convergents gamma_0 =
+    1, ..., gamma_T of lad.cf, windows a tuple of (the twist's weights (p,
+    hk) of LadderData, rho, near) with ball^2 = N rho on norm-N searches:
+    the _stretches twisted by their c, with the ball at the farther edge
+    and `near` the edge nearer lam = 0; for T = 1 one window twisted by 1,
+    near = 1, covers J = [-P/2, P/2], with cosh(P/2)^2 = (p_T +
+    |N(gamma_T)|) / (2|N(gamma_T)|), p(h + k*sqrt(D0)) = h^2 + D0*k^2.
+    The pick is the least norm-N point with lam in [L, P]: `edges` is
+    (E_L^2, gamma_T^2) for _in_range, E_L the stretches' first edge,
+    conj(gamma_1) for T = 1.  `walk` is the indices of the two sides
+    searched, out from the stretch ending at lam = 0."""
     D0 = lad.D0
     gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
     h, k = gammas[T]
     high = h * h + D0 * k * k, 2 * h * k  # gamma_T^2
 
-    def window(c, *edges):
+    def window(c, ea, eb, near):
         # the ball at the farther edge e: T2(x * conj(c)) = 4 sqrt(N) |N(c)|
         # cosh(lam - l(c)) on norm-N points, and |N(c)| cosh(l(e) - l(c)) =
         # p(c*conj(e)) / |N(e)|
@@ -792,18 +783,20 @@ def _ladder_windows(lad: LadderData, T: int) -> tuple:
             return Fraction(4 * (w0 * w0 + D0 * w1 * w1), h * h - D0 * k * k) ** 2
 
         h, k = c
-        return (h * h + D0 * k * k, h * k), max(starmap(ball2, edges))
+        return (h * h + D0 * k * k, h * k), max(ball2(*ea), ball2(*eb)), near
 
     if T == 1:
         p, n = high[0], abs(h * h - D0 * k * k)
-        windows = (((1, 0), Fraction(8 * (p + n), n)),)
-        return windows, ((p, -high[1]), high), ((0,), ()), (((1, 0),) * 3,)  # its range holds 0
+        windows = (((1, 0), Fraction(8 * (p + n), n), (1, 0)),)
+        return windows, ((p, -high[1]), high), ((0,), ())
     stretches = _stretches(D0, gammas)
     centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
     walk = tuple(range(centre, len(stretches))), tuple(range(centre - 1, -1, -1))
-    ends = [(c, ea, eb) if i > centre else (c, eb, ea) for i, (c, ea, eb) in enumerate(stretches)]
+    windows = tuple(
+        window(c, ea, eb, ea if i > centre else eb) for i, (c, ea, eb) in enumerate(stretches)
+    )
     low = stretches[0][1]
-    return tuple(starmap(window, stretches)), (_rmul(low, low, D0), high), walk, tuple(ends)
+    return windows, (_rmul(low, low, D0), high), walk
 
 
 def _in_range(D0, edges, t: int, c: int) -> bool:
@@ -813,15 +806,6 @@ def _in_range(D0, edges, t: int, c: int) -> bool:
     absolute values at the two places, so l(z) = 2*lam."""
     z, (low, high) = (2 * D0 * t, c), edges
     return not (_before(z, low, D0) or _before(high, z, D0))
-
-
-@lru_cache(maxsize=None)
-def _walk_reach(lad: LadderData, T: int) -> tuple:
-    """Per side of the walk, the least reach of each window and those after
-    it; built on a ladder's first kept candidate, so a None never builds it."""
-    walk, ends = _ladder_windows(lad, T)[2:]
-    reach = [_least_cosh(lad.D0, *x) for x in ends]
-    return tuple(list(accumulate((reach[i] for i in side[::-1]), min))[::-1] for side in walk)
 
 
 def find_generator(module: IntModule, norm):
@@ -840,8 +824,10 @@ def find_generator(module: IntModule, norm):
     of one period, and a norm-N point counts only if L <= lam <= P, the
     union of the rung windows (_in_range): the pick is the one over whole
     periods of eps either way (docs/generator-search.md, "Half a period"
-    and "Centred windows"), out from lam = 0 while one can beat the best
-    candidate kept, so a None searches every window ("Stopping early").
+    and "Centred windows").  The pick lies in J, which the stretches tile,
+    so each side is walked out from lam = 0 and stops at the first stretch
+    whose edge nearer 0 puts every T2 in it above the best candidate kept;
+    a None searches every window ("Stopping early").
     """
     field = module.ambient
     norm = Fraction(norm)
@@ -858,23 +844,25 @@ def find_generator(module: IntModule, norm):
 
     # centred windows over one period of the ladder unit's power, walked out from 0
     lad, T = _unit_ladder(field, module)
-    windows, edges, walk, _ = _ladder_windows(lad, T)
-    den = module.den
+    windows, edges, walk = _ladder_windows(lad, T)
+    D0, den = lad.D0, module.den
     best = centre = None  # best: the least (u G u^t, u) kept
-    for s, side in enumerate(walk):
+    for side in walk:
         red = centre or module  # each window reduces the basis the one before reduced
-        for j, i in enumerate(side):
+        for i in side:
+            w, rho, (h, k) = windows[i]
             if best is not None:
-                a, b = _walk_reach(lad, T)[s][j].as_integer_ratio()
+                # a norm-N point of this stretch, or of one after it on
+                # this side, has T2 >= 4 sqrt(N) a/b, a/b = cosh(l(near))
+                a, b = h * h + D0 * k * k, abs(h * h - D0 * k * k)
                 if 16 * norm.numerator * den**4 * a * a > norm.denominator * (best[0] * b) ** 2:
                     break  # best < 4 sqrt(N) den^2 a/b, strictly: a tie in G(u) goes to u
-            w, rho = windows[i]
             red = lll_reduce(red, _twisted_gram(lad, *w))
             centre = centre or red
             bound = Fraction(_budget(rho, norm, den), den * den)
             for u in filter(keep, enumerate_by_t2(red, bound)):
                 t = _form_value(G, u)
                 if best is None or (t, u) < best:
-                    if _in_range(lad.D0, edges, t, _form_value(lad.C, u)):
+                    if _in_range(D0, edges, t, _form_value(lad.C, u)):
                         best = t, u
     return _element(module, None if best is None else best[1])

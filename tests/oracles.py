@@ -40,6 +40,10 @@ ran before it stopped early, every window in `l` order, and
 `rung_windows` are the balls of the windows twisted by the rungs, whose
 union a candidate had to lie in before find_generator tested
 `L <= lam <= P`, and `canonical_pick` the least candidate it picked.
+`range_reach_search` is the early stop as it ran before it read each
+stretch's edge nearer 0: `range_reach` bounds a window by the end of its
+ball's `lam` range nearer 0, and each side stops on the least of those
+reaches over the window and the rest of its side.
 `oracle_norm_form_element` is the scan `split_prime` ran for its element
 before it read it off a form reduction.  `residue_data_by_root_search`,
 `prime_above_by_generators` (through `embed_F`) and `split_relative_naive`
@@ -63,7 +67,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product, zip_longest
+from itertools import accumulate, product as iter_product, zip_longest
 from math import ceil, gcd, isqrt, lcm
 from operator import mul
 
@@ -103,14 +107,17 @@ from nforders.intmath import (
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
+    _before,
     _budget,
     _det_int,
     _element,
     _form_value,
     _in_lattice,
+    _in_range,
     _ladder_windows,
     _norm_filter,
     _rmul,
+    _stretches,
     _times,
     _pair_coeffs,
     _pair_products,
@@ -889,7 +896,7 @@ def full_ladder_points(module, norm) -> list:
     den = module.den
     out = []
     red = module
-    for w, rho in windows:
+    for w, rho, _ in windows:
         red = lll_reduce(red, _twisted_gram(lad, *w))
         bound = Fraction(_budget(rho, norm, den), den * den)
         out.append([u for u in enumerate_by_t2(red, bound) if keep(u)])
@@ -939,6 +946,65 @@ def full_ladder_search(module, norm):
         if any(_form_value(g, u) <= B for g, B in bounds)
     ]
     return canonical_pick(module, cands)
+
+
+def range_reach(D0, c, near, far) -> Fraction:
+    """The reach of the window twisted by c over the stretch from near, the
+    edge nearer lam = 0, to far, as find_generator bounded it before it
+    read the near edge alone: cosh at the end of the window's lam range
+    nearer 0, l(near) or l(c^2 conj(far)), or 1 where that range holds 0."""
+    x = _rmul(_rmul(c, c, D0), (far[0], -far[1]), D0)
+    s = near[0] * near[1]  # l(h + k sqrt(D0)) has the sign of h*k
+    h, k = x if _before(x, near, D0) == (s > 0) else near
+    return Fraction(h * h + D0 * k * k, abs(h * h - D0 * k * k)) if h * k * s > 0 else Fraction(1)
+
+
+def range_reaches(lad, T) -> list:
+    """Each centred window's range_reach, in l order."""
+    if T == 1:
+        return [Fraction(1)]  # the one window's range holds 0
+    D0 = lad.D0
+    stretches = _stretches(D0, [(1, 0)] + list(cf_convergents(lad.cf, T)))
+    centre = _ladder_windows(lad, T)[2][0][0]
+    return [
+        range_reach(D0, c, *((ea, eb) if i > centre else (eb, ea)))
+        for i, (c, ea, eb) in enumerate(stretches)
+    ]
+
+
+def range_reach_search(module, norm) -> tuple:
+    """(the generator, the windows searched) of find_generator's rank-4
+    walk as it stopped before it read each stretch's near edge: a side
+    stopped at the first window whose range_reach, and that of every
+    window after it on its side (a suffix minimum), no point could pass
+    with a T2 below the best candidate kept."""
+    field = module.ambient
+    norm = Fraction(norm)
+    G = field.t2_gram_matrix()
+    keep = _norm_filter(module, norm)
+    lad, T = _unit_ladder(field, module)
+    windows, edges, walk = _ladder_windows(lad, T)
+    reach = range_reaches(lad, T)
+    den = module.den
+    best = centre = None
+    searched = 0
+    for side in walk:
+        red = centre or module
+        least = list(accumulate((reach[i] for i in side[::-1]), min))[::-1]
+        for i, r in zip(side, least):
+            if best is not None and 16 * norm * den**4 * r * r > best[0] ** 2:
+                break
+            w, rho, _ = windows[i]
+            red = lll_reduce(red, _twisted_gram(lad, *w))
+            centre = centre or red
+            searched += 1
+            bound = Fraction(_budget(rho, norm, den), den * den)
+            for u in filter(keep, enumerate_by_t2(red, bound)):
+                t = _form_value(G, u)
+                if best is None or (t, u) < best:
+                    if _in_range(lad.D0, edges, t, _form_value(lad.C, u)):
+                        best = t, u
+    return _element(module, None if best is None else best[1]), searched
 
 
 # ---------------------------------------------------------------------------

@@ -221,13 +221,14 @@ def test_reprs_that_reach_output_are_unchanged():
 
 def test_cli_starts_without_dataclasses_inspect_or_csv():
     # `import dataclasses` pulls in inspect, ast, dis and tokenize; csv is
-    # imported only where `sweep --csv` writes
+    # imported only where `sweep --csv` writes.  The child's bare env drops
+    # PYTHONDONTWRITEBYTECODE, so -B keeps it from writing into src/
     code = (
         "import sys, nforders.cli; "
         "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,

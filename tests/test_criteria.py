@@ -344,7 +344,6 @@ def test_unit_witness_expands_sqrt_dn_once(monkeypatch):
         (100000000003, 5, False),
     ]:
         unit_witness.cache_clear()
-        _unit_equation.cache_clear()
         quadratic.pell_data.cache_clear()
         calls.clear()
         assert (unit_witness(d, n) is not None) == found, (d, n)
@@ -360,7 +359,6 @@ def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
     cf = cf_sqrt(214)
     k = next(k for k, N in enumerate(cf.norms) if N in (107, -2))
     monkeypatch.setattr(criteria, "_WITNESS_MAX_CONVERGENTS", k + 1)
-    _unit_equation.cache_clear()
     quadratic.pell_data.cache_clear()
     assert _unit_equation(107, 2) == (57003, 416941)
 
@@ -369,10 +367,8 @@ def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
 
     monkeypatch.setattr(criteria, "_WITNESS_MAX_CONVERGENTS", k)
     monkeypatch.setattr(quadratic, "cf_convergents", no_convergents)
-    _unit_equation.cache_clear()
     quadratic.pell_data.cache_clear()
     assert _unit_equation(107, 2) == k
-    _unit_equation.cache_clear()
     unit_witness.cache_clear()
     try:
         r = criterion_hilbert(QuadField(-107)(7), 107, 2)
@@ -392,7 +388,6 @@ def test_witness_past_the_limit_is_decided_not_built(monkeypatch):
         ):
             unit_witness(5, 2)
     finally:
-        _unit_equation.cache_clear()
         unit_witness.cache_clear()
 
 

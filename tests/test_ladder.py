@@ -6,7 +6,9 @@ that earlier code as it was: Fraction multiplication matrices, a
 transform/contains_module stabilisation test, and a Fincke-Pohst descent
 over the whole ball of every window of whole periods of eps.  The early
 stop of the walk is checked against oracles.full_ladder_search, the
-search of every centred window it replaced."""
+search of every centred window it replaced, and against
+oracles.range_reach_search, the stop on the reach of each window's lam
+range that the stop at each stretch's edge nearer 0 replaced."""
 
 import random
 from decimal import Decimal, localcontext
@@ -23,18 +25,18 @@ from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
+    _before,
     _budget,
     _det_int,
     _in_range,
     _ladder_windows,
-    _least_cosh,
     _norm_filter,
     _rmul,
     _stretches,
     _times,
     _twisted_gram,
     _unit_ladder,
-    _walk_reach,
+    adjugate_int,
     enumerate_by_t2,
     find_generator,
     hnf,
@@ -57,6 +59,8 @@ from oracles import (
     fundamental_unit,
     mult_matrix,
     naive_to_coords,
+    range_reach_search,
+    range_reaches,
     rung_windows,
     sqrt_lb,
 )
@@ -411,7 +415,7 @@ def test_window_grams_equal_fraction_products(field):
         twists = [(1, 0)] if T == 1 else [c for c, _, _ in _stretches(lad.D0, gammas)]
         centred = _ladder_windows(lad, T)[0]
         assert len(centred) == len(twists)
-        for (h, k), (w, _) in zip(twists, centred):
+        for (h, k), (w, _, _) in zip(twists, centred):
             assert w == (h * h + lad.D0 * k * k, h * k)
             assert _twisted_gram(lad, *w) == oracle_twisted_gram(field, h, k)
     # more than one power of the ladder unit, and windows over two periods
@@ -534,8 +538,8 @@ def ladder_size(module) -> int:
 
 def test_represent_pool_runs_half_a_period(monkeypatch, pool):
     # 5 windows per (59, 2) ladder and 1 per (11, 10) ladder: 201 in all,
-    # where the full period ran 402; stopping early, the searches run 163
-    # of them, 77 on (59, 2)
+    # where the full period ran 402; stopping early, the searches run 161
+    # of them, 75 on (59, 2)
     built = {E59: [], E1110: []}
     searched = {E59: [], E1110: []}
     lll = lattice.lll_reduce
@@ -551,8 +555,8 @@ def test_represent_pool_runs_half_a_period(monkeypatch, pool):
         lattice.find_generator(module, norm)
     assert set(built[E59]) == {5} and set(built[E1110]) == {1}
     assert sum(built[E59]) + sum(built[E1110]) == 201
-    assert sum(searched[E59]) == 77 and sum(searched[E1110]) == 86
-    assert sum(searched[E59]) + sum(searched[E1110]) == 163
+    assert sum(searched[E59]) == 75 and sum(searched[E1110]) == 86
+    assert sum(searched[E59]) + sum(searched[E1110]) == 161
 
 
 def test_find_generator_matches_oracle_on_23_5_and_71_2():
@@ -764,7 +768,7 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
         keep = _norm_filter(module, norm)
         balls = rung_balls(module, norm)
         lad, T = _unit_ladder(module.ambient, module)
-        twists, _, (_, left), _ = _ladder_windows(lad, T)
+        twists, _, (_, left) = _ladder_windows(lad, T)
         left = {_twisted_gram(lad, *twists[i][0]) for i in left}
         first_left = next((i for i, w in enumerate(windows) if w[1] in left), None)
         lefts += first_left is not None
@@ -1009,7 +1013,7 @@ def check_stretches(field, T) -> str:
     assert len(stretches) == len(windows)
     for (_, _, eb), (_, ea, _) in zip(stretches, stretches[1:]):
         assert eb == ea
-    for (c, ea, eb), (w, _) in zip(stretches, windows):
+    for (c, ea, eb), (w, _, _) in zip(stretches, windows):
         la, lc, lb = oracle_l(ea, D0), oracle_l(c, D0), oracle_l(eb, D0)
         assert la < lb and la <= lc <= lb
         assert _twisted_gram(lad, *w) == oracle_twisted_gram(field, *c)
@@ -1090,7 +1094,7 @@ def test_rung_balls_keep_the_pick_past_l():
         assert oracle_l((57, -5), lad.D0) < oracle_l(low, lad.D0)
     module = identity_module(E235).transform(x)
     norm = x.norm()
-    w, rho = _ladder_windows(lad, T)[0][0]
+    w, rho, _ = _ladder_windows(lad, T)[0][0]
     assert form_value(_twisted_gram(lad, *w), x.coords) <= _budget(rho, norm, module.den)
     got = find_generator(module, norm)
     assert got == oracle_find_generator(module, norm)
@@ -1154,148 +1158,174 @@ def cosh(x: Decimal) -> Decimal:
     return (x.exp() + (-x).exp()) / 2
 
 
-def window_reaches(field, T) -> list:
-    """Each centred window's least cosh(lam) over the points it holds, in l
-    order, from decimals: its range is l(c) +- |l(e) - l(c)|, e the edge of
-    its stretch farther from l(c); 1 where the range holds 0."""
-    lad = ladder_data(field)
-    D0 = lad.D0
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
-    out = []
-    for c, ea, eb in _stretches(D0, gammas):
-        lc = oracle_l(c, D0)
-        r = max(abs(oracle_l(e, D0) - lc) for e in (ea, eb))
-        lo, hi = lc - r, lc + r
-        out.append(Decimal(1) if lo <= 0 <= hi else cosh(min(abs(lo), abs(hi))))
-    return out
-
-
-def exact_reaches(field, T) -> list:
-    """Each centred window's _least_cosh, from its stretch's edge nearer 0,
-    found in decimals, and the other edge."""
-    lad = ladder_data(field)
-    D0 = lad.D0
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
-    out = []
-    for c, ea, eb in _stretches(D0, gammas):
-        near, far = sorted((ea, eb), key=lambda e: abs(oracle_l(e, D0)))
-        out.append(_least_cosh(D0, c, near, far))
-    return out
+def near_cosh(D0, near) -> Fraction:
+    """cosh(l(near)) of near = h + k*sqrt(D0), exactly: the a/b =
+    (h^2 + D0*k^2) / |h^2 - D0*k^2| find_generator stops a side on."""
+    h, k = near
+    return Fraction(h * h + D0 * k * k, abs(h * h - D0 * k * k))
 
 
 REACH_FIELDS = LADDER_FIELDS + (integral_basis(183, 1),)
 
 
-def test_least_cosh_matches_the_decimal_range():
-    # each window's reach is cosh at the end of its lam range nearer 0,
-    # or 1 where the range holds 0, over two steps of every field's ladder
+def test_near_edge_cosh_matches_the_decimal_range():
+    # each window keeps the edge of its stretch nearer lam = 0, and its a/b
+    # is cosh at that edge, over two steps of every field's ladder; the two
+    # windows beside lam = 0 keep the edge 1, with a/b = 1
     with localcontext() as ctx:
         ctx.prec = 400
-        checked = inside = 0
+        checked = at_zero = 0
         for field in REACH_FIELDS:
-            T = 2 * ladder_data(field).step
-            for got, want in zip(exact_reaches(field, T), window_reaches(field, T)):
-                if want == 1:
-                    assert got == 1
-                    inside += 1
-                else:
-                    assert abs(Decimal(got.numerator) / got.denominator - want) < want * Decimal(10) ** -60
+            lad = ladder_data(field)
+            D0, T = lad.D0, 2 * lad.step
+            gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+            windows = _ladder_windows(lad, T)[0]
+            for (_, ea, eb), (_, _, near) in zip(_stretches(D0, gammas), windows):
+                assert near == min((ea, eb), key=lambda e: abs(oracle_l(e, D0)))
+                got, want = near_cosh(D0, near), cosh(oracle_l(near, D0))
+                err = abs(Decimal(got.numerator) / got.denominator - want)
+                assert err < want * Decimal(10) ** -60
+                at_zero += near == (1, 0)
                 checked += 1
-    assert checked > inside > len(REACH_FIELDS)
+    assert checked > at_zero == 2 * len(REACH_FIELDS)
 
 
-def test_least_cosh_on_both_sides_of_0():
-    # c = 3 + 2 sqrt(2) has N(c) = 1 and cosh(l(c)) = p(c) = 17; a window
-    # twisted by c^2 over the stretch from c to c^3 reaches l(c) at its
-    # lower end, its mirror image by conj the same on the left of 0; over
-    # the stretch from 1 to c^3 twisted by c, and from c to c^5 twisted by
-    # c^2, the range is [-l(c), 3 l(c)] or [-l(c), 5 l(c)], which holds 0,
-    # though the stretch does not cross it
-    def power(x, m):
-        out = (1, 0)
-        for _ in range(m):
-            out = _rmul(out, x, 2)
-        return out
+def test_near_edges_on_both_sides_of_0():
+    # the walk's first side runs from lam = 0 up, its near edges at l >= 0;
+    # the second runs down, at l < 0, and where the ladder has one it starts
+    # at the centre stretch's lower edge.  On (71, 2) over 6 rungs that is
+    # -10 + sqrt(142), whose a/b is (100 + 142)/|100 - 142| = 121/21
+    lefts = 0
+    with localcontext() as ctx:
+        ctx.prec = 200
+        for field in REACH_FIELDS:
+            lad = ladder_data(field)
+            for m in range(1, 4):
+                windows, _, (right, left) = _ladder_windows(lad, m * lad.step)
+                assert all(oracle_l(windows[i][2], lad.D0) >= 0 for i in right)
+                assert all(oracle_l(windows[i][2], lad.D0) < 0 for i in left)
+                lefts += len(left) > 0
+    assert lefts > 0
+    lad = ladder_data(integral_basis(71, 2))
+    windows, _, (right, left) = _ladder_windows(lad, 6)
+    assert [near_cosh(lad.D0, windows[i][2]) for i in left] == [Fraction(121, 21)]
+    assert [near_cosh(lad.D0, windows[i][2]) for i in right] == [
+        1, 1, Fraction(263, 21), 143, Fraction(34343, 21), 40897
+    ]
 
-    c, cbar = (3, 2), (3, -2)
-    assert _least_cosh(2, power(c, 2), c, power(c, 3)) == 17
-    assert _least_cosh(2, power(cbar, 2), cbar, power(cbar, 3)) == 17
-    assert _least_cosh(2, c, (1, 0), power(c, 3)) == 1
-    assert _least_cosh(2, cbar, (1, 0), power(cbar, 3)) == 1
-    assert _least_cosh(2, power(c, 2), c, power(c, 5)) == 1
-    assert _least_cosh(2, power(cbar, 2), cbar, power(cbar, 5)) == 1
+
+def j_edges(lad, T) -> tuple:
+    """(lo, hi) in Z[sqrt(D0)] with l(lo) = 2 min J and l(hi) = 2 max J, for
+    _in_range: J = [L, L + P], or [-P/2, P/2] where L < -P/2, as for T = 1."""
+    D0 = lad.D0
+    low2, high = _ladder_windows(lad, T)[1]  # E_L^2, gamma_T^2
+    gT = list(cf_convergents(lad.cf, T))[-1]
+    if _before(_rmul(low2, gT, D0), (1, 0), D0):  # 2L + P < 0
+        return (gT[0], -gT[1]), gT
+    return low2, _rmul(low2, high, D0)
+
+
+def stretch_edges(lad, T) -> list:
+    """Each centred window's stretch as (lo, hi) for _in_range: its edges
+    squared, or J for the one window of T = 1."""
+    if T == 1:
+        return [j_edges(lad, T)]
+    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    square = lambda e: _rmul(e, e, lad.D0)
+    return [(square(ea), square(eb)) for _, ea, eb in _stretches(lad.D0, gammas)]
 
 
 def test_every_point_of_a_window_is_past_its_reach(early_pool):
-    # every norm-N point the full ladder finds in a window has T2 at least
-    # 4 sqrt(N) times the window's reach, and so at least the least reach
-    # of the windows before it on its side of the walk; exactly, on
-    # integers: G(u)^2 >= 16 N den^4 reach^2
-    points = tight = 0
+    # every norm-N point the full ladder finds in a window's stretch has T2
+    # at least 4 sqrt(N) cosh(l(near)), exactly on integers: G(u)^2 >= 16 N
+    # den^4 (a/b)^2.  Every point it keeps, with lam in [L, P], either lies
+    # in J, which the stretches tile, or has a translate by the ladder
+    # unit's power in J with a smaller G(u): the pick lies in J
+    points = tight = outside = 0
     for module, norm in early_pool:
         field = module.ambient
         lad, T = _unit_ladder(field, module)
-        walk = _ladder_windows(lad, T)[2]
+        D0 = lad.D0
+        windows, edges, walk = _ladder_windows(lad, T)
         assert walk == tuple(map(tuple, walk_order(module)))
-        least = {}
-        for side, reach in zip(walk, _walk_reach(lad, T)):
-            least.update(zip(side, reach))
-        own = [Fraction(1)] if T == 1 else exact_reaches(field, T)
+        J = j_edges(lad, T)
+        U = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        for _ in range(T // lad.step):
+            U = _times(U, lad.U)
+        units = (U, adjugate_int(U))  # u^m has norm 1
         G = field.t2_gram_matrix()
+        forms = lambda u: (form_value(G, u), form_value(lad.C, u))
         norm = Fraction(norm)
         scale = 16 * norm * module.den**4
-        for i, pts in enumerate(full_ladder_points(module, norm)):
-            assert least[i] <= own[i]
-            for u in pts:
-                g2 = form_value(G, u) ** 2
-                assert g2 >= scale * own[i] ** 2
-                tight += g2 < 2 * scale * own[i] ** 2
-                points += 1
-    assert points > len(early_pool) and tight > 0
+        pts = full_ladder_points(module, norm)
+        for (_, _, near), stretch, found in zip(windows, stretch_edges(lad, T), pts):
+            r = near_cosh(D0, near)
+            for u in found:
+                t, c = forms(u)
+                if _in_range(D0, stretch, t, c):
+                    assert t * t >= scale * r * r
+                    tight += t * t < 2 * scale * r * r
+                    points += 1
+                if _in_range(D0, edges, t, c) and not _in_range(D0, J, t, c):
+                    moved = [v for M in units for v in _times([u], M)]
+                    moved = [v for v in moved if _in_range(D0, J, *forms(v))]
+                    assert len(moved) == 1 and forms(moved[0])[0] < t
+                    outside += 1
+    assert points > len(early_pool) and tight > 0 and outside > 0
 
 
-def test_walk_keeps_the_least_reach_of_the_rest():
-    # the reaches along a side need not grow: on (183, 1) the third window
-    # of the walk reaches farther than the fourth, so the walk bounds each
-    # window by the least reach of it and of every window after it
-    E1831 = integral_basis(183, 1)
-    lad = ladder_data(E1831)
-    T = lad.step
-    with localcontext() as ctx:
-        ctx.prec = 200
-        own = exact_reaches(E1831, T)
-    walk = _ladder_windows(lad, T)[2]
-    assert walk == (tuple(range(T)), ())
-    assert _walk_reach(lad, T) == ([min(own[i:]) for i in range(T)], [])
+def test_near_edge_reaches_never_fall_along_a_side():
+    # the near edges move away from 0 along each side of the walk, so their
+    # a/b grow and the first window out of reach ends its side; each is at
+    # least the reach of the window's whole lam range (oracles.range_reach),
+    # which can fall along a side: on (183, 1) the third window's range
+    # reaches farther than the fourth's, 24.77 against 23.86
+    for field in REACH_FIELDS:
+        lad = ladder_data(field)
+        for m in range(1, 4):
+            T = m * lad.step
+            windows, _, walk = _ladder_windows(lad, T)
+            near = [near_cosh(lad.D0, w[2]) for w in windows]
+            for side in walk:
+                reach = [near[i] for i in side]
+                assert reach == sorted(reach)
+            assert near[walk[0][0]] == 1
+            assert all(a >= b for a, b in zip(near, range_reaches(lad, T)))
+    lad = ladder_data(integral_basis(183, 1))
+    own = range_reaches(lad, lad.step)
     assert own[2] > own[3] > own[1] == 1
+    assert 23 < own[3] < 24 < own[2] < 25
+
+
+def test_near_edge_walk_matches_the_range_reach_walk(monkeypatch, early_pool):
+    # the walk that stops at each stretch's near edge picks what the walk on
+    # the reaches of the windows' lam ranges picked (oracles.
+    # range_reach_search), and never searches more windows; some fewer
+    fewer = 0
+    for module, norm in early_pool:
+        want, searched = range_reach_search(module, norm)
+        alpha, lll, _ = count_windows(monkeypatch, module, norm)
+        assert alpha == want and lll <= searched
+        fewer += lll < searched
+    assert fewer > 0
 
 
 @pytest.mark.parametrize("field", (E59, integral_basis(183, 1)), ids=repr)
 def test_a_window_reach_is_attained(field):
-    # the end x of a window's lam range nearer 0, in Z[sqrt(D0)], is a
-    # norm-N(x) point of O_E in that window's ball with T2 exactly 4
-    # sqrt(N) reach: the bound is sharp, so only a strict test may skip
-    # the window, as a tie in T2 goes to u
+    # a window's near edge x, in Z[sqrt(D0)], is a norm-N(x) point of O_E
+    # in that window's ball with T2 exactly 4 sqrt(N) cosh(l(x)): the bound
+    # is sharp, so only a strict test may stop a side, as a tie in T2 goes
+    # to u
     lad = ladder_data(field)
-    D0, T = lad.D0, lad.step
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
-    windows = _ladder_windows(lad, T)[0]
     G = field.t2_gram_matrix()
     checked = 0
-    with localcontext() as ctx:
-        ctx.prec = 200
-        for (c, ea, eb), (w, rho), reach in zip(
-            _stretches(D0, gammas), windows, exact_reaches(field, T)
-        ):
-            if reach == 1:
-                continue
-            lc = oracle_l(c, D0)
-            e = max((ea, eb), key=lambda e: abs(oracle_l(e, D0) - lc))
-            ends = (e, _rmul(_rmul(c, c, D0), (e[0], -e[1]), D0))
-            x = field.from_real_quadratic(*min(ends, key=lambda e: abs(oracle_l(e, D0))))
-            assert x.den == 1
-            norm = x.norm()
-            assert form_value(G, x.u) ** 2 == 16 * norm * reach**2
-            assert form_value(_twisted_gram(lad, *w), x.u) <= _budget(rho, norm, 1)
-            checked += 1
+    for w, rho, near in _ladder_windows(lad, lad.step)[0]:
+        if near == (1, 0):
+            continue
+        x = field.from_real_quadratic(*near)
+        assert x.den == 1
+        norm = x.norm()
+        assert form_value(G, x.u) ** 2 == 16 * norm * near_cosh(lad.D0, near) ** 2
+        assert form_value(_twisted_gram(lad, *w), x.u) <= _budget(rho, norm, 1)
+        checked += 1
     assert checked >= 2

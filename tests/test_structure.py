@@ -323,7 +323,7 @@ def test_benchmark_clear_caches_empties_identity_module(monkeypatch):
     from workloads import clear_caches
 
     from nforders.biquadratic import norm_map_condition
-    from nforders.criteria import _unit_equation, unit_witness
+    from nforders.criteria import unit_witness
     from nforders.lattice import identity_module
     from nforders.orders import _prime_modules, maximal_order
     from nforders.quadratic import QuadField
@@ -333,7 +333,6 @@ def test_benchmark_clear_caches_empties_identity_module(monkeypatch):
     cached = (
         identity_module,
         unit_witness,
-        _unit_equation,
         norm_map_condition,
         maximal_order,
         _prime_modules,
@@ -342,7 +341,6 @@ def test_benchmark_clear_caches_empties_identity_module(monkeypatch):
     maximal_order(QuadField(-5))
     _prime_modules(QuadField(-5), 2)
     unit_witness(59, 2)
-    _unit_equation(59, 2)
     norm_map_condition(59, 2)
     for fn in cached:
         assert fn.cache_info().currsize > 0, fn
