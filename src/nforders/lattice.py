@@ -21,10 +21,10 @@ from typing import NamedTuple
 
 from .intmath import xgcd
 from .quadratic import (
-    CFExpansion,
     Keyed,
     UnsupportedFieldError,
-    cf_convergents,
+    _in_range,
+    _ladder_windows,
     integer_rows,
     pell_data,
     table_matrix,
@@ -611,33 +611,27 @@ _LADDER_MAX_PERIOD = 2**14
 
 
 class LadderData(NamedTuple):
-    """What the rank-4 window ladder needs of a field, built once per field
-    (ladder_data).  `U` is the integer multiplication matrix of the ladder
-    unit u, and each power of u moves the ladder `step` convergents of the
-    expansion `cf` of sqrt(D0) on.  G and C are the field's norm_forms: a
-    twist is their weighted difference (_twisted_gram), and a point's two
-    values under them give its lam (_in_range)."""
+    """The ladder unit u of a field, built once per field (ladder_data):
+    `U` is its integer multiplication matrix, and each power of u moves the
+    ladder `step` convergents of sqrt(D0), of period `period`, on."""
 
-    D0: int
-    cf: CFExpansion
     U: tuple
     step: int
-    G: tuple
-    C: tuple
+    period: int
 
 
 @lru_cache(maxsize=None)
 def ladder_data(field) -> LadderData:
-    """The field's LadderData, off pell_data(D0): `cf` has period l, and
-    the Pell unit eps = x0 + y0*sqrt(D0) is the least solution of x^2 -
-    D0*y^2 = +-1 (Cohen, GTM 138, 5.7).  The ladder unit is the midpoint
-    unit v = conj(e)/sqrt(-c), with step mid, when l = 2*mid is even and
-    the mid-th convergent e (PellData.half) has |N(e)| = c in {d, n}, and v
-    is checked integral with v^2 = -eps^-1; else it is eps, with step l.
-    D0, G and C are the field's norm_forms.  A period past
-    _LADDER_MAX_PERIOD raises UnsupportedFieldError before any convergent
-    is built."""
-    D0, G, C = field.norm_forms
+    """The field's LadderData, off pell_data(D0), D0 of the field's
+    norm_forms: the expansion has period l, and the Pell unit eps = x0 +
+    y0*sqrt(D0) is the least solution of x^2 - D0*y^2 = +-1 (Cohen, GTM
+    138, 5.7).  The ladder unit is the midpoint unit v = conj(e)/sqrt(-c),
+    with step mid, when l = 2*mid is even and the mid-th convergent e
+    (PellData.half) has |N(e)| = c in {d, n}, read off the expansion's
+    norms, and v is checked integral with v^2 = -eps^-1; else it is eps,
+    with step l.  A period past _LADDER_MAX_PERIOD raises
+    UnsupportedFieldError before any convergent is built."""
+    D0 = field.norm_forms[0]
     P = pell_data(D0)
     l = len(P.cf.period)
     if l > _LADDER_MAX_PERIOD:
@@ -648,26 +642,26 @@ def ladder_data(field) -> LadderData:
     (h, k), (x0, y0) = P.half
     unit, step = field.from_real_quadratic(x0, y0), l
     if l % 2 == 0:
-        c = abs(h * h - D0 * k * k)
+        c = abs(P.cf.norms[l // 2 - 1])
         if c in (field.d, field.n):
             v = field.from_real_quadratic(h, -k) * field.gens()[c == field.n] / -c
             if v.is_integral() and v * v == -field.from_real_quadratic(x0, -y0):
                 unit, step = v, l // 2
     U = tuple(map(tuple, table_matrix(field.mult_table, unit.u)))
-    return LadderData(D0, P.cf, U, step, G, C)
+    return LadderData(U, step, l)
 
 
-def _twisted_gram(lad: LadderData, p: int, hk: int) -> tuple:
+def _twisted_gram(G, C, p: int, hk: int) -> tuple:
     """The Gram p*G - hk*C of T2(x * conj(gamma)), gamma = h + k*sqrt(D0),
-    from its weights p = h^2 + D0*k^2 and hk: M G M^t of M = h*I - k*S, S
-    the matrix of sqrt(D0), is h^2 G - hk C + k^2 S G S^t, and S G S^t =
-    D0 G, as T2(x * sqrt(D0)) = D0 T2(x) for the real sqrt(D0)."""
-    return tuple(tuple(p * a - hk * b for a, b in zip(ra, rb)) for ra, rb in zip(lad.G, lad.C))
+    from its weights p = h^2 + D0*k^2 and hk and norm_forms G, C: M G M^t
+    of M = h*I - k*S, S the matrix of sqrt(D0), is h^2 G - hk C + k^2 S G
+    S^t, and S G S^t = D0 G, as T2(x * sqrt(D0)) = D0 T2(x), sqrt(D0) real."""
+    return tuple(tuple(p * a - hk * b for a, b in zip(ra, rb)) for ra, rb in zip(G, C))
 
 
-def _unit_ladder(field, module):
-    """(the field's LadderData, T = m*step), m >= 1 the least with u^m
-    stabilizing the module, u the ladder unit: the ladder runs over the
+def _unit_ladder(field, module) -> int:
+    """T = m*step, m >= 1 the least with u^m stabilizing the module, u the
+    ladder unit of the field's LadderData: the ladder runs over the
     convergents gamma_1, ..., gamma_T, m periods for the Pell unit, m half
     periods for the midpoint unit.  Decided on integers: rows <- rows*U is
     the module's HNF rows times U^m, and since u^m has norm 1, u^m * module
@@ -676,76 +670,14 @@ def _unit_ladder(field, module):
     UnsupportedFieldError."""
     lad = ladder_data(field)
     H = rows = module.rows
-    for m in range(1, _LADDER_MAX_PERIODS * len(lad.cf.period) // lad.step + 1):
+    for m in range(1, _LADDER_MAX_PERIODS * lad.period // lad.step + 1):
         rows = _times(rows, lad.U)
         if all(_in_lattice(H, r) for r in rows):
-            return lad, m * lad.step
+            return m * lad.step
     raise UnsupportedFieldError(
         "no power of the ladder unit within %d periods stabilizes the module"
         % _LADDER_MAX_PERIODS
     )
-
-
-def _rmul(x, y, D0) -> tuple:
-    """The product of x = h + k*sqrt(D0) and y in Z[sqrt(D0)], as (h, k)."""
-    return x[0] * y[0] + D0 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _before(x, y, D0) -> bool:
-    """l(x) < l(y) for nonzero x, y in Z[sqrt(D0)], l(z) = log|z/z'|.  With
-    x*conj(y) = H + K*sqrt(D0), l(x) - l(y) = l(H + K*sqrt(D0)), which is
-    negative exactly when (H + K sqrt(D0))^2 < (H - K sqrt(D0))^2, that is
-    when H*K < 0."""
-    (a, b), (c, d) = x, y
-    return (a * c - D0 * b * d) * (b * c - a * d) < 0
-
-
-def _twist(ea, eb, D0) -> tuple:
-    """An element c of Z[sqrt(D0)] with l(c) near the midpoint of l(ea) and
-    l(eb): c = s_b*ea + s_a*eb, s = isqrt|N(e)|, once ea and eb are positive
-    at the first place and, where their norms differ in sign, eb is taken
-    times sqrt(D0).  Then ea and eb have the same sign at each place, so
-    l(c) lies between l(ea) and l(eb), and with exact square roots c =
-    sqrt|N(ea) N(eb)| (ea/sqrt|N(ea)| + eb/sqrt|N(eb)|) would have l(c) the
-    midpoint.  The window's ball is computed from c itself."""
-
-    def positive(e):
-        h, k = e
-        return e if (h if h * h > D0 * k * k else k) > 0 else (-h, -k)
-
-    ea, eb = positive(ea), positive(eb)
-    na, nb = ea[0] ** 2 - D0 * ea[1] ** 2, eb[0] ** 2 - D0 * eb[1] ** 2
-    if (na > 0) != (nb > 0):
-        eb, nb = (D0 * eb[1], eb[0]), -D0 * nb
-    sa, sb = isqrt(abs(na)), isqrt(abs(nb))
-    return sb * ea[0] + sa * eb[0], sb * ea[1] + sa * eb[1]
-
-
-def _stretches(D0, gammas) -> list:
-    """The stretches (c, ea, eb) the ladder over the rungs gammas = [1,
-    gamma_1, ..., gamma_T], T >= 2, searches, in order of l: the edges ea,
-    eb are in Z[sqrt(D0)], each stretch's eb is the next one's ea, and c is
-    its twist (_twist).  With P = l(gamma_T) and L = min(l_i - r_i) = min
-    l(gamma_i^2 * conj(gamma_(i+1))), the edges run from L through the
-    translates gamma_i*conj(gamma_T) above it, 1 and the rungs to L + P,
-    so the stretches tile J = [L, L + P]; where L < -P/2 they run to the
-    first rung at or past P/2 instead and cover J = [-P/2, P/2]
-    (docs/generator-search.md, "Centred windows")."""
-    T = len(gammas) - 1
-    gT, one = gammas[T], (1, 0)
-    low = None
-    for g, (h2, k2) in zip(gammas, gammas[1:]):
-        e = _rmul(_rmul(g, g, D0), (h2, -k2), D0)
-        if low is None or _before(e, low, D0):
-            low = e
-    if _before(_rmul(_rmul(low, low, D0), gT, D0), one, D0):  # L < -P/2
-        high = next(g for g in gammas if not _before(_rmul(g, g, D0), gT, D0))
-    else:
-        high = _rmul(low, gT, D0)
-    shifted = (_rmul(g, (gT[0], -gT[1]), D0) for g in gammas[:T])
-    edges = [low] + [t for t in shifted if _before(low, t, D0) and _before(t, one, D0)]
-    edges += [one] + [g for g in gammas[1:T] if _before(g, high, D0)] + [high]
-    return [(_twist(ea, eb, D0), ea, eb) for ea, eb in zip(edges, edges[1:])]
 
 
 def _budget(rho: Fraction, norm: Fraction, den: int) -> int:
@@ -754,58 +686,6 @@ def _budget(rho: Fraction, norm: Fraction, den: int) -> int:
     ball, as each point's form value is an integer, and floor(sqrt(q)) =
     isqrt(floor(q)) for a rational q >= 0."""
     return isqrt(rho.numerator * norm.numerator * den**4 // (rho.denominator * norm.denominator))
-
-
-@lru_cache(maxsize=None)
-def _ladder_windows(lad: LadderData, T: int) -> tuple:
-    """(windows, edges, walk) of the ladder over the convergents gamma_0 =
-    1, ..., gamma_T of lad.cf, windows a tuple of (the twist's weights (p,
-    hk) of LadderData, rho, near) with ball^2 = N rho on norm-N searches:
-    the _stretches twisted by their c, with the ball at the farther edge
-    and `near` the edge nearer lam = 0; for T = 1 one window twisted by 1,
-    near = 1, covers J = [-P/2, P/2], with cosh(P/2)^2 = (p_T +
-    |N(gamma_T)|) / (2|N(gamma_T)|), p(h + k*sqrt(D0)) = h^2 + D0*k^2.
-    The pick is the least norm-N point with lam in [L, P]: `edges` is
-    (E_L^2, gamma_T^2) for _in_range, E_L the stretches' first edge,
-    conj(gamma_1) for T = 1.  `walk` is the indices of the two sides
-    searched, out from the stretch ending at lam = 0."""
-    D0 = lad.D0
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
-    h, k = gammas[T]
-    high = h * h + D0 * k * k, 2 * h * k  # gamma_T^2
-
-    def window(c, ea, eb, near):
-        # the ball at the farther edge e: T2(x * conj(c)) = 4 sqrt(N) |N(c)|
-        # cosh(lam - l(c)) on norm-N points, and |N(c)| cosh(l(e) - l(c)) =
-        # p(c*conj(e)) / |N(e)|
-        def ball2(h, k):
-            w0, w1 = _rmul(c, (h, -k), D0)
-            return Fraction(4 * (w0 * w0 + D0 * w1 * w1), h * h - D0 * k * k) ** 2
-
-        h, k = c
-        return (h * h + D0 * k * k, h * k), max(ball2(*ea), ball2(*eb)), near
-
-    if T == 1:
-        p, n = high[0], abs(h * h - D0 * k * k)
-        windows = (((1, 0), Fraction(8 * (p + n), n), (1, 0)),)
-        return windows, ((p, -high[1]), high), ((0,), ())
-    stretches = _stretches(D0, gammas)
-    centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
-    walk = tuple(range(centre, len(stretches))), tuple(range(centre - 1, -1, -1))
-    windows = tuple(
-        window(c, ea, eb, ea if i > centre else eb) for i, (c, ea, eb) in enumerate(stretches)
-    )
-    low = stretches[0][1]
-    return windows, (_rmul(low, low, D0), high), walk
-
-
-def _in_range(D0, edges, t: int, c: int) -> bool:
-    """L <= lam <= P for a norm-N point u with t = u G u^t, c = u C u^t
-    and the edges (E_L^2, gamma_T^2) of _ladder_windows, exactly: z =
-    2*D0*t + c*sqrt(D0) has z/z' = A1/A2, the ratio of u's squared
-    absolute values at the two places, so l(z) = 2*lam."""
-    z, (low, high) = (2 * D0 * t, c), edges
-    return not (_before(z, low, D0) or _before(high, z, D0))
 
 
 def find_generator(module: IntModule, norm):
@@ -843,26 +723,25 @@ def find_generator(module: IntModule, norm):
         return _element(module, next(filter(keep, points), None))
 
     # centred windows over one period of the ladder unit's power, walked out from 0
-    lad, T = _unit_ladder(field, module)
-    windows, edges, walk = _ladder_windows(lad, T)
-    D0, den = lad.D0, module.den
+    D0, G, C = field.norm_forms
+    windows, edges, walk = _ladder_windows(D0, _unit_ladder(field, module))
+    den = module.den
     best = centre = None  # best: the least (u G u^t, u) kept
     for side in walk:
         red = centre or module  # each window reduces the basis the one before reduced
         for i in side:
-            w, rho, (h, k) = windows[i]
+            w, rho, (a, b) = windows[i]
             if best is not None:
                 # a norm-N point of this stretch, or of one after it on
                 # this side, has T2 >= 4 sqrt(N) a/b, a/b = cosh(l(near))
-                a, b = h * h + D0 * k * k, abs(h * h - D0 * k * k)
                 if 16 * norm.numerator * den**4 * a * a > norm.denominator * (best[0] * b) ** 2:
                     break  # best < 4 sqrt(N) den^2 a/b, strictly: a tie in G(u) goes to u
-            red = lll_reduce(red, _twisted_gram(lad, *w))
+            red = lll_reduce(red, _twisted_gram(G, C, *w))
             centre = centre or red
             bound = Fraction(_budget(rho, norm, den), den * den)
             for u in filter(keep, enumerate_by_t2(red, bound)):
                 t = _form_value(G, u)
                 if best is None or (t, u) < best:
-                    if _in_range(D0, edges, t, _form_value(lad.C, u)):
+                    if _in_range(D0, edges, t, _form_value(C, u)):
                         best = t, u
     return _element(module, None if best is None else best[1])

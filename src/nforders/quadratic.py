@@ -5,7 +5,8 @@ w = sqrt(D) otherwise.  Field elements of either degree, quadratic here
 and quartic in biquadratic.py, are integer coordinates over the integral
 basis and one denominator (FieldElem).  Class numbers are counted on
 reduced binary quadratic forms (imaginary side only), and Pell equations
-solved through the continued fraction of sqrt(D).
+solved through the continued fraction of sqrt(D), whose cycle is also cut
+into the windows of the rank-4 generator search (lattice.find_generator).
 """
 
 from __future__ import annotations
@@ -613,3 +614,122 @@ def pell_solve(D: int, N: int) -> PellSolution | None:
     if l % 2 and N == 1:
         x, y = x * x + D * y * y, 2 * x * y
     return PellSolution(D, N, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the cycle of sqrt(D0) in Z[sqrt(D0)]: the windows of lattice.find_generator
+
+
+def _rmul(x, y, D0) -> tuple:
+    """The product of x = h + k*sqrt(D0) and y in Z[sqrt(D0)], as (h, k)."""
+    return x[0] * y[0] + D0 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _before(x, y, D0) -> bool:
+    """l(x) < l(y) for nonzero x, y in Z[sqrt(D0)], l(z) = log|z/z'|.  With
+    x*conj(y) = H + K*sqrt(D0), l(x) - l(y) = l(H + K*sqrt(D0)), which is
+    negative exactly when (H + K sqrt(D0))^2 < (H - K sqrt(D0))^2, that is
+    when H*K < 0."""
+    (a, b), (c, d) = x, y
+    return (a * c - D0 * b * d) * (b * c - a * d) < 0
+
+
+def _twist(ea, eb, D0) -> tuple:
+    """An element c of Z[sqrt(D0)] with l(c) near the midpoint of l(ea) and
+    l(eb): c = s_b*ea + s_a*eb, s = isqrt|N(e)|, once ea and eb are positive
+    at the first place and, where their norms differ in sign, eb is taken
+    times sqrt(D0).  Then ea and eb have the same sign at each place, so
+    l(c) lies between l(ea) and l(eb), and with exact square roots c =
+    sqrt|N(ea) N(eb)| (ea/sqrt|N(ea)| + eb/sqrt|N(eb)|) would have l(c) the
+    midpoint.  The window's ball is computed from c itself."""
+
+    def positive(e):
+        h, k = e
+        return e if (h if h * h > D0 * k * k else k) > 0 else (-h, -k)
+
+    ea, eb = positive(ea), positive(eb)
+    na, nb = ea[0] ** 2 - D0 * ea[1] ** 2, eb[0] ** 2 - D0 * eb[1] ** 2
+    if (na > 0) != (nb > 0):
+        eb, nb = (D0 * eb[1], eb[0]), -D0 * nb
+    sa, sb = isqrt(abs(na)), isqrt(abs(nb))
+    return sb * ea[0] + sa * eb[0], sb * ea[1] + sa * eb[1]
+
+
+def _stretches(D0, gammas) -> list:
+    """The stretches (c, ea, eb) the ladder over the rungs gammas = [1,
+    gamma_1, ..., gamma_T], T >= 2, searches, in order of l: the edges ea,
+    eb are in Z[sqrt(D0)], each stretch's eb is the next one's ea, and c is
+    its twist (_twist).  With P = l(gamma_T) and L = min(l_i - r_i) = min
+    l(gamma_i^2 * conj(gamma_(i+1))), the edges run from L through the
+    translates gamma_i*conj(gamma_T) above it, 1 and the rungs to L + P,
+    so the stretches tile J = [L, L + P]; where L < -P/2 they run to the
+    first rung at or past P/2 instead and cover J = [-P/2, P/2]
+    (docs/generator-search.md, "Centred windows")."""
+    T = len(gammas) - 1
+    gT, one = gammas[T], (1, 0)
+    low = None
+    for g, (h2, k2) in zip(gammas, gammas[1:]):
+        e = _rmul(_rmul(g, g, D0), (h2, -k2), D0)
+        if low is None or _before(e, low, D0):
+            low = e
+    if _before(_rmul(_rmul(low, low, D0), gT, D0), one, D0):  # L < -P/2
+        high = next(g for g in gammas if not _before(_rmul(g, g, D0), gT, D0))
+    else:
+        high = _rmul(low, gT, D0)
+    shifted = (_rmul(g, (gT[0], -gT[1]), D0) for g in gammas[:T])
+    edges = [low] + [t for t in shifted if _before(low, t, D0) and _before(t, one, D0)]
+    edges += [one] + [g for g in gammas[1:T] if _before(g, high, D0)] + [high]
+    return [(_twist(ea, eb, D0), ea, eb) for ea, eb in zip(edges, edges[1:])]
+
+
+@lru_cache(maxsize=None)
+def _ladder_windows(D0: int, T: int) -> tuple:
+    """(windows, edges, walk) of the ladder over the convergents gamma_0 =
+    1, ..., gamma_T of pell_data(D0).cf.  `windows` holds one record ((p,
+    hk), rho, (a, b)) per stretch of _stretches: its twist c = h +
+    k*sqrt(D0) as p = p(c) and hk, its ball at the farther edge as ball^2
+    = N rho on norm-N searches, and a/b = cosh(l(near)) at its edge nearer
+    lam = 0, a = p(near) and b = |N(near)|, p(h + k*sqrt(D0)) = h^2 +
+    D0*k^2.  For T = 1 one window twisted by 1, a/b = 1, covers J = [-P/2,
+    P/2], with cosh(P/2)^2 = (p_T + |N(gamma_T)|) / (2|N(gamma_T)|).  The
+    pick is the least norm-N point with lam in [L, P]: `edges` is (E_L^2,
+    gamma_T^2) for _in_range, E_L the stretches' first edge, conj(gamma_1)
+    for T = 1.  `walk` is the indices of the two sides searched, out from
+    the stretch ending at lam = 0."""
+    gammas = [(1, 0)] + list(cf_convergents(pell_data(D0).cf, T))
+    h, k = gammas[T]
+    high = h * h + D0 * k * k, 2 * h * k  # gamma_T^2
+
+    def cosh(h, k):  # (p, |N|) of h + k*sqrt(D0): cosh(l) = p/|N|
+        return h * h + D0 * k * k, abs(h * h - D0 * k * k)
+
+    def window(c, ea, eb, near):
+        # the ball at the farther edge e: T2(x * conj(c)) = 4 sqrt(N) |N(c)|
+        # cosh(lam - l(c)) on norm-N points, and |N(c)| cosh(l(e) - l(c)) =
+        # p(c*conj(e)) / |N(e)|
+        def ball2(h, k):
+            return Fraction(4 * cosh(*_rmul(c, (h, -k), D0))[0], cosh(h, k)[1]) ** 2
+
+        return (cosh(*c)[0], c[0] * c[1]), max(ball2(*ea), ball2(*eb)), cosh(*near)
+
+    if T == 1:
+        p, n = cosh(h, k)
+        windows = (((1, 0), Fraction(8 * (p + n), n), (1, 1)),)
+        return windows, ((p, -high[1]), high), ((0,), ())
+    stretches = _stretches(D0, gammas)
+    centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
+    walk = tuple(range(centre, len(stretches))), tuple(range(centre - 1, -1, -1))
+    windows = tuple(
+        window(c, ea, eb, ea if i > centre else eb) for i, (c, ea, eb) in enumerate(stretches)
+    )
+    low = stretches[0][1]
+    return windows, (_rmul(low, low, D0), high), walk
+
+
+def _in_range(D0, edges, t: int, c: int) -> bool:
+    """L <= lam <= P for a norm-N point u with t = u G u^t, c = u C u^t
+    and the edges (E_L^2, gamma_T^2) of _ladder_windows, exactly: z =
+    2*D0*t + c*sqrt(D0) has z/z' = A1/A2, the ratio of u's squared
+    absolute values at the two places, so l(z) = 2*lam."""
+    z, (low, high) = (2 * D0 * t, c), edges
+    return not (_before(z, low, D0) or _before(high, z, D0))

@@ -107,17 +107,12 @@ from nforders.intmath import (
 from nforders.lattice import (
     IntModule,
     LatticeBasis,
-    _before,
     _budget,
     _det_int,
     _element,
     _form_value,
     _in_lattice,
-    _in_range,
-    _ladder_windows,
     _norm_filter,
-    _rmul,
-    _stretches,
     _times,
     _pair_coeffs,
     _pair_products,
@@ -144,6 +139,11 @@ from nforders.quadratic import (
     BinaryForm,
     QuadElem,
     QuadField,
+    _before,
+    _in_range,
+    _ladder_windows,
+    _rmul,
+    _stretches,
     cf_convergents,
     cf_sqrt,
     integer_coords,
@@ -884,6 +884,12 @@ def transform_by_matrix(m: IntModule, M) -> IntModule:
     return IntModule(m.ambient, tuple(map(tuple, rows)), m.den * L)
 
 
+def ladder_rungs(D0, T) -> list:
+    """The rungs 1, gamma_1, ..., gamma_T of the ladder over the
+    convergents gamma_i = h_i + k_i*sqrt(D0), as (h, k) pairs."""
+    return [(1, 0)] + list(cf_convergents(cf_sqrt(D0), T))
+
+
 def full_ladder_points(module, norm) -> list:
     """The norm-N points of every centred window of the module's rank-4
     ladder, N = norm, window by window in l order, each LLL started from
@@ -891,13 +897,13 @@ def full_ladder_points(module, norm) -> list:
     searched before it stopped early, in the order it searched them."""
     norm = Fraction(norm)
     keep = _norm_filter(module, norm)
-    lad, T = _unit_ladder(module.ambient, module)
-    windows = _ladder_windows(lad, T)[0]
+    D0, G, C = module.ambient.norm_forms
+    windows = _ladder_windows(D0, _unit_ladder(module.ambient, module))[0]
     den = module.den
     out = []
     red = module
     for w, rho, _ in windows:
-        red = lll_reduce(red, _twisted_gram(lad, *w))
+        red = lll_reduce(red, _twisted_gram(G, C, *w))
         bound = Fraction(_budget(rho, norm, den), den * den)
         out.append([u for u in enumerate_by_t2(red, bound) if keep(u)])
     return out
@@ -912,9 +918,8 @@ def rung_windows(module, norm) -> list:
     the twist c = gamma_i and the edge e = gamma_(i+1), as _ladder_windows
     built it before find_generator tested L <= lam <= P, and floored by
     _budget."""
-    lad, T = _unit_ladder(module.ambient, module)
-    D0 = lad.D0
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
+    D0 = module.ambient.norm_forms[0]
+    gammas = ladder_rungs(D0, _unit_ladder(module.ambient, module))
     out = []
     for (h, k), (h2, k2) in zip(gammas, gammas[1:]):
         w0, w1 = _rmul((h, k), (h2, -k2), D0)
@@ -937,8 +942,8 @@ def full_ladder_search(module, norm):
     and before it tested L <= lam <= P: the norm-N points of every window
     (full_ladder_points), those in some rung window's ball (rung_windows)
     kept, and the least of them picked."""
-    lad = _unit_ladder(module.ambient, module)[0]
-    bounds = [(_twisted_gram(lad, *w), B) for w, B in rung_windows(module, norm)]
+    _, G, C = module.ambient.norm_forms
+    bounds = [(_twisted_gram(G, C, *w), B) for w, B in rung_windows(module, norm)]
     cands = [
         u
         for points in full_ladder_points(module, norm)
@@ -959,13 +964,13 @@ def range_reach(D0, c, near, far) -> Fraction:
     return Fraction(h * h + D0 * k * k, abs(h * h - D0 * k * k)) if h * k * s > 0 else Fraction(1)
 
 
-def range_reaches(lad, T) -> list:
-    """Each centred window's range_reach, in l order."""
+def range_reaches(D0, T) -> list:
+    """Each centred window's range_reach, in l order, on the ladder of
+    sqrt(D0) over T rungs."""
     if T == 1:
         return [Fraction(1)]  # the one window's range holds 0
-    D0 = lad.D0
-    stretches = _stretches(D0, [(1, 0)] + list(cf_convergents(lad.cf, T)))
-    centre = _ladder_windows(lad, T)[2][0][0]
+    stretches = _stretches(D0, ladder_rungs(D0, T))
+    centre = _ladder_windows(D0, T)[2][0][0]
     return [
         range_reach(D0, c, *((ea, eb) if i > centre else (eb, ea)))
         for i, (c, ea, eb) in enumerate(stretches)
@@ -980,11 +985,11 @@ def range_reach_search(module, norm) -> tuple:
     with a T2 below the best candidate kept."""
     field = module.ambient
     norm = Fraction(norm)
-    G = field.t2_gram_matrix()
     keep = _norm_filter(module, norm)
-    lad, T = _unit_ladder(field, module)
-    windows, edges, walk = _ladder_windows(lad, T)
-    reach = range_reaches(lad, T)
+    T = _unit_ladder(field, module)
+    D0, G, C = field.norm_forms
+    windows, edges, walk = _ladder_windows(D0, T)
+    reach = range_reaches(D0, T)
     den = module.den
     best = centre = None
     searched = 0
@@ -995,14 +1000,14 @@ def range_reach_search(module, norm) -> tuple:
             if best is not None and 16 * norm * den**4 * r * r > best[0] ** 2:
                 break
             w, rho, _ = windows[i]
-            red = lll_reduce(red, _twisted_gram(lad, *w))
+            red = lll_reduce(red, _twisted_gram(G, C, *w))
             centre = centre or red
             searched += 1
             bound = Fraction(_budget(rho, norm, den), den * den)
             for u in filter(keep, enumerate_by_t2(red, bound)):
                 t = _form_value(G, u)
                 if best is None or (t, u) < best:
-                    if _in_range(lad.D0, edges, t, _form_value(lad.C, u)):
+                    if _in_range(D0, edges, t, _form_value(C, u)):
                         best = t, u
     return _element(module, None if best is None else best[1]), searched
 

@@ -92,8 +92,8 @@ RECORDS = [
     (NormMapCondition, ("inj_iso", "h_F", "h_E", "odd_equal"), (True, 3, 3, True)),
     (
         LadderData,
-        ("D0", "cf", "U", "step", "G", "C"),
-        (LAD.D0, LAD.cf, LAD.U, LAD.step, LAD.G, LAD.C),
+        ("U", "step", "period"),
+        (LAD.U, LAD.step, LAD.period),
     ),
     (IdealFactorization, ("factors",), (((OrderIdeal(O, O.module), 1),),)),
     (

@@ -289,6 +289,7 @@ ARGV = st.one_of(
     st.builds(lambda s: ["conductor", "--", s], SPEC),
     st.builds(lambda s, e: ["factor", "--", s, e], SPEC, ELEMENT),
     CRITERION,
+    st.sampled_from([["verify-example"], ["verify-example", "--pair-only"]]),
 )
 
 

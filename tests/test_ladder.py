@@ -18,21 +18,16 @@ from math import floor, isqrt, lcm
 
 import pytest
 
-from nforders import criteria, lattice
+from nforders import criteria, lattice, quadratic
 from nforders.biquadratic import factor_rational_prime, integral_basis
 from nforders.criteria import prime_elements
 from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
-    _before,
     _budget,
     _det_int,
-    _in_range,
-    _ladder_windows,
     _norm_filter,
-    _rmul,
-    _stretches,
     _times,
     _twisted_gram,
     _unit_ladder,
@@ -46,7 +41,11 @@ from nforders.lattice import (
 )
 from nforders.quadratic import (
     QuadField,
-    cf_convergents,
+    _before,
+    _in_range,
+    _ladder_windows,
+    _rmul,
+    _stretches,
     cf_sqrt,
     integer_rows,
     table_matrix,
@@ -57,6 +56,7 @@ from oracles import (
     full_ladder_points,
     full_ladder_search,
     fundamental_unit,
+    ladder_rungs,
     mult_matrix,
     naive_to_coords,
     range_reach_search,
@@ -379,10 +379,11 @@ def random_modules(rng, field, count):
 def ladder(field, module):
     """_unit_ladder's result in oracle_unit_ladder's terms: (D0, m, gammas),
     m = T / step and gammas the convergents 1, gamma_1, ..., gamma_T."""
-    lad, T = _unit_ladder(field, module)
-    m, r = divmod(T, lad.step)
+    T = _unit_ladder(field, module)
+    m, r = divmod(T, ladder_data(field).step)
     assert r == 0 and m >= 1
-    return lad.D0, m, [(1, 0)] + list(cf_convergents(lad.cf, T))
+    D0 = field.norm_forms[0]
+    return D0, m, ladder_rungs(D0, T)
 
 
 def outcome(fn, *args):
@@ -402,7 +403,7 @@ def test_window_grams_equal_fraction_products(field):
     modules = [identity_module(field)] + random_modules(rng, field, 6)
     seen = set()
     windows = []
-    lad = ladder_data(field)
+    D0, G, C = field.norm_forms
     for module in modules:
         try:
             _, m, gammas = ladder(field, module)
@@ -412,12 +413,12 @@ def test_window_grams_equal_fraction_products(field):
         T = len(gammas) - 1
         windows.append(T)
         # the centred windows' weights (p, hk) give the Gram of each twist
-        twists = [(1, 0)] if T == 1 else [c for c, _, _ in _stretches(lad.D0, gammas)]
-        centred = _ladder_windows(lad, T)[0]
+        twists = [(1, 0)] if T == 1 else [c for c, _, _ in _stretches(D0, gammas)]
+        centred = _ladder_windows(D0, T)[0]
         assert len(centred) == len(twists)
         for (h, k), (w, _, _) in zip(twists, centred):
-            assert w == (h * h + lad.D0 * k * k, h * k)
-            assert _twisted_gram(lad, *w) == oracle_twisted_gram(field, h, k)
+            assert w == (h * h + D0 * k * k, h * k)
+            assert _twisted_gram(G, C, *w) == oracle_twisted_gram(field, h, k)
     # more than one power of the ladder unit, and windows over two periods
     assert len(seen) > 1
     assert max(windows) >= 2 * period_length(field)
@@ -437,8 +438,8 @@ def test_power_matches_oracle_on_random_modules(field):
 
 def test_power_matches_oracle_on_represent_ideals(pool):
     for module, _ in pool:
-        assert _unit_ladder(module.ambient, module)[0] is ladder_data(module.ambient)
         field = module.ambient
+        assert type(_unit_ladder(field, module)) is int
         assert ladder(field, module) == oracle_unit_ladder(field, module)
 
 
@@ -460,7 +461,7 @@ def test_fundamental_unit_is_the_ladder_unit():
     for field in FIELDS:
         lad = ladder_data(field)
         l = period_length(field)
-        x0, y0 = oracle_convergents(lad.D0, l)[-1]
+        x0, y0 = oracle_convergents(field.real_subfield_data()[0], l)[-1]
         eps = fundamental_unit(field)
         assert eps == field.from_real_quadratic(x0, y0)
         assert abs(x0 * x0 - field.real_subfield_data()[0] * y0 * y0) == 1
@@ -475,17 +476,18 @@ def test_fundamental_unit_is_the_ladder_unit():
 def test_ladder_data_is_integral():
     for field in FIELDS:
         lad = ladder_data(field)
+        D0, G, C = field.norm_forms
         step, unit = oracle_ladder_unit(field)
-        assert lad.step == step
+        assert lad.step == step and lad.period == period_length(field)
         sq = field.from_real_quadratic(0, 1)
         assert [list(r) for r in lad.U] == [list(r) for r in mult_matrix(field, unit)]
-        assert sq * sq == field.from_real_quadratic(lad.D0, 0)
-        assert all(type(x) is int for M in (lad.G, lad.C, lad.U)
+        assert sq * sq == field.from_real_quadratic(D0, 0)
+        assert all(type(x) is int for M in (G, C, lad.U)
                    for row in M for x in row)
         # C = S G + G S^t, S the matrix of sqrt(D0), in Fractions
-        assert lad.G == field.t2_gram_matrix()
-        SG = matrix_product(mult_matrix(field, sq), lad.G)
-        assert [list(r) for r in lad.C] == [
+        assert G == field.t2_gram_matrix()
+        SG = matrix_product(mult_matrix(field, sq), G)
+        assert [list(r) for r in C] == [
             [SG[i][j] + SG[j][i] for j in range(4)] for i in range(4)
         ]
 
@@ -502,8 +504,8 @@ MIDPOINT_FIELDS = (E59, E1110, integral_basis(71, 2), integral_basis(79, 2),
 def test_midpoint_unit_is_a_square_root_of_minus_eps_inverse(field):
     lad = ladder_data(field)
     mid, v = oracle_midpoint_unit(field)
-    assert mid == len(lad.cf.period) // 2 == lad.step
-    assert _unit_ladder(field, identity_module(field))[1] == mid
+    assert mid == lad.period // 2 == period_length(field) // 2 == lad.step
+    assert _unit_ladder(field, identity_module(field)) == mid
     # v and v^-1 are integral: v is a unit of O_E
     assert all(c.denominator == 1 for c in v.coords)
     assert all(c.denominator == 1 for c in v.inverse().coords)
@@ -524,16 +526,16 @@ def test_no_midpoint_unit_on_23_5():
     lad = ladder_data(E235)
     assert oracle_midpoint_unit(E235) is None
     # the ladder unit is eps, one period of 10 windows a step
-    assert lad.step == len(lad.cf.period) == 10
+    assert lad.step == lad.period == period_length(E235) == 10
     E = mult_matrix(E235, fundamental_unit(E235))
     assert [list(r) for r in lad.U] == [list(r) for r in E]
-    assert _unit_ladder(E235, identity_module(E235))[1] == 10
+    assert _unit_ladder(E235, identity_module(E235)) == 10
 
 
 def ladder_size(module) -> int:
     """The number of centred windows of the module's ladder."""
-    lad, T = _unit_ladder(module.ambient, module)
-    return len(_ladder_windows(lad, T)[0])
+    T = _unit_ladder(module.ambient, module)
+    return len(_ladder_windows(module.ambient.norm_forms[0], T)[0])
 
 
 def test_represent_pool_runs_half_a_period(monkeypatch, pool):
@@ -563,7 +565,7 @@ def test_find_generator_matches_oracle_on_23_5_and_71_2():
     # (23, 5) has no midpoint unit and runs the full period; (71, 2) runs
     # half of it
     calls = represent_calls(((23, 5), (71, 2)))
-    halves = {c[0].ambient: _unit_ladder(c[0].ambient, c[0])[1] for c in calls}
+    halves = {c[0].ambient: _unit_ladder(c[0].ambient, c[0]) for c in calls}
     assert halves == {integral_basis(23, 5): 10, integral_basis(71, 2): 2}
     found = 0
     for module, norm in calls:
@@ -612,7 +614,7 @@ def odd_power(module, m) -> bool:
     """Does an odd power v^m, m > 1, of the midpoint unit v stabilise the
     module, v itself not?"""
     lad = ladder_data(module.ambient)
-    return m > 1 and m % 2 == 1 and 2 * lad.step == len(lad.cf.period)
+    return m > 1 and m % 2 == 1 and 2 * lad.step == lad.period
 
 
 def test_ladder_never_runs_more_windows_than_the_full_period(ladder_modules):
@@ -623,7 +625,7 @@ def test_ladder_never_runs_more_windows_than_the_full_period(ladder_modules):
     for module, (m, gammas), full in ladder_modules:
         assert len(gammas) <= len(full) and gammas == full[: len(gammas)]
         lad = ladder_data(module.ambient)
-        half = m % 2 == 1 and 2 * lad.step == len(lad.cf.period)
+        half = m % 2 == 1 and 2 * lad.step == lad.period
         assert len(gammas) - 1 == (len(full) - 1) // (2 if half else 1)
         halved[half] += 1
     assert halved[True] > 0 and halved[False] > 0
@@ -670,7 +672,7 @@ def test_find_generator_matches_oracle_on_e37_modules():
         if outcome(_unit_ladder, E37, module) == "unsupported":
             continue
         is_half = oracle_unit_ladder(E37, module)[2] != oracle_ladder(E37, module)[2]
-        assert is_half == (_unit_ladder(E37, module)[1] == 3)
+        assert is_half == (_unit_ladder(E37, module) == 3)
         short = enumerate_by_t2(lll_reduce(module, G), 12)[:3]
         norms = {module.covolume()} | {
             E37.from_basis_coords([Fraction(c, module.den) for c in u]).norm()
@@ -767,9 +769,9 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
         alpha, windows = ladder_windows(monkeypatch, module, norm)
         keep = _norm_filter(module, norm)
         balls = rung_balls(module, norm)
-        lad, T = _unit_ladder(module.ambient, module)
-        twists, _, (_, left) = _ladder_windows(lad, T)
-        left = {_twisted_gram(lad, *twists[i][0]) for i in left}
+        D0, G, C = module.ambient.norm_forms
+        twists, _, (_, left) = _ladder_windows(D0, _unit_ladder(module.ambient, module))
+        left = {_twisted_gram(G, C, *twists[i][0]) for i in left}
         first_left = next((i for i, w in enumerate(windows) if w[1] in left), None)
         lefts += first_left is not None
         cands = []
@@ -823,8 +825,8 @@ def test_one_lll_and_one_enumeration_per_window(monkeypatch, budget_pool):
 
 
 def test_one_ladder_lookup_per_search(monkeypatch, pool):
-    # find_generator reads the field's LadderData from _unit_ladder instead
-    # of looking it up a second time
+    # find_generator looks the field's LadderData up once, in _unit_ladder,
+    # and reads the windows off (D0, T)
     module, norm = next(c for c in pool if c[0].ambient == E59)
     lookups = []
     lookup = lattice.ladder_data
@@ -840,16 +842,17 @@ def test_one_ladder_lookup_per_search(monkeypatch, pool):
 
 def test_a_warm_ladder_builds_no_convergent(monkeypatch, pool):
     # once a field's ladder and windows are cached, a search reads them:
-    # _unit_ladder returns T, and builds no list of convergents
+    # _unit_ladder returns T, and builds no list of convergents; the
+    # windows are walked off the convergents in quadratic alone
     want = [find_generator(module, norm) for module, norm in pool]
     calls = []
-    convergents = lattice.cf_convergents
+    convergents = quadratic.cf_convergents
 
     def count(*args):
         calls.append(args)
         return convergents(*args)
 
-    monkeypatch.setattr(lattice, "cf_convergents", count)
+    monkeypatch.setattr(quadratic, "cf_convergents", count)
     assert [lattice.find_generator(module, norm) for module, norm in pool] == want
     assert calls == []
 
@@ -867,19 +870,20 @@ def test_interval_test_keeps_the_points_the_fraction_rung_balls_keep(pool):
     x = E235.from_real_quadratic(57, -5)
     kept = dropped = 0
     for module, norm in pool + [(identity_module(E235).transform(x), x.norm())]:
-        lad, T = _unit_ladder(module.ambient, module)
-        edges = _ladder_windows(lad, T)[1]
+        D0, G, C = module.ambient.norm_forms
+        T = _unit_ladder(module.ambient, module)
+        edges = _ladder_windows(D0, T)[1]
         rungs = rung_windows(module, norm)
         fraction_balls = rung_balls(module, norm)
         assert len(rungs) == len(fraction_balls) == T
         for u in chain.from_iterable(full_ladder_points(module, norm)):
-            t, c = form_value(lad.G, u), form_value(lad.C, u)
+            t, c = form_value(G, u), form_value(C, u)
             inside = []
             for ((p, hk), budget), (g, B) in zip(rungs, fraction_balls):
                 assert p * t - hk * c == form_value(g, u)
                 assert budget == B
                 inside.append(p * t - hk * c <= B)
-            assert _in_range(lad.D0, edges, t, c) == any(inside)
+            assert _in_range(D0, edges, t, c) == any(inside)
             kept += any(inside)
             dropped += not any(inside)
     assert kept > 40 and dropped > 0
@@ -896,9 +900,10 @@ def test_interval_test_keeps_its_closed_edges(dn):
     # (11, 10) has T = 1, where E_L = conj(gamma_1)
     field = integral_basis(*dn)
     R = identity_module(field)
-    lad, T = _unit_ladder(field, R)
-    D0, _, gammas = ladder(field, R)
-    edges = _ladder_windows(lad, T)[1]
+    T = _unit_ladder(field, R)
+    D0, G, C = field.norm_forms
+    gammas = ladder(field, R)[2]
+    edges = _ladder_windows(D0, T)[1]
     g1, gT = gammas[1], gammas[T]
     low = (g1[0], -g1[1]) if T == 1 else _stretches(D0, gammas)[0][1]
     points = (gT, low, _rmul(gT, g1, D0), _rmul(low, (g1[0], -g1[1]), D0))
@@ -906,7 +911,7 @@ def test_interval_test_keeps_its_closed_edges(dn):
     for e in points:
         x = field.from_real_quadratic(*e)
         assert x.den == 1
-        t, c = form_value(lad.G, x.u), form_value(lad.C, x.u)
+        t, c = form_value(G, x.u), form_value(C, x.u)
         kept = _in_range(D0, edges, t, c)
         assert kept == any(form_value(g, x.u) <= B for g, B in rung_balls(R, x.norm()))
         verdicts.append(kept)
@@ -997,15 +1002,14 @@ def test_window_budget_is_the_floor_of_the_fraction_ball(monkeypatch, budget_poo
 def check_stretches(field, T) -> str:
     """Check the windows of the field's ladder over T rungs against l in
     decimals; returns which of the three layouts they have."""
-    lad = ladder_data(field)
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
-    windows = _ladder_windows(lad, T)[0]
+    D0, G, C = field.norm_forms
+    gammas = ladder_rungs(D0, T)
+    windows = _ladder_windows(D0, T)[0]
     assert T <= len(windows) <= T + 1
     if T == 1:
         assert len(windows) == 1
-        assert _twisted_gram(lad, *windows[0][0]) == tuple(map(tuple, field.t2_gram_matrix()))
+        assert _twisted_gram(G, C, *windows[0][0]) == tuple(map(tuple, field.t2_gram_matrix()))
         return "one"
-    D0 = lad.D0
     ls = [oracle_l(g, D0) for g in gammas]
     P = ls[T]
     L = min(2 * ls[i] - ls[i + 1] for i in range(T))
@@ -1016,7 +1020,7 @@ def check_stretches(field, T) -> str:
     for (c, ea, eb), (w, _, _) in zip(stretches, windows):
         la, lc, lb = oracle_l(ea, D0), oracle_l(c, D0), oracle_l(eb, D0)
         assert la < lb and la <= lc <= lb
-        assert _twisted_gram(lad, *w) == oracle_twisted_gram(field, *c)
+        assert _twisted_gram(G, C, *w) == oracle_twisted_gram(field, *c)
     first, last = oracle_l(stretches[0][1], D0), oracle_l(stretches[-1][2], D0)
     tol = Decimal(10) ** -40
     assert abs(first - L) < tol
@@ -1085,17 +1089,18 @@ def test_rung_balls_keep_the_pick_past_l():
     # last stretch: find_generator drops x, as the Fraction ladder never
     # sees it, and returns the translate, though x has the smaller T2
     E235 = integral_basis(23, 5)
-    lad, T = _unit_ladder(E235, identity_module(E235))
+    T = _unit_ladder(E235, identity_module(E235))
+    D0, G, C = E235.norm_forms
     gammas = ladder(E235, identity_module(E235))[2]
     x = E235.from_real_quadratic(57, -5)
     with localcontext() as ctx:
         ctx.prec = 100
-        low = _stretches(lad.D0, gammas)[0][1]
-        assert oracle_l((57, -5), lad.D0) < oracle_l(low, lad.D0)
+        low = _stretches(D0, gammas)[0][1]
+        assert oracle_l((57, -5), D0) < oracle_l(low, D0)
     module = identity_module(E235).transform(x)
     norm = x.norm()
-    w, rho, _ = _ladder_windows(lad, T)[0][0]
-    assert form_value(_twisted_gram(lad, *w), x.coords) <= _budget(rho, norm, module.den)
+    w, rho, _ = _ladder_windows(D0, T)[0][0]
+    assert form_value(_twisted_gram(G, C, *w), x.coords) <= _budget(rho, norm, module.den)
     got = find_generator(module, norm)
     assert got == oracle_find_generator(module, norm)
     assert t2(E235, got) > t2(E235, x)
@@ -1159,35 +1164,55 @@ def cosh(x: Decimal) -> Decimal:
 
 
 def near_cosh(D0, near) -> Fraction:
-    """cosh(l(near)) of near = h + k*sqrt(D0), exactly: the a/b =
-    (h^2 + D0*k^2) / |h^2 - D0*k^2| find_generator stops a side on."""
+    """cosh(l(near)) of near = h + k*sqrt(D0), exactly: (h^2 + D0*k^2) /
+    |h^2 - D0*k^2|."""
     h, k = near
     return Fraction(h * h + D0 * k * k, abs(h * h - D0 * k * k))
+
+
+def near_edges(D0, T) -> list:
+    """Each centred window's stretch edge nearer lam = 0, off _stretches:
+    eb up to the centre stretch, the one that ends at 1, and ea past it;
+    1 for the one window of T = 1."""
+    if T == 1:
+        return [(1, 0)]
+    stretches = _stretches(D0, ladder_rungs(D0, T))
+    centre = next(i for i, (_, _, eb) in enumerate(stretches) if eb == (1, 0))
+    return [ea if i > centre else eb for i, (_, ea, eb) in enumerate(stretches)]
+
+
+def record_cosh(D0, T) -> list:
+    """Each window record's a/b, the cosh find_generator stops a side on,
+    checked to be that of the window's near edge."""
+    windows = _ladder_windows(D0, T)[0]
+    got = [Fraction(a, b) for _, _, (a, b) in windows]
+    assert got == [near_cosh(D0, e) for e in near_edges(D0, T)]
+    return got
 
 
 REACH_FIELDS = LADDER_FIELDS + (integral_basis(183, 1),)
 
 
 def test_near_edge_cosh_matches_the_decimal_range():
-    # each window keeps the edge of its stretch nearer lam = 0, and its a/b
-    # is cosh at that edge, over two steps of every field's ladder; the two
-    # windows beside lam = 0 keep the edge 1, with a/b = 1
+    # each window's record keeps a/b, cosh at the edge of its stretch nearer
+    # lam = 0, over two steps of every field's ladder; the two windows beside
+    # lam = 0 have the edge 1, with a/b = 1, and so has the one window of
+    # T = 1
     with localcontext() as ctx:
         ctx.prec = 400
         checked = at_zero = 0
         for field in REACH_FIELDS:
-            lad = ladder_data(field)
-            D0, T = lad.D0, 2 * lad.step
-            gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
-            windows = _ladder_windows(lad, T)[0]
-            for (_, ea, eb), (_, _, near) in zip(_stretches(D0, gammas), windows):
+            D0, T = field.norm_forms[0], 2 * ladder_data(field).step
+            stretches = _stretches(D0, ladder_rungs(D0, T))
+            for (_, ea, eb), near, r in zip(stretches, near_edges(D0, T), record_cosh(D0, T)):
                 assert near == min((ea, eb), key=lambda e: abs(oracle_l(e, D0)))
-                got, want = near_cosh(D0, near), cosh(oracle_l(near, D0))
-                err = abs(Decimal(got.numerator) / got.denominator - want)
+                want = cosh(oracle_l(near, D0))
+                err = abs(Decimal(r.numerator) / r.denominator - want)
                 assert err < want * Decimal(10) ** -60
                 at_zero += near == (1, 0)
                 checked += 1
     assert checked > at_zero == 2 * len(REACH_FIELDS)
+    assert _ladder_windows(E1110.norm_forms[0], 1)[0][0][2] == (1, 1)
 
 
 def test_near_edges_on_both_sides_of_0():
@@ -1199,40 +1224,41 @@ def test_near_edges_on_both_sides_of_0():
     with localcontext() as ctx:
         ctx.prec = 200
         for field in REACH_FIELDS:
-            lad = ladder_data(field)
+            D0 = field.norm_forms[0]
             for m in range(1, 4):
-                windows, _, (right, left) = _ladder_windows(lad, m * lad.step)
-                assert all(oracle_l(windows[i][2], lad.D0) >= 0 for i in right)
-                assert all(oracle_l(windows[i][2], lad.D0) < 0 for i in left)
+                T = m * ladder_data(field).step
+                _, _, (right, left) = _ladder_windows(D0, T)
+                near = near_edges(D0, T)
+                assert all(oracle_l(near[i], D0) >= 0 for i in right)
+                assert all(oracle_l(near[i], D0) < 0 for i in left)
                 lefts += len(left) > 0
     assert lefts > 0
-    lad = ladder_data(integral_basis(71, 2))
-    windows, _, (right, left) = _ladder_windows(lad, 6)
-    assert [near_cosh(lad.D0, windows[i][2]) for i in left] == [Fraction(121, 21)]
-    assert [near_cosh(lad.D0, windows[i][2]) for i in right] == [
+    D0 = integral_basis(71, 2).norm_forms[0]
+    _, _, (right, left) = _ladder_windows(D0, 6)
+    reach = record_cosh(D0, 6)
+    assert [reach[i] for i in left] == [Fraction(121, 21)]
+    assert [reach[i] for i in right] == [
         1, 1, Fraction(263, 21), 143, Fraction(34343, 21), 40897
     ]
 
 
-def j_edges(lad, T) -> tuple:
+def j_edges(D0, T) -> tuple:
     """(lo, hi) in Z[sqrt(D0)] with l(lo) = 2 min J and l(hi) = 2 max J, for
     _in_range: J = [L, L + P], or [-P/2, P/2] where L < -P/2, as for T = 1."""
-    D0 = lad.D0
-    low2, high = _ladder_windows(lad, T)[1]  # E_L^2, gamma_T^2
-    gT = list(cf_convergents(lad.cf, T))[-1]
+    low2, high = _ladder_windows(D0, T)[1]  # E_L^2, gamma_T^2
+    gT = ladder_rungs(D0, T)[-1]
     if _before(_rmul(low2, gT, D0), (1, 0), D0):  # 2L + P < 0
         return (gT[0], -gT[1]), gT
     return low2, _rmul(low2, high, D0)
 
 
-def stretch_edges(lad, T) -> list:
+def stretch_edges(D0, T) -> list:
     """Each centred window's stretch as (lo, hi) for _in_range: its edges
     squared, or J for the one window of T = 1."""
     if T == 1:
-        return [j_edges(lad, T)]
-    gammas = [(1, 0)] + list(cf_convergents(lad.cf, T))
-    square = lambda e: _rmul(e, e, lad.D0)
-    return [(square(ea), square(eb)) for _, ea, eb in _stretches(lad.D0, gammas)]
+        return [j_edges(D0, T)]
+    square = lambda e: _rmul(e, e, D0)
+    return [(square(ea), square(eb)) for _, ea, eb in _stretches(D0, ladder_rungs(D0, T))]
 
 
 def test_every_point_of_a_window_is_past_its_reach(early_pool):
@@ -1244,22 +1270,21 @@ def test_every_point_of_a_window_is_past_its_reach(early_pool):
     points = tight = outside = 0
     for module, norm in early_pool:
         field = module.ambient
-        lad, T = _unit_ladder(field, module)
-        D0 = lad.D0
-        windows, edges, walk = _ladder_windows(lad, T)
+        T = _unit_ladder(field, module)
+        D0, G, C = field.norm_forms
+        _, edges, walk = _ladder_windows(D0, T)
         assert walk == tuple(map(tuple, walk_order(module)))
-        J = j_edges(lad, T)
+        J = j_edges(D0, T)
         U = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        lad = ladder_data(field)
         for _ in range(T // lad.step):
             U = _times(U, lad.U)
         units = (U, adjugate_int(U))  # u^m has norm 1
-        G = field.t2_gram_matrix()
-        forms = lambda u: (form_value(G, u), form_value(lad.C, u))
+        forms = lambda u: (form_value(G, u), form_value(C, u))
         norm = Fraction(norm)
         scale = 16 * norm * module.den**4
         pts = full_ladder_points(module, norm)
-        for (_, _, near), stretch, found in zip(windows, stretch_edges(lad, T), pts):
-            r = near_cosh(D0, near)
+        for r, stretch, found in zip(record_cosh(D0, T), stretch_edges(D0, T), pts):
             for u in found:
                 t, c = forms(u)
                 if _in_range(D0, stretch, t, c):
@@ -1281,18 +1306,18 @@ def test_near_edge_reaches_never_fall_along_a_side():
     # which can fall along a side: on (183, 1) the third window's range
     # reaches farther than the fourth's, 24.77 against 23.86
     for field in REACH_FIELDS:
-        lad = ladder_data(field)
+        D0 = field.norm_forms[0]
         for m in range(1, 4):
-            T = m * lad.step
-            windows, _, walk = _ladder_windows(lad, T)
-            near = [near_cosh(lad.D0, w[2]) for w in windows]
+            T = m * ladder_data(field).step
+            walk = _ladder_windows(D0, T)[2]
+            near = record_cosh(D0, T)
             for side in walk:
                 reach = [near[i] for i in side]
                 assert reach == sorted(reach)
             assert near[walk[0][0]] == 1
-            assert all(a >= b for a, b in zip(near, range_reaches(lad, T)))
-    lad = ladder_data(integral_basis(183, 1))
-    own = range_reaches(lad, lad.step)
+            assert all(a >= b for a, b in zip(near, range_reaches(D0, T)))
+    E1831 = integral_basis(183, 1)
+    own = range_reaches(E1831.norm_forms[0], ladder_data(E1831).step)
     assert own[2] > own[3] > own[1] == 1
     assert 23 < own[3] < 24 < own[2] < 25
 
@@ -1316,16 +1341,17 @@ def test_a_window_reach_is_attained(field):
     # in that window's ball with T2 exactly 4 sqrt(N) cosh(l(x)): the bound
     # is sharp, so only a strict test may stop a side, as a tie in T2 goes
     # to u
-    lad = ladder_data(field)
-    G = field.t2_gram_matrix()
+    D0, G, C = field.norm_forms
+    T = ladder_data(field).step
     checked = 0
-    for w, rho, near in _ladder_windows(lad, lad.step)[0]:
+    windows = _ladder_windows(D0, T)[0]
+    for (w, rho, _), near, r in zip(windows, near_edges(D0, T), record_cosh(D0, T)):
         if near == (1, 0):
             continue
         x = field.from_real_quadratic(*near)
         assert x.den == 1
         norm = x.norm()
-        assert form_value(G, x.u) ** 2 == 16 * norm * near_cosh(lad.D0, near) ** 2
-        assert form_value(_twisted_gram(lad, *w), x.u) <= _budget(rho, norm, 1)
+        assert form_value(G, x.u) ** 2 == 16 * norm * r**2
+        assert form_value(_twisted_gram(G, C, *w), x.u) <= _budget(rho, norm, 1)
         checked += 1
     assert checked >= 2

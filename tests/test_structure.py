@@ -26,6 +26,8 @@ lines its first argument up with a method's second parameter.
 import ast
 from pathlib import Path
 
+from nforders.lattice import LadderData
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nforders"
 TESTS = ROOT / "tests"
@@ -509,6 +511,11 @@ def _callers(name: str) -> list:
     return out
 
 
+# the geometry of the cycle of sqrt(D0) that find_generator's windows are
+# built from, kept beside PellData
+CYCLE = ("_rmul", "_before", "_twist", "_stretches", "_ladder_windows", "_in_range")
+
+
 def test_sqrt_d_is_expanded_in_one_place():
     # PellData, which pell_data shares among the callers of a field, is the
     # one caller of cf_sqrt: the window ladder, the unit equation,
@@ -518,3 +525,23 @@ def test_sqrt_d_is_expanded_in_one_place():
     assert ("lattice", "ladder_data") in _callers("pell_data")
     assert ("quadratic", "pell_data") in _callers("lru_cache")
     assert ("quadratic", "PellData.half") in _callers("cf_convergents")
+    # the convergents are walked in quadratic alone: the cycle's windows
+    # live there, and lattice reads window records, never the expansion
+    assert {mod for mod, _ in _callers("cf_convergents")} == {"quadratic"}
+    assert ("quadratic", "_ladder_windows") in _callers("cf_convergents")
+    defined = {
+        mod: {name for stmt in _parse(SRC / ("%s.py" % mod)).body for name in _defined(stmt)}
+        for mod in ("lattice", "quadratic")
+    }
+    assert not set(CYCLE) & defined["lattice"]
+    assert set(CYCLE) <= defined["quadratic"]
+    imported = {
+        alias.name
+        for node in ast.walk(_parse(SRC / "lattice.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {name for name in imported if name.startswith("cf_")} | (
+        imported & {"CFExpansion"}
+    ), imported
+    assert LadderData._fields == ("U", "step", "period")
