@@ -695,19 +695,19 @@ def find_generator(module: IntModule, norm):
     proves no such element exists.
 
     The search ball is exact for rank 2 (finite unit group).  For rank 4
-    the module is swept window by window along the continued-fraction
-    convergents of the real quadratic subfield, which tile one fundamental
-    domain of the unit action on the ratio of the two complex absolute
-    values: m half periods when the midpoint unit v, whose square is a
-    unit of that subfield, has v^m stabilizing the module, m periods of
+    the module is swept window by window, each a record of
+    quadratic._ladder_windows over the convergents of sqrt(D0), which tile
+    one fundamental domain of the unit action on the ratio of the two
+    complex absolute values: m half periods when the midpoint unit v (v^2
+    a unit of Q(sqrt(D0))) has v^m stabilizing the module, m periods of
     the Pell unit eps otherwise.  Each window is centred on its own stretch
     of one period, and a norm-N point counts only if L <= lam <= P, the
     union of the rung windows (_in_range): the pick is the one over whole
     periods of eps either way (docs/generator-search.md, "Half a period"
     and "Centred windows").  The pick lies in J, which the stretches tile,
-    so each side is walked out from lam = 0 and stops at the first stretch
-    whose edge nearer 0 puts every T2 in it above the best candidate kept;
-    a None searches every window ("Stopping early").
+    so each side is walked out from lam = 0 and stops at the first window
+    whose a/b = cosh(l(near)) puts every T2 in it above the best candidate
+    kept; a None searches every window ("Stopping early").
     """
     field = module.ambient
     norm = Fraction(norm)
