@@ -54,6 +54,7 @@ from .quadratic import (
     form_class_group,
     integer_coords,
     integer_rows,
+    prime_discriminants,
     split_kind,
     table_matrix,
 )
@@ -267,6 +268,18 @@ class BiquadField(Keyed):
         G = self.t2_gram_matrix()
         SG, GSt = _times(S, G), _times(G, tuple(zip(*S)))
         return D0, G, tuple(tuple(map(add, a, b)) for a, b in zip(SG, GSt))
+
+    @cached_property
+    def genus_characters(self) -> tuple:
+        """The prime discriminants p* of the three quadratic subfields
+        Q(sqrt(-d)), Q(sqrt(-n)) and Q(sqrt(D0)), each once, sorted.  Each
+        K(sqrt(p*)), p* | disc K, is unramified over K at every prime, so
+        its compositum with the field is unramified over the field at every
+        prime, and at infinity too, as the field is totally imaginary: the
+        real subfield's p* < 0 count here, where QuadField(D0) has none
+        (lattice.find_generator)."""
+        subfields = [F for F, _ in _subfield_omegas(self)]
+        return tuple(sorted({p for F in subfields for p in prime_discriminants(F.disc)}))
 
     def from_real_quadratic(self, x, y) -> "BiquadElem":
         """x + y*sqrt(D0), embedded via sqrt(D0) = sqrt(d*n)/s."""

@@ -19,7 +19,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .intmath import xgcd
+from .intmath import jacobi, xgcd
 from .quadratic import (
     Keyed,
     UnsupportedFieldError,
@@ -691,11 +691,47 @@ def _budget(rho: Fraction, norm: Fraction, den: int) -> int:
 def find_generator(module: IntModule, norm):
     """Element alpha of the module with |absolute norm| equal to `norm`,
     which forces alpha*O = module for any order O the module is an ideal of
-    with index `norm`; None when the exhaustive search ball is empty, which
-    proves no such element exists.
+    with index `norm`; None when no such element exists, which a None
+    proves.
 
-    The search ball is exact for rank 2 (finite unit group).  For rank 4
-    the module is swept window by window, each a record of
+    A genus character of the field decides first: when `norm` is an odd
+    integer N and (p*/N) = -1 for a prime discriminant p* of
+    field.genus_characters, no element of the field has norm N, and the
+    answer is None with no lattice search.  The field is totally
+    imaginary and Galois over Q, and K(sqrt(p*)), K a quadratic subfield
+    with p* | disc K, is unramified over K at every prime, so the field
+    times sqrt(p*) is unramified over the field at every place.  The
+    Artin symbol of the principal ideal (alpha) is then trivial, and its
+    restriction to Q(sqrt(p*)) is (p*/N(alpha)): on a prime above q not
+    dividing p* it is the Frobenius (p*/q) to the residue degree, and the
+    primes above a p | p* are conjugate, with one value, and exponents
+    summing to 0 when p does not divide N(alpha).  So (p*/N) = 1 whenever
+    N(alpha) = N is coprime to p*, and jacobi is 0 when it is not
+    (docs/generator-search.md, "What None means").
+
+    Otherwise the search ball is exact for rank 2 (finite unit group), and
+    rank 4 walks the windows of one period (_window_walk).
+    """
+    field = module.ambient
+    norm = Fraction(norm)
+    if norm <= 0:
+        raise ValueError("norm must be positive")
+    if field.degree == 2 and field.D > 0:
+        raise UnsupportedFieldError("generator search needs an imaginary field")
+    N = norm.numerator
+    if norm.denominator == 1 and N % 2 and any(jacobi(p, N) == -1 for p in field.genus_characters):
+        return None
+    if field.degree == 2:
+        # the points come sorted by (u G u^t, u): the first kept is the pick
+        points = enumerate_by_t2(lll_reduce(module, field.t2_gram_matrix()), 2 * norm)
+        return _element(module, next(filter(_norm_filter(module, norm), points), None))
+    return _window_walk(module, norm)
+
+
+def _window_walk(module: IntModule, norm: Fraction):
+    """find_generator's search of a rank-4 module, with no character test.
+
+    The module is swept window by window, each a record of
     quadratic._ladder_windows over the convergents of sqrt(D0), which tile
     one fundamental domain of the unit action on the ratio of the two
     complex absolute values: m half periods when the midpoint unit v (v^2
@@ -710,18 +746,7 @@ def find_generator(module: IntModule, norm):
     kept; a None searches every window ("Stopping early").
     """
     field = module.ambient
-    norm = Fraction(norm)
-    if norm <= 0:
-        raise ValueError("norm must be positive")
-    G = field.t2_gram_matrix()
     keep = _norm_filter(module, norm)
-    if field.degree == 2:
-        if field.D > 0:
-            raise UnsupportedFieldError("generator search needs an imaginary field")
-        # the points come sorted by (u G u^t, u): the first kept is the pick
-        points = enumerate_by_t2(lll_reduce(module, G), 2 * norm)
-        return _element(module, next(filter(keep, points), None))
-
     # centred windows over one period of the ladder unit's power, walked out from 0
     D0, G, C = field.norm_forms
     windows, edges, walk = _ladder_windows(D0, _unit_ladder(field, module))

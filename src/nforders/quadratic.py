@@ -15,11 +15,12 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, cycle, islice
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from .intmath import (
+    factorize,
     is_prime,
     is_square,
     is_squarefree,
@@ -275,6 +276,16 @@ class QuadField(Keyed):
     def class_number(self) -> int:
         return form_class_group(self.disc).h
 
+    @cached_property
+    def genus_characters(self) -> tuple:
+        """The prime discriminants p* of disc when D < 0, none when D > 0.
+        For D < 0 the genus field K(sqrt(p*), p* | disc) is unramified over
+        K, so (p*/|N(alpha)|) = 1 for every alpha with |N(alpha)| coprime
+        to p* (lattice.find_generator).  A real K has a real place, at
+        which K(sqrt(p*)) ramifies for p* < 0: in Q(sqrt(3)), 1 + 2*sqrt(3)
+        has |N| = 11 and (-4/11) = -1."""
+        return prime_discriminants(self.disc) if self.D < 0 else ()
+
     def residue_unit_counts(self, fac) -> tuple[int, int]:
         """(#(O_K/f O_K)^x, #(o/f O_K)^x) for o = Z + f*O_K, the order of
         index f = prod q^e over the pairs (q, e) of fac, its factorization,
@@ -292,6 +303,18 @@ class QuadField(Keyed):
 
     def __repr__(self):
         return "QuadField(%d)" % self.D
+
+
+def prime_discriminants(disc: int) -> tuple:
+    """The prime discriminants whose product is the fundamental
+    discriminant disc (Cox, Primes of the form x^2 + ny^2, section 6):
+    p* = (-1)^((p-1)/2) p for each odd prime p | disc, all 1 mod 4, and
+    first, when disc is even, its 2-part disc / prod p*, which is -4, 8
+    or -8."""
+    odd = [p if p % 4 == 1 else -p for p in factorize(disc) if p != 2]
+    two = disc // prod(odd)
+    assert two in (1, -4, 8, -8), disc
+    return tuple([two] * (two != 1) + odd)
 
 
 class QuadElem(FieldElem):
@@ -510,28 +533,53 @@ class CFExpansion(NamedTuple):
 _CF_MAX_PERIOD = 2**20  # the longest period cf_sqrt expands, about 0.6 s
 
 
+def _cf_period(D: int, a0: int) -> int:
+    """The period l of sqrt(D), walked to its midpoint storing nothing, or
+    UnsupportedFieldError past _CF_MAX_PERIOD.
+
+    With x_k = (P_k + sqrt(D))/Q_k the complete quotients and x_(l+1-k) =
+    -1/x'_k (PellData), P_(s+1) = P_s, s >= 1, gives Q_(s+1) = Q_(s-1), as
+    D - P_k^2 = Q_k Q_(k-1), so x_(s+1) = -1/x'_s = x_(l+1-s); and
+    Q_(s+1) = Q_s gives x_(s+1) = -1/x'_(s+1) = x_(l-s).  The x_k of a
+    period are distinct, so the first s with either is l/2 or (l-1)/2,
+    met after about l/2 steps."""
+    m, d, a = 0, 1, a0
+    for s in range(_CF_MAX_PERIOD // 2 + 1):
+        m1 = d * a - m
+        d1 = (D - m1 * m1) // d
+        if d1 == d or m1 == m:
+            l = 2 * s + (d1 == d)
+            if l <= _CF_MAX_PERIOD:
+                return l
+            break
+        m, d, a = m1, d1, (a0 + m1) // d1
+    msg = "the continued fraction of sqrt(%d) has a period past the expansion's limit %d"
+    raise UnsupportedFieldError(msg % (D, _CF_MAX_PERIOD))
+
+
 def cf_sqrt(D: int) -> CFExpansion:
     """Periodic continued fraction of sqrt(D) via the exact P,Q recurrence.
-    Q_k = 1 exactly when the period length divides k, where a_k = 2*a0
-    (Cohen, GTM 138, 5.7), so the period ends at the first Q_k = 1, or
-    past _CF_MAX_PERIOD quotients in UnsupportedFieldError."""
+    The period l is found first (_cf_period), so a period past
+    _CF_MAX_PERIOD is refused before anything is stored.  Then the first
+    l//2 quotients and Q_k are walked again and mirrored: the period is
+    symmetric, a_(l-k) = a_k and Q_(l-k) = Q_k for 0 < k < l, and ends in
+    a_l = 2*a0 and Q_l = 1 (Cohen, GTM 138, 5.7; Perron, Die Lehre von den
+    Kettenbrüchen, section 24)."""
     if D <= 0 or is_square(D):
         raise ValueError("cf_sqrt needs a positive nonsquare")
     a0 = isqrt(D)
+    l = _cf_period(D, a0)
     m, d, a = 0, 1, a0
-    period, norms = [], []
-    for _ in range(_CF_MAX_PERIOD):
+    quots, Qs = [], []
+    for _ in range(l // 2):
         m = d * a - m
         d = (D - m * m) // d
         a = (a0 + m) // d
-        period.append(a)
-        norms.append(d if len(norms) % 2 else -d)
-        if d == 1:
-            break
-    else:
-        msg = "the continued fraction of sqrt(%d) has a period past the expansion's limit %d"
-        raise UnsupportedFieldError(msg % (D, _CF_MAX_PERIOD))
-    assert a == 2 * a0
+        quots.append(a)
+        Qs.append(d)
+    back = slice(None, None, -1) if l % 2 else slice(-2, None, -1)
+    period = quots + quots[back] + [2 * a0]
+    norms = [q if k % 2 else -q for k, q in enumerate(Qs + Qs[back] + [1])]
     return CFExpansion(D, a0, tuple(period), tuple(norms))
 
 

@@ -14,7 +14,9 @@ unit equation was decided by before it was read off the norms of one
 period of sqrt(dn), and `unit_equation_by_norm_scan` that scan of the
 norms, before only the midpoint was read.  `pell_unit_by_full_period` is
 the walk over a whole period of sqrt(D) that `pell_solve` and the window
-ladder ran before the Pell unit was read off half of it.  `residue_unit_count` is the prime-contraction count of
+ladder ran before the Pell unit was read off half of it, and
+`cf_sqrt_by_full_period` the expansion as `cf_sqrt` stored it before it
+found the period first and mirrored half of it.  `residue_unit_count` is the prime-contraction count of
 #(o/f)^x for any ideal f of any order, which the Picard formula ran twice
 per order before it read both counts off the index; it is the oracle for
 the closed forms of `QuadField.residue_unit_counts`.
@@ -137,8 +139,10 @@ from nforders.orders import (
 )
 from nforders.quadratic import (
     BinaryForm,
+    CFExpansion,
     QuadElem,
     QuadField,
+    UnsupportedFieldError,
     _before,
     _in_range,
     _ladder_windows,
@@ -607,6 +611,27 @@ def pell_unit_by_full_period(D: int) -> tuple:
     ((x, y),) = deque(cf_convergents(cf, l), maxlen=1)
     assert x * x - D * y * y == (-1) ** l
     return x, y
+
+
+def cf_sqrt_by_full_period(D: int, limit: int = 2**20) -> CFExpansion:
+    """cf_sqrt as it ran before it found the period first and mirrored
+    its first half: every quotient and norm of the period stored as the
+    recurrence walks it, and UnsupportedFieldError past `limit` of them."""
+    a0 = isqrt(D)
+    m, d, a = 0, 1, a0
+    period, norms = [], []
+    for _ in range(limit):
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        period.append(a)
+        norms.append(d if len(norms) % 2 else -d)
+        if d == 1:
+            break
+    else:
+        raise UnsupportedFieldError("period of sqrt(%d) past %d" % (D, limit))
+    assert a == 2 * a0
+    return CFExpansion(D, a0, tuple(period), tuple(norms))
 
 
 def witness_box(d: int, n: int, box: int):

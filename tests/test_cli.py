@@ -1043,8 +1043,9 @@ def test_represent_past_the_ladder_cap_exits_3(capsys):
 
 
 def test_represent_past_the_expansion_limit_exits_3(capsys):
-    # the period of sqrt(200000000000062) is 11,152,988: cf_sqrt stops at
-    # its limit of 2^20 quotients, where the whole period took 5.5 s
+    # the period of sqrt(200000000000062) is 11,152,988: cf_sqrt stops
+    # once the midpoint lies past half its limit of 2^20 quotients, having
+    # stored none, where the whole period took 5.5 s
     start = time.perf_counter()
     code, out, err = in_process_run(capsys, ["represent", "17", "100000000000031", "2"])
     assert time.perf_counter() - start < 2.0

@@ -21,7 +21,7 @@ import pytest
 from nforders import criteria, lattice, quadratic
 from nforders.biquadratic import factor_rational_prime, integral_basis
 from nforders.criteria import prime_elements
-from nforders.intmath import sqrt_ub
+from nforders.intmath import jacobi, sqrt_ub
 from nforders.lattice import (
     IntModule,
     UnsupportedFieldError,
@@ -540,8 +540,8 @@ def ladder_size(module) -> int:
 
 def test_represent_pool_runs_half_a_period(monkeypatch, pool):
     # 5 windows per (59, 2) ladder and 1 per (11, 10) ladder: 201 in all,
-    # where the full period ran 402; stopping early, the searches run 161
-    # of them, 75 on (59, 2)
+    # where the full period ran 402; stopping early, the walks run 161
+    # of them, 75 on (59, 2).  The walk runs with no character test
     built = {E59: [], E1110: []}
     searched = {E59: [], E1110: []}
     lll = lattice.lll_reduce
@@ -554,11 +554,50 @@ def test_represent_pool_runs_half_a_period(monkeypatch, pool):
     for module, norm in pool:
         built[module.ambient].append(ladder_size(module))
         searched[module.ambient].append(0)
-        lattice.find_generator(module, norm)
+        lattice._window_walk(module, norm)
     assert set(built[E59]) == {5} and set(built[E1110]) == {1}
     assert sum(built[E59]) + sum(built[E1110]) == 201
     assert sum(searched[E59]) == 75 and sum(searched[E1110]) == 86
     assert sum(searched[E59]) + sum(searched[E1110]) == 161
+
+
+def test_characters_decide_44_pool_nones_before_the_walk(monkeypatch, pool):
+    # find_generator on the pool: a genus character of (11, 10) is -1 at 44
+    # norms, all through (5/q) = (-8/q) = -1, and those 44 one-window
+    # ladders are never built or searched; (59, 2), whose characters -59
+    # and -8 are 1 at every norm of a prime with a root of -2, walks as
+    # before.  117 LLL calls and 117 enumerations, where the walks make 161
+    calls = {"lll": 0, "enum": 0}
+    ladders = []
+    lll, enum, ladder_of = lattice.lll_reduce, lattice.enumerate_by_t2, lattice._unit_ladder
+
+    def count_lll(m, g):
+        calls["lll"] += 1
+        return lll(m, g)
+
+    def count_enum(red, bound):
+        calls["enum"] += 1
+        return enum(red, bound)
+
+    def count_ladder(field, module):
+        ladders.append(field)
+        return ladder_of(field, module)
+
+    monkeypatch.setattr(lattice, "lll_reduce", count_lll)
+    monkeypatch.setattr(lattice, "enumerate_by_t2", count_enum)
+    monkeypatch.setattr(lattice, "_unit_ladder", count_ladder)
+    decided = {E59: 0, E1110: 0}
+    for module, norm in pool:
+        before = calls["lll"], len(ladders)
+        alpha = lattice.find_generator(module, norm)
+        if (calls["lll"], len(ladders)) == before:
+            assert alpha is None
+            decided[module.ambient] += 1
+            assert any(jacobi(p, norm) == -1 for p in module.ambient.genus_characters)
+            assert [jacobi(p, norm) for p in (5, -8)] == [-1, -1]
+    assert decided == {E59: 0, E1110: 44}
+    assert calls == {"lll": 117, "enum": 117}
+    assert len(ladders) == len(pool) - 44
 
 
 def test_find_generator_matches_oracle_on_23_5_and_71_2():
@@ -794,8 +833,9 @@ def test_warm_start_enumerates_the_cold_ball(monkeypatch, warm_inputs):
 
 
 def count_windows(monkeypatch, module, norm) -> tuple:
-    """(the generator, lll_reduce calls, enumerate_by_t2 calls) of
-    find_generator(module, norm)."""
+    """(the generator, lll_reduce calls, enumerate_by_t2 calls) of the
+    window walk of find_generator(module, norm), run with no character
+    test (lattice._window_walk)."""
     calls = {"lll": 0, "enum": 0}
     lll, enum = lattice.lll_reduce, lattice.enumerate_by_t2
 
@@ -810,7 +850,7 @@ def count_windows(monkeypatch, module, norm) -> tuple:
     with monkeypatch.context() as mp:
         mp.setattr(lattice, "lll_reduce", count_lll)
         mp.setattr(lattice, "enumerate_by_t2", count_enum)
-        alpha = lattice.find_generator(module, norm)
+        alpha = lattice._window_walk(module, norm)
     return alpha, calls["lll"], calls["enum"]
 
 
@@ -932,8 +972,9 @@ def budget_pool(pool, warm_inputs):
 
 
 def window_budgets(monkeypatch, module, norm) -> list:
-    """The integer budget bound * den^2 that find_generator(module, norm)
-    hands enumerate_by_t2 in each window, in order; no window enumerates."""
+    """The integer budget bound * den^2 that the window walk of
+    find_generator(module, norm) hands enumerate_by_t2 in each window, in
+    order; no window enumerates."""
     budgets = []
 
     def record(red, bound):
@@ -944,7 +985,7 @@ def window_budgets(monkeypatch, module, norm) -> list:
 
     with monkeypatch.context() as mp:
         mp.setattr(lattice, "enumerate_by_t2", record)
-        lattice.find_generator(module, norm)
+        lattice._window_walk(module, norm)
     return budgets
 
 

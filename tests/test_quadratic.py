@@ -30,6 +30,7 @@ from nforders.quadratic import (
 )
 from ideals import module_conj
 from oracles import (
+    cf_sqrt_by_full_period,
     compose,
     from_integral_coords,
     form_inverse,
@@ -472,7 +473,7 @@ def test_cf_sqrt_known():
 
 def test_cf_sqrt_stops_at_its_limit(monkeypatch):
     # a period of exactly the limit is expanded; one quotient more raises,
-    # once the limit's quotients are expanded and before the period ends
+    # once half the limit's quotients are walked and before the midpoint
     assert len(cf_sqrt(118).period) == 10
     monkeypatch.setattr(quadratic, "_CF_MAX_PERIOD", 10)
     assert cf_sqrt(118).period == (1, 6, 3, 2, 10, 2, 3, 6, 1, 20)
@@ -482,6 +483,42 @@ def test_cf_sqrt_stops_at_its_limit(monkeypatch):
         match=r"sqrt\(118\) has a period past the expansion's limit 9$",
     ):
         cf_sqrt(118)
+
+
+# long periods of sqrt(D) the ladder, the unit equation and the CLI pins
+# reach: 10,000,019 * 2, 100,000,007 * 2, 31,064,543 * 2, 57,672,383 * 2
+# (16,144), 200,000,518 and 100,000,000,003 * 2 (454,206)
+LONG_PERIOD_D = (20000038, 200000014, 62129086, 115344766, 200000518, 200000000006)
+
+
+def test_cf_sqrt_matches_the_full_period_walk(monkeypatch):
+    # the period found first and half of it mirrored: the quotients and norms
+    # the walk over the whole period stored, on every nonsquare D < 10^4 and
+    # the long periods
+    for D in chain(range(2, 10**4), LONG_PERIOD_D):
+        if not is_square(D):
+            assert cf_sqrt(D) == cf_sqrt_by_full_period(D), D
+    # the limit holds for odd periods too: sqrt(13) has 5 quotients
+    monkeypatch.setattr(quadratic, "_CF_MAX_PERIOD", 5)
+    assert cf_sqrt(13).period == (1, 1, 1, 1, 6)
+    monkeypatch.setattr(quadratic, "_CF_MAX_PERIOD", 4)
+    with pytest.raises(quadratic.UnsupportedFieldError, match="limit 4$"):
+        cf_sqrt(13)
+
+
+def test_cf_sqrt_refuses_a_long_period_storing_nothing(monkeypatch):
+    # past the limit cf_sqrt walks half of it holding two integers: at a
+    # limit of 2^16, where the stored walk held 2^16 quotients and norms
+    # (a few MB), the refusal of sqrt(200000000000062) peaks under 64 kB
+    monkeypatch.setattr(quadratic, "_CF_MAX_PERIOD", 2**16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(quadratic.UnsupportedFieldError, match="limit 65536$"):
+            cf_sqrt(200000000000062)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_cf_sqrt_structure():

@@ -458,6 +458,31 @@ def test_norm_is_defined_once_for_both_degrees():
     assert [c.__name__ for c in subclasses if "norm" in vars(c)] == []
 
 
+# what the layers above a field ask of it, whatever its degree
+FIELD_PROTOCOL = (
+    "norm_form",
+    "prime_rows",
+    "class_number",
+    "residue_unit_counts",
+    "genus_characters",
+)
+
+
+def test_both_field_classes_speak_one_protocol():
+    # each name is defined on each field class itself, as the same kind of
+    # attribute: a method, or a property cached per field
+    from nforders.biquadratic import BiquadField
+    from nforders.quadratic import QuadField
+
+    kinds = [
+        {name: type(vars(cls).get(name)) for name in FIELD_PROTOCOL}
+        for cls in (QuadField, BiquadField)
+    ]
+    assert kinds[0] == kinds[1]
+    assert type(None) not in kinds[0].values()
+    assert kinds[0]["genus_characters"].__name__ == "cached_property"
+
+
 def _degree_comparisons(path: Path) -> set:
     """Names of the top-level functions (Class.method for methods) that
     compare a `.degree` attribute."""
