@@ -515,7 +515,8 @@ def represent(p: QuadElem, d: int, n: int):
     None is a proof.  A pair gives beta = x + y*sqrt(-n) of relative norm
     p, a generator of the prime P above p that the root of -n gives or of
     its conjugate.  So None follows when -n is not a square in the residue
-    field, when P has no generator (the enumeration is exhaustive), and
+    field, when P has no generator (a genus character of E at q^deg, or
+    the exhaustive enumeration, proves it: find_generator), and
     when the generator alpha has relative norm -p and no unit of O_E = O_F
     + O_F*sqrt(-n) has relative norm -1, which unit_witness's None proves
     for d > 3 and n not in {1, 3}: the generators of P and its conjugate
