@@ -156,7 +156,9 @@ def test_every_character_none_is_a_none_of_the_window_walk():
                     criteria.represent(p, d, n)
     finally:
         criteria.find_generator = saved
-    decided = [(module, norm) for module, norm in calls if norm % 2 and refuted(module.ambient, norm)]
+    decided = [
+        (module, norm) for module, norm in calls if norm % 2 and refuted(module.ambient, norm)
+    ]
     assert (len(fields), len(calls), len(decided)) == (153, 4194, 2088)
     for module, norm in decided:
         assert find_generator(module, norm) is None
@@ -164,9 +166,9 @@ def test_every_character_none_is_a_none_of_the_window_walk():
 
 
 def test_every_character_none_is_a_none_of_the_t2_ball():
-    # the primes above each odd q <= 200 in the imaginary quadratic fields:
-    # where a character decides, the one ball of the rank-2 search holds no
-    # element of norm q
+    # the primes above each odd q < 200 in the 122 imaginary quadratic
+    # fields of |D| < 200: where a character decides, 3,036 primes, the one
+    # ball of the rank-2 search holds no element of norm q
     decided = 0
     for D in IMAGINARY_D:
         F = QuadField(D)
@@ -182,4 +184,4 @@ def test_every_character_none_is_a_none_of_the_t2_ball():
                 assert not any(map(_norm_filter(module, q), points))
                 assert find_generator(module, q) is None
                 decided += 1
-    assert decided > 1000
+    assert decided == 3036
