@@ -516,7 +516,10 @@ def test_class_group_71_2():
 # (h, invariant factors) as they stood when every prime class that differed
 # from the earlier generators became one: the fields of the classgroup
 # benchmark, those of acceptance 08 under the cap ((59, 5) is over it) and
-# (11, 10), (23, 5), (31, 6)
+# (11, 10), (23, 5), (31, 6); then, recorded while each principal test still
+# ran on a reduced ideal, the cheapest native field under the cap of each
+# further shape: cyclic of order 4, 5, 7, 8, 10, 11, 13 and 15, and
+# (2, 4), (2, 8), (2, 10), (2, 2, 2)
 _CLASS_GROUPS = {
     (3, 1): (1, ()), (3, 2): (1, ()), (3, 5): (2, (2,)), (3, 10): (2, (2,)),
     (7, 1): (1, ()), (7, 2): (1, ()), (7, 5): (2, (2,)), (7, 10): (2, (2,)),
@@ -524,6 +527,10 @@ _CLASS_GROUPS = {
     (15, 1): (2, (2,)), (15, 2): (2, (2,)), (19, 1): (1, ()), (23, 2): (3, (3,)),
     (35, 2): (2, (2,)), (59, 2): (3, (3,)),
     (11, 10): (4, (2, 2)), (23, 5): (6, (6,)), (31, 6): (12, (2, 6)),
+    (39, 1): (4, (4,)), (47, 1): (5, (5,)), (71, 1): (7, (7,)), (95, 1): (8, (8,)),
+    (143, 1): (10, (10,)), (167, 1): (11, (11,)), (191, 1): (13, (13,)),
+    (79, 1): (15, (15,)), (15, 13): (8, (2, 4)), (39, 5): (16, (2, 8)),
+    (119, 1): (20, (2, 10)), (195, 1): (8, (2, 2, 2)),
 }
 
 
