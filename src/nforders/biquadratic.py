@@ -35,7 +35,6 @@ from .lattice import (
     _pair_products,
     _times,
     adjugate_int,
-    enumerate_by_t2,
     find_generator,
     hnf,
     identity_module,
@@ -561,26 +560,15 @@ def minkowski_bound(E: BiquadField) -> Fraction:
     return Fraction(3, 2) * sqrt_ub(Fraction(abs(E.disc))) / _PI_LO**2
 
 
-def _short_element(m: IntModule) -> BiquadElem:
-    """Nonzero module element of smallest T2."""
-    E = m.ambient
-    G = E.t2_gram_matrix()
-    ball = 2 * sqrt_ub(m.covolume() * sqrt_ub(Fraction(abs(E.disc))))
-    red = lll_reduce(m, G)
-    while True:
-        pts = enumerate_by_t2(red, ball)
-        if pts:
-            return E.from_basis_coords([Fraction(c, m.den) for c in pts[0]])
-        ball *= 2
-
-
 def _reduce_inverse(m: IntModule):
-    """(beta, c) with beta a shortest element of m and c = beta * m^(-1),
-    an integral ideal of small norm in the inverse class of m."""
+    """(beta, c) with beta the first row of an LLL basis of m under T2 and
+    c = beta * m^(-1), an integral ideal of small norm in the inverse class
+    of m.  In rank 4 that row's T2 is within a factor 8 of the least
+    (Cohen, GTM 138, §2.6), and any nonzero beta in m would do."""
     E = m.ambient
-    beta = _short_element(m)
-    inv = module_colon(identity_module(E), m)
-    c = inv.transform(beta)
+    red = lll_reduce(m, E.t2_gram_matrix())
+    beta = E.from_basis_coords([Fraction(c, red.den) for c in red.rows[0]])
+    c = module_colon(identity_module(E), m).transform(beta)
     assert c.den == 1
     return beta, c
 
@@ -590,11 +578,6 @@ def _class_rep(m: IntModule):
     inverse class."""
     inv = _reduce_inverse(m)[1]
     return _reduce_inverse(inv)[1], inv
-
-
-def _principal_class(m: IntModule) -> bool:
-    _, c = _reduce_inverse(m)
-    return find_generator(c, c.covolume()) is not None
 
 
 class BiquadClassGroup(NamedTuple):
@@ -636,15 +619,16 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
     # H, a small ideal, one of the inverse class (None for the principal
     # class) and the exponents of the class on the generators.
     def find(a, classes):
-        """Index of the entry of classes that holds the class of a, or None."""
-        return next(
-            (
-                i
-                for i, (_, inv, _) in enumerate(classes)
-                if _principal_class(a if inv is None else module_mul(a, inv))
-            ),
-            None,
-        )
+        """Index of the entry of classes that holds the class of a, or None:
+        the first whose inverse times a has a generator.  The search runs
+        on that integral ideal as it is, as reducing it first would not
+        shrink a window: the ball's volume and the covolume both scale
+        with the norm."""
+        for i, (_, inv, _) in enumerate(classes):
+            b = a if inv is None else module_mul(a, inv)
+            if find_generator(b, b.covolume()) is not None:
+                return i
+        return None
 
     span = [(identity_module(E), None, ())]
     relations = []

@@ -694,8 +694,9 @@ def rel_norm_EF(e: BiquadElem) -> QuadElem:
 
 
 def principal_generator(E: BiquadField, m: IntModule):
-    """Generator of m as a fractional ideal of the maximal order, or None;
-    the search runs on a norm-reduced ideal so enumeration stays small."""
+    """Generator of m as a fractional ideal of the maximal order, or None.
+    The search runs on c = beta * m^(-1), which is integral for any m:
+    m = (beta / lam) exactly when c = (lam)."""
     beta, c = _reduce_inverse(m)
     lam = find_generator(c, c.covolume())
     if lam is None:
@@ -703,6 +704,62 @@ def principal_generator(E: BiquadField, m: IntModule):
     g = beta / lam
     assert identity_module(E).transform(g) == m
     return g
+
+
+def wide_class_number(D: int) -> int:
+    """Class number of the real quadratic field of fundamental discriminant
+    D = 4*m, m = 2, 3 (mod 4), from the forms alone.  The primitive reduced
+    forms (a, b, c) of discriminant D, 0 < b < sqrt(D) and
+    sqrt(D) - b < 2|a| < sqrt(D) + b, fall into cycles under
+    rho(a, b, c) = (c, b', *), b' = -b (mod 2|c|) in (sqrt(D) - 2|c|,
+    sqrt(D)), one cycle per narrow class (Cohen, GTM 138, §5.6).  The
+    narrow class number is twice the wide one exactly when the fundamental
+    unit has norm +1."""
+    r = isqrt(D)
+    forms = set()
+    for b in range(D % 2, r + 1, 2):
+        if b == 0:
+            continue
+        ac = (b * b - D) // 4
+        for a in range(max(1, (r - b) // 2 + 1), (r + b) // 2 + 1):
+            if ac % a == 0 and gcd(a, b, ac // a) == 1:
+                forms |= {(a, b, ac // a), (-a, b, -ac // a)}
+    cycles = 0
+    while forms:
+        cycles += 1
+        a, b, c = start = forms.pop()
+        while True:
+            b = r - (r + b) % (2 * abs(c))
+            a, c = c, (b * b - D) // (4 * c)
+            if (a, b, c) == start:
+                break
+            forms.remove((a, b, c))
+    x, y = pell_unit_by_full_period(D // 4)
+    return cycles // 2 if x * x - D // 4 * y * y == 1 else cycles
+
+
+def kuroda_class_number(d: int, n: int) -> int:
+    """h_E of the native field (d, n), d > 3 and n > 1 so that W_E = {+-1},
+    by Kuroda's formula h_E = Q h(-d) h(-4n) h(4dn) / 2 (Lemmermeyer,
+    Acta Arith. 66, 1994), with nothing from the class-group walk.  The
+    unit index Q = [O_E^x : <-1, eps0>] is 2 exactly when some unit of E
+    squares to -eps0 (to eps0 it cannot: E = k(sqrt(-d)), k = Q(sqrt(dn)),
+    holds sqrt(x) for x in k only when x is in k^2 or -d k^2, and eps0 > 0
+    at one place), that is when d*eps0 = (a + b sqrt(dn))^2, so that
+    d x = a^2 + dn b^2, d y = 2ab for eps0 = x + y sqrt(dn), and then
+    a^2 - dn b^2 = s d with s = +-1."""
+    assert d > 3 and n > 1
+    x, y = pell_unit_by_full_period(d * n)
+    squares = 0
+    for s in (1, -1):
+        a2, nb2 = d * (x + s), x - s
+        if a2 % 2 or nb2 % (2 * n):
+            continue
+        a, b = isqrt(a2 // 2), isqrt(nb2 // (2 * n))
+        squares += a * a == a2 // 2 and b * b == nb2 // (2 * n) and 2 * a * b == d * y
+    q = 2 if squares else 1
+    h = len(reduced_forms_by_loop(-d)) * len(reduced_forms_by_loop(-4 * n))
+    return q * h * wide_class_number(4 * d * n) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,14 @@ from nforders.biquadratic import (
     norm_map_condition,
     residue_degree,
 )
-from nforders.intmath import is_prime, poly_discriminant
-from nforders.lattice import IntModule, UnsupportedFieldError, hnf, identity_module
+from nforders.intmath import is_prime, is_squarefree, poly_discriminant
+from nforders.lattice import (
+    IntModule,
+    UnsupportedFieldError,
+    find_generator,
+    hnf,
+    identity_module,
+)
 from nforders.orders import (
     _closed_under,
     conductor,
@@ -30,6 +36,7 @@ from oracles import (
     _minpoly4,
     factor_by_primitive_element,
     fundamental_unit,
+    kuroda_class_number,
     mult_matrix,
     naive,
     naive_to_coords,
@@ -547,6 +554,49 @@ def test_class_groups_keep_their_values():
 
 def test_class_group_is_cached():
     assert class_group(E59) is class_group(integral_basis(59, 2))
+
+
+def test_class_numbers_match_kuroda():
+    # every native field with d > 3, n > 1 under the cap: the bound is
+    # 6 dn / pi^2 (disc = 16 d^2 n^2), so dn <= 197, d <= 98 and n <= 28
+    seen = 0
+    for d in range(7, 100, 4):
+        for n in range(2, 30):
+            if n % 4 not in (1, 2) or gcd(d, n) != 1:
+                continue
+            if not (is_squarefree(d) and is_squarefree(n)):
+                continue
+            E = integral_basis(d, n)
+            if minkowski_bound(E) > biquadratic._BOUND_CAP:
+                continue
+            seen += 1
+            assert class_group(E).h == kuroda_class_number(d, n), (d, n)
+    assert seen == 42
+
+
+def _principal(m):
+    return find_generator(m, m.covolume()) is not None
+
+
+@pytest.mark.parametrize("E", [E59, integral_basis(31, 6), E715], ids=repr)
+def test_class_reps_lie_in_the_class_and_its_inverse(E):
+    # the walk's representatives for every prime it may draw: rep in the
+    # class of m and inv in the inverse class, both integral, whichever
+    # short element of m they came from
+    B = minkowski_bound(E)
+    primes = [
+        pf.module
+        for q in range(2, int(B) + 1)
+        if is_prime(q)
+        for pf in factor_rational_prime(E, q)
+        if q**pf.f <= B
+    ]
+    assert len(primes) > 3
+    for m in primes:
+        rep, inv = biquadratic._class_rep(m)
+        assert rep.den == 1 and inv.den == 1
+        assert _principal(module_mul(rep, inv)), m.rows
+        assert _principal(module_mul(m, inv)), m.rows
 
 
 def test_norm_map_condition_values():

@@ -570,3 +570,13 @@ def test_sqrt_d_is_expanded_in_one_place():
         imported & {"CFExpansion"}
     ), imported
     assert LadderData._fields == ("U", "step", "period")
+
+
+def test_class_group_walk_takes_no_detour():
+    # Fincke-Pohst runs only inside the generator search: the walk's
+    # representatives come from LLL's first row, and its principal test
+    # searches the ideal itself, so the one colon left in biquadratic is
+    # the inverse that turns a short element into a representative
+    assert {mod for mod, _ in _callers("enumerate_by_t2")} == {"lattice"}
+    colons = [where for mod, where in _callers("module_colon") if mod == "biquadratic"]
+    assert colons == ["_reduce_inverse"]
