@@ -9,7 +9,9 @@ reads only their number.  `brute_force_represent`, `rel_norm_EF`,
 `mult_matrix`, `transform_by_matrix`, `from_integral_coords`,
 `fraction_inverse`, `naive`, `trace`, `naive_to_coords`, `primes_upto`,
 `sqrt_lb`, `unit_equation_scan` and `witness_box` are helpers that nothing
-in the library calls.  `unit_equation_by_pell_unit` is the closed form the
+in the library calls.  `kuroda_class_number` (with `wide_class_number`)
+gives h_E by Kuroda's formula, a check of the class-group walk that
+shares nothing with it.  `unit_equation_by_pell_unit` is the closed form the
 unit equation was decided by before it was read off the norms of one
 period of sqrt(dn), and `unit_equation_by_norm_scan` that scan of the
 norms, before only the midpoint was read.  `pell_unit_by_full_period` is
@@ -717,9 +719,7 @@ def wide_class_number(D: int) -> int:
     unit has norm +1."""
     r = isqrt(D)
     forms = set()
-    for b in range(D % 2, r + 1, 2):
-        if b == 0:
-            continue
+    for b in range(2, r + 1, 2):
         ac = (b * b - D) // 4
         for a in range(max(1, (r - b) // 2 + 1), (r + b) // 2 + 1):
             if ac % a == 0 and gcd(a, b, ac // a) == 1:
@@ -745,19 +745,17 @@ def kuroda_class_number(d: int, n: int) -> int:
     unit index Q = [O_E^x : <-1, eps0>] is 2 exactly when some unit of E
     squares to -eps0 (to eps0 it cannot: E = k(sqrt(-d)), k = Q(sqrt(dn)),
     holds sqrt(x) for x in k only when x is in k^2 or -d k^2, and eps0 > 0
-    at one place), that is when d*eps0 = (a + b sqrt(dn))^2, so that
-    d x = a^2 + dn b^2, d y = 2ab for eps0 = x + y sqrt(dn), and then
-    a^2 - dn b^2 = s d with s = +-1."""
+    at one place), that is when d*eps0 = (a + b sqrt(dn))^2, a, b >= 0:
+    d x = a^2 + dn b^2 and d y = 2ab for eps0 = x + y sqrt(dn), and
+    a^2 - dn b^2 = s d with s = +-1, so a^2 = d(x + s)/2 and
+    b^2 = (x - s)/2n."""
     assert d > 3 and n > 1
     x, y = pell_unit_by_full_period(d * n)
-    squares = 0
-    for s in (1, -1):
-        a2, nb2 = d * (x + s), x - s
-        if a2 % 2 or nb2 % (2 * n):
-            continue
-        a, b = isqrt(a2 // 2), isqrt(nb2 // (2 * n))
-        squares += a * a == a2 // 2 and b * b == nb2 // (2 * n) and 2 * a * b == d * y
-    q = 2 if squares else 1
+
+    def root(a, b):
+        return a * a + d * n * b * b == d * x and 2 * a * b == d * y
+
+    q = 2 if any(root(isqrt(d * (x + s) // 2), isqrt((x - s) // (2 * n))) for s in (1, -1)) else 1
     h = len(reduced_forms_by_loop(-d)) * len(reduced_forms_by_loop(-4 * n))
     return q * h * wide_class_number(4 * d * n) // 2
 
