@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .intmath import (
     is_prime,
     is_squarefree,
-    poly_roots_mod,
     sqrt_ub,
     squarefree_part,
 )
@@ -50,7 +49,6 @@ from .quadratic import (
     Keyed,
     QuadField,
     UnresolvedError,
-    form_class_group,
     integer_coords,
     integer_rows,
     prime_discriminants,
@@ -250,6 +248,24 @@ class BiquadField(Keyed):
         return D0, s
 
     @cached_property
+    def subfields(self) -> tuple:
+        """(F, w) for the quadratic subfields Q(sqrt(-d)), Q(sqrt(-n)) and
+        Q(sqrt(D0)), in that order: F a QuadField and w the naive
+        coordinates of the generator of its integers, (1 + sqrt(D))/2 when
+        D = 1 mod 4 and sqrt(D) otherwise.  Built once per field."""
+        D0, s = self.real_subfield_data()
+        out = []
+        for D, w in (
+            (-self.d, (0, 1, 0, 0)),
+            (-self.n, (0, 0, 1, 0)),
+            (D0, (0, 0, 0, Fraction(1, s))),
+        ):
+            if D % 4 == 1:
+                w = (Fraction(1, 2),) + tuple(Fraction(c) / 2 for c in w[1:])
+            out.append((QuadField(D), w))
+        return tuple(out)
+
+    @cached_property
     def norm_forms(self) -> tuple:
         """(D0, G, C): G the T2 Gram and C = S G + G S^t, S the integer
         matrix of sqrt(D0), all integer.  For x = u/den let A1, A2 be
@@ -277,8 +293,8 @@ class BiquadField(Keyed):
         prime, and at infinity too, as the field is totally imaginary: the
         real subfield's p* < 0 count here, where QuadField(D0) has none
         (lattice.find_generator)."""
-        subfields = [F for F, _ in _subfield_omegas(self)]
-        return tuple(sorted({p for F in subfields for p in prime_discriminants(F.disc)}))
+        primes = {p for F, _ in self.subfields for p in prime_discriminants(F.disc)}
+        return tuple(sorted(primes))
 
     def from_real_quadratic(self, x, y) -> "BiquadElem":
         """x + y*sqrt(D0), embedded via sqrt(D0) = sqrt(d*n)/s."""
@@ -328,8 +344,7 @@ class BiquadField(Keyed):
     def relative_order_rows(self) -> tuple:
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring
         generator of the integers of Q(sqrt(-d)), built once per field."""
-        h = Fraction(1, 2) if self.d % 4 == 3 else 0
-        w, t = self.from_naive((h, 1 - h, 0, 0)), self.gens()[1]
+        w, t = self.from_naive(self.subfields[0][1]), self.gens()[1]
         els = (self.one(), w, t, w * t)
         if any(e.den != 1 for e in els):
             raise ValueError("relative order does not lie in the basis span")
@@ -488,7 +503,9 @@ def factor_rational_prime(E: BiquadField, q: int):
     the F_q-linear map x -> x^k on O_E/q for a power k >= 4 of q, as every
     e(P) <= 4 (Cohen, GTM 138, §6.1): its matrix M has rows b_i^k mod q,
     and R is the first four coordinates of the integer kernel of [M; q I].
-    A prime p of a quadratic subfield in which q splits extends to the
+    A prime p of a quadratic subfield F in which q splits, one of the two
+    F.prime_rows(q) (Kummer-Dedekind), is lifted to O_E by its generators,
+    its rows (x, y) read as x + y*w for w of E.subfields; p O_E is the
     product of the P above p, to powers, and in a Dedekind ring a sum of
     ideals is their gcd: m + p O_E, for m a product of distinct P, is the
     product of those above p, of covolume 1 when there are none.  So
@@ -504,36 +521,17 @@ def factor_rational_prime(E: BiquadField, q: int):
     unit = identity_module(E).rows
     M = [_power_mod(E, b, k, q) for b in unit] + [[q * c for c in b] for b in unit]
     mods = [hnf(E, [v[:4] for v in kernel_int(M)])]
-    for F, om in _subfield_omegas(E):
-        roots = poly_roots_mod(F.omega_minpoly(), q)
-        if len(roots) == 2:
+    for F, om in E.subfields:
+        rows = F.prime_rows(q)
+        if len(rows) == 2:
             w = E.from_naive(om)
-            primes = [ideal_of_elements(E, (E.one() * q, w - r)) for r in roots]
+            primes = [ideal_of_elements(E, [w * y + x for x, y in p]) for p in rows]
             sums = (m.add(p) for m in mods for p in primes)
             mods = [m for m in sums if m.covolume() > 1]
     g, f = len(mods), 1 if mods[0].covolume() == q else 2
     assert all(m.covolume() == q**f for m in mods) and 4 % (g * f) == 0
     out = [PrimeFactor(m, 4 // (g * f), f) for m in mods]
     return sorted(out, key=lambda pf: (pf.f, pf.e, pf.module.rows))
-
-
-def _subfield_omegas(E: BiquadField):
-    """(field, naive coords of the subfield integer w) for the three
-    quadratic subfields."""
-    D0, s = E.real_subfield_data()
-    out = []
-    for D, root in (
-        (-E.d, (0, 1, 0, 0)),
-        (-E.n, (0, 0, 1, 0)),
-        (D0, (0, 0, 0, Fraction(1, s))),
-    ):
-        om = tuple(Fraction(c) for c in root)
-        if D % 4 == 1:
-            om = tuple(
-                (Fraction(1 if i == 0 else 0) + c) / 2 for i, c in enumerate(om)
-            )
-        out.append((QuadField(D), om))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +544,9 @@ _BOUND_CAP = 120
 
 def residue_degree(E: BiquadField, q: int) -> int:
     """Common residue degree of the primes above q: 2 when q is inert in at
-    least one quadratic subfield, else 1.  (Inert in all three is
-    impossible; the three Frobenius images multiply to the identity.)"""
-    D0, _ = E.real_subfield_data()
-    subfields = (QuadField(-E.d), QuadField(-E.n), QuadField(D0))
-    return 2 if any(split_kind(F, q) == "inert" for F in subfields) else 1
+    least one of E.subfields, else 1.  (Inert in all three is impossible;
+    the three Frobenius images multiply to the identity.)"""
+    return 2 if any(split_kind(F, q) == "inert" for F, _ in E.subfields) else 1
 
 
 def minkowski_bound(E: BiquadField) -> Fraction:
@@ -677,7 +673,8 @@ def norm_map_condition(d: int, n: int) -> NormMapCondition:
     equal odd numbers is the stronger hypothesis consumed by the
     representation criteria.
     """
-    h_F = form_class_group(QuadField(-d).disc).h
-    h_E = class_group(integral_basis(d, n)).h
+    E = integral_basis(d, n)
+    h_F = E.subfields[0][0].class_number()
+    h_E = E.class_number()
     eq = h_F == h_E
     return NormMapCondition(eq, h_F, h_E, eq and h_F % 2 == 1)

@@ -92,8 +92,9 @@ def parse_element(text: str, field: QuadField):
         a = int(m.group("a") or 0)
         s = -1 if m.group("sign") == "-" else 1
         den = int(m.group("den") or 1)
-        e = field(Fraction(a, den), Fraction(s * int(m.group("b") or 1), den))
-        return e
+        if den == 0:
+            raise ValueError("zero denominator in %r" % text)
+        return field(Fraction(a, den), Fraction(s * int(m.group("b") or 1), den))
     raise ValueError("cannot parse element %r" % text)
 
 

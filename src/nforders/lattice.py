@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, starmap
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -160,15 +160,19 @@ def _times(rows, M, scale: int = 1) -> list:
     return [tuple([scale * sum(map(mul, r, c)) for c in cols]) for r in rows]
 
 
+def _diagonal_product(H) -> int:
+    """Determinant of the square triangular integer matrix H, a canonical
+    HNF or its transpose: the product of its diagonal (Cohen, GTM 138,
+    section 2.4)."""
+    return prod(row[i] for i, row in enumerate(H))
+
+
 def _det_int(rows) -> int:
-    """Determinant of a square integer matrix: a*d - b*c for n = 2, which
-    is what one Bareiss step computes, else Bareiss fraction-free
+    """Determinant of a dense square integer matrix by Bareiss fraction-free
     elimination: every division is exact, and a zero pivot is replaced by
-    a row swap from below (the determinant is 0 when there is none)."""
+    a row swap from below (the determinant is 0 when there is none).  A
+    triangular HNF's determinant is _diagonal_product."""
     n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
     A = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -283,10 +287,7 @@ class IntModule(Keyed):
         return len(self.rows)
 
     def covolume(self) -> Fraction:
-        det = 1
-        for i in range(self.rank):
-            det *= self.rows[i][i]
-        return Fraction(det, self.den**self.rank)
+        return Fraction(_diagonal_product(self.rows), self.den**self.rank)
 
     def contains(self, e) -> bool:
         """Membership of the field element e = u / den_u: is u * den =
@@ -372,7 +373,9 @@ def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
     in E * Z^n, E = den2 * det(B).  Put the columns of every
     M_r * adj(B) * den1 together and let K have as columns a basis of the
     lattice they span: the condition on all r reads x * K in E * Z^n, so
-    the colon is E * Z^n * K^(-1), the rows E * adj(K) over det(K)."""
+    the colon is E * Z^n * K^(-1), the rows E * adj(K) over det(K).  B is
+    a canonical HNF and K the transpose of one, so both determinants are
+    diagonal products."""
     B = m1.rows
     adjB = adjugate_int(B)
     T = m1.ambient.mult_table
@@ -380,9 +383,9 @@ def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
     for r in m2.rows:
         cols += zip(*_times(table_matrix(T, r), adjB, m1.den))
     K = [list(c) for c in zip(*hnf_matrix(cols))]
-    E = m2.den * _det_int(B)
+    E = m2.den * _diagonal_product(B)
     rows = tuple(tuple(E * x for x in row) for row in adjugate_int(K))
-    return IntModule(m1.ambient, rows, _det_int(K))
+    return IntModule(m1.ambient, rows, _diagonal_product(K))
 
 
 # ---------------------------------------------------------------------------

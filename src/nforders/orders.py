@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .intmath import _SQRT_SCALE, divisors, factorize
 from .lattice import (
     IntModule,
-    _det_int,
     _in_lattice,
     _product_rows,
     _times,
@@ -67,7 +66,8 @@ class OrderRep(Keyed):
     0, and holding the product r_i * r_j, i <= j, of each two other rows,
     read on integers off the field's mult_table (by bilinearity, o is
     then closed).  mult_matrices, which _closed_under reads for an
-    OrderIdeal, is built on first use; the index once, when built."""
+    OrderIdeal, is built on first use; the index [O_K : o] once, when
+    built, as the module's covolume, the diagonal product of its HNF."""
 
     def __init__(self, field, module: IntModule):
         rows = module.rows
@@ -79,7 +79,7 @@ class OrderRep(Keyed):
         for i, x in enumerate(gens):
             if not all(_in_lattice(rows, v) for v in _times(gens[i:], table_matrix(T, x))):
                 raise ValueError("module is not multiplicatively closed")
-        self.field, self.module, self._index = field, module, _pivots(rows)
+        self.field, self.module, self._index = field, module, int(module.covolume())
 
     def _key(self) -> tuple:
         return self.field, self.module
@@ -95,11 +95,6 @@ class OrderRep(Keyed):
 
     def index_in_maximal(self) -> int:
         return self._index
-
-
-def _pivots(rows) -> int:
-    """[O_K : m], m integral: the diagonal product of its canonical HNF."""
-    return prod(row[i] for i, row in enumerate(rows))
 
 
 def _closed_under(o: OrderRep, rows) -> bool:
@@ -382,12 +377,12 @@ class BruteClassCount(NamedTuple):
 
 def is_principal(o: OrderRep, m: IntModule):
     """Generator of the o-ideal with module m, or None.  Fractional input is
-    scaled integral first; the result is scaled back.  The index of the
-    integral module in o is the quotient of the two determinants."""
+    scaled integral first; the result is scaled back.  The norm searched
+    for is the index of the integral module in o."""
     d = m.den
     m_int = m if d == 1 else IntModule(o.field, m.rows, 1)
-    idx, rest = divmod(_det_int(m_int.rows), _det_int(o.module.rows))
-    assert rest == 0
+    idx = m_int.index_in(o.module)
+    assert idx.denominator == 1
     g = find_generator(m_int, idx)
     if g is None:
         return None

@@ -82,7 +82,6 @@ from nforders.biquadratic import (
     _integral_row,
     _nmul,
     _reduce_inverse,
-    _subfield_omegas,
     ideal_of_elements,
     residue_degree,
 )
@@ -137,7 +136,6 @@ from nforders.orders import (
     OrderRep,
     _closed_under,
     _contractions,
-    _pivots,
 )
 from nforders.quadratic import (
     BinaryForm,
@@ -220,17 +218,17 @@ def residue_unit_count(o: OrderRep, f) -> int:
     and as f lies in o, P & o contains f exactly when P does; such a P
     contains [o : f], so lies above a prime q dividing it.  _contractions
     takes one intersection per prime of o above q, none when o is
-    maximal.  Each index is a quotient of HNF pivot products.  The trivial
+    maximal.  Each index is a quotient of covolumes.  The trivial
     quotient counts as 1."""
     fmod = f.module if isinstance(f, OrderIdeal) else f
     if not (o.module.contains_module(fmod) and _closed_under(o, fmod.rows)):
         raise ValueError("f must be an ideal of the order")
     n_o = o.index_in_maximal()
-    count = _pivots(fmod.rows) // n_o
+    count = int(fmod.covolume()) // n_o
     for q in factorize(count):
         for p in _contractions(o, q):
             if p.contains_module(fmod):
-                Np = _pivots(p.rows) // n_o
+                Np = int(p.covolume()) // n_o
                 count = count // Np * (Np - 1)
     return count
 
@@ -838,7 +836,7 @@ def _factor_obstructed(E: BiquadField, q: int):
     pick out the common factors.
     """
     split = []
-    for F, om in _subfield_omegas(E):
+    for F, om in E.subfields:
         # the minimal polynomial of w has two roots mod q exactly when q
         # splits in F (q is unramified in F); q and w - r generate a prime
         # above it in F, extended here to the maximal order of E

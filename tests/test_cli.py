@@ -76,6 +76,7 @@ def test_parse_element_sqrt_forms():
         "(3+sqrt(-59)/2",  # unbalanced parens
         "3+sqrt(-59)/2",  # denominator without parens
         "sqrt(-7)",  # wrong field
+        "(1+sqrt(-59))/0",  # zero denominator
         "x+2",
         "1.5",
     ],
@@ -692,6 +693,31 @@ def test_zero_element_exits_2(argv):
         assert proc.returncode == 2, elem
         assert proc.stdout == ""
         assert proc.stderr == "error: %s\n" % why
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["represent", "(1+sqrt(-59))/0", "59", "2"],
+        ["factor", "zsqrt:-14", "(1+sqrt(-14))/0"],
+        ["criterion", "hilbert", "(1+sqrt(-59))/0", "59", "2"],
+    ],
+)
+def test_zero_denominator_exits_2(argv):
+    # exit 1 is "a computed check failed"; a zero denominator is bad input,
+    # turned away by the parser with one line and no traceback, which a
+    # fresh interpreter would show on stderr
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nforders.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    elem = next(a for a in argv if a.endswith("/0"))
+    assert proc.stderr == "error: zero denominator in %r\n" % elem
 
 
 PSI12 = "318665857834031151167461"  # 399165290221 * 798330580441

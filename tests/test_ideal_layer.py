@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nforders.biquadratic import integral_basis
+from nforders.biquadratic import factor_rational_prime, integral_basis
 from nforders.intmath import sqrt_ub
 from nforders.lattice import (
     IntModule,
@@ -28,8 +28,10 @@ from nforders.lattice import (
     _integral_gso,
     _is_canonical,
     hnf_matrix,
+    identity_module,
     kernel_int,
     lll_reduce,
+    module_colon,
 )
 from nforders.orders import (
     OrderIdeal,
@@ -250,6 +252,37 @@ def test_in_lattice_is_exact_on_the_boundary():
     assert not _in_lattice(H, (1, 0))
     assert not _in_lattice(H, (4, 10))  # 5 | 10 but 4 - 2 is not in 3Z
     assert _in_lattice(H, (5, 10))
+
+
+# ---------------------------------------------------------------------------
+# the colon
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_module_colon_matches_intersection_oracle(r):
+    # every pair of ideals of an order, integral and over 3, and random
+    # lattices over 1, 2, 3 or 6, which are ideals of no order but Z: the
+    # colon's determinants are diagonal products of triangular HNFs, so a
+    # wrong one scales the result off the oracle's
+    rng = random.Random(60 + r)
+    if r == 2:
+        field = QuadField(-5)
+        o = order_with_index(field, 3)
+        ideals = [a.module for a in ideal_candidates(o, minkowski_bound(o))]
+    else:
+        field = integral_basis(59, 2)
+        ideals = [identity_module(field)] + [
+            pf.module for q in (2, 3, 5, 7) for pf in factor_rational_prime(field, q)
+        ]
+    ideals += [IntModule(field, m.rows, 3) for m in ideals[:4]]
+    pairs = [(a, b) for a in ideals for b in ideals]
+    pairs += [(rand_module(rng, r, field), rand_module(rng, r, field)) for _ in range(60)]
+    fractional = 0
+    for m1, m2 in pairs:
+        got = module_colon(m1, m2)
+        assert got == oracle_colon(m1, m2), (m1.rows, m1.den, m2.rows, m2.den)
+        fractional += m1.den > 1 or m2.den > 1
+    assert len(ideals) >= 12 and fractional > 50
 
 
 # ---------------------------------------------------------------------------

@@ -248,8 +248,19 @@ SPEC = either(
     NATIVE.map(lambda dn: "rel:%d:%d" % dn),
     st.builds("rel:{}:{}".format, FIELD_DN, FIELD_DN),
 )
+# (a+b*sqrt(D))/den reaches the library when D is the field's own, and a
+# den of 0 must be turned away there as bad input, so 0, 1 and 2 are drawn
+# as often as any other den
 ELEMENT = st.one_of(
-    st.builds(str, INTS), st.builds("{}+{}*w".format, INTS, DIGITS)
+    st.builds(str, INTS),
+    st.builds("{}+{}*w".format, INTS, DIGITS),
+    st.builds(
+        "({}+{}*sqrt({}))/{}".format,
+        INTS,
+        DIGITS,
+        FIELD_D,
+        either(st.just(0), st.just(1), st.just(2), DIGITS),
+    ),
 )
 # criterion reaches the library on a prime element of Q(sqrt(-d)), so small
 # primes and split ones of Q(sqrt(-59)) and Q(i) are drawn as often as any
@@ -321,6 +332,8 @@ def poly_files(tmp_path_factory) -> dict:
 @example(argv=["picard", "--", "max:-%d" % (10**30 - 3)])
 @example(argv=["criterion", "hilbert", "--", "17", "100000000000031", "2"])
 @example(argv=["criterion", "quadr", "--", "3", "100000000003", "2"])
+@example(argv=["factor", "--", "zsqrt:-14", "(1+sqrt(-14))/0"])
+@example(argv=["criterion", "hilbert", "--", "(1+sqrt(-59))/0", "59", "2"])
 def test_every_spec_ends_in_bounded_time(poly_files, argv):
     argv = [poly_files.get(a, a) for a in argv]
     code, _, err, seconds = timed_main(argv)

@@ -212,9 +212,10 @@ def test_t2_gram_det_is_abs_disc():
 
 
 def test_closed_form_2x2_det_and_adjugate():
-    # the closed forms against Bareiss, which _det_int runs on the matrix
-    # bordered by a 1 (its determinant is the same), with zero pivots,
-    # singular matrices and negative entries among the seeded draws
+    # Bareiss on a 2x2 matrix against Bareiss on the matrix bordered by a 1
+    # (its determinant is the same), and the closed-form adjugate against
+    # that determinant, with zero pivots, singular matrices and negative
+    # entries among the seeded draws
     rng = random.Random(26)
     entries = [0] * 20 + list(range(-40, 41)) + [-(10**12) - 7, 10**15 + 3]
     for _ in range(600):

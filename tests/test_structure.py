@@ -580,3 +580,33 @@ def test_class_group_walk_takes_no_detour():
     assert {mod for mod, _ in _callers("enumerate_by_t2")} == {"lattice"}
     colons = [where for mod, where in _callers("module_colon") if mod == "biquadratic"]
     assert colons == ["_reduce_inverse"]
+
+
+def test_hnf_determinants_are_read_off_the_diagonal():
+    # Bareiss runs on dense matrices only: the cofactors of an adjugate, the
+    # basis matrix and the trace form.  A triangular HNF's determinant is
+    # its diagonal product, read by covolume (and so index_in and the
+    # index of an order) and by module_colon, whose B and K are triangular
+    assert set(_callers("_det_int")) == {
+        ("lattice", "adjugate_int"),
+        ("biquadratic", "_mat_inv"),
+        ("biquadratic", "_verified_field"),
+    }
+    assert set(_callers("_diagonal_product")) == {
+        ("lattice", "IntModule.covolume"),
+        ("lattice", "module_colon"),
+    }
+    defined = {name for stmt in _parse(SRC / "orders.py").body for name in _defined(stmt)}
+    assert "_pivots" not in defined
+
+
+def test_subfields_of_e_are_built_once():
+    # E's three quadratic subfields are built in one cached record, which
+    # the genus characters, the residue degree, the relative order and the
+    # prime factorization read; a split subfield's primes come from its
+    # own prime_rows, so biquadratic finds no root of a polynomial itself
+    assert [w for mod, w in _callers("QuadField") if mod == "biquadratic"] == [
+        "BiquadField.subfields"
+    ]
+    assert [w for mod, w in _callers("poly_roots_mod") if mod == "biquadratic"] == []
+    assert ("quadratic", "QuadField.prime_rows") in _callers("poly_roots_mod")
