@@ -30,8 +30,8 @@ from .lattice import (
     IntModule,
     UnsupportedFieldError,
     _det_int,
-    _pair_coeffs,
-    _pair_products,
+    _element,
+    _form_value,
     _times,
     adjugate_int,
     find_generator,
@@ -301,22 +301,14 @@ class BiquadField(Keyed):
         _, s = self.real_subfield_data()
         return self.from_naive((Fraction(x), 0, 0, Fraction(y) / s))
 
-    @cached_property
-    def _norm_pairs(self) -> tuple:
-        """(D0, G, C) of norm_forms, G and C as their coefficients on the
-        products u_i u_j (lattice._pair_coeffs)."""
-        D0, G, C = self.norm_forms
-        return D0, _pair_coeffs(G), _pair_coeffs(C)
-
     def norm_form(self, u) -> int:
         """N(u), the product of the four conjugates of the integer vector u,
         nonnegative as the field is totally imaginary: (4 D0 t^2 - c^2) /
-        (64 D0) for the two integer quadratic forms t and c of norm_forms,
-        an exact division."""
-        D0, gq, cq = self._norm_pairs
-        m = _pair_products(u)
-        t = sum(map(mul, gq, m))
-        c = sum(map(mul, cq, m))
+        (64 D0), an exact division, with t = u G u^t and c = u C u^t the
+        two integer quadratic forms of norm_forms (lattice._form_value)."""
+        D0, G, C = self.norm_forms
+        t = _form_value(G, u)
+        c = _form_value(C, u)
         return (4 * D0 * t * t - c * c) // (64 * D0)
 
     def prime_rows(self, q: int) -> list:
@@ -563,7 +555,7 @@ def _reduce_inverse(m: IntModule):
     (Cohen, GTM 138, §2.6), and any nonzero beta in m would do."""
     E = m.ambient
     red = lll_reduce(m, E.t2_gram_matrix())
-    beta = E.from_basis_coords([Fraction(c, red.den) for c in red.rows[0]])
+    beta = _element(red, red.rows[0])
     c = module_colon(identity_module(E), m).transform(beta)
     assert c.den == 1
     return beta, c
@@ -643,14 +635,8 @@ def class_group(E: BiquadField) -> BiquadClassGroup:
         relations.append(tuple(-v for v in H[hit][2]) + (e,))
 
     h, k = len(span), len(relations)
-    if k == 0:
-        return BiquadClassGroup(E.disc, 1, ())
     factors = smith_normal_form([rel + (0,) * (k - len(rel)) for rel in relations])
-    assert len(factors) == k
-    prod_h = 1
-    for dd in factors:
-        prod_h *= dd
-    assert prod_h == h
+    assert len(factors) == k and prod(factors) == h
     return BiquadClassGroup(E.disc, h, tuple(dd for dd in factors if dd > 1))
 
 

@@ -230,7 +230,6 @@ def cmd_factor(args):
     o, _ = parse_order(args.order)
     if o.field.degree == 2:
         e = parse_element(args.element, o.field)
-        gen = fmt_elem(e)
     else:
         m = _INT_RE.match(args.element)
         if not m:
@@ -239,9 +238,11 @@ def cmd_factor(args):
                 % args.element
             )
         e = o.field.from_naive((int(m.group(1)), 0, 0, 0))
-        gen = m.group(1)
     a = principal_ideal(o, e)
+    # factor_ideal turns a non-integral e away before fmt_elem, which
+    # renders integral elements only, sees it
     fac = factor_ideal(a)
+    gen = fmt_elem(e) if o.field.degree == 2 else m.group(1)
     payload = {
         "command": "factor",
         "field": field_label(o.field),

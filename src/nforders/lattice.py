@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, starmap
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -196,13 +196,10 @@ def _det_int(rows) -> int:
 
 def adjugate_int(M) -> list[list[int]]:
     """adj(M) of a square integer matrix, so that M adj(M) = det(M) I:
-    entry (j, i) is the signed (i, j) cofactor."""
+    entry (j, i) is the signed (i, j) cofactor, a Bareiss determinant at
+    every size.  The empty minor has determinant 1, so a 1x1 M gives
+    [[1]] and a 2x2 one [[d, -b], [-c, a]]."""
     n = len(M)
-    if n == 1:
-        return [[1]]
-    if n == 2:
-        (a, b), (c, d) = M
-        return [[d, -b], [-c, a]]
     adj = [[0] * n for _ in range(n)]
     for i in range(n):
         minor_rows = M[:i] + M[i + 1 :]
@@ -299,8 +296,6 @@ class IntModule(Keyed):
         return all(self._contains_int(row, other.den) for row in other.rows)
 
     def _contains_int(self, u, den_u: int) -> bool:
-        if den_u == 1 and self.den == 1:
-            return _in_lattice(self.rows, u)
         w = [c * self.den for c in u]
         if any(c % den_u for c in w):
             return False
@@ -350,19 +345,15 @@ def identity_module(ambient) -> IntModule:
 # module arithmetic
 
 
-def _product_rows(m1: IntModule, m2: IntModule) -> list:
-    """The integer rows r1 (x) r2 through the table T[i][j] =
-    coords(b_i * b_j): they span m1 * m2 over the denominator den1 * den2."""
+def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
+    """Z-span of all pairwise products of the two bases: the integer rows
+    r1 (x) r2 through the table T[i][j] = coords(b_i * b_j), over the
+    denominator den1 * den2, in one HNF."""
     T = m1.ambient.mult_table
     rows = []
     for r1 in m1.rows:
         rows += _times(m2.rows, table_matrix(T, r1))
-    return rows
-
-
-def module_mul(m1: IntModule, m2: IntModule) -> IntModule:
-    """Z-span of all pairwise products of the two bases."""
-    return IntModule(m1.ambient, tuple(_product_rows(m1, m2)), m1.den * m2.den)
+    return IntModule(m1.ambient, tuple(rows), m1.den * m2.den)
 
 
 def module_colon(m1: IntModule, m2: IntModule) -> IntModule:
@@ -572,21 +563,6 @@ def _element(module, u):
 def _form_value(g, u) -> int:
     """u g u^t of an integer vector u and an integer Gram g."""
     return sum(a * sum(map(mul, row, u)) for a, row in zip(u, g))
-
-
-def _pair_coeffs(g) -> tuple:
-    """The form u g u^t of a symmetric integer matrix g as its coefficients
-    on the products u_i u_j, i <= j, listed in the order of
-    combinations_with_replacement (see _pair_products)."""
-    return tuple(
-        g[i][j] * (1 if i == j else 2)
-        for i, j in combinations_with_replacement(range(len(g)), 2)
-    )
-
-
-def _pair_products(u) -> list:
-    """The products u_i u_j, i <= j, in the order of _pair_coeffs."""
-    return list(starmap(mul, combinations_with_replacement(u, 2)))
 
 
 def _norm_filter(module, norm):

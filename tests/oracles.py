@@ -117,8 +117,6 @@ from nforders.lattice import (
     _in_lattice,
     _norm_filter,
     _times,
-    _pair_coeffs,
-    _pair_products,
     _twisted_gram,
     _unit_ladder,
     adjugate_int,
@@ -1294,12 +1292,13 @@ class FracBiquad:
         return 4 * self.naive()[0]
 
     def norm(self) -> Fraction:
-        u, den = integer_coords(self.coords)
-        D0, G, C = self.field.norm_forms
-        m = _pair_products(u)
-        t = sum(map(mul, _pair_coeffs(G), m))
-        c = sum(map(mul, _pair_coeffs(C), m))
-        return Fraction((4 * D0 * t * t - c * c) // (64 * D0), den**4)
+        """The product of the four conjugates, in naive coordinates."""
+        a, b, c, e = x = self.naive()
+        d, n = self.field.d, self.field.n
+        for conj in ((a, b, -c, -e), (a, -b, -c, e), (a, -b, c, -e)):
+            x = _nmul(d, n, x, conj)
+        assert x[1] == 0 and x[2] == 0 and x[3] == 0
+        return Fraction(x[0])
 
     def inverse(self):
         t = self.bar() * self.complex_conj() * self.complex_conj().bar()

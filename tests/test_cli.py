@@ -350,6 +350,19 @@ def test_factor_not_coprime_to_conductor(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "max:-7", "(1+sqrt(-7))/3"],
+        ["factor", "index:-1:3", "(1+sqrt(-1))/2"],
+    ],
+)
+def test_factor_of_a_non_integral_element_exits_2(argv):
+    # the ideal is turned away before its generator, which only an
+    # integral element has a rendering of, is formatted
+    assert fresh_run(argv) == (2, "", "error: can only factor integral ideals\n")
+
+
 def test_criterion_hilbert_solvable(capsys):
     code, doc = run_json(capsys, ["criterion", "hilbert", "1+1*w", "59", "2"])
     assert code == 0

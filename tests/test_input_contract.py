@@ -262,6 +262,26 @@ ELEMENT = st.one_of(
         either(st.just(0), st.just(1), st.just(2), DIGITS),
     ),
 )
+# ELEMENT's D is drawn apart from the spec's, so it seldom names the
+# field; here (a+b*sqrt(D))/den lies in the spec's own Q(sqrt(D)), and a
+# den of 2 or 3 gives factor non-integral elements as often as integral
+OWN_FIELD_FACTOR = FIELD_D.flatmap(
+    lambda D: st.builds(
+        lambda spec, elem: ["factor", "--", spec, elem],
+        either(
+            st.just("max:%d" % D),
+            st.just("zsqrt:%d" % D),
+            st.builds("index:{}:{}".format, st.just(D), INDEX),
+        ),
+        st.builds(
+            "({}+{}*sqrt({}))/{}".format,
+            INTS,
+            DIGITS,
+            st.just(D),
+            either(st.just(1), st.just(2), st.just(3), DIGITS),
+        ),
+    )
+)
 # criterion reaches the library on a prime element of Q(sqrt(-d)), so small
 # primes and split ones of Q(sqrt(-59)) and Q(i) are drawn as often as any
 # element, and as often again a prime element of the drawn native field
@@ -299,6 +319,7 @@ ARGV = st.one_of(
     st.builds(lambda s, b: ["picard", "--bound", str(b), "--", s], SPEC, INTS),
     st.builds(lambda s: ["conductor", "--", s], SPEC),
     st.builds(lambda s, e: ["factor", "--", s, e], SPEC, ELEMENT),
+    OWN_FIELD_FACTOR,
     CRITERION,
     st.sampled_from([["verify-example"], ["verify-example", "--pair-only"]]),
 )
@@ -334,6 +355,8 @@ def poly_files(tmp_path_factory) -> dict:
 @example(argv=["criterion", "quadr", "--", "3", "100000000003", "2"])
 @example(argv=["factor", "--", "zsqrt:-14", "(1+sqrt(-14))/0"])
 @example(argv=["criterion", "hilbert", "--", "(1+sqrt(-59))/0", "59", "2"])
+@example(argv=["factor", "max:-7", "(1+sqrt(-7))/3"])
+@example(argv=["factor", "index:-1:3", "(1+sqrt(-1))/2"])
 def test_every_spec_ends_in_bounded_time(poly_files, argv):
     argv = [poly_files.get(a, a) for a in argv]
     code, _, err, seconds = timed_main(argv)

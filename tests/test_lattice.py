@@ -233,6 +233,16 @@ def test_closed_form_2x2_det_and_adjugate():
     assert _det_int([[0, 1], [1, 0]]) == -1
     assert _det_int(((0, 0), (5, 7))) == 0
     assert adjugate_int(((2, 3), (5, 7))) == [[7, -3], [-5, 2]]
+    # the cofactor adjugate at sizes 1, 3 and 4 against sympy's, with the
+    # same entries and a dependent row in one draw in five
+    import sympy
+
+    for _ in range(150):
+        n = rng.choice([1, 3, 4])
+        M = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.randrange(5) == 0:
+            M[-1] = [sum(x) for x in zip(M[0], M[1])]
+        assert adjugate_int(M) == sympy.Matrix(M).adjugate().tolist(), M
 
 
 def test_kernel_int():

@@ -610,3 +610,47 @@ def test_subfields_of_e_are_built_once():
     ]
     assert [w for mod, w in _callers("poly_roots_mod") if mod == "biquadratic"] == []
     assert ("quadratic", "QuadField.prime_rows") in _callers("poly_roots_mod")
+
+
+def _function(path: Path, name: str):
+    """The top-level function `name` of the module at path."""
+    return next(s for s in _parse(path).body if isinstance(s, ast.FunctionDef) and s.name == name)
+
+
+
+# one implementation per linear-algebra job: u g u^t is _form_value, a
+# module product module_mul, an adjugate the cofactors at every size, and
+# a class group's invariant factors its Smith form
+
+
+def test_second_form_and_product_kernels_are_gone():
+    defined = {
+        node.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(p))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not {"_pair_coeffs", "_pair_products", "_norm_pairs", "_product_rows"} & defined
+
+
+def test_norm_form_of_e_reads_form_value():
+    assert ("biquadratic", "BiquadField.norm_form") in _callers("_form_value")
+
+
+def test_is_invertible_takes_the_product_from_module_mul():
+    imported = {
+        alias.name
+        for node in ast.walk(_parse(SRC / "orders.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {"_product_rows", "hnf_matrix"} & imported
+    assert ("orders", "is_invertible") in _callers("module_mul")
+
+
+def test_adjugate_and_class_group_have_no_special_case():
+    # no closed form for a small size; no early exit for a group with no
+    # relations, as smith_normal_form([]) is []
+    adjugate = _function(SRC / "lattice.py", "adjugate_int")
+    assert sum(isinstance(node, ast.Return) for node in ast.walk(adjugate)) == 1
+    assert [w for mod, w in _callers("BiquadClassGroup")] == ["class_group"]
