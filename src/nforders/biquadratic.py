@@ -1,6 +1,6 @@
-"""The fields Q(sqrt(-d), sqrt(-n)): integral bases, the bar action and
-relative norms down to Q(sqrt(-d)), prime factorization, the Minkowski
-bound, class groups, and the norm-map cardinality condition.
+"""The fields Q(sqrt(-d), sqrt(-n)): integral bases, the conjugation over
+Q(sqrt(-d)) and relative norms down to it, prime factorization, the
+Minkowski bound, class groups, and the norm-map cardinality condition.
 
 Elements are integer coordinates over a verified integral basis and one
 denominator, as in a quadratic field (quadratic.FieldElem).  The basis
@@ -8,7 +8,7 @@ itself is stored in "naive" coordinates over {1, sqrt(-d), sqrt(-n),
 sqrt(d*n)}, which fixes once per field the integer structure constants
 BiquadField.mult_table, through which products and module transforms
 run, the integer norm form, and the integer matrices of the two
-conjugations bar and complex_conj.  Nothing downstream touches radicals
+conjugations conj and complex_conj.  Nothing downstream touches radicals
 again.
 """
 
@@ -46,14 +46,14 @@ from .lattice import (
 from .quadratic import (
     _SCALARS,
     FieldElem,
-    Keyed,
+    NumberField,
     QuadField,
     UnresolvedError,
     integer_coords,
-    integer_rows,
     prime_discriminants,
     split_kind,
     table_matrix,
+    trace_form,
 )
 
 
@@ -123,15 +123,6 @@ def _products_table(d: int, n: int, rows, Bi) -> tuple:
     return tuple(out)
 
 
-def _trace_form(T, rows) -> list:
-    """Tr(b_i * b_j) = sum_k T[i][j][k] Tr(b_k) for the structure constants
-    T of the basis rows (naive coordinates), Tr(b_k) being 4 times the
-    rational naive coordinate of b_k; ValueError unless those are integers,
-    as they are when the rows span a ring."""
-    (tr,) = integer_rows([[4 * row[0] for row in rows]], "trace form")
-    return [[sum(map(mul, Tij, tr)) for Tij in Ti] for Ti in T]
-
-
 # ---------------------------------------------------------------------------
 # the field and its elements
 
@@ -146,7 +137,31 @@ def check_field_params(d: int, n: int) -> None:
         raise ValueError("d and n must be distinct, got %d twice" % d)
 
 
-class BiquadField(Keyed):
+class BiquadElem(FieldElem):
+    """An element of Q(sqrt(-d), sqrt(-n)) over the field's integral basis."""
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
+        self._check(other)
+        M = table_matrix(self.field.mult_table, other.u)
+        return self._image(M, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def complex_conj(self) -> "BiquadElem":
+        return self._image(self.field.complex_conj_matrix, self.den)
+
+    def inverse(self) -> "BiquadElem":
+        """The product of the three other conjugates over the norm."""
+        cc = self.complex_conj()
+        return self.conj() * cc * cc.conj() / self.norm()
+
+    def __repr__(self):
+        return "BiquadElem(%s)" % (self.basis_coords(),)
+
+
+class BiquadField(NumberField):
     """Q(sqrt(-d), sqrt(-n)) together with a fixed integral basis.
 
     Rows of `intbasis` give the basis elements in naive coordinates; the
@@ -154,7 +169,7 @@ class BiquadField(Keyed):
     which verifies the ring axioms, rather than directly.
     """
 
-    degree = 4
+    degree, Elem = 4, BiquadElem
 
     def __init__(self, d: int, n: int, intbasis: tuple, disc: int):
         self.d, self.n, self.intbasis, self.disc = d, n, intbasis, disc
@@ -166,9 +181,6 @@ class BiquadField(Keyed):
         # equal fields have equal (d, n, disc); hashing the Fraction basis
         # entries costs more than a lookup keyed on the field should
         return hash((self.d, self.n, self.disc))
-
-    def from_basis_coords(self, coords) -> "BiquadElem":
-        return BiquadElem(self, *integer_coords(coords))
 
     def from_naive(self, naive) -> "BiquadElem":
         return BiquadElem(self, *_naive_row(self.basis_inverse, naive))
@@ -190,8 +202,8 @@ class BiquadField(Keyed):
 
     @cached_property
     def conj_matrix(self) -> tuple:
-        """Integer matrix of the bar action (sqrt(-n) -> -sqrt(-n)) on row
-        coordinates: row i is coords(bar(b_i))."""
+        """Integer matrix of conj (sqrt(-n) -> -sqrt(-n)), which fixes
+        Q(sqrt(-d)), on row coordinates: row i is coords(conj(b_i))."""
         return self._sign_matrix((1, 1, -1, -1))
 
     @cached_property
@@ -212,33 +224,14 @@ class BiquadField(Keyed):
             for row in self.intbasis
         )
 
-    def one(self) -> "BiquadElem":
-        return BiquadElem(self, (1, 0, 0, 0))
-
-    def gens(self):
-        """(sqrt(-d), sqrt(-n), sqrt(d*n)) as field elements."""
-        return self._gens
-
     @cached_property
-    def _gens(self) -> tuple:
+    def gens(self) -> tuple:
+        """(sqrt(-d), sqrt(-n), sqrt(d*n)) as field elements."""
         return (
             self.from_naive((0, 1, 0, 0)),
             self.from_naive((0, 0, 1, 0)),
             self.from_naive((0, 0, 0, 1)),
         )
-
-    def t2_gram_matrix(self) -> tuple:
-        """Gram matrix of T2 on the integral basis: entry (i, j) is the
-        trace of b_i * conj(b_j), conj the complex conjugation, a trace of
-        an algebraic integer and so an integer.  Built once per field."""
-        return self._t2_gram_rows
-
-    @cached_property
-    def _t2_gram_rows(self) -> tuple:
-        # Tr(b_i * conj(b_j)) = sum_m C[j][m] Tr(b_i * b_m), row j of C
-        # the coordinates of conj(b_j)
-        P = _trace_form(self.mult_table, self.intbasis)
-        return tuple(_times(P, tuple(zip(*self.complex_conj_matrix))))
 
     def real_subfield_data(self) -> tuple[int, int]:
         """(D0, s) with d*n = s*s*D0 and D0 squarefree; Q(sqrt(D0)) is the
@@ -280,7 +273,7 @@ class BiquadField(Keyed):
         if not sq.is_integral():
             raise ValueError("sqrt(D0) is not integral")
         S = tuple(map(tuple, table_matrix(self.mult_table, sq.u)))
-        G = self.t2_gram_matrix()
+        G = self.t2_gram_matrix
         SG, GSt = _times(S, G), _times(G, tuple(zip(*S)))
         return D0, G, tuple(tuple(map(add, a, b)) for a, b in zip(SG, GSt))
 
@@ -336,7 +329,7 @@ class BiquadField(Keyed):
     def relative_order_rows(self) -> tuple:
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring
         generator of the integers of Q(sqrt(-d)), built once per field."""
-        w, t = self.from_naive(self.subfields[0][1]), self.gens()[1]
+        w, t = self.from_naive(self.subfields[0][1]), self.gens[1]
         els = (self.one(), w, t, w * t)
         if any(e.den != 1 for e in els):
             raise ValueError("relative order does not lie in the basis span")
@@ -344,36 +337,6 @@ class BiquadField(Keyed):
 
     def __repr__(self):
         return "BiquadField(%d, %d)" % (self.d, self.n)
-
-
-class BiquadElem(FieldElem):
-    """An element of Q(sqrt(-d), sqrt(-n)) over the field's integral basis."""
-
-    coords = property(FieldElem.basis_coords)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scale(other)
-        self._check(other)
-        M = table_matrix(self.field.mult_table, other.u)
-        return self._image(M, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def bar(self) -> "BiquadElem":
-        """Negates sqrt(-n); fixes Q(sqrt(-d)) pointwise."""
-        return self._image(self.field.conj_matrix, self.den)
-
-    def complex_conj(self) -> "BiquadElem":
-        return self._image(self.field.complex_conj_matrix, self.den)
-
-    def inverse(self) -> "BiquadElem":
-        """The product of the three other conjugates over the norm."""
-        cc = self.complex_conj()
-        return self.bar() * cc * cc.bar() / self.norm()
-
-    def __repr__(self):
-        return "BiquadElem(%s)" % (self.coords,)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +401,7 @@ def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
     for nv in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
         _integral_row(Bi, nv, "basis span misses one of the radical generators")
     table = _products_table(d, n, rows, Bi)
-    D = _det_int(_trace_form(table, rows))
+    D = _det_int(trace_form(table))
     if D == 0:
         raise ValueError("degenerate trace form")
     if disc is not None and D != disc:
@@ -554,7 +517,7 @@ def _reduce_inverse(m: IntModule):
     of m.  In rank 4 that row's T2 is within a factor 8 of the least
     (Cohen, GTM 138, §2.6), and any nonzero beta in m would do."""
     E = m.ambient
-    red = lll_reduce(m, E.t2_gram_matrix())
+    red = lll_reduce(m, E.t2_gram_matrix)
     beta = _element(red, red.rows[0])
     c = module_colon(identity_module(E), m).transform(beta)
     assert c.den == 1

@@ -99,11 +99,12 @@ def parse_element(text: str, field: QuadField):
 
 
 def fmt_elem(e) -> str:
-    """Canonical x+y*w rendering; defined for integral elements."""
+    """Canonical x+y*w rendering; defined for integral elements, and for a
+    rational one, of either degree, str(x)."""
     assert e.is_integral()
+    if e.is_rational():
+        return str(e.u[0])
     x, y = e.u
-    if y == 0:
-        return str(x)
     w = "w" if abs(y) == 1 else "%d*w" % abs(y)
     if x == 0:
         return w if y > 0 else "-" + w
@@ -228,21 +229,20 @@ def cmd_picard(args):
 
 def cmd_factor(args):
     o, _ = parse_order(args.order)
-    if o.field.degree == 2:
+    m = _INT_RE.match(args.element)
+    if m:
+        e = o.field.one() * int(m.group(1))
+    elif o.field.degree == 2:
         e = parse_element(args.element, o.field)
     else:
-        m = _INT_RE.match(args.element)
-        if not m:
-            raise ValueError(
-                "elements of quartic orders: plain integers only, got %r"
-                % args.element
-            )
-        e = o.field.from_naive((int(m.group(1)), 0, 0, 0))
+        raise ValueError(
+            "elements of quartic orders: plain integers only, got %r" % args.element
+        )
     a = principal_ideal(o, e)
     # factor_ideal turns a non-integral e away before fmt_elem, which
     # renders integral elements only, sees it
     fac = factor_ideal(a)
-    gen = fmt_elem(e) if o.field.degree == 2 else m.group(1)
+    gen = fmt_elem(e)
     payload = {
         "command": "factor",
         "field": field_label(o.field),

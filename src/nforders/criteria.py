@@ -414,13 +414,13 @@ def _poly_disc(f: tuple):
 def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     """Residue test for p = x^2 + n*y^2 over O_F, F = Q(sqrt(-d)): under
     the congruence, unit-equation and class-number hypotheses the verdict
-    is exactly "-n is a square in O_F/pO_F".  For an inert p that square
-    test runs in the degree-2 residue field, where it always passes; the
-    computation is done rather than asserted.  Past cf_sqrt's limit or the
-    class group's cap, unit_equation_solvable or norm_map_injective is
+    is exactly "-n is a square in O_F/pO_F", which _sqrt_minus_n decides,
+    as represent does; for an inert p it always is, and the root is
+    computed rather than asserted.  Past cf_sqrt's limit or the class
+    group's cap, unit_equation_solvable or norm_map_injective is
     undecided, and the verdict unknown."""
     check_field_params(d, n)
-    _, q, deg, _ = _prime_field(p, d)
+    F, q, deg, _ = _prime_field(p, d)
     hyps = []
 
     def check(name, ok, detail=None):
@@ -467,11 +467,7 @@ def criterion_hilbert(p: QuadElem, d: int, n: int, f=None) -> CriterionReport:
     fd = _poly_disc(tuple(f))
     if not check("p_coprime_to_poly_disc", fd % q, "disc = %d" % fd):
         return done()
-    if deg == 1:
-        solv = jacobi(-n % q, q) == 1
-    else:
-        # every prime-field element is a square in F_{q^2}; compute it
-        solv = pow(-n % q, (q * q - 1) // 2, q) == 1
+    solv = _sqrt_minus_n(F, q, deg, n) is not None
     return CriterionReport(
         "hilbert", tuple(hyps), True, SOLVABLE if solv else UNSOLVABLE
     )

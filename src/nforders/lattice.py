@@ -623,7 +623,7 @@ def ladder_data(field) -> LadderData:
     if l % 2 == 0:
         c = abs(P.cf.norms[l // 2 - 1])
         if c in (field.d, field.n):
-            v = field.from_real_quadratic(h, -k) * field.gens()[c == field.n] / -c
+            v = field.from_real_quadratic(h, -k) * field.gens[c == field.n] / -c
             if v.is_integral() and v * v == -field.from_real_quadratic(x0, -y0):
                 unit, step = v, l // 2
     U = tuple(map(tuple, table_matrix(field.mult_table, unit.u)))
@@ -702,7 +702,7 @@ def find_generator(module: IntModule, norm):
         return None
     if field.degree == 2:
         # the points come sorted by (u G u^t, u): the first kept is the pick
-        points = enumerate_by_t2(lll_reduce(module, field.t2_gram_matrix()), 2 * norm)
+        points = enumerate_by_t2(lll_reduce(module, field.t2_gram_matrix), 2 * norm)
         return _element(module, next(filter(_norm_filter(module, norm), points), None))
     return _window_walk(module, norm)
 

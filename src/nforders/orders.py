@@ -229,11 +229,6 @@ def _contractions(o: OrderRep, q: int) -> list:
     return out
 
 
-def _primes_above(o: OrderRep, q: int):
-    """Prime ideals of o above the rational prime q, each once."""
-    return [OrderIdeal(o, c) for c in _contractions(o, q)]
-
-
 def factor_ideal(a: OrderIdeal) -> IdealFactorization:
     if not a.is_integral():
         raise PreconditionError("can only factor integral ideals")
@@ -246,7 +241,8 @@ def factor_ideal(a: OrderIdeal) -> IdealFactorization:
     factors = []
     rest = a
     for q in sorted(factorize(N)):
-        for p in _primes_above(o, q):
+        for c in _contractions(o, q):
+            p = OrderIdeal(o, c)
             if not is_coprime_to_conductor(p):
                 continue
             pinv = module_colon(o.module, p.module)

@@ -3,10 +3,12 @@
 The integral basis is {1, w} with w = (1+sqrt(D))/2 when D = 1 mod 4 and
 w = sqrt(D) otherwise.  Field elements of either degree, quadratic here
 and quartic in biquadratic.py, are integer coordinates over the integral
-basis and one denominator (FieldElem).  Class numbers are counted on
-reduced binary quadratic forms (imaginary side only), and Pell equations
-solved through the continued fraction of sqrt(D), whose cycle is also cut
-into the windows of the rank-4 generator search (lattice.find_generator).
+basis and one denominator (FieldElem), and both field classes share
+NumberField: elements from coordinates, the element 1 and the T2 Gram,
+read off mult_table.  Class numbers are counted on reduced binary
+quadratic forms (imaginary side only), and Pell equations solved through
+the continued fraction of sqrt(D), whose cycle is also cut into the
+windows of the rank-4 generator search (lattice.find_generator).
 """
 
 from __future__ import annotations
@@ -91,8 +93,16 @@ def table_matrix(T, u) -> list[list[int]]:
     return out
 
 
+def trace_form(T) -> tuple:
+    """Tr(b_i * b_j) = sum_k T[i][j][k] Tr(b_k) under the structure
+    constants T[i][j] = coords(b_i * b_j), where Tr(b_k) = sum_i T[i][k][i]
+    is the trace of the multiplication matrix of b_k (table_matrix)."""
+    tr = [sum(Ti[k][i] for i, Ti in enumerate(T)) for k in range(len(T))]
+    return tuple(tuple(sum(map(mul, Tij, tr)) for Tij in Ti) for Ti in T)
+
+
 # ---------------------------------------------------------------------------
-# field elements of any degree
+# fields and their elements, of any degree
 
 _SCALARS = (int, Fraction)
 
@@ -102,8 +112,8 @@ class FieldElem(Keyed):
     field's integral basis, whose first member is 1, and den > 0 coprime
     to the content of u, so equal elements compare and hash equal (Cohen,
     GTM 138, section 4.2.2).  What does not depend on the degree lives
-    here, the norm among it; each subclass brings its product and
-    conjugates."""
+    here, the norm and the conjugation conj among it; each subclass brings
+    its product and inverse."""
 
     def __init__(self, field, u: tuple, den: int = 1):
         if len(u) != field.degree:
@@ -194,11 +204,86 @@ class FieldElem(Keyed):
     def abs_norm(self) -> Fraction:
         return abs(self.norm())
 
+    def conj(self):
+        """The image under the field's conj_matrix: sqrt(D) -> -sqrt(D) in
+        a quadratic field, sqrt(-n) -> -sqrt(-n) in a quartic one."""
+        return self._image(self.field.conj_matrix, self.den)
 
-class QuadField(Keyed):
+
+class NumberField(Keyed):
+    """What a field of either degree does the same way.  A subclass names
+    its `degree`, its element class `Elem` and brings mult_table, the
+    structure constants over its integral basis {b_0 = 1, ...}, and the
+    integer matrices conj_matrix and complex_conj_matrix of conj and of
+    complex conjugation on row coordinates."""
+
+    def from_basis_coords(self, coords):
+        """The element with these rational coordinates over the integral
+        basis."""
+        return self.Elem(self, *integer_coords(coords))
+
+    def one(self):
+        return self.Elem(self, (1,) + (0,) * (self.degree - 1))
+
+    @cached_property
+    def t2_gram_matrix(self) -> tuple:
+        """Gram matrix of T2, the sum of |x|^2 over the complex embeddings,
+        on the integral basis: entry (i, j) is Tr(b_i * cc(b_j)), cc the
+        complex conjugation, = sum_m C[j][m] Tr(b_i * b_m) with row j of C
+        = complex_conj_matrix the coordinates of cc(b_j).  A trace of an
+        algebraic integer, so an integer; built once per field."""
+        C = self.complex_conj_matrix
+        return tuple(
+            tuple(sum(map(mul, row, c)) for c in C) for row in trace_form(self.mult_table)
+        )
+
+
+# ---------------------------------------------------------------------------
+# quadratic fields
+
+
+class QuadElem(FieldElem):
+    """x + y*w = a + b*sqrt(D), held as u = (x, y) over den."""
+
+    @property
+    def a(self) -> Fraction:
+        x, y = self.u
+        if self.field.D % 4 == 1:
+            return Fraction(2 * x + y, 2 * self.den)
+        return Fraction(x, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.u[1], (2 if self.field.D % 4 == 1 else 1) * self.den)
+
+    def __mul__(self, other):
+        """(x1 + y1 w)(x2 + y2 w), with w^2 = c0 + c1 w read off
+        mult_table[1][1]."""
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
+        self._check(other)
+        (x1, y1), (x2, y2) = self.u, other.u
+        c0, c1 = self.field.mult_table[1][1]
+        yy = y1 * y2
+        return QuadElem(
+            self.field,
+            (x1 * x2 + c0 * yy, x1 * y2 + y1 * x2 + c1 * yy),
+            self.den * other.den,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QuadElem":
+        return self.conj() / self.norm()
+
+    def __repr__(self):
+        return "QuadElem(%s + %s*sqrt(%d))" % (self.a, self.b, self.field.D)
+
+
+class QuadField(NumberField):
     """Q(sqrt(D)) for squarefree D != 0, 1."""
 
-    degree = 2
+    degree, Elem = 2, QuadElem
 
     def __init__(self, D: int):
         if D in (0, 1) or not is_squarefree(D):
@@ -225,21 +310,6 @@ class QuadField(Keyed):
             return [-(self.D - 1) // 4, -1, 1]
         return [-self.D, 0, 1]
 
-    def from_basis_coords(self, coords) -> "QuadElem":
-        """Element x + y*w from rational coordinates (x, y)."""
-        return QuadElem(self, *integer_coords(coords))
-
-    def one(self) -> "QuadElem":
-        return QuadElem(self, (1, 0))
-
-    def t2_gram_matrix(self) -> tuple:
-        """Gram matrix of T2 on the basis {1, w}, T2 the sum of |x|^2 over
-        both embeddings; its determinant is |disc|."""
-        D = abs(self.D)
-        if self.D % 4 == 1:
-            return ((2, 1), (1, (1 + D) // 2))
-        return ((2, 0), (0, 2 * D))
-
     @cached_property
     def mult_table(self) -> tuple:
         """Structure constants T[i][j] = coords(b_i * b_j) over the integral
@@ -255,6 +325,12 @@ class QuadField(Keyed):
         the other root of omega_minpoly() = [m0, m1, 1]."""
         _, m1, _ = self.omega_minpoly()
         return ((1, 0), (-m1, -1))
+
+    @property
+    def complex_conj_matrix(self) -> tuple:
+        """conj_matrix when D < 0; the identity when D > 0, as both places
+        are real."""
+        return self.conj_matrix if self.D < 0 else ((1, 0), (0, 1))
 
     def norm_form(self, u) -> int:
         """N(x + y w) = (x + y w)(x + y w') = x^2 + c1 x y - c0 y^2, as
@@ -315,47 +391,6 @@ def prime_discriminants(disc: int) -> tuple:
     two = disc // prod(odd)
     assert two in (1, -4, 8, -8), disc
     return tuple([two] * (two != 1) + odd)
-
-
-class QuadElem(FieldElem):
-    """x + y*w = a + b*sqrt(D), held as u = (x, y) over den."""
-
-    @property
-    def a(self) -> Fraction:
-        x, y = self.u
-        if self.field.D % 4 == 1:
-            return Fraction(2 * x + y, 2 * self.den)
-        return Fraction(x, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.u[1], (2 if self.field.D % 4 == 1 else 1) * self.den)
-
-    def __mul__(self, other):
-        """(x1 + y1 w)(x2 + y2 w), with w^2 = c0 + c1 w read off
-        mult_table[1][1]."""
-        if isinstance(other, _SCALARS):
-            return self._scale(other)
-        self._check(other)
-        (x1, y1), (x2, y2) = self.u, other.u
-        c0, c1 = self.field.mult_table[1][1]
-        yy = y1 * y2
-        return QuadElem(
-            self.field,
-            (x1 * x2 + c0 * yy, x1 * y2 + y1 * x2 + c1 * yy),
-            self.den * other.den,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QuadElem":
-        return self._image(self.field.conj_matrix, self.den)
-
-    def inverse(self) -> "QuadElem":
-        return self.conj() / self.norm()
-
-    def __repr__(self):
-        return "QuadElem(%s + %s*sqrt(%d))" % (self.a, self.b, self.field.D)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,11 @@ before it read it off a form reduction.  `residue_data_by_root_search`,
 are the paths `represent` took from a prime element to the searched
 module and back before it read each in closed form, and
 `products_table_by_fractions` and `trace_form_by_fractions` the Fraction
-products a supplied basis was verified with.  `FracQuad` and
+products a supplied basis was verified with.  `trace_form_by_naive_traces`
+and `t2_gram_by_naive_traces` are the trace form and the T2 Gram of a
+quartic field as they were built on the naive traces of its basis, and
+`t2_gram_by_closed_form` the Gram `QuadField` wrote in closed form, before
+both degrees read them off `trace_form(mult_table)`.  `FracQuad` and
 `FracBiquad` are the field elements as they were before they became
 integer coordinates over one denominator: exact `Fraction` arithmetic,
 kept as the oracle for the elements that replaced them.
@@ -246,7 +250,7 @@ def torsion_units(field) -> tuple:
             return (one, -one, w, -w)
         return (one, -one)
     out = []
-    red = lll_reduce(identity_module(field), field.t2_gram_matrix())
+    red = lll_reduce(identity_module(field), field.t2_gram_matrix)
     for v in enumerate_by_t2(red, 4):
         u = field.from_basis_coords(v)
         out.extend((u, -u))
@@ -259,7 +263,7 @@ def torsion_units(field) -> tuple:
             pw = pw * u
         else:
             raise AssertionError("non-torsion unit in the T2 = 4 shell")
-    return tuple(sorted(out, key=lambda z: z.coords))
+    return tuple(sorted(out, key=lambda z: z.basis_coords()))
 
 
 def unit_index_by_torsion(o: OrderRep) -> int:
@@ -684,9 +688,9 @@ def fundamental_unit(E: BiquadField) -> BiquadElem:
 
 
 def rel_norm_EF(e: BiquadElem) -> QuadElem:
-    """e * bar(e) as an element of Q(sqrt(-d)): the norm for the quadratic
-    step down to the fixed field of bar."""
-    a, b, c, ee = naive(e * e.bar())
+    """e * conj(e) as an element of Q(sqrt(-d)): the norm for the quadratic
+    step down to the fixed field of conj."""
+    a, b, c, ee = naive(e * e.conj())
     assert c == 0 and ee == 0
     return QuadField(-e.field.d)(a, b)
 
@@ -896,7 +900,7 @@ def embed_F(E: BiquadField, x: QuadElem) -> BiquadElem:
 def prime_above_by_generators(E: BiquadField, p: QuadElem, root: QuadElem) -> IntModule:
     """The prime of O_E above p as the HNF of the ideal p*O_E + (root -
     sqrt(-n))*O_E, built from its two generators' multiplication matrices."""
-    return ideal_of_elements(E, (embed_F(E, p), embed_F(E, root) - E.gens()[1]))
+    return ideal_of_elements(E, (embed_F(E, p), embed_F(E, root) - E.gens[1]))
 
 
 def split_relative_naive(alpha: BiquadElem) -> tuple:
@@ -929,6 +933,32 @@ def trace_form_by_fractions(d: int, n: int, rows) -> tuple:
     return integer_rows(
         [[4 * _nmul(d, n, ri, rj)[0] for rj in rows] for ri in rows], "trace form"
     )
+
+
+def trace_form_by_naive_traces(T, rows) -> list:
+    """Tr(b_i * b_j) = sum_k T[i][j][k] Tr(b_k) for the structure constants
+    T of the basis rows (naive coordinates), Tr(b_k) being 4 times the
+    rational naive coordinate of b_k; ValueError unless those are integers,
+    as they are when the rows span a ring."""
+    (tr,) = integer_rows([[4 * row[0] for row in rows]], "trace form")
+    return [[sum(map(mul, Tij, tr)) for Tij in Ti] for Ti in T]
+
+
+def t2_gram_by_naive_traces(E: BiquadField) -> tuple:
+    """E's T2 Gram, Tr(b_i * conj(b_j)) = sum_m C[j][m] Tr(b_i * b_m), row j
+    of C the coordinates of conj(b_j), conj the complex conjugation, on
+    the trace form of the naive traces."""
+    P = trace_form_by_naive_traces(E.mult_table, E.intbasis)
+    return tuple(_times(P, tuple(zip(*E.complex_conj_matrix))))
+
+
+def t2_gram_by_closed_form(F: QuadField) -> tuple:
+    """Gram matrix of T2 on the basis {1, w}, T2 the sum of |x|^2 over
+    both embeddings, in closed form; its determinant is |disc|."""
+    D = abs(F.D)
+    if F.D % 4 == 1:
+        return ((2, 1), (1, (1 + D) // 2))
+    return ((2, 0), (0, 2 * D))
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1039,7 @@ def canonical_pick(module, cands):
     element u/den, None when there is none: the points enumerate_by_t2
     returns have their first nonzero coordinate positive and share the
     module's den > 0, so this is the order of (T2(v), v) on v = u/den."""
-    G = module.ambient.t2_gram_matrix()
+    G = module.ambient.t2_gram_matrix
     return _element(module, min(cands, key=lambda u: (_form_value(G, u), u), default=None))
 
 

@@ -63,7 +63,7 @@ E = integral_basis(59, 2)
 O = maximal_order(F)
 W = unit_witness(59, 2)
 P3 = factor_rational_prime(E, 3)[0]
-RED = lll_reduce(identity_module(F), F.t2_gram_matrix())
+RED = lll_reduce(identity_module(F), F.t2_gram_matrix)
 LAD = ladder_data(E)
 CG = form_class_group(-59)
 CF = cf_sqrt(7)

@@ -344,6 +344,33 @@ def test_factor_composite_norm(capsys):
     assert doc["remultiplies"] is True
 
 
+@pytest.mark.parametrize(
+    "order, text, gen",
+    [
+        ("rel:59:2", "007", "7"),
+        ("rel:59:2", "+15", "15"),
+        ("rel:59:2", "-6", "-6"),
+        ("max:-59", "007", "7"),
+        ("max:-59", "+15", "15"),
+    ],
+)
+def test_factor_renders_an_integer_alike_at_both_degrees(capsys, order, text, gen):
+    # an integer is read as n * 1 and printed by fmt_elem, whatever the
+    # degree, not echoed as typed
+    code, doc = run_json(capsys, ["factor", order, text])
+    assert code == 0
+    assert doc["ideal"]["generator"] == gen
+    assert doc["remultiplies"] is True
+
+
+def test_factor_of_a_quartic_non_integer_exits_2():
+    assert fresh_run(["factor", "rel:59:2", "1+w"]) == (
+        2,
+        "",
+        "error: elements of quartic orders: plain integers only, got '1+w'\n",
+    )
+
+
 def test_factor_not_coprime_to_conductor(capsys):
     code, out = run(capsys, ["factor", "index:-7:2", "2"])
     assert code == 2

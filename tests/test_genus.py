@@ -172,7 +172,7 @@ def test_every_character_none_is_a_none_of_the_t2_ball():
     decided = 0
     for D in IMAGINARY_D:
         F = QuadField(D)
-        G = F.t2_gram_matrix()
+        G = F.t2_gram_matrix
         for q in range(3, 200, 2):
             if not is_prime(q) or not refuted(F, q):
                 continue

@@ -92,7 +92,7 @@ def oracle_twisted_gram(field, h, k) -> tuple:
     """The Gram of T2(x * (h - k*sqrt(D0))) as the Fraction product
     (M G) M^t, M the multiplication matrix of h - k*sqrt(D0), checked
     integral."""
-    G = field.t2_gram_matrix()
+    G = field.t2_gram_matrix
     M = mult_matrix(field, field.from_real_quadratic(Fraction(h), Fraction(-k)))
     MG = [[sum(Ma[i] * G[i][j] for i in range(4)) for j in range(4)] for Ma in M]
     return integer_rows(
@@ -288,7 +288,7 @@ def oracle_find_generator(module, norm):
     """find_generator on the Fraction ladder, for rank-4 modules."""
     field = module.ambient
     norm = Fraction(norm)
-    G = field.t2_gram_matrix()
+    G = field.t2_gram_matrix
     keep = oracle_norm_filter(module, norm)
     D0, m, gammas = oracle_ladder(field, module)
     cands = []
@@ -316,7 +316,7 @@ def oracle_l(e, D0) -> Decimal:
 
 def t2(field, x) -> Fraction:
     """T2(x) of a field element, from its basis coordinates and the T2 Gram."""
-    return form_value(field.t2_gram_matrix(), x.coords)
+    return form_value(field.t2_gram_matrix, x.basis_coords())
 
 
 def oracle_window_ball2(field, c, edges, norm) -> Fraction:
@@ -485,7 +485,7 @@ def test_ladder_data_is_integral():
         assert all(type(x) is int for M in (G, C, lad.U)
                    for row in M for x in row)
         # C = S G + G S^t, S the matrix of sqrt(D0), in Fractions
-        assert G == field.t2_gram_matrix()
+        assert G == field.t2_gram_matrix
         SG = matrix_product(mult_matrix(field, sq), G)
         assert [list(r) for r in C] == [
             [SG[i][j] + SG[j][i] for j in range(4)] for i in range(4)
@@ -628,7 +628,7 @@ def test_outer_gram_is_d0_times_g(field):
     # as sqrt(D0) is real; so a twist needs only G and C = S G + G S^t
     D0 = field.real_subfield_data()[0]
     S = mult_matrix(field, field.from_real_quadratic(0, 1))
-    G = field.t2_gram_matrix()
+    G = field.t2_gram_matrix
     SGSt = matrix_product(matrix_product(S, G), list(zip(*S)))
     assert SGSt == [[D0 * x for x in row] for row in G]
 
@@ -683,7 +683,7 @@ def test_find_generator_matches_oracle_on_odd_powers(ladder_modules):
             continue
         field = module.ambient
         fields.add(field)
-        G = field.t2_gram_matrix()
+        G = field.t2_gram_matrix
         short = enumerate_by_t2(lll_reduce(module, G), 12 * module.covolume())[:4]
         norms = {module.covolume()} | {
             field.from_basis_coords([Fraction(c, module.den) for c in u]).norm()
@@ -704,7 +704,7 @@ def test_find_generator_matches_oracle_on_e37_modules():
     rng = random.Random(37)
     modules = [pf.module for q in (2, 3, 5) for pf in factor_rational_prime(E37, q)]
     modules += random_modules(rng, E37, 12)
-    G = E37.t2_gram_matrix()
+    G = E37.t2_gram_matrix
     half = {True: 0, False: 0}
     found = 0
     for module in modules:
@@ -1049,7 +1049,7 @@ def check_stretches(field, T) -> str:
     assert T <= len(windows) <= T + 1
     if T == 1:
         assert len(windows) == 1
-        assert _twisted_gram(G, C, *windows[0][0]) == tuple(map(tuple, field.t2_gram_matrix()))
+        assert _twisted_gram(G, C, *windows[0][0]) == tuple(map(tuple, field.t2_gram_matrix))
         return "one"
     ls = [oracle_l(g, D0) for g in gammas]
     P = ls[T]
@@ -1141,7 +1141,7 @@ def test_rung_balls_keep_the_pick_past_l():
     module = identity_module(E235).transform(x)
     norm = x.norm()
     w, rho, _ = _ladder_windows(D0, T)[0][0]
-    assert form_value(_twisted_gram(G, C, *w), x.coords) <= _budget(rho, norm, module.den)
+    assert form_value(_twisted_gram(G, C, *w), x.basis_coords()) <= _budget(rho, norm, module.den)
     got = find_generator(module, norm)
     assert got == oracle_find_generator(module, norm)
     assert t2(E235, got) > t2(E235, x)
@@ -1165,7 +1165,7 @@ def early_pool(budget_pool, ladder_modules):
     for module, (m, _), _ in ladder_modules:
         if odd_power(module, m):
             field = module.ambient
-            G = field.t2_gram_matrix()
+            G = field.t2_gram_matrix
             short = enumerate_by_t2(lll_reduce(module, G), 12 * module.covolume())[:3]
             out.append((module, module.covolume()))
             out += [

@@ -206,7 +206,7 @@ def test_t2_gram_det_is_abs_disc():
         ),
     ]
     for F in fields:
-        G = F.t2_gram_matrix()
+        G = F.t2_gram_matrix
         assert all(isinstance(x, int) for row in G for x in row), F
         assert _det_int(G) == abs(F.disc), F
 
@@ -261,7 +261,7 @@ def test_kernel_int():
 def test_lll_preserves_module():
     rng = random.Random(24)
     F = QuadField(-59)
-    g = F.t2_gram_matrix()
+    g = F.t2_gram_matrix
     for _ in range(40):
         rows = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)]
         try:
@@ -582,7 +582,7 @@ def test_enumerate_against_box_scan():
 
 def test_enumerate_amgm():
     F = QuadField(-59)
-    g = F.t2_gram_matrix()
+    g = F.t2_gram_matrix
     m = identity_module(F)
     for vec in enumerate_by_t2(lll_reduce(m, g), 40):
         e = F.from_basis_coords(vec)

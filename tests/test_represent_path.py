@@ -91,7 +91,7 @@ def test_split_relative_matches_naive_coordinates(d, n):
     # x + y*sqrt(-n) for each prime element x of norm <= 3000 with y its
     # root of -n, then for random x and y with denominators
     F, E = QuadField(-d), integral_basis(d, n)
-    t = E.gens()[1]
+    t = E.gens[1]
     rng = random.Random(d * n)
     pairs = []
     for p in prime_elements(F, NORM):

@@ -24,7 +24,10 @@ lines its first argument up with a method's second parameter.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from nforders.lattice import LadderData
 
@@ -483,10 +486,59 @@ def test_both_field_classes_speak_one_protocol():
     assert kinds[0]["genus_characters"].__name__ == "cached_property"
 
 
-def _degree_comparisons(path: Path) -> set:
-    """Names of the top-level functions (Class.method for methods) that
-    compare a `.degree` attribute."""
-    out = set()
+# what both degrees do the same way, each written once on its base class:
+# elements from coordinates, 1 and the T2 Gram on NumberField, and the
+# conjugation on FieldElem
+BASE_MEMBERS = (
+    ("NumberField", "from_basis_coords"),
+    ("NumberField", "one"),
+    ("NumberField", "t2_gram_matrix"),
+    ("FieldElem", "conj"),
+)
+
+
+@pytest.mark.parametrize("base, name", BASE_MEMBERS)
+def test_shared_member_is_defined_once_on_the_base(base, name):
+    from nforders import biquadratic, quadratic
+
+    cls = getattr(quadratic, base, None)
+    assert cls is not None and name in vars(cls)
+    subclasses = {
+        obj
+        for mod in (quadratic, biquadratic)
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, cls) and obj is not cls
+    }
+    assert len(subclasses) == 2
+    assert [c.__name__ for c in subclasses if name in vars(c)] == []
+
+
+def test_gram_and_trace_form_are_computed_in_one_place():
+    # the T2 Gram is read off the trace form, which the discriminant of a
+    # supplied basis also reads; the wrappers and the naive-coordinate
+    # trace form are gone, and so are the second names of the conjugation
+    # and of the coordinates
+    from nforders.biquadratic import BiquadElem, BiquadField
+
+    assert set(_callers("trace_form")) == {
+        ("quadratic", "NumberField.t2_gram_matrix"),
+        ("biquadratic", "_verified_field"),
+    }
+    defined = {
+        node.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(p))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not {"_trace_form", "_t2_gram_rows", "_gens", "bar"} & defined
+    assert not {"bar", "coords"} & set(vars(BiquadElem))
+    assert type(vars(BiquadField)["gens"]).__name__ == "cached_property"
+
+
+def _degree_comparisons(path: Path) -> Counter:
+    """The number of comparisons of a `.degree` attribute in each top-level
+    function (Class.method for methods) that makes one."""
+    out = Counter()
     for stmt in _parse(path).body:
         scopes = [(stmt.name, stmt)] if isinstance(stmt, ast.FunctionDef) else []
         if isinstance(stmt, ast.ClassDef):
@@ -501,7 +553,7 @@ def _degree_comparisons(path: Path) -> set:
                     isinstance(x, ast.Attribute) and x.attr == "degree"
                     for x in [node.left, *node.comparators]
                 ):
-                    out.add(name)
+                    out[name] += 1
     return out
 
 
@@ -512,9 +564,15 @@ def test_degree_branches_left_above_the_field():
     found = _degree_comparisons(SRC / "lattice.py") | _degree_comparisons(
         SRC / "orders.py"
     )
-    assert found <= {"find_generator", "unit_index", "pic_brute_force"}, found
+    assert found.keys() <= {"find_generator", "unit_index", "pic_brute_force"}, found
     # the scan sees a comparison where there is one
     assert "find_generator" in found
+    # above them the front end names a field, and only a quadratic order
+    # reads an element in x + y*w syntax; the criteria never ask
+    front = _degree_comparisons(SRC / "cli.py") | _degree_comparisons(
+        SRC / "criteria.py"
+    )
+    assert front == {"field_label": 1, "cmd_factor": 1}, front
 
 
 def _callers(name: str) -> list:

@@ -11,6 +11,7 @@ a table.
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -27,9 +28,18 @@ from nforders.lattice import (
     lll_reduce,
 )
 from nforders.orders import module_colon, module_mul, relative_order
-from nforders.quadratic import QuadElem, QuadField, integer_rows
+from nforders.quadratic import QuadElem, QuadField, integer_rows, trace_form
 from ideals import module_conj
-from oracles import FracQuad, mult_matrix, naive, omega, transform_by_matrix
+from oracles import (
+    FracQuad,
+    mult_matrix,
+    naive,
+    omega,
+    t2_gram_by_closed_form,
+    t2_gram_by_naive_traces,
+    trace_form_by_naive_traces,
+    transform_by_matrix,
+)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -271,7 +281,7 @@ NORM_FILTER_FIELDS = (
 @pytest.mark.parametrize("field", NORM_FILTER_FIELDS, ids=repr)
 def test_norm_filter_matches_oracle(field):
     rng = random.Random(11)
-    G = field.t2_gram_matrix()
+    G = field.t2_gram_matrix
     for _ in range(4):
         m = rand_module(rng, field, span=3)
         pts = enumerate_by_t2(lll_reduce(m, G), 40 * field.degree)[:150]
@@ -312,6 +322,53 @@ def test_quartic_norm_needs_no_unit(monkeypatch):
     for _ in range(40):
         x = rand_elem(rng, E)
         assert x.norm() == oracle_abs_norm(x)
+
+
+# ---------------------------------------------------------------------------
+# the T2 Gram and the trace form, read off mult_table
+
+# every squarefree D with |D| < 3000, D != 1: 3,647 quadratic fields
+GRAM_QUAD_DS = [D for m in range(1, 3000) if is_squarefree(m) for D in (-m, m) if D != 1]
+
+
+def gram_quartic_fields() -> list:
+    """The 473 native fields with d < 200 and n <= 30, then the supplied
+    bases of Q(zeta_8), E37 and E715."""
+    native = [
+        integral_basis(d, n)
+        for d in range(3, 200, 4)
+        if is_squarefree(d)
+        for n in range(1, 31)
+        if n % 4 in (1, 2) and is_squarefree(n) and gcd(d, n) == 1
+    ]
+    assert len(native) == 473
+    z8 = ((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
+    B = ((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
+    supplied = [
+        integral_basis(1, 2, basis=z8, disc=256),
+        E37,
+        integral_basis(7, 15, basis=B, disc=11025),
+    ]
+    return native + supplied
+
+
+def test_quadratic_t2_gram_and_trace_form_match_closed_forms():
+    assert len(GRAM_QUAD_DS) == 3647
+    for D in GRAM_QUAD_DS:
+        F = QuadField(D)
+        assert F.t2_gram_matrix == t2_gram_by_closed_form(F), D
+        assert _det_int(trace_form(F.mult_table)) == F.disc, D
+
+
+def test_quartic_t2_gram_and_trace_form_match_naive_traces():
+    # the discriminant is the product of the three quadratic subfields'
+    # (the conductor-discriminant formula), which shares nothing with
+    # the trace form
+    for E in gram_quartic_fields():
+        T = trace_form(E.mult_table)
+        assert T == tuple(map(tuple, trace_form_by_naive_traces(E.mult_table, E.intbasis)))
+        assert E.t2_gram_matrix == t2_gram_by_naive_traces(E), E
+        assert _det_int(T) == E.disc == prod(F.disc for F, _ in E.subfields), E
 
 
 # ---------------------------------------------------------------------------
