@@ -227,7 +227,7 @@ class NumberField(Keyed):
 
     @cached_property
     def t2_gram_matrix(self) -> tuple:
-        """Gram matrix of T2, the sum of |x|^2 over the complex embeddings,
+        """Gram matrix of T2, the sum of |x|^2 over the embeddings into C,
         on the integral basis: entry (i, j) is Tr(b_i * cc(b_j)), cc the
         complex conjugation, = sum_m C[j][m] Tr(b_i * b_m) with row j of C
         = complex_conj_matrix the coordinates of cc(b_j).  A trace of an
