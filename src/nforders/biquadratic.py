@@ -2,14 +2,14 @@
 Q(sqrt(-d)) and relative norms down to it, prime factorization, the
 Minkowski bound, class groups, and the norm-map cardinality condition.
 
-Elements are integer coordinates over a verified integral basis and one
-denominator, as in a quadratic field (quadratic.FieldElem).  The basis
-itself is stored in "naive" coordinates over {1, sqrt(-d), sqrt(-n),
-sqrt(d*n)}, which fixes once per field the integer structure constants
-BiquadField.mult_table, through which products and module transforms
-run, the integer norm form, and the integer matrices of the two
-conjugations conj and complex_conj.  Nothing downstream touches radicals
-again.
+Elements are integer coordinates over an integral basis, which the field
+proves maximal, and one denominator, as in a quadratic field
+(quadratic.FieldElem).  The basis itself is stored in "naive"
+coordinates over {1, sqrt(-d), sqrt(-n), sqrt(d*n)}, which fixes once
+per field the integer structure constants BiquadField.mult_table,
+through which products and module transforms run, the integer norm
+form, and the integer matrices of the two conjugations conj and
+complex_conj.  Nothing downstream touches radicals again.
 """
 
 from __future__ import annotations
@@ -162,20 +162,48 @@ class BiquadElem(FieldElem):
 
 
 class BiquadField(NumberField):
-    """Q(sqrt(-d), sqrt(-n)) together with a fixed integral basis.
+    """Q(sqrt(-d), sqrt(-n)) together with a proven integral basis.
 
-    Rows of `intbasis` give the basis elements in naive coordinates; the
-    first row must be the element 1.  Construct through integral_basis(),
-    which verifies the ring axioms, rather than directly.
+    Rows of `intbasis` give the basis elements in naive coordinates over
+    {1, sqrt(-d), sqrt(-n), sqrt(d*n)}; the first row must be the element
+    1.  The constructor proves the rows span the maximal order O_E: a
+    nonsingular basis matrix (basis_inverse) and an integral product
+    table (mult_table, every b_i * b_j in the span) make them an order,
+    and an order's discriminant is its index in O_E squared times
+    disc(E), which the conductor-discriminant formula gives as the
+    product of the three quadratic subfields' discriminants (Williams,
+    Canad. Math. Bull. 13, 1970; Cohen, GTM 138, §6.1).  So the trace
+    form's determinant, disc, equals that product exactly when the index
+    is 1; any other basis raises ValueError.  O_E holds the radicals,
+    sqrt(D0), each subfield's w and the conjugates of its elements, so
+    what the field reads off them below has integer coordinates.
     """
 
     degree, Elem = 4, BiquadElem
 
-    def __init__(self, d: int, n: int, intbasis: tuple, disc: int):
-        self.d, self.n, self.intbasis, self.disc = d, n, intbasis, disc
+    def __init__(self, d: int, n: int, intbasis):
+        check_field_params(d, n)
+        rows = tuple(tuple(Fraction(x) for x in row) for row in intbasis)
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+            raise ValueError("basis must be 4x4")
+        if rows[0] != (1, 0, 0, 0):
+            raise ValueError("first basis row must be the element 1")
+        self.d, self.n, self.intbasis = d, n, rows
+        # (M, D): naive coordinates times M / D give basis coordinates
+        self.basis_inverse = _mat_inv(rows)
+        # T[i][j] = coords(b_i * b_j), as integers; every product and
+        # module transform reads it
+        self.mult_table = _products_table(d, n, rows, self.basis_inverse)
+        self.disc = _det_int(trace_form(self.mult_table))
+        maximal = prod(F.disc for F, _ in self.subfields)
+        if self.disc != maximal:
+            raise ValueError(
+                "trace-form discriminant %d is not the maximal order's %d: "
+                "the basis spans a suborder" % (self.disc, maximal)
+            )
 
     def _key(self) -> tuple:
-        return self.d, self.n, self.intbasis, self.disc
+        return self.d, self.n, self.intbasis
 
     def __hash__(self):
         # equal fields have equal (d, n, disc); hashing the Fraction basis
@@ -184,21 +212,6 @@ class BiquadField(NumberField):
 
     def from_naive(self, naive) -> "BiquadElem":
         return BiquadElem(self, *_naive_row(self.basis_inverse, naive))
-
-    @cached_property
-    def basis_inverse(self) -> tuple:
-        """Inverse of the basis matrix as (M, D), M an integer matrix over
-        the denominator D > 0: naive coordinates times M / D give basis
-        coordinates."""
-        return _mat_inv(self.intbasis)
-
-    @cached_property
-    def mult_table(self) -> tuple:
-        """Structure constants T[i][j] = coords(b_i * b_j) over the integral
-        basis, as integer 4-tuples.  Built once per field instance from the
-        naive multiplication and checked integral; all element products and
-        module transforms run through it."""
-        return _products_table(self.d, self.n, self.intbasis, self.basis_inverse)
 
     @cached_property
     def conj_matrix(self) -> tuple:
@@ -270,8 +283,6 @@ class BiquadField(NumberField):
         twists by p t - hk c (lattice._twisted_gram)."""
         D0, _ = self.real_subfield_data()
         sq = self.from_real_quadratic(0, 1)
-        if not sq.is_integral():
-            raise ValueError("sqrt(D0) is not integral")
         S = tuple(map(tuple, table_matrix(self.mult_table, sq.u)))
         G = self.t2_gram_matrix
         SG, GSt = _times(S, G), _times(G, tuple(zip(*S)))
@@ -330,10 +341,7 @@ class BiquadField(NumberField):
         """Coordinate rows of {1, w, sqrt(-n), w*sqrt(-n)} with w the ring
         generator of the integers of Q(sqrt(-d)), built once per field."""
         w, t = self.from_naive(self.subfields[0][1]), self.gens[1]
-        els = (self.one(), w, t, w * t)
-        if any(e.den != 1 for e in els):
-            raise ValueError("relative order does not lie in the basis span")
-        return tuple(e.u for e in els)
+        return tuple(e.u for e in (self.one(), w, t, w * t))
 
     def __repr__(self):
         return "BiquadField(%d, %d)" % (self.d, self.n)
@@ -352,29 +360,20 @@ _NATIVE_ROWS = (
 _IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def integral_basis(d: int, n: int, basis=None, disc: int | None = None) -> BiquadField:
-    """Verified integral basis for Q(sqrt(-d), sqrt(-n)).
+def integral_basis(d: int, n: int, basis=None) -> BiquadField:
+    """The field Q(sqrt(-d), sqrt(-n)) over a proven maximal integral basis.
 
     Without a basis argument this requires d = 3 mod 4, n = 1 or 2 mod 4,
     and gcd(d, n) = 1, where {1, w, sqrt(-n), w*sqrt(-n)} works, w being
-    (1 + sqrt(-d))/2.  Outside those congruence classes callers must supply
-    the basis rows in naive {1, sqrt(-d), sqrt(-n), sqrt(d*n)} coordinates
-    (first row the element 1) together with the intended field discriminant.
-    Supplied data is accepted only if the rows span a ring containing 1 and
-    all three radicals whose trace-form determinant equals `disc`; whether
-    that ring is genuinely maximal is the caller's responsibility.
+    (1 + sqrt(-d))/2.  Outside those congruence classes callers supply the
+    basis rows in naive {1, sqrt(-d), sqrt(-n), sqrt(d*n)} coordinates,
+    first row the element 1, and BiquadField proves them maximal or
+    raises ValueError.
 
-    The built-in basis is verified once per (d, n) and its field is cached;
-    a supplied basis is verified on every call.
+    The built-in basis is proven once per (d, n) and its field is cached;
+    a supplied basis is proven on every call.
     """
-    if basis is not None:
-        return _verified_field(d, n, basis, disc)
-    field = _native_field(d, n)
-    if disc is not None and field.disc != disc:
-        raise ValueError(
-            "trace-form discriminant %s does not match declared %d" % (field.disc, disc)
-        )
-    return field
+    return _native_field(d, n) if basis is None else BiquadField(d, n, basis)
 
 
 @lru_cache(maxsize=None)
@@ -384,34 +383,10 @@ def _native_field(d: int, n: int) -> BiquadField:
         raise UnsupportedFieldError(
             "no built-in integral basis for (%d, %d); supply one" % (d, n)
         )
-    field = _verified_field(d, n, _NATIVE_ROWS, None)
+    field = BiquadField(d, n, _NATIVE_ROWS)
     # the built-in rows are literally {1, w, sqrt(-n), w*sqrt(-n)}, so
     # that order being maximal is the same as the rows being identity
     assert field.relative_order_rows == _IDENTITY4
-    return field
-
-
-def _verified_field(d: int, n: int, basis, disc: int | None) -> BiquadField:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in basis)
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise ValueError("basis must be 4x4")
-    if rows[0] != (1, 0, 0, 0):
-        raise ValueError("first basis row must be the element 1")
-    Bi = _mat_inv(rows)
-    for nv in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        _integral_row(Bi, nv, "basis span misses one of the radical generators")
-    table = _products_table(d, n, rows, Bi)
-    D = _det_int(trace_form(table))
-    if D == 0:
-        raise ValueError("degenerate trace form")
-    if disc is not None and D != disc:
-        raise ValueError(
-            "trace-form discriminant %s does not match declared %d" % (D, disc)
-        )
-    check_field_params(d, n)
-    field = BiquadField(d, n, rows, D)
-    # the verified tables are the field's: seed the cached properties
-    vars(field).update(basis_inverse=Bi, mult_table=table)
     return field
 
 

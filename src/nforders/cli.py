@@ -295,27 +295,31 @@ def cmd_criterion(args):
     return payload, 0
 
 
+def _result(out) -> str:
+    """The name of one of represent's three answers: "none" for a proven
+    None, "unknown" for UNRESOLVED, and "solution" for a pair (x, y)."""
+    if out is None:
+        return "none"
+    return "unknown" if out is UNRESOLVED else "solution"
+
+
 def cmd_represent(args):
     F = QuadField(-args.d)
     p = parse_element(args.p, F)
     out = represent(p, args.d, args.n)
+    result = _result(out)
     payload = {
         "command": "represent",
         "p": fmt_elem(p),
         "d": args.d,
         "n": args.n,
+        "result": result,
     }
-    if out is None:
-        payload["result"] = "none"
-        return payload, 0
-    if out is UNRESOLVED:
-        payload["result"] = "unknown"
-        return payload, 3
+    if result != "solution":
+        return payload, 3 if result == "unknown" else 0
     x, y = out
     assert verify_identity(p, x, y, args.n)
-    payload.update(
-        {"result": "solution", "x": fmt_elem(x), "y": fmt_elem(y), "verified": True}
-    )
+    payload.update({"x": fmt_elem(x), "y": fmt_elem(y), "verified": True})
     return payload, 0
 
 
@@ -364,7 +368,7 @@ def example_checks(pair_only: bool = False) -> list:
     chi = jacobi(-2 % 17, 17)
     add("residue_character", chi == 1, "(-2 | 17) = %d" % chi)
     rep = represent(pi, 59, _EXAMPLE_N)
-    found = rep is not None and rep is not UNRESOLVED
+    found = _result(rep) == "solution"
     add(
         "representation_found",
         found and verify_identity(pi, rep[0], rep[1], _EXAMPLE_N),
@@ -394,13 +398,7 @@ def cmd_sweep(args):
         if gcd(2 * args.d * args.n, norm) > 1:
             continue
         rep = criterion_hilbert(p, args.d, args.n, f=poly)
-        out = represent(p, args.d, args.n)
-        if out is None:
-            solver = "none"
-        elif out is UNRESOLVED:
-            solver = "unknown"
-        else:
-            solver = "solution"
+        solver = _result(represent(p, args.d, args.n))
         if rep.verdict == UNKNOWN or solver == "unknown":
             agree = None
         else:

@@ -28,7 +28,7 @@ conductor or prime ideal is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -63,9 +63,10 @@ class OrderRep(Keyed):
     1 = (1, 0, ...) in their span, which in a canonical HNF makes it row
     0, and holding the product r_i * r_j, i <= j, of each two other rows,
     read on integers off the field's mult_table (by bilinearity, o is
-    then closed).  mult_matrices, which _closed_under reads for an
-    OrderIdeal, is built on first use; the index [O_K : o] once, when
-    built, as the module's covolume, the diagonal product of its HNF."""
+    then closed).  mult_matrices, the matrices of those rows that proof
+    multiplies by, are kept for _closed_under to read for an OrderIdeal;
+    the index [O_K : o] is read once, when built, as the module's
+    covolume, the diagonal product of its HNF."""
 
     def __init__(self, field, module: IntModule):
         rows = module.rows
@@ -73,19 +74,15 @@ class OrderRep(Keyed):
             raise ValueError("an order must consist of integral elements")
         if not _in_lattice(rows, (1,) + (0,) * (len(rows) - 1)):
             raise ValueError("an order must contain 1")
-        T, gens = field.mult_table, rows[1:]
-        for i, x in enumerate(gens):
-            if not all(_in_lattice(rows, v) for v in _times(gens[i:], table_matrix(T, x))):
+        gens = rows[1:]
+        self.mult_matrices = tuple(table_matrix(field.mult_table, x) for x in gens)
+        for i, M in enumerate(self.mult_matrices):
+            if not all(_in_lattice(rows, v) for v in _times(gens[i:], M)):
                 raise ValueError("module is not multiplicatively closed")
         self.field, self.module, self._index = field, module, int(module.covolume())
 
     def _key(self) -> tuple:
         return self.field, self.module
-
-    @cached_property
-    def mult_matrices(self) -> tuple:
-        T = self.field.mult_table
-        return tuple(table_matrix(T, r) for r in self.module.rows[1:])
 
     @property
     def is_maximal(self) -> bool:

@@ -55,14 +55,14 @@ Z12 = integral_basis(3, 1)
 
 # eighth roots of unity: {1, z, z^2, z^3} over (1, sqrt(-1), sqrt(-2), sqrt(2))
 Z8_ROWS = ((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
-E8 = integral_basis(1, 2, basis=Z8_ROWS, disc=256)
+E8 = integral_basis(1, 2, basis=Z8_ROWS)
 
 # {1, w3, w7, w3*w7} with w_m = (1+sqrt(-m))/2
 B37 = ((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
-E37 = integral_basis(3, 7, basis=B37, disc=441)
+E37 = integral_basis(3, 7, basis=B37)
 
 B715 = ((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
-E715 = integral_basis(7, 15, basis=B715, disc=11025)
+E715 = integral_basis(7, 15, basis=B715)
 
 
 def rand_elem(rng, E, span=9, den=2):
@@ -117,25 +117,68 @@ def test_native_congruence_rejections():
 
 
 def test_supplied_basis_rejections():
-    with pytest.raises(ValueError):
-        integral_basis(1, 2, basis=Z8_ROWS, disc=257)
     naive = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     with pytest.raises(ValueError):
         # trace form of the naive order gives 256*d^2*n^2, not the field disc
-        integral_basis(7, 5, basis=naive, disc=19600)
+        integral_basis(7, 5, basis=naive)
     doubled = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
     with pytest.raises(ValueError):
-        integral_basis(7, 5, basis=doubled, disc=313600 // 64)
+        integral_basis(7, 5, basis=doubled)
     halved = ((1, 0, 0, 0), (0, H, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     with pytest.raises(ValueError):
-        integral_basis(7, 5, basis=halved, disc=78400)
+        integral_basis(7, 5, basis=halved)
+
+
+def test_a_suborder_is_refused_without_a_declared_disc():
+    # an order's discriminant is its index in O_E squared times disc(E),
+    # the product of the subfields' discriminants, so a suborder is refused
+    # by its own trace form, with both discriminants named
+    radicals = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match=r"313600 is not the maximal order's 19600"):
+        integral_basis(7, 5, basis=radicals)
+    # O_F + O_F*sqrt(-7) in E37 has index 4: 7056 = 4^2 * 441
+    rel = relative_order(E37)
+    assert rel.index_in_maximal() == 4
+    rows = [naive(E37.from_basis_coords(r)) for r in rel.module.rows]
+    with pytest.raises(ValueError, match=r"7056 is not the maximal order's 441"):
+        integral_basis(3, 7, basis=rows)
+
+
+def test_a_direct_construction_is_proven_too():
+    # the constructor is the one place a field is proven: rows that are not
+    # closed under multiplication, (sqrt(-2)/2)^2 = -1/2, raise there
+    rows = ((1, 0, 0, 0), (H, H, 0, 0), (0, 0, H, 0), (0, 0, H, -H))
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        BiquadField(59, 2, rows)
+    assert BiquadField(59, 2, biquadratic._NATIVE_ROWS) == E59
+    with pytest.raises(ValueError, match="squarefree"):
+        BiquadField(4, 2, biquadratic._NATIVE_ROWS)
+
+
+def test_the_checks_maximality_implies_still_refuse():
+    # each input a separate check refused before the maximality proof
+    # absorbed it is still refused, now at construction.  The doubled basis
+    # misses the radicals (index 8 in the naive order):
+    doubled = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+    with pytest.raises(ValueError, match="is not the maximal order's 19600"):
+        integral_basis(7, 5, basis=doubled)
+    # Z[sqrt(-6), sqrt(-10), sqrt(60)] holds the radicals but not
+    # sqrt(15) = sqrt(60)/2, the square root norm_forms multiplies by:
+    naive = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="is not the maximal order's"):
+        integral_basis(6, 10, basis=naive)
+    # and for (3, 7) not w = (1 + sqrt(-3))/2, the first relative order row:
+    with pytest.raises(ValueError, match="is not the maximal order's 441"):
+        integral_basis(3, 7, basis=naive)
+    # a degenerate trace form needs a singular basis matrix, which
+    # _mat_inv refuses first (test_singular_basis_raises)
 
 
 def test_equal_fields_hash_equal():
     # the hash reads (d, n, disc) only, so equal fields hash equal: the
     # cached native field, a fresh one, and a supplied basis equal to it
     native = integral_basis(59, 2)
-    supplied = integral_basis(59, 2, basis=native.intbasis, disc=native.disc)
+    supplied = integral_basis(59, 2, basis=native.intbasis)
     assert supplied is not native and supplied == native
     assert hash(supplied) == hash(native) == hash((59, 2, native.disc))
     assert len({native, supplied, E59}) == 1
@@ -151,8 +194,8 @@ def test_basis_closed_under_multiplication():
 
 
 def test_field_keeps_the_tables_it_verified(monkeypatch):
-    # integral_basis builds the basis inverse and the product table once, to
-    # verify the basis, and the field reads them instead of rebuilding:
+    # the constructor builds the basis inverse and the product table once,
+    # to prove the basis, and the field reads them instead of rebuilding:
     # the same tables a fresh build gives
     built = {"inverse": 0, "table": 0}
     mat_inv, products = biquadratic._mat_inv, biquadratic._products_table
@@ -167,7 +210,7 @@ def test_field_keeps_the_tables_it_verified(monkeypatch):
 
     monkeypatch.setattr(biquadratic, "_mat_inv", count_inv)
     monkeypatch.setattr(biquadratic, "_products_table", count_table)
-    E = integral_basis(3, 7, basis=B37, disc=441)
+    E = integral_basis(3, 7, basis=B37)
     assert E.mult_table == products(3, 7, E.intbasis, mat_inv(E.intbasis))
     assert E.basis_inverse == mat_inv(E.intbasis)
     E.from_naive((H, H, 0, 0)) * E.from_naive((0, 0, 1, 0))
@@ -454,7 +497,7 @@ def test_from_naive_against_fraction_inverse():
 def test_singular_basis_raises():
     singular = ((1, 0, 0, 0), (H, H, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     with pytest.raises(ValueError, match="singular basis matrix"):
-        integral_basis(7, 5, basis=singular, disc=78400)
+        integral_basis(7, 5, basis=singular)
 
 
 def test_factor_rejects_composite():

@@ -19,7 +19,7 @@ from oracles import FracBiquad, FracQuad, naive, trace
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
 E37 = integral_basis(
-    3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=441
+    3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
 )
 QUAD_FIELDS = [QuadField(D) for D in (-1, -3, -5, -59, 2)]
 QUARTIC_FIELDS = [integral_basis(59, 2), integral_basis(11, 10), E37]

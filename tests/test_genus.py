@@ -34,10 +34,10 @@ from nforders.quadratic import QuadField, prime_discriminants
 
 H, Q = Fraction(1, 2), Fraction(1, 4)
 E37 = integral_basis(
-    3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=441
+    3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
 )
 E715 = integral_basis(
-    7, 15, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=11025
+    7, 15, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
 )
 BIQUAD_FIELDS = (
     integral_basis(59, 2),

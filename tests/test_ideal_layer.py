@@ -193,7 +193,7 @@ def test_closure_test_rejects_non_ideals():
     # not an O_E-ideal
     H, Q = Fraction(1, 2), Fraction(1, 4)
     E = integral_basis(
-        3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=441
+        3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
     )
     rel = relative_order(E)
     omax = maximal_order(E)

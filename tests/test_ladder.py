@@ -71,10 +71,10 @@ Q = Fraction(1, 4)
 E59 = integral_basis(59, 2)
 E1110 = integral_basis(11, 10)
 E8 = integral_basis(
-    1, 2, basis=((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H)), disc=256
+    1, 2, basis=((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
 )
 E37 = integral_basis(
-    3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=441
+    3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
 )
 FIELDS = (E59, E1110, E8, E37)
 
@@ -616,7 +616,7 @@ def test_find_generator_matches_oracle_on_23_5_and_71_2():
 
 LADDER_FIELDS = FIELDS + MIDPOINT_FIELDS[2:] + (integral_basis(23, 5),)
 E715 = integral_basis(
-    7, 15, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=11025
+    7, 15, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
 )
 
 

@@ -201,8 +201,7 @@ def test_t2_gram_det_is_abs_disc():
         integral_basis(59, 2),
         integral_basis(11, 10),
         integral_basis(
-            1, 2, basis=((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H)),
-            disc=256,
+            1, 2, basis=((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
         ),
     ]
     for F in fields:

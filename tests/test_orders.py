@@ -513,7 +513,7 @@ def _e37_order():
 
     H, Q = Fraction(1, 2), Fraction(1, 4)
     E = integral_basis(
-        3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=441
+        3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
     )
     return relative_order(E)
 

@@ -122,7 +122,7 @@ def test_split_relative_matches_naive_coordinates(d, n):
 def test_verified_tables_match_fraction_products(d, n, basis):
     # the integer product table and trace form against the Fraction
     # products, on the native fields and on E37's supplied basis
-    E = integral_basis(d, n) if basis is None else integral_basis(d, n, basis, 441)
+    E = integral_basis(d, n) if basis is None else integral_basis(d, n, basis)
     rows = E.intbasis
     assert E.mult_table == products_table_by_fractions(d, n, rows, E.basis_inverse)
     assert E.disc == _det_int(trace_form_by_fractions(d, n, rows))

@@ -61,7 +61,7 @@ def test_principal_moduli_of_small_fields(d):
 def _e37():
     H, Q = Fraction(1, 2), Fraction(1, 4)
     return integral_basis(
-        3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)), disc=441
+        3, 7, basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
     )
 
 
@@ -112,9 +112,9 @@ def test_maximal_quartic_orders_count_one():
     rows12 = ((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
     rows715 = ((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
     fields += [
-        integral_basis(1, 2, basis=rows12, disc=256),
+        integral_basis(1, 2, basis=rows12),
         _e37(),
-        integral_basis(7, 15, basis=rows715, disc=11025),
+        integral_basis(7, 15, basis=rows715),
     ]
     for E in fields:
         omax = maximal_order(E)

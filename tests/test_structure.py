@@ -522,7 +522,7 @@ def test_gram_and_trace_form_are_computed_in_one_place():
 
     assert set(_callers("trace_form")) == {
         ("quadratic", "NumberField.t2_gram_matrix"),
-        ("biquadratic", "_verified_field"),
+        ("biquadratic", "BiquadField.__init__"),
     }
     defined = {
         node.name
@@ -648,7 +648,7 @@ def test_hnf_determinants_are_read_off_the_diagonal():
     assert set(_callers("_det_int")) == {
         ("lattice", "adjugate_int"),
         ("biquadratic", "_mat_inv"),
-        ("biquadratic", "_verified_field"),
+        ("biquadratic", "BiquadField.__init__"),
     }
     assert set(_callers("_diagonal_product")) == {
         ("lattice", "IntModule.covolume"),
@@ -712,3 +712,28 @@ def test_adjugate_and_class_group_have_no_special_case():
     adjugate = _function(SRC / "lattice.py", "adjugate_int")
     assert sum(isinstance(node, ast.Return) for node in ast.walk(adjugate)) == 1
     assert [w for mod, w in _callers("BiquadClassGroup")] == ["class_group"]
+
+
+def test_a_quartic_field_is_proven_where_it_is_built():
+    # BiquadField's constructor proves its basis maximal and keeps the two
+    # tables that proof builds as plain attributes; integral_basis and the
+    # cached native field reach it, no second builder skips the proof, and
+    # no caller declares a discriminant
+    import inspect
+
+    from nforders.biquadratic import BiquadField, integral_basis
+
+    defined = {
+        node.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(p))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_verified_field" not in defined
+    assert not {"basis_inverse", "mult_table"} & set(vars(BiquadField))
+    assert list(inspect.signature(integral_basis).parameters) == ["d", "n", "basis"]
+    assert list(inspect.signature(BiquadField).parameters) == ["d", "n", "intbasis"]
+    assert sorted(_callers("BiquadField")) == [
+        ("biquadratic", "_native_field"),
+        ("biquadratic", "integral_basis"),
+    ]

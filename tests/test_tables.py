@@ -269,7 +269,6 @@ E37 = integral_basis(
     3,
     7,
     basis=((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q)),
-    disc=441,
 )
 NORM_FILTER_FIELDS = (
     [QuadField(-59)]
@@ -317,7 +316,7 @@ def test_quartic_norm_needs_no_unit(monkeypatch):
     # biquadratic does not import it at all; lattice defines it
     assert not hasattr(biquadratic, "ladder_data")
     monkeypatch.setattr(lattice, "ladder_data", no_ladder)
-    E = integral_basis(3, 7, basis=E37.intbasis, disc=441)  # fresh: nothing cached
+    E = integral_basis(3, 7, basis=E37.intbasis)  # fresh: nothing cached
     rng = random.Random(13)
     for _ in range(40):
         x = rand_elem(rng, E)
@@ -345,9 +344,9 @@ def gram_quartic_fields() -> list:
     z8 = ((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
     B = ((1, 0, 0, 0), (H, H, 0, 0), (H, 0, H, 0), (Q, Q, Q, -Q))
     supplied = [
-        integral_basis(1, 2, basis=z8, disc=256),
+        integral_basis(1, 2, basis=z8),
         E37,
-        integral_basis(7, 15, basis=B, disc=11025),
+        integral_basis(7, 15, basis=B),
     ]
     return native + supplied
 
@@ -414,17 +413,13 @@ def test_native_field_and_relative_order_are_cached():
     again = integral_basis(59, 2)
     assert again == E and again is E
     assert relative_order(again) is relative_order(E)
-    with pytest.raises(ValueError):
-        integral_basis(59, 2, disc=E.disc + 1)
 
 
 def test_supplied_basis_is_verified_on_every_call():
     z8 = ((1, 0, 0, 0), (0, 0, H, H), (0, 1, 0, 0), (0, 0, H, -H))
-    good = integral_basis(1, 2, basis=z8, disc=256)
-    assert integral_basis(1, 2, basis=z8, disc=256) == good
+    good = integral_basis(1, 2, basis=z8)
+    assert integral_basis(1, 2, basis=z8) == good
     bad = ((1, 0, 0, 0), (0, H, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for _ in range(2):
         with pytest.raises(ValueError):
-            integral_basis(7, 5, basis=bad, disc=78400)
-        with pytest.raises(ValueError):
-            integral_basis(1, 2, basis=z8, disc=257)
+            integral_basis(7, 5, basis=bad)
